@@ -31,6 +31,7 @@ from .conftest import record_table
 
 HOPS = (2, 3, 4)
 K = 10
+REPEATS = 3
 
 
 def build_hybrid_db(scale_factor: float, segment_size: int) -> tuple[TigerVectorDB, object]:
@@ -59,15 +60,21 @@ def hybrid_dbs():
 def run_ic(db, data, name, hops):
     qname = f"{name}_h{hops}"
     topic = data.post_embeddings[7].tolist()
-    start = time.perf_counter()
-    result = db.gsql.run_query(qname, pid=0, topic_emb=topic, k=K)
-    e2e = time.perf_counter() - start
-    return {
-        "e2e": e2e,
-        "candidates": result.metrics.get("num_candidates", 0),
-        "vector_ms": result.metrics.get("vector_seconds", 0.0) * 1000.0,
-        "topk": len(result.prints[0]["vertices"]),
-    }
+    # Best of a few runs: a single shot bills whichever query runs first for
+    # one-time costs (lazy kernels, column arrays), which is not a hop effect.
+    best = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = db.gsql.run_query(qname, pid=0, topic_emb=topic, k=K)
+        e2e = time.perf_counter() - start
+        if best is None or e2e < best["e2e"]:
+            best = {
+                "e2e": e2e,
+                "candidates": result.metrics.get("num_candidates", 0),
+                "vector_ms": result.metrics.get("vector_seconds", 0.0) * 1000.0,
+                "topk": len(result.prints[0]["vertices"]),
+            }
+    return best
 
 
 def test_tab34_hybrid_search(benchmark, hybrid_dbs):

@@ -153,7 +153,12 @@ class TigerVectorDB:
         rows: Iterable[dict[str, Any]],
         batch_size: int = 10_000,
     ) -> int:
-        """Insert many vertices in large transactions; returns count."""
+        """Insert many vertices in large transactions; returns count.
+
+        The load's own deltas are folded into the segments' base versions
+        before returning (a graph-only vacuum), so later snapshots of a
+        read-mostly store overlay nothing.
+        """
         vtype = self.schema.vertex_type(vertex_type)
         pk = vtype.primary_key
         count = 0
@@ -166,6 +171,7 @@ class TigerVectorDB:
                 txn = self.begin()
         if txn.pending_ops:
             txn.commit()
+        self.store.vacuum()
         return count
 
     def bulk_load_edges(
@@ -184,6 +190,7 @@ class TigerVectorDB:
                 txn = self.begin()
         if txn.pending_ops:
             txn.commit()
+        self.store.vacuum()
         return count
 
     def bulk_load_embeddings(

@@ -23,15 +23,93 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from ..errors import GSQLSemanticError, UnknownTypeError
 from .schema import GraphSchema
+from .segment import SegmentState
 from .txn import Snapshot
 from .vertex_set import VertexSet
 
-__all__ = ["EdgeHop", "NodePattern", "PathPattern", "match_bindings", "match_frontier"]
+__all__ = [
+    "EdgeHop",
+    "NodeMasks",
+    "NodePattern",
+    "PathPattern",
+    "match_bindings",
+    "match_frontier",
+]
 
 #: Per-alias node predicate: fn(vid, attrs) -> bool.
 NodeFilter = Callable[[int, dict[str, Any]], bool]
+
+#: Column kernel: fn(state) -> bool array over the state's first ``size``
+#: rows, or None when this segment's columns cannot answer exactly.
+ColumnMask = Callable[[SegmentState], "np.ndarray | None"]
+
+
+class NodeMasks:
+    """One alias's pre-filter: ``predicate AND live`` as one bool mask per segment.
+
+    Masks are built on first use and kept for the snapshot's lifetime.  With
+    a ``column_mask`` kernel a mask is a few array operations; the first
+    segment the kernel declines (returns ``None``) switches the *whole alias*
+    to ``check``, the per-row predicate, which is also all a plain callable
+    filter ever uses.  Both routes produce the same bits, so masks built
+    before the switch stay valid.
+    """
+
+    def __init__(
+        self, snapshot: Snapshot, check: NodeFilter, column_mask: ColumnMask | None = None
+    ):
+        self._snapshot = snapshot
+        self._check = check
+        self._column_mask = column_mask
+        self._masks: dict[tuple[str, int], np.ndarray] = {}
+
+    @property
+    def columnar(self) -> bool:
+        """True while every mask so far came from the column kernel."""
+        return self._column_mask is not None
+
+    def _row_ok(self, vertex_type: str, vid: int, row: dict[str, Any]) -> bool:
+        row["_type"] = vertex_type  # expose the member type to filters
+        return self._check(vid, row)
+
+    def mask_for(self, vertex_type: str, seg_no: int) -> np.ndarray:
+        """Qualifying live offsets of one segment, length = segment capacity."""
+        key = (vertex_type, seg_no)
+        mask = self._masks.get(key)
+        if mask is not None:
+            return mask
+        state = self._snapshot.segment_state(vertex_type, seg_no)
+        mask = state.valid_mask()
+        predicate = self._column_mask(state) if self._column_mask is not None else None
+        if predicate is not None:
+            mask[: state.size] &= predicate
+        else:
+            self._column_mask = None
+            base = seg_no * self._snapshot.segment_size
+            for offset in np.flatnonzero(mask).tolist():
+                if not self._row_ok(vertex_type, base + offset, state.get_row(offset)):
+                    mask[offset] = False
+        self._masks[key] = mask
+        return mask
+
+    def masks(self, vertex_type: str) -> list[np.ndarray]:
+        """:meth:`mask_for` every segment of ``vertex_type``, in segment order."""
+        return [
+            self.mask_for(vertex_type, seg_no)
+            for seg_no in range(self._snapshot.num_segments(vertex_type))
+        ]
+
+    def ok(self, vertex_type: str, vid: int) -> bool:
+        """Does one vertex qualify?  Row-wise this reads one row, not a segment."""
+        if self._column_mask is None:
+            row = self._snapshot.get_vertex(vertex_type, vid)
+            return row is not None and self._row_ok(vertex_type, vid, row)
+        seg_no, offset = divmod(vid, self._snapshot.segment_size)
+        return bool(self.mask_for(vertex_type, seg_no)[offset])
 
 
 @dataclass(frozen=True)
@@ -104,7 +182,7 @@ def _initial_members(
     node: NodePattern,
     expected_type: str | None,
     resolve_set: Callable[[str], VertexSet | None],
-    node_filter: NodeFilter | None,
+    masks: NodeMasks | None,
 ) -> set[tuple[str, int]]:
     """Candidate (type, vid) members for a pattern's first position."""
     members: set[tuple[str, int]] = set()
@@ -114,16 +192,8 @@ def _initial_members(
         for vtype, vid in vset:
             if expected_type is not None and vtype != expected_type:
                 continue
-            if node_filter is not None:
-                row = snapshot.get_vertex(vtype, vid)
-                if row is None:
-                    continue
-                row["_type"] = vtype  # expose the member type to filters
-                if not node_filter(vid, row):
-                    continue
-            elif not snapshot.vertex_exists(vtype, vid):
-                continue
-            members.add((vtype, vid))
+            if masks.ok(vtype, vid) if masks else snapshot.vertex_exists(vtype, vid):
+                members.add((vtype, vid))
         return members
     vertex_type = label or expected_type
     if vertex_type is None:
@@ -132,20 +202,19 @@ def _initial_members(
         raise GSQLSemanticError(
             f"node labeled '{label}' cannot start edge requiring '{expected_type}'"
         )
-    for vid, row in snapshot.scan(vertex_type):
-        row["_type"] = vertex_type
-        if node_filter is None or node_filter(vid, row):
-            members.add((vertex_type, vid))
+    per_segment = masks.masks(vertex_type) if masks else snapshot.valid_bitmaps(vertex_type)
+    for seg_no, mask in enumerate(per_segment):
+        base = seg_no * snapshot.segment_size
+        members.update((vertex_type, base + offset) for offset in np.flatnonzero(mask).tolist())
     return members
 
 
 def _node_ok(
-    snapshot: Snapshot,
     member: tuple[str, int],
     node: NodePattern,
     expected_type: str | None,
     resolve_set: Callable[[str], VertexSet | None],
-    node_filter: NodeFilter | None,
+    masks: NodeMasks | None,
 ) -> bool:
     vtype, vid = member
     if expected_type is not None and vtype != expected_type:
@@ -157,20 +226,24 @@ def _node_ok(
                 return False
         elif node.label != vtype:
             return False
-    if node_filter is not None:
-        row = snapshot.get_vertex(vtype, vid)
-        if row is None:
-            return False
-        row["_type"] = vtype
-        return node_filter(vid, row)
-    return True
+    return masks is None or masks.ok(vtype, vid)
+
+
+def _as_masks(
+    snapshot: Snapshot, node_filters: dict[str, NodeFilter | NodeMasks] | None
+) -> dict[str, NodeMasks]:
+    """Plain ``fn(vid, attrs)`` filters become row-wise mask providers."""
+    return {
+        alias: f if isinstance(f, NodeMasks) else NodeMasks(snapshot, f)
+        for alias, f in (node_filters or {}).items()
+    }
 
 
 def match_frontier(
     snapshot: Snapshot,
     schema: GraphSchema,
     pattern: PathPattern,
-    node_filters: dict[str, NodeFilter] | None = None,
+    node_filters: dict[str, NodeFilter | NodeMasks] | None = None,
     resolve_set: Callable[[str], VertexSet | None] | None = None,
 ) -> dict[str, VertexSet]:
     """Distinct vertices binding each alias, by forward frontier expansion.
@@ -180,7 +253,7 @@ def match_frontier(
     earlier positions (GSQL's post-accum semantics for the final alias — the
     one hybrid queries collect — are exact).
     """
-    node_filters = node_filters or {}
+    node_filters = _as_masks(snapshot, node_filters)
     resolve_set = resolve_set or (lambda name: None)
     positions = pattern.expanded_positions()
     hops = pattern.expanded_hops()
@@ -207,7 +280,7 @@ def match_frontier(
                 member = (dst_type, target)
                 if member in next_frontier:
                     continue
-                if _node_ok(snapshot, member, node, dst_type, resolve_set, node_filter):
+                if _node_ok(member, node, dst_type, resolve_set, node_filter):
                     next_frontier.add(member)
         frontier = next_frontier
         if node.alias:
@@ -224,7 +297,7 @@ def match_bindings(
     snapshot: Snapshot,
     schema: GraphSchema,
     pattern: PathPattern,
-    node_filters: dict[str, NodeFilter] | None = None,
+    node_filters: dict[str, NodeFilter | NodeMasks] | None = None,
     resolve_set: Callable[[str], VertexSet | None] | None = None,
     limit: int | None = None,
 ) -> Iterator[dict[str, tuple[str, int]]]:
@@ -235,7 +308,7 @@ def match_bindings(
     Used by vector similarity joins, where matched paths are sparse enough
     for brute-force pair scoring (Sec. 5.4).
     """
-    node_filters = node_filters or {}
+    node_filters = _as_masks(snapshot, node_filters)
     resolve_set = resolve_set or (lambda name: None)
     positions = pattern.expanded_positions()
     hops = pattern.expanded_hops()
@@ -266,7 +339,7 @@ def match_bindings(
         node_filter = node_filters.get(node.alias or "")
         for target in snapshot.neighbors(vtype, vid, hop.edge_type, reverse=reverse):
             nxt = (dst_type, target)
-            if not _node_ok(snapshot, nxt, node, dst_type, resolve_set, node_filter):
+            if not _node_ok(nxt, node, dst_type, resolve_set, node_filter):
                 continue
             if node.alias:
                 binding[node.alias] = nxt

@@ -52,10 +52,36 @@ class DeltaOp:
     payload: Any = None  # upsert: dict attrs; add_edge/del_edge: (key, target_vid, attrs)
 
 
+def _typed_array(col: list, size: int) -> np.ndarray | None:
+    """``col`` as a bool / int64 / float64 / str array, or ``None``.
+
+    ``None`` whenever an elementwise NumPy comparison on the array could answer
+    differently from Python's comparison of the list's own values: a ``None``
+    hole or mixed types (object dtype), ints beyond int64, or a NUL in a
+    string (NumPy's fixed-width strings drop trailing NULs).
+    """
+    kinds = set(map(type, col))
+    if len(col) != size or len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is bool:
+        return np.array(col, dtype=bool)
+    if kind is float:
+        return np.array(col, dtype=np.float64)
+    if kind is int:
+        try:
+            return np.array(col, dtype=np.int64)
+        except OverflowError:
+            return None
+    if kind is str and "\0" not in "".join(col):
+        return np.array(col, dtype=np.str_)
+    return None
+
+
 class SegmentVersion:
     """An immutable columnar snapshot of a segment as of ``base_tid``."""
 
-    __slots__ = ("base_tid", "size", "columns", "deleted", "adjacency")
+    __slots__ = ("base_tid", "size", "columns", "deleted", "adjacency", "_arrays")
 
     def __init__(
         self,
@@ -70,6 +96,20 @@ class SegmentVersion:
         self.columns = columns
         self.deleted = deleted
         self.adjacency = adjacency
+        # name -> typed array (or None), built on first use.  Two readers may
+        # race to fill an entry; both build the same array from the same
+        # immutable list, so the last store wins harmlessly.
+        self._arrays: dict[str, np.ndarray | None] = {}
+
+    def column_array(self, name: str) -> np.ndarray | None:
+        """Typed array of one attribute column (see :func:`_typed_array`), cached."""
+        try:
+            return self._arrays[name]
+        except KeyError:
+            col = self.columns.get(name)
+            array = None if col is None else _typed_array(col, self.size)
+            self._arrays[name] = array
+            return array
 
     @classmethod
     def empty(cls, vertex_type: VertexType, capacity: int) -> "SegmentVersion":
@@ -100,6 +140,9 @@ class Segment:
         self.versions: list[SegmentVersion] = [SegmentVersion.empty(vertex_type, capacity)]
         self.deltas: list[DeltaOp] = []  # ordered by tid
         self._delta_tids: list[int] = []
+        # offset -> newest pending upsert/delete, so a commit can read one
+        # row's latest state without overlaying the whole segment.
+        self._row_ops: dict[int, DeltaOp] = {}
 
     # ------------------------------------------------------------- mutation
     def append_delta(self, op: DeltaOp) -> None:
@@ -108,6 +151,8 @@ class Segment:
             raise ReproError("segment deltas must be appended in TID order")
         self.deltas.append(op)
         self._delta_tids.append(op.tid)
+        if op.kind in ("upsert", "delete"):
+            self._row_ops[op.offset] = op
 
     @property
     def pending_delta_count(self) -> int:
@@ -129,6 +174,22 @@ class Segment:
         start = bisect.bisect_right(self._delta_tids, low_tid)
         stop = bisect.bisect_right(self._delta_tids, high_tid)
         return iter(self.deltas[start:stop])
+
+    def latest_row(self, offset: int) -> dict[str, Any] | None:
+        """Attributes of the newest committed row at ``offset``; ``None`` if absent.
+
+        An upsert delta carries the whole merged row, so the newest pending
+        row op (or, without one, the newest version) decides alone.  Callers
+        hold the store's commit lock and must not mutate the result (it may
+        be a delta's own payload).
+        """
+        op = self._row_ops.get(offset)
+        if op is not None:
+            return op.payload if op.kind == "upsert" else None
+        newest = self.versions[-1]
+        if offset < newest.size and not newest.deleted[offset]:
+            return {name: col[offset] for name, col in newest.columns.items()}
+        return None
 
     def read_state(self, snapshot_tid: int) -> "SegmentState":
         """Materialize the overlay view for a snapshot.
@@ -221,6 +282,9 @@ class Segment:
         if start:
             self.deltas = self.deltas[start:]
             self._delta_tids = self._delta_tids[start:]
+            self._row_ops = {
+                offset: op for offset, op in self._row_ops.items() if op.tid > cutoff
+            }
         return dropped
 
 
@@ -330,3 +394,18 @@ class SegmentState:
 
     def column(self, name: str) -> list:
         return self._columns[name]
+
+    def column_array(self, name: str) -> np.ndarray | None:
+        """One attribute column as a typed array of length ``size``.
+
+        ``None`` when the column does not exist or has no exact typed form
+        (``None`` holes, mixed types, ints beyond int64, NUL in a string), so
+        callers fall back to per-row reads.  Shared with every other reader
+        of the base version while no delta touched the columns; rebuilt from
+        the owned lists otherwise, because an overlaid state lives only as
+        long as its snapshot.
+        """
+        if not self._columns_owned:
+            return self._base.column_array(name)
+        col = self._columns.get(name)
+        return None if col is None else _typed_array(col, self.size)

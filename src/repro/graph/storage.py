@@ -216,12 +216,9 @@ class GraphStore:
             vid = self._allocate_vid(vertex_type, pk)
             seg_no, offset = divmod(vid, self.segment_size)
             vtype = self.schema.vertex_type(vertex_type)
-            existing = None
             segment = self._segment(vertex_type, seg_no)
             # Merge into existing values so partial upserts keep old attrs.
-            state = segment.read_state(tid)
-            if state.exists(offset):
-                existing = state.get_row(offset)
+            existing = segment.latest_row(offset)
             row = {name: attr.default for name, attr in vtype.attributes.items()}
             if existing:
                 row.update({k: v for k, v in existing.items() if v is not None})

@@ -206,6 +206,10 @@ class Snapshot:
     def num_segments(self, vertex_type: str) -> int:
         return self._store._num_segments(vertex_type)
 
+    @property
+    def segment_size(self) -> int:
+        return self._store.segment_size
+
     def segment_state(self, vertex_type: str, seg_no: int) -> SegmentState:
         """Expose the per-segment view; used by MPP actions and vector search."""
         return self._segment_state(vertex_type, seg_no)
@@ -240,14 +244,12 @@ class Snapshot:
         ]
 
     def bitmap_from_vids(self, vertex_type: str, vids: Iterable[int]) -> list[np.ndarray]:
-        """Per-segment masks marking exactly the given vids (pre-filter input)."""
+        """Per-segment masks marking exactly the given vids (pre-filter input).
+
+        Vids beyond the last segment are ignored.
+        """
         capacity = self._store.segment_size
-        masks = [
-            np.zeros(capacity, dtype=bool)
-            for _ in range(self._store._num_segments(vertex_type))
-        ]
-        for vid in vids:
-            seg_no, offset = divmod(vid, capacity)
-            if seg_no < len(masks):
-                masks[seg_no][offset] = True
-        return masks
+        masks = np.zeros((self._store._num_segments(vertex_type), capacity), dtype=bool)
+        arr = np.fromiter(vids, dtype=np.int64)
+        masks.reshape(-1)[arr[(arr >= 0) & (arr < masks.size)]] = True
+        return list(masks)

@@ -37,6 +37,7 @@ from ..graph.accumulators import (
 )
 from ..graph.pattern import (
     EdgeHop,
+    NodeMasks,
     NodePattern,
     PathPattern,
     match_bindings,
@@ -48,6 +49,7 @@ from ..index.bitmap import Bitmap
 from ..telemetry import get_telemetry
 from ..types import distance as metric_distance
 from . import ast_nodes as ast
+from .columnar import COMPARE_OPS, compile_pushdown
 from .functions import BUILTINS, CONTEXT_BUILTINS, call_builtin
 from .planner import build_plan
 from .semantic import SelectInfo, analyze_select
@@ -183,18 +185,9 @@ def _eval_binary(expr: ast.BinaryOp, ctx: ExecutionContext, env) -> Any:
         return bool(eval_expr(expr.left, ctx, env)) or bool(eval_expr(expr.right, ctx, env))
     left = eval_expr(expr.left, ctx, env)
     right = eval_expr(expr.right, ctx, env)
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
+    compare = COMPARE_OPS.get(op)
+    if compare is not None:
+        return compare(left, right)
     if op == "IN":
         if isinstance(right, VertexSet) and isinstance(left, Vertex):
             return left.as_pair() in right
@@ -326,31 +319,51 @@ def _to_pattern(info: SelectInfo) -> PathPattern:
     return PathPattern(nodes, hops)
 
 
-def _node_filters(info: SelectInfo, ctx: ExecutionContext):
-    filters = {}
-    for alias, conjuncts in info.pushdown.items():
-        def make(alias_name: str, conjs: list[ast.Expr]):
-            def check(vid: int, row: dict) -> bool:
-                # The matcher annotates rows with their member type, which
-                # resolves set-variable labels whose types vary per member.
-                vtype = row.get("_type") or info.alias_types.get(alias_name)
-                # Runtime attrs (e.g. Louvain cid) aren't in the row; fall
-                # back to full attribute resolution through the context.
-                member = (vtype, vid) if vtype else None
-                env = {alias_name: member} if member else {}
-                try:
-                    return all(bool(eval_expr(c, ctx, env)) for c in conjs)
-                except GSQLSemanticError:
-                    return False
-            return check
-        filters[alias] = make(alias, conjuncts)
-    return filters
+def _alias_masks(
+    info: SelectInfo, ctx: ExecutionContext, alias: str, conjuncts: list[ast.Expr]
+) -> NodeMasks:
+    """One alias's pushdown conjuncts: a column program, with ``check`` behind it."""
+
+    def check(vid: int, row: dict) -> bool:
+        # The matcher annotates rows with their member type, which
+        # resolves set-variable labels whose types vary per member.
+        vtype = row.get("_type") or info.alias_types.get(alias)
+        # Runtime attrs (e.g. Louvain cid) aren't in the row; fall
+        # back to full attribute resolution through the context.
+        member = (vtype, vid) if vtype else None
+        env = {alias: member} if member else {}
+        try:
+            return all(bool(eval_expr(c, ctx, env)) for c in conjuncts)
+        except GSQLSemanticError:
+            return False
+
+    program = compile_pushdown(alias, conjuncts, lambda expr: eval_expr(expr, ctx))
+    return NodeMasks(ctx.snapshot, check, program.mask if program else None)
 
 
-def _candidate_set(info: SelectInfo, ctx: ExecutionContext, target_alias: str) -> VertexSet:
+def _node_filters(info: SelectInfo, ctx: ExecutionContext) -> dict[str, NodeMasks]:
+    return {
+        alias: _alias_masks(info, ctx, alias, conjuncts)
+        for alias, conjuncts in info.pushdown.items()
+    }
+
+
+def _record_filter_mode(filters: dict[str, NodeMasks], ctx: ExecutionContext) -> None:
+    """Say, once the block has run, whether its pushdown stayed columnar."""
+    if not filters:
+        return
+    tel = get_telemetry()
+    for masks in filters.values():
+        tel.inc("gsql.pushdown_columnar" if masks.columnar else "gsql.pushdown_rowwise")
+    columnar = all(masks.columnar for masks in filters.values())
+    ctx.metrics["filter_mode"] = "columnar" if columnar else "rowwise"
+
+
+def _candidate_set(
+    info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks], target_alias: str
+) -> VertexSet:
     """Evaluate the pattern + predicates; distinct vertices for one alias."""
     pattern = _to_pattern(info)
-    filters = _node_filters(info, ctx)
     if not info.residual:
         sets = match_frontier(
             ctx.snapshot, ctx.db.schema, pattern,
@@ -367,6 +380,36 @@ def _candidate_set(info: SelectInfo, ctx: ExecutionContext, target_alias: str) -
             if member is not None:
                 out.add(*member)
     return out
+
+
+def _prefilter(
+    info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks], target_alias: str
+) -> VertexSet | list[Bitmap]:
+    """Candidates for the searched alias, in the form the search can use soonest.
+
+    A block that is one typed node with pushdown predicates only needs no
+    pattern matching: the alias's per-segment masks *are* the pre-filter
+    bitmaps.  Anything else yields the matched vertex set.
+    """
+    nodes = info.block.pattern.nodes
+    masks = filters.get(target_alias)
+    label = nodes[0].label
+    if (
+        len(nodes) == 1
+        and masks is not None
+        and not info.residual
+        and label
+        and ctx.db.schema.has_vertex_type(label)
+        and ctx.resolve_set(label) is None
+    ):
+        return [Bitmap.wrap(mask) for mask in masks.masks(label)]
+    return _candidate_set(info, ctx, filters, target_alias)
+
+
+def _num_candidates(candidates: VertexSet | list[Bitmap]) -> int:
+    if isinstance(candidates, VertexSet):
+        return len(candidates)
+    return sum(bitmap.count() for bitmap in candidates)
 
 
 def _run_accums(
@@ -391,10 +434,13 @@ def _run_accums(
             vmap.for_vertex(env[target.alias]).accum(value)
 
 
-def _bitmaps_for(ctx: ExecutionContext, vertex_type: str, candidates: VertexSet):
-    vids = candidates.vids_of_type(vertex_type)
-    masks = ctx.snapshot.bitmap_from_vids(vertex_type, vids)
-    return [Bitmap.wrap(mask) for mask in masks], len(vids)
+def _bitmaps_for(
+    ctx: ExecutionContext, vertex_type: str, candidates: VertexSet | list[Bitmap]
+) -> list[Bitmap]:
+    if not isinstance(candidates, VertexSet):
+        return candidates
+    masks = ctx.snapshot.bitmap_from_vids(vertex_type, candidates.vids_of_type(vertex_type))
+    return [Bitmap.wrap(mask) for mask in masks]
 
 
 def execute_select(block: ast.SelectBlock, ctx: ExecutionContext) -> Any:
@@ -405,21 +451,28 @@ def execute_select(block: ast.SelectBlock, ctx: ExecutionContext) -> Any:
         plan = build_plan(info)
         pspan.set(shape=info.shape)
     ctx.metrics["last_plan"] = plan.explain()
+    filters = _node_filters(info, ctx)
+    result = _exec_shape(info, ctx, filters)
+    _record_filter_mode(filters, ctx)
+    return result
+
+
+def _exec_shape(info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks]) -> Any:
     shape = info.shape
     if shape == "pure":
         return _exec_vector_topk(info, ctx, candidates=None)
     if shape == "filtered":
         target = info.vector.alias
         start = time.perf_counter()
-        candidates = _candidate_set(info, ctx, target)
+        candidates = _prefilter(info, ctx, filters, target)
         ctx.metrics["filter_seconds"] = time.perf_counter() - start
-        ctx.metrics["num_candidates"] = len(candidates)
+        ctx.metrics["num_candidates"] = _num_candidates(candidates)
         return _exec_vector_topk(info, ctx, candidates=candidates)
     if shape == "range":
-        return _exec_vector_range(info, ctx)
+        return _exec_vector_range(info, ctx, filters)
     if shape == "similarity_join":
-        return _exec_similarity_join(info, ctx)
-    return _exec_graph_block(info, ctx)
+        return _exec_similarity_join(info, ctx, filters)
+    return _exec_graph_block(info, ctx, filters)
 
 
 def _resolve_target_type(info: SelectInfo, ctx: ExecutionContext, alias: str) -> str:
@@ -433,7 +486,7 @@ def _resolve_target_type(info: SelectInfo, ctx: ExecutionContext, alias: str) ->
 
 
 def _exec_vector_topk(
-    info: SelectInfo, ctx: ExecutionContext, candidates: VertexSet | None
+    info: SelectInfo, ctx: ExecutionContext, candidates: VertexSet | list[Bitmap] | None
 ) -> RankedVertexSet:
     vec = info.vector
     query = np.asarray(eval_expr(vec.query_expr, ctx), dtype=np.float32)
@@ -444,7 +497,7 @@ def _exec_vector_topk(
         # The alias is labeled by a vertex-set variable whose member types
         # are only known at runtime — search every candidate type carrying
         # this embedding attribute (multi-type search, Sec. 5.5).
-        if candidates is None:
+        if not isinstance(candidates, VertexSet):
             raise
         target_types = sorted(
             t for t in candidates.vertex_types()
@@ -457,8 +510,8 @@ def _exec_vector_topk(
         store = ctx.db.service.store(vertex_type, vec.attr)
         bitmaps = None
         if candidates is not None:
-            bitmaps, valid = _bitmaps_for(ctx, vertex_type, candidates)
-            if valid == 0:
+            bitmaps = _bitmaps_for(ctx, vertex_type, candidates)
+            if not any(bitmap.count() for bitmap in bitmaps):
                 continue
         action = EmbeddingAction(store)
         result = action.topk(
@@ -480,7 +533,9 @@ def _exec_vector_topk(
     return out
 
 
-def _exec_vector_range(info: SelectInfo, ctx: ExecutionContext) -> RankedVertexSet:
+def _exec_vector_range(
+    info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks]
+) -> RankedVertexSet:
     vec = info.vector
     vertex_type = _resolve_target_type(info, ctx, vec.alias)
     query = np.asarray(eval_expr(vec.query_expr, ctx), dtype=np.float32)
@@ -492,10 +547,10 @@ def _exec_vector_range(info: SelectInfo, ctx: ExecutionContext) -> RankedVertexS
         or (info.alias_labels.get(vec.alias) in ctx.known_set_vars())
     )
     if needs_filter:
-        candidates = _candidate_set(info, ctx, vec.alias)
-        ctx.metrics["num_candidates"] = len(candidates)
-        bitmaps, valid = _bitmaps_for(ctx, vertex_type, candidates)
-        if valid == 0:
+        candidates = _prefilter(info, ctx, filters, vec.alias)
+        ctx.metrics["num_candidates"] = _num_candidates(candidates)
+        bitmaps = _bitmaps_for(ctx, vertex_type, candidates)
+        if not any(bitmap.count() for bitmap in bitmaps):
             return RankedVertexSet([], name="Range")
     action = EmbeddingAction(store)
     start = time.perf_counter()
@@ -508,7 +563,9 @@ def _exec_vector_range(info: SelectInfo, ctx: ExecutionContext) -> RankedVertexS
     return RankedVertexSet(ranking, name="Range")
 
 
-def _exec_similarity_join(info: SelectInfo, ctx: ExecutionContext) -> list[dict]:
+def _exec_similarity_join(
+    info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks]
+) -> list[dict]:
     """Sec. 5.4: brute-force pair distances over matched paths, global heap."""
     vec = info.vector
     k = int(eval_expr(vec.k_expr, ctx))
@@ -518,7 +575,6 @@ def _exec_similarity_join(info: SelectInfo, ctx: ExecutionContext) -> list[dict]
     right_store = ctx.db.service.store(right_type, vec.right_attr)
     metric = ctx.db.schema.vertex_type(left_type).embedding(vec.attr).metric
     pattern = _to_pattern(info)
-    filters = _node_filters(info, ctx)
     heap = HeapAccum(k, ascending=True)
     cache: dict[tuple[str, int], np.ndarray | None] = {}
 
@@ -569,16 +625,17 @@ def _exec_similarity_join(info: SelectInfo, ctx: ExecutionContext) -> list[dict]
     return rows
 
 
-def _exec_graph_block(info: SelectInfo, ctx: ExecutionContext) -> Any:
+def _exec_graph_block(
+    info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks]
+) -> Any:
     block = info.block
     pattern = _to_pattern(info)
-    filters = _node_filters(info, ctx)
     needs_bindings = bool(
         info.residual or block.accum or len(block.select) > 1
     )
     if not needs_bindings:
         target = block.select[0]
-        result = _candidate_set(info, ctx, target)
+        result = _candidate_set(info, ctx, filters, target)
         for member in list(result):
             _run_accums(block.post_accum, ctx, {target: member})
         return _order_limit(result, info, ctx)

@@ -50,6 +50,8 @@ INSTRUMENTS: dict[str, tuple[str, str]] = {
     "gsql.plan_seconds": ("histogram", "GSQL analyze+plan phase"),
     "gsql.execute_seconds": ("histogram", "GSQL execute phase"),
     "gsql.query_seconds": ("histogram", "GSQL whole-statement latency"),
+    "gsql.pushdown_columnar": ("counter", "alias pre-filters answered by column kernels"),
+    "gsql.pushdown_rowwise": ("counter", "alias pre-filters that fell back to per-row evaluation"),
     # ---- cluster simulator ----------------------------------------------
     "coordinator.requests": ("counter", "simulated coordinator requests"),
     "machine.jobs": ("counter", "segment jobs scheduled onto machine cores"),
