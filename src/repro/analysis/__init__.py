@@ -10,21 +10,32 @@ Two halves (see DESIGN.md for the rule catalog and paper mapping):
   lock-order inversions and held-across-commit violations.
 """
 
-from .cli import LintResult, lint_paths, main
-from .findings import Finding, SuppressionIndex
-from .lockgraph import LockOrderGraph
-from .rules import REGISTRY, Rule, lint_source, make_rules, register
+from importlib import import_module
 
-__all__ = [
-    "Finding",
-    "LintResult",
-    "LockOrderGraph",
-    "REGISTRY",
-    "Rule",
-    "SuppressionIndex",
-    "lint_paths",
-    "lint_source",
-    "main",
-    "make_rules",
-    "register",
-]
+#: Public name -> submodule.  Resolved on first use: the storage engine
+#: imports :mod:`~repro.analysis.hooks` from its hot modules, and that must
+#: not load the linter (rule catalog, CLI) into every database process.
+_EXPORTS = {
+    "Finding": "findings",
+    "LintResult": "cli",
+    "LockOrderGraph": "lockgraph",
+    "REGISTRY": "rules",
+    "Rule": "rules",
+    "SuppressionIndex": "findings",
+    "lint_paths": "cli",
+    "lint_source": "rules",
+    "main": "cli",
+    "make_rules": "rules",
+    "register": "rules",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

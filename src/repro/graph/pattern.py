@@ -57,6 +57,11 @@ class NodeMasks:
     to ``check``, the per-row predicate, which is also all a plain callable
     filter ever uses.  Both routes produce the same bits, so masks built
     before the switch stay valid.
+
+    ``check`` only ever sees the rows a row-wise matcher would visit: every
+    live row of a scanned type (:meth:`masks`), one row per :meth:`ok`.  A
+    declined column is exactly one where ``check`` may raise (``None > 30``),
+    so a row no hop reaches must not be evaluated.
     """
 
     def __init__(
@@ -76,24 +81,40 @@ class NodeMasks:
         row["_type"] = vertex_type  # expose the member type to filters
         return self._check(vid, row)
 
-    def mask_for(self, vertex_type: str, seg_no: int) -> np.ndarray:
-        """Qualifying live offsets of one segment, length = segment capacity."""
+    def _kernel_mask(self, vertex_type: str, seg_no: int) -> np.ndarray | None:
+        """One segment's mask from the memo or the column kernel.
+
+        ``None`` when only ``check`` can answer; a kernel that declines turns
+        the alias row-wise for good.
+        """
         key = (vertex_type, seg_no)
         mask = self._masks.get(key)
-        if mask is not None:
+        if mask is not None or self._column_mask is None:
             return mask
         state = self._snapshot.segment_state(vertex_type, seg_no)
-        mask = state.valid_mask()
-        predicate = self._column_mask(state) if self._column_mask is not None else None
-        if predicate is not None:
-            mask[: state.size] &= predicate
-        else:
+        predicate = self._column_mask(state)
+        if predicate is None:
             self._column_mask = None
+            return None
+        mask = state.valid_mask()
+        mask[: state.size] &= predicate
+        self._masks[key] = mask
+        return mask
+
+    def mask_for(self, vertex_type: str, seg_no: int) -> np.ndarray:
+        """Qualifying live offsets of one segment, length = segment capacity.
+
+        Row-wise this runs ``check`` over every live row of the segment.
+        """
+        mask = self._kernel_mask(vertex_type, seg_no)
+        if mask is None:
+            state = self._snapshot.segment_state(vertex_type, seg_no)
+            mask = state.valid_mask()
             base = seg_no * self._snapshot.segment_size
             for offset in np.flatnonzero(mask).tolist():
                 if not self._row_ok(vertex_type, base + offset, state.get_row(offset)):
                     mask[offset] = False
-        self._masks[key] = mask
+            self._masks[vertex_type, seg_no] = mask
         return mask
 
     def masks(self, vertex_type: str) -> list[np.ndarray]:
@@ -104,12 +125,13 @@ class NodeMasks:
         ]
 
     def ok(self, vertex_type: str, vid: int) -> bool:
-        """Does one vertex qualify?  Row-wise this reads one row, not a segment."""
-        if self._column_mask is None:
-            row = self._snapshot.get_vertex(vertex_type, vid)
-            return row is not None and self._row_ok(vertex_type, vid, row)
+        """Does one vertex qualify?  Row-wise this reads and checks that row only."""
         seg_no, offset = divmod(vid, self._snapshot.segment_size)
-        return bool(self.mask_for(vertex_type, seg_no)[offset])
+        mask = self._kernel_mask(vertex_type, seg_no)
+        if mask is not None:
+            return bool(mask[offset])
+        row = self._snapshot.get_vertex(vertex_type, vid)
+        return row is not None and self._row_ok(vertex_type, vid, row)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import GSQLSemanticError
 from ..graph.segment import SegmentState
 from . import ast_nodes as ast
 
@@ -164,8 +163,10 @@ def _build(
         return None
     try:
         const = eval_const(const_expr)
-    except (GSQLSemanticError, TypeError, ArithmeticError):
-        return None  # per row this fails too; let the row-wise path say how
+    except Exception:
+        # Whatever this is, per row it fails too, but only for a row that is
+        # visited: let the row-wise path say whether and how.
+        return None
     if type(const) not in (bool, int, float, str) or (type(const) is str and "\0" in const):
         return None
     compare = _Compare(expr.op, column.attr, const, const_first)

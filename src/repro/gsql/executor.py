@@ -384,12 +384,13 @@ def _candidate_set(
 
 def _prefilter(
     info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks], target_alias: str
-) -> VertexSet | list[Bitmap]:
-    """Candidates for the searched alias, in the form the search can use soonest.
+) -> tuple[dict[str, list[Bitmap]], int]:
+    """The searched alias's pre-filter: per-segment bitmaps by vertex type, and their count.
 
     A block that is one typed node with pushdown predicates only needs no
-    pattern matching: the alias's per-segment masks *are* the pre-filter
-    bitmaps.  Anything else yields the matched vertex set.
+    pattern matching: the alias's per-segment masks *are* the bitmaps.
+    Anything else matches the pattern and marks the vertices it found.  A
+    type with no candidate is left out.
     """
     nodes = info.block.pattern.nodes
     masks = filters.get(target_alias)
@@ -402,14 +403,20 @@ def _prefilter(
         and ctx.db.schema.has_vertex_type(label)
         and ctx.resolve_set(label) is None
     ):
-        return [Bitmap.wrap(mask) for mask in masks.masks(label)]
-    return _candidate_set(info, ctx, filters, target_alias)
-
-
-def _num_candidates(candidates: VertexSet | list[Bitmap]) -> int:
-    if isinstance(candidates, VertexSet):
-        return len(candidates)
-    return sum(bitmap.count() for bitmap in candidates)
+        bitmaps = [Bitmap.wrap(mask) for mask in masks.masks(label)]
+        count = sum(bitmap.count() for bitmap in bitmaps)
+        return ({label: bitmaps} if count else {}), count
+    candidates = _candidate_set(info, ctx, filters, target_alias)
+    by_type = {
+        vertex_type: [
+            Bitmap.wrap(mask)
+            for mask in ctx.snapshot.bitmap_from_vids(
+                vertex_type, candidates.vids_of_type(vertex_type)
+            )
+        ]
+        for vertex_type in candidates.vertex_types()
+    }
+    return by_type, len(candidates)
 
 
 def _run_accums(
@@ -434,15 +441,6 @@ def _run_accums(
             vmap.for_vertex(env[target.alias]).accum(value)
 
 
-def _bitmaps_for(
-    ctx: ExecutionContext, vertex_type: str, candidates: VertexSet | list[Bitmap]
-) -> list[Bitmap]:
-    if not isinstance(candidates, VertexSet):
-        return candidates
-    masks = ctx.snapshot.bitmap_from_vids(vertex_type, candidates.vids_of_type(vertex_type))
-    return [Bitmap.wrap(mask) for mask in masks]
-
-
 def execute_select(block: ast.SelectBlock, ctx: ExecutionContext) -> Any:
     """Execute one SELECT block; returns a VertexSet / ranked set / table."""
     tel = get_telemetry()
@@ -464,9 +462,8 @@ def _exec_shape(info: SelectInfo, ctx: ExecutionContext, filters: dict[str, Node
     if shape == "filtered":
         target = info.vector.alias
         start = time.perf_counter()
-        candidates = _prefilter(info, ctx, filters, target)
+        candidates, ctx.metrics["num_candidates"] = _prefilter(info, ctx, filters, target)
         ctx.metrics["filter_seconds"] = time.perf_counter() - start
-        ctx.metrics["num_candidates"] = _num_candidates(candidates)
         return _exec_vector_topk(info, ctx, candidates=candidates)
     if shape == "range":
         return _exec_vector_range(info, ctx, filters)
@@ -486,7 +483,7 @@ def _resolve_target_type(info: SelectInfo, ctx: ExecutionContext, alias: str) ->
 
 
 def _exec_vector_topk(
-    info: SelectInfo, ctx: ExecutionContext, candidates: VertexSet | list[Bitmap] | None
+    info: SelectInfo, ctx: ExecutionContext, candidates: dict[str, list[Bitmap]] | None
 ) -> RankedVertexSet:
     vec = info.vector
     query = np.asarray(eval_expr(vec.query_expr, ctx), dtype=np.float32)
@@ -497,11 +494,10 @@ def _exec_vector_topk(
         # The alias is labeled by a vertex-set variable whose member types
         # are only known at runtime — search every candidate type carrying
         # this embedding attribute (multi-type search, Sec. 5.5).
-        if not isinstance(candidates, VertexSet):
+        if candidates is None:
             raise
         target_types = sorted(
-            t for t in candidates.vertex_types()
-            if vec.attr in ctx.db.schema.vertex_type(t).embeddings
+            t for t in candidates if vec.attr in ctx.db.schema.vertex_type(t).embeddings
         )
     start = time.perf_counter()
     merged: list[tuple[float, tuple[str, int]]] = []
@@ -510,8 +506,8 @@ def _exec_vector_topk(
         store = ctx.db.service.store(vertex_type, vec.attr)
         bitmaps = None
         if candidates is not None:
-            bitmaps = _bitmaps_for(ctx, vertex_type, candidates)
-            if not any(bitmap.count() for bitmap in bitmaps):
+            bitmaps = candidates.get(vertex_type)
+            if bitmaps is None:
                 continue
         action = EmbeddingAction(store)
         result = action.topk(
@@ -547,10 +543,9 @@ def _exec_vector_range(
         or (info.alias_labels.get(vec.alias) in ctx.known_set_vars())
     )
     if needs_filter:
-        candidates = _prefilter(info, ctx, filters, vec.alias)
-        ctx.metrics["num_candidates"] = _num_candidates(candidates)
-        bitmaps = _bitmaps_for(ctx, vertex_type, candidates)
-        if not any(bitmap.count() for bitmap in bitmaps):
+        candidates, ctx.metrics["num_candidates"] = _prefilter(info, ctx, filters, vec.alias)
+        bitmaps = candidates.get(vertex_type)
+        if bitmaps is None:
             return RankedVertexSet([], name="Range")
     action = EmbeddingAction(store)
     start = time.perf_counter()

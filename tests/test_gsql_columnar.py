@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro import Attribute, AttrType, Metric, TigerVectorDB
 from repro.graph.accumulators import VertexAccumMap, make_accumulator
 from repro.graph.segment import SegmentState
+from repro.gsql.columnar import compile_pushdown
 from repro.gsql.executor import ExecutionContext, _node_filters
 from repro.gsql.parser import parse
 from repro.gsql.semantic import analyze_select
@@ -261,6 +262,52 @@ def test_multi_hop_and_set_label_patterns_agree():
             assert (fast.metrics["filter_mode"], slow.metrics["filter_mode"]) == ("columnar", "rowwise")
     finally:
         db.close()
+
+
+def _outcome(db, text: str, **params):
+    """What a query does: its members, or the exception it raises."""
+    try:
+        return db.run_gsql(text, **params).result.members()
+    except Exception as exc:  # the differential below compares these too
+        return type(exc), str(exc)
+
+
+def test_declined_column_checks_only_the_rows_a_hop_or_seed_reaches():
+    """``None > 30`` raises per row, so the fallback must not visit rows the matcher would not."""
+    db = TigerVectorDB(segment_size=SEGMENT)
+    db.schema.create_vertex_type(
+        "P", [Attribute("id", AttrType.INT, primary_key=True), Attribute("age", AttrType.INT)]
+    )
+    db.schema.create_edge_type("knows", "P", "P")
+    db.bulk_load_vertices(
+        "P", [{"id": 0, "age": 10}, {"id": 1, "age": 40}, {"id": 2, "age": None}, {"id": 3, "age": 50}]
+    )
+    db.bulk_load_edges("knows", [(0, 1), (3, 2)])
+    hop = "SELECT t FROM (s:P) - [:knows] -> (t:P) WHERE s.id == {} AND t.age > 30;"
+    try:
+        seed = db.run_gsql("SELECT s FROM (s:P) WHERE s.id < 2;").result
+        for text in (hop.format(0), "SELECT s FROM (s:Seed) WHERE s.age > 30;"):
+            fast = _outcome(db, text, Seed=seed)
+            with _rowwise():
+                slow = _outcome(db, text, Seed=seed)
+            assert fast == slow == {("P", 1)}  # vertex 2's None is never compared
+        # Reaching the None row raises the same error either way.
+        fast = _outcome(db, hop.format(3))
+        with _rowwise():
+            slow = _outcome(db, hop.format(3))
+        assert fast == slow and fast[0] is TypeError
+    finally:
+        db.close()
+
+
+def test_constant_that_fails_to_evaluate_is_left_to_the_rowwise_path():
+    conjunct = parse(_query("s.n > missing"))[0].where
+
+    def raising(expr):
+        raise KeyError("missing")  # not one of the evaluator's own error types
+
+    assert compile_pushdown("s", [conjunct], raising) is None
+    assert compile_pushdown("s", [conjunct], lambda expr: 3) is not None
 
 
 # ------------------------------------------------- fallback made visible
