@@ -26,6 +26,7 @@ from ..errors import VectorSearchError
 from ..graph.mpp import MPPExecutor
 from ..index.bitmap import Bitmap
 from ..index.interface import SearchResult
+from ..index.kernels import MultiQueryContext
 from .service import EmbeddingStore
 
 __all__ = ["ActionStats", "EmbeddingAction"]
@@ -70,10 +71,27 @@ class EmbeddingAction:
             ]
         return list(bitmaps[:num_segments])
 
-    def _run_segments(self, fn, seg_nos: list[int]) -> list:
-        if not seg_nos:
-            return []
-        return self.executor.map(fn, seg_nos, parallel=self.parallel)
+    def _scan_work(self, seg_no: int, bitmap: Bitmap | None) -> int:
+        """Multiply-adds of one segment's step if it is a NumPy scan, else 0.
+
+        Mirrors the flip inside :meth:`EmbeddingStore.search_segment`: a cold
+        segment is ADC-scanned and a pre-filter below ``bf_threshold`` is
+        brute-forced — kernels that release the GIL — while anything else is
+        an HNSW traversal, which holds it.  (An unfiltered hot segment with
+        fewer live rows than the threshold is also scanned, but that scan is
+        too small to be worth counting.)
+        """
+        store = self.store
+        segment = store.segment(seg_no)
+        if segment.current_snapshot().pq is None and (
+            bitmap is None or bitmap.count() >= store.bf_threshold
+        ):
+            return 0
+        rows = segment.live_count() if bitmap is None else bitmap.count()
+        return rows * store.embedding.dimension
+
+    def _run_segments(self, fn, seg_nos: list[int], work: list[int]) -> list:
+        return self.executor.map(fn, seg_nos, work, parallel=self.parallel)
 
     # --------------------------------------------------------------- top-k
     def topk(
@@ -118,7 +136,8 @@ class EmbeddingAction:
                 seg_no, query, k, snapshot_tid, ef=ef, bitmap=per_segment[seg_no]
             )
 
-        outputs = self._run_segments(local, seg_nos)
+        work = [self._scan_work(seg_no, per_segment[seg_no]) for seg_no in seg_nos]
+        outputs = self._run_segments(local, seg_nos, work)
         merged: list[tuple[float, int]] = []
         for out in outputs:
             stats.segments_touched += 1
@@ -134,6 +153,59 @@ class EmbeddingAction:
             return SearchResult.empty()
         dists, vids = zip(*merged)
         return SearchResult(np.asarray(vids), np.asarray(dists, dtype=np.float32))
+
+    # ---------------------------------------------------------- fused top-k
+    def topk_batch(
+        self,
+        queries: np.ndarray,
+        k: int,
+        snapshot_tid: int,
+        ef: int | None = None,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Local top-k of every segment for all Q queries at once, unmerged.
+
+        ``ef is None`` runs the exact batch scan
+        (:meth:`EmbeddingStore.search_segment_batch`), an explicit ``ef`` the
+        lockstep fused HNSW (:meth:`EmbeddingStore.search_segment_multi`).
+        Returns one ``(distances, vids)`` pair per segment, both ``(Q, top)``
+        with row ``q`` sorted by (distance, vid); a query for which a
+        traversal found fewer results than its neighbours is padded with
+        ``(+inf, -1)``.  The caller merges across segments and attributes in
+        one sort.
+        """
+        store = self.store
+        seg_nos = list(range(store.num_segments))
+        num_queries = queries.shape[0]
+        if ef is None:
+            context = MultiQueryContext.build(store.embedding.metric, queries)
+            # Every segment is scanned, so every step releases the GIL.
+            work = [
+                store.segment(seg_no).live_count() * num_queries * queries.shape[1]
+                for seg_no in seg_nos
+            ]
+
+            def local(seg_no: int) -> tuple[np.ndarray, np.ndarray]:
+                dists, offsets = store.search_segment_batch(
+                    seg_no, queries, k, snapshot_tid, context=context
+                )
+                return dists, offsets + seg_no * store.segment_size
+        else:
+            work = [0] * len(seg_nos)
+
+            def local(seg_no: int) -> tuple[np.ndarray, np.ndarray]:
+                outputs = store.search_segment_multi(
+                    seg_no, queries, k, snapshot_tid, ef=ef
+                )
+                width = max(len(out.offsets) for out in outputs)
+                dists = np.full((num_queries, width), np.inf, dtype=np.float32)
+                vids = np.full((num_queries, width), -1, dtype=np.int64)
+                for qi, out in enumerate(outputs):
+                    dists[qi, : len(out.offsets)] = out.distances
+                    vids[qi, : len(out.offsets)] = out.offsets
+                vids[vids >= 0] += seg_no * store.segment_size
+                return dists, vids
+
+        return self._run_segments(local, seg_nos, work)
 
     # --------------------------------------------------------------- range
     def range(
@@ -178,7 +250,8 @@ class EmbeddingAction:
                     return [(d, v) for d, v in pairs if d < threshold]
                 k = min(k * 2, cap)
 
-        outputs = self._run_segments(local, seg_nos)
+        work = [self._scan_work(seg_no, per_segment[seg_no]) for seg_no in seg_nos]
+        outputs = self._run_segments(local, seg_nos, work)
         merged: list[tuple[float, int]] = []
         for out in outputs:
             stats.segments_touched += 1

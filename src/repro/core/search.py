@@ -339,32 +339,38 @@ def vector_search_batch(
         ]
 
     tel = get_telemetry()
-    per_query: list[list[tuple[float, str, int]]] = [[] for _ in range(queries.shape[0])]
+    dist_blocks: list[np.ndarray] = []
+    vid_blocks: list[np.ndarray] = []
+    type_blocks: list[np.ndarray] = []
     with tel.span(
         "vector.search_batch",
         k=k,
         batch=queries.shape[0],
         attributes=list(vector_attributes),
     ):
-        for qualified, vertex_type, _ in resolved:
+        for index, (qualified, vertex_type, _) in enumerate(resolved):
             store = service.store(vertex_type, qualified.split(".", 1)[1])
-            for seg_no in range(store.num_segments):
-                if ef is None:
-                    outputs = store.search_segment_batch(
-                        seg_no, queries, k, snapshot_tid=snapshot.tid
-                    )
-                else:
-                    outputs = store.search_segment_multi(
-                        seg_no, queries, k, snapshot_tid=snapshot.tid, ef=ef
-                    )
-                base = seg_no * store.segment_size
-                for qi, output in enumerate(outputs):
-                    per_query[qi].extend(
-                        (float(dist), vertex_type, int(base + off))
-                        for off, dist in zip(output.offsets, output.distances)
-                    )
-    results: list[list[tuple[float, str, int]]] = []
-    for merged in per_query:
-        merged.sort(key=lambda item: item[0])
-        results.append(merged[:k])
-    return results
+            for dists, vids in EmbeddingAction(store).topk_batch(
+                queries, k, snapshot.tid, ef=ef
+            ):
+                dist_blocks.append(dists)
+                vid_blocks.append(vids)
+                type_blocks.append(np.full(dists.shape[1], index))
+    if not dist_blocks:
+        return [[] for _ in queries]
+    # Columns stand in (attribute, segment, rank) order, so the stable sort
+    # by distance breaks ties exactly as the per-query merge does.
+    dists = np.concatenate(dist_blocks, axis=1)
+    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    top_dists = np.take_along_axis(dists, order, axis=1).tolist()
+    top_vids = np.take_along_axis(np.concatenate(vid_blocks, axis=1), order, axis=1).tolist()
+    top_types = np.concatenate(type_blocks)[order].tolist()
+    names = [vertex_type for _, vertex_type, _ in resolved]
+    return [
+        [
+            (dist, names[index], vid)
+            for dist, index, vid in zip(row_dists, row_types, row_vids)
+            if vid >= 0  # drop the padding of a short fused-HNSW row
+        ]
+        for row_dists, row_types, row_vids in zip(top_dists, top_types, top_vids)
+    ]

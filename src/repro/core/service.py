@@ -21,7 +21,7 @@ from ..analysis.hooks import schedule_point
 from ..errors import UnknownTypeError, VectorSearchError
 from ..graph.schema import GraphSchema
 from ..index.bitmap import Bitmap
-from ..index.kernels import DistanceKernel
+from ..index.kernels import DistanceKernel, MultiQueryContext
 from ..index.pq import PQSearchConfig
 from ..telemetry import get_telemetry
 from .delta import DELETE, UPSERT, DeltaFile, DeltaRecord, DeltaStore
@@ -29,6 +29,12 @@ from .embedding import EmbeddingType
 from .segment import EmbeddingSegment, SegmentSnapshot
 
 __all__ = ["EmbeddingService", "EmbeddingStore", "SegmentSearchOutput"]
+
+#: One HNSW traversal at a time, process-wide.  A traversal is a Python loop
+#: that holds the GIL, so two of them never overlap anyway; letting several
+#: threads interleave them only adds GIL hand-offs, and with more searching
+#: threads than CPUs those hand-offs take most of the time (DESIGN §9.6).
+_TRAVERSAL = threading.Lock()
 
 
 class SegmentSearchOutput:
@@ -414,7 +420,8 @@ class EmbeddingStore:
                 def filter_fn(offset: int) -> bool:
                     return bool(mask[offset])
 
-                found = snap.index.topk_search(query, k, ef=ef, filter_fn=filter_fn)
+                with _TRAVERSAL:
+                    found = snap.index.topk_search(query, k, ef=ef, filter_fn=filter_fn)
                 results.extend((float(d), int(o)) for o, d in found)
 
         # Brute force over overlay upserts (still subject to the pre-filter).
@@ -498,9 +505,11 @@ class EmbeddingStore:
                 def filter_fn(offset: int) -> bool:
                     return bool(mask[offset])
 
-                for qi, found in enumerate(
-                    snap.index.topk_search_multi(queries, k, ef=ef, filter_fn=filter_fn)
-                ):
+                with _TRAVERSAL:
+                    founds = snap.index.topk_search_multi(
+                        queries, k, ef=ef, filter_fn=filter_fn
+                    )
+                for qi, found in enumerate(founds):
                     per_query[qi].extend((float(d), int(o)) for o, d in found)
 
         fresh_offsets = [
@@ -536,15 +545,23 @@ class EmbeddingStore:
         queries: np.ndarray,
         k: int,
         snapshot_tid: int,
-    ) -> list[SegmentSearchOutput]:
+        context: MultiQueryContext | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Fused multi-query top-k on one segment (serving micro-batch path).
 
         All Q queries share a single pass over the segment's valid snapshot
-        vectors (one :func:`batch_distances_multi` matmul) plus one pass over
-        the delta overlay, instead of Q separate HNSW traversals.  Exact
-        brute force, so every per-query result is at least as good as the
-        per-query HNSW path.  Unfiltered only — the micro-batcher never
+        vectors (one :meth:`DistanceKernel.distances_multi` matmul) plus one
+        pass over the delta overlay, instead of Q separate HNSW traversals.
+        Exact brute force, so every per-query result is at least as good as
+        the per-query HNSW path.  Unfiltered only — the micro-batcher never
         fuses filtered requests.
+
+        Returns ``(distances, offsets)``, both ``(Q, top)`` with ``top =
+        min(k, candidates)``: row ``q`` is query ``q``'s local top-k sorted
+        by (distance, offset), the order the per-query path's
+        ``results.sort()`` gives.  ``context`` is the batch's
+        :meth:`MultiQueryContext.build`; a caller scanning several segments
+        builds it once and passes it to each.
         """
         fault_hook = self.fault_hook
         if fault_hook is not None:
@@ -557,14 +574,15 @@ class EmbeddingStore:
         snap, overlay_last, allowed = self._segment_view(seg_no, snapshot_tid, None)
 
         if snap.pq is not None:
-            return self._batch_cold(seg_no, snap, queries, k, overlay_last, allowed)
+            return self._batch_cold(snap, queries, k, overlay_last, allowed)
 
+        if context is None:
+            context = MultiQueryContext.build(metric, queries)
         dist_blocks: list[np.ndarray] = []
         offset_blocks: list[np.ndarray] = []
         offsets = np.flatnonzero(allowed)
         if offsets.size:
-            kernel = snap.kernel(metric)
-            dist_blocks.append(kernel.distances_multi(kernel.queries(queries), offsets))
+            dist_blocks.append(snap.kernel(metric).distances_multi(context, offsets))
             offset_blocks.append(offsets)
         fresh_offsets = [
             off for off, record in overlay_last.items() if record.action == UPSERT
@@ -572,60 +590,47 @@ class EmbeddingStore:
         if fresh_offsets:
             okernel = self._overlay_kernel(overlay_last, fresh_offsets, metric)
             dist_blocks.append(
-                okernel.distances_multi_prefix(okernel.queries(queries), len(fresh_offsets))
+                okernel.distances_multi_prefix(context, len(fresh_offsets))
             )
             offset_blocks.append(np.asarray(fresh_offsets, dtype=np.int64))
 
-        num_queries = queries.shape[0]
         if not dist_blocks:
-            return [
-                SegmentSearchOutput(seg_no, offsets=[], distances=[], used_bruteforce=True)
-                for _ in range(num_queries)
-            ]
-
+            shape = (queries.shape[0], 0)
+            return np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.int64)
         dists = dist_blocks[0] if len(dist_blocks) == 1 else np.concatenate(dist_blocks, axis=1)
         cand_offsets = (
             offset_blocks[0] if len(offset_blocks) == 1 else np.concatenate(offset_blocks)
         )
         top = min(k, cand_offsets.size)
-        outputs: list[SegmentSearchOutput] = []
-        for qi in range(num_queries):
-            row = dists[qi]
-            if top < cand_offsets.size:
-                part = np.argpartition(row, top - 1)[:top]
-            else:
-                part = np.arange(cand_offsets.size)
-            # Sort (distance, offset) pairs so ties break by offset exactly
-            # like the per-query path's ``results.sort()``.
-            pairs = sorted(
-                (float(row[i]), int(cand_offsets[i])) for i in part
-            )
-            outputs.append(
-                SegmentSearchOutput(
-                    seg_no,
-                    offsets=[o for _, o in pairs],
-                    distances=[d for d, _ in pairs],
-                    used_bruteforce=True,
-                )
-            )
-        return outputs
+        if top < cand_offsets.size:
+            part = np.argpartition(dists, top - 1, axis=1)[:, :top]
+            dists = np.take_along_axis(dists, part, axis=1)
+            top_offsets = cand_offsets[part]
+        else:
+            top_offsets = np.broadcast_to(cand_offsets, dists.shape)
+        order = np.lexsort((top_offsets, dists), axis=1)
+        return (
+            np.take_along_axis(dists, order, axis=1),
+            np.take_along_axis(top_offsets, order, axis=1),
+        )
 
     def _batch_cold(
         self,
-        seg_no: int,
         snap: "SegmentSnapshot",
         queries: np.ndarray,
         k: int,
         overlay_last: dict[int, DeltaRecord],
         allowed: np.ndarray,
-    ) -> list[SegmentSearchOutput]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Micro-batch path over a cold segment.
 
         The snapshot part is the two-phase (ADC → rerank) evaluation the
         per-query path runs — never an exact full scan, which would
         materialize the cold rows — and the overlay part is the usual raw
         brute force; results therefore match :meth:`search_segment` on the
-        same view, including the sorted (distance, offset) tie-break.
+        same view, including the sorted (distance, offset) tie-break.  Every
+        query keeps the same number of candidates, so the per-query pair
+        lists stack into the ``(Q, top)`` arrays the hot path returns.
         """
         get_telemetry().inc("tier.cold_hits")
         metric = self.embedding.metric
@@ -637,25 +642,22 @@ class EmbeddingStore:
             if fresh_offsets
             else None
         )
-        outputs: list[SegmentSearchOutput] = []
-        for qi in range(queries.shape[0]):
-            pairs = self._cold_topk(snap, queries[qi], k, allowed)
+        dist_rows: list[list[float]] = []
+        offset_rows: list[list[int]] = []
+        for query in queries:
+            pairs = self._cold_topk(snap, query, k, allowed)
             if okernel is not None:
                 dists = okernel.distances_prefix(
-                    okernel.query(queries[qi]), len(fresh_offsets)
+                    okernel.query(query), len(fresh_offsets)
                 )
                 pairs.extend((float(d), int(o)) for d, o in zip(dists, fresh_offsets))
             pairs.sort()
-            pairs = pairs[:k]
-            outputs.append(
-                SegmentSearchOutput(
-                    seg_no,
-                    offsets=[o for _, o in pairs],
-                    distances=[d for d, _ in pairs],
-                    used_bruteforce=True,
-                )
-            )
-        return outputs
+            dist_rows.append([d for d, _ in pairs[:k]])
+            offset_rows.append([o for _, o in pairs[:k]])
+        return (
+            np.asarray(dist_rows, dtype=np.float32),
+            np.asarray(offset_rows, dtype=np.int64),
+        )
 
     # --------------------------------------------------------------- stats
     def stats(self) -> dict:

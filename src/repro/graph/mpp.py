@@ -6,7 +6,9 @@ segments; TigerVector adds a third, EmbeddingAction, in
 threads contend on the GIL for pure-Python work, but the numpy distance
 kernels used by vector search release it, so the architecture carries over:
 segments are the unit of parallelism, and per-segment results are merged by
-the caller.
+the caller.  :meth:`MPPExecutor.map` therefore pools a search step only
+when it is such a kernel and large enough to repay the hand-off; an HNSW
+traversal holds the GIL and runs in the caller's thread.
 
 The pool is shared and sized like TigerVector's dynamically-tuned vacuum
 pool: ``max_workers`` defaults to the CPU count but can be tuned down when
@@ -22,9 +24,16 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 from .segment import SegmentState
 from .txn import Snapshot
 
-__all__ = ["MPPExecutor", "edge_action", "vertex_action"]
+__all__ = ["HANDOFF_WORK", "MPPExecutor", "edge_action", "vertex_action"]
 
 R = TypeVar("R")
+
+#: Multiply-adds of GIL-releasing NumPy work above which handing a segment
+#: step to the pool is faster than running it in the caller's thread.  A
+#: measurement, not a knob: on two CPUs four (Q=8, d=128) scans run pooled
+#: in 0.7-0.9x the inline time from 3.3 M multiply-adds per step and in
+#: 1.0-1.7x up to 1.6 M (DESIGN §9.6 has the runs).
+HANDOFF_WORK = 3_000_000
 
 
 class MPPExecutor:
@@ -49,19 +58,32 @@ class MPPExecutor:
         self,
         fn: Callable[[Any], R],
         items: Iterable[Any],
+        work: Sequence[int],
         parallel: bool = True,
     ) -> list[R]:
         """Run ``fn`` over ``items``, returning results in input order.
 
-        Falls back to a serial loop when parallelism is disabled, the pool
-        is sized for one worker, or there is at most one item — the same
-        dispatch rule every segment-parallel action uses.
+        The one fan-out rule of the segment-parallel search actions:
+        ``work[i]`` estimates item ``i``'s GIL-releasing NumPy work in
+        multiply-adds (allowed rows × queries × dimension), 0 for a step that
+        holds the GIL such as an HNSW traversal.  Only items above
+        :data:`HANDOFF_WORK` go to the pool; every other item runs in the
+        caller's thread, which finishes it sooner than a hand-off would.
+        ``parallel=False``, a one-worker pool or a single item never use the
+        pool.
         """
         items = list(items)
-        if not parallel or len(items) <= 1 or self.max_workers <= 1:
-            return [fn(item) for item in items]
-        futures = [self.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
+        futures: dict[int, Future] = {}
+        if parallel and len(items) > 1 and self.max_workers > 1:
+            futures = {
+                i: self.submit(fn, items[i])
+                for i, estimate in enumerate(work)
+                if estimate > HANDOFF_WORK
+            }
+        results = [None if i in futures else fn(item) for i, item in enumerate(items)]
+        for i, future in futures.items():
+            results[i] = future.result()
+        return results
 
     def map_segments(
         self,

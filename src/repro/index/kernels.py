@@ -74,18 +74,72 @@ class QueryContext:
         self.num_distances = 0
         self.num_hops = 0
 
+    @classmethod
+    def build(cls, metric: Metric, query: np.ndarray) -> "QueryContext":
+        """The context of ``query`` under ``metric``.
+
+        It depends on nothing else, so one context serves every kernel of
+        that metric and dimension.
+        """
+        query = np.ascontiguousarray(query, dtype=np.float32).reshape(-1)
+        dim = query.shape[0]
+        aug_query = np.zeros(dim + 1, dtype=np.float32)
+        if metric is Metric.L2:
+            # ×(−2) is exact in binary floating point, so the augmented
+            # matvec equals |v|² − 2·(v·q) with no extra rounding.
+            aug_query[:dim] = query
+            aug_query[:dim] *= -2.0
+            aug_query[dim] = 1.0
+            return cls(query, float(query @ query), query, aug_query)
+        if metric is Metric.COSINE:
+            norm = float(np.sqrt(query @ query))
+            unit = query if norm == 0.0 else query / norm
+            aug_query[:dim] = unit
+            aug_query[:dim] *= -1.0
+            return cls(query, 0.0, unit, aug_query)
+        aug_query[:dim] = query
+        aug_query[:dim] *= -1.0
+        return cls(query, 0.0, query, aug_query)
+
 
 class MultiQueryContext:
-    """Stacked per-query contexts for fused multi-query kernels."""
+    """Stacked per-query contexts for fused multi-query kernels.
+
+    Each row's context comes from the scalar path a solo search uses (not a
+    row-wise einsum), so its ``q_sq`` / augmented query are bit-identical to
+    the per-query values — the fused HNSW traversal needs that for result
+    identity with solo searches.
+    """
 
     __slots__ = ("queries", "aug_queries", "q_sq", "contexts")
 
-    def __init__(self, queries: np.ndarray, aug_queries: np.ndarray,
-                 q_sq: np.ndarray, contexts: list[QueryContext]):
+    def __init__(self, queries: np.ndarray, contexts: list[QueryContext]):
         self.queries = queries  # (Q, d) float32
-        self.aug_queries = aug_queries  # (Q, d+1) stacked ctx.aug_query rows
-        self.q_sq = q_sq  # (Q,) float64 rank→true shifts
         self.contexts = contexts  # one QueryContext per row
+        # (Q, d+1) stacked ctx.aug_query rows
+        if contexts:
+            self.aug_queries = np.stack([ctx.aug_query for ctx in contexts])
+        else:
+            self.aug_queries = np.zeros((0, queries.shape[1] + 1), dtype=np.float32)
+        # (Q,) float64 rank→true shifts
+        self.q_sq = np.asarray([ctx.q_sq for ctx in contexts], dtype=np.float64)
+
+    @classmethod
+    def build(cls, metric: Metric, queries: np.ndarray) -> "MultiQueryContext":
+        """Stacked float contexts for a (Q, d) query matrix.
+
+        Like its rows, the stack depends only on the metric, so one batch
+        builds it once and hands it to every segment kernel it scans.
+        """
+        queries = _query_matrix(queries)
+        return cls(queries, [QueryContext.build(metric, row) for row in queries])
+
+
+def _query_matrix(queries: np.ndarray) -> np.ndarray:
+    queries = np.ascontiguousarray(queries, dtype=np.float32)
+    if queries.ndim != 2:
+        raise VectorSearchError("queries() expects a (Q, d) matrix")
+    return queries
 
 
 class DistanceKernel:
@@ -152,45 +206,12 @@ class DistanceKernel:
     # ------------------------------------------------------------- queries
     def query(self, query: np.ndarray) -> QueryContext:
         """Build the per-search context: norms/augmentation computed once."""
-        query = np.ascontiguousarray(query, dtype=np.float32).reshape(-1)
-        metric = self.metric
-        dim = self.dim
-        aug_query = np.zeros(dim + 1, dtype=np.float32)
-        if metric is Metric.L2:
-            # ×(−2) is exact in binary floating point, so the augmented
-            # matvec equals |v|² − 2·(v·q) with no extra rounding.
-            aug_query[:dim] = query
-            aug_query[:dim] *= -2.0
-            aug_query[dim] = 1.0
-            return QueryContext(query, float(query @ query), query, aug_query)
-        if metric is Metric.COSINE:
-            norm = float(np.sqrt(query @ query))
-            unit = query if norm == 0.0 else query / norm
-            aug_query[:dim] = unit
-            aug_query[:dim] *= -1.0
-            return QueryContext(query, 0.0, unit, aug_query)
-        aug_query[:dim] = query
-        aug_query[:dim] *= -1.0
-        return QueryContext(query, 0.0, query, aug_query)
+        return QueryContext.build(self.metric, query)
 
     def queries(self, queries: np.ndarray) -> MultiQueryContext:
-        """Stacked contexts for a (Q, d) query matrix (fused paths).
-
-        Each context is built through the same scalar :meth:`query` path a
-        solo search uses (not a row-wise einsum), so its ``q_sq`` / augmented
-        query are bit-identical to the per-query values — the fused HNSW
-        traversal needs that for result identity with solo searches.
-        """
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        if queries.ndim != 2:
-            raise VectorSearchError("queries() expects a (Q, d) matrix")
-        contexts = [self.query(queries[i]) for i in range(queries.shape[0])]
-        if contexts:
-            aug_queries = np.stack([ctx.aug_query for ctx in contexts])
-        else:
-            aug_queries = np.zeros((0, self.dim + 1), dtype=np.float32)
-        q_sq = np.asarray([ctx.q_sq for ctx in contexts], dtype=np.float64)
-        return MultiQueryContext(queries, aug_queries, q_sq, contexts)
+        """Stacked :meth:`query` contexts for a (Q, d) matrix (fused paths)."""
+        queries = _query_matrix(queries)
+        return MultiQueryContext(queries, [self.query(row) for row in queries])
 
     # ------------------------------------------------------ rank distances
     def block(self, rows) -> np.ndarray:

@@ -8,8 +8,9 @@ PAPERS.md):
 - :class:`QueryServer` — a worker thread pool executing ``VectorSearch()``
   and GSQL statements against live MVCC snapshots;
 - :class:`MicroBatcher` — coalesces concurrent same-attribute top-k
-  requests within a small time/size window into one fused multi-query
-  segment scan (:func:`repro.core.search.vector_search_batch`);
+  requests, for as long as they keep arriving and within a size/time cap,
+  into one fused multi-query segment scan
+  (:func:`repro.core.search.vector_search_batch`);
 - :class:`ResultCache` / :class:`ServeResultCache` — an LRU, byte-bounded
   result cache keyed by the MVCC watermark of every touched store (so
   commits and vacuum merges invalidate stale entries by construction),

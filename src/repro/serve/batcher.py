@@ -1,15 +1,25 @@
 """Dynamic micro-batching: coalesce compatible requests into one scan.
 
-After a worker dequeues a batchable request (the *leader*), it keeps
-draining queue fronts with the same batch key — identical attribute set,
-k, and ef; no filter; full-access tenant — until the batch is full or the
-collection window closes.  The window only costs latency when there is
-something to wait for: an already-full queue batches instantly, and a
-lone request on an idle server waits at most ``window_seconds``.
+After a worker dequeues a batchable request (the *leader*), it drains the
+queue fronts with the same batch key — identical attribute set, k, and ef;
+no filter; full-access tenant — and then waits only while arrivals keep
+coming.  Batching is work-conserving: under load the backlog that built up
+while the workers were busy *is* the batch, and at low load nobody waits.
+
+- A leader that finds nothing compatible queued executes at once.
+- With riders in hand, the wait for the next one is bounded by the cadence
+  the batch itself shows: the submit-time span of the requests in hand
+  divided by the riders, times :data:`QUIET_GAPS`, past the last arrival.
+  A burst still being submitted is collected whole; a burst that has ended
+  costs a few of its own inter-arrival gaps, not a fixed window.
+- ``window_seconds`` stays the hard cap on the whole collection, a full
+  batch closes at once, and a request in hand that is due before the wait
+  would end closes the batch *now* — waiting up to a deadline only turns
+  the request into a timeout.
+
 Re-scans are driven by the queue's put counter, so fronts are only
-re-examined after a *new arrival* — a queue holding only incompatible
-requests parks the worker in one blocking wait instead of spinning
-drain/check cycles for the rest of the window.
+re-examined after a *new arrival* — incompatible arrivals cost one blocking
+wait each, never a spin.
 
 The fused batch then runs through
 :func:`repro.core.search.vector_search_batch`, which visits each segment
@@ -24,13 +34,18 @@ from __future__ import annotations
 
 import time
 
+from ..telemetry import get_telemetry
 from .tenancy import WeightedFairQueue
 
 __all__ = ["MicroBatcher"]
 
+#: How many of the batch's own mean inter-arrival gaps may pass after the
+#: last arrival before the batch closes as quiet.
+QUIET_GAPS = 4.0
+
 
 class MicroBatcher:
-    """Collect same-key requests from the queue within a time/size window."""
+    """Collect same-key requests from the queue while they keep arriving."""
 
     def __init__(
         self,
@@ -43,19 +58,20 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
 
     def collect(self, leader) -> list:
-        """The leader plus any compatible requests arriving in the window."""
+        """The leader plus the compatible requests queued or still arriving."""
         batch = [leader]
         key = leader.batch_key()
         if key is None or self.max_batch <= 1:
             return batch
-        deadline = time.monotonic() + self.window_seconds
-        # Never let batch collection eat the leader's own deadline: a
-        # request due sooner than the window closes collection early and
-        # executes with whatever riders are already there.
-        leader_deadline = getattr(leader, "deadline", None)
-        if leader_deadline is not None:
-            deadline = min(deadline, leader_deadline)
-        while len(batch) < self.max_batch:
+        started = time.monotonic()
+        cap = started + self.window_seconds
+        # Arrival times and the earliest deadline of the requests in hand.
+        # A request that records no submit time arrived "now": it shows no
+        # cadence, so it never extends the wait.
+        first = last = getattr(leader, "submitted_at", started)
+        due = getattr(leader, "deadline", None)
+        waited = 0.0
+        while True:
             # Read the arrival counter BEFORE draining: a put landing
             # between the drain and the wait then wakes the wait
             # immediately instead of being missed for a whole slice.
@@ -65,11 +81,34 @@ class MicroBatcher:
                 self.max_batch - len(batch),
             )
             batch.extend(matched)
+            now = time.monotonic()
             if len(batch) >= self.max_batch:
+                reason = "full"
                 break
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if len(batch) == 1:
+                reason = "lone"
                 break
-            if not matched:
-                self.queue.wait_for_put(seen, remaining)
+            for request in matched:
+                stamp = getattr(request, "submitted_at", now)
+                first = min(first, stamp)
+                last = max(last, stamp)
+                deadline = getattr(request, "deadline", None)
+                if deadline is not None and (due is None or deadline < due):
+                    due = deadline
+            quiet_at = last + QUIET_GAPS * (last - first) / (len(batch) - 1)
+            until = min(quiet_at, cap)
+            if due is not None and due <= until:
+                reason = "deadline"
+                break
+            if now >= until:
+                reason = "quiet" if quiet_at < cap else "cap"
+                break
+            self.queue.wait_for_put(seen, until - now)
+            waited += time.monotonic() - now
+            if self.queue.closed:  # nothing more can arrive; do not spin
+                reason = "quiet"
+                break
+        tel = get_telemetry()
+        tel.observe("serve.batch_wait_seconds", waited)
+        tel.inc("serve.batch_close_" + reason)
         return batch

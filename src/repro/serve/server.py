@@ -88,6 +88,8 @@ class ServeConfig:
     workers: int = 4
     max_queue_depth: int = 256
     enable_batching: bool = True
+    #: Hard cap on one batch collection; within it the wait is set by the
+    #: arrivals themselves (see :mod:`repro.serve.batcher`).
     batch_window_seconds: float = 0.002
     max_batch: int = 32
     min_fused: int = 4  # below this, a batch falls back to per-query HNSW

@@ -116,6 +116,27 @@ INSTRUMENTS: dict[str, tuple[str, str]] = {
     "serve.queue_depth": ("gauge", "requests waiting in the weighted-fair queue"),
     "serve.batch_size": ("histogram", "requests fused per executed micro-batch"),
     "serve.queue_wait_seconds": ("histogram", "submit-to-dequeue queue wait"),
+    "serve.batch_wait_seconds": (
+        "histogram",
+        "time one batch collection spent blocked waiting for further riders",
+    ),
+    "serve.batch_close_full": ("counter", "batch collections closed at max_batch"),
+    "serve.batch_close_quiet": (
+        "counter",
+        "batch collections closed because arrivals fell behind the batch's own cadence",
+    ),
+    "serve.batch_close_cap": (
+        "counter",
+        "batch collections closed by the batch_window_seconds hard cap",
+    ),
+    "serve.batch_close_deadline": (
+        "counter",
+        "batch collections closed early for a request in hand that was due",
+    ),
+    "serve.batch_close_lone": (
+        "counter",
+        "batch collections that found nothing compatible queued and ran at once",
+    ),
     "serve.latency_seconds": ("histogram", "submit-to-answer serving latency"),
     # ---- elastic serve tier ---------------------------------------------
     "elastic.routed_requests": ("counter", "queries routed through the elastic tier"),

@@ -1,10 +1,20 @@
 """Tests for embedding segments, the embedding service, and EmbeddingAction."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import Attribute, AttrType, TigerVectorDB
 from repro.core.action import EmbeddingAction
+from repro.core.search import vector_search_batch, vector_search_merged
+from repro.graph.mpp import MPPExecutor
 from repro.index.bitmap import Bitmap
+from repro.index.pq import PQSearchConfig
+from repro.tier import demote_segment
 from repro.types import Metric, batch_distances
 
 
@@ -151,6 +161,74 @@ class TestEmbeddingAction:
             action.topk(db._test_vectors[0], 5, snapshot_tid=snap.tid)
         assert action.last_stats.segments_touched == 4
 
+    def test_hnsw_traversals_run_inline(self, loaded_post_db):
+        """Fan-out rule: a traversal holds the GIL, so its work estimate is 0
+        and the search never touches the pool; a pre-filter under the
+        brute-force flip is a scan and is priced rows × dimension."""
+        db = loaded_post_db
+        store = db.service.store("Post", "content_emb")
+        with MPPExecutor(max_workers=4) as executor:
+            action = EmbeddingAction(store, executor=executor)
+            with db.snapshot() as snap:
+                action.topk(db._test_vectors[0], 5, snapshot_tid=snap.tid)
+                action.topk_batch(db._test_vectors[:8], 5, snap.tid)
+                action.topk_batch(db._test_vectors[:8], 5, snap.tid, ef=32)
+            assert executor._pool is None
+            assert action._scan_work(0, None) == 0
+            assert action._scan_work(0, Bitmap.full(64)) == 0
+            few = Bitmap.from_offsets(64, range(store.bf_threshold - 1))
+            assert action._scan_work(0, few) == (store.bf_threshold - 1) * 16
+
+    def test_traversals_run_one_at_a_time(self, loaded_post_db, monkeypatch):
+        """HNSW traversals hold the GIL, so the store admits one at a time:
+        threads searching at once must never be inside the index together."""
+        db = loaded_post_db
+        store = db.service.store("Post", "content_emb")
+        index = store.segment(0).index
+        inside, worst, guard = [0], [0], threading.Lock()
+        original = index.topk_search
+
+        def watched(*args, **kwargs):
+            with guard:
+                inside[0] += 1
+                worst[0] = max(worst[0], inside[0])
+            time.sleep(0.002)  # let another thread arrive while this one is inside
+            try:
+                return original(*args, **kwargs)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(index, "topk_search", watched)
+        with db.snapshot() as snap:
+            threads = [
+                threading.Thread(
+                    target=lambda q=q: store.search_segment(0, q, 5, snap.tid)
+                )
+                for q in db._test_vectors[:6]
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert worst[0] == 1
+
+    def test_pooled_batch_scan_equals_inline(self, loaded_post_db, monkeypatch):
+        """Scans priced above the hand-off go to the pool — sharing the
+        batch's one query context — and return what the inline scans do."""
+        db = loaded_post_db
+        queries = db._test_vectors[:8]
+        inline = db.vector_search_batch(["Post.content_emb"], queries, 5, min_fused=2)
+        monkeypatch.setattr("repro.graph.mpp.HANDOFF_WORK", 0)
+        store = db.service.store("Post", "content_emb")
+        with MPPExecutor(max_workers=4) as executor, db.snapshot() as snap:
+            blocks = EmbeddingAction(store, executor=executor).topk_batch(queries, 5, snap.tid)
+            assert executor._pool is not None
+        assert len(blocks) == store.num_segments
+        pooled = db.vector_search_batch(["Post.content_emb"], queries, 5, min_fused=2)
+        assert [sorted(got) for got in pooled] == [sorted(want) for want in inline]
+
     def test_empty_bitmap_segments_skipped(self, loaded_post_db):
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
@@ -186,3 +264,94 @@ class TestEmbeddingAction:
         with pytest.raises(VectorSearchError):
             with db.snapshot() as snap:
                 action.topk(np.zeros(16, np.float32), 0, snapshot_tid=snap.tid)
+
+
+# --------------------------------------------------------------------------
+# the array-valued fused exact scan vs the per-query exact scan
+# --------------------------------------------------------------------------
+
+_SEG, _DIM, _ROWS = 16, 8, 40  # segments of 16, 16 and 8 rows
+_ATOL = 8 * float(np.finfo(np.float32).eps)  # a few float32 roundings of a COSINE distance in [0, 2]
+
+
+def _scan_db(metric: Metric, draw) -> TigerVectorDB:
+    """Three segments: 0 hot with an overlay, 1 cold (PQ), 2 hot and short.
+
+    ``draw`` yields small-integer vectors for L2 / IP — every distance is then
+    exact in float32 whatever the summation order, so an order difference is
+    never rounding — and Gaussian ones for COSINE, whose integer vectors would
+    collide on equal cosines by the dozen.
+    """
+    db = TigerVectorDB(segment_size=_SEG)
+    db.schema.create_vertex_type("Item", [Attribute("id", AttrType.INT, primary_key=True)])
+    db.schema.add_embedding_attribute("Item", "emb", dimension=_DIM, model="t", metric=metric)
+    vectors = draw(_ROWS)
+    vectors[9] = vectors[3]  # two offsets of segment 0 hold one vector
+    vectors[37] = vectors[33]  # and two of segment 2
+    db.bulk_load_vertices("Item", [{"id": i} for i in range(_ROWS)])
+    db.bulk_load_embeddings("Item", "emb", list(range(_ROWS)), vectors)
+    store = db.service.store("Item", "emb")
+    store.pq_config = PQSearchConfig(m=4, seed=3)
+    assert demote_segment(store, store.segment(1))
+    with db.begin() as txn:  # left unvacuumed: these are the overlay
+        txn.set_embedding("Item", 2, "emb", draw(1)[0])
+        txn.set_embedding("Item", 5, "emb", vectors[3])  # a third copy, in the overlay
+        txn.set_embedding("Item", 20, "emb", draw(1)[0])
+        txn.delete_embedding("Item", 7, "emb")
+        txn.delete_embedding("Item", 36, "emb")
+    return db
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**16),
+    metric=st.sampled_from([Metric.L2, Metric.COSINE, Metric.IP]),
+    num_queries=st.sampled_from([1, 2, 8, 65]),
+    k_offset=st.sampled_from([-3, 0, 3]),
+)
+def test_fused_exact_scan_equals_per_query_scan(seed, metric, num_queries, k_offset):
+    rng = np.random.default_rng(seed)
+
+    def draw(count: int) -> np.ndarray:
+        if metric is Metric.COSINE:
+            return rng.standard_normal((count, _DIM)).astype(np.float32)
+        return rng.integers(-6, 7, size=(count, _DIM)).astype(np.float32)
+
+    db = _scan_db(metric, draw)
+    try:
+        store = db.service.store("Item", "emb")
+        store.bf_threshold = _SEG + 1  # the solo path brute-forces every hot segment
+        queries = draw(num_queries)
+        with db.snapshot() as snap:
+            for seg_no in range(store.num_segments):
+                live = sum(
+                    store.get_embedding(seg_no * _SEG + off, snap.tid) is not None
+                    for off in range(_SEG)
+                )
+                k = live + k_offset  # below / equal to / above the live rows
+                dists, offsets = store.search_segment_batch(seg_no, queries, k, snap.tid)
+                assert dists.shape == offsets.shape == (num_queries, min(k, live))
+                for qi, query in enumerate(queries):
+                    solo = store.search_segment(seg_no, query, k, snap.tid)
+                    np.testing.assert_allclose(dists[qi], solo.distances, rtol=1e-6, atol=_ATOL)
+                    # Same offsets in the same order.  Only where a tie
+                    # straddles the k-th place may the two differ: each scan's
+                    # argpartition keeps some k of the tied rows, by offset.
+                    got = offsets[qi].tolist()
+                    head = sum(d < solo.distances[-1] for d in solo.distances)
+                    assert got[:head] == solo.offsets[:head]
+                    assert got[head:] == sorted(got[head:])
+                    if k >= live:
+                        assert got == solo.offsets
+            k = store.live_count() + k_offset
+            fused = vector_search_batch(
+                db.service, snap, ["Item.emb"], queries, k, min_fused=1
+            )
+            for query, got in zip(queries, fused):
+                want = vector_search_merged(db.service, snap, ["Item.emb"], query, k)
+                assert [(t, vid) for _, t, vid in got] == [(t, vid) for _, t, vid in want]
+                np.testing.assert_allclose(
+                    [dist for dist, _, _ in got], [dist for dist, _, _ in want], rtol=1e-6, atol=_ATOL
+                )
+    finally:
+        db.close()

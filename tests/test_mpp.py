@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import Attribute, AttrType, GraphSchema
-from repro.graph.mpp import MPPExecutor, edge_action, vertex_action
+from repro.graph.mpp import HANDOFF_WORK, MPPExecutor, edge_action, vertex_action
 from repro.graph.storage import GraphStore
 
 
@@ -96,3 +96,34 @@ class TestExecutor:
             )
         assert out == [1, 3]
         executor.shutdown()
+
+    def test_map_pools_only_work_above_the_handoff_cost(self):
+        """The fan-out rule: an item goes to the pool only when its estimated
+        GIL-releasing work exceeds HANDOFF_WORK; everything else — steps that
+        hold the GIL (work 0) and small scans — runs in the caller's thread."""
+        caller = threading.current_thread().name
+
+        def where(item):
+            return item, threading.current_thread().name
+
+        work = [0, HANDOFF_WORK + 1, HANDOFF_WORK, HANDOFF_WORK + 1]
+        with MPPExecutor(max_workers=2) as executor:
+            out = executor.map(where, "abcd", work)
+            assert [item for item, _ in out] == list("abcd")
+            assert [name == caller for _, name in out] == [True, False, True, False]
+            assert all(name.startswith("mpp") for _, name in out[1::2])
+            # parallel=False keeps meaning "never"; so does a lone item.
+            assert all(
+                name == caller for _, name in executor.map(where, "abcd", work, parallel=False)
+            )
+            assert executor.map(where, "a", [HANDOFF_WORK + 1]) == [("a", caller)]
+        with MPPExecutor(max_workers=1) as executor:
+            assert all(name == caller for _, name in executor.map(where, "abcd", work))
+            assert executor._pool is None
+
+    def test_map_raises_a_pooled_failure(self):
+        def boom(item):
+            raise ValueError(item)
+
+        with MPPExecutor(max_workers=2) as executor, pytest.raises(ValueError):
+            executor.map(boom, "ab", [HANDOFF_WORK + 1, HANDOFF_WORK + 1])

@@ -305,13 +305,36 @@ class TestResultCache:
 
 
 class _FakeRequest:
-    """Minimal stand-in: the batcher only ever calls batch_key()."""
+    """Minimal stand-in: the batcher reads batch_key(), the submit time, and
+    the deadline."""
 
-    def __init__(self, key):
+    def __init__(self, key, deadline=None):
         self._key = key
+        self.submitted_at = time.monotonic()
+        self.deadline = deadline
 
     def batch_key(self):
         return self._key
+
+
+def _feed(queue, key, count, gap):
+    """Put ``count`` fresh ``key`` requests, one every ``gap`` seconds."""
+    fed = []
+
+    def run():
+        for _ in range(count):
+            time.sleep(gap)
+            request = _FakeRequest(key)
+            fed.append(request)
+            try:
+                queue.put(request, "default")
+            except AdmissionRejectedError:  # the test closed the queue
+                fed.pop()
+                return
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, fed
 
 
 class TestBatcherWindow:
@@ -333,41 +356,136 @@ class TestBatcherWindow:
         assert time.monotonic() - start < 1.0
         queue.close()
 
-    def test_collect_blocks_instead_of_spinning_on_nonmatching(self):
-        queue = WeightedFairQueue(TenantRegistry())
-        batcher = MicroBatcher(queue, window_seconds=0.15, max_batch=4)
-        queue.put(_FakeRequest(("other", 5)), "default")
-        leader = _FakeRequest(("mine", 5))
-        wall_start = time.monotonic()
-        cpu_start = time.process_time()
-        batch = batcher.collect(leader)
-        wall = time.monotonic() - wall_start
-        cpu = time.process_time() - cpu_start
-        assert batch == [leader]
-        assert queue.depth() == 1, "incompatible front must stay queued"
-        assert wall >= 0.1, "window must be honored"
-        # A busy spin would burn ~the whole window of CPU; a blocking wait
-        # burns almost none.
-        assert cpu < 0.1, f"collect() busy-spun: {cpu:.3f}s CPU for {wall:.3f}s wall"
-        queue.close()
+    def test_lone_leader_neither_waits_nor_spins(self):
+        """Nothing compatible queued — an idle queue, or only an incompatible
+        front — means nothing to wait for: the leader runs at once."""
+        for incompatible in (0, 1):
+            queue = WeightedFairQueue(TenantRegistry())
+            batcher = MicroBatcher(queue, window_seconds=0.5, max_batch=4)
+            if incompatible:
+                queue.put(_FakeRequest(("other", 5)), "default")
+            leader = _FakeRequest(("mine", 5))
+            telemetry = Telemetry()
+            wall_start = time.monotonic()
+            cpu_start = time.process_time()
+            with use_telemetry(telemetry):
+                batch = batcher.collect(leader)
+            wall = time.monotonic() - wall_start
+            cpu = time.process_time() - cpu_start
+            assert batch == [leader]
+            assert queue.depth() == incompatible, "incompatible front must stay queued"
+            assert wall < 0.1, f"a lone leader waited {wall:.3f}s of a 0.5s window"
+            assert cpu < 0.1, f"collect() busy-spun: {cpu:.3f}s CPU for {wall:.3f}s wall"
+            counters = telemetry.registry.snapshot()["counters"]
+            assert counters == {"serve.batch_close_lone": 1}
+            queue.close()
 
     def test_collect_fills_from_matching_arrivals(self):
+        """Riders arriving at a steady cadence are all collected, and the
+        rider that fills the batch closes it at once."""
         queue = WeightedFairQueue(TenantRegistry())
-        batcher = MicroBatcher(queue, window_seconds=5.0, max_batch=3)
+        batcher = MicroBatcher(queue, window_seconds=5.0, max_batch=6)
         leader = _FakeRequest(("k",))
-        followers = [_FakeRequest(("k",)) for _ in range(2)]
-        timers = [
-            threading.Timer(0.01 * (i + 1), lambda r=r: queue.put(r, "default"))
-            for i, r in enumerate(followers)
-        ]
-        for t in timers:
-            t.start()
+        time.sleep(0.01)
+        first = _FakeRequest(("k",))
+        queue.put(first, "default")
+        feeder, fed = _feed(queue, ("k",), count=4, gap=0.01)
+        telemetry = Telemetry()
         start = time.monotonic()
-        batch = batcher.collect(leader)
+        with use_telemetry(telemetry):
+            batch = batcher.collect(leader)
         elapsed = time.monotonic() - start
-        assert batch == [leader, *followers]
-        assert elapsed < 4.0, "a full batch must not wait out the window"
+        feeder.join(5)
+        assert batch == [leader, first, *fed]
+        assert elapsed < 1.0, "a full batch must not wait out the window"
+        snapshot = telemetry.registry.snapshot()
+        assert snapshot["counters"] == {"serve.batch_close_full": 1}
+        waited = snapshot["histograms"]["serve.batch_wait_seconds"]
+        assert waited["count"] == 1 and 0.0 < waited["sum"] <= elapsed
         queue.close()
+
+    def test_stalled_cadence_closes_after_a_few_gaps(self):
+        """Once arrivals fall behind the batch's own cadence the batch closes
+        — long before the window — and an incompatible arrival during that
+        last wait neither joins the batch nor turns the wait into a spin."""
+        queue = WeightedFairQueue(TenantRegistry())
+        batcher = MicroBatcher(queue, window_seconds=5.0, max_batch=32)
+        leader = _FakeRequest(("k",))
+        time.sleep(0.02)
+        first = _FakeRequest(("k",))
+        queue.put(first, "default")
+        feeder, fed = _feed(queue, ("k",), count=2, gap=0.02)
+        stranger = threading.Timer(
+            0.06, lambda: queue.put(_FakeRequest(("other",)), "default")
+        )
+        stranger.start()
+        telemetry = Telemetry()
+        start = time.monotonic()
+        cpu_start = time.process_time()
+        with use_telemetry(telemetry):
+            batch = batcher.collect(leader)
+        elapsed = time.monotonic() - start
+        cpu = time.process_time() - cpu_start
+        feeder.join(5)
+        stranger.join(5)
+        assert batch == [leader, first, *fed]
+        assert queue.depth() == 1, "the incompatible arrival must stay queued"
+        # Two more riders at 20 ms, then QUIET_GAPS (4) gaps of silence.
+        assert 0.08 < elapsed < 1.0, f"closed after {elapsed:.3f}s"
+        assert cpu < 0.1, f"collect() busy-spun: {cpu:.3f}s CPU for {elapsed:.3f}s wall"
+        counters = telemetry.registry.snapshot()["counters"]
+        assert counters == {"serve.batch_close_quiet": 1}
+        queue.close()
+
+    def test_window_still_caps_steady_arrivals(self):
+        queue = WeightedFairQueue(TenantRegistry())
+        batcher = MicroBatcher(queue, window_seconds=0.1, max_batch=1000)
+        leader = _FakeRequest(("k",))
+        time.sleep(0.005)
+        first = _FakeRequest(("k",))
+        queue.put(first, "default")
+        feeder, fed = _feed(queue, ("k",), count=80, gap=0.005)
+        telemetry = Telemetry()
+        start = time.monotonic()
+        with use_telemetry(telemetry):
+            batch = batcher.collect(leader)
+        elapsed = time.monotonic() - start
+        assert 0.09 <= elapsed < 0.3, f"cap of 0.1s, closed after {elapsed:.3f}s"
+        queue.close()
+        feeder.join(5)
+        assert batch[:2] == [leader, first]
+        assert 2 < len(batch) < 2 + 80, "riders kept arriving past the cap"
+        assert batch[2:] == fed[: len(batch) - 2], "riders lost or reordered"
+        counters = telemetry.registry.snapshot()["counters"]
+        assert counters == {"serve.batch_close_cap": 1}
+
+    def test_rider_deadline_closes_collection(self):
+        """Collection honours the earliest deadline in hand, not only the
+        leader's: it closes while the rider can still run."""
+        queue = WeightedFairQueue(TenantRegistry())
+        batcher = MicroBatcher(queue, window_seconds=5.0, max_batch=1000)
+        leader = _FakeRequest(("k",))
+        time.sleep(0.005)
+        rider = _FakeRequest(("k",), deadline=time.monotonic() + 0.15)
+        queue.put(rider, "default")
+        feeder, _ = _feed(queue, ("k",), count=100, gap=0.005)
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            batch = batcher.collect(leader)
+        closed_at = time.monotonic()
+        queue.close()
+        feeder.join(5)
+        assert batch[:2] == [leader, rider]
+        assert closed_at < rider.deadline, "the rider was held past its deadline"
+        counters = telemetry.registry.snapshot()["counters"]
+        assert counters == {"serve.batch_close_deadline": 1}
+
+    def test_batch_instruments_are_catalogued(self):
+        from repro.telemetry import INSTRUMENTS
+
+        assert INSTRUMENTS["serve.batch_wait_seconds"][0] == "histogram"
+        for reason in ("full", "quiet", "cap", "deadline", "lone"):
+            assert INSTRUMENTS[f"serve.batch_close_{reason}"][0] == "counter"
 
 
 # --------------------------------------------------------------------------
@@ -458,6 +576,55 @@ class TestAdmission:
             assert blocker.exception(timeout=10) is None
         counters = telemetry.registry.snapshot()["counters"]
         assert counters["serve.deadline_timeouts"] == 1
+
+    def test_short_deadline_rider_runs_behind_deadline_free_leader(
+        self, loaded_post_db, gated_gsql, rng
+    ):
+        """Batch collection closes for the earliest deadline in hand.  While
+        compatible requests keep arriving the window stays open up to its cap
+        (1 s here); a rider due in 0.25 s must be executed, not held until it
+        can only be shed — even though the leader carries no deadline."""
+        db = loaded_post_db
+        config = ServeConfig(
+            workers=1, enable_cache=False, batch_window_seconds=1.0, max_batch=1024
+        )
+        tenants = [Tenant("a"), Tenant("b")]  # "a" dequeues first: it leads
+        queries = rng.standard_normal((2, 16)).astype(np.float32)
+        telemetry = Telemetry()
+        with use_telemetry(telemetry), QueryServer(db, config, tenants=tenants) as server:
+            blocker = server.submit_gsql("INSERT INTO Post VALUES (970)")
+            assert wait_until(lambda: server.queue.depth() == 0)
+            leader = server.submit_search(["Post.content_emb"], queries[0], 3, tenant="a")
+            rider = server.submit_search(
+                ["Post.content_emb"], queries[1], 3, tenant="b", timeout=0.25
+            )
+            stop = threading.Event()
+            trickle = []
+
+            def feed():
+                while not stop.wait(0.005):
+                    trickle.append(
+                        server.submit_search(["Post.content_emb"], queries[0], 3, tenant="a")
+                    )
+
+            feeder = threading.Thread(target=feed, daemon=True)
+            feeder.start()
+            # Let the trickle set the cadence the batch will show, then
+            # free the worker.
+            assert wait_until(lambda: len(trickle) >= 6)
+            gated_gsql.set()
+            try:
+                assert len(members(rider.result(timeout=10))) == 3
+                assert len(members(leader.result(timeout=10))) == 3
+            finally:
+                stop.set()
+                feeder.join(5)
+            assert blocker.exception(timeout=10) is None
+            for future in trickle:
+                assert future.exception(timeout=10) is None
+        counters = telemetry.registry.snapshot()["counters"]
+        assert counters.get("serve.deadline_timeouts", 0) == 0
+        assert counters["serve.batch_close_deadline"] >= 1
 
     def test_overload_accounts_for_every_request(self, loaded_post_db, rng):
         """Burst 60 requests at a tiny server: each one either completes or
