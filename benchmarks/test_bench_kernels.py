@@ -1,11 +1,10 @@
-"""Distance-kernel layer throughput bench (single-query HNSW + fused beams).
+"""Distance-kernel layer throughput bench (single-query HNSW).
 
 Measures the kernelized :meth:`HNSWIndex.topk_search` against the pre-kernel
 baseline preserved in :mod:`repro.index.reference` — same graph, same ``ef``,
 same queries; only the distance math (norm caches + query context vs per-hop
 ``diff``/norm recomputation) and the layer-search inner loop (vectorized
-admission vs per-neighbour Python) differ.  Also reports the fused
-:meth:`topk_search_multi` lockstep-beam throughput over the same query set.
+admission vs per-neighbour Python) differ.
 
 Budgets (asserted):
 
@@ -85,22 +84,17 @@ def test_kernel_search_throughput(subject):
             for q in queries
         ]
 
-    def run_fused():
-        return index.topk_search_multi(queries, K, ef=EF)
-
     # Warm every cache (numpy, BLAS threads, kernel norm caches) untimed.
     kernel_results = run_kernel()
     reference_results = run_reference()
-    fused_results = run_fused()
 
     kernel_times: list[float] = []
     reference_times: list[float] = []
-    fused_times: list[float] = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         # Interleaved round-robin trials so clock/thermal drift hits every
-        # mode equally (BENCH_telemetry methodology).  Each trial's three
+        # mode equally (BENCH_telemetry methodology).  Each trial's two
         # runs execute back-to-back under the same machine state, so the
         # *paired* ratio within a trial is robust to load shifts that move
         # every mode together; the median across trials then rejects
@@ -109,20 +103,16 @@ def test_kernel_search_throughput(subject):
             gc.collect()
             kernel_times.append(timed(run_kernel))
             reference_times.append(timed(run_reference))
-            fused_times.append(timed(run_fused))
     finally:
         if gc_was_enabled:
             gc.enable()
 
     t_kernel = min(kernel_times)
     t_reference = min(reference_times)
-    t_fused = min(fused_times)
     speedup = float(np.median(np.asarray(reference_times) / np.asarray(kernel_times)))
-    fused_speedup = float(np.median(np.asarray(reference_times) / np.asarray(fused_times)))
 
     kernel_recall = recall_at_k([r.ids for r in kernel_results], dataset.gt_ids)
     reference_recall = recall_at_k([r.ids for r in reference_results], dataset.gt_ids)
-    fused_recall = recall_at_k([r.ids for r in fused_results], dataset.gt_ids)
 
     # Kernel distances must agree with the shared reference formulation on
     # every reported neighbour (relative tolerance: SIFT-scale squared
@@ -147,20 +137,16 @@ def test_kernel_search_throughput(subject):
         "seconds": {
             "kernel": t_kernel,
             "reference": t_reference,
-            "fused_multi": t_fused,
         },
         "qps": {
             "kernel": len(queries) / t_kernel,
             "reference": len(queries) / t_reference,
-            "fused_multi": len(queries) / t_fused,
         },
         "speedup_kernel_vs_reference": speedup,
-        "speedup_fused_vs_reference": fused_speedup,
         "speedup_estimator": "median of paired interleaved trial ratios",
         "recall_at_k": {
             "kernel": kernel_recall,
             "reference": reference_recall,
-            "fused_multi": fused_recall,
         },
         "max_relative_distance_error": max_rel_err,
         "budget": {
@@ -176,10 +162,9 @@ def test_kernel_search_throughput(subject):
     print(
         f"\nkernel {len(queries) / t_kernel:,.0f} QPS  "
         f"reference {len(queries) / t_reference:,.0f} QPS  "
-        f"fused {len(queries) / t_fused:,.0f} QPS  "
-        f"speedup {speedup:.2f}x (fused {fused_speedup:.2f}x)  "
-        f"recall kernel {kernel_recall:.3f} / reference {reference_recall:.3f} "
-        f"/ fused {fused_recall:.3f}  max rel dist err {max_rel_err:.2e}"
+        f"speedup {speedup:.2f}x  "
+        f"recall kernel {kernel_recall:.3f} / reference {reference_recall:.3f}  "
+        f"max rel dist err {max_rel_err:.2e}"
     )
 
     assert speedup >= 1.5, (
@@ -188,10 +173,6 @@ def test_kernel_search_throughput(subject):
     )
     assert kernel_recall >= reference_recall - 0.005, (
         f"kernel recall {kernel_recall:.3f} dropped below reference "
-        f"{reference_recall:.3f}"
-    )
-    assert fused_recall >= reference_recall - 0.005, (
-        f"fused recall {fused_recall:.3f} dropped below reference "
         f"{reference_recall:.3f}"
     )
     assert max_rel_err <= 1e-4, (

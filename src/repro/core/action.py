@@ -160,50 +160,29 @@ class EmbeddingAction:
         queries: np.ndarray,
         k: int,
         snapshot_tid: int,
-        ef: int | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Local top-k of every segment for all Q queries at once, unmerged.
 
-        ``ef is None`` runs the exact batch scan
-        (:meth:`EmbeddingStore.search_segment_batch`), an explicit ``ef`` the
-        lockstep fused HNSW (:meth:`EmbeddingStore.search_segment_multi`).
+        The exact batch scan (:meth:`EmbeddingStore.search_segment_batch`).
         Returns one ``(distances, vids)`` pair per segment, both ``(Q, top)``
-        with row ``q`` sorted by (distance, vid); a query for which a
-        traversal found fewer results than its neighbours is padded with
-        ``(+inf, -1)``.  The caller merges across segments and attributes in
-        one sort.
+        with row ``q`` sorted by (distance, vid).  The caller merges across
+        segments and attributes in one sort.
         """
         store = self.store
         seg_nos = list(range(store.num_segments))
         num_queries = queries.shape[0]
-        if ef is None:
-            context = MultiQueryContext.build(store.embedding.metric, queries)
-            # Every segment is scanned, so every step releases the GIL.
-            work = [
-                store.segment(seg_no).live_count() * num_queries * queries.shape[1]
-                for seg_no in seg_nos
-            ]
+        context = MultiQueryContext.build(store.embedding.metric, queries)
+        # Every segment is scanned, so every step releases the GIL.
+        work = [
+            store.segment(seg_no).live_count() * num_queries * queries.shape[1]
+            for seg_no in seg_nos
+        ]
 
-            def local(seg_no: int) -> tuple[np.ndarray, np.ndarray]:
-                dists, offsets = store.search_segment_batch(
-                    seg_no, queries, k, snapshot_tid, context=context
-                )
-                return dists, offsets + seg_no * store.segment_size
-        else:
-            work = [0] * len(seg_nos)
-
-            def local(seg_no: int) -> tuple[np.ndarray, np.ndarray]:
-                outputs = store.search_segment_multi(
-                    seg_no, queries, k, snapshot_tid, ef=ef
-                )
-                width = max(len(out.offsets) for out in outputs)
-                dists = np.full((num_queries, width), np.inf, dtype=np.float32)
-                vids = np.full((num_queries, width), -1, dtype=np.int64)
-                for qi, out in enumerate(outputs):
-                    dists[qi, : len(out.offsets)] = out.distances
-                    vids[qi, : len(out.offsets)] = out.offsets
-                vids[vids >= 0] += seg_no * store.segment_size
-                return dists, vids
+        def local(seg_no: int) -> tuple[np.ndarray, np.ndarray]:
+            dists, offsets = store.search_segment_batch(
+                seg_no, queries, k, snapshot_tid, context=context
+            )
+            return dists, offsets + seg_no * store.segment_size
 
         return self._run_segments(local, seg_nos, work)
 
@@ -237,8 +216,7 @@ class EmbeddingAction:
             cap = store.segment_size
             while True:
                 out = store.search_segment(
-                    seg_no, query, k, snapshot_tid, ef=max(ef or 0, k),
-                    bitmap=per_segment[seg_no],
+                    seg_no, query, k, snapshot_tid, ef=ef, bitmap=per_segment[seg_no],
                 )
                 if not out.offsets:
                     return results

@@ -106,44 +106,16 @@ def vector_search_merged(
 
     The full VectorSearch pipeline minus result materialization; the serving
     layer caches these triples because, unlike a :class:`VertexSet`, they
-    are immutable and carry the distances.
+    are immutable and carry the distances.  It is the one-shard case of the
+    sharded search: every segment group, one partial, merged.
     """
-    if k <= 0:
-        raise VectorSearchError("k must be positive")
-    options = options or VectorSearchOptions()
-    resolved, representative = _resolve_attributes(service, vector_attributes)
-    query = _validate_query(query_vector, representative)
-
-    tel = get_telemetry()
-    merged: list[tuple[float, str, int]] = []
-    with tel.span(
+    with get_telemetry().span(
         "vector.search", k=k, attributes=list(vector_attributes)
-    ) as vspan:
-        for qualified, vertex_type, _ in resolved:
-            store = service.store(vertex_type, qualified.split(".", 1)[1])
-            bitmaps = None
-            if options.filter is not None:
-                vids = options.filter.vids_of_type(vertex_type)
-                if not vids:
-                    continue
-                bitmaps = [
-                    Bitmap.wrap(mask)
-                    for mask in snapshot.bitmap_from_vids(vertex_type, vids)
-                ]
-                while len(bitmaps) < store.num_segments:
-                    bitmaps.append(Bitmap.empty(store.segment_size))
-            action = EmbeddingAction(store)
-            with tel.span("vector.attribute", attribute=qualified):
-                result = action.topk(
-                    query, k, snapshot_tid=snapshot.tid, ef=options.ef, bitmaps=bitmaps
-                )
-            merged.extend(
-                (float(dist), vertex_type, int(vid)) for vid, dist in result
-            )
-        vspan.set(merged_candidates=len(merged))
-
-    merged.sort(key=lambda item: item[0])
-    return merged[:k]
+    ):
+        parts = vector_search_sharded(
+            service, snapshot, vector_attributes, query_vector, k, options
+        )
+        return merge_sharded_topk([parts], k)
 
 
 def vector_search_sharded(
@@ -166,10 +138,8 @@ def vector_search_sharded(
     local top-k ``(distance, vid)`` tuples sorted exactly as
     :meth:`EmbeddingAction.topk` sorts them (distance, then vid).
 
-    ``groups=None`` searches every segment, which makes the single-shard
-    merge byte-identical to :func:`vector_search_merged`: the per-attribute
-    pairs are then the very lists that function flattens, and the merge
-    applies the same attribute-ordered stable sort.  With complementary
+    ``groups=None`` searches every segment; :func:`vector_search_merged` is
+    exactly that single-shard merge.  With complementary
     group subsets the union of partial top-k lists per attribute contains
     the attribute's global top-k (top-k of a union is contained in the
     union of per-part top-k), and the (distance, vid) total order makes
@@ -244,9 +214,9 @@ def merge_sharded_topk(
     the shard pair-lists are merged under the (distance, vid) total order
     and truncated to k — reconstructing what a whole-store
     :meth:`EmbeddingAction.topk` would have returned — then the attribute
-    results are flattened in attribute order and stable-sorted by distance,
-    which is exactly :func:`vector_search_merged`'s final merge.  The
-    output is therefore byte-identical to an unsharded search.
+    results are flattened in attribute order and stable-sorted by distance.
+    The output is therefore byte-identical however the segments were split,
+    one shard (:func:`vector_search_merged`) included.
     """
     if not shard_parts:
         return []
@@ -298,20 +268,15 @@ def vector_search_batch(
     ef: int | None = None,
     min_fused: int = 4,
 ) -> list[list[tuple[float, str, int]]]:
-    """Fused multi-query VectorSearch (the serving micro-batch kernel).
+    """Multi-query VectorSearch on one snapshot (the serving micro-batch kernel).
 
-    Returns one sorted top-k triple list per query row.  Batches smaller
-    than ``min_fused`` fall back to the per-query path; at or above it every
-    segment is visited once for *all* queries:
-
-    - ``ef is None`` (approximate requests) →
-      :meth:`EmbeddingStore.search_segment_batch`, exact brute force, so
-      recall is never below the per-query path;
-    - explicit ``ef`` →
-      :meth:`EmbeddingStore.search_segment_multi`, lockstep-beam fused HNSW
-      (:meth:`~repro.index.hnsw.HNSWIndex.topk_search_multi`) that honours
-      the requested accuracy knob and returns results identical to running
-      the per-query path query by query.
+    Returns one sorted top-k triple list per query row.  A default-``ef``
+    batch of at least ``min_fused`` queries visits every segment once for
+    *all* queries (:meth:`EmbeddingStore.search_segment_batch`, exact brute
+    force, so recall is never below the per-query path).  An explicit ``ef``
+    is an HNSW accuracy contract only a traversal can honour, and traversals
+    share no work across queries (DESIGN §10.3), so such a batch — like one
+    below ``min_fused`` — runs the per-query pipeline query by query.
 
     Unfiltered only.
     """
@@ -329,7 +294,7 @@ def vector_search_batch(
             f"expects {representative.dimension}"
         )
 
-    if queries.shape[0] < min_fused:
+    if ef is not None or queries.shape[0] < min_fused:
         options = VectorSearchOptions(ef=ef)
         return [
             vector_search_merged(
@@ -351,7 +316,7 @@ def vector_search_batch(
         for index, (qualified, vertex_type, _) in enumerate(resolved):
             store = service.store(vertex_type, qualified.split(".", 1)[1])
             for dists, vids in EmbeddingAction(store).topk_batch(
-                queries, k, snapshot.tid, ef=ef
+                queries, k, snapshot.tid
             ):
                 dist_blocks.append(dists)
                 vid_blocks.append(vids)
@@ -370,7 +335,6 @@ def vector_search_batch(
         [
             (dist, names[index], vid)
             for dist, index, vid in zip(row_dists, row_types, row_vids)
-            if vid >= 0  # drop the padding of a short fused-HNSW row
         ]
         for row_dists, row_types, row_vids in zip(top_dists, top_types, top_vids)
     ]

@@ -444,101 +444,6 @@ class EmbeddingStore:
             used_bruteforce=used_bruteforce,
         )
 
-    def search_segment_multi(
-        self,
-        seg_no: int,
-        queries: np.ndarray,
-        k: int,
-        snapshot_tid: int,
-        ef: int | None = None,
-    ) -> list[SegmentSearchOutput]:
-        """Fused multi-query :meth:`search_segment` (explicit-``ef`` serving).
-
-        Replicates the per-query path's semantics *exactly* — same
-        brute-force-vs-HNSW flip, same overlay handling, same tie-breaks —
-        but shares the per-segment work across the batch: one MVCC view
-        resolution, one snapshot-kernel gather for brute-force scans, and
-        lockstep-beam :meth:`~repro.index.hnsw.HNSWIndex.topk_search_multi`
-        HNSW traversal.  Every distance is produced by the same kernel calls
-        as the solo path, so results are identical (not merely close) to
-        running :meth:`search_segment` per query.  Unfiltered only, like
-        :meth:`search_segment_batch`.
-        """
-        fault_hook = self.fault_hook
-        if fault_hook is not None:
-            fault_hook(seg_no)  # may raise FaultInjectionError (chaos tests)
-        access_hook = self.access_hook
-        if access_hook is not None:
-            access_hook(seg_no)  # tier-manager heat accounting
-        queries = np.asarray(queries, dtype=np.float32)
-        metric = self.embedding.metric
-        snap, overlay_last, allowed = self._segment_view(seg_no, snapshot_tid, None)
-
-        threshold = self.bf_threshold
-        valid_count = int(np.count_nonzero(allowed))
-        num_queries = queries.shape[0]
-        per_query: list[list[tuple[float, int]]] = [[] for _ in range(num_queries)]
-
-        used_bruteforce = False
-        if valid_count > 0:
-            if snap.pq is not None:
-                # Cold segment: each query runs the same two-phase
-                # evaluation as the solo path, so fused == per-query.
-                get_telemetry().inc("tier.cold_hits")
-                used_bruteforce = True
-                for qi in range(num_queries):
-                    per_query[qi].extend(self._cold_topk(snap, queries[qi], k, allowed))
-            elif valid_count < threshold:
-                used_bruteforce = True
-                offsets = np.flatnonzero(allowed)
-                kernel = snap.kernel(metric)
-                top = min(k, offsets.size)
-                for qi in range(num_queries):
-                    dists = kernel.distances(kernel.query(queries[qi]), offsets)
-                    part = np.argpartition(dists, top - 1)[:top]
-                    per_query[qi].extend(
-                        (float(dists[i]), int(offsets[i])) for i in part
-                    )
-            else:
-                mask = allowed
-
-                def filter_fn(offset: int) -> bool:
-                    return bool(mask[offset])
-
-                with _TRAVERSAL:
-                    founds = snap.index.topk_search_multi(
-                        queries, k, ef=ef, filter_fn=filter_fn
-                    )
-                for qi, found in enumerate(founds):
-                    per_query[qi].extend((float(d), int(o)) for o, d in found)
-
-        fresh_offsets = [
-            off for off, record in overlay_last.items() if record.action == UPSERT
-        ]
-        if fresh_offsets:
-            okernel = self._overlay_kernel(overlay_last, fresh_offsets, metric)
-            for qi in range(num_queries):
-                dists = okernel.distances_prefix(
-                    okernel.query(queries[qi]), len(fresh_offsets)
-                )
-                per_query[qi].extend(
-                    (float(d), int(o)) for d, o in zip(dists, fresh_offsets)
-                )
-
-        outputs: list[SegmentSearchOutput] = []
-        for results in per_query:
-            results.sort()
-            results = results[:k]
-            outputs.append(
-                SegmentSearchOutput(
-                    seg_no,
-                    offsets=[o for _, o in results],
-                    distances=[d for d, _ in results],
-                    used_bruteforce=used_bruteforce,
-                )
-            )
-        return outputs
-
     def search_segment_batch(
         self,
         seg_no: int,
@@ -555,6 +460,11 @@ class EmbeddingStore:
         Exact brute force, so every per-query result is at least as good as
         the per-query HNSW path.  Unfiltered only — the micro-batcher never
         fuses filtered requests.
+
+        Deliberately a second body beside :meth:`search_segment`, not that
+        method's general case: one query routed through these array steps
+        pays NumPy's per-call overhead on scans of a few dozen rows, which
+        measurably slows every single-query workload (DESIGN §10.3).
 
         Returns ``(distances, offsets)``, both ``(Q, top)`` with ``top =
         min(k, candidates)``: row ``q`` is query ``q``'s local top-k sorted
@@ -703,6 +613,18 @@ class EmbeddingService:
 
     def stores(self) -> Iterator[EmbeddingStore]:
         return iter(list(self._stores.values()))
+
+    def watermarks(self, vector_attributes) -> tuple:
+        """One :meth:`EmbeddingStore.watermark` per ``"VertexType.attr"`` name.
+
+        The watermark half of a served search's cache key; callers read it
+        *before* pinning their snapshot (see :mod:`repro.serve.cache`).
+        """
+        marks = []
+        for qualified in vector_attributes:
+            vertex_type, _ = self.schema.embedding_attribute(qualified)
+            marks.append(self.store(vertex_type, qualified.split(".", 1)[1]).watermark())
+        return tuple(marks)
 
     def attach_store(self, vertex_type: str, attr: str, store: EmbeddingStore) -> None:
         """Install a pre-built store (bench/recovery harness hook).

@@ -188,15 +188,6 @@ class ElasticTier:
         ]
 
     # --------------------------------------------------------------- routing
-    def _watermarks(self, vector_attributes) -> tuple:
-        schema = self.db.schema
-        marks = []
-        for qualified in vector_attributes:
-            vertex_type, _ = schema.embedding_attribute(qualified)
-            store = self.db.service.store(vertex_type, qualified.split(".", 1)[1])
-            marks.append(store.watermark())
-        return tuple(marks)
-
     def group_universe(self, vector_attributes) -> list[int]:
         """Every group id a query over these attributes can touch."""
         schema = self.db.schema
@@ -388,7 +379,7 @@ class ElasticTier:
                 groups=groups,
                 submitted_at=submitted_at,
             )
-        watermarks = self._watermarks(attrs)
+        watermarks = self.db.service.watermarks(attrs)
         with self.db.snapshot() as snapshot:
             cache_ok = all(
                 EmbeddingStore.watermark_tid(mark) <= snapshot.tid
@@ -440,7 +431,7 @@ class ElasticTier:
         if deadline is not None:
             limit = min(limit, deadline)
         while True:
-            marks = self._watermarks(attrs)
+            marks = self.db.service.watermarks(attrs)
             with self.db.snapshot() as snapshot:
                 lag = EmbeddingStore.watermark_lag(marks, snapshot.tid)
                 stale = max_staleness is not None and lag > max_staleness

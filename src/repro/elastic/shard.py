@@ -46,7 +46,6 @@ import numpy as np
 from ..analysis.hooks import schedule_point
 from ..core.search import VectorSearchOptions, vector_search_sharded
 from ..errors import ReproError, SegmentOwnershipError, ServeError
-from ..serve.cache import ResultCache
 from ..serve.server import QueryRequest, QueryServer, ServeConfig, ServeFuture
 from ..telemetry import get_telemetry
 
@@ -189,7 +188,6 @@ class ShardServer(QueryServer):
         super()._execute_batch(batch)
 
     def _execute_shard(self, request: ShardRequest) -> None:
-        tel = get_telemetry()
         tenant = request.tenant.name
         schedule_point("elastic.shard.execute")
         with self._owned_lock:
@@ -219,19 +217,12 @@ class ShardServer(QueryServer):
             # Watermark-keyed partial entry, disambiguated by the group
             # tuple (6-tuple keys can never collide with the 5-tuple
             # whole-query keys sharing the partition).
-            key = ResultCache.key(
-                request.vector_attributes,
-                request.query,
-                request.k,
-                request.ef,
-                request.shard_watermarks,
-            ) + (request.shard_groups,)
-            hit = self.cache.get(tenant, key)
+            key, hit = self._cache_get(
+                request, request.shard_watermarks, request.shard_groups
+            )
             if hit is not None:
-                tel.inc("serve.cache_hits")
                 self._finish(request, value=hit)
                 return
-            tel.inc("serve.cache_misses")
 
         options = VectorSearchOptions(filter=request.filter, ef=request.ef)
         try:
@@ -251,10 +242,7 @@ class ShardServer(QueryServer):
             self._finish(request, error=exc)
             return
         value = tuple(parts)
-        if key is not None:
-            evicted = self.cache.put(tenant, key, value, kernel="shard")
-            if evicted:
-                tel.inc("serve.cache_evictions", evicted)
+        self._cache_put(request, key, value, kernel="shard")
         self._finish(request, value=value)
 
     # ---------------------------------------------------------------- stats

@@ -21,12 +21,9 @@ Performance notes (this is pure Python + numpy):
   a prenormalized row copy reduces COSINE to IP, and per-search
   :class:`~repro.index.kernels.QueryContext` state computes ``q·q`` / query
   normalization once per search instead of once per hop;
-- ``_search_layer`` admits neighbour batches through one vectorized
+- ``_search_layer_scratch`` admits neighbour batches through one vectorized
   ``dists < worst`` mask before the Python heap loop, so full-beam rounds
   skip interpreter work for neighbours that cannot enter the result set;
-- ``topk_search_multi`` runs many queries as lockstep beams that share one
-  stacked row gather per round (each beam then takes its own contiguous
-  slice, keeping per-beam distances bit-identical to a solo search);
 - layer-0 adjacency lives in one preallocated ``(capacity, 2M)`` int32 matrix
   so neighbour expansion, visited-filtering, and visited-marking are each a
   single vectorized operation;
@@ -34,9 +31,12 @@ Performance notes (this is pure Python + numpy):
   pairwise-distance matrix per call and an incrementally maintained
   min-distance-to-selected vector — the heuristic is *required* for recall on
   clustered data (simple distance pruning disconnects clusters);
-- visited marks are generation counters, so no per-search allocation
-  (fused searches use a private per-call bitmask instead, one uint64 lane
-  per beam).
+- visited marks are generation counters, so no per-search allocation.
+
+Every query traverses alone.  A lockstep multi-query traversal (Q beams
+sharing one row gather per round) existed through PR 16 and was deleted: it
+returned exactly the solo results and measured 1.07–1.36× slower at every
+batch, segment size and ``ef`` tried (DESIGN §10.3).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from ..errors import IndexPersistenceError, VectorSearchError
 from ..telemetry import get_telemetry
 from ..types import Metric
 from .interface import IndexStats, SearchResult, VectorIndex
-from .kernels import DistanceKernel, MultiQueryContext, QueryContext
+from .kernels import DistanceKernel, QueryContext
 
 __all__ = ["FORMAT_VERSION", "HNSWIndex"]
 
@@ -64,26 +64,6 @@ __all__ = ["FORMAT_VERSION", "HNSWIndex"]
 #: layout changes; ``load()`` refuses other versions with
 #: :class:`~repro.errors.IndexPersistenceError` rather than guessing.
 FORMAT_VERSION = 1
-
-#: Fused searches pack per-beam visited marks into uint64 lanes; batches
-#: larger than this are chunked so every beam keeps a private bit.
-FUSED_CHUNK = 64
-
-
-class _Beam:
-    """Per-query traversal state for the fused lockstep layer search."""
-
-    __slots__ = ("ctx", "candidates", "results", "bit", "collect", "pending", "finished")
-
-    def __init__(self, ctx: QueryContext, candidates: list, results: list,
-                 bit: np.uint64, collect) -> None:
-        self.ctx = ctx
-        self.candidates = candidates  # min-heap of (distance, row)
-        self.results = results  # max-heap via negated distance
-        self.bit = bit  # this beam's visited-mask lane
-        self.collect = collect
-        self.pending: np.ndarray | None = None  # fresh rows awaiting distances
-        self.finished = False
 
 
 class HNSWIndex(VectorIndex):
@@ -280,10 +260,8 @@ class HNSWIndex(VectorIndex):
     ) -> list[tuple[float, int]]:
         visited, generation = scratch
         visited[entry_row] = generation
-        # Inlined kernel.rank(): the gemv below is the same `aug[rows] @
-        # aug_query` the fused path computes from its stacked gather, so
-        # solo and fused stay bit-identical while skipping a method call
-        # per hop (this loop runs tens of thousands of times per query set).
+        # Inlined kernel.rank(): skips a method call per hop (this loop runs
+        # tens of thousands of times per query set).
         aug = self._kernel._aug
         aug_query = ctx.aug_query
         dot = np.dot
@@ -404,255 +382,6 @@ class HNSWIndex(VectorIndex):
             self._ids[list(rows)],
             self._kernel.to_true(ctx, np.asarray(dists, dtype=np.float32)),
         )
-
-    # -------------------------------------------------- fused multi-query
-    def topk_search_multi(
-        self,
-        queries: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        filter_fn=None,
-    ) -> list[SearchResult]:
-        """Fused multi-query top-k: lockstep beams over one shared gather.
-
-        Returns exactly ``[topk_search(q, k, ef, fn) for q, fn in
-        zip(queries, filters)]`` — each beam's distances are computed on its
-        own contiguous slice of the round's stacked row gather, so they are
-        bit-identical to a solo search and every heap decision matches.  The
-        win is one ``take`` + far fewer interpreter round trips per hop
-        round instead of per query.
-
-        ``filter_fn`` may be ``None``, one callable applied to every query,
-        or a sequence of per-query callables/``None``.  Unlike
-        :meth:`topk_search`, visited marks live in a private per-call bitmask
-        (one uint64 lane per beam), so fused searches running on different
-        threads never share scratch state.
-        """
-        if k <= 0:
-            raise VectorSearchError("k must be positive")
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries.reshape(1, -1)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise VectorSearchError(
-                f"expected queries of dimension {self.dim}, got shape {queries.shape}"
-            )
-        num_queries = queries.shape[0]
-        if num_queries == 0:
-            return []
-        if filter_fn is None or callable(filter_fn):
-            filters = [filter_fn] * num_queries
-        else:
-            filters = list(filter_fn)
-            if len(filters) != num_queries:
-                raise VectorSearchError("filter_fn sequence length must match query count")
-        self._stats.num_searches += num_queries
-        if self._entry_point is None:
-            return [SearchResult.empty() for _ in range(num_queries)]
-        ef = max(ef or self.DEFAULT_EF, k)
-        tel = get_telemetry()
-        if tel.enabled:
-            search_started = time.perf_counter()
-        out: list[SearchResult] = []
-        total_distances = 0
-        total_hops = 0
-        for start in range(0, num_queries, FUSED_CHUNK):
-            stop = min(start + FUSED_CHUNK, num_queries)
-            mctx = self._kernel.queries(queries[start:stop])
-            out.extend(self._fused_chunk(mctx, k, ef, filters[start:stop]))
-            for ctx in mctx.contexts:
-                total_distances += ctx.num_distances
-                total_hops += ctx.num_hops
-                if tel.enabled:
-                    tel.observe("hnsw.distance_computations", ctx.num_distances)
-                    tel.observe("hnsw.hops", ctx.num_hops)
-                    tel.observe("hnsw.ef_expansions", ef)
-        self._stats.num_distance_computations += total_distances
-        self._stats.num_hops += total_hops
-        if tel.enabled:
-            tel.inc("hnsw.searches", num_queries)
-            tel.inc("hnsw.fused_searches", num_queries)
-            tel.observe("hnsw.search_seconds", time.perf_counter() - search_started)
-        return out
-
-    def _fused_chunk(
-        self, mctx: MultiQueryContext, k: int, ef: int, filters: list
-    ) -> list[SearchResult]:
-        """Run one ≤64-beam lockstep search chunk."""
-        kernel = self._kernel
-        ids = self._ids
-        deleted = self._deleted
-        entries = self._greedy_descend_multi(mctx, self._entry_point, self._max_level, 0)
-        # Private visited marks: one uint64 lane per beam.
-        vmask = np.zeros(self._capacity, dtype=np.uint64)
-        beams: list[_Beam] = []
-        for qi, ctx in enumerate(mctx.contexts):
-            fn = filters[qi]
-            if fn is None:
-                collect = None
-            else:
-                def collect(row: int, _fn=fn) -> bool:
-                    return _fn(int(ids[row]))
-            entry = entries[qi]
-            bit = np.uint64(1 << qi)
-            vmask[entry] |= bit
-            entry_dist = kernel.rank_one(ctx, entry)
-            results: list[tuple[float, int]] = []
-            if not deleted[entry] and (collect is None or collect(entry)):
-                results.append((-entry_dist, entry))
-            beams.append(_Beam(ctx, [(entry_dist, entry)], results, bit, collect))
-        self._search_layer_multi(beams, ef, vmask)
-        out = []
-        for beam in beams:
-            top = sorted((-d, row) for d, row in beam.results)[:k]
-            if not top:
-                out.append(SearchResult.empty())
-                continue
-            dists, rows = zip(*top)
-            out.append(SearchResult(
-                ids[list(rows)],
-                kernel.to_true(beam.ctx, np.asarray(dists, dtype=np.float32)),
-            ))
-        return out
-
-    def _greedy_descend_multi(
-        self, mctx: MultiQueryContext, start_row: int, from_level: int, to_level: int
-    ) -> list[int]:
-        """Lockstep greedy descend: one stacked gather per improvement round."""
-        kernel = self._kernel
-        contexts = mctx.contexts
-        current = [start_row] * len(contexts)
-        cur_dist = [kernel.rank_one(ctx, start_row) for ctx in contexts]
-        for level in range(from_level, to_level, -1):
-            improved = [True] * len(contexts)
-            while True:
-                rows_parts: list[np.ndarray] = []
-                active: list[int] = []
-                for qi, still in enumerate(improved):
-                    if not still:
-                        continue
-                    neighbors = self._neighbors(current[qi], level)
-                    if neighbors.size == 0:
-                        improved[qi] = False
-                        continue
-                    rows_parts.append(neighbors)
-                    active.append(qi)
-                if not active:
-                    break
-                rows_cat = (
-                    np.concatenate(rows_parts) if len(rows_parts) > 1 else rows_parts[0]
-                )
-                block = kernel.block(rows_cat)
-                offset = 0
-                for qi, neighbors in zip(active, rows_parts):
-                    ctx = contexts[qi]
-                    ctx.num_hops += 1
-                    size = neighbors.size
-                    dists = kernel.rank_from_block(ctx, block[offset : offset + size])
-                    offset += size
-                    best = int(np.argmin(dists))
-                    if dists[best] < cur_dist[qi]:
-                        current[qi] = int(neighbors[best])
-                        cur_dist[qi] = float(dists[best])
-                    else:
-                        improved[qi] = False
-        return current
-
-    def _search_layer_multi(self, beams: list[_Beam], ef: int, vmask: np.ndarray) -> None:
-        """Lockstep layer-0 beam search sharing one stacked gather per round.
-
-        Each round, every live beam pops candidates exactly as
-        :meth:`_search_layer` would until it finds a node with unvisited
-        neighbours (or finishes); all beams' fresh rows are then gathered in
-        one ``take`` and each beam computes distances on its own contiguous
-        slice, followed by the same vectorized-admission heap loop.
-        """
-        aug = self._kernel._aug
-        deleted = self._deleted
-        links0 = self._links0
-        links0_cnt = self._links0_cnt
-        dot = np.dot
-        push = heapq.heappush
-        pop = heapq.heappop
-        pushpop = heapq.heappushpop
-        live = [beam for beam in beams if not beam.finished]
-        while live:
-            rows_parts: list[np.ndarray] = []
-            active: list[_Beam] = []
-            for beam in live:
-                candidates = beam.candidates
-                results = beam.results
-                bit = beam.bit
-                fresh = None
-                while candidates:
-                    dist, row = pop(candidates)
-                    if len(results) >= ef and dist > -results[0][0]:
-                        beam.finished = True
-                        break
-                    neighbors = links0[row, : links0_cnt[row]]
-                    if neighbors.size:
-                        unvisited = neighbors[(vmask.take(neighbors) & bit) == 0]
-                    else:
-                        unvisited = neighbors
-                    if unvisited.size == 0:
-                        continue
-                    fresh = unvisited
-                    break
-                else:
-                    beam.finished = True
-                if beam.finished or fresh is None:
-                    continue
-                vmask.put(fresh, vmask.take(fresh) | bit)
-                beam.pending = fresh
-                rows_parts.append(fresh)
-                active.append(beam)
-            if not active:
-                break
-            rows_cat = np.concatenate(rows_parts) if len(rows_parts) > 1 else rows_parts[0]
-            # One shared gather per round; each beam's gemv runs on its own
-            # contiguous slice, bit-identical to the solo `dot(aug.take(fresh),
-            # aug_query)` (see rank_from_block).
-            block = aug.take(rows_cat, 0)
-            offset = 0
-            for beam in active:
-                fresh = beam.pending
-                beam.pending = None
-                size = fresh.size
-                ctx = beam.ctx
-                ctx.num_hops += 1
-                ctx.num_distances += size
-                dists = dot(block[offset : offset + size], ctx.aug_query)
-                offset += size
-                candidates = beam.candidates
-                results = beam.results
-                collect = beam.collect
-                # Admission below mirrors _search_layer exactly (same heap ops
-                # in the same order) so fused results are bit-identical to solo.
-                full = len(results) >= ef
-                if full:
-                    worst = -results[0][0]
-                    admit = dists < worst
-                    dist_list = dists[admit].tolist()
-                    if not dist_list:
-                        continue
-                    row_list = fresh[admit].tolist()
-                else:
-                    worst = np.inf
-                    dist_list = dists.tolist()
-                    row_list = fresh.tolist()
-                for n_dist, n_row in zip(dist_list, row_list):
-                    if not full or n_dist < worst:
-                        push(candidates, (n_dist, n_row))
-                        if not deleted[n_row] and (collect is None or collect(n_row)):
-                            if full:
-                                pushpop(results, (-n_dist, n_row))
-                                worst = -results[0][0]
-                            else:
-                                push(results, (-n_dist, n_row))
-                                if len(results) >= ef:
-                                    full = True
-                                    worst = -results[0][0]
-            live = [beam for beam in live if not beam.finished]
 
     def range_search(
         self,

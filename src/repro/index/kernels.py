@@ -103,12 +103,12 @@ class QueryContext:
 
 
 class MultiQueryContext:
-    """Stacked per-query contexts for fused multi-query kernels.
+    """Stacked per-query contexts for the ``(Q, n)`` batch-scan kernels.
 
     Each row's context comes from the scalar path a solo search uses (not a
     row-wise einsum), so its ``q_sq`` / augmented query are bit-identical to
-    the per-query values — the fused HNSW traversal needs that for result
-    identity with solo searches.
+    the per-query values: a batch scan then differs from Q solo scans only
+    by the matmul's summation order.
     """
 
     __slots__ = ("queries", "aug_queries", "q_sq", "contexts")
@@ -214,25 +214,9 @@ class DistanceKernel:
         return MultiQueryContext(queries, [self.query(row) for row in queries])
 
     # ------------------------------------------------------ rank distances
-    def block(self, rows) -> np.ndarray:
-        """Gather augmented rows (one shared gather for fused lockstep
-        traversals; see :meth:`rank_from_block`)."""
-        return self._aug.take(rows, axis=0)
-
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:
         """Order-preserving rank distances to ``rows``: one gather + matvec."""
         block = self._aug.take(rows, axis=0)
-        ctx.num_distances += block.shape[0]
-        return block @ ctx.aug_query
-
-    def rank_from_block(self, ctx: QueryContext, block: np.ndarray) -> np.ndarray:
-        """Like :meth:`rank` over a pre-gathered augmented block.
-
-        ``block`` must be ``self.block(rows)`` or a contiguous slice of a
-        concatenated gather; the matvec is then bit-identical to
-        :meth:`rank` on the same rows — the fused traversal relies on that
-        for result identity with the per-query path.
-        """
         ctx.num_distances += block.shape[0]
         return block @ ctx.aug_query
 

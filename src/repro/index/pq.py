@@ -21,11 +21,11 @@ Distance semantics mirror the float kernels exactly:
   normalized query, reducing cosine to IP on unit rows.
 
 Because :class:`PQKernel` subclasses :class:`DistanceKernel` and preserves
-the full contract — ``query``/``queries`` contexts, ``block`` +
-``rank_from_block`` for fused lockstep traversal, ``distances_multi`` for
-the serving micro-batcher, ``pairwise``/``cross`` for neighbour selection
-and k-means — every consumer (brute-force scans, IVF probes, delta
-overlays, fused multi-query batches) runs over codes without modification.
+the full contract — ``query``/``queries`` contexts, ``rank``/``rank_one``,
+``distances_multi`` for the serving micro-batcher, ``pairwise``/``cross``
+for neighbour selection and k-means — every consumer (brute-force scans,
+IVF probes, delta overlays, multi-query batch scans) runs over codes
+without modification.
 
 Scalar quantization is the degenerate case ``m == dim`` with affine
 single-dimension codebooks (``lo[j] + scale[j]·c``), which is how
@@ -343,15 +343,8 @@ class PQKernel(DistanceKernel):
         ctx.num_distances += codes.shape[0]
         return ctx.aug_query[flat].sum(axis=1, dtype=np.float32)
 
-    def block(self, rows) -> np.ndarray:
-        """Gather code rows (the fused traversal's shared gather)."""
-        return self._codes.take(rows, axis=0)
-
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:
         return self._rank_codes(ctx, self._codes.take(rows, axis=0))
-
-    def rank_from_block(self, ctx: QueryContext, block: np.ndarray) -> np.ndarray:
-        return self._rank_codes(ctx, block)
 
     def rank_one(self, ctx: QueryContext, row: int) -> float:
         ctx.num_distances += 1

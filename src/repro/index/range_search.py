@@ -44,9 +44,7 @@ def range_search_via_topk(
     cap = min(max_k or size, size)
     k = min(initial_k, cap)
     while True:
-        # ef must keep up with k or the beam cannot return k results.
-        search_ef = max(ef or 0, k)
-        result = index.topk_search(query, k, ef=search_ef, filter_fn=filter_fn)
+        result = index.topk_search(query, k, ef=ef, filter_fn=filter_fn)
         if len(result) == 0:
             return SearchResult.empty()
         exhausted = len(result) < k or k >= cap

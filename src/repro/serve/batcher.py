@@ -1,10 +1,11 @@
 """Dynamic micro-batching: coalesce compatible requests into one scan.
 
 After a worker dequeues a batchable request (the *leader*), it drains the
-queue fronts with the same batch key — identical attribute set, k, and ef;
-no filter; full-access tenant — and then waits only while arrivals keep
-coming.  Batching is work-conserving: under load the backlog that built up
-while the workers were busy *is* the batch, and at low load nobody waits.
+queue fronts with the same batch key — identical attribute set and k; no
+filter; default ``ef``; full-access tenant — and then waits only while
+arrivals keep coming.  Batching is work-conserving: under load the backlog
+that built up while the workers were busy *is* the batch, and at low load
+nobody waits.
 
 - A leader that finds nothing compatible queued executes at once.
 - With riders in hand, the wait for the next one is bounded by the cadence
@@ -23,11 +24,11 @@ wait each, never a spin.
 
 The fused batch then runs through
 :func:`repro.core.search.vector_search_batch`, which visits each segment
-once for all queries: default-``ef`` batches use the exact batch scan
-(recall never drops below the per-query HNSW path), explicit-``ef``
-batches use the lockstep fused HNSW kernel (results identical to the
-per-query path); batches below the server's ``min_fused`` execute
-per-query anyway.
+once for all queries with the exact batch scan (recall never drops below
+the per-query HNSW path); batches below the server's ``min_fused`` execute
+per-query anyway.  An explicit-``ef`` request has no batch key: only a
+per-query traversal honours its accuracy contract, so it would wait here
+for riders it cannot share work with.
 """
 
 from __future__ import annotations

@@ -29,12 +29,11 @@ was computed on a snapshot at least as new as every TID in its key.
 Values are the sorted ``(distance, vertex_type, vid)`` triples from
 :func:`repro.core.search.vector_search_merged` — immutable, and carrying
 the distances needed to re-fill a caller's distance map on a hit.  Each
-entry records the *kernel* that produced it: ``"hnsw"`` per-query,
-``"fused"`` exact batch scan (default-``ef`` batches; never worse than the
-per-query HNSW answer, distances equal up to BLAS reduction order in the
-last ulp), or ``"fused-hnsw"`` lockstep fused HNSW traversal
-(explicit-``ef`` batches; identical results to the per-query path, every
-distance produced by the same kernel calls).
+entry records the *kernel* that produced it: ``"hnsw"`` per-query
+(every explicit-``ef`` request among them), ``"fused"`` exact batch scan
+(default-``ef`` batches; never worse than the per-query HNSW answer,
+distances equal up to BLAS reduction order in the last ulp), or
+``"shard"`` for an elastic shard's partial.
 
 The cache is a lock leaf: methods never call into the engine or telemetry
 while holding the lock; :meth:`put` returns the eviction count so the

@@ -193,32 +193,31 @@ class QueryRequest:
         """Fusion compatibility key; None means unbatchable.
 
         Filtered searches and tenants with restricted roles execute
-        per-request (their validity masks differ per caller), and
-        SLA-bound requests execute per-request too (each needs its own
-        snapshot pin/validate/wait loop).  Everything else groups by
-        ``(attributes, k, ef)``: default-``ef`` batches run the exact
-        fused scan, and explicit-``ef`` batches run the lockstep fused
-        HNSW kernel (:meth:`HNSWIndex.topk_search_multi` via
-        :meth:`EmbeddingStore.search_segment_multi`), which honours the
-        requested accuracy contract and returns results identical to the
-        per-query path.
+        per-request (their validity masks differ per caller), SLA-bound
+        requests do too (each needs its own snapshot pin/validate/wait
+        loop), and so does an explicit ``ef``: it is an HNSW accuracy
+        contract, only a per-query traversal honours it, and traversals
+        share no work — so the request runs at once instead of waiting in a
+        window for riders.  Everything else groups by ``(attributes, k)``
+        and runs the exact fused scan.
         """
         if (
             self.kind != "vector"
             or self.filter is not None
+            or self.ef is not None
             or self.tenant.role != "admin"
             or self.sla_bound
         ):
             return None
-        return (self.vector_attributes, self.k, self.ef)
+        return (self.vector_attributes, self.k)
 
     @property
     def cacheable(self) -> bool:
         """Cache eligibility; broader than fusion eligibility.
 
-        ``ef`` is part of both the fusion key and the cache key, so an
-        ``ef``-keyed entry is always produced at the requested accuracy —
-        by the per-query kernel or the result-identical fused HNSW kernel.
+        ``ef`` is part of the cache key and an explicit ``ef`` never fuses,
+        so an ``ef``-keyed entry is always produced at the requested
+        accuracy by the per-query kernel.
         """
         return (
             self.kind == "vector"
@@ -606,16 +605,33 @@ class QueryServer:
         self._finish(request, value=result)
 
     # --------------------------------------------------------------- vector
-    def _watermarks(self, vector_attributes: tuple[str, ...]) -> tuple:
-        schema = self.db.schema
-        marks = []
-        for qualified in vector_attributes:
-            vertex_type, _ = schema.embedding_attribute(qualified)
-            store = self.db.service.store(
-                vertex_type, qualified.split(".", 1)[1]
-            )
-            marks.append(store.watermark())
-        return tuple(marks)
+    def _cache_get(
+        self, request: QueryRequest, watermarks: tuple, *suffix
+    ) -> tuple[tuple, tuple | None]:
+        """Probe the tenant's partition: ``(key, hit or None)``, counted.
+
+        ``suffix`` extends the watermark key (a shard's owned group tuple).
+        """
+        key = ResultCache.key(
+            request.vector_attributes,
+            request.query,
+            request.k,
+            request.ef,
+            watermarks,
+        ) + suffix
+        hit = self.cache.get(request.tenant.name, key)
+        get_telemetry().inc(
+            "serve.cache_misses" if hit is None else "serve.cache_hits"
+        )
+        return key, hit
+
+    def _cache_put(self, request: QueryRequest, key, value, kernel: str) -> None:
+        """Fill under a :meth:`_cache_get` key; ``None`` means do not cache."""
+        if key is None:
+            return
+        evicted = self.cache.put(request.tenant.name, key, tuple(value), kernel=kernel)
+        if evicted:
+            get_telemetry().inc("serve.cache_evictions", evicted)
 
     def _execute_vector(self, batch: list) -> None:
         tel = get_telemetry()
@@ -627,7 +643,7 @@ class QueryServer:
             # batches trivially so) and one watermark tuple covers all.
             # Read watermarks BEFORE taking the snapshot (see cache.py).
             try:
-                watermarks = self._watermarks(batch[0].vector_attributes)
+                watermarks = self.db.service.watermarks(batch[0].vector_attributes)
             except ReproError as exc:
                 for request in batch:
                     self._finish(request, error=exc)
@@ -636,16 +652,8 @@ class QueryServer:
         pending: list[tuple[QueryRequest, tuple | None]] = []
         for request in batch:
             if watermarks is not None and request.cacheable:
-                key = ResultCache.key(
-                    request.vector_attributes,
-                    request.query,
-                    request.k,
-                    request.ef,
-                    watermarks,
-                )
-                hit = cache.get(request.tenant.name, key)
+                key, hit = self._cache_get(request, watermarks)
                 if hit is not None:
-                    tel.inc("serve.cache_hits")
                     self._finish(
                         request,
                         value=build_topk_vertex_set(
@@ -653,7 +661,6 @@ class QueryServer:
                         ),
                     )
                     continue
-                tel.inc("serve.cache_misses")
                 pending.append((request, key))
             else:
                 pending.append((request, None))
@@ -708,7 +715,7 @@ class QueryServer:
             limit = min(limit, request.deadline)
         while True:
             try:
-                marks = self._watermarks(request.vector_attributes)
+                marks = self.db.service.watermarks(request.vector_attributes)
             except ReproError as exc:
                 self._finish(request, error=exc)
                 return
@@ -731,16 +738,8 @@ class QueryServer:
                             # Same key discipline as the fast path: the
                             # snapshot covers every watermark component, so
                             # a hit is consistent and a fill is safe.
-                            key = ResultCache.key(
-                                request.vector_attributes,
-                                request.query,
-                                request.k,
-                                request.ef,
-                                marks,
-                            )
-                            hit = self.cache.get(request.tenant.name, key)
+                            key, hit = self._cache_get(request, marks)
                             if hit is not None:
-                                tel.inc("serve.cache_hits")
                                 self._finish(
                                     request,
                                     value=build_topk_vertex_set(
@@ -748,7 +747,6 @@ class QueryServer:
                                     ),
                                 )
                                 return
-                            tel.inc("serve.cache_misses")
                         else:
                             # Tolerated nonzero lag (max_staleness > 0 over
                             # a mid-publication window): serve uncached,
@@ -801,7 +799,6 @@ class QueryServer:
                     list(leader.vector_attributes),
                     queries,
                     leader.k,
-                    ef=leader.ef,
                     min_fused=2,  # the batcher already decided to fuse
                 )
             )
@@ -819,23 +816,13 @@ class QueryServer:
                 self._finish(request, error=exc)
             return
         tel.inc("serve.fused_queries", len(requests))
-        # Distinguish the two fused kernels in cache introspection: the
-        # exact batch scan vs the lockstep fused HNSW traversal.
-        kernel = "fused-hnsw" if leader.ef is not None else "fused"
-        evictions = 0
         for (request, key), top in zip(fusable, tops):
-            if key is not None and self.cache is not None:
-                evictions += self.cache.put(
-                    request.tenant.name, key, tuple(top), kernel=kernel
-                )
+            self._cache_put(request, key, top, kernel="fused")
             self._finish(
                 request, value=build_topk_vertex_set(top, request.distance_map)
             )
-        if evictions:
-            tel.inc("serve.cache_evictions", evictions)
 
     def _execute_single(self, request: QueryRequest, key, snapshot) -> None:
-        tel = get_telemetry()
         try:
             if request.tenant.role != "admin":
                 # Tenant-scoped view: route through RBAC-filtered search.
@@ -868,12 +855,7 @@ class QueryServer:
         except ReproError as exc:
             self._finish(request, error=exc)
             return
-        if key is not None and self.cache is not None:
-            evicted = self.cache.put(
-                request.tenant.name, key, tuple(top), kernel="hnsw"
-            )
-            if evicted:
-                tel.inc("serve.cache_evictions", evicted)
+        self._cache_put(request, key, top, kernel="hnsw")
         self._finish(
             request, value=build_topk_vertex_set(top, request.distance_map)
         )

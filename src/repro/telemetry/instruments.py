@@ -22,7 +22,6 @@ INSTRUMENTS: dict[str, tuple[str, str]] = {
     "query.slow": ("counter", "queries over the slow-query threshold"),
     # ---- HNSW ------------------------------------------------------------
     "hnsw.searches": ("counter", "HNSW top-k searches"),
-    "hnsw.fused_searches": ("counter", "queries answered by the fused lockstep traversal"),
     "hnsw.distance_computations": ("histogram", "distance computations per search"),
     "hnsw.hops": ("histogram", "graph hops per search"),
     "hnsw.ef_expansions": ("histogram", "effective ef (candidate expansions) per search"),

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro import Attribute, AttrType, TigerVectorDB
 from repro.core.action import EmbeddingAction
+from repro.core.embedding import EmbeddingType
 from repro.core.search import vector_search_batch, vector_search_merged
+from repro.core.service import EmbeddingStore
 from repro.graph.mpp import MPPExecutor
 from repro.index.bitmap import Bitmap
 from repro.index.pq import PQSearchConfig
@@ -172,7 +174,6 @@ class TestEmbeddingAction:
             with db.snapshot() as snap:
                 action.topk(db._test_vectors[0], 5, snapshot_tid=snap.tid)
                 action.topk_batch(db._test_vectors[:8], 5, snap.tid)
-                action.topk_batch(db._test_vectors[:8], 5, snap.tid, ef=32)
             assert executor._pool is None
             assert action._scan_work(0, None) == 0
             assert action._scan_work(0, Bitmap.full(64)) == 0
@@ -255,6 +256,28 @@ class TestEmbeddingAction:
         got = {int(db.pk_for("Post", vid)) for vid, _ in result}
         assert got.issubset(exact)
         assert len(got) >= 0.8 * len(exact)
+
+    def test_default_ef_range_recalls_what_default_ef_topk_does(self, rng):
+        """No ``ef`` means DEFAULT_EF for a range probe too, not ``ef = k``:
+        at the radius of the k-th neighbour a range search returns everything
+        ``topk_search(q, k)`` found — index-level and through the action."""
+        dim, rows, k = 128, 1500, 12
+        centers = 0.5 * rng.standard_normal((30, dim))
+        data = (centers[rng.integers(0, 30, rows)] + rng.standard_normal((rows, dim)))
+        embedding = EmbeddingType(
+            "emb", dim, metric=Metric.L2, index_params={"M": 4, "ef_construction": 32}
+        )
+        store = EmbeddingStore("Doc", embedding, segment_size=2048)
+        store.bulk_load(np.arange(rows), data, tid=1)
+        index = store.segment(0).index
+        action = EmbeddingAction(store)
+        for pick in rng.integers(0, rows, 20):
+            q = (data[pick] + 0.5 * rng.standard_normal(dim)).astype(np.float32)
+            top = index.topk_search(q, k)
+            radius = float(np.nextafter(top.distances[-1], np.float32(np.inf)))
+            want = set(top.ids.tolist())
+            assert want <= set(index.range_search(q, radius).ids.tolist())
+            assert want <= set(action.range(q, radius, snapshot_tid=1).ids.tolist())
 
     def test_invalid_k(self, loaded_post_db):
         from repro.errors import VectorSearchError

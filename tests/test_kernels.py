@@ -4,9 +4,7 @@ Property-style checks that :class:`repro.index.kernels.DistanceKernel`
 agrees with the straightforward formulations in :mod:`repro.types`
 (``batch_distances`` / ``pairwise_distances``) within 1e-4 relative error
 for every metric, including the awkward corners — zero vectors, dim-1
-matrices, replaced rows in incremental binding mode — and that the fused
-multi-query HNSW traversal returns exactly the per-query path's ids and
-distances.
+matrices, replaced rows in incremental binding mode.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.index.bruteforce import BruteForceIndex
-from repro.index.hnsw import HNSWIndex
 from repro.index.kernels import DistanceKernel
 from repro.types import (
     Metric,
@@ -163,98 +160,3 @@ class TestBackendEquivalence:
         oracle = sorted(zip(want.tolist(), ids))[:10]
         assert list(result.ids) == [i for _, i in oracle]
         assert rel_err(result.distances, [d for d, _ in oracle]) <= 1e-4
-
-
-# --------------------------------------------------------------------------
-# fused multi-query HNSW == per-query HNSW
-# --------------------------------------------------------------------------
-
-
-def build_hnsw(rng, metric, n=300, dim=12, **kwargs):
-    index = HNSWIndex(dim=dim, metric=metric, M=8, ef_construction=64, seed=5, **kwargs)
-    vectors = rng.standard_normal((n, dim)).astype(np.float32)
-    index.update_items(list(range(n)), vectors)
-    return index, vectors
-
-
-class TestFusedTraversalIdentity:
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_fused_ids_and_distances_equal_per_query(self, rng, metric):
-        index, _ = build_hnsw(rng, metric)
-        queries = rng.standard_normal((70, 12)).astype(np.float32)  # > chunk
-        fused = index.topk_search_multi(queries, 5, ef=32)
-        for q, got in zip(queries, fused):
-            want = index.topk_search(q, 5, ef=32)
-            assert list(got.ids) == list(want.ids)
-            np.testing.assert_array_equal(got.distances, want.distances)
-
-    def test_fused_with_filters_and_deletes(self, rng):
-        index, _ = build_hnsw(rng, Metric.L2)
-        index.delete_items(list(range(0, 300, 7)))
-
-        def filter_fn(ext_id: int) -> bool:
-            return ext_id % 3 != 0
-
-        queries = rng.standard_normal((9, 12)).astype(np.float32)
-        fused = index.topk_search_multi(queries, 4, ef=48, filter_fn=filter_fn)
-        for q, got in zip(queries, fused):
-            want = index.topk_search(q, 4, ef=48, filter_fn=filter_fn)
-            assert list(got.ids) == list(want.ids)
-            np.testing.assert_array_equal(got.distances, want.distances)
-        assert all(int(i) % 3 != 0 for r in fused for i in r.ids)
-
-    def test_fused_dim1_zero_query_cosine(self, rng):
-        index = HNSWIndex(dim=1, metric=Metric.COSINE, M=4, ef_construction=16, seed=3)
-        vectors = rng.standard_normal((20, 1)).astype(np.float32)
-        vectors[5] = 0.0
-        index.update_items(list(range(20)), vectors)
-        queries = np.vstack([
-            rng.standard_normal((3, 1)).astype(np.float32),
-            np.zeros((1, 1), dtype=np.float32),
-        ])
-        fused = index.topk_search_multi(queries, 3)
-        for q, got in zip(queries, fused):
-            want = index.topk_search(q, 3)
-            assert list(got.ids) == list(want.ids)
-            np.testing.assert_array_equal(got.distances, want.distances)
-
-
-# --------------------------------------------------------------------------
-# fused store path == per-query store path (explicit ef)
-# --------------------------------------------------------------------------
-
-
-class TestSegmentMultiIdentity:
-    def test_search_segment_multi_equals_solo(self, loaded_post_db, rng):
-        db = loaded_post_db
-        store = db.service.store("Post", "content_emb")
-        queries = rng.standard_normal((6, 16)).astype(np.float32)
-        with db.snapshot() as snap:
-            for seg_no in range(store.num_segments):
-                multi = store.search_segment_multi(
-                    seg_no, queries, 5, snapshot_tid=snap.tid, ef=40
-                )
-                for q, got in zip(queries, multi):
-                    want = store.search_segment(
-                        seg_no, q, 5, snapshot_tid=snap.tid, ef=40
-                    )
-                    assert got.offsets == want.offsets
-                    assert got.distances == want.distances
-
-    def test_search_segment_multi_sees_overlay(self, loaded_post_db, rng):
-        db = loaded_post_db
-        probe = rng.standard_normal(16).astype(np.float32)
-        with db.begin() as txn:
-            txn.upsert_vertex("Post", 321, {"language": "en", "length": 1})
-            txn.set_embedding("Post", 321, "content_emb", probe)
-        store = db.service.store("Post", "content_emb")
-        vid = db.vid_for("Post", 321)
-        queries = np.stack([probe, rng.standard_normal(16).astype(np.float32)])
-        with db.snapshot() as snap:
-            seg_no = vid // store.segment_size
-            multi = store.search_segment_multi(
-                seg_no, queries, 3, snapshot_tid=snap.tid, ef=40
-            )
-        offset = vid % store.segment_size
-        assert multi[0].offsets[0] == offset
-        assert multi[0].distances[0] == pytest.approx(0.0, abs=1e-5)

@@ -78,26 +78,6 @@ class TestConcurrentSearchIdentity:
         run_threads([lambda tid=t: worker(tid) for t in range(num_threads)])
         assert not failures, failures[0]
 
-    def test_concurrent_fused_equals_serial(self, rng):
-        index, _ = build_index(rng)
-        queries = rng.standard_normal((12, DIM)).astype(np.float32)
-        expected = index.topk_search_multi(queries, 4, ef=40)
-
-        barrier = threading.Barrier(6)
-        failures: list[str] = []
-
-        def worker() -> None:
-            barrier.wait()
-            for _ in range(10):
-                got = index.topk_search_multi(queries, 4, ef=40)
-                for g, w in zip(got, expected):
-                    if list(g.ids) != list(w.ids):
-                        failures.append(f"{g.ids} != {w.ids}")
-                        return
-
-        run_threads([worker] * 6)
-        assert not failures, failures[0]
-
     def test_search_during_inserts_returns_valid_results(self, rng):
         """Searches racing inserts never crash and only return live ids.
 
@@ -259,24 +239,3 @@ class TestTelemetryAttribution:
             assert got[name]["sum"] == want[name]["sum"]
             assert got[name]["min"] == want[name]["min"]
             assert got[name]["max"] == want[name]["max"]
-
-    def test_fused_observes_per_query_values(self, rng):
-        """Fused traversal reports one observation per query, equal to the
-        solo path's (the beams are bit-identical)."""
-        index, _ = build_index(rng)
-        queries = rng.standard_normal((10, DIM)).astype(np.float32)
-
-        solo = Telemetry()
-        with use_telemetry(solo):
-            for q in queries:
-                index.topk_search(q, 5, ef=40)
-        fused = Telemetry()
-        with use_telemetry(fused):
-            index.topk_search_multi(queries, 5, ef=40)
-
-        want = solo.registry.snapshot()
-        got = fused.registry.snapshot()
-        name = "hnsw.distance_computations"
-        assert got["histograms"][name]["count"] == len(queries)
-        assert got["histograms"][name]["sum"] == want["histograms"][name]["sum"]
-        assert got["counters"]["hnsw.fused_searches"] == len(queries)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
+from repro.core.search import vector_search_batch
 from repro.errors import (
     AdmissionRejectedError,
     GSQLSemanticError,
@@ -54,10 +55,10 @@ def members(vset):
     return sorted(vset)
 
 
-def distances(db, vector_attributes, query, k):
+def distances(db, vector_attributes, query, k, ef=None):
     """Direct-path (vertex, distance) pairs for comparison."""
     dmap = MapAccum()
-    vset = db.vector_search(vector_attributes, query, k, distance_map=dmap)
+    vset = db.vector_search(vector_attributes, query, k, distance_map=dmap, ef=ef)
     return members(vset), dict(dmap.items())
 
 
@@ -100,39 +101,43 @@ class TestByteIdentity:
         counters = telemetry.registry.snapshot()["counters"]
         assert counters.get("serve.fused_queries", 0) > 0
 
-    def test_explicit_ef_requests_fuse_identically(self, loaded_post_db, rng):
-        """An explicit ef is an HNSW accuracy contract; such requests fuse
-        through the lockstep topk_search_multi kernel, which honours ef and
-        must match the per-query path exactly (members AND distances).
-        Their cache entries are tagged with the producing fused-HNSW kernel.
+    def test_explicit_ef_requests_are_not_batched(self, loaded_post_db, rng):
+        """An explicit ef is an HNSW accuracy contract only a per-query
+        traversal honours, and traversals share no work: such requests have
+        no batch key, run at once as singles, and equal the direct path
+        exactly (members AND distances).
         """
         db = loaded_post_db
         config = ServeConfig(
             workers=1,
             enable_batching=True,
             enable_cache=True,
-            batch_window_seconds=0.02,
+            batch_window_seconds=0.5,
             min_fused=2,
         )
         queries = rng.standard_normal((8, 16)).astype(np.float32)
         telemetry = Telemetry()
         with use_telemetry(telemetry), QueryServer(db, config) as server:
+            started = time.monotonic()
+            server.search(["Post.content_emb"], queries[0], 5, ef=64, no_cache=True)
+            lone_seconds = time.monotonic() - started
+            dmaps = [MapAccum() for _ in queries]
             futures = [
                 server.submit_search(
-                    ["Post.content_emb"], q, 5, ef=64, distance_map=MapAccum()
+                    ["Post.content_emb"], q, 5, ef=64, distance_map=dmap
                 )
-                for q in queries
+                for q, dmap in zip(queries, dmaps)
             ]
             results = [f.result(timeout=30) for f in futures]
             stats = server.cache.stats()
-        for q, got in zip(queries, results):
-            dmap = MapAccum()
-            want = db.vector_search(["Post.content_emb"], q, 5, distance_map=dmap, ef=64)
-            assert members(got) == members(want)
+        assert lone_seconds < 0.1, "an explicit-ef request must not wait out the window"
+        for q, got, dmap in zip(queries, results, dmaps):
+            want_members, want_dists = distances(db, ["Post.content_emb"], q, 5, ef=64)
+            assert members(got) == want_members
+            assert dict(dmap.items()) == want_dists
         counters = telemetry.registry.snapshot()["counters"]
-        assert counters.get("serve.fused_queries", 0) > 0
-        assert stats["kernels"].get("fused-hnsw", 0) > 0
-        assert "hnsw" not in stats["kernels"] or stats["kernels"]["hnsw"] < len(queries)
+        assert counters.get("serve.fused_queries", 0) == 0
+        assert stats["kernels"] == {"hnsw": len(queries)}
 
     def test_explicit_ef_fused_distances_match_per_query(self, loaded_post_db, rng):
         """db-level check of the same contract without serve-layer timing:
@@ -166,21 +171,33 @@ class TestByteIdentity:
             assert members(got) == members(db.vector_search(["Post.content_emb"], q, 5))
 
     def test_fused_matches_after_writes_and_vacuum(self, loaded_post_db, rng):
+        """A batch equals the solo path over the delta overlay and after
+        vacuum: the exact scan in members, an explicit-ef batch (which runs
+        query by query) in members and distances."""
         db = loaded_post_db
+        fresh = rng.standard_normal((20, 16))
         with db.begin() as txn:
-            for i in range(200, 220):
+            for i, vector in zip(range(200, 220), fresh):
                 txn.upsert_vertex("Post", i, {"language": "en", "length": i})
-                txn.set_embedding(
-                    "Post", i, "content_emb", rng.standard_normal(16)
-                )
+                txn.set_embedding("Post", i, "content_emb", vector)
         queries = rng.standard_normal((6, 16)).astype(np.float32)
-        fused = db.vector_search_batch(["Post.content_emb"], queries, 7, min_fused=2)
-        for q, got in zip(queries, fused):
-            assert members(got) == members(db.vector_search(["Post.content_emb"], q, 7))
-        db.vacuum()
-        fused = db.vector_search_batch(["Post.content_emb"], queries, 7, min_fused=2)
-        for q, got in zip(queries, fused):
-            assert members(got) == members(db.vector_search(["Post.content_emb"], q, 7))
+        queries[0] = fresh[10]  # its nearest row is in the overlay until vacuum
+        for state in ("overlay", "vacuumed"):
+            for ef in (None, 64):
+                with db.snapshot() as snap:
+                    tops = vector_search_batch(
+                        db.service, snap, ["Post.content_emb"], queries, 7,
+                        ef=ef, min_fused=2,
+                    )
+                assert tops[0][0][2] == db.vid_for("Post", 210), (state, ef)
+                for q, top in zip(queries, tops):
+                    want_members, want_dists = distances(
+                        db, ["Post.content_emb"], q, 7, ef=ef
+                    )
+                    assert sorted((vt, vid) for _, vt, vid in top) == want_members
+                    if ef is not None:  # the exact scan's distances differ in the last ulp
+                        assert {(vt, vid): d for d, vt, vid in top} == want_dists
+            db.vacuum()
 
     def test_batch_distances_multi_validates(self, rng):
         good = rng.standard_normal((3, 4)).astype(np.float32)
