@@ -161,20 +161,17 @@ class AccessController:
         (if any); types the role cannot read are skipped entirely.
         """
         from .action import EmbeddingAction
-        from .embedding import check_compatible
+        from .search import _resolve_attributes, _validate_query
         from ..errors import VectorSearchError
 
         if isinstance(role, str):
             role = self.role(role)
         if k <= 0:
             raise VectorSearchError("k must be positive")
-        schema = self.db.schema
-        resolved = []
-        for qualified in vector_attributes:
-            vertex_type, embedding = schema.embedding_attribute(qualified)
-            resolved.append((qualified, vertex_type, embedding))
-        check_compatible([(q, e) for q, _, e in resolved])
-        query = np.asarray(query_vector, dtype=np.float32).reshape(-1)
+        resolved, representative = _resolve_attributes(
+            self.db.service, vector_attributes
+        )
+        query = _validate_query(query_vector, representative)
 
         merged: list[tuple[float, str, int]] = []
         with self.db.snapshot() as snapshot:

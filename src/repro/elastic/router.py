@@ -40,10 +40,13 @@ ships both to every shard; partial-cache entries are keyed by the
 shipped vector (plus the group tuple), so no replica can serve a cached
 partial staler than the router's observation, and fills are gated by
 the router's commit-race verdict exactly like the single-server path.
-``max_staleness`` / ``session_token`` contracts are enforced *at the
-router* with the same pin/validate/wait loop as
-:meth:`QueryServer._execute_sla`, so an SLA answer is never silently
-stale regardless of which replicas served the partials.
+Every routed search pins its snapshot through
+:func:`~repro.serve.server.freshness_gate` — the gate
+:meth:`QueryServer._execute_sla` calls — so ``max_staleness`` /
+``session_token`` contracts are enforced *at the router*, before the
+fan-out: the verdict holds for the one shipped snapshot all replicas
+execute on, and an SLA answer is never silently stale regardless of
+which replicas served the partials.
 """
 
 from __future__ import annotations
@@ -56,16 +59,14 @@ from ..core.search import (
     build_topk_vertex_set,
     merge_sharded_topk,
 )
-from ..core.service import EmbeddingStore
 from ..errors import (
     AdmissionRejectedError,
     ElasticError,
     ReproError,
     SegmentOwnershipError,
     ServeError,
-    StalenessBoundError,
 )
-from ..serve.server import ServeConfig
+from ..serve.server import ServeConfig, freshness_gate
 from ..telemetry import get_telemetry
 from .autoscale import Autoscaler, AutoscalePolicy
 from .ring import ConsistentHashRing
@@ -78,9 +79,6 @@ __all__ = ["ElasticTier"]
 #: membership events; six rounds is far beyond any schedule the chaos
 #: matrix produces while still bounding a pathological flap.
 _MAX_ROUTE_ROUNDS = 6
-
-#: Snapshot re-pin cadence for the router-level SLA wait loop.
-_SLA_RETRY_SLEEP = 0.0005
 
 #: Gate re-check cadence while a key drains (the rebalancer notifies the
 #: condition on completion; the timeout only bounds lost-wakeup risk).
@@ -356,36 +354,23 @@ class ElasticTier:
         tel.inc("elastic.routed_requests")
         if not self._started:
             raise ServeError("ElasticTier is not running; call start() first")
+        max_staleness = self.config.freshness_contract(max_staleness, session_token)
         attrs = list(vector_attributes)
         groups = self.group_universe(attrs)
-        submitted_at = time.monotonic()
         if timeout is None:
             timeout = self.config.default_timeout
-        deadline = None if timeout is None else submitted_at + timeout
-        if max_staleness is None:
-            max_staleness = self.config.default_max_staleness
-        if max_staleness is not None or session_token is not None:
-            return self._search_sla(
-                attrs,
-                query_vector,
-                k,
-                tenant=tenant,
-                ef=ef,
-                filter=filter,
-                distance_map=distance_map,
-                deadline=deadline,
-                max_staleness=max_staleness,
-                session_token=session_token,
-                groups=groups,
-                submitted_at=submitted_at,
-            )
-        watermarks = self.db.service.watermarks(attrs)
-        with self.db.snapshot() as snapshot:
-            cache_ok = all(
-                EmbeddingStore.watermark_tid(mark) <= snapshot.tid
-                for mark in watermarks
-            )
-            if not cache_ok:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with freshness_gate(
+            self.db,
+            attrs,
+            max_staleness,
+            session_token,
+            self.config.staleness_wait,
+            deadline,
+        ) as (snapshot, watermarks, lag):
+            # lag == 0: the snapshot covers every watermark component, so
+            # shards may hit and fill partials keyed by the shipped vector.
+            if lag:
                 tel.inc("elastic.cache_coherence_bypass")
             parts = self._routed_parts(
                 attrs,
@@ -396,88 +381,12 @@ class ElasticTier:
                 filter=filter,
                 snapshot=snapshot,
                 watermarks=watermarks,
-                cache_ok=cache_ok,
+                cache_ok=lag == 0,
                 groups=groups,
                 deadline=deadline,
             )
         merged = merge_sharded_topk(parts, int(k))
         return build_topk_vertex_set(merged, distance_map)
-
-    def _search_sla(
-        self,
-        attrs,
-        query_vector,
-        k: int,
-        *,
-        tenant: str,
-        ef,
-        filter,
-        distance_map,
-        deadline,
-        max_staleness,
-        session_token,
-        groups,
-        submitted_at,
-    ):
-        """Router-level freshness contract: fresh across every replica, or typed.
-
-        Mirrors :meth:`QueryServer._execute_sla`; validating *before*
-        fan-out means the verdict holds for the one shipped snapshot all
-        replicas execute on, which is what makes the contract
-        cross-replica.
-        """
-        tel = get_telemetry()
-        limit = submitted_at + self.config.staleness_wait
-        if deadline is not None:
-            limit = min(limit, deadline)
-        while True:
-            marks = self.db.service.watermarks(attrs)
-            with self.db.snapshot() as snapshot:
-                lag = EmbeddingStore.watermark_lag(marks, snapshot.tid)
-                stale = max_staleness is not None and lag > max_staleness
-                behind = session_token is not None and snapshot.tid < session_token
-                if not stale and not behind:
-                    cache_ok = lag == 0
-                    if not cache_ok:
-                        tel.inc("elastic.cache_coherence_bypass")
-                    parts = self._routed_parts(
-                        attrs,
-                        query_vector,
-                        k,
-                        tenant=tenant,
-                        ef=ef,
-                        filter=filter,
-                        snapshot=snapshot,
-                        watermarks=marks,
-                        cache_ok=cache_ok,
-                        groups=groups,
-                        deadline=deadline,
-                    )
-                    merged = merge_sharded_topk(parts, int(k))
-                    return build_topk_vertex_set(merged, distance_map)
-            now = time.monotonic()
-            if now >= limit:
-                waited = now - submitted_at
-                if behind:
-                    tel.inc("serve.session_token_rejections")
-                    raise StalenessBoundError(
-                        f"no snapshot covering session token {session_token} "
-                        f"within {waited:.3f}s",
-                        session_token=session_token,
-                        waited=waited,
-                    )
-                tel.inc("serve.staleness_rejections")
-                raise StalenessBoundError(
-                    f"snapshot lag {lag} exceeds max_staleness {max_staleness} "
-                    f"after {waited:.3f}s",
-                    max_staleness=max_staleness,
-                    lag=lag,
-                    waited=waited,
-                )
-            tel.inc(
-                "serve.session_token_waits" if behind else "serve.staleness_waits"
-            )
-            time.sleep(min(_SLA_RETRY_SLEEP, limit - now))
 
     # ------------------------------------------------------------- rebalance
     def rebalance(self, tenant: str, group: int, to_server: str) -> dict | None:

@@ -173,19 +173,10 @@ class ShardServer(QueryServer):
         return self._submit(request)
 
     # -------------------------------------------------------------- dispatch
-    def _execute_batch(self, batch: list) -> None:
-        if batch and getattr(batch[0], "kind", None) == "shard":
-            # Shard partials never fuse (batch_key None -> singleton
-            # batches), but keep the loop defensive like the base class.
-            try:
-                for request in self._shed_expired(batch):
-                    self._execute_shard(request)
-            except Exception as exc:
-                for request in batch:
-                    if not request.future.done():
-                        self._finish(request, error=exc)
-            return
-        super()._execute_batch(batch)
+    def _executor(self, leader: QueryRequest):
+        if leader.kind == "shard":
+            return self._execute_shard
+        return super()._executor(leader)
 
     def _execute_shard(self, request: ShardRequest) -> None:
         tenant = request.tenant.name

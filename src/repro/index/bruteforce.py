@@ -25,7 +25,17 @@ __all__ = ["BruteForceIndex"]
 
 
 class BruteForceIndex(VectorIndex):
-    """Exact nearest-neighbour search over a dense id->vector table."""
+    """Exact nearest-neighbour search over a dense id->vector table.
+
+    The table — capacity doubling, in-place replace, swap-remove delete —
+    and both searches are independent of what a stored row *is*.  The row
+    format sits behind four hooks (:attr:`_ROW_DTYPE`, :meth:`_encode`,
+    :meth:`_put`, :meth:`_bind`); :class:`~repro.index.sq8.SQ8FlatIndex`
+    overrides them to keep uint8 codes in the same table.
+    """
+
+    #: dtype of a stored row (float32 vectors here).
+    _ROW_DTYPE = np.float32
 
     def __init__(self, dim: int, metric: Metric = Metric.L2):
         if dim <= 0:
@@ -33,22 +43,41 @@ class BruteForceIndex(VectorIndex):
         self.dim = dim
         self.metric = metric
         self._capacity = 16
-        self._vectors = np.zeros((self._capacity, dim), dtype=np.float32)
+        self._vectors = np.zeros((self._capacity, dim), dtype=self._ROW_DTYPE)
         self._ids = np.empty(0, dtype=np.int64)
         self._id_to_row: dict[int, int] = {}
         self._stats = IndexStats()
-        self._kernel = DistanceKernel(metric, self._vectors, precompute=False)
+        self._kernel = None
+        self._bind()
+
+    # ---------------------------------------------------------- row format
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
+        """Stored rows for a validated ``(n, dim)`` float32 batch."""
+        return vectors
+
+    def _put(self, row: int, value: np.ndarray) -> None:
+        """Write one stored row and refresh the kernel's cache for it."""
+        self._vectors[row] = value
+        self._kernel.set_row(row, self._vectors[row])
+
+    def _bind(self) -> None:
+        """(Re)bind the scan kernel to the table: at construction and after
+        every reallocation."""
+        if self._kernel is None:
+            self._kernel = DistanceKernel(self.metric, self._vectors, precompute=False)
+        else:
+            self._kernel.attach(self._vectors, copy_rows=len(self._ids))
 
     # ------------------------------------------------------------- storage
     def _grow(self, needed: int) -> None:
         if needed <= self._capacity:
             return
         new_capacity = max(needed, self._capacity * 2)
-        grown = np.zeros((new_capacity, self.dim), dtype=np.float32)
+        grown = np.zeros((new_capacity, self.dim), dtype=self._ROW_DTYPE)
         grown[: len(self._ids)] = self._vectors[: len(self._ids)]
         self._vectors = grown
         self._capacity = new_capacity
-        self._kernel.attach(self._vectors, copy_rows=len(self._ids))
+        self._bind()
 
     def update_items(self, ids: Sequence[int], vectors: np.ndarray, num_threads: int = 1) -> None:
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -60,7 +89,7 @@ class BruteForceIndex(VectorIndex):
             )
         if len(ids) != vectors.shape[0]:
             raise VectorSearchError("ids and vectors length mismatch")
-        for ext_id, vector in zip(ids, vectors):
+        for ext_id, value in zip(ids, self._encode(vectors)):
             ext_id = int(ext_id)
             row = self._id_to_row.get(ext_id)
             if row is None:
@@ -71,8 +100,7 @@ class BruteForceIndex(VectorIndex):
                 self._stats.num_inserts += 1
             else:
                 self._stats.num_updates += 1
-            self._vectors[row] = vector
-            self._kernel.set_row(row, self._vectors[row])
+            self._put(row, value)
         self._stats.num_vectors = len(self._id_to_row)
 
     def delete_items(self, ids: Sequence[int]) -> None:
@@ -86,8 +114,7 @@ class BruteForceIndex(VectorIndex):
             if row != last:
                 moved_id = int(self._ids[last])
                 self._ids[row] = moved_id
-                self._vectors[row] = self._vectors[last]
-                self._kernel.set_row(row, self._vectors[row])
+                self._put(row, self._vectors[last])
                 self._id_to_row[moved_id] = row
             self._ids = self._ids[:last]
             self._stats.num_deleted += 1

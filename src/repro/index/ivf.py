@@ -108,6 +108,22 @@ class IVFFlatIndex(VectorIndex):
     def _assign(self, vectors: np.ndarray) -> np.ndarray:
         return np.argmin(self._centroid_kernel.cross(vectors), axis=1)
 
+    # ---------------------------------------------------------- row format
+    # What a stored row is (raw float32 here) sits behind these two hooks;
+    # IVFPQIndex overrides them to keep PQ codes in the same lists.
+    def _append_rows(self, vectors: np.ndarray) -> None:
+        """Store a validated ``(n, dim)`` batch as rows ``len(_ids)`` onward."""
+        start_row = len(self._ids)
+        self._vectors = np.vstack([self._vectors, vectors])
+        self._kernel.attach(self._vectors, copy_rows=start_row)
+        if vectors.shape[0]:
+            self._kernel.set_rows(slice(start_row, start_row + vectors.shape[0]), vectors)
+
+    def _score(self, query: np.ndarray, rows: np.ndarray, k: int):
+        """``(rows, distances)`` for the probed live rows (exact here)."""
+        self._stats.num_distance_computations += rows.size
+        return rows, self._kernel.distances(self._kernel.query(query), rows)
+
     # ------------------------------------------------------------- updates
     def update_items(self, ids: Sequence[int], vectors: np.ndarray, num_threads: int = 1) -> None:
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -120,11 +136,8 @@ class IVFFlatIndex(VectorIndex):
         if not self.is_trained:
             self._train(vectors)
         start_row = len(self._ids)
-        self._vectors = np.vstack([self._vectors, vectors])
+        self._append_rows(vectors)
         self._ids = np.concatenate([self._ids, np.asarray(ids, dtype=np.int64)])
-        self._kernel.attach(self._vectors, copy_rows=start_row)
-        if vectors.shape[0]:
-            self._kernel.set_rows(slice(start_row, start_row + vectors.shape[0]), vectors)
         assignments = self._assign(vectors)
         for offset, (ext_id, centroid) in enumerate(zip(ids, assignments)):
             ext_id = int(ext_id)
@@ -193,8 +206,7 @@ class IVFFlatIndex(VectorIndex):
         rows = self._probe_rows(query, ef or self.nprobe)
         if rows.size == 0:
             return SearchResult.empty()
-        self._stats.num_distance_computations += rows.size
-        dists = self._kernel.distances(self._kernel.query(query), rows)
+        rows, dists = self._score(query, rows, k)
         ids = self._ids[rows]
         if filter_fn is not None:
             keep = np.fromiter((filter_fn(int(i)) for i in ids), dtype=bool, count=len(ids))

@@ -32,8 +32,8 @@ single-dimension codebooks (``lo[j] + scale[j]·c``), which is how
 :class:`~repro.index.sq8.SQ8FlatIndex` shares this kernel instead of
 decoding to a float scratch matrix.
 
-:class:`IVFPQIndex` combines the coarse IVF quantizer with PQ codes in the
-lists and an optional exact **rerank** phase (quantized candidate
+:class:`IVFPQIndex` is :class:`~repro.index.ivf.IVFFlatIndex` with PQ codes
+in the lists and an optional exact **rerank** phase (quantized candidate
 generation with inflated k, then exact distances on raw rows), the
 two-phase search the tiered storage layer exposes store-wide.
 """
@@ -42,15 +42,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import VectorSearchError
 from ..types import Metric, normalize
-from .interface import IndexStats, SearchResult, VectorIndex
 from .kernels import DistanceKernel, MultiQueryContext, QueryContext
-from .ivf import kmeans
+from .ivf import IVFFlatIndex, kmeans
 
 __all__ = [
     "IVFPQIndex",
@@ -437,16 +435,17 @@ class PQSearchConfig:
         return max(k, k * self.rerank_factor) if self.rerank else k
 
 
-class IVFPQIndex(VectorIndex):
-    """IVF coarse quantizer over PQ-coded lists with optional exact rerank.
+class IVFPQIndex(IVFFlatIndex):
+    """IVF_FLAT over codes: PQ-coded lists with optional exact rerank.
 
-    Structure mirrors :class:`~repro.index.ivf.IVFFlatIndex` — k-means
-    coarse centroids, per-centroid row lists, swap-free deletes via a
-    tombstone set — but in-list distances are ADC over uint8 codes.  With
-    ``refine=True`` (default) raw rows are retained and each search
-    reranks the inflated quantized candidate set exactly, the classic
-    IndexRefineFlat arrangement; ``refine=False`` drops raw rows entirely
-    for the full memory saving at quantized-only recall.
+    The coarse quantizer, per-centroid row lists, tombstoned deletes and
+    the filter / de-duplicate / top-k tail are
+    :class:`~repro.index.ivf.IVFFlatIndex`'s; this class defines only the
+    stored-row format — uint8 PQ codes scored by ADC.  With ``refine=True``
+    (default) raw rows are retained and each search reranks the inflated
+    quantized candidate set exactly, the classic IndexRefineFlat
+    arrangement; ``refine=False`` drops raw rows entirely for the full
+    memory saving at quantized-only recall.
     """
 
     def __init__(
@@ -461,120 +460,62 @@ class IVFPQIndex(VectorIndex):
         refine: bool = True,
         rerank_factor: int = 4,
     ):
-        if dim <= 0:
-            raise VectorSearchError("dim must be positive")
-        if nlist <= 0 or nprobe <= 0:
-            raise VectorSearchError("nlist and nprobe must be positive")
+        super().__init__(dim, metric, nlist, nprobe, train_iterations, seed)
         if not 1 <= m <= dim:
             raise VectorSearchError(f"m must be in [1, dim]; got m={m}")
         if rerank_factor < 1:
             raise VectorSearchError("rerank_factor must be at least 1")
-        self.dim = dim
-        self.metric = metric
-        self.nlist = nlist
-        self.nprobe = nprobe
         self.m = m
-        self.train_iterations = train_iterations
-        self.seed = seed
         self.refine = refine
         self.rerank_factor = rerank_factor
-        self._centroids: np.ndarray | None = None
         self._codebook: PQCodebook | None = None
-        self._lists: list[list[int]] = []
         self._codes = np.zeros((0, m), dtype=np.uint8)
-        #: raw rows, kept only when ``refine`` (the rerank phase's source)
-        self._vectors = np.zeros((0, dim), dtype=np.float32)
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._id_to_row: dict[int, int] = {}
-        self._deleted: set[int] = set()
-        self._stats = IndexStats()
-        self._centroid_kernel: DistanceKernel | None = None
-        self._scan_kernel: PQKernel | None = None
+        # ``_vectors`` (inherited) holds raw rows only when ``refine`` — the
+        # rerank phase's source; ``_kernel`` is the ADC kernel over ``_codes``.
 
     # ------------------------------------------------------------- training
-    @property
-    def is_trained(self) -> bool:
-        return self._codebook is not None
-
     def _train(self, vectors: np.ndarray) -> None:
         start = time.perf_counter()
-        nlist = min(self.nlist, max(1, len(vectors)))
-        self._centroids = kmeans(
-            vectors, nlist, iterations=self.train_iterations, seed=self.seed
-        )
-        self._lists = [[] for _ in range(len(self._centroids))]
-        self._centroid_kernel = DistanceKernel.for_matrix(self._centroids, Metric.L2)
+        super()._train(vectors)
         self._codebook = PQCodebook.train(
             vectors, self.m, metric=self.metric,
             iterations=self.train_iterations, seed=self.seed,
         )
         self._stats.build_seconds += time.perf_counter() - start
 
-    def _assign(self, vectors: np.ndarray) -> np.ndarray:
-        return np.argmin(self._centroid_kernel.cross(vectors), axis=1)
-
-    def _pq_kernel(self) -> PQKernel:
-        kernel = self._scan_kernel
-        if kernel is None:
-            kernel = PQKernel(self._codebook, self._codes, self.metric)
-            self._scan_kernel = kernel
-        return kernel
-
-    # ------------------------------------------------------------- updates
-    def update_items(self, ids: Sequence[int], vectors: np.ndarray, num_threads: int = 1) -> None:
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.ndim == 1:
-            vectors = vectors.reshape(1, -1)
-        if vectors.shape[1] != self.dim:
-            raise VectorSearchError(f"expected dimension {self.dim}, got {vectors.shape[1]}")
-        if len(ids) != vectors.shape[0]:
-            raise VectorSearchError("ids and vectors length mismatch")
-        if not self.is_trained:
-            self._train(vectors)
-        start_row = len(self._ids)
+    # ---------------------------------------------------------- row format
+    def _append_rows(self, vectors: np.ndarray) -> None:
         codes = self._codebook.encode(_prepare_rows(vectors, self.metric))
         self._codes = np.vstack([self._codes, codes])
         if self.refine:
             self._vectors = np.vstack([self._vectors, vectors])
-        self._ids = np.concatenate([self._ids, np.asarray(ids, dtype=np.int64)])
-        self._scan_kernel = None
-        assignments = self._assign(vectors)
-        for offset, (ext_id, centroid) in enumerate(zip(ids, assignments)):
-            ext_id = int(ext_id)
-            row = start_row + offset
-            old = self._id_to_row.get(ext_id)
-            if old is not None:
-                self._deleted.add(old)
-                self._stats.num_updates += 1
-            else:
-                self._stats.num_inserts += 1
-            self._id_to_row[ext_id] = row
-            self._lists[int(centroid)].append(row)
-        self._stats.num_vectors = len(self._id_to_row)
+        # ADC kernels are bound to immutable codes and hold no per-row
+        # cache, so rebinding after an append is construction.
+        self._kernel = PQKernel(self._codebook, self._codes, self.metric)
 
-    def delete_items(self, ids: Sequence[int]) -> None:
-        for ext_id in ids:
-            row = self._id_to_row.pop(int(ext_id), None)
-            if row is not None:
-                self._deleted.add(row)
-                self._stats.num_deleted += 1
-        self._stats.num_vectors = len(self._id_to_row)
+    def _score(self, query: np.ndarray, rows: np.ndarray, k: int):
+        """Two-phase: ADC over the probed rows, exact rerank on raw."""
+        ctx = self._kernel.query(query)
+        dists = self._kernel.distances(ctx, rows)
+        self._stats.num_distance_computations += ctx.num_distances
+        if self.refine:
+            take = min(k * self.rerank_factor, rows.size)
+            if take < rows.size:
+                rows = rows[np.argpartition(dists, take - 1)[:take]]
+            raw = DistanceKernel.for_matrix(self._vectors[rows], self.metric)
+            dists = raw.distances_prefix(raw.query(query), rows.size)
+            self._stats.num_distance_computations += rows.size
+        return rows, dists
 
     # --------------------------------------------------------------- reads
     def get_embedding(self, external_id: int) -> np.ndarray:
         """Raw row when refining; the PQ reconstruction otherwise."""
+        if self.refine:
+            return super().get_embedding(external_id)
         row = self._id_to_row.get(int(external_id))
         if row is None:
             raise VectorSearchError(f"id {external_id} not in index")
-        if self.refine:
-            return self._vectors[row].copy()
         return self._codebook.decode(self._codes[row])[0]
-
-    def __contains__(self, external_id: int) -> bool:
-        return int(external_id) in self._id_to_row
-
-    def __len__(self) -> int:
-        return len(self._id_to_row)
 
     @property
     def memory_bytes(self) -> int:
@@ -586,85 +527,3 @@ class IVFPQIndex(VectorIndex):
         coarse = 0 if self._centroids is None else int(self._centroids.nbytes)
         tables = 0 if self._codebook is None else self._codebook.memory_bytes
         return int(self._codes.nbytes) + coarse + tables
-
-    # -------------------------------------------------------------- search
-    def _probe_rows(self, query: np.ndarray, nprobe: int) -> np.ndarray:
-        self._stats.num_distance_computations += len(self._centroids)
-        ck = self._centroid_kernel
-        c_dists = ck.distances_prefix(ck.query(query), len(self._centroids))
-        nprobe = min(nprobe, len(self._centroids))
-        order = np.argpartition(c_dists, nprobe - 1)[:nprobe]
-        rows = [r for c in order for r in self._lists[int(c)] if r not in self._deleted]
-        return np.asarray(rows, dtype=np.int64)
-
-    def topk_search(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
-    ) -> SearchResult:
-        """Two-phase probe: ADC over the probed lists, exact rerank on raw.
-
-        ``ef`` maps to nprobe (the accuracy knob slot, as for IVF_FLAT).
-        """
-        if k <= 0:
-            raise VectorSearchError("k must be positive")
-        query = np.asarray(query, dtype=np.float32).reshape(-1)
-        if query.shape[0] != self.dim:
-            raise VectorSearchError(f"expected dimension {self.dim}, got {query.shape[0]}")
-        self._stats.num_searches += 1
-        if not self.is_trained or not len(self._ids):
-            return SearchResult.empty()
-        rows = self._probe_rows(query, ef or self.nprobe)
-        if rows.size == 0:
-            return SearchResult.empty()
-        kernel = self._pq_kernel()
-        ctx = kernel.query(query)
-        dists = kernel.distances(ctx, rows)
-        self._stats.num_distance_computations += ctx.num_distances
-        if self.refine:
-            take = min(k * self.rerank_factor, rows.size)
-            part = np.argpartition(dists, take - 1)[:take] if take < rows.size else np.arange(rows.size)
-            cand_rows = rows[part]
-            raw = DistanceKernel.for_matrix(self._vectors[cand_rows], self.metric)
-            dists = raw.distances_prefix(raw.query(query), cand_rows.size)
-            self._stats.num_distance_computations += cand_rows.size
-            rows = cand_rows
-        ids = self._ids[rows]
-        if filter_fn is not None:
-            keep = np.fromiter((filter_fn(int(i)) for i in ids), dtype=bool, count=len(ids))
-            ids, dists = ids[keep], dists[keep]
-        if ids.size == 0:
-            return SearchResult.empty()
-        # One external id may appear twice (stale row after update); keep best.
-        order = np.argsort(dists, kind="stable")
-        seen: set[int] = set()
-        out_ids, out_dists = [], []
-        for i in order:
-            ext = int(ids[i])
-            if ext in seen:
-                continue
-            if self._id_to_row.get(ext) is None:
-                continue
-            seen.add(ext)
-            out_ids.append(ext)
-            out_dists.append(float(dists[i]))
-            if len(out_ids) >= k:
-                break
-        return SearchResult(np.asarray(out_ids), np.asarray(out_dists, dtype=np.float32))
-
-    def range_search(
-        self,
-        query: np.ndarray,
-        threshold: float,
-        ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
-    ) -> SearchResult:
-        from .range_search import range_search_via_topk
-
-        return range_search_via_topk(self, query, threshold, ef=ef, filter_fn=filter_fn)
-
-    @property
-    def stats(self) -> IndexStats:
-        return self._stats

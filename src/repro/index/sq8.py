@@ -6,173 +6,65 @@ scaling (4x smaller than float32).  Exact ordering is approximated by
 quantization, so recall is slightly below the FLAT index while memory
 drops 4x — the trade-off the ablation bench shows.
 
-Distance math routes through :class:`~repro.index.pq.PQKernel` over the
-affine degenerate codebook (``dim`` subspaces of width one, centroids
-``lo[j] + scale[j]·c``): SQ8 and PQ share one quantized-kernel interface,
-and scans run ADC over the codes instead of decoding a float scratch
-matrix first.
+SQ8 is FLAT over codes: :class:`SQ8FlatIndex` is a
+:class:`~repro.index.bruteforce.BruteForceIndex` whose table rows are
+uint8 codes, so the table, replace/delete and both searches are
+inherited and only the row format is defined here.  Distance math routes
+through :class:`~repro.index.pq.PQKernel` over the affine degenerate
+codebook (``dim`` subspaces of width one, centroids ``lo[j] + scale[j]·c``):
+SQ8 and PQ share one quantized-kernel interface, and scans run ADC over
+the codes instead of decoding a float scratch matrix first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from ..errors import VectorSearchError
 from ..types import Metric, normalize
-from .interface import IndexStats, SearchResult, VectorIndex
+from .bruteforce import BruteForceIndex
 from .pq import PQCodebook, PQKernel
 
 __all__ = ["SQ8FlatIndex"]
 
 
-class SQ8FlatIndex(VectorIndex):
+class SQ8FlatIndex(BruteForceIndex):
     """Brute force over 8-bit scalar-quantized codes."""
 
-    def __init__(self, dim: int, metric: Metric = Metric.L2):
-        if dim <= 0:
-            raise VectorSearchError("dim must be positive")
-        self.dim = dim
-        self.metric = metric
-        self._codes = np.zeros((0, dim), dtype=np.uint8)
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._id_to_row: dict[int, int] = {}
-        self._lo: np.ndarray | None = None  # per-dimension range, fixed at
-        self._scale: np.ndarray | None = None  # first train
-        self._codebook: PQCodebook | None = None
-        self._stats = IndexStats()
-        #: ADC kernel over the codes, rebuilt lazily after any mutation
-        #: (construction is free — PQ kernels hold no per-row float cache).
-        self._scan_kernel: PQKernel | None = None
+    _ROW_DTYPE = np.uint8
 
-    # ----------------------------------------------------------- quantizer
-    def _train(self, vectors: np.ndarray) -> None:
-        lo = vectors.min(axis=0)
-        hi = vectors.max(axis=0)
-        span = np.maximum(hi - lo, 1e-6)
-        self._lo = lo.astype(np.float32)
-        self._scale = (span / 255.0).astype(np.float32)
-        self._codebook = PQCodebook.affine(self._lo, self._scale)
+    #: Affine codebook; the per-dimension range is fixed by the first batch.
+    _codebook: PQCodebook | None = None
 
     def _encode(self, vectors: np.ndarray) -> np.ndarray:
-        return self._codebook.encode(vectors)
-
-    def _decode(self, codes: np.ndarray) -> np.ndarray:
-        return self._codebook.decode(codes)
-
-    @property
-    def memory_bytes(self) -> int:
-        return int(self._codes.nbytes)
-
-    # ------------------------------------------------------------- updates
-    def update_items(self, ids: Sequence[int], vectors: np.ndarray, num_threads: int = 1) -> None:
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.ndim == 1:
-            vectors = vectors.reshape(1, -1)
-        if vectors.shape[1] != self.dim:
-            raise VectorSearchError(f"expected dimension {self.dim}, got {vectors.shape[1]}")
-        if len(ids) != vectors.shape[0]:
-            raise VectorSearchError("ids and vectors length mismatch")
         if self.metric is Metric.COSINE:
             # The ADC kernel's COSINE contract: rows are prenormalized
             # before encoding (cosine is scale-invariant, so this loses
             # nothing and the codes directly encode unit rows).
             vectors = normalize(vectors)
-        if self._lo is None:
-            self._train(vectors)
-        codes = self._encode(vectors)
-        for ext_id, code in zip(ids, codes):
-            ext_id = int(ext_id)
-            row = self._id_to_row.get(ext_id)
-            if row is None:
-                self._codes = np.vstack([self._codes, code[None, :]])
-                self._ids = np.append(self._ids, np.int64(ext_id))
-                self._id_to_row[ext_id] = len(self._ids) - 1
-                self._stats.num_inserts += 1
-            else:
-                self._codes[row] = code
-                self._stats.num_updates += 1
-        self._scan_kernel = None
-        self._stats.num_vectors = len(self._id_to_row)
+        if self._codebook is None:
+            lo = vectors.min(axis=0)
+            span = np.maximum(vectors.max(axis=0) - lo, 1e-6)
+            self._codebook = PQCodebook.affine(
+                lo.astype(np.float32), (span / 255.0).astype(np.float32)
+            )
+            self._bind()
+        return self._codebook.encode(vectors)
 
-    def delete_items(self, ids: Sequence[int]) -> None:
-        for ext_id in ids:
-            ext_id = int(ext_id)
-            row = self._id_to_row.pop(ext_id, None)
-            if row is None:
-                continue
-            last = len(self._ids) - 1
-            if row != last:
-                moved = int(self._ids[last])
-                self._ids[row] = moved
-                self._codes[row] = self._codes[last]
-                self._id_to_row[moved] = row
-            self._ids = self._ids[:last]
-            self._codes = self._codes[:last]
-            self._stats.num_deleted += 1
-        self._scan_kernel = None
-        self._stats.num_vectors = len(self._id_to_row)
+    def _put(self, row: int, value: np.ndarray) -> None:
+        self._vectors[row] = value  # the kernel reads the table in place
 
-    # --------------------------------------------------------------- reads
+    def _bind(self) -> None:
+        # An ADC kernel is a view of the code table (no per-row cache), so
+        # rebinding is construction; there is nothing to bind before the
+        # first batch trains the codebook, and an empty table is never scanned.
+        if self._codebook is not None:
+            self._kernel = PQKernel(self._codebook, self._vectors, self.metric)
+
     def get_embedding(self, external_id: int) -> np.ndarray:
         """Returns the *decoded* (quantized) vector, as a real SQ index would."""
-        row = self._id_to_row.get(int(external_id))
-        if row is None:
-            raise VectorSearchError(f"id {external_id} not in index")
-        return self._decode(self._codes[row][None, :])[0]
-
-    def __contains__(self, external_id: int) -> bool:
-        return int(external_id) in self._id_to_row
-
-    def __len__(self) -> int:
-        return len(self._id_to_row)
-
-    # -------------------------------------------------------------- search
-    def topk_search(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
-    ) -> SearchResult:
-        if k <= 0:
-            raise VectorSearchError("k must be positive")
-        self._stats.num_searches += 1
-        n = len(self._ids)
-        if n == 0:
-            return SearchResult.empty()
-        query = np.asarray(query, dtype=np.float32).reshape(-1)
-        kernel = self._scan_kernel
-        if kernel is None:
-            kernel = PQKernel(self._codebook, self._codes, self.metric)
-            self._scan_kernel = kernel
-        self._stats.num_distance_computations += n
-        dists = kernel.distances_prefix(kernel.query(query), n)
-        ids = self._ids
-        if filter_fn is not None:
-            keep = np.fromiter((filter_fn(int(i)) for i in ids), dtype=bool, count=n)
-            ids, dists = ids[keep], dists[keep]
-        if ids.size == 0:
-            return SearchResult.empty()
-        k = min(k, ids.size)
-        part = np.argpartition(dists, k - 1)[:k]
-        order = part[np.argsort(dists[part], kind="stable")]
-        return SearchResult(ids[order], dists[order])
-
-    def range_search(
-        self,
-        query: np.ndarray,
-        threshold: float,
-        ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
-    ) -> SearchResult:
-        result = self.topk_search(
-            query, max(len(self), 1), filter_fn=filter_fn
-        )
-        within = result.distances < threshold
-        return SearchResult(result.ids[within], result.distances[within])
+        return self._codebook.decode(super().get_embedding(external_id))[0]
 
     @property
-    def stats(self) -> IndexStats:
-        return self._stats
+    def memory_bytes(self) -> int:
+        """Bytes of the live codes (table slack excluded)."""
+        return len(self._ids) * self.dim

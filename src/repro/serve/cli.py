@@ -52,44 +52,51 @@ def build_demo_db(num_vectors: int, dim: int, seed: int, segment_size: int) -> T
     return db
 
 
-def run_elastic_demo(args) -> int:
-    """The ``--servers N`` path: sharded tier, live rebalance, router stats."""
-    from ..elastic import ElasticTier
+def drive_closed_loop(search, queries, concurrency: int, midrun=None):
+    """Closed-loop demo load: returns ``(wall_seconds, latencies)``.
 
-    db = build_demo_db(args.vectors, args.dim, args.seed, args.segment_size)
-    rng = np.random.default_rng(args.seed + 1)
-    queries = rng.standard_normal((args.queries, args.dim)).astype(np.float32)
-    config = ServeConfig(
-        workers=args.workers,
-        enable_batching=not args.no_batching,
-        enable_cache=not args.no_cache,
-    )
-    telemetry = Telemetry()
+    ``concurrency`` client threads stride over the rows of ``queries``,
+    each calling ``search(query)`` and timing it; ``midrun`` (if given)
+    runs on the calling thread once every client has started — the elastic
+    demos fire their live rebalance there, under traffic.
+    """
     latencies: list[float] = []
     lat_lock = threading.Lock()
 
     def client(worker_id: int) -> None:
-        for qi in range(worker_id, len(queries), args.concurrency):
+        for qi in range(worker_id, len(queries), concurrency):
             start = time.perf_counter()
-            tier.search(["Item.emb"], queries[qi], args.k)
+            search(queries[qi])
             elapsed = time.perf_counter() - start
             with lat_lock:
                 latencies.append(elapsed)
 
-    with use_telemetry(telemetry), db, ElasticTier(db, num_servers=args.servers, config=config) as tier:
-        start = time.perf_counter()
-        threads = [
-            threading.Thread(target=client, args=(i,))
-            for i in range(args.concurrency)
-        ]
-        for thread in threads:
-            thread.start()
+    start = time.perf_counter()
+    threads = [
+        threading.Thread(target=client, args=(i,)) for i in range(concurrency)
+    ]
+    for thread in threads:
+        thread.start()
+    if midrun is not None:
+        midrun()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - start, latencies
+
+
+def run_elastic_demo(args, db, queries, config) -> int:
+    """The ``--servers N`` path: sharded tier, live rebalance, router stats."""
+    from ..elastic import ElasticTier
+
+    with use_telemetry(Telemetry()), db, ElasticTier(db, num_servers=args.servers, config=config) as tier:
         # A live handoff under traffic, so the printed stats demonstrate
         # the drain/transfer/re-admit path rather than a quiescent move.
-        tier.rebalance_evenly("default", ["Item.emb"])
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - start
+        wall, latencies = drive_closed_loop(
+            lambda query: tier.search(["Item.emb"], query, args.k),
+            queries,
+            args.concurrency,
+            midrun=lambda: tier.rebalance_evenly("default", ["Item.emb"]),
+        )
         stats = tier.stats()
 
     lat = sorted(latencies)
@@ -126,13 +133,7 @@ def run_elastic_demo(args) -> int:
 
 
 def run_demo(args) -> int:
-    if getattr(args, "servers", 1) > 1:
-        return run_elastic_demo(args)
     db = build_demo_db(args.vectors, args.dim, args.seed, args.segment_size)
-    tier = None
-    if args.tier_budget_mb is not None:
-        tier = db.enable_tiering(budget_bytes=int(args.tier_budget_mb * 1024 * 1024))
-        db.vacuum()  # classify segments before serving starts
     rng = np.random.default_rng(args.seed + 1)
     queries = rng.standard_normal((args.queries, args.dim)).astype(np.float32)
     config = ServeConfig(
@@ -140,29 +141,19 @@ def run_demo(args) -> int:
         enable_batching=not args.no_batching,
         enable_cache=not args.no_cache,
     )
+    if getattr(args, "servers", 1) > 1:
+        return run_elastic_demo(args, db, queries, config)
+    tier = None
+    if args.tier_budget_mb is not None:
+        tier = db.enable_tiering(budget_bytes=int(args.tier_budget_mb * 1024 * 1024))
+        db.vacuum()  # classify segments before serving starts
     telemetry = Telemetry()
-    latencies: list[float] = []
-    lat_lock = threading.Lock()
-
-    def client(worker_id: int) -> None:
-        for qi in range(worker_id, len(queries), args.concurrency):
-            start = time.perf_counter()
-            server.search(["Item.emb"], queries[qi], args.k)
-            elapsed = time.perf_counter() - start
-            with lat_lock:
-                latencies.append(elapsed)
-
     with use_telemetry(telemetry), db, QueryServer(db, config) as server:
-        start = time.perf_counter()
-        threads = [
-            threading.Thread(target=client, args=(i,))
-            for i in range(args.concurrency)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - start
+        wall, latencies = drive_closed_loop(
+            lambda query: server.search(["Item.emb"], query, args.k),
+            queries,
+            args.concurrency,
+        )
         stats = server.stats()
 
     lat = sorted(latencies)

@@ -30,8 +30,9 @@ Correctness contracts:
   interleaving analysis).
 - **SLA path**: requests carrying ``max_staleness`` (maximum tolerated
   watermark-TID lag) or a read-your-writes ``session_token`` (a commit
-  TID the serving snapshot must cover) take a dedicated pin/validate/
-  re-pin loop: serve when the contract holds, wait (bounded by
+  TID the serving snapshot must cover) pin their snapshot through
+  :func:`freshness_gate` — the one pin/validate/re-pin loop, shared with
+  the elastic router: serve when the contract holds, wait (bounded by
   ``staleness_wait`` and the request deadline) when it does not, and fail
   with a typed :class:`~repro.errors.StalenessBoundError` when the budget
   runs out.  An SLA response is therefore never silently stale.
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +127,19 @@ class ServeConfig:
         if self.staleness_wait < 0:
             raise ServeError("staleness_wait must be non-negative")
 
+    def freshness_contract(
+        self, max_staleness: int | None, session_token: int | None
+    ) -> int | None:
+        """Validate a request's SLA arguments; returns the staleness bound
+        in force (``default_max_staleness`` when the request names none)."""
+        if max_staleness is None:
+            max_staleness = self.default_max_staleness
+        if max_staleness is not None and max_staleness < 0:
+            raise ServeError("max_staleness must be non-negative")
+        if session_token is not None and session_token < 0:
+            raise ServeError("session_token must be a commit TID (>= 0)")
+        return max_staleness
+
 
 class ServeFuture:
     """Completion handle for one submitted request."""
@@ -164,7 +179,7 @@ class ServeFuture:
 class QueryRequest:
     """Internal queue entry; one per submitted request."""
 
-    kind: str  # "vector" | "gsql"
+    kind: str  # "vector" | "gsql" | "shard" (repro.elastic.shard)
     tenant: Tenant
     future: ServeFuture
     submitted_at: float
@@ -225,6 +240,76 @@ class QueryRequest:
             and self.tenant.role == "admin"
             and not self.no_cache
         )
+
+
+#: Snapshot re-pin cadence while waiting out a freshness violation.
+_SLA_RETRY_SLEEP = 0.0005
+
+
+@contextmanager
+def freshness_gate(
+    db,
+    vector_attributes,
+    max_staleness: int | None,
+    session_token: int | None,
+    wait: float,
+    deadline: float | None,
+):
+    """Pin a snapshot that honours a freshness contract, or fail typed.
+
+    Yields ``(snapshot, watermarks, lag)``.  The loop: read the stores'
+    watermarks *before* the pin (the cache-key order, see cache.py), pin,
+    validate — ``lag`` (how far the snapshot trails the freshest watermark
+    TID) within ``max_staleness``, snapshot TID covering ``session_token`` —
+    and otherwise release and re-pin until ``wait`` seconds or the absolute
+    ``deadline`` run out, then raise :class:`StalenessBoundError`.  The
+    violation window is the mid-publication commit interleaving (embedding
+    hooks fired, ``last_tid`` unpublished), so waits are normally a handful
+    of re-pins.  With neither bound set the first pin is yielded, and
+    ``lag == 0`` is exactly "the snapshot covers every watermark", i.e. a
+    result computed on it may be cached under ``watermarks``.
+
+    This is the one body behind :meth:`QueryServer._execute_sla` and
+    :meth:`ElasticTier.search <repro.elastic.router.ElasticTier.search>`;
+    the rejection and wait counters are recorded here for both.
+    """
+    tel = get_telemetry()
+    started = time.monotonic()
+    limit = started + wait
+    if deadline is not None:
+        limit = min(limit, deadline)
+    while True:
+        marks = db.service.watermarks(vector_attributes)
+        with db.snapshot() as snapshot:
+            # No attributes means no watermarks and no lag; the search the
+            # caller runs next rejects the empty attribute list typed.
+            lag = EmbeddingStore.watermark_lag(marks, snapshot.tid) if marks else 0
+            stale = max_staleness is not None and lag > max_staleness
+            behind = session_token is not None and snapshot.tid < session_token
+            if not stale and not behind:
+                yield snapshot, marks, lag
+                return
+        now = time.monotonic()
+        if now >= limit:
+            waited = now - started
+            if behind:
+                tel.inc("serve.session_token_rejections")
+                raise StalenessBoundError(
+                    f"no snapshot covering session token {session_token} "
+                    f"within {waited:.3f}s",
+                    session_token=session_token,
+                    waited=waited,
+                )
+            tel.inc("serve.staleness_rejections")
+            raise StalenessBoundError(
+                f"snapshot lag {lag} exceeds max_staleness {max_staleness} "
+                f"after {waited:.3f}s",
+                max_staleness=max_staleness,
+                lag=lag,
+                waited=waited,
+            )
+        tel.inc("serve.session_token_waits" if behind else "serve.staleness_waits")
+        time.sleep(min(_SLA_RETRY_SLEEP, limit - now))
 
 
 class QueryServer:
@@ -388,12 +473,7 @@ class QueryServer:
         """
         tenant_obj = self.registry.get(tenant)
         submitted_at = time.monotonic()
-        if max_staleness is None:
-            max_staleness = self.config.default_max_staleness
-        if max_staleness is not None and max_staleness < 0:
-            raise ServeError("max_staleness must be non-negative")
-        if session_token is not None and session_token < 0:
-            raise ServeError("session_token must be a commit TID (>= 0)")
+        max_staleness = self.config.freshness_contract(max_staleness, session_token)
         request = QueryRequest(
             kind="vector",
             tenant=tenant_obj,
@@ -533,23 +613,33 @@ class QueryServer:
             live = self._shed_expired(batch)
             if not live:
                 return
-            if live[0].kind == "gsql":
-                for request in live:
-                    self._execute_gsql(request)
-            elif live[0].sla_bound:
-                # SLA-bound requests never fuse (batch_key is None), so
-                # the batch is a singleton; each takes the dedicated
-                # pin/validate/wait loop.
-                for request in live:
-                    self._execute_sla(request)
-            else:
+            execute = self._executor(live[0])
+            if execute is None:
                 self._execute_vector(live)
+            else:
+                for request in live:
+                    execute(request)
         except Exception as exc:
             # Defensive: an unexpected error must never strand a future
             # (acceptance: the server never hangs and never drops).
             for request in batch:
                 if not request.future.done():
                     self._finish(request, error=exc)
+
+    def _executor(self, leader: QueryRequest):
+        """Per-request executor for a batch, chosen by its leader.
+
+        ``None`` selects :meth:`_execute_vector`, which takes the whole
+        batch (shared cache probe, fusion); every other kind runs request
+        by request — a batch only groups same-key fusable vector requests,
+        so these batches are singletons.  Subclasses add request kinds by
+        extending this lookup.
+        """
+        if leader.kind == "gsql":
+            return self._execute_gsql
+        if leader.sla_bound:
+            return self._execute_sla
+        return None
 
     def _shed_expired(self, batch: list) -> list:
         """Deadline-aware shedding at dequeue: expired requests fail typed."""
@@ -692,99 +782,46 @@ class QueryServer:
                 self._execute_single(request, key, snapshot)
 
     # ------------------------------------------------------------ SLA path
-    #: Snapshot re-pin cadence while waiting out a freshness violation.
-    _SLA_RETRY_SLEEP = 0.0005
-
     def _execute_sla(self, request: QueryRequest) -> None:
         """Serve one staleness-bounded / read-your-writes request.
 
-        Loop: read watermarks, pin a snapshot, validate the contract —
-        ``watermark_tid`` lag within ``max_staleness``, snapshot TID
-        covering ``session_token`` — then serve; otherwise release the
-        snapshot and re-pin until the wait budget (``staleness_wait``,
-        capped by the request deadline) runs out, at which point the
-        request fails with a typed :class:`StalenessBoundError`.  The
-        violation window is the mid-publication commit interleaving
-        (embedding hooks fired, ``last_tid`` unpublished), so waits are
-        normally a handful of re-pins.
+        :func:`freshness_gate` pins a snapshot that meets the contract (or
+        raises the typed :class:`StalenessBoundError`); on it the request is
+        a cache probe plus :meth:`_execute_single`.
         """
-        tel = get_telemetry()
-        started = time.monotonic()
-        limit = started + self.config.staleness_wait
-        if request.deadline is not None:
-            limit = min(limit, request.deadline)
-        while True:
-            try:
-                marks = self.db.service.watermarks(request.vector_attributes)
-            except ReproError as exc:
-                self._finish(request, error=exc)
-                return
-            stale = behind = False
-            lag = 0
-            with self.db.snapshot() as snapshot:
-                lag = EmbeddingStore.watermark_lag(marks, snapshot.tid)
-                stale = (
-                    request.max_staleness is not None
-                    and lag > request.max_staleness
-                )
-                behind = (
-                    request.session_token is not None
-                    and snapshot.tid < request.session_token
-                )
-                if not stale and not behind:
-                    key = None
-                    if request.cacheable and self.cache is not None:
-                        if lag == 0:
-                            # Same key discipline as the fast path: the
-                            # snapshot covers every watermark component, so
-                            # a hit is consistent and a fill is safe.
-                            key, hit = self._cache_get(request, marks)
-                            if hit is not None:
-                                self._finish(
-                                    request,
-                                    value=build_topk_vertex_set(
-                                        list(hit), request.distance_map
-                                    ),
-                                )
-                                return
-                        else:
-                            # Tolerated nonzero lag (max_staleness > 0 over
-                            # a mid-publication window): serve uncached,
-                            # exactly like the commit-race bypass.
-                            tel.inc("serve.cache_bypass_commit_race")
-                    self._execute_single(request, key, snapshot)
-                    return
-            now = time.monotonic()
-            if now >= limit:
-                waited = now - started
-                if behind:
-                    tel.inc("serve.session_token_rejections")
-                    self._finish(
-                        request,
-                        error=StalenessBoundError(
-                            f"no snapshot covering session token "
-                            f"{request.session_token} within {waited:.3f}s",
-                            session_token=request.session_token,
-                            waited=waited,
-                        ),
-                    )
-                else:
-                    tel.inc("serve.staleness_rejections")
-                    self._finish(
-                        request,
-                        error=StalenessBoundError(
-                            f"snapshot lag {lag} exceeds max_staleness "
-                            f"{request.max_staleness} after {waited:.3f}s",
-                            max_staleness=request.max_staleness,
-                            lag=lag,
-                            waited=waited,
-                        ),
-                    )
-                return
-            tel.inc(
-                "serve.session_token_waits" if behind else "serve.staleness_waits"
-            )
-            time.sleep(min(self._SLA_RETRY_SLEEP, limit - now))
+        try:
+            with freshness_gate(
+                self.db,
+                request.vector_attributes,
+                request.max_staleness,
+                request.session_token,
+                self.config.staleness_wait,
+                request.deadline,
+            ) as (snapshot, marks, lag):
+                key = None
+                if request.cacheable and self.cache is not None:
+                    if lag == 0:
+                        # Same key discipline as the fast path: the
+                        # snapshot covers every watermark component, so
+                        # a hit is consistent and a fill is safe.
+                        key, hit = self._cache_get(request, marks)
+                        if hit is not None:
+                            self._finish(
+                                request,
+                                value=build_topk_vertex_set(
+                                    list(hit), request.distance_map
+                                ),
+                            )
+                            return
+                    else:
+                        # Tolerated nonzero lag (max_staleness > 0 over
+                        # a mid-publication window): serve uncached,
+                        # exactly like the commit-race bypass.
+                        get_telemetry().inc("serve.cache_bypass_commit_race")
+                self._execute_single(request, key, snapshot)
+        except ReproError as exc:
+            # Unknown attribute, or the contract outlived its wait budget.
+            self._finish(request, error=exc)
 
     def _execute_fused(self, fusable: list, snapshot) -> None:
         tel = get_telemetry()

@@ -160,26 +160,26 @@ class GSQLShell:
         self.db.vacuum()
         self._print(f"seeded {n} Item vertices with {dim}-dim embeddings")
 
+    def _first_embedding(self) -> tuple[str, int] | None:
+        """``("Type.attr", dim)`` of the first embedding attribute — what
+        the ``\\serve`` demos query — or ``None`` (said) when there is none."""
+        for name, vtype in self.db.schema.vertex_types.items():
+            for emb in vtype.embeddings.values():
+                return f"{name}.{emb.name}", emb.dimension
+        self._print("no embedding attributes — try \\seed first")
+        return None
+
     def _serve_demo(
         self, queries: int, concurrency: int, tier_mb: float | None = None
     ) -> None:
         """Spin up a QueryServer over the first embedding attribute and
         hammer it from ``concurrency`` client threads.  ``tier_mb`` turns
         on memory-budgeted tiered storage (DESIGN §12) before serving."""
-        import threading
-        import time
-
         from .serve import QueryServer, ServeConfig
+        from .serve.cli import drive_closed_loop
 
-        target = None
-        for name, vtype in self.db.schema.vertex_types.items():
-            for emb in vtype.embeddings.values():
-                target = (f"{name}.{emb.name}", emb.dimension)
-                break
-            if target:
-                break
+        target = self._first_embedding()
         if target is None:
-            self._print("no embedding attributes — try \\seed first")
             return
         attr, dim = target
         if queries < 1 or concurrency < 1:
@@ -191,27 +191,17 @@ class GSQLShell:
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((queries, dim)).astype(np.float32)
 
-        def client(worker_id: int, server: QueryServer) -> None:
-            for qi in range(worker_id, queries, concurrency):
-                try:
-                    server.search([attr], vectors[qi], 5)
-                except ReproError:
-                    pass
+        def search(query) -> None:
+            try:
+                server.search([attr], query, 5)
+            except ReproError:
+                pass
 
         with use_telemetry(self.telemetry):
             config = ServeConfig(workers=min(4, concurrency))
-            start = time.perf_counter()
             with QueryServer(self.db, config) as server:
-                threads = [
-                    threading.Thread(target=client, args=(i, server))
-                    for i in range(concurrency)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
+                wall, _ = drive_closed_loop(search, vectors, concurrency)
                 stats = server.stats()
-            wall = time.perf_counter() - start
         self._print(
             f"served {queries} queries on {attr} in {wall * 1e3:.1f} ms "
             f"({queries / wall:,.0f} QPS, concurrency {concurrency})"
@@ -243,21 +233,12 @@ class GSQLShell:
         """Route the demo load through an elastic sharded tier (DESIGN §13)
         with one live rebalance mid-run, then print the router's view:
         ownership map, rebalance count, per-replica cache hit rates."""
-        import threading
-        import time
-
         from .elastic import ElasticTier
         from .serve import ServeConfig
+        from .serve.cli import drive_closed_loop
 
-        target = None
-        for name, vtype in self.db.schema.vertex_types.items():
-            for emb in vtype.embeddings.values():
-                target = (f"{name}.{emb.name}", emb.dimension)
-                break
-            if target:
-                break
+        target = self._first_embedding()
         if target is None:
-            self._print("no embedding attributes — try \\seed first")
             return
         attr, dim = target
         if queries < 1 or concurrency < 1 or servers < 2:
@@ -266,28 +247,22 @@ class GSQLShell:
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((queries, dim)).astype(np.float32)
 
-        def client(worker_id: int, tier: ElasticTier) -> None:
-            for qi in range(worker_id, queries, concurrency):
-                try:
-                    tier.search([attr], vectors[qi], 5)
-                except ReproError:
-                    pass
+        def search(query) -> None:
+            try:
+                tier.search([attr], query, 5)
+            except ReproError:
+                pass
 
         with use_telemetry(self.telemetry):
             config = ServeConfig(workers=min(4, concurrency))
-            start = time.perf_counter()
             with ElasticTier(self.db, num_servers=servers, config=config) as tier:
-                threads = [
-                    threading.Thread(target=client, args=(i, tier))
-                    for i in range(concurrency)
-                ]
-                for thread in threads:
-                    thread.start()
-                tier.rebalance_evenly("default", [attr])
-                for thread in threads:
-                    thread.join()
+                wall, _ = drive_closed_loop(
+                    search,
+                    vectors,
+                    concurrency,
+                    midrun=lambda: tier.rebalance_evenly("default", [attr]),
+                )
                 stats = tier.stats()
-            wall = time.perf_counter() - start
         self._print(
             f"served {queries} queries on {attr} in {wall * 1e3:.1f} ms "
             f"({queries / wall:,.0f} QPS, {servers} servers, "

@@ -125,3 +125,16 @@ class TestAuthorizedSearch:
             db.access.authorized_search(
                 "admin", ["Post.content_emb"], db._test_vectors[0], k=0
             )
+
+    def test_wrong_query_dimension_fails_typed(self, loaded_post_db):
+        """A rule that leaves few rows flips the segment scan to brute
+        force; a wrong-length query must be refused typed before it gets
+        there, like at every other search entry point."""
+        from repro.errors import DimensionMismatchError
+
+        db = loaded_post_db
+        db.access.create_role("one-post", {"Post": lambda row: row["length"] == 103})
+        with pytest.raises(DimensionMismatchError):
+            db.access.authorized_search(
+                "one-post", ["Post.content_emb"], db._test_vectors[0][:5], k=3
+            )

@@ -460,6 +460,21 @@ class TestReplicaCoherence:
             )
             assert ("Post", db.vid_for("Post", 9001)) in got
 
+    def test_invalid_sla_arguments_rejected_at_once(self, loaded_post_db, rng):
+        """The router enforces the server's SLA-argument contract: a bad
+        bound is an immediate ServeError — not a staleness wait that ends
+        in StalenessBoundError, and not a served answer."""
+        from repro.errors import StalenessBoundError
+
+        db = loaded_post_db
+        q = rng.standard_normal(DIM).astype(np.float32)
+        config = ServeConfig(workers=2, enable_batching=False, staleness_wait=0.2)
+        with ElasticTier(db, num_servers=2, config=config) as tier:
+            for bad in ({"max_staleness": -1}, {"session_token": -5}):
+                with pytest.raises(ServeError) as excinfo:
+                    tier.search([ATTR], q, 5, timeout=10.0, **bad)
+                assert not isinstance(excinfo.value, StalenessBoundError)
+
 
 # --------------------------------------------------------------------------
 # autoscaler decisions

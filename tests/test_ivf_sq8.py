@@ -169,6 +169,60 @@ class TestSQ8:
         assert np.all(result.distances < 10.0)
 
 
+class TestSharedRowTables:
+    """IVF_PQ runs IVF_FLAT's table code and SQ8 runs FLAT's; the same
+    interleaved update / replace / delete history must leave all four
+    with consistent id <-> row bookkeeping."""
+
+    @pytest.mark.parametrize(
+        "index_type, params",
+        [
+            (IndexType.FLAT, None),
+            (IndexType.SQ8, None),
+            (IndexType.IVF_FLAT, {"nlist": 8, "nprobe": 8}),
+            (IndexType.IVF_PQ, {"nlist": 8, "nprobe": 8, "m": 8}),
+        ],
+    )
+    def test_interleaved_update_replace_delete(self, clustered_data, index_type, params):
+        data = clustered_data[:40]
+        # Later rows are midpoints of first-batch rows: distinct, and inside
+        # the per-dimension range SQ8 fixes when its first batch trains it.
+        fresh = (data + np.roll(data, 1, axis=0)) / 2
+        index = create_index(index_type, 16, Metric.L2, params)
+        truth: dict[int, np.ndarray] = {}
+
+        def put(ids, rows):
+            index.update_items(ids, rows)
+            truth.update(zip(ids, rows))
+
+        def drop(ids):
+            index.delete_items(ids)
+            for i in ids:
+                truth.pop(i, None)
+
+        put(list(range(40)), data)  # crosses the 16-row initial table
+        drop([0, 7, 39, 1000])  # swap-remove head/middle/tail, unknown id
+        put([7, 12, 40], fresh[:3])  # re-insert, replace, fresh id
+        put([12], fresh[3:4])  # replace again, one row
+        drop([12, 40])
+        put(list(range(200, 230)), fresh[4:34])
+        put([200, 200], fresh[34:36])  # duplicate id inside one batch
+
+        assert len(index) == len(truth) == index.stats.num_vectors
+        assert all(i in index for i in truth)
+        assert not any(i in index for i in (0, 12, 39, 40, 1000))
+        span = data.max(axis=0) - data.min(axis=0)
+        for ext_id, row in truth.items():
+            # Every live id still resolves to its own latest vector (up to
+            # SQ8's quantization step) and is its own nearest neighbour.
+            assert np.all(np.abs(index.get_embedding(ext_id) - row) <= span / 255.0 + 1e-5)
+            assert index.topk_search(row, 1).ids[0] == ext_id
+        found = index.topk_search(data[0], len(truth) + 10).ids.tolist()
+        assert sorted(found) == sorted(truth)  # no stale or duplicate rows
+        if index_type is IndexType.SQ8:
+            assert index.memory_bytes == len(truth) * 16  # live rows, not capacity
+
+
 class TestEmbeddingAttributeWithIVF:
     def test_ivf_index_in_schema(self, rng):
         """A vertex embedding attribute can declare INDEX = IVF_FLAT."""

@@ -1051,6 +1051,26 @@ class TestSLA:
             with pytest.raises(ServeError):
                 server.submit_search(["Post.content_emb"], q, 3, session_token=-2)
 
+    def test_sla_over_no_attributes_fails_typed(self, loaded_post_db, rng):
+        """An SLA-bound search over an empty attribute list fails like the
+        plain path does (typed), on the server and on the elastic router."""
+        from repro.elastic import ElasticTier
+        from repro.errors import EmbeddingCompatibilityError
+
+        db = loaded_post_db
+        config = ServeConfig(workers=1, enable_batching=False)
+        q = rng.standard_normal(16).astype(np.float32)
+        with QueryServer(db, config) as server:
+            with pytest.raises(EmbeddingCompatibilityError):
+                server.search([], q, 3)
+            with pytest.raises(EmbeddingCompatibilityError):
+                server.search([], q, 3, max_staleness=0)
+        with ElasticTier(db, num_servers=2, config=config) as tier:
+            with pytest.raises(EmbeddingCompatibilityError):
+                tier.search([], q, 3)
+            with pytest.raises(EmbeddingCompatibilityError):
+                tier.search([], q, 3, session_token=0)
+
 
 # --------------------------------------------------------------------------
 # noisy-neighbor isolation: cache partitions, queue shares, vacuum quotas

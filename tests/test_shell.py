@@ -51,6 +51,31 @@ class TestMetaCommands:
         sh.feed("\\seed nope")
         assert "usage" in out.getvalue()
 
+    @pytest.mark.parametrize(
+        "command, banner",
+        [
+            ("\\serve 20 2", "concurrency 2)"),
+            ("\\serve 20 2 1 2", "2 servers, concurrency 2)"),
+        ],
+    )
+    def test_serve_demo(self, shell, command, banner):
+        sh, out = shell
+        sh.feed("\\seed 200 8")
+        sh.feed(command)
+        text = out.getvalue()
+        assert "served 20 queries on Item.emb" in text
+        assert banner in text
+
+
+@pytest.mark.parametrize("extra", [[], ["--servers", "2"]])
+def test_serve_cli_demo(capsys, extra):
+    from repro.serve.cli import main
+
+    argv = ["--vectors", "200", "--dim", "8", "--segment-size", "64",
+            "--queries", "20", "--concurrency", "2", "--workers", "2"]
+    assert main(argv + extra) == 0
+    assert "served 20 queries" in capsys.readouterr().out
+
 
 class TestStatements:
     def test_ddl_then_query(self, shell):
