@@ -3,15 +3,17 @@
 Measures the kernelized :meth:`HNSWIndex.topk_search` against the pre-kernel
 baseline preserved in :mod:`repro.index.reference` — same graph, same ``ef``,
 same queries; only the distance math (norm caches + query context vs per-hop
-``diff``/norm recomputation) and the layer-search inner loop (vectorized
-admission vs per-neighbour Python) differ.
+``diff``/norm recomputation) and the layer-search inner loop (rounds of
+``ef // ROUND_SHARE`` candidates with array admission vs one hop at a time
+with per-neighbour Python) differ.  The reference's one-hop-at-a-time walk is
+also the index's own order at a round width of 1.
 
 Budgets (asserted):
 
 - kernelized single-query search must reach >= 1.5x the reference-kernel
   throughput;
-- recall@k must be unchanged (within 0.5% absolute — the two formulations
-  differ by float wobble on near-ties, nothing else);
+- recall@k must not drop (by more than 0.5% absolute — float wobble on
+  near-ties; a wider round reaches a few more rows, so it may be higher);
 - kernel distances must agree with :func:`repro.types.batch_distances` within
   1e-4 relative tolerance on every reported neighbour.
 

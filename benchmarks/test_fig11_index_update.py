@@ -3,9 +3,10 @@
 Paper shape: incremental update time grows with the fraction of vectors
 updated and crosses the flat full-rebuild line at ~20%; beyond the
 crossover, rebuilding is cheaper.  The mechanism reproduced here is real:
-updating an HNSW entry tombstones the old row and reinserts into a graph
-that is already dense (and accumulating tombstones), so per-update cost
-exceeds per-insert cost during a fresh batch build.
+updating an HNSW entry rewrites its own row — unlink it, give every
+in-neighbour a substitute edge, then run the ordinary insert into a graph
+that is already dense — so per-update cost exceeds the per-insert cost of a
+fresh batch build, whose early inserts meet a small graph.
 """
 
 from __future__ import annotations

@@ -608,6 +608,72 @@ class HnswInsertVsSave(Scenario):
 
 
 # --------------------------------------------------------------------------
+# index merge (row reuse) vs a search pinned on the older snapshot
+# --------------------------------------------------------------------------
+
+
+class IndexMergeRowReuseVsPinnedSearch(Scenario):
+    """The index merge rewriting a row while an older reader searches.
+
+    An HNSW update reuses its id's row — unlink, repair the in-neighbours,
+    reinsert in place — so the graph it runs on must be one no reader can
+    see.  Worker 0 folds a committed update of doc 0 into the index; worker
+    1 searches on a snapshot pinned *before* that update, at doc 0's old
+    position, and must get doc 0 at distance zero whatever the interleaving.
+
+    With ``validate=True`` the merge is the shipped one
+    (``build_next_snapshot`` rewrites a private clone, ``install_snapshot``
+    publishes it).  With ``validate=False`` it takes the shortcut of
+    updating the *current* snapshot's index, the one the pinned reader is
+    walking: once the rewrite has run, the old vector is gone from under it.
+    """
+
+    threads = 2
+    description = "index merge rewriting a row vs a search pinned on the older snapshot"
+
+    def __init__(self, validate: bool = True):
+        self.validate = validate
+        self.name = "index-merge-row-reuse-vs-pinned-search" + ("" if validate else "-inplace")
+
+    def setup(self):
+        state = _Box()
+        state.db = _make_doc_db()
+        state.db.vacuum(num_threads=1)  # every doc is a row of the index
+        state.store = state.db.service.store("Doc", "vec")
+        state.store.bf_threshold = 0  # walk the graph, not the raw rows
+        state.query = np.zeros(_DIM, dtype=np.float32)
+        state.query[0] = 10.0  # doc 0, exactly
+        state.pinned = state.db.snapshot()
+        state.moved = np.full(_DIM, 500.0, dtype=np.float32)
+        with state.db.begin() as txn:
+            txn.set_embedding("Doc", 0, "vec", state.moved)
+        state.found = None
+        return state
+
+    def worker(self, state, index: int) -> None:
+        if index == 0:
+            if self.validate:
+                state.db.vacuum(num_threads=1)
+            else:
+                current = state.store.segment(0).current_snapshot()
+                current.index.update_items([0], state.moved.reshape(1, -1))
+            return
+        state.found = vector_search_merged(
+            state.db.service, state.pinned, [_ATTR], state.query, 1
+        )
+
+    def check(self, state) -> None:
+        ((distance, _, vid),) = state.found
+        assert vid == state.db.vid_for("Doc", 0) and distance < 1e-6, (
+            f"pinned reader lost the pre-update row: got vid {vid} at {distance}"
+        )
+
+    def teardown(self, state) -> None:
+        state.pinned.release()
+        state.db.close()
+
+
+# --------------------------------------------------------------------------
 # batcher enqueue vs window close
 # --------------------------------------------------------------------------
 
@@ -700,6 +766,12 @@ MATRIX: list[ScenarioSpec] = [
     ScenarioSpec(lambda: RebalanceVsSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: RebalanceVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: HnswInsertVsSave(), ("pct", 12), False),
+    ScenarioSpec(
+        lambda: IndexMergeRowReuseVsPinnedSearch(validate=False), ("pct", 256), True
+    ),
+    ScenarioSpec(
+        lambda: IndexMergeRowReuseVsPinnedSearch(validate=True), ("pct", 64), False
+    ),
     ScenarioSpec(lambda: BatcherVsWindowClose(), ("random", 8), False),
 ]
 

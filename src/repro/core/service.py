@@ -221,9 +221,10 @@ class EmbeddingStore:
         if vids.size != vectors.shape[0]:
             raise VectorSearchError("vids and vectors length mismatch")
         seg_nos = vids // self.segment_size
-        for seg_no in np.unique(seg_nos):
+        # Not np.unique: on NumPy 2 its first call imports numpy.ma (1.6 MB).
+        for seg_no in sorted(set(seg_nos.tolist())):
             mask = seg_nos == seg_no
-            self.segment(int(seg_no)).bulk_load(
+            self.segment(seg_no).bulk_load(
                 vids[mask] % self.segment_size, vectors[mask], tid, num_threads=num_threads
             )
 
@@ -415,13 +416,9 @@ class EmbeddingStore:
                 for i in part:
                     results.append((float(dists[i]), int(offsets[i])))
             else:
-                mask = allowed
-
-                def filter_fn(offset: int) -> bool:
-                    return bool(mask[offset])
-
+                # The validity mask goes down as the array it is (Sec. 5.1).
                 with _TRAVERSAL:
-                    found = snap.index.topk_search(query, k, ef=ef, filter_fn=filter_fn)
+                    found = snap.index.topk_search(query, k, ef=ef, filter_fn=allowed)
                 results.extend((float(d), int(o)) for o, d in found)
 
         # Brute force over overlay upserts (still subject to the pre-filter).

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import VectorSearchError
 from ..types import Metric
-from .interface import IndexStats, SearchResult, VectorIndex
+from .interface import IndexStats, SearchResult, VectorIndex, admitted
 from .kernels import DistanceKernel
 
 __all__ = ["BruteForceIndex"]
@@ -148,7 +148,7 @@ class BruteForceIndex(VectorIndex):
         query: np.ndarray,
         k: int,
         ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
+        filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     ) -> SearchResult:
         if k <= 0:
             raise VectorSearchError("k must be positive")
@@ -158,9 +158,7 @@ class BruteForceIndex(VectorIndex):
             return SearchResult.empty()
         ids = self._ids
         if filter_fn is not None:
-            keep = np.fromiter(
-                (filter_fn(int(i)) for i in ids), dtype=bool, count=len(ids)
-            )
+            keep = admitted(filter_fn, ids)
             ids = ids[keep]
             dists = dists[keep]
             if dists.size == 0:
@@ -175,7 +173,7 @@ class BruteForceIndex(VectorIndex):
         query: np.ndarray,
         threshold: float,
         ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
+        filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     ) -> SearchResult:
         self._stats.num_searches += 1
         dists = self._distances(np.asarray(query, dtype=np.float32))
@@ -185,9 +183,7 @@ class BruteForceIndex(VectorIndex):
         ids = self._ids[within]
         dists = dists[within]
         if filter_fn is not None and ids.size:
-            keep = np.fromiter(
-                (filter_fn(int(i)) for i in ids), dtype=bool, count=len(ids)
-            )
+            keep = admitted(filter_fn, ids)
             ids = ids[keep]
             dists = dists[keep]
         order = np.argsort(dists, kind="stable")

@@ -5,12 +5,19 @@ embedding segment — with the features TigerVector relies on:
 
 - tunable ``M`` / ``ef_construction`` at build time and ``ef`` per query
   (the knob Neo4j/Neptune lack, which drives Figures 7–8),
-- a *filter function* applied at result-collection time while traversal still
-  routes through filtered nodes (the bitmap pre-filter of Sec. 5.1–5.2),
-- ``update_items`` for incremental vacuum merges (Sec. 4.3), including
-  in-place replacement of an existing id's vector,
-- soft deletion (deleted nodes keep navigating but never appear in results),
-- statistics reporting (distance computations, hops) per Sec. 4.4,
+- a *filter* — a boolean array over external ids, or a callable — applied at
+  result-collection time while traversal still routes through filtered nodes
+  (the bitmap pre-filter of Sec. 5.1–5.2),
+- ``update_items`` for incremental vacuum merges (Sec. 4.3); an update of an
+  id the index already holds, live or tombstoned, **rewrites that id's row**:
+  the row is unlinked, each in-neighbour gets a substitute edge from the
+  row's old out-list, and the ordinary insert runs again at the same row and
+  level (``_unlink``).  The index never holds more rows than distinct ids,
+  so search cost does not grow with the number of updates ever applied, and
+  nothing is left for a compaction pass,
+- soft deletion (deleted nodes keep navigating but never appear in results;
+  a later upsert of the id revives its row),
+- statistics reporting (distance computations, expansion rounds) per Sec. 4.4,
 - ``save``/``load`` so vacuum can persist index snapshots.
 
 Performance notes (this is pure Python + numpy):
@@ -21,17 +28,23 @@ Performance notes (this is pure Python + numpy):
   a prenormalized row copy reduces COSINE to IP, and per-search
   :class:`~repro.index.kernels.QueryContext` state computes ``q·q`` / query
   normalization once per search instead of once per hop;
-- ``_search_layer_scratch`` admits neighbour batches through one vectorized
-  ``dists < worst`` mask before the Python heap loop, so full-beam rounds
-  skip interpreter work for neighbours that cannot enter the result set;
-- layer-0 adjacency lives in one preallocated ``(capacity, 2M)`` int32 matrix
-  so neighbour expansion, visited-filtering, and visited-marking are each a
-  single vectorized operation;
+- one layer search (``_search_layer``) serves queries and inserts on every
+  layer, and it works in *rounds*: up to ``ef // ROUND_SHARE`` nearest
+  unexpanded candidates are expanded together — one ``take`` for all their
+  adjacency lists, one for the visited test, one row gather and one matvec —
+  and "may this row be returned" is one boolean array per search
+  (``allowed[ids] & ~deleted``) read with one ``take`` per round, so the
+  NumPy dispatch cost is paid per round, not per hop or per neighbour;
+- layer-0 adjacency lives in one preallocated ``(capacity, 2M + slack)`` int32
+  matrix whose entries at and beyond a row's count are always ``-1``; the
+  visited scratch ends in a permanently-visited slot, so that padding drops
+  out of the visited test without a per-row count lookup;
 - neighbour selection uses the diversity heuristic (Algorithm 4) with one
   pairwise-distance matrix per call and an incrementally maintained
   min-distance-to-selected vector — the heuristic is *required* for recall on
   clustered data (simple distance pruning disconnects clusters);
-- visited marks are generation counters, so no per-search allocation.
+- visited marks are ticks of a per-scratch clock, so no per-search clearing,
+  and a round's duplicates fall out of the same marks.
 
 Every query traverses alone.  A lockstep multi-query traversal (Q beams
 sharing one row gather per round) existed through PR 16 and was deleted: it
@@ -55,7 +68,7 @@ from ..analysis.hooks import schedule_point
 from ..errors import IndexPersistenceError, VectorSearchError
 from ..telemetry import get_telemetry
 from ..types import Metric
-from .interface import IndexStats, SearchResult, VectorIndex
+from .interface import IndexStats, SearchResult, VectorIndex, admitted
 from .kernels import DistanceKernel, QueryContext
 
 __all__ = ["FORMAT_VERSION", "HNSWIndex"]
@@ -64,6 +77,17 @@ __all__ = ["FORMAT_VERSION", "HNSWIndex"]
 #: layout changes; ``load()`` refuses other versions with
 #: :class:`~repro.errors.IndexPersistenceError` rather than guessing.
 FORMAT_VERSION = 1
+
+#: A traversal round (see ``_search_layer``) expands ``ef // ROUND_SHARE``
+#: candidates together, at least one.  Earned by a sweep, not a knob (DESIGN
+#: §10.5, EXPERIMENTS "PR 22 measurements"): a wider round saves NumPy
+#: dispatch but expands candidates a narrower one would have pruned, which
+#: quietly turns ``ef`` into a larger ``ef``.  At one eighth of the beam the
+#: extra distance evaluations stay near 5 % at ``ef`` 16, 64 and 128 on a
+#: 4 000-row index (none on a 400-row segment, which every width visits whole)
+#: and a search costs 0.39–0.79× the one-at-a-time loop; a fixed width of 8
+#: at ``ef`` 16 would be +40 % evaluations, a fixed 16 at ``ef`` 64 +15 %.
+ROUND_SHARE = 8
 
 
 class HNSWIndex(VectorIndex):
@@ -136,31 +160,51 @@ class HNSWIndex(VectorIndex):
                 out[: self._count] = arr[: self._count]
                 return out
 
-            self._vectors = grown(self._vectors)
+            # Kernel rows first, adjacency last: a lock-free reader takes
+            # them in the opposite order (_search_layer), so the rows it
+            # holds always cover every id its adjacency matrix can name.
+            vectors = grown(self._vectors)
+            self._kernel.attach(vectors, copy_rows=self._count)
+            self._vectors = vectors
             self._ids = grown(self._ids)
             self._deleted = grown(self._deleted)
-            self._links0 = grown(self._links0, fill=-1)
             self._links0_cnt = grown(self._links0_cnt)
+            self._links0 = grown(self._links0, fill=-1)
             self._capacity = new_capacity
-            self._kernel.attach(self._vectors, copy_rows=self._count)
 
-    def _checkout_visited(self) -> list:
-        """Exclusive ``[visited_array, generation]`` scratch for one search.
+    def _checkout_visited(self, rows: int) -> list:
+        """Exclusive ``[stamps, clock]`` scratch for one layer search.
 
-        Undersized entries (pooled before a ``_grow``) are dropped and
-        replaced; a fresh array starts at generation 1 so its zeros never
+        ``stamps[r] >= floor`` (the clock value the search started at) means
+        row ``r`` was reached by that search; every reached row gets its own
+        clock tick, which is also what de-duplicates a round.  The last slot
+        is a permanently-visited sentinel: ``-1`` padding in ``_links0``
+        indexes it, so padding drops out of the same ``take`` that drops
+        visited rows.  Entries too short for ``rows`` (pooled before a
+        ``_grow``) are replaced; a fresh clock starts at 1 so zeros never
         read as visited.
         """
         with self._scratch_lock:
             entry = self._visited_pool.pop() if self._visited_pool else None
-        if entry is None or entry[0].shape[0] < self._capacity:
-            return [np.zeros(self._capacity, dtype=np.int64), 1]
-        entry[1] += 1
+        if entry is None or entry[0].shape[0] <= rows:
+            stamps = np.zeros(max(rows, self._capacity) + 1, dtype=np.int64)
+            stamps[-1] = np.iinfo(np.int64).max
+            return [stamps, 1]
         return entry
 
     def _checkin_visited(self, entry: list) -> None:
         with self._scratch_lock:
             self._visited_pool.append(entry)
+
+    def _blank_link_tails(self) -> None:
+        """Restore ``-1`` at and beyond every row's count.
+
+        State written before that became an invariant of ``_links0`` (a
+        version-1 ``save`` file, a pickle) keeps pruned ids there.
+        """
+        count = self._count
+        tail = np.arange(self._links0_width) >= self._links0_cnt[:count, None]
+        self._links0[:count][tail] = -1
 
     def _neighbors(self, row: int, level: int) -> np.ndarray:
         if level == 0:
@@ -172,6 +216,7 @@ class HNSWIndex(VectorIndex):
         if level == 0:
             n = len(neighbors)
             self._links0[row, :n] = neighbors
+            self._links0[row, n:] = -1  # invariant: -1 at and beyond the count
             self._links0_cnt[row] = n
         else:
             self._links_upper[level - 1][row] = list(neighbors)
@@ -186,32 +231,31 @@ class HNSWIndex(VectorIndex):
     def _greedy_descend(
         self, ctx: QueryContext, start_row: int, from_level: int, to_level: int
     ) -> int:
-        """Single-entry greedy search from ``from_level`` down to ``to_level`` (exclusive).
+        """Single-entry greedy search from ``from_level`` down to ``to_level``
+        (exclusive; both above layer 0, which only :meth:`_search_layer` walks).
 
         Compares *rank* distances (the kernel's order-preserving shifted
         form) — greedy descent only needs ordering, never true values.
         """
-        aug = self._kernel._aug
         aug_query = ctx.aug_query
         links_upper = self._links_upper
         dot = np.dot
         current = start_row
-        current_dist = float(aug[current] @ aug_query)
+        current_dist = float(self._kernel._aug[current] @ aug_query)
         num_distances = 1
         for level in range(from_level, to_level, -1):
-            layer = links_upper[level - 1] if level > 0 else None
+            layer = links_upper[level - 1]
             improved = True
             while improved:
                 improved = False
-                if layer is None:
-                    neighbors = self._links0[current, : self._links0_cnt[current]]
-                else:
-                    neighbors = np.asarray(layer.get(current, ()), dtype=np.int32)
+                neighbors = np.asarray(layer.get(current, ()), dtype=np.int32)
                 if neighbors.size == 0:
                     continue
                 ctx.num_hops += 1
                 num_distances += neighbors.shape[0]
-                dists = dot(aug.take(neighbors, 0), aug_query)
+                # Kernel rows are re-read after the list: a concurrent insert
+                # grows them before it links the row that needed the room.
+                dists = dot(self._kernel._aug.take(neighbors, 0), aug_query)
                 best = int(np.argmin(dists))
                 if dists[best] < current_dist:
                     current = int(neighbors[best])
@@ -226,102 +270,111 @@ class HNSWIndex(VectorIndex):
         entry_row: int,
         ef: int,
         level: int,
-        collect_filter: Callable[[int], bool] | None = None,
+        allowed: np.ndarray | Callable[[int], bool] | None = None,
     ) -> list[tuple[float, int]]:
-        """Best-first beam search on one layer.
+        """Best-first beam search on one layer, in rounds.
 
         Returns up to ``ef`` ``(rank_distance, row)`` pairs sorted ascending
-        — callers materialize true distances via ``kernel.to_true``.  Nodes
-        failing ``collect_filter`` (or soft-deleted ones) are traversed but
-        never collected — the filtered-search semantics of Sec. 5.1.
+        — callers materialize true distances via ``kernel.to_true``.  Rows
+        that are tombstoned or fail ``allowed`` (a boolean array over
+        external ids, or a callable on one) are traversed but never
+        collected — the filtered-search semantics of Sec. 5.1.
 
-        Once the result heap is full, each neighbour batch is admitted
-        through one vectorized ``dists < worst`` mask before the Python heap
-        loop — correct because ``worst`` only tightens within a batch, so a
-        neighbour rejected against the batch-start bound would also be
-        rejected against any later bound.
+        A round pops up to ``width`` nearest unexpanded candidates still
+        inside the result bound, gathers all their adjacency lists with one
+        ``take``, drops visited ids and padding with a second, de-duplicates,
+        and pays one row gather and one matvec for everything that is left.
+        Neighbours are admitted through ``dists < worst`` against the bound
+        the round started with — correct because ``worst`` only tightens, so
+        a neighbour rejected against the round-start bound would also be
+        rejected against any later one — and only the admitted ones reach
+        the Python heap loop.  A width of 1 is the classic pop-one-expand-one
+        order.
         """
-        scratch = self._checkout_visited()
-        try:
-            return self._search_layer_scratch(
-                ctx, entry_row, ef, level, collect_filter, scratch
-            )
-        finally:
-            self._checkin_visited(scratch)
-
-    def _search_layer_scratch(
-        self,
-        ctx: QueryContext,
-        entry_row: int,
-        ef: int,
-        level: int,
-        collect_filter: Callable[[int], bool] | None,
-        scratch: list,
-    ) -> list[tuple[float, int]]:
-        visited, generation = scratch
-        visited[entry_row] = generation
-        # Inlined kernel.rank(): skips a method call per hop (this loop runs
-        # tens of thousands of times per query set).
+        # Taken in this order, without the write lock: rows born after
+        # ``count`` is read are walked but never returned (they have no entry
+        # in ``ok``, a picture of one moment); the adjacency matrix names no
+        # id at or past its own length, and ``_grow`` publishes the kernel
+        # rows before it, so ``aug`` covers every id ``links0`` can name.
+        count = self._count
+        links0 = self._links0
         aug = self._kernel._aug
+        ext_ids = self._ids
+        ok = np.zeros(links0.shape[0] + 1, dtype=bool)
+        np.logical_not(self._deleted[:count], out=ok[:count])
+        check = None
+        if callable(allowed):
+            check = allowed  # evaluated only on rows a round admits
+        elif allowed is not None:
+            ok[:count] &= admitted(allowed, ext_ids[:count])
+        upper = self._links_upper[level - 1] if level else None
+        width = max(1, ef // ROUND_SHARE)
+
+        scratch = self._checkout_visited(links0.shape[0])
+        visited, clock = scratch
+        floor = clock
+        visited[entry_row] = clock
+        clock += 1
         aug_query = ctx.aug_query
         dot = np.dot
-        not_equal = np.not_equal
-        num_distances = 1
-        entry_dist = float(aug[entry_row] @ aug_query)
-        candidates: list[tuple[float, int]] = [(entry_dist, entry_row)]  # min-heap
-        results: list[tuple[float, int]] = []  # max-heap via negated distance
-        deleted = self._deleted
+        arange = np.arange
         push = heapq.heappush
         pop = heapq.heappop
         pushpop = heapq.heappushpop
-        if level == 0:
-            links0 = self._links0
-            links0_cnt = self._links0_cnt
-            upper = None
-        else:
-            upper = self._links_upper[level - 1]
-
-        if not deleted[entry_row] and (collect_filter is None or collect_filter(entry_row)):
+        num_distances = 1
+        num_rounds = 0
+        entry_dist = float(aug[entry_row] @ aug_query)
+        candidates: list[tuple[float, int]] = [(entry_dist, entry_row)]  # min-heap
+        results: list[tuple[float, int]] = []  # max-heap via negated distance
+        if ok[entry_row] and (check is None or check(int(ext_ids[entry_row]))):
             results.append((-entry_dist, entry_row))
         full = len(results) >= ef
         worst = -results[0][0] if full else np.inf
 
         while candidates:
             dist, row = pop(candidates)
-            if full and dist > -results[0][0]:
+            if dist > worst:
                 break
+            parents = [row]
+            while candidates and len(parents) < width and candidates[0][0] <= worst:
+                parents.append(pop(candidates)[1])
             if upper is None:
-                neighbors = links0[row, : links0_cnt[row]]
+                ids = links0.take(parents, 0).ravel()
             else:
-                neighbors = np.asarray(upper.get(row, ()), dtype=np.int32)
-            if neighbors.size:
-                # .take/.put beat fancy indexing by ~1µs each at frontier
-                # sizes (≤2M rows) — measurable at tens of thousands of hops.
-                fresh = neighbors[not_equal(visited.take(neighbors), generation)]
-            else:
-                fresh = neighbors
-            if fresh.size == 0:
+                ids = np.asarray(
+                    [n for parent in parents for n in upper.get(parent, ())], dtype=np.int32
+                )
+            # .take/.put beat fancy indexing by ~1µs each at these sizes.
+            fresh = ids[visited.take(ids) < floor]
+            reached = fresh.shape[0]
+            if reached == 0:
                 continue
-            ctx.num_hops += 1
-            visited.put(fresh, generation)
+            # One clock tick per reached id; an id listed twice (two parents,
+            # or one list caught mid-shift by a concurrent row reuse) keeps
+            # only the tick written last, so it survives exactly once.
+            ticks = arange(clock, clock + reached)
+            clock += reached
+            visited.put(fresh, ticks)
+            fresh = fresh[visited.take(fresh) == ticks]
+            num_rounds += 1
             num_distances += fresh.shape[0]
             dists = dot(aug.take(fresh, 0), aug_query)
             if full:
-                worst = -results[0][0]
                 admit = dists < worst
-                dist_list = dists[admit].tolist()
-                if not dist_list:
+                fresh = fresh[admit]
+                if fresh.shape[0] == 0:
                     continue
-                row_list = fresh[admit].tolist()
-            else:
-                dist_list = dists.tolist()
-                row_list = fresh.tolist()
-            for n_dist, n_row in zip(dist_list, row_list):
-                if not full or n_dist < worst:
+                dists = dists[admit]
+            ok_list = ok.take(fresh).tolist()
+            if check is not None:
+                ok_list = [
+                    good and check(ext)
+                    for good, ext in zip(ok_list, ext_ids.take(fresh).tolist())
+                ]
+            for n_dist, n_row, n_ok in zip(dists.tolist(), fresh.tolist(), ok_list):
+                if n_dist < worst:
                     push(candidates, (n_dist, n_row))
-                    if not deleted[n_row] and (
-                        collect_filter is None or collect_filter(n_row)
-                    ):
+                    if n_ok:
                         if full:
                             pushpop(results, (-n_dist, n_row))
                             worst = -results[0][0]
@@ -330,7 +383,10 @@ class HNSWIndex(VectorIndex):
                             if len(results) >= ef:
                                 full = True
                                 worst = -results[0][0]
+        scratch[1] = clock
+        self._checkin_visited(scratch)
         ctx.num_distances += num_distances
+        ctx.num_hops += num_rounds
         return sorted((-d, row) for d, row in results)
 
     def topk_search(
@@ -338,7 +394,7 @@ class HNSWIndex(VectorIndex):
         query: np.ndarray,
         k: int,
         ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
+        filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     ) -> SearchResult:
         if k <= 0:
             raise VectorSearchError("k must be positive")
@@ -352,20 +408,13 @@ class HNSWIndex(VectorIndex):
         tel = get_telemetry()
         if tel.enabled:
             search_started = time.perf_counter()
-        collect = None
-        if filter_fn is not None:
-            ids = self._ids
-
-            def collect(row: int) -> bool:
-                return filter_fn(int(ids[row]))
-
-        # The query context carries this search's distance/hop counters, so
+        # The query context carries this search's distance/round counters, so
         # concurrent searches never misattribute each other's work (the old
         # code subtracted before/after values of the shared cumulative
         # IndexStats counters, which raced).
         ctx = self._kernel.query(query)
         entry = self._greedy_descend(ctx, self._entry_point, self._max_level, 0)
-        found = self._search_layer(ctx, entry, ef, 0, collect_filter=collect)
+        found = self._search_layer(ctx, entry, ef, 0, filter_fn)
         top = found[:k]
         self._stats.num_distance_computations += ctx.num_distances
         self._stats.num_hops += ctx.num_hops
@@ -388,7 +437,7 @@ class HNSWIndex(VectorIndex):
         query: np.ndarray,
         threshold: float,
         ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
+        filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     ) -> SearchResult:
         """Range search via the DiskANN repeated-top-k adaptation (Sec. 4.4)."""
         from .range_search import range_search_via_topk
@@ -467,30 +516,112 @@ class HNSWIndex(VectorIndex):
         finally:
             self._write_lock.release()
 
+    def _substitutes(self, holders: np.ndarray, lists: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """For each holder, the member of ``out`` nearest to it that it does
+        not link yet (``-1`` when there is none).
+
+        ``lists`` is the ``(len(holders), w)`` matrix of the holders' current
+        neighbour lists, ``-1`` padded.  One pairwise-distance call covers
+        every holder × candidate pair.
+        """
+        if holders.size == 0 or out.size == 0:
+            return np.full(holders.size, -1, dtype=np.int64)
+        self._stats.num_distance_computations += int(holders.size * out.size)
+        dist = self._kernel.pairwise(np.concatenate([holders, out]))[: holders.size, holders.size :]
+        taken = (lists[:, :, None] == out).any(axis=1) | (holders[:, None] == out)
+        dist[taken] = np.inf
+        best = dist.argmin(axis=1)
+        return np.where(np.isfinite(dist[np.arange(holders.size), best]), out[best], -1)
+
+    def _unlink(self, row: int) -> None:
+        """Take ``row`` out of the graph so its slot can be inserted afresh.
+
+        Every in-neighbour swaps its edge to ``row`` for a substitute drawn
+        from ``row``'s old out-list (FreshDiskANN's delete repair, without
+        its prune: lists keep their length, so nothing can overflow); with
+        no substitute left the edge is dropped.  ``row``'s own lists are
+        cleared and, if it was the entry point, another node of the highest
+        remaining level takes over.
+        """
+        with self._write_lock:
+            links0, cnt0 = self._links0, self._links0_cnt
+            out0 = links0[row, : cnt0[row]].astype(np.int64)
+            if self._entry_point == row:
+                # Hand over before unlinking, in one assignment each, so a
+                # lock-free reader never starts from nothing or from an
+                # island.  (None, -1) only when ``row`` is the only row.
+                heir, top = None, -1
+                for level in range(len(self._links_upper), 0, -1):
+                    heir = next((n for n in self._links_upper[level - 1] if n != row), None)
+                    if heir is not None:
+                        top = level
+                        break
+                else:
+                    if self._count > 1:
+                        heir, top = (int(out0[0]) if out0.size else int(row == 0)), 0
+                self._entry_point = heir
+                self._max_level = top
+            holders = np.flatnonzero((links0[: self._count] == row).any(axis=1))
+            lists = links0[holders]
+            pos = (lists == row).argmax(axis=1)
+            subs = self._substitutes(holders, lists, out0)
+            links0[holders, pos] = subs
+            # No substitute: close the gap with the list's last link.
+            bare = subs < 0
+            loose, gap = holders[bare], pos[bare]
+            last = cnt0[loose] - 1
+            links0[loose, gap] = links0[loose, last]
+            links0[loose, last] = -1
+            cnt0[loose] = last
+            links0[row] = -1
+            cnt0[row] = 0
+            for level in range(1, self._levels[row] + 1):
+                layer = self._links_upper[level - 1]
+                out = np.asarray(layer[row], dtype=np.int64)
+                holders = np.asarray(
+                    [node for node, nbrs in layer.items() if row in nbrs], dtype=np.int64
+                )
+                lists = np.full((holders.size, self.M + 1), -1, dtype=np.int64)
+                for i, node in enumerate(holders.tolist()):
+                    lists[i, : len(layer[node])] = layer[node]
+                for node, sub in zip(holders.tolist(), self._substitutes(holders, lists, out).tolist()):
+                    nbrs = layer[node]
+                    if sub < 0:
+                        nbrs.remove(row)
+                    else:
+                        nbrs[nbrs.index(row)] = sub
+                layer[row] = []
     def _insert_locked(self, external_id: int, vector: np.ndarray) -> None:  # repro: noqa[R001] -- body of _insert, entered only with _write_lock held
-        existing = self._id_to_row.get(external_id)
-        if existing is not None:
-            # Replacing a vector in place would leave the graph links stale
-            # (they were chosen for the old value), so updates tombstone the
-            # old row and reinsert fresh — the row stays navigable but can no
-            # longer be returned.  This is also why incremental updates cost
-            # more than build-time inserts, producing the update-vs-rebuild
-            # crossover of the paper's Figure 11.
-            self._deleted[existing] = True
+        row = self._id_to_row.get(external_id)
+        if row is None:
+            row = self._count
+            self._grow(row + 1)
+            level = int(-np.log(max(self._rng.random(), 1e-12)) * self._ml)
+            self._levels.append(level)
+            while len(self._links_upper) < level:
+                self._links_upper.append({})
+            for l in range(1, level + 1):
+                self._links_upper[l - 1][row] = []
+            self._vectors[row] = vector
+            self._kernel.set_row(row, self._vectors[row])
+            self._ids[row] = external_id
+            self._id_to_row[external_id] = row
+            self._count += 1
+        else:
+            # An update rewrites its own row (live or tombstoned): links
+            # chosen for the old vector are unlinked and repaired, then the
+            # ordinary insert below runs at the same row and level.  The
+            # index therefore never holds more rows than distinct ids, and
+            # the unlink + repair on top of the insert is why an incremental
+            # update costs more than a build-time insert — the
+            # update-vs-rebuild crossover of the paper's Figure 11.
+            self._unlink(row)
+            level = self._levels[row]
+            self._vectors[row] = vector
+            self._kernel.set_row(row, self._vectors[row])
+            self._deleted[row] = False
             self._stats.num_updates += 1
-        row = self._count
-        self._grow(row + 1)
-        self._vectors[row] = vector
-        self._kernel.set_row(row, self._vectors[row])
-        self._ids[row] = external_id
-        self._id_to_row[external_id] = row
-        self._count += 1
-        level = int(-np.log(max(self._rng.random(), 1e-12)) * self._ml)
-        self._levels.append(level)
-        while len(self._links_upper) < level:
-            self._links_upper.append({})
-        for l in range(1, level + 1):
-            self._links_upper[l - 1][row] = []
+            get_telemetry().inc("hnsw.row_reuses")
         self._stats.num_inserts += 1
         self._stats.num_vectors = self._count
 
@@ -628,6 +759,7 @@ class HNSWIndex(VectorIndex):
         self._write_lock = threading.RLock()
         self._scratch_lock = threading.Lock()
         self._visited_pool = []
+        self._blank_link_tails()
         kernel = DistanceKernel(self.metric, self._vectors, precompute=False)
         if self._count:
             kernel.set_rows(slice(0, self._count), self._vectors[: self._count])
@@ -764,6 +896,7 @@ class HNSWIndex(VectorIndex):
         index._levels = list(payload["levels"])
         index._links0[:count] = payload["links0"]
         index._links0_cnt[:count] = payload["links0_cnt"]
+        index._blank_link_tails()  # a version-1 file may predate the invariant
         index._links_upper = [dict(layer) for layer in payload["links_upper"]]
         index._id_to_row = {int(index._ids[row]): row for row in range(count)}
         index._entry_point = payload["entry_point"]

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import VectorSearchError
 from ..types import IndexType, Metric
 
-__all__ = ["IndexStats", "SearchResult", "VectorIndex", "create_index"]
+__all__ = ["IndexStats", "SearchResult", "VectorIndex", "admitted", "create_index"]
 
 
 @dataclass
@@ -54,9 +54,26 @@ class SearchResult:
         return SearchResult(self.ids[:k], self.distances[:k])
 
 
+def admitted(filter_fn, ids: np.ndarray) -> np.ndarray:
+    """Which of ``ids`` pass ``filter_fn``, as one boolean array.
+
+    ``filter_fn`` is either form :meth:`VectorIndex.topk_search` accepts: a
+    boolean array indexed by external id (one gather) or a callable on one
+    id (one Python call per id).
+    """
+    if callable(filter_fn):
+        return np.fromiter((filter_fn(int(i)) for i in ids), dtype=bool, count=len(ids))
+    return np.asarray(filter_fn, dtype=bool)[ids]
+
+
 @dataclass
 class IndexStats:
-    """Counters the index reports for performance measurement (Sec. 4.4)."""
+    """Counters the index reports for performance measurement (Sec. 4.4).
+
+    ``num_hops`` counts expansion steps: greedy-descent moves on the upper
+    layers plus layer-0 *rounds* of HNSW, each of which expands several
+    candidates at once (``repro.index.hnsw``).
+    """
 
     num_vectors: int = 0
     num_deleted: int = 0
@@ -93,13 +110,17 @@ class VectorIndex:
         query: np.ndarray,
         k: int,
         ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
+        filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     ) -> SearchResult:
         """Return up to ``k`` valid nearest neighbours, best first.
 
-        ``filter_fn(external_id)`` excludes ids from results while still
-        allowing graph traversal through them, exactly like the bitmap filter
-        TigerVector passes to HNSW.
+        ``filter_fn`` excludes ids from results while still allowing graph
+        traversal through them, exactly like the bitmap filter TigerVector
+        passes to HNSW.  It is either a boolean array indexed by external id
+        (``True`` = may be returned; it must cover every id the index holds)
+        — the form the embedding service passes, read with one gather — or a
+        callable ``filter_fn(external_id) -> bool``, invoked at most once per
+        stored row the search reaches.
         """
         raise NotImplementedError
 
@@ -109,7 +130,7 @@ class VectorIndex:
         query: np.ndarray,
         threshold: float,
         ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
+        filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     ) -> SearchResult:
         raise NotImplementedError
 

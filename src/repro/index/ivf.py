@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import VectorSearchError
 from ..types import Metric
-from .interface import IndexStats, SearchResult, VectorIndex
+from .interface import IndexStats, SearchResult, VectorIndex, admitted
 from .kernels import DistanceKernel
 
 __all__ = ["IVFFlatIndex", "kmeans"]
@@ -188,7 +188,7 @@ class IVFFlatIndex(VectorIndex):
         query: np.ndarray,
         k: int,
         ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
+        filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     ) -> SearchResult:
         """Top-k over the probed lists; ``ef`` maps to nprobe here.
 
@@ -209,7 +209,7 @@ class IVFFlatIndex(VectorIndex):
         rows, dists = self._score(query, rows, k)
         ids = self._ids[rows]
         if filter_fn is not None:
-            keep = np.fromiter((filter_fn(int(i)) for i in ids), dtype=bool, count=len(ids))
+            keep = admitted(filter_fn, ids)
             ids, dists = ids[keep], dists[keep]
         if ids.size == 0:
             return SearchResult.empty()
@@ -236,7 +236,7 @@ class IVFFlatIndex(VectorIndex):
         query: np.ndarray,
         threshold: float,
         ef: int | None = None,
-        filter_fn: Callable[[int], bool] | None = None,
+        filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     ) -> SearchResult:
         from .range_search import range_search_via_topk
 

@@ -26,7 +26,7 @@ def range_search_via_topk(
     initial_k: int = 16,
     growth: int = 2,
     ef: int | None = None,
-    filter_fn: Callable[[int], bool] | None = None,
+    filter_fn: np.ndarray | Callable[[int], bool] | None = None,
     max_k: int | None = None,
 ) -> SearchResult:
     """All valid vectors with distance < ``threshold``, sorted ascending.

@@ -22,8 +22,12 @@ INSTRUMENTS: dict[str, tuple[str, str]] = {
     "query.slow": ("counter", "queries over the slow-query threshold"),
     # ---- HNSW ------------------------------------------------------------
     "hnsw.searches": ("counter", "HNSW top-k searches"),
+    "hnsw.row_reuses": ("counter", "updates that rewrote their id's existing row (unlink, repair, reinsert)"),
     "hnsw.distance_computations": ("histogram", "distance computations per search"),
-    "hnsw.hops": ("histogram", "graph hops per search"),
+    "hnsw.hops": (
+        "histogram",
+        "expansion rounds per search (each expands up to ef // ROUND_SHARE candidates), plus upper-layer greedy moves",
+    ),
     "hnsw.ef_expansions": ("histogram", "effective ef (candidate expansions) per search"),
     "hnsw.search_seconds": ("histogram", "single-segment HNSW search latency"),
     # ---- MVCC / vacuum ---------------------------------------------------

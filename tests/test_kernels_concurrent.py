@@ -127,6 +127,57 @@ class TestConcurrentSearchIdentity:
         assert not errors, errors[0]
 
 
+    def test_search_during_row_reuse_returns_valid_results(self, rng):
+        """Searches racing in-place updates never crash, repeat an id, or
+        leave the id range.
+
+        A row reuse unlinks a row by shifting its in-neighbours' lists in
+        place, so a lock-free reader can catch one id twice in a list; every
+        round de-duplicates, so the answer still names each id once.
+        """
+        index, _ = build_index(rng, n=200)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def updater() -> None:
+            local = np.random.default_rng(7)
+            try:
+                for _ in range(60):
+                    ids = local.choice(200, size=10, replace=False)
+                    batch = local.standard_normal((10, DIM)).astype(np.float32)
+                    index.update_items(ids.tolist(), batch)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def searcher() -> None:
+            local = np.random.default_rng(13)
+            try:
+                while not stop.is_set():
+                    q = local.standard_normal(DIM).astype(np.float32)
+                    result = index.topk_search(q, 5, ef=32)
+                    ids = result.ids.tolist()
+                    assert 1 <= len(ids) <= 5
+                    assert len(set(ids)) == len(ids), ids
+                    assert all(0 <= i < 200 for i in ids)
+                    dists = result.distances
+                    assert all(dists[i] <= dists[i + 1] for i in range(len(dists) - 1))
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=updater)] + [
+            threading.Thread(target=searcher) for _ in range(3)
+        ]
+        for t in threads:
+            t.start()
+        threads[0].join(timeout=120)  # updater finishes its 600 rewrites
+        stop.set()
+        for t in threads[1:]:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert index._count == 200 and len(index) == 200
+
+
 class TestAtomicPersistence:
     def test_save_under_concurrent_inserts_loads_consistent(self, rng, tmp_path):
         """Every snapshot taken mid-insert must load and search cleanly."""
