@@ -89,6 +89,36 @@ def main() -> None:
     )
     print(f"researcher asking for non-anonymized records explicitly: "
           f"{len(leaked)} results (authorization intersects the filter)")
+
+    # --- the serving tiers enforce the same role, in the same search -------
+    # A tenant's role is one more term of the search's pre-filter, so a
+    # QueryServer and a 2-server ElasticTier answer the researcher exactly
+    # as authorized_search does, distances included.
+    from repro.core.auth import AuthorizationError
+    from repro.elastic import ElasticTier
+    from repro.graph.accumulators import MapAccum
+    from repro.serve import QueryServer, ServeConfig, Tenant
+
+    direct = db.access.authorized_search("researcher", ["Record.case_emb"], query, k=5)
+    tenants = [Tenant("lab", role="researcher")]
+    config = ServeConfig(workers=2)
+    with QueryServer(db, config, tenants=tenants) as server:
+        distances = MapAccum()
+        served = server.search(
+            ["Record.case_emb"], query, 5, tenant="lab", distance_map=distances
+        )
+        try:  # GSQL blocks enforce no row rules, so a role-scoped tenant is refused
+            server.run_gsql("SELECT s FROM (s:Record) LIMIT 3", tenant="lab")
+            gsql = "answered"
+        except AuthorizationError as exc:
+            gsql = f"refused ({type(exc).__name__})"
+    with ElasticTier(db, num_servers=2, config=config, tenants=tenants) as tier:
+        routed = tier.search(["Record.case_emb"], query, 5, tenant="lab")
+    print(
+        f"researcher through QueryServer / ElasticTier: same 5 records as the "
+        f"direct call: {served == direct} / {routed == direct}; distance map "
+        f"filled: {len(distances)}; served GSQL for that tenant: {gsql}"
+    )
     db.close()
 
 

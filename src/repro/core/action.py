@@ -18,6 +18,7 @@ force — the statistics behind the IC5-vs-IC11 discussion in Sec. 6.5.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,8 @@ from ..graph.mpp import MPPExecutor
 from ..index.bitmap import Bitmap
 from ..index.interface import SearchResult
 from ..index.kernels import MultiQueryContext
-from .service import EmbeddingStore
+from ..index.range_search import grow_topk_to_radius
+from .service import EmbeddingStore, SegmentSearchOutput
 
 __all__ = ["ActionStats", "EmbeddingAction"]
 
@@ -42,6 +44,13 @@ class ActionStats:
     segments_bruteforce: int = 0
     candidates: int = 0
     elapsed_seconds: float = 0.0
+
+    def __iadd__(self, other: "ActionStats") -> "ActionStats":
+        self.segments_touched += other.segments_touched
+        self.segments_bruteforce += other.segments_bruteforce
+        self.candidates += other.candidates
+        self.elapsed_seconds += other.elapsed_seconds
+        return self
 
 
 class EmbeddingAction:
@@ -93,6 +102,50 @@ class EmbeddingAction:
     def _run_segments(self, fn, seg_nos: list[int], work: list[int]) -> list:
         return self.executor.map(fn, seg_nos, work, parallel=self.parallel)
 
+    def _search(
+        self,
+        local,
+        bitmaps: list[Bitmap] | None,
+        seg_nos: list[int] | None,
+        limit: int | None,
+    ) -> SearchResult:
+        """What top-k and range share: skip segments outside ``seg_nos`` or with a
+        known-empty pre-filter, fan ``local(seg_no, bitmap)`` out, merge by (distance, vid)."""
+        store = self.store
+        num_segments = store.num_segments
+        per_segment = self._segment_bitmaps(bitmaps, num_segments)
+        stats = ActionStats()
+        start = time.perf_counter()
+        candidates = (
+            range(num_segments)
+            if seg_nos is None
+            else [seg_no for seg_no in seg_nos if 0 <= seg_no < num_segments]
+        )
+        seg_nos = [
+            seg_no
+            for seg_no in candidates
+            if per_segment[seg_no] is None or per_segment[seg_no].count() > 0
+        ]
+        work = [self._scan_work(seg_no, per_segment[seg_no]) for seg_no in seg_nos]
+        outputs = self._run_segments(
+            lambda seg_no: local(seg_no, per_segment[seg_no]), seg_nos, work
+        )
+        merged: list[tuple[float, int]] = []
+        for out in outputs:
+            stats.segments_touched += 1
+            stats.segments_bruteforce += int(out.used_bruteforce)
+            stats.candidates += len(out.offsets)
+            base = out.seg_no * store.segment_size
+            merged.extend(zip(out.distances, (base + o for o in out.offsets)))
+        merged.sort()
+        merged = merged[:limit]
+        stats.elapsed_seconds = time.perf_counter() - start
+        self.last_stats = stats
+        if not merged:
+            return SearchResult.empty()
+        dists, vids = zip(*merged)
+        return SearchResult(np.asarray(vids), np.asarray(dists, dtype=np.float32))
+
     # --------------------------------------------------------------- top-k
     def topk(
         self,
@@ -114,45 +167,11 @@ class EmbeddingAction:
         if k <= 0:
             raise VectorSearchError("k must be positive")
         store = self.store
-        num_segments = store.num_segments
-        per_segment = self._segment_bitmaps(bitmaps, num_segments)
-        stats = ActionStats()
-        start = time.perf_counter()
 
-        # Skip segments whose pre-filter is known-empty before dispatch.
-        candidates = (
-            range(num_segments)
-            if seg_nos is None
-            else [seg_no for seg_no in seg_nos if 0 <= seg_no < num_segments]
-        )
-        seg_nos = [
-            seg_no
-            for seg_no in candidates
-            if per_segment[seg_no] is None or per_segment[seg_no].count() > 0
-        ]
+        def local(seg_no: int, bitmap: Bitmap | None) -> SegmentSearchOutput:
+            return store.search_segment(seg_no, query, k, snapshot_tid, ef=ef, bitmap=bitmap)
 
-        def local(seg_no: int):
-            return store.search_segment(
-                seg_no, query, k, snapshot_tid, ef=ef, bitmap=per_segment[seg_no]
-            )
-
-        work = [self._scan_work(seg_no, per_segment[seg_no]) for seg_no in seg_nos]
-        outputs = self._run_segments(local, seg_nos, work)
-        merged: list[tuple[float, int]] = []
-        for out in outputs:
-            stats.segments_touched += 1
-            stats.segments_bruteforce += int(out.used_bruteforce)
-            stats.candidates += len(out.offsets)
-            base = out.seg_no * store.segment_size
-            merged.extend(zip(out.distances, (base + o for o in out.offsets)))
-        merged.sort()
-        merged = merged[:k]
-        stats.elapsed_seconds = time.perf_counter() - start
-        self.last_stats = stats
-        if not merged:
-            return SearchResult.empty()
-        dists, vids = zip(*merged)
-        return SearchResult(np.asarray(vids), np.asarray(dists, dtype=np.float32))
+        return self._search(local, bitmaps, seg_nos, k)
 
     # ---------------------------------------------------------- fused top-k
     def topk_batch(
@@ -197,48 +216,17 @@ class EmbeddingAction:
     ) -> SearchResult:
         """Global range search: per-segment RangeSearch + merge (Sec. 5.1)."""
         store = self.store
-        num_segments = store.num_segments
-        per_segment = self._segment_bitmaps(bitmaps, num_segments)
-        stats = ActionStats()
-        start = time.perf_counter()
-        seg_nos = [
-            seg_no
-            for seg_no in range(num_segments)
-            if per_segment[seg_no] is None or per_segment[seg_no].count() > 0
-        ]
 
-        def local(seg_no: int) -> list[tuple[float, int]]:
-            # Range search runs against the same MVCC view as topk by
-            # growing k until the DiskANN median condition triggers; reuse
-            # search_segment so the delta overlay stays consistent.
-            results: list[tuple[float, int]] = []
-            k = 16
-            cap = store.segment_size
-            while True:
-                out = store.search_segment(
-                    seg_no, query, k, snapshot_tid, ef=ef, bitmap=per_segment[seg_no],
-                )
-                if not out.offsets:
-                    return results
-                base = seg_no * store.segment_size
-                pairs = list(zip(out.distances, (base + o for o in out.offsets)))
-                exhausted = len(pairs) < k or k >= cap
-                median = float(np.median(out.distances))
-                if threshold <= median or exhausted:
-                    return [(d, v) for d, v in pairs if d < threshold]
-                k = min(k * 2, cap)
+        def local(seg_no: int, bitmap: Bitmap | None) -> SegmentSearchOutput:
+            # The probes are search_segment calls, so range search sees the
+            # same MVCC view and delta overlay as topk.
+            def probe(k: int) -> SegmentSearchOutput:
+                return store.search_segment(seg_no, query, k, snapshot_tid, ef=ef, bitmap=bitmap)
 
-        work = [self._scan_work(seg_no, per_segment[seg_no]) for seg_no in seg_nos]
-        outputs = self._run_segments(local, seg_nos, work)
-        merged: list[tuple[float, int]] = []
-        for out in outputs:
-            stats.segments_touched += 1
-            stats.candidates += len(out)
-            merged.extend(out)
-        merged.sort()
-        stats.elapsed_seconds = time.perf_counter() - start
-        self.last_stats = stats
-        if not merged:
-            return SearchResult.empty()
-        dists, vids = zip(*merged)
-        return SearchResult(np.asarray(vids), np.asarray(dists, dtype=np.float32))
+            out = grow_topk_to_radius(probe, threshold, store.segment_size)
+            within = bisect_left(out.distances, threshold)  # ascending
+            return SegmentSearchOutput(
+                seg_no, out.offsets[:within], out.distances[:within], out.used_bruteforce
+            )
+
+        return self._search(local, bitmaps, None, None)

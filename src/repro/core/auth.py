@@ -9,11 +9,13 @@ explicitly marks "all deleted and **unauthorized** vectors as invalid"
 - a :class:`Role` grants access per vertex type — everything, nothing, or a
   row predicate (``lambda attrs: ...``);
 - an :class:`AccessController` registers roles and materializes
-  *authorization bitmaps* (one per segment) that the vector search
-  intersects with its validity masks, so unauthorized vectors can never
-  surface in results — the same mechanism that hides deleted rows;
-- :meth:`AccessController.authorized_search` is the drop-in authorized
-  variant of ``VectorSearch()``.
+  *authorization bitmaps* (one per segment), so unauthorized vectors can
+  never surface in results — the same mechanism that hides deleted rows;
+- :meth:`AccessController.search_filter` makes "authorized" one more term
+  of the search's one pre-filter: role masks ``&`` the request's own filter.
+  There is no authorized search loop — :meth:`authorized_search` and the
+  serving tiers (``QueryServer``, ``ElasticTier``) run the ordinary search
+  with that filter, each on the snapshot it already holds.
 
 Because both the graph side (scan filtering) and the vector side (bitmap
 intersection) derive from one rule set, authorization cannot diverge
@@ -24,12 +26,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from ..errors import ReproError
 from ..graph.txn import Snapshot
 from ..graph.vertex_set import VertexSet
 from ..index.bitmap import Bitmap
+from .search import SegmentMasks, segment_bitmaps
 
 __all__ = ["AccessController", "AuthorizationError", "Role"]
 
@@ -115,19 +116,14 @@ class AccessController:
         """
         if isinstance(role, str):
             role = self.role(role)
-        capacity = snapshot._store.segment_size
-        num_segments = snapshot.num_segments(vertex_type)
-        if not role.can_access_type(vertex_type):
-            return [Bitmap.empty(capacity) for _ in range(num_segments)]
-        rule = role.rules.get(vertex_type, role.default_allow)
-        if rule is True:
+        if role.rules.get(vertex_type, role.default_allow) is True:
             # Full access: wrap the existing status structure, no new bitmap
             # (the Sec. 5.1 reuse optimization applies to authorization too).
-            return [Bitmap.wrap(mask) for mask in snapshot.valid_bitmaps(vertex_type)]
-        masks = [np.zeros(capacity, dtype=bool) for _ in range(num_segments)]
-        for vid, row in snapshot.scan(vertex_type):
-            if role.allows(vertex_type, row):
-                masks[vid // capacity][vid % capacity] = True
+            masks = snapshot.valid_bitmaps(vertex_type)
+        else:
+            # The graph-side view, as bits: one rule set, one scan.
+            visible = self.visible_vertices(role, snapshot, vertex_type)
+            masks = snapshot.bitmap_from_vids(vertex_type, (vid for _, vid in visible))
         return [Bitmap.wrap(mask) for mask in masks]
 
     # ------------------------------------------------------------ filtering
@@ -146,6 +142,37 @@ class AccessController:
         return out
 
     # -------------------------------------------------------------- search
+    def search_filter(
+        self,
+        role: Role | str,
+        snapshot: Snapshot,
+        vector_attributes: list[str],
+        filter: VertexSet | SegmentMasks | None = None,
+    ) -> VertexSet | SegmentMasks | None:
+        """The pre-filter of a search run as ``role``: role masks ``&`` ``filter``.
+
+        A vertex type the role cannot read, or ``filter`` has no candidate
+        of, is left out (= no candidate).  A role with no rule to apply gets
+        ``filter`` back, so ``admin`` searches exactly what anyone does.
+        """
+        if isinstance(role, str):
+            role = self.role(role)
+        if role.default_allow and not role.rules:
+            return filter
+        masks: dict[str, list[Bitmap]] = {}
+        for qualified in vector_attributes:
+            vertex_type, _ = self.db.schema.embedding_attribute(qualified)
+            if vertex_type in masks or not role.can_access_type(vertex_type):
+                continue
+            allowed = self.authorization_bitmaps(role, snapshot, vertex_type)
+            if filter is not None:
+                user = segment_bitmaps(filter, snapshot, vertex_type)
+                if user is None:
+                    continue
+                allowed = [a.intersect(u) for a, u in zip(allowed, user)]
+            masks[vertex_type] = allowed
+        return masks
+
     def authorized_search(
         self,
         role: Role | str,
@@ -155,55 +182,13 @@ class AccessController:
         filter: VertexSet | None = None,
         ef: int | None = None,
     ) -> VertexSet:
-        """VectorSearch() that can only return authorized vertices.
-
-        The role's authorization bitmap intersects the query's own filter
-        (if any); types the role cannot read are skipped entirely.
-        """
-        from .action import EmbeddingAction
-        from .search import _resolve_attributes, _validate_query
-        from ..errors import VectorSearchError
-
+        """VectorSearch() that can only return authorized vertices."""
         if isinstance(role, str):
             role = self.role(role)
-        if k <= 0:
-            raise VectorSearchError("k must be positive")
-        resolved, representative = _resolve_attributes(
-            self.db.service, vector_attributes
-        )
-        query = _validate_query(query_vector, representative)
-
-        merged: list[tuple[float, str, int]] = []
         with self.db.snapshot() as snapshot:
-            for qualified, vertex_type, _ in resolved:
-                if not role.can_access_type(vertex_type):
-                    continue
-                auth = self.authorization_bitmaps(role, snapshot, vertex_type)
-                if filter is not None:
-                    vids = filter.vids_of_type(vertex_type)
-                    user = [
-                        Bitmap.wrap(m)
-                        for m in snapshot.bitmap_from_vids(vertex_type, vids)
-                    ]
-                    while len(user) < len(auth):
-                        user.append(Bitmap.empty(snapshot._store.segment_size))
-                    bitmaps = [a.intersect(u) for a, u in zip(auth, user)]
-                else:
-                    bitmaps = auth
-                store = self.db.service.store(
-                    vertex_type, qualified.split(".", 1)[1]
-                )
-                while len(bitmaps) < store.num_segments:
-                    bitmaps.append(Bitmap.empty(store.segment_size))
-                action = EmbeddingAction(store)
-                result = action.topk(
-                    query, k, snapshot_tid=snapshot.tid, ef=ef, bitmaps=bitmaps
-                )
-                merged.extend(
-                    (float(d), vertex_type, int(v)) for v, d in result
-                )
-        merged.sort(key=lambda e: e[0])
-        out = VertexSet(name=f"TopK[{role.name}]")
-        for _, vertex_type, vid in merged[:k]:
-            out.add(vertex_type, vid)
+            masks = self.search_filter(role, snapshot, vector_attributes, filter)
+            out = self.db.vector_search(
+                vector_attributes, query_vector, k, filter=masks, ef=ef, snapshot=snapshot
+            )
+        out.name = f"TopK[{role.name}]"
         return out

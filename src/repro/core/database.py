@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import nullcontext
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..graph.mpp import MPPExecutor
 from ..graph.schema import GraphSchema
 from ..graph.storage import GraphStore
 from ..graph.txn import Snapshot, Transaction
 from ..graph.vertex_set import VertexSet
 from .search import (
+    SegmentMasks,
     VectorSearchOptions,
     build_topk_vertex_set,
     vector_search,
@@ -53,7 +54,6 @@ class TigerVectorDB:
         segment_size: int = 4096,
         wal_path: str | os.PathLike | None = None,
         spill_dir: str | os.PathLike | None = None,
-        max_workers: int | None = None,
         bf_threshold: int | None = None,
     ):
         self.schema = schema or GraphSchema()
@@ -63,7 +63,6 @@ class TigerVectorDB:
         )
         self.store.register_embedding_hook(self.service.on_commit)
         self.vacuum_manager = VacuumManager(self.store, self.service, spill_dir=spill_dir)
-        self.executor = MPPExecutor(max_workers=max_workers)
         #: Optional repro.tier.TierManager; see :meth:`enable_tiering`.
         self.tier_manager = None
         self._gsql_session = None
@@ -80,7 +79,6 @@ class TigerVectorDB:
         schema: GraphSchema,
         wal_path: str | os.PathLike,
         segment_size: int = 4096,
-        **kwargs,
     ) -> "TigerVectorDB":
         """Rebuild a database by replaying its write-ahead log.
 
@@ -97,7 +95,6 @@ class TigerVectorDB:
             embedding_hook=db.service.on_commit,  # stays registered afterwards
         )
         db.vacuum_manager = VacuumManager(db.store, db.service)
-        db.executor = MPPExecutor(max_workers=kwargs.get("max_workers"))
         db.tier_manager = None
         db._gsql_session = None
         db._lazy_lock = threading.Lock()
@@ -235,18 +232,14 @@ class TigerVectorDB:
         vector_attributes: list[str],
         query_vector: np.ndarray,
         k: int,
-        filter: VertexSet | None = None,
+        filter: VertexSet | SegmentMasks | None = None,
         distance_map=None,
         ef: int | None = None,
         snapshot: Snapshot | None = None,
     ) -> VertexSet:
         """The VectorSearch() function (Sec. 5.5) on the current snapshot."""
         options = VectorSearchOptions(filter=filter, distance_map=distance_map, ef=ef)
-        if snapshot is not None:
-            return vector_search(
-                self.service, snapshot, vector_attributes, query_vector, k, options
-            )
-        with self.snapshot() as snap:
+        with self.snapshot() if snapshot is None else nullcontext(snapshot) as snap:
             return vector_search(
                 self.service, snap, vector_attributes, query_vector, k, options
             )
@@ -266,17 +259,11 @@ class TigerVectorDB:
         direct use.  All queries run against one MVCC snapshot; returns one
         :class:`VertexSet` per query row.
         """
-        if snapshot is not None:
+        with self.snapshot() if snapshot is None else nullcontext(snapshot) as snap:
             batches = vector_search_batch(
-                self.service, snapshot, vector_attributes, query_vectors, k,
+                self.service, snap, vector_attributes, query_vectors, k,
                 ef=ef, min_fused=min_fused,
             )
-        else:
-            with self.snapshot() as snap:
-                batches = vector_search_batch(
-                    self.service, snap, vector_attributes, query_vectors, k,
-                    ef=ef, min_fused=min_fused,
-                )
         return [build_topk_vertex_set(top, None) for top in batches]
 
     # ------------------------------------------------------------------ RBAC
@@ -321,7 +308,6 @@ class TigerVectorDB:
 
     def close(self) -> None:
         self.vacuum_manager.stop()
-        self.executor.shutdown()
         self.store.wal.close()
 
     def __enter__(self) -> "TigerVectorDB":

@@ -8,19 +8,28 @@ composable search API:
   analysis before any segment is touched);
 - **QueryVector** — validated against the attributes' dimensionality;
 - **K** — result size;
-- optional **filter** — a :class:`~repro.graph.vertex_set.VertexSet`
-  candidate set from a prior query block (pre-filtering);
+- optional **filter** — the pre-filter: a
+  :class:`~repro.graph.vertex_set.VertexSet` candidate set from a prior
+  query block, or the same thing as per-segment bitmaps by vertex type
+  (what a columnar ``WHERE`` and a role's row rules produce);
 - optional **distance map** — an output Map accumulator receiving
   ``(vertex, distance)`` pairs;
 - optional **ef** — index search parameter trading accuracy for speed.
 
 It returns a :class:`VertexSet`, so the result plugs straight back into GSQL
 query composition (queries Q2–Q4 of the paper).
+
+**One operator, one pre-filter** (DESIGN §5.3).  :func:`vector_search_parts`
+is the only place an attribute list becomes :class:`EmbeddingAction` top-k
+calls; every door — this function, GSQL, ``authorized_search``, the serving
+tiers — calls it and merges with :func:`merge_sharded_topk`.  The doors
+differ only in who produced the pre-filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,51 +39,70 @@ from ..graph.txn import Snapshot
 from ..graph.vertex_set import VertexSet
 from ..index.bitmap import Bitmap
 from ..telemetry import get_telemetry
-from .action import EmbeddingAction
+from .action import ActionStats, EmbeddingAction
 from .embedding import check_compatible
-from .service import EmbeddingService
+from .service import EmbeddingService, EmbeddingStore
 
 __all__ = [
+    "SegmentMasks",
     "VectorSearchOptions",
     "build_topk_vertex_set",
     "merge_sharded_topk",
+    "resolve_search",
+    "segment_bitmaps",
     "vector_search",
     "vector_search_batch",
     "vector_search_merged",
+    "vector_search_parts",
     "vector_search_sharded",
 ]
+
+#: A pre-filter in the operator's own form: vertex type -> one bitmap per
+#: segment.  An absent type has no candidate; absent trailing segments are empty.
+SegmentMasks = Mapping[str, Sequence[Bitmap]]
 
 
 @dataclass
 class VectorSearchOptions:
     """Optional VectorSearch parameters (Sec. 5.5 list item 4)."""
 
-    filter: VertexSet | None = None
+    filter: VertexSet | SegmentMasks | None = None
     distance_map: MapAccum | None = None
     ef: int | None = None
 
 
-def _resolve_attributes(service: EmbeddingService, vector_attributes: list[str]):
-    """Resolve ``"VertexType.attr"`` names and run the compatibility check."""
-    schema = service.schema
-    resolved = []
-    for qualified in vector_attributes:
-        vertex_type, embedding = schema.embedding_attribute(qualified)
-        resolved.append((qualified, vertex_type, embedding))
+def resolve_search(
+    service: EmbeddingService, vector_attributes: list[str], dimension: int
+) -> list[tuple[str, EmbeddingStore]]:
+    """``"VertexType.attr"`` names -> ``(vertex_type, store)`` search targets.
+
+    The static half of every search: the Sec. 4.1 compatibility check, and a
+    query of the wrong ``dimension`` refused before any segment is touched.
+    """
+    resolved = [service.schema.embedding_attribute(name) for name in vector_attributes]
     representative = check_compatible(
-        [(qualified, emb) for qualified, _, emb in resolved]
+        zip(vector_attributes, (embedding for _, embedding in resolved))
     )
-    return resolved, representative
-
-
-def _validate_query(query_vector: np.ndarray, representative) -> np.ndarray:
-    query = np.asarray(query_vector, dtype=np.float32).reshape(-1)
-    if query.shape[0] != representative.dimension:
+    if dimension != representative.dimension:
         raise DimensionMismatchError(
-            f"query vector has dimension {query.shape[0]}, embedding expects "
-            f"{representative.dimension}"
+            f"query has dimension {dimension}, embedding expects {representative.dimension}"
         )
-    return query
+    return [
+        (vertex_type, service.store(vertex_type, embedding.name))
+        for vertex_type, embedding in resolved
+    ]
+
+
+def segment_bitmaps(
+    filter: VertexSet | SegmentMasks, snapshot: Snapshot, vertex_type: str
+) -> Sequence[Bitmap] | None:
+    """One vertex type's share of a pre-filter; ``None`` = no candidate of that type."""
+    if not isinstance(filter, VertexSet):
+        return filter.get(vertex_type)  # bitmaps pass through, cached counts and all
+    vids = filter.vids_of_type(vertex_type)
+    if not vids:
+        return None
+    return [Bitmap.wrap(mask) for mask in snapshot.bitmap_from_vids(vertex_type, vids)]
 
 
 def build_topk_vertex_set(
@@ -118,7 +146,7 @@ def vector_search_merged(
         return merge_sharded_topk([parts], k)
 
 
-def vector_search_sharded(
+def vector_search_parts(
     service: EmbeddingService,
     snapshot: Snapshot,
     vector_attributes: list[str],
@@ -127,8 +155,8 @@ def vector_search_sharded(
     options: VectorSearchOptions | None = None,
     groups: frozenset | set | None = None,
     group_size: int = 1,
-) -> list[tuple[str, tuple[tuple[float, int], ...]]]:
-    """Per-attribute partial top-k over a subset of segment groups.
+) -> tuple[list[tuple[str, tuple[tuple[float, int], ...]]], ActionStats]:
+    """Per-attribute partial top-k over a subset of segment groups, and its cost.
 
     The shard-owner half of the elastic tier's search: each owning server
     runs this over the segment ordinals whose group (``seg_no //
@@ -136,7 +164,9 @@ def vector_search_sharded(
     :func:`merge_sharded_topk`.  Returns one ``(vertex_type, pairs)`` entry
     per attribute in resolution order, where ``pairs`` are the attribute's
     local top-k ``(distance, vid)`` tuples sorted exactly as
-    :meth:`EmbeddingAction.topk` sorts them (distance, then vid).
+    :meth:`EmbeddingAction.topk` sorts them (distance, then vid) — empty,
+    and not searched, when the pre-filter has no candidate of the type —
+    plus the attributes' summed :class:`ActionStats`.
 
     ``groups=None`` searches every segment; :func:`vector_search_merged` is
     exactly that single-shard merge.  With complementary
@@ -150,31 +180,25 @@ def vector_search_sharded(
     if group_size < 1:
         raise VectorSearchError("group_size must be at least 1")
     options = options or VectorSearchOptions()
-    resolved, representative = _resolve_attributes(service, vector_attributes)
-    query = _validate_query(query_vector, representative)
+    query = np.asarray(query_vector, dtype=np.float32).reshape(-1)
+    targets = resolve_search(service, vector_attributes, query.shape[0])
 
     tel = get_telemetry()
     parts: list[tuple[str, tuple[tuple[float, int], ...]]] = []
+    stats = ActionStats()
     with tel.span(
         "vector.search_sharded",
         k=k,
         attributes=list(vector_attributes),
         groups=None if groups is None else sorted(groups),
     ):
-        for qualified, vertex_type, _ in resolved:
-            store = service.store(vertex_type, qualified.split(".", 1)[1])
+        for vertex_type, store in targets:
             bitmaps = None
             if options.filter is not None:
-                vids = options.filter.vids_of_type(vertex_type)
-                if not vids:
+                bitmaps = segment_bitmaps(options.filter, snapshot, vertex_type)
+                if bitmaps is None:
                     parts.append((vertex_type, ()))
                     continue
-                bitmaps = [
-                    Bitmap.wrap(mask)
-                    for mask in snapshot.bitmap_from_vids(vertex_type, vids)
-                ]
-                while len(bitmaps) < store.num_segments:
-                    bitmaps.append(Bitmap.empty(store.segment_size))
             seg_nos = None
             if groups is not None:
                 seg_nos = [
@@ -191,16 +215,27 @@ def vector_search_sharded(
                 bitmaps=bitmaps,
                 seg_nos=seg_nos,
             )
+            stats += action.last_stats
             parts.append(
-                (
-                    vertex_type,
-                    tuple(
-                        (float(dist), int(vid))
-                        for vid, dist in zip(result.ids, result.distances)
-                    ),
-                )
+                (vertex_type, tuple(zip(result.distances.tolist(), result.ids.tolist())))
             )
-    return parts
+    return parts, stats
+
+
+def vector_search_sharded(
+    service: EmbeddingService,
+    snapshot: Snapshot,
+    vector_attributes: list[str],
+    query_vector: np.ndarray,
+    k: int,
+    options: VectorSearchOptions | None = None,
+    groups: frozenset | set | None = None,
+    group_size: int = 1,
+) -> list[tuple[str, tuple[tuple[float, int], ...]]]:
+    """:func:`vector_search_parts` without the statistics (what a shard ships)."""
+    return vector_search_parts(
+        service, snapshot, vector_attributes, query_vector, k, options, groups, group_size
+    )[0]
 
 
 def merge_sharded_topk(
@@ -228,9 +263,7 @@ def merge_sharded_topk(
         for part in shard_parts:
             pairs.extend(part[attr_index][1])
         pairs.sort()
-        merged.extend(
-            (float(dist), vertex_type, int(vid)) for dist, vid in pairs[:k]
-        )
+        merged.extend((dist, vertex_type, vid) for dist, vid in pairs[:k])
     merged.sort(key=lambda item: item[0])
     return merged[:k]
 
@@ -287,12 +320,7 @@ def vector_search_batch(
         queries = queries.reshape(1, -1)
     if queries.ndim != 2:
         raise VectorSearchError("query_vectors must be a (Q, d) matrix")
-    resolved, representative = _resolve_attributes(service, vector_attributes)
-    if queries.shape[1] != representative.dimension:
-        raise DimensionMismatchError(
-            f"query vectors have dimension {queries.shape[1]}, embedding "
-            f"expects {representative.dimension}"
-        )
+    targets = resolve_search(service, vector_attributes, queries.shape[1])
 
     if ef is not None or queries.shape[0] < min_fused:
         options = VectorSearchOptions(ef=ef)
@@ -313,8 +341,7 @@ def vector_search_batch(
         batch=queries.shape[0],
         attributes=list(vector_attributes),
     ):
-        for index, (qualified, vertex_type, _) in enumerate(resolved):
-            store = service.store(vertex_type, qualified.split(".", 1)[1])
+        for index, (_, store) in enumerate(targets):
             for dists, vids in EmbeddingAction(store).topk_batch(
                 queries, k, snapshot.tid
             ):
@@ -330,7 +357,7 @@ def vector_search_batch(
     top_dists = np.take_along_axis(dists, order, axis=1).tolist()
     top_vids = np.take_along_axis(np.concatenate(vid_blocks, axis=1), order, axis=1).tolist()
     top_types = np.concatenate(type_blocks)[order].tolist()
-    names = [vertex_type for _, vertex_type, _ in resolved]
+    names = [vertex_type for vertex_type, _ in targets]
     return [
         [
             (dist, names[index], vid)

@@ -67,6 +67,7 @@ from ..errors import (
     ServeError,
 )
 from ..serve.server import ServeConfig, freshness_gate
+from ..serve.tenancy import TenantRegistry
 from ..telemetry import get_telemetry
 from .autoscale import Autoscaler, AutoscalePolicy
 from .ring import ConsistentHashRing
@@ -127,7 +128,7 @@ class ElasticTier:
         self.policy = policy
         self.group_size = int(group_size)
         self.server_prefix = str(server_prefix)
-        self._tenants = tenants
+        self.registry = TenantRegistry(tenants)
         self._injectors = dict(injectors or {})
         self.ring = ConsistentHashRing(vnodes=vnodes)
         self.shards: dict[str, ShardServer] = {}
@@ -151,7 +152,7 @@ class ElasticTier:
             self.db,
             name,
             config=self.config,
-            tenants=self._tenants,
+            tenants=[self.registry.get(name) for name in self.registry.names()],
             policy=self.policy,
             injector=self._injectors.get(name),
             group_size=self.group_size,
@@ -355,6 +356,7 @@ class ElasticTier:
         if not self._started:
             raise ServeError("ElasticTier is not running; call start() first")
         max_staleness = self.config.freshness_contract(max_staleness, session_token)
+        role = self.registry.get(tenant).role
         attrs = list(vector_attributes)
         groups = self.group_universe(attrs)
         if timeout is None:
@@ -372,6 +374,9 @@ class ElasticTier:
             # shards may hit and fill partials keyed by the shipped vector.
             if lag:
                 tel.inc("elastic.cache_coherence_bypass")
+            # Role masks are built once per routed query (a row-predicate role
+            # is an O(rows) scan) and ride to the shards as their pre-filter.
+            filter = self.db.access.search_filter(role, snapshot, attrs, filter)
             parts = self._routed_parts(
                 attrs,
                 query_vector,

@@ -232,6 +232,7 @@ def _initial_members(
 
 
 def _node_ok(
+    snapshot: Snapshot,
     member: tuple[str, int],
     node: NodePattern,
     expected_type: str | None,
@@ -248,7 +249,8 @@ def _node_ok(
                 return False
         elif node.label != vtype:
             return False
-    return masks is None or masks.ok(vtype, vid)
+    # An adjacency entry may outlive its target: a deleted vertex is no match.
+    return masks.ok(vtype, vid) if masks else snapshot.vertex_exists(vtype, vid)
 
 
 def _as_masks(
@@ -302,7 +304,7 @@ def match_frontier(
                 member = (dst_type, target)
                 if member in next_frontier:
                     continue
-                if _node_ok(member, node, dst_type, resolve_set, node_filter):
+                if _node_ok(snapshot, member, node, dst_type, resolve_set, node_filter):
                     next_frontier.add(member)
         frontier = next_frontier
         if node.alias:
@@ -361,7 +363,7 @@ def match_bindings(
         node_filter = node_filters.get(node.alias or "")
         for target in snapshot.neighbors(vtype, vid, hop.edge_type, reverse=reverse):
             nxt = (dst_type, target)
-            if not _node_ok(nxt, node, dst_type, resolve_set, node_filter):
+            if not _node_ok(snapshot, nxt, node, dst_type, resolve_set, node_filter):
                 continue
             if node.alias:
                 binding[node.alias] = nxt

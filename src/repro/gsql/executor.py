@@ -26,7 +26,14 @@ from typing import Any
 import numpy as np
 
 from ..core.action import EmbeddingAction
-from ..core.search import VectorSearchOptions, vector_search
+from ..core.search import (
+    VectorSearchOptions,
+    merge_sharded_topk,
+    resolve_search,
+    segment_bitmaps,
+    vector_search_merged,
+    vector_search_parts,
+)
 from ..errors import GSQLSemanticError
 from ..graph.accumulators import (
     Accumulator,
@@ -287,22 +294,19 @@ def _eval_vector_search_fn(expr: ast.FuncCall, ctx: ExecutionContext, env) -> Ve
                 user_map = accum
             else:
                 raise GSQLSemanticError(f"unknown VectorSearch option '{entry.key}'")
-    capture = MapAccum()
     start = time.perf_counter()
-    result = vector_search(
+    top = vector_search_merged(
         ctx.db.service,
         ctx.snapshot,
         attrs,
         query,
         k,
-        VectorSearchOptions(filter=filter_set, distance_map=capture, ef=ef),
+        VectorSearchOptions(filter=filter_set, ef=ef),
     )
     ctx.metrics["vector_seconds"] = time.perf_counter() - start
     if filter_set is not None:
         ctx.metrics["num_candidates"] = len(filter_set)
-    ranking = sorted(
-        ((member, dist) for member, dist in capture.value.items()), key=lambda e: e[1]
-    )
+    ranking = [((vertex_type, vid), dist) for dist, vertex_type, vid in top]
     if user_map is not None:
         for member, dist in ranking:
             user_map.put(ctx.make_vertex(*member), dist)
@@ -408,12 +412,7 @@ def _prefilter(
         return ({label: bitmaps} if count else {}), count
     candidates = _candidate_set(info, ctx, filters, target_alias)
     by_type = {
-        vertex_type: [
-            Bitmap.wrap(mask)
-            for mask in ctx.snapshot.bitmap_from_vids(
-                vertex_type, candidates.vids_of_type(vertex_type)
-            )
-        ]
+        vertex_type: segment_bitmaps(candidates, ctx.snapshot, vertex_type)
         for vertex_type in candidates.vertex_types()
     }
     return by_type, len(candidates)
@@ -486,7 +485,7 @@ def _exec_vector_topk(
     info: SelectInfo, ctx: ExecutionContext, candidates: dict[str, list[Bitmap]] | None
 ) -> RankedVertexSet:
     vec = info.vector
-    query = np.asarray(eval_expr(vec.query_expr, ctx), dtype=np.float32)
+    query = eval_expr(vec.query_expr, ctx)
     k = int(eval_expr(vec.k_expr, ctx))
     try:
         target_types = [_resolve_target_type(info, ctx, vec.alias)]
@@ -500,28 +499,19 @@ def _exec_vector_topk(
             t for t in candidates if vec.attr in ctx.db.schema.vertex_type(t).embeddings
         )
     start = time.perf_counter()
-    merged: list[tuple[float, tuple[str, int]]] = []
-    stats = None
-    for vertex_type in target_types:
-        store = ctx.db.service.store(vertex_type, vec.attr)
-        bitmaps = None
-        if candidates is not None:
-            bitmaps = candidates.get(vertex_type)
-            if bitmaps is None:
-                continue
-        action = EmbeddingAction(store)
-        result = action.topk(
-            query, k, snapshot_tid=ctx.snapshot.tid, ef=ctx.default_ef, bitmaps=bitmaps
+    top: list[tuple[float, str, int]] = []
+    if target_types:
+        parts, ctx.metrics["action_stats"] = vector_search_parts(
+            ctx.db.service,
+            ctx.snapshot,
+            [f"{vertex_type}.{vec.attr}" for vertex_type in target_types],
+            query,
+            k,
+            VectorSearchOptions(filter=candidates, ef=ctx.default_ef),
         )
-        stats = action.last_stats
-        merged.extend(
-            (float(dist), (vertex_type, int(vid))) for vid, dist in result
-        )
-    merged.sort(key=lambda e: e[0])
+        top = merge_sharded_topk([parts], k)
     ctx.metrics["vector_seconds"] = time.perf_counter() - start
-    if stats is not None:
-        ctx.metrics["action_stats"] = stats
-    ranking = [(member, dist) for dist, member in merged[:k]]
+    ranking = [((vertex_type, vid), dist) for dist, vertex_type, vid in top]
     out = RankedVertexSet(ranking, name="TopK")
     for member, _ in ranking:
         _run_accums(info.block.accum, ctx, {vec.alias: member})
@@ -535,8 +525,8 @@ def _exec_vector_range(
     vec = info.vector
     vertex_type = _resolve_target_type(info, ctx, vec.alias)
     query = np.asarray(eval_expr(vec.query_expr, ctx), dtype=np.float32)
+    [(_, store)] = resolve_search(ctx.db.service, [f"{vertex_type}.{vec.attr}"], query.size)
     threshold = float(eval_expr(vec.threshold_expr, ctx))
-    store = ctx.db.service.store(vertex_type, vec.attr)
     bitmaps = None
     needs_filter = (
         len(info.block.pattern.nodes) > 1 or info.pushdown or info.residual

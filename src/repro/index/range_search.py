@@ -9,14 +9,33 @@ so the within-radius set has been covered.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from ..errors import VectorSearchError
 from .interface import SearchResult, VectorIndex
 
-__all__ = ["range_search_via_topk"]
+__all__ = ["grow_topk_to_radius", "range_search_via_topk"]
+
+
+def grow_topk_to_radius(
+    topk: Callable[[int], Any], threshold: float, cap: int, initial_k: int = 16, growth: int = 2
+):
+    """The doubling schedule: the first ``topk(k)`` result that covers the radius.
+
+    ``topk(k)`` returns anything carrying ascending ``distances``; ``k`` grows
+    from ``initial_k`` by ``growth`` up to ``cap`` until the result is short of
+    ``k`` (nothing more to find) or has its median at or beyond ``threshold``.
+    The caller keeps the entries below ``threshold``.
+    """
+    k = min(initial_k, cap)
+    while True:
+        result = topk(k)
+        found = len(result.distances)
+        if found < k or k >= cap or threshold <= float(np.median(result.distances)):
+            return result
+        k = min(k * growth, cap)
 
 
 def range_search_via_topk(
@@ -41,15 +60,12 @@ def range_search_via_topk(
     size = len(index)
     if size == 0:
         return SearchResult.empty()
-    cap = min(max_k or size, size)
-    k = min(initial_k, cap)
-    while True:
-        result = index.topk_search(query, k, ef=ef, filter_fn=filter_fn)
-        if len(result) == 0:
-            return SearchResult.empty()
-        exhausted = len(result) < k or k >= cap
-        median = float(np.median(result.distances))
-        if threshold <= median or exhausted:
-            within = result.distances < threshold
-            return SearchResult(result.ids[within], result.distances[within])
-        k = min(k * growth, cap)
+    result = grow_topk_to_radius(
+        lambda k: index.topk_search(query, k, ef=ef, filter_fn=filter_fn),
+        threshold,
+        min(max_k or size, size),
+        initial_k,
+        growth,
+    )
+    within = result.distances < threshold
+    return SearchResult(result.ids[within], result.distances[within])

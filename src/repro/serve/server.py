@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.auth import AuthorizationError
 from ..core.search import (
     VectorSearchOptions,
     build_topk_vertex_set,
@@ -500,8 +501,17 @@ class QueryServer:
         timeout: float | None = None,
         params: dict | None = None,
     ) -> ServeFuture:
-        """Queue a GSQL statement; read-only enforced per tenant."""
+        """Queue a GSQL statement; read-only enforced per tenant.
+
+        A role-scoped tenant is refused: GSQL blocks (pattern positions,
+        scans, accumulators) do not enforce row rules, so running one leaks.
+        """
         tenant_obj = self.registry.get(tenant)
+        if tenant_obj.role != "admin":
+            raise AuthorizationError(
+                f"tenant '{tenant}' has role '{tenant_obj.role}'; GSQL, which does "
+                f"not enforce row rules, is served to role 'admin' only"
+            )
         submitted_at = time.monotonic()
         request = QueryRequest(
             kind="gsql",
@@ -860,33 +870,19 @@ class QueryServer:
             )
 
     def _execute_single(self, request: QueryRequest, key, snapshot) -> None:
+        attrs = list(request.vector_attributes)
         try:
-            if request.tenant.role != "admin":
-                # Tenant-scoped view: route through RBAC-filtered search.
-                # It pins its own snapshot and is never cached or fused.
-                value = self._with_retries(
-                    lambda: self.db.access.authorized_search(
-                        request.tenant.role,
-                        list(request.vector_attributes),
-                        request.query,
-                        request.k,
-                        filter=request.filter,
-                        ef=request.ef,
-                    )
-                )
-                self._finish(request, value=value)
-                return
+            # A role-scoped tenant is the same search on the batch's snapshot,
+            # the role's masks ANDed into its pre-filter (never cached or fused).
             options = VectorSearchOptions(
-                filter=request.filter, distance_map=None, ef=request.ef
+                filter=self.db.access.search_filter(
+                    request.tenant.role, snapshot, attrs, request.filter
+                ),
+                ef=request.ef,
             )
             top = self._with_retries(
                 lambda: vector_search_merged(
-                    self.db.service,
-                    snapshot,
-                    list(request.vector_attributes),
-                    request.query,
-                    request.k,
-                    options,
+                    self.db.service, snapshot, attrs, request.query, request.k, options
                 )
             )
         except ReproError as exc:

@@ -2,9 +2,10 @@
 
 A tenant bundles the per-client QoS knobs: a scheduling ``weight`` (share
 of worker capacity under contention), an optional token-bucket rate limit,
-an RBAC ``role`` from :mod:`repro.core.auth` (non-admin tenants are routed
-through ``AccessController.authorized_search``), and an ``allow_writes``
-flag enforced on the GSQL path.
+an RBAC ``role`` from :mod:`repro.core.auth` (enforced as one more term of
+the search pre-filter, ``AccessController.search_filter``, on the snapshot
+the server already holds; served GSQL is refused to non-admin roles), and
+an ``allow_writes`` flag enforced on the GSQL path.
 
 Scheduling is stride-based weighted fair queueing: each tenant carries a
 virtual *pass*; the dispatcher always pops from the non-empty tenant with

@@ -196,3 +196,26 @@ class TestValidation:
             pattern = PathPattern([NodePattern("s", None)])
             with pytest.raises(GSQLSemanticError):
                 match_frontier(snap, store.schema, pattern)
+
+
+class TestDeletedTarget:
+    """An adjacency entry can outlive its target; the target is still no match."""
+
+    @pytest.mark.parametrize("vacuum", [False, True], ids=["pre-vacuum", "post-vacuum"])
+    def test_hop_does_not_reach_a_deleted_vertex(self, store, vacuum):
+        gone = ("Person", store.vid_for_pk("Person", 1))
+        with store.begin() as txn:
+            txn.delete_vertex("Person", 1)
+        if vacuum:
+            store.vacuum()
+        pattern = PathPattern(
+            [NodePattern("s", "Person"), NodePattern("t", "Person")], [EdgeHop("knows")]
+        )
+        filters = {"s": lambda vid, row: row["name"] in ("p0", "p2")}  # none on t
+        with store.snapshot() as snap:
+            frontier = match_frontier(snap, store.schema, pattern, node_filters=filters)
+            bound = {
+                b["t"] for b in match_bindings(snap, store.schema, pattern, node_filters=filters)
+            }
+        assert frontier["t"].members() == bound == vids(store, "Person", [3])
+        assert gone not in bound

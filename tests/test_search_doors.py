@@ -1,0 +1,243 @@
+"""One search, many doors: every entry point gives the same answer.
+
+``core/search.py::vector_search_parts`` is the one attribute loop;
+``db.vector_search``, GSQL ``VectorSearch()``, GSQL ``ORDER BY VECTOR_DIST
+… LIMIT k``, ``AccessController.authorized_search``, ``QueryServer.search``
+and a 2-server ``ElasticTier.search`` are doors onto it.  The differential
+test asserts identical members *and* distance maps across all of them for
+seeded requests — unfiltered, ``VertexSet``-filtered on both sides of the
+brute-force flip, two compatible attributes, role-scoped — so a fifth copy
+of the loop that forgets a check shows up here.  The tests below it pin the
+holes the copies had (each fails at the commit before the loop was made
+one).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import Attribute, AttrType, Metric, TigerVectorDB, VertexSet
+from repro.core.auth import AuthorizationError
+from repro.elastic import ElasticTier
+from repro.errors import DimensionMismatchError, EmbeddingCompatibilityError
+from repro.graph.accumulators import MapAccum
+from repro.serve import QueryServer, ServeConfig, Tenant
+
+DIM, ROWS, K = 8, 100, 5
+BF_THRESHOLD = 8  # rows per 32-row segment below which a filtered scan is exact
+TENANTS = [Tenant("limited", role="en_only")]
+CONFIG = ServeConfig(workers=1, enable_batching=False)
+
+
+@pytest.fixture(scope="module")
+def db():
+    rng = np.random.default_rng(2323)
+    db = TigerVectorDB(segment_size=32, bf_threshold=BF_THRESHOLD)
+    attrs = [
+        Attribute("id", AttrType.INT, primary_key=True),
+        Attribute("lang", AttrType.STRING),
+        Attribute("bucket", AttrType.INT),
+    ]
+    for name, metric in (("Post", Metric.L2), ("Comment", Metric.L2), ("Note", Metric.COSINE)):
+        db.schema.create_vertex_type(name, list(attrs))
+        db.schema.add_embedding_attribute(name, "emb", dimension=DIM, model="m", metric=metric)
+    with db.begin() as txn:
+        for name in ("Post", "Comment", "Note"):
+            for i in range(ROWS):
+                txn.upsert_vertex(name, i, {"lang": "en" if i % 3 else "fr", "bucket": i})
+                txn.set_embedding(name, i, "emb", rng.standard_normal(DIM))
+    db.vacuum()
+    with db.begin() as txn:  # a delta overlay and a tombstone, like a live store
+        txn.set_embedding("Post", 7, "emb", rng.standard_normal(DIM))
+        txn.delete_vertex("Comment", 11)
+    english = lambda row: row["lang"] == "en"  # noqa: E731
+    db.access.create_role("en_only", {"Post": english, "Comment": english})
+    db.gsql.install(
+        """
+        CREATE QUERY SearchAll(List<FLOAT> qv, INT k) {
+          Map<VERTEX, FLOAT> @@d;
+          R = VectorSearch({Post.emb}, qv, k, {distanceMap: @@d});
+        }
+        CREATE QUERY SearchIn(List<FLOAT> qv, INT k, Set<VERTEX> F) {
+          Map<VERTEX, FLOAT> @@d;
+          R = VectorSearch({Post.emb}, qv, k, {filter: F, distanceMap: @@d});
+        }
+        CREATE QUERY SearchBothIn(List<FLOAT> qv, INT k, Set<VERTEX> F) {
+          Map<VERTEX, FLOAT> @@d;
+          R = VectorSearch({Post.emb, Comment.emb}, qv, k, {filter: F, distanceMap: @@d});
+        }
+        """
+    )
+    yield db
+    db.close()
+
+
+@pytest.fixture(scope="module")
+def server(db):
+    with QueryServer(db, CONFIG, tenants=TENANTS) as server:
+        yield server
+
+
+@pytest.fixture(scope="module")
+def tier(db):
+    with ElasticTier(db, num_servers=2, config=CONFIG, tenants=TENANTS) as tier:
+        yield tier
+
+
+def bucket_below(db, types, bound) -> VertexSet:
+    with db.snapshot() as snap:
+        return VertexSet(
+            (t, vid) for t in types for vid, row in snap.scan(t) if row["bucket"] < bound
+        )
+
+
+def visible(db, types) -> VertexSet:
+    out = VertexSet()
+    with db.snapshot() as snap:
+        for t in types:
+            out = out | db.access.visible_vertices("en_only", snap, t)
+    return out
+
+
+def answer(vset, distance_map: dict) -> tuple[list, dict]:
+    return sorted(vset), distance_map
+
+
+def by_vid(db, vertex_map: dict) -> dict:
+    """A GSQL ``Map<VERTEX, FLOAT>`` re-keyed by ``(vertex_type, vid)``."""
+    return {(v.vertex_type, db.vid_for(v.vertex_type, v.pk)): d for v, d in vertex_map.items()}
+
+
+SCENARIOS = {
+    # name: (vertex types, bucket bound of the VertexSet filter or None, role-scoped)
+    "unfiltered": (["Post"], None, False),
+    "filter-above-flip": (["Post"], 60, False),  # 32 + 28 rows: filtered HNSW in both segments
+    "filter-across-flip": (["Post"], 38, False),  # 32 rows: HNSW; 6 rows: exact scan
+    "filter-below-flip": (["Post"], 5, False),  # 5 rows: exact scan
+    "two-attributes": (["Post", "Comment"], None, False),
+    "two-attributes-filtered": (["Post", "Comment"], 40, False),
+    "role": (["Post"], None, True),
+    "role-filtered": (["Post", "Comment"], 50, True),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_door_gives_the_same_answer(db, server, tier, name, seed):
+    types, bound, scoped = SCENARIOS[name]
+    attrs = [f"{t}.emb" for t in types]
+    q = np.random.default_rng(seed).standard_normal(DIM).astype(np.float32)
+    request = None if bound is None else bucket_below(db, types, bound)
+    # What the request may match, as one VertexSet: its filter ∩ the role's rows.
+    effective = request
+    if scoped:
+        effective = visible(db, types) if request is None else request & visible(db, types)
+    tenant = "limited" if scoped else "default"
+    role = "en_only" if scoped else "admin"
+
+    dmap = MapAccum()
+    want = answer(db.vector_search(attrs, q, K, filter=effective, distance_map=dmap), dmap.value)
+    assert len(want[0]) == K
+    if effective is not None:
+        assert set(want[0]) <= effective.members()
+
+    # GSQL VectorSearch()
+    if effective is None and types == ["Post"]:
+        r = db.gsql.run_query("SearchAll", qv=q.tolist(), k=K)
+    else:
+        proc = "SearchIn" if types == ["Post"] else "SearchBothIn"
+        everything = effective if effective is not None else bucket_below(db, types, ROWS)
+        r = db.gsql.run_query(proc, qv=q.tolist(), k=K, F=everything)
+    assert answer(r.sets["R"], by_vid(db, r.accumulators["d"])) == want
+    assert r.sets["R"].distances() == want[1]
+
+    # GSQL ORDER BY VECTOR_DIST ... LIMIT k
+    if effective is None and types == ["Post"]:
+        r = db.gsql.run("SELECT t FROM (t:Post) ORDER BY VECTOR_DIST(t.emb, qv) LIMIT 5", qv=q.tolist())
+    elif scoped and request is None:
+        r = db.gsql.run(  # a row-predicate role is that predicate as a WHERE
+            'SELECT t FROM (t:Post) WHERE t.lang == "en" ORDER BY VECTOR_DIST(t.emb, qv) LIMIT 5',
+            qv=q.tolist(),
+        )
+    else:
+        everything = effective if effective is not None else bucket_below(db, types, ROWS)
+        r = db.gsql.run(
+            "SELECT t FROM (t:C) ORDER BY VECTOR_DIST(t.emb, qv) LIMIT 5", qv=q.tolist(), C=everything
+        )
+    assert answer(r.result, r.result.distances()) == want
+
+    # authorized_search (no distance map of its own)
+    assert sorted(db.access.authorized_search(role, attrs, q, K, filter=request)) == want[0]
+
+    # the served doors
+    for door in (server, tier):
+        dmap = MapAccum()
+        got = door.search(attrs, q, K, tenant=tenant, filter=request, distance_map=dmap)
+        assert answer(got, dmap.value) == want, type(door).__name__
+
+
+# ----------------------------------------------------------------------------
+# the holes the copies had
+# ----------------------------------------------------------------------------
+
+
+def test_elastic_role_scoped_search_returns_only_authorized_rows(db, tier, rng):
+    q = rng.standard_normal(DIM).astype(np.float32)
+    got = tier.search(["Post.emb", "Comment.emb"], q, 10, tenant="limited")
+    assert len(got) == 10
+    assert got.members() <= visible(db, ["Post", "Comment"]).members()
+    assert got == db.access.authorized_search("en_only", ["Post.emb", "Comment.emb"], q, 10)
+
+
+def test_served_role_scoped_distance_map_is_the_admin_map_on_visible_rows(db, server, rng):
+    q = rng.standard_normal(DIM).astype(np.float32)
+    full = MapAccum()
+    db.vector_search(["Post.emb"], q, ROWS, distance_map=full, ef=4 * ROWS)
+    scoped = MapAccum()
+    got = server.search(["Post.emb"], q, K, tenant="limited", distance_map=scoped)
+    assert set(scoped.value) == got.members() and len(got) == K
+    rows = visible(db, ["Post"]).members()
+    nearest = sorted((m for m in full.value if m in rows), key=full.value.get)[:K]
+    assert sorted(got) == sorted(nearest)
+    for member, dist in scoped.value.items():
+        assert dist == pytest.approx(full.value[member], rel=1e-5)
+
+
+@pytest.mark.parametrize("sla", [{}, {"max_staleness": 0}, {"session_token": 0}])
+def test_served_role_scoped_request_pins_one_snapshot(db, server, rng, monkeypatch, sla):
+    pins = []
+    pin = db.store.snapshot
+    monkeypatch.setattr(db.store, "snapshot", lambda: pins.append(1) or pin())
+    q = rng.standard_normal(DIM).astype(np.float32)
+    assert len(server.search(["Post.emb"], q, K, tenant="limited", **sla)) == K
+    assert len(pins) == 1
+
+
+def test_gsql_multi_type_search_checks_compatibility(db, rng):
+    mixed = VertexSet([("Post", v) for v in range(20)] + [("Note", v) for v in range(20)])
+    q = rng.standard_normal(DIM).tolist()
+    with db.snapshot() as snap, pytest.raises(EmbeddingCompatibilityError):
+        db.vector_search(["Post.emb", "Note.emb"], q, 3, snapshot=snap)
+    with pytest.raises(EmbeddingCompatibilityError):
+        db.gsql.run("SELECT t FROM (t:C) ORDER BY VECTOR_DIST(t.emb, qv) LIMIT 3", qv=q, C=mixed)
+
+
+def test_gsql_filtered_block_checks_the_query_dimension(db, rng):
+    short = rng.standard_normal(DIM - 3).tolist()
+    for text in (
+        "SELECT s FROM (s:Post) WHERE s.bucket < 10 ORDER BY VECTOR_DIST(s.emb, qv) LIMIT 5",
+        "SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.emb, qv) < 2.0",
+    ):
+        with pytest.raises(DimensionMismatchError):
+            db.gsql.run(text, qv=short)
+
+
+def test_served_gsql_from_a_role_scoped_tenant_fails_closed(db, server):
+    text = "SELECT s FROM (s:Post) ORDER BY VECTOR_DIST(s.emb, qv) LIMIT 5"
+    qv = [0.0] * DIM
+    with pytest.raises(AuthorizationError):
+        server.submit_gsql(text, tenant="limited", params={"qv": qv})
+    with pytest.raises(AuthorizationError):
+        server.run_gsql(text, tenant="limited", params={"qv": qv})
+    assert len(server.run_gsql(text, params={"qv": qv}).result) == 5
