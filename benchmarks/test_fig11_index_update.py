@@ -4,9 +4,11 @@ Paper shape: incremental update time grows with the fraction of vectors
 updated and crosses the flat full-rebuild line at ~20%; beyond the
 crossover, rebuilding is cheaper.  The mechanism reproduced here is real:
 updating an HNSW entry rewrites its own row — unlink it, give every
-in-neighbour a substitute edge, then run the ordinary insert into a graph
-that is already dense — so per-update cost exceeds the per-insert cost of a
-fresh batch build, whose early inserts meet a small graph.
+in-neighbour a substitute edge, then run a beam search per layer and a
+pruned back-edge per neighbour into a graph that is already dense — while a
+rebuild builds every row at once: exact candidates for all rows from one
+blocked scan, and each neighbour list pruned at most once.  Per vector, an
+update therefore costs several times what a built row does.
 """
 
 from __future__ import annotations

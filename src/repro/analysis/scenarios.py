@@ -20,6 +20,7 @@ from patching.
 
 from __future__ import annotations
 
+import pickle
 import shutil
 import tempfile
 from pathlib import Path
@@ -608,6 +609,78 @@ class HnswInsertVsSave(Scenario):
 
 
 # --------------------------------------------------------------------------
+# a fresh HNSW batch built into a live index vs a lock-free search
+# --------------------------------------------------------------------------
+
+
+class HnswFreshBatchVsSearch(Scenario):
+    """A batch of ids the index has never seen, built into it while a
+    lock-free ``topk_search`` runs.
+
+    Worker 0 builds the batch; worker 1 searches at one of the new vectors.
+    Whatever the interleaving, every id returned must be live and its
+    distance must be the true distance to that id's stored vector.  The
+    existing rows sit far on the other side of the origin from the batch,
+    so a new row read before its kernel row is written (all zeros) would
+    rank first, at the wrong distance.
+
+    With ``validate=True`` the build is the shipped one: vectors, kernel
+    rows and ids first, then the lists, then ``_count`` and the entry point
+    (``hnsw.publish`` sits just before those).  With ``validate=False`` it
+    takes the shortcut of building aside on a copy and publishing the
+    copy's graph and count into the live index before its kernel rows: a
+    search landing at ``hnsw.publish`` walks new rows it reads as zeros.
+    """
+
+    threads = 2
+    description = "fresh HNSW batch built into a live index vs a lock-free search"
+
+    def __init__(self, validate: bool = True):
+        self.validate = validate
+        self.name = "hnsw-fresh-batch-vs-search" + ("" if validate else "-count-first")
+
+    def setup(self):
+        state = _Box()
+        rng = np.random.default_rng(17)
+        state.index = HNSWIndex(dim=_DIM, M=4, ef_construction=16, seed=7)
+        old = rng.standard_normal((8, _DIM)) - 6.0
+        state.index.update_items(range(8), old.astype(np.float32))
+        state.fresh = (rng.standard_normal((6, _DIM)) + 6.0).astype(np.float32)
+        state.query = state.fresh[0]
+        state.found = None
+        return state
+
+    def worker(self, state, index: int) -> None:
+        if index == 1:
+            state.found = state.index.topk_search(state.query, 4, ef=16)
+            return
+        ids = list(range(100, 106))
+        if self.validate:
+            state.index.update_items(ids, state.fresh)
+            return
+        built = pickle.loads(pickle.dumps(state.index))
+        built.update_items(ids, state.fresh)
+        live = state.index
+        for name in ("_ids", "_id_to_row", "_levels", "_links0", "_links0_cnt", "_links_upper"):
+            setattr(live, name, getattr(built, name))
+        live._count = built._count
+        live._entry_point, live._max_level = built._entry_point, built._max_level
+        schedule_point("hnsw.publish")
+        live._vectors[: built._count] = built._vectors[: built._count]
+        live._kernel.set_rows(slice(0, built._count), live._vectors[: built._count])
+
+    def check(self, state) -> None:
+        result = state.found
+        assert len(result.ids), "search over a live index returned nothing"
+        for ext_id, distance in zip(result.ids.tolist(), result.distances.tolist()):
+            assert ext_id in state.index, f"returned id {ext_id} is not live"
+            true = float(np.sum((state.index.get_embedding(ext_id) - state.query) ** 2))
+            assert abs(distance - true) <= 1e-3 * max(1.0, true), (
+                f"id {ext_id} returned at distance {distance}, its vector is at {true}"
+            )
+
+
+# --------------------------------------------------------------------------
 # index merge (row reuse) vs a search pinned on the older snapshot
 # --------------------------------------------------------------------------
 
@@ -766,6 +839,8 @@ MATRIX: list[ScenarioSpec] = [
     ScenarioSpec(lambda: RebalanceVsSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: RebalanceVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: HnswInsertVsSave(), ("pct", 12), False),
+    ScenarioSpec(lambda: HnswFreshBatchVsSearch(validate=False), ("pct", 256), True),
+    ScenarioSpec(lambda: HnswFreshBatchVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(
         lambda: IndexMergeRowReuseVsPinnedSearch(validate=False), ("pct", 256), True
     ),

@@ -39,6 +39,7 @@ from .search import (
     vector_search,
     vector_search_batch,
 )
+from .embedding import require_finite
 from .service import EmbeddingService
 from .vacuum import VacuumManager
 
@@ -202,7 +203,9 @@ class TigerVectorDB:
 
         This is the optimized loading path behind Table 2's short data-load
         times; it bypasses the per-record delta store (appropriate for
-        initial ingest, which needs no MVCC history).
+        initial ingest, which needs no MVCC history).  Vectors new to their
+        segment's index are built in one pass; ``num_threads`` partitions
+        only the rewrites of vertices an earlier load already indexed.
         """
         vectors = np.asarray(vectors, dtype=np.float32)
         embedding = self.schema.vertex_type(vertex_type).embedding(attr)
@@ -211,6 +214,7 @@ class TigerVectorDB:
                 f"vectors have dimension {vectors.shape[1]}, embedding expects "
                 f"{embedding.dimension}"
             )
+        require_finite(vectors, f"embedding '{attr}' bulk load")
         vids = []
         for pk in pks:
             vid = self.store.vid_for_pk(vertex_type, pk)

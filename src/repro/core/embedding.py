@@ -29,7 +29,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, EmbeddingCompatibilityError, SchemaError
+from ..errors import (
+    DimensionMismatchError,
+    EmbeddingCompatibilityError,
+    SchemaError,
+    VectorSearchError,
+)
 from ..types import DataType, IndexType, Metric
 
 __all__ = [
@@ -37,11 +42,26 @@ __all__ = [
     "EmbeddingSpace",
     "EmbeddingType",
     "check_compatible",
+    "require_finite",
 ]
 
 #: Default HNSW construction parameters (M=16, efConstruction=128), matching
 #: the configuration the paper uses across all compared systems (Sec. 6.1).
 DEFAULT_HNSW_PARAMS: Mapping[str, int] = {"M": 16, "ef_construction": 128}
+
+
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` unchanged, or :class:`~repro.errors.VectorSearchError` if
+    any entry is NaN or infinite.
+
+    Every distance to such a vector is NaN or infinite, which no ranking
+    orders: a search would return a wrong answer without an error, and an
+    index build would link the row at random.  Every door a vector enters
+    by — a write, a bulk load, a query — calls this.
+    """
+    if not np.isfinite(values).all():
+        raise VectorSearchError(f"{what} has a NaN or infinite entry")
+    return values
 
 
 @dataclass(frozen=True)
@@ -67,14 +87,15 @@ class EmbeddingType:
             raise SchemaError("embedding attribute name must be non-empty")
 
     def validate_vector(self, vector: np.ndarray) -> np.ndarray:
-        """Coerce ``vector`` to this type's dtype, checking dimensionality."""
+        """Coerce ``vector`` to this type's dtype, checking dimensionality and
+        that every entry is finite."""
         arr = np.asarray(vector, dtype=self.datatype.numpy_dtype).reshape(-1)
         if arr.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 f"embedding '{self.name}' expects dimension {self.dimension}, "
                 f"got {arr.shape[0]}"
             )
-        return arr
+        return require_finite(arr, f"embedding '{self.name}' vector")
 
     def is_compatible_with(self, other: "EmbeddingType") -> bool:
         """True when a single search may span both attributes.

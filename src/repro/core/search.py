@@ -40,7 +40,7 @@ from ..graph.vertex_set import VertexSet
 from ..index.bitmap import Bitmap
 from ..telemetry import get_telemetry
 from .action import ActionStats, EmbeddingAction
-from .embedding import check_compatible
+from .embedding import check_compatible, require_finite
 from .service import EmbeddingService, EmbeddingStore
 
 __all__ = [
@@ -181,6 +181,7 @@ def vector_search_parts(
         raise VectorSearchError("group_size must be at least 1")
     options = options or VectorSearchOptions()
     query = np.asarray(query_vector, dtype=np.float32).reshape(-1)
+    require_finite(query, "query vector")
     targets = resolve_search(service, vector_attributes, query.shape[0])
 
     tel = get_telemetry()
@@ -320,6 +321,7 @@ def vector_search_batch(
         queries = queries.reshape(1, -1)
     if queries.ndim != 2:
         raise VectorSearchError("query_vectors must be a (Q, d) matrix")
+    require_finite(queries, "query vectors")
     targets = resolve_search(service, vector_attributes, queries.shape[1])
 
     if ef is not None or queries.shape[0] < min_fused:

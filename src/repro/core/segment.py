@@ -210,7 +210,9 @@ class EmbeddingSegment:
         """Initial-load fast path: build the snapshot directly, no deltas.
 
         This is the optimized loading-tool path the paper credits for
-        TigerVector's short data-load times (Table 2).
+        TigerVector's short data-load times (Table 2).  Offsets new to the
+        index are built in one pass; ``num_threads`` partitions only the
+        rewrites of offsets an earlier load already put there.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -249,7 +251,7 @@ class EmbeddingSegment:
         vectors = np.array(current.vectors, dtype=np.float32)
         present = current.present.copy()
         if current.index is None:
-            index = rebuild_index(self.embedding, vectors, present, num_threads)
+            index = rebuild_index(self.embedding, vectors, present)
         else:
             index = _clone_index(current.index)
         upserts: dict[int, np.ndarray] = {}
@@ -273,18 +275,18 @@ class EmbeddingSegment:
 
 
 def rebuild_index(
-    embedding: EmbeddingType,
-    vectors: np.ndarray,
-    present: np.ndarray,
-    num_threads: int = 1,
+    embedding: EmbeddingType, vectors: np.ndarray, present: np.ndarray
 ) -> VectorIndex:
-    """Fresh per-segment index over the present rows (tier promotion path)."""
+    """Fresh per-segment index over the present rows (tier promotion path).
+
+    Every row is new to the index, so an HNSW builds them in one pass.
+    """
     index = create_index(
         embedding.index, embedding.dimension, embedding.metric, dict(embedding.index_params)
     )
     offsets = np.flatnonzero(present)
     if offsets.size:
-        index.update_items(offsets.tolist(), vectors[offsets], num_threads=num_threads)
+        index.update_items(offsets.tolist(), vectors[offsets])
     return index
 
 

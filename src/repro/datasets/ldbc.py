@@ -179,7 +179,7 @@ CREATE DIRECTED EDGE isLocatedIn (FROM Person, TO Country);
 """
 
 
-def load_ldbc_into(db, data: LDBCDataset, num_threads: int = 1) -> None:
+def load_ldbc_into(db, data: LDBCDataset) -> None:
     """Create the SNB schema in ``db`` and load the generated dataset."""
     dim = data.config.embedding_dim
     db.run_gsql(LDBC_SCHEMA_GSQL)
@@ -203,11 +203,9 @@ def load_ldbc_into(db, data: LDBCDataset, num_threads: int = 1) -> None:
     db.bulk_load_embeddings(
         "Post", "content_emb",
         [p["id"] for p in data.posts], data.post_embeddings,
-        num_threads=num_threads,
     )
     db.bulk_load_embeddings(
         "Comment", "content_emb",
         [c["id"] for c in data.comments], data.comment_embeddings,
-        num_threads=num_threads,
     )
     db.vacuum()

@@ -26,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from ..core.action import EmbeddingAction
+from ..core.embedding import require_finite
 from ..core.search import (
     VectorSearchOptions,
     merge_sharded_topk,
@@ -524,7 +525,9 @@ def _exec_vector_range(
 ) -> RankedVertexSet:
     vec = info.vector
     vertex_type = _resolve_target_type(info, ctx, vec.alias)
-    query = np.asarray(eval_expr(vec.query_expr, ctx), dtype=np.float32)
+    query = require_finite(
+        np.asarray(eval_expr(vec.query_expr, ctx), dtype=np.float32), "query vector"
+    )
     [(_, store)] = resolve_search(ctx.db.service, [f"{vertex_type}.{vec.attr}"], query.size)
     threshold = float(eval_expr(vec.threshold_expr, ctx))
     bitmaps = None

@@ -277,21 +277,26 @@ class DistanceKernel:
             out += 1.0
         return out
 
-    def pairwise(self, rows, ctx: QueryContext | None = None) -> np.ndarray:
-        """Candidate-to-candidate true-distance matrix (HNSW neighbour
-        selection).  COSINE rows are already prenormalized in the cache, so
-        no per-call norm handling is needed."""
+    def pairwise(self, rows, cols=None) -> np.ndarray:
+        """True distances between stored rows (HNSW neighbour selection and
+        graph build): ``(len(rows), len(cols))``, square over ``rows`` when
+        ``cols`` is omitted.  Either may be an index array or a slice (a
+        slice is read in place, no gather).  COSINE rows are already
+        prenormalized in the cache, so no per-call norm handling is needed.
+        Besides a gathered ``cols``, the product is the only full-size
+        temporary."""
         aug = self._aug[rows]
-        vecs = aug[:, : self.dim]
-        n = vecs.shape[0]
-        if ctx is not None:
-            ctx.num_distances += n * n
+        other = aug if cols is None else self._aug[cols]
+        dim = self.dim
+        out = aug[:, :dim] @ other[:, :dim].T
         if self.metric is Metric.L2:
-            sq = aug[:, self.dim]
-            out = sq[:, None] + sq[None, :] - 2.0 * (vecs @ vecs.T)
+            out *= -2.0
+            out += other[:, dim]
+            out += aug[:, dim, None]
             np.maximum(out, 0.0, out=out)
             return out
-        return 1.0 - vecs @ vecs.T
+        np.subtract(1.0, out, out=out)
+        return out
 
     def cross(self, queries: np.ndarray, n: int | None = None) -> np.ndarray:
         """``(Q, n)`` true distances for a query *matrix*, fully vectorized.

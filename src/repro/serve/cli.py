@@ -46,9 +46,7 @@ def build_demo_db(num_vectors: int, dim: int, seed: int, segment_size: int) -> T
         "Item", "emb", dimension=dim, model="demo", metric=Metric.L2
     )
     db.bulk_load_vertices("Item", [{"id": i} for i in range(num_vectors)])
-    db.bulk_load_embeddings(
-        "Item", "emb", list(range(num_vectors)), vectors, num_threads=2
-    )
+    db.bulk_load_embeddings("Item", "emb", list(range(num_vectors)), vectors)
     return db
 
 

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.auth import AuthorizationError
+from ..core.embedding import require_finite
 from ..core.search import (
     VectorSearchOptions,
     build_topk_vertex_set,
@@ -471,8 +472,15 @@ class QueryServer:
         performed the commit.  Either makes the request SLA-bound: served
         fresh, or failed with :class:`~repro.errors.StalenessBoundError`;
         never silently stale.
+
+        A query with a NaN or infinite entry is refused here with
+        :class:`~repro.errors.VectorSearchError`: queued, it could ride a
+        fused batch, whose stacked scan would fail every rider with it.
         """
         tenant_obj = self.registry.get(tenant)
+        query = require_finite(
+            np.asarray(query_vector, dtype=np.float32).reshape(-1), "query vector"
+        )
         submitted_at = time.monotonic()
         max_staleness = self.config.freshness_contract(max_staleness, session_token)
         request = QueryRequest(
@@ -482,7 +490,7 @@ class QueryServer:
             submitted_at=submitted_at,
             deadline=self._effective_deadline(submitted_at, timeout),
             vector_attributes=tuple(vector_attributes),
-            query=np.asarray(query_vector, dtype=np.float32).reshape(-1),
+            query=query,
             k=int(k),
             ef=ef,
             filter=filter,

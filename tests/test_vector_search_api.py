@@ -11,6 +11,8 @@ from repro.errors import (
     VectorSearchError,
 )
 from repro.graph.accumulators import MapAccum
+from repro.serve import QueryServer, ServeConfig
+from repro.telemetry import Telemetry, use_telemetry
 
 
 class TestVertexSet:
@@ -186,3 +188,73 @@ class TestMultiTypeSearch:
             )
         assert len(out) == 8
         assert all(member in allowed for member in out)
+
+
+class TestNonFiniteVectors:
+    """A NaN or infinite entry is refused with a typed error at every door.
+
+    No distance to such a vector orders: the index would link it at random
+    and a search ranking it would answer wrongly without an error.
+    """
+
+    def test_set_embedding_rejects_infinite_vector(self, loaded_post_db):
+        db = loaded_post_db
+        with pytest.raises(VectorSearchError, match="NaN or infinite"):
+            with db.begin() as txn:
+                txn.set_embedding("Post", 3, "content_emb", np.full(16, np.inf))
+        db.vacuum()  # nothing was committed, so nothing reaches the index
+        assert np.array_equal(
+            db.service.store("Post", "content_emb").get_embedding(db.vid_for("Post", 3)),
+            db._test_vectors[3],
+        )
+
+    def test_bulk_load_rejects_nan_row(self, post_db):
+        vectors = np.ones((3, 16), dtype=np.float32)
+        vectors[1, 5] = np.nan
+        with post_db.begin() as txn:
+            for i in range(3):
+                txn.upsert_vertex("Post", i, {"language": "en", "length": 1})
+        with pytest.raises(VectorSearchError, match="NaN or infinite"):
+            post_db.bulk_load_embeddings("Post", "content_emb", [0, 1, 2], vectors)
+
+    def test_query_with_nan_rejected(self, loaded_post_db):
+        db = loaded_post_db
+        q = db._test_vectors[17].copy()
+        q[0] = np.nan
+        with pytest.raises(VectorSearchError, match="NaN or infinite"):
+            db.vector_search(["Post.content_emb"], q, 5)
+        with pytest.raises(VectorSearchError, match="NaN or infinite"):
+            db.vector_search_batch(["Post.content_emb"], np.stack([db._test_vectors[1], q]), 5)
+        for text in (
+            "SELECT s FROM (s:Post) ORDER BY VECTOR_DIST(s.content_emb, qv) LIMIT 5",
+            "SELECT s FROM (s:Post) WHERE VECTOR_DIST(s.content_emb, qv) < 2.0",
+        ):
+            with pytest.raises(VectorSearchError, match="NaN or infinite"):
+                db.gsql.run(text, qv=q.tolist())
+
+    def test_served_nan_query_fails_alone(self, loaded_post_db):
+        """Admin requests for one ``(attributes, k)`` share a fused batch;
+        a NaN query is refused at the door, so the riders queued around it
+        still fuse and answer exactly as the direct path does.
+        """
+        db = loaded_post_db
+        config = ServeConfig(
+            workers=1,
+            enable_batching=True,
+            enable_cache=False,
+            batch_window_seconds=0.2,
+            min_fused=2,
+        )
+        bad = db._test_vectors[17].copy()
+        bad[0] = np.nan
+        good = [db._test_vectors[i] for i in (1, 2, 5, 8)]
+        telemetry = Telemetry()
+        with use_telemetry(telemetry), QueryServer(db, config) as server:
+            futures = [server.submit_search(["Post.content_emb"], q, 5) for q in good[:2]]
+            with pytest.raises(VectorSearchError, match="NaN or infinite"):
+                server.submit_search(["Post.content_emb"], bad, 5)
+            futures += [server.submit_search(["Post.content_emb"], q, 5) for q in good[2:]]
+            results = [future.result(timeout=30) for future in futures]
+        for q, got in zip(good, results):
+            assert sorted(got) == sorted(db.vector_search(["Post.content_emb"], q, 5))
+        assert telemetry.registry.snapshot()["counters"].get("serve.fused_queries", 0) > 0
