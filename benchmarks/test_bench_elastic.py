@@ -57,9 +57,7 @@ def build_identity_db(n: int = 1500, segment_size: int = 192):
         metric=dataset.metric,
     )
     db.bulk_load_vertices("Item", [{"id": i} for i in range(n)])
-    db.bulk_load_embeddings(
-        "Item", "emb", list(range(n)), dataset.vectors, num_threads=2
-    )
+    db.bulk_load_embeddings("Item", "emb", list(range(n)), dataset.vectors)
     return db, dataset
 
 

@@ -69,16 +69,13 @@ def main() -> None:
     print(f"fresh reader sees the restored vector:      {bool(np.allclose(new_view, vectors[7]))}")
     pinned.release()
 
-    # --- the two vacuum stages, and thread tuning --------------------------
-    from repro.core.vacuum import tune_merge_threads
-
+    # --- the two vacuum stages -------------------------------------------
     with db.begin() as txn:
         for i in range(20, 30):
             txn.set_embedding("Item", i, "emb", rng.standard_normal(DIM))
-    flushed = db.vacuum_manager.delta_merge(store)       # fast: memory -> file
-    merged = db.vacuum_manager.index_merge(store, num_threads=tune_merge_threads(0.25))
-    print(f"delta merge flushed {flushed} records; index merge folded {merged} "
-          f"(threads chosen for a 25%-busy machine: {tune_merge_threads(0.25)})")
+    flushed = db.vacuum_manager.delta_merge(store)  # fast: memory -> file
+    merged = db.vacuum_manager.index_merge(store)   # one pass per segment, in record order
+    print(f"delta merge flushed {flushed} records; index merge folded {merged}")
 
     # --- crash recovery from the WAL ---------------------------------------
     db.store.wal.close()

@@ -156,7 +156,7 @@ class CommitVsCachedSearch(Scenario):
     def setup(self):
         state = _Box()
         state.db = _make_doc_db()
-        state.db.vacuum(num_threads=1)
+        state.db.vacuum()
         state.cache = ResultCache()
         state.query = np.zeros(_DIM, dtype=np.float32)
         state.query[0] = 100.0
@@ -245,7 +245,7 @@ class SessionTokenVsCommitPublish(Scenario):
     def setup(self):
         state = _Box()
         state.db = _make_doc_db()
-        state.db.vacuum(num_threads=1)
+        state.db.vacuum()
         state.query = np.zeros(_DIM, dtype=np.float32)
         state.query[0] = 100.0
         state.new_vector = np.zeros(_DIM, dtype=np.float32)
@@ -323,7 +323,7 @@ class VacuumVsSearch(Scenario):
 
     def worker(self, state, index: int) -> None:
         if index == 0:
-            state.db.vacuum(num_threads=1)
+            state.db.vacuum()
             return
         with state.db.snapshot() as snapshot:
             top = vector_search_merged(
@@ -377,7 +377,7 @@ class TierDemoteVsSearch(Scenario):
     def setup(self):
         state = _Box()
         state.db = _make_doc_db()
-        state.db.vacuum(num_threads=1)  # fold deltas in so the segment is sealed
+        state.db.vacuum()  # fold deltas in so the segment is sealed
         state.store = state.db.service.store("Doc", "vec")
         state.config = PQSearchConfig(m=2, train_iterations=4, seed=5)
         state.store.pq_config = state.config
@@ -465,7 +465,7 @@ class RebalanceVsSearch(Scenario):
     def setup(self):
         state = _Box()
         state.db = _make_doc_db(num_docs=10)  # 2 segments -> groups {0, 1}
-        state.db.vacuum(num_threads=1)
+        state.db.vacuum()
         state.lock = SanitizedLock(name="elastic.ownership.lock")
         state.owner = {0: "a", 1: "a"}  # router's entry map: group -> server
         state.served_by = {"a": {0, 1}, "b": set()}  # shard ownership sets
@@ -585,7 +585,7 @@ class HnswInsertVsSave(Scenario):
         state.index = HNSWIndex(dim=_DIM, M=4, ef_construction=16, seed=7)
         rng = np.random.default_rng(11)
         base = rng.standard_normal((6, _DIM)).astype(np.float32)
-        state.index.update_items(range(6), base, num_threads=1)
+        state.index.update_items(range(6), base)
         state.extra = rng.standard_normal((3, _DIM)).astype(np.float32)
         state.dir = Path(tempfile.mkdtemp(prefix="repro-explore-"))
         state.path = state.dir / "hnsw.idx"
@@ -593,7 +593,7 @@ class HnswInsertVsSave(Scenario):
 
     def worker(self, state, index: int) -> None:
         if index == 0:
-            state.index.update_items([6, 7, 8], state.extra, num_threads=1)
+            state.index.update_items([6, 7, 8], state.extra)
             return
         state.index.save(state.path)
 
@@ -711,7 +711,7 @@ class IndexMergeRowReuseVsPinnedSearch(Scenario):
     def setup(self):
         state = _Box()
         state.db = _make_doc_db()
-        state.db.vacuum(num_threads=1)  # every doc is a row of the index
+        state.db.vacuum()  # every doc is a row of the index
         state.store = state.db.service.store("Doc", "vec")
         state.store.bf_threshold = 0  # walk the graph, not the raw rows
         state.query = np.zeros(_DIM, dtype=np.float32)
@@ -726,7 +726,7 @@ class IndexMergeRowReuseVsPinnedSearch(Scenario):
     def worker(self, state, index: int) -> None:
         if index == 0:
             if self.validate:
-                state.db.vacuum(num_threads=1)
+                state.db.vacuum()
             else:
                 current = state.store.segment(0).current_snapshot()
                 current.index.update_items([0], state.moved.reshape(1, -1))

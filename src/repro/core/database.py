@@ -112,9 +112,9 @@ class TigerVectorDB:
         """Latest published commit TID (read-your-writes token; see serve)."""
         return self.store.session_token()
 
-    def vacuum(self, num_threads: int | None = None) -> dict:
+    def vacuum(self) -> dict:
         """Run one synchronous vacuum round (delta merge + index merge + graph)."""
-        return self.vacuum_manager.run_once(num_threads=num_threads)
+        return self.vacuum_manager.run_once()
 
     # -------------------------------------------------------------- tiering
     def enable_tiering(
@@ -197,15 +197,14 @@ class TigerVectorDB:
         attr: str,
         pks: Sequence[Any],
         vectors: np.ndarray,
-        num_threads: int = 1,
     ) -> int:
         """Fast-path embedding load: vids resolved, segments built directly.
 
         This is the optimized loading path behind Table 2's short data-load
         times; it bypasses the per-record delta store (appropriate for
         initial ingest, which needs no MVCC history).  Vectors new to their
-        segment's index are built in one pass; ``num_threads`` partitions
-        only the rewrites of vertices an earlier load already indexed.
+        segment's index are built in one pass, then vertices an earlier load
+        already indexed are rewritten in record order.
         """
         vectors = np.asarray(vectors, dtype=np.float32)
         embedding = self.schema.vertex_type(vertex_type).embedding(attr)
@@ -222,12 +221,7 @@ class TigerVectorDB:
                 raise KeyError(f"vertex {vertex_type}({pk!r}) does not exist")
             vids.append(vid)
         store = self.service.store(vertex_type, attr)
-        store.bulk_load(
-            np.asarray(vids, dtype=np.int64),
-            vectors,
-            tid=self.store.last_tid,
-            num_threads=num_threads,
-        )
+        store.bulk_load(np.asarray(vids, dtype=np.int64), vectors, tid=self.store.last_tid)
         return len(vids)
 
     # --------------------------------------------------------------- search

@@ -206,13 +206,16 @@ class EmbeddingSegment:
         return None
 
     # ---------------------------------------------------------- bulk build
-    def bulk_load(self, offsets: np.ndarray, vectors: np.ndarray, tid: int, num_threads: int = 1) -> None:
+    def bulk_load(self, offsets: np.ndarray, vectors: np.ndarray, tid: int) -> None:
         """Initial-load fast path: build the snapshot directly, no deltas.
 
         This is the optimized loading-tool path the paper credits for
         TigerVector's short data-load times (Table 2).  Offsets new to the
-        index are built in one pass; ``num_threads`` partitions only the
-        rewrites of offsets an earlier load already put there.
+        index are built in one pass, then offsets an earlier load already
+        put there are rewritten in record order.  A hot current snapshot is
+        written in place; a cold one (tier-demoted: PQ codes, no index,
+        rows perhaps a read-only memmap) is left as it is, and the load goes
+        into a :meth:`hot_copy` that is then installed.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -220,58 +223,70 @@ class EmbeddingSegment:
             raise VectorSearchError("offsets and vectors length mismatch")
         if np.any((offsets < 0) | (offsets >= self.capacity)):
             raise VectorSearchError("offset outside segment capacity")
-        snap = self._current
+        snap = self.current_snapshot()
+        cold = snap.index is None
+        if cold:
+            snap = self.hot_copy(snap)
         snap.vectors[offsets] = vectors
         snap.present[offsets] = True
         snap._kernel = None  # in-place mutation invalidates the scan kernel
-        snap.index.update_items(offsets.tolist(), vectors, num_threads=num_threads)
+        snap.index.update_items(offsets.tolist(), vectors)
         snap.tid = max(snap.tid, tid)
+        if cold:
+            self.install_snapshot(snap)
 
     # ----------------------------------------------------- snapshot builds
+    def hot_copy(self, snap: SegmentSnapshot) -> SegmentSnapshot:
+        """A hot, same-tid copy of ``snap`` that can be written without
+        touching ``snap``: its rows materialized (a cold snapshot's may be a
+        read-only memmap) and its index cloned, or, for a cold snapshot,
+        which has none, rebuilt from the present rows.
+        """
+        vectors = np.array(snap.vectors, dtype=np.float32)
+        present = snap.present.copy()
+        if snap.index is None:
+            index = rebuild_index(self.embedding, vectors, present)
+        else:
+            index = _clone_index(snap.index)
+        return SegmentSnapshot(tid=snap.tid, index=index, vectors=vectors, present=present)
+
     def build_next_snapshot(
-        self,
-        records: list[DeltaRecord],
-        new_tid: int,
-        segment_size: int,
-        num_threads: int = 1,
+        self, records: list[DeltaRecord], new_tid: int, segment_size: int
     ) -> SegmentSnapshot:
         """Apply delta records for this segment to a copy of the snapshot.
 
-        This is the index-merge step: the current snapshot is cloned, the
-        deltas are folded in with ``update_items`` / ``delete_items``, and
-        the result is returned for :meth:`install_snapshot` to switch to.
+        This is the index-merge step: the current snapshot is copied
+        (:meth:`hot_copy`), the deltas are folded in with ``update_items`` /
+        ``delete_items``, and the result is returned for
+        :meth:`install_snapshot` to switch to.  The last record per offset
+        decides: a delete followed by an upsert leaves the offset live.
         """
         with self._lock:  # pin one coherent snapshot to clone from
             current = self._current
-        # A cold current is re-hydrated here: materialize the (possibly
-        # memmapped) rows and rebuild the index from present rows.  The
-        # merged segment is published hot; the tier manager re-demotes it
-        # at the rebalance that follows the vacuum pass if it is still cold
-        # by access heat.
-        vectors = np.array(current.vectors, dtype=np.float32)
-        present = current.present.copy()
-        if current.index is None:
-            index = rebuild_index(self.embedding, vectors, present)
-        else:
-            index = _clone_index(current.index)
+        # A cold current is re-hydrated by the copy.  The merged segment is
+        # published hot; the tier manager re-demotes it at the rebalance
+        # that follows the vacuum pass if it is still cold by access heat.
+        snap = self.hot_copy(current)
+        snap.tid = new_tid
         upserts: dict[int, np.ndarray] = {}
-        deletes: list[int] = []
+        deletes: dict[int, None] = {}
         for record in records:
             offset = record.vid % segment_size
             if record.action == UPSERT:
+                deletes.pop(offset, None)
                 upserts[offset] = record.vector
-                vectors[offset] = record.vector
-                present[offset] = True
+                snap.vectors[offset] = record.vector
+                snap.present[offset] = True
             elif record.action == DELETE:
                 upserts.pop(offset, None)
-                present[offset] = False
-                deletes.append(offset)
+                deletes[offset] = None
+                snap.present[offset] = False
         if upserts:
             offs = list(upserts)
-            index.update_items(offs, np.stack([upserts[o] for o in offs]), num_threads=num_threads)
+            snap.index.update_items(offs, np.stack([upserts[o] for o in offs]))
         if deletes:
-            index.delete_items(deletes)
-        return SegmentSnapshot(tid=new_tid, index=index, vectors=vectors, present=present)
+            snap.index.delete_items(list(deletes))
+        return snap
 
 
 def rebuild_index(

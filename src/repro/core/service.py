@@ -214,7 +214,7 @@ class EmbeddingStore:
         return max(0, ceiling - snapshot_tid)
 
     # ------------------------------------------------------------ loading
-    def bulk_load(self, vids: np.ndarray, vectors: np.ndarray, tid: int, num_threads: int = 1) -> None:
+    def bulk_load(self, vids: np.ndarray, vectors: np.ndarray, tid: int) -> None:
         """Partition a bulk batch by segment and build each directly."""
         vids = np.asarray(vids, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -224,9 +224,7 @@ class EmbeddingStore:
         # Not np.unique: on NumPy 2 its first call imports numpy.ma (1.6 MB).
         for seg_no in sorted(set(seg_nos.tolist())):
             mask = seg_nos == seg_no
-            self.segment(seg_no).bulk_load(
-                vids[mask] % self.segment_size, vectors[mask], tid, num_threads=num_threads
-            )
+            self.segment(seg_no).bulk_load(vids[mask] % self.segment_size, vectors[mask], tid)
 
     # -------------------------------------------------------------- reads
     def get_embedding(self, vid: int, snapshot_tid: int | None = None) -> np.ndarray | None:

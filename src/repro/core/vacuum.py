@@ -7,12 +7,14 @@ the vacuum into two independent processes:
 - **delta merge** — cut the in-memory delta store into an immutable delta
   file covering TIDs up to a chosen point;
 - **index merge** — fold accumulated delta files into a *new* index snapshot
-  per segment (parallel ``update_items``), switch segments to the new
-  snapshot, and retire the old one until no live transaction can see it.
+  per segment (one ``update_items`` pass per segment, in record order),
+  switch segments to the new snapshot, and retire the old one until no
+  live transaction can see it.
 
-The index merge tunes its thread count from CPU utilization so background
-index building does not starve foreground queries
-(:func:`tune_merge_threads`).
+The paper runs the index merge on a pool of index-update threads sized from
+CPU utilization.  Here a segment's merge is one pass under its index's one
+write lock, so extra threads could only take turns on that lock; the
+merged graph is a function of the delta records alone (DESIGN §1).
 
 :class:`VacuumManager` exposes both one-shot (``run_once``) and background
 (``start``/``stop``) operation; tests use one-shot for determinism.
@@ -38,31 +40,7 @@ from ..graph.storage import GraphStore
 from ..telemetry import get_telemetry
 from .service import EmbeddingService, EmbeddingStore
 
-__all__ = ["VacuumManager", "VacuumStats", "tune_merge_threads"]
-
-
-def tune_merge_threads(
-    cpu_utilization: float,
-    max_threads: int | None = None,
-    min_threads: int = 1,
-) -> int:
-    """Pick an index-merge thread count from current CPU utilization.
-
-    The paper monitors CPU utilization and dynamically tunes the number of
-    parallel index-update threads to balance merge throughput against
-    responsiveness for foreground queries.  The policy here: use the idle
-    fraction of the machine, always keeping at least one thread.
-
-    >>> tune_merge_threads(0.0, max_threads=8)
-    8
-    >>> tune_merge_threads(0.9, max_threads=8)
-    1
-    """
-    if not 0.0 <= cpu_utilization <= 1.0:
-        raise ValueError("cpu_utilization must be within [0, 1]")
-    cores = max_threads if max_threads is not None else (os.cpu_count() or 4)
-    idle = 1.0 - cpu_utilization
-    return max(min_threads, int(round(cores * idle)))
+__all__ = ["VacuumManager", "VacuumStats"]
 
 
 @dataclass
@@ -76,7 +54,6 @@ class VacuumStats:
     #: Store visits skipped because the owning tenant's per-round record
     #: quota was already consumed (the store is retried next round).
     quota_deferrals: int = 0
-    last_merge_threads: int = 0
     delta_merge_seconds: float = 0.0
     index_merge_seconds: float = 0.0
 
@@ -89,16 +66,10 @@ class VacuumManager:
         graph_store: GraphStore,
         service: EmbeddingService,
         spill_dir: str | os.PathLike | None = None,
-        cpu_probe=None,
-        max_merge_threads: int | None = None,
     ):
         self.graph_store = graph_store
         self.service = service
         self.spill_dir = Path(spill_dir) if spill_dir else None
-        #: Callable returning current CPU utilization in [0, 1]; injectable
-        #: for tests.  Defaults to load-average based estimate.
-        self.cpu_probe = cpu_probe or _default_cpu_probe
-        self.max_merge_threads = max_merge_threads
         self.stats = VacuumStats()
         #: Optional :class:`repro.tier.TierManager`.  Tier rebalancing runs
         #: at the end of each vacuum round — the natural MVCC boundary: the
@@ -191,7 +162,7 @@ class VacuumManager:
             tel.observe("vacuum.delta_size", flushed)
         return flushed
 
-    def index_merge(self, store: EmbeddingStore, num_threads: int | None = None) -> int:
+    def index_merge(self, store: EmbeddingStore) -> int:
         """Fold all flushed delta files into new per-segment index snapshots.
 
         Returns the number of records merged.  Old snapshots and consumed
@@ -207,11 +178,6 @@ class VacuumManager:
                 # may have become unreachable since the last merge.
                 self._gc_store(store)
                 return 0
-            if num_threads is None:
-                num_threads = tune_merge_threads(
-                    self.cpu_probe(), max_threads=self.max_merge_threads
-                )
-            self.stats.last_merge_threads = num_threads
             start = time.perf_counter()
             new_tid = max(f.to_tid for f in files)
             merged = 0
@@ -221,9 +187,7 @@ class VacuumManager:
                     seg_records.setdefault(record.vid // store.segment_size, []).append(record)
             for seg_no, records in sorted(seg_records.items()):
                 segment = store.segment(seg_no)
-                snapshot = segment.build_next_snapshot(
-                    records, new_tid, store.segment_size, num_threads=num_threads
-                )
+                snapshot = segment.build_next_snapshot(records, new_tid, store.segment_size)
                 segment.install_snapshot(snapshot)
                 self.stats.snapshots_installed += 1
                 merged += len(records)
@@ -265,7 +229,7 @@ class VacuumManager:
         if reclaimed:
             get_telemetry().inc("vacuum.versions_reclaimed", reclaimed)
 
-    def run_once(self, num_threads: int | None = None) -> dict:
+    def run_once(self) -> dict:
         """One full vacuum round across every embedding store (+ graph vacuum).
 
         Stores whose tenant has already consumed its per-round quota are
@@ -279,7 +243,7 @@ class VacuumManager:
                 deferred += 1
                 continue
             store_flushed = self.delta_merge(store)
-            store_merged = self.index_merge(store, num_threads=num_threads)
+            store_merged = self.index_merge(store)
             consumed[tenant] = consumed.get(tenant, 0) + store_flushed + store_merged
             flushed += store_flushed
             merged += store_merged
@@ -338,13 +302,3 @@ class VacuumManager:
             threads, self._threads = self._threads, []
         for thread in threads:
             thread.join(timeout=5)
-
-
-def _default_cpu_probe() -> float:
-    """Rough CPU utilization estimate from the 1-minute load average."""
-    try:
-        load = os.getloadavg()[0]
-    except OSError:  # pragma: no cover - platform without getloadavg
-        return 0.5
-    cores = os.cpu_count() or 1
-    return min(1.0, load / cores)

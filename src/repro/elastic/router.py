@@ -562,8 +562,18 @@ class ElasticTier:
         return out
 
     def stats(self) -> dict:
-        """Router + per-server stats for the CLI/shell surfaces."""
+        """Router + per-server stats for the CLI/shell surfaces.
+
+        ``routed_requests``, ``route_retries``, ``cache_coherence_bypass``
+        and ``crash_failovers`` are read from the active telemetry registry;
+        with telemetry off (the default) nothing counts them, and they are
+        ``None``, not 0.
+        """
         tel = get_telemetry()
+
+        def counter(name: str) -> int | None:
+            return tel.registry.counter(name).value if tel.enabled else None
+
         per_server = {}
         for name, shard in sorted(self.shards.items()):
             stats = shard.stats()
@@ -584,10 +594,8 @@ class ElasticTier:
             "ownership": self.ownership(),
             "rebalances": len(self._rebalance_log),
             "rebalance_log": list(self._rebalance_log),
-            "routed_requests": tel.registry.counter("elastic.routed_requests").value,
-            "route_retries": tel.registry.counter("elastic.route_retries").value,
-            "cache_coherence_bypass": tel.registry.counter(
-                "elastic.cache_coherence_bypass"
-            ).value,
-            "crash_failovers": tel.registry.counter("elastic.crash_failovers").value,
+            "routed_requests": counter("elastic.routed_requests"),
+            "route_retries": counter("elastic.route_retries"),
+            "cache_coherence_bypass": counter("elastic.cache_coherence_bypass"),
+            "crash_failovers": counter("elastic.crash_failovers"),
         }

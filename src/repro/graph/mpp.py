@@ -10,9 +10,8 @@ the caller.  :meth:`MPPExecutor.map` therefore pools a search step only
 when it is such a kernel and large enough to repay the hand-off; an HNSW
 traversal holds the GIL and runs in the caller's thread.
 
-The pool is shared and sized like TigerVector's dynamically-tuned vacuum
-pool: ``max_workers`` defaults to the CPU count but can be tuned down when
-foreground queries need headroom.
+The pool is shared: ``max_workers`` defaults to the CPU count and can be
+set lower when foreground queries need headroom.
 """
 
 from __future__ import annotations

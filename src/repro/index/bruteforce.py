@@ -79,7 +79,7 @@ class BruteForceIndex(VectorIndex):
         self._capacity = new_capacity
         self._bind()
 
-    def update_items(self, ids: Sequence[int], vectors: np.ndarray, num_threads: int = 1) -> None:
+    def update_items(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim == 1:
             vectors = vectors.reshape(1, -1)

@@ -160,7 +160,7 @@ class HNSWIndex(VectorIndex):
 
     # ------------------------------------------------------------ plumbing
     def _grow(self, needed: int) -> None:
-        with self._write_lock:  # reentrant: usually already held by _insert
+        with self._write_lock:  # reentrant: usually already held by update_items
             if needed <= self._capacity:
                 return
             new_capacity = max(needed, self._capacity * 2)
@@ -223,7 +223,7 @@ class HNSWIndex(VectorIndex):
         layer = self._links_upper[level - 1]
         return np.asarray(layer.get(row, ()), dtype=np.int32)
 
-    def _set_neighbors(self, row: int, level: int, neighbors: Sequence[int]) -> None:  # repro: noqa[R001] -- link-repair internal; every caller (_insert/_append_link) holds _write_lock
+    def _set_neighbors(self, row: int, level: int, neighbors: Sequence[int]) -> None:  # repro: noqa[R001] -- link-repair internal; every caller (_insert_locked/_append_link/_link_layer) holds _write_lock
         if level == 0:
             n = len(neighbors)
             self._links0[row, :n] = neighbors
@@ -491,7 +491,7 @@ class HNSWIndex(VectorIndex):
                     chosen.add(i)
         return [int(rows[i]) for i in selected]
 
-    def _append_link(self, node: int, level: int, new_row: int) -> None:  # repro: noqa[R001] -- backlink hot path; only reachable from _insert, which holds _write_lock
+    def _append_link(self, node: int, level: int, new_row: int) -> None:  # repro: noqa[R001] -- backlink hot path; only reachable from _insert_locked, under _write_lock
         """Add a backlink, pruning with the diversity heuristic on overflow."""
         bound = self.M0 if level == 0 else self.M
         if level == 0:
@@ -526,14 +526,6 @@ class HNSWIndex(VectorIndex):
         return self._select_neighbors(
             ranked[: max(self.ef_construction, self._links0_width + 1)], bound
         )
-
-    def _insert(self, external_id: int, vector: np.ndarray) -> None:
-        schedule_point("hnsw.insert")
-        self._write_lock.acquire()  # reentrant under update_items' batch lock
-        try:
-            self._insert_locked(external_id, vector)
-        finally:
-            self._write_lock.release()
 
     def _substitutes(self, holders: np.ndarray, lists: np.ndarray, out: np.ndarray) -> np.ndarray:
         """For each holder, the member of ``out`` nearest to it that it does
@@ -611,7 +603,7 @@ class HNSWIndex(VectorIndex):
                         nbrs[nbrs.index(row)] = sub
                 layer[row] = []
 
-    def _insert_locked(self, external_id: int, vector: np.ndarray) -> None:  # repro: noqa[R001] -- body of _insert, entered only with _write_lock held
+    def _insert_locked(self, external_id: int, vector: np.ndarray) -> None:  # repro: noqa[R001] -- row rewrite; update_items calls it with _write_lock held
         # An update rewrites its own row (live or tombstoned): links chosen
         # for the old vector are unlinked and repaired, then the insert below
         # runs at the same row and level.  The index therefore never holds
@@ -815,7 +807,7 @@ class HNSWIndex(VectorIndex):
                 n = int(np.count_nonzero(row_dist < np.inf))
                 yield row, list(zip(row_dist[:n].tolist(), cols[row_pick[:n]].tolist()))
 
-    def update_items(self, ids: Sequence[int], vectors: np.ndarray, num_threads: int = 1) -> None:
+    def update_items(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         """Insert-or-replace a batch (UpdateItems, Sec. 4.4).
 
         Which path a record takes depends only on whether the index already
@@ -829,14 +821,9 @@ class HNSWIndex(VectorIndex):
           at a time, in record order (:meth:`_insert_locked`), after the
           fresh rows are in.
 
-        ``num_threads`` applies to the rewrites only: ``> 1`` partitions
-        them into per-thread id subsets (each kept in record order, as the
-        paper describes); they serialize on the write lock because the graph
-        is shared — in this Python port the win is overlap with numpy
-        kernels, not full parallelism.  The fresh build is one pass whatever
-        its value.  With ``num_threads <= 1`` the write lock is held from
-        the build to the last rewrite, so ``save`` and other writers see
-        the batch whole.
+        The whole batch is one hold of the write lock, from the build to the
+        last rewrite, so ``save`` and other writers see it whole, and the
+        graph it leaves is a function of the index and the batch alone.
         """
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim == 1:
@@ -847,29 +834,9 @@ class HNSWIndex(VectorIndex):
             raise VectorSearchError("ids and vectors length mismatch")
         start = time.perf_counter()
         ids = [int(ext_id) for ext_id in ids]
-        with self._write_lock:  # a sequential batch is one hold, start to end
-            held = self._build_fresh(ids, vectors)
-            sequential = num_threads <= 1 or len(held) < 4
-            if sequential:
-                for i in held:
-                    self._insert(ids[i], vectors[i])
-        if not sequential:
-            chunks = np.array_split(np.asarray(held), num_threads)
-
-            def worker(chunk: np.ndarray) -> None:
-                for i in chunk:
-                    with self._write_lock:
-                        self._insert(ids[i], vectors[i])
-
-            threads = [
-                threading.Thread(target=worker, args=(chunk,), name=f"hnsw-update-{t}")
-                for t, chunk in enumerate(chunks)
-                if chunk.size
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        with self._write_lock:
+            for i in self._build_fresh(ids, vectors):
+                self._insert_locked(ids[i], vectors[i])
         self._stats.build_seconds += time.perf_counter() - start
 
     def delete_items(self, ids: Sequence[int]) -> None:

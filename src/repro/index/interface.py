@@ -135,12 +135,7 @@ class VectorIndex:
         raise NotImplementedError
 
     # -- UpdateItems -----------------------------------------------------
-    def update_items(
-        self,
-        ids: Sequence[int],
-        vectors: np.ndarray,
-        num_threads: int = 1,
-    ) -> None:
+    def update_items(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         """Insert-or-replace vectors; the incremental vacuum path (Sec. 4.3)."""
         raise NotImplementedError
 

@@ -125,7 +125,7 @@ class IVFFlatIndex(VectorIndex):
         return rows, self._kernel.distances(self._kernel.query(query), rows)
 
     # ------------------------------------------------------------- updates
-    def update_items(self, ids: Sequence[int], vectors: np.ndarray, num_threads: int = 1) -> None:
+    def update_items(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim == 1:
             vectors = vectors.reshape(1, -1)

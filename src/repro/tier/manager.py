@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..analysis.hooks import schedule_point
-from ..core.segment import EmbeddingSegment, SegmentSnapshot, rebuild_index
+from ..core.segment import EmbeddingSegment, SegmentSnapshot
 from ..core.service import EmbeddingService, EmbeddingStore
 from ..errors import ReproError
 from ..index.pq import PQCodebook, PQCodes, PQSearchConfig
@@ -151,14 +151,7 @@ def promote_segment(store: EmbeddingStore, segment: EmbeddingSegment) -> bool:
     snap = segment.current_snapshot()
     if snap.tier != "cold":
         return False
-    vectors = np.array(snap.vectors, dtype=np.float32)
-    index = rebuild_index(store.embedding, vectors, snap.present)
-    hot = SegmentSnapshot(
-        tid=snap.tid,
-        index=index,
-        vectors=vectors,
-        present=snap.present.copy(),
-    )
+    hot = segment.hot_copy(snap)
     schedule_point("tier.publish")
     try:
         segment.install_snapshot(hot)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.delta import DELETE, UPSERT, DeltaFile, DeltaRecord, DeltaStore
-from repro.core.vacuum import tune_merge_threads
 from repro.errors import ReproError
 
 
@@ -76,24 +75,6 @@ class TestDeltaFile:
         assert loaded.records[0].action == UPSERT
         assert np.allclose(loaded.records[0].vector, 1.0)
         assert loaded.records[1].vector is None
-
-
-class TestThreadTuning:
-    def test_idle_machine_uses_all_threads(self):
-        assert tune_merge_threads(0.0, max_threads=8) == 8
-
-    def test_busy_machine_backs_off(self):
-        assert tune_merge_threads(0.9, max_threads=8) == 1
-
-    def test_half_busy(self):
-        assert tune_merge_threads(0.5, max_threads=8) == 4
-
-    def test_always_at_least_one(self):
-        assert tune_merge_threads(1.0, max_threads=16) == 1
-
-    def test_invalid_utilization(self):
-        with pytest.raises(ValueError):
-            tune_merge_threads(1.5)
 
 
 class TestVacuumEndToEnd:
@@ -172,3 +153,56 @@ class TestVacuumEndToEnd:
             assert store.pending_delta_count() == 0
         finally:
             db.vacuum_manager.stop()
+
+
+class TestIndexMergeRecordOrder:
+    """A vacuum's index merge is one pass per segment, in record order."""
+
+    @staticmethod
+    def demo_db():
+        from repro.serve.cli import build_demo_db
+
+        return build_demo_db(800, 8, 1, 400)
+
+    def test_delete_then_set_survives_the_merge(self):
+        db = self.demo_db()
+        q = np.random.default_rng(5).standard_normal(8).astype(np.float32) * 3
+        with db.begin() as txn:
+            txn.delete_embedding("Item", 3, "emb")
+        with db.begin() as txn:
+            txn.set_embedding("Item", 3, "emb", q)
+        assert sorted(db.vector_search(["Item.emb"], q, 1)) == [("Item", 3)]
+        db.vacuum()
+        # The later upsert decides: the offset is live in the index too.
+        assert sorted(db.vector_search(["Item.emb"], q, 1)) == [("Item", 3)]
+        with db.begin() as txn:
+            txn.set_embedding("Item", 4, "emb", q + 1)
+        with db.begin() as txn:
+            txn.delete_embedding("Item", 4, "emb")
+        db.vacuum()
+        store = db.service.store("Item", "emb")
+        assert store.get_embedding(db.vid_for("Item", 4)) is None
+        assert ("Item", 4) not in db.vector_search(["Item.emb"], q + 1, 5)
+        db.close()
+
+    def test_same_commits_give_byte_identical_graphs(self):
+        graphs = []
+        for _ in range(2):
+            db = self.demo_db()
+            rng = np.random.default_rng(9)
+            index = db.service.store("Item", "emb").segment(0).index
+            updates_before = index.stats.num_updates
+            for pk in range(0, 40, 4):
+                with db.begin() as txn:
+                    for offset in range(4):
+                        txn.set_embedding("Item", pk + offset, "emb", rng.standard_normal(8))
+            with db.begin() as txn:
+                txn.delete_embedding("Item", 50, "emb")
+            db.vacuum()
+            index = db.service.store("Item", "emb").segment(0).index
+            assert index.stats.num_updates - updates_before >= 4  # rows rewritten
+            graphs.append(
+                (index._links0.tobytes(), index._links0_cnt.tobytes(), index._links_upper)
+            )
+            db.close()
+        assert graphs[0] == graphs[1]

@@ -413,6 +413,18 @@ class TestElasticTier:
         assert stats["routed_requests"] >= 1
         assert stats["rebalances"] == 0 and stats["rebalance_log"] == []
 
+    def test_router_counters_are_none_without_telemetry(self, loaded_post_db, rng):
+        # Nothing counts them with telemetry off: a 0 would read as "no
+        # traffic" after five routed searches.
+        db = loaded_post_db
+        with ElasticTier(db, num_servers=2, config=tier_config()) as tier:
+            for _ in range(5):
+                tier.search([ATTR], rng.standard_normal(DIM).astype(np.float32), 5)
+            stats = tier.stats()
+        for key in ("routed_requests", "route_retries", "crash_failovers",
+                    "cache_coherence_bypass"):
+            assert stats[key] is None, key
+
 
 class TestReplicaCoherence:
     def test_partial_cache_hits_on_repeat(self, loaded_post_db, rng):

@@ -188,14 +188,6 @@ class TestUpdatesAndDeletes:
         assert 7 in index
         assert len(index) == 50
 
-    def test_multithreaded_update(self, rng):
-        data = rng.standard_normal((200, 16)).astype(np.float32)
-        index = HNSWIndex(16, Metric.L2, M=8, ef_construction=64)
-        index.update_items(np.arange(200), data, num_threads=4)
-        assert len(index) == 200
-        result = index.topk_search(data[100], 1, ef=128)
-        assert result.ids[0] == 100
-
 
 class TestPersistence:
     def test_save_load_roundtrip(self, rng, tmp_path):

@@ -226,6 +226,28 @@ class TestTransitions:
         index = rebuild_index(store.embedding, np.asarray(snap.vectors), snap.present)
         assert len(index) == int(snap.present.sum())
 
+    @pytest.mark.parametrize("spill", [False, True], ids=["in-memory", "spilled"])
+    def test_bulk_load_into_cold_segment(self, db, tmp_path, spill):
+        db.vacuum()
+        store = db.service.store("Item", "emb")
+        segment = store.segment(0)
+        assert demote_segment(store, segment, spill_dir=tmp_path if spill else None)
+        cold = segment.current_snapshot()
+        before = np.array(cold.vectors[3])
+        moved = np.full(DIM, 50.0, dtype=np.float32)
+        db.bulk_load_embeddings("Item", "emb", [3], moved.reshape(1, -1))
+        # The load lands in a hot copy; the cold snapshot is not written.
+        snap = segment.current_snapshot()
+        assert snap.tier == "hot" and snap.index is not None
+        assert snap.tid >= cold.tid and cold in segment._retired
+        np.testing.assert_array_equal(np.asarray(cold.vectors[3]), before)
+        vid = db.vid_for("Item", 3)
+        np.testing.assert_array_equal(store.get_embedding(vid), moved)
+        db._test_vectors[3] = moved
+        assert search_ids(db, moved, 1) == [vid]
+        query = db._test_vectors[20]
+        assert search_ids(db, query, 5) == brute_ids(db, query, 5)
+
     def test_vacuum_rehydrates_cold_segment(self, db):
         db.vacuum()
         store = db.service.store("Item", "emb")

@@ -126,7 +126,7 @@ def test_cold_search_is_snapshot_consistent_under_vacuum_and_commit(tiered_db, r
     def vacuumer() -> None:
         try:
             for _ in range(ROUNDS):
-                db.vacuum(num_threads=1)  # merge + tier rebalance
+                db.vacuum()  # merge + tier rebalance
                 if stop.is_set():
                     return
         except Exception as exc:  # noqa: BLE001 - surfaced via errors list
