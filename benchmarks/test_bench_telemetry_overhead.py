@@ -1,7 +1,8 @@
-"""Telemetry overhead on the fig7-style distributed top-k microbench.
+"""Telemetry overhead on the fig7-style segmented top-k microbench.
 
-Seeds the perf trajectory for the observability layer: the same distributed
-search workload runs three ways —
+Seeds the perf trajectory for the observability layer: the same
+``db.vector_search`` workload (every query fanned out over the segments and
+merged) runs three ways —
 
 - **off**: the process default (no telemetry installed at all);
 - **null**: an explicitly installed :class:`NullTelemetry`, i.e. the
@@ -24,16 +25,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import bench_scale, cached_system
-from repro.bench.harness import embedding_store_for, emit_profiles, profiles_enabled
-from repro.core.distributed import DistributedSearcher
+from repro.bench import bench_scale
+from repro.core.database import TigerVectorDB
 from repro.datasets import make_sift_like
+from repro.graph.schema import Attribute
 from repro.telemetry import NullTelemetry, Telemetry, use_telemetry
+from repro.types import AttrType
 
 K = 10
 EF = 48
 TRIALS = 7
 RESULTS_DIR = Path("bench_results")
+ATTR = ["Item.emb"]
 
 
 @pytest.fixture(scope="module")
@@ -42,16 +45,20 @@ def subject():
     n = max(2_000, scale.vector_count // 4)
     segment_size = max(256, n // 8)
     dataset = make_sift_like(n, num_queries=50, seed=23)
-    store = cached_system(
-        f"telemetry-overhead-{scale.name}-{n}",
-        lambda: embedding_store_for(dataset, segment_size),
+    db = TigerVectorDB(segment_size=segment_size)
+    db.schema.create_vertex_type("Item", [Attribute("id", AttrType.INT, primary_key=True)])
+    db.schema.add_embedding_attribute(
+        "Item", "emb", dimension=dataset.dim, model=dataset.name, metric=dataset.metric
     )
-    return store, dataset
+    db.bulk_load_vertices("Item", [{"id": i} for i in range(n)])
+    db.bulk_load_embeddings("Item", "emb", list(range(n)), dataset.vectors)
+    yield db, dataset
+    db.close()
 
 
-def run_workload(searcher, queries):
+def run_workload(db, queries):
     for query in queries:
-        searcher.search(query, K, snapshot_tid=1, ef=EF)
+        db.vector_search(ATTR, query, K, ef=EF)
 
 
 def timed(fn):
@@ -61,12 +68,11 @@ def timed(fn):
 
 
 def test_telemetry_overhead(subject):
-    store, dataset = subject
+    db, dataset = subject
     queries = dataset.queries
-    searcher = DistributedSearcher(store, num_machines=2)
 
     # Warm every cache (numpy, index pages) before any timed trial.
-    run_workload(searcher, queries)
+    run_workload(db, queries)
 
     # Trials are interleaved round-robin across the three modes so slow
     # clock/thermal drift hits every mode equally; min-of-N filters the
@@ -78,11 +84,11 @@ def test_telemetry_overhead(subject):
     try:
         for _ in range(TRIALS):
             gc.collect()
-            t_off = min(t_off, timed(lambda: run_workload(searcher, queries)))
+            t_off = min(t_off, timed(lambda: run_workload(db, queries)))
             with use_telemetry(NullTelemetry()):
-                t_null = min(t_null, timed(lambda: run_workload(searcher, queries)))
+                t_null = min(t_null, timed(lambda: run_workload(db, queries)))
             with use_telemetry(telemetry):
-                t_on = min(t_on, timed(lambda: run_workload(searcher, queries)))
+                t_on = min(t_on, timed(lambda: run_workload(db, queries)))
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -94,7 +100,7 @@ def test_telemetry_overhead(subject):
     payload = {
         "scale": bench_scale().name,
         "num_queries": len(queries),
-        "num_segments": store.num_segments,
+        "num_segments": db.service.store("Item", "emb").num_segments,
         "trials": TRIALS,
         "seconds": {"off": t_off, "null": t_null, "on": t_on},
         "overhead": {"null_vs_off": null_overhead, "on_vs_off": on_overhead},
@@ -109,11 +115,6 @@ def test_telemetry_overhead(subject):
         f"\ntelemetry overhead: off={t_off:.4f}s null={t_null:.4f}s "
         f"(+{null_overhead:.1%}) on={t_on:.4f}s (+{on_overhead:.1%})"
     )
-
-    if profiles_enabled():
-        with use_telemetry(Telemetry()):
-            output = searcher.search(queries[0], K, snapshot_tid=1, ef=EF)
-        emit_profiles("telemetry_overhead", [output.profile])
 
     assert null_overhead < 0.05, f"disabled-telemetry overhead {null_overhead:.1%}"
     assert on_overhead < 0.25, f"enabled-telemetry overhead {on_overhead:.1%}"

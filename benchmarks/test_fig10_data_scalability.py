@@ -8,14 +8,16 @@ dataset raises CPU utilization (compute amortizes fixed per-request costs).
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
 import pytest
 
 from repro.bench import bench_scale, cached_system, format_table
 from repro.bench.harness import embedding_store_for
-from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
+from repro.cluster import (
+    ClosedLoopLoadGenerator,
+    ClusterSimulator,
+    make_cluster,
+    measure_samples,
+)
 from repro.datasets import make_sift_like
 
 from .conftest import record_table
@@ -44,18 +46,6 @@ def stores():
     return (small, small_ds), (big, big_ds)
 
 
-def measure_samples(store, dataset, ef, num_queries=20):
-    samples = []
-    for q in dataset.queries[:num_queries]:
-        per_segment = {}
-        for seg_no in range(store.num_segments):
-            start = time.perf_counter()
-            store.search_segment(seg_no, q, K, snapshot_tid=1, ef=ef)
-            per_segment[seg_no] = time.perf_counter() - start
-        samples.append(per_segment)
-    return samples
-
-
 def test_fig10_data_scalability(benchmark, stores):
     (small, small_ds), (big, big_ds) = stores
     assert big.num_segments == RATIO * small.num_segments
@@ -68,7 +58,7 @@ def test_fig10_data_scalability(benchmark, stores):
             ("base", small, small_ds),
             (f"{RATIO}x", big, big_ds),
         ):
-            samples = measure_samples(store, dataset, ef)
+            samples, _ = measure_samples(store, dataset.queries[:20], K, 1, ef=ef)
             sim = ClusterSimulator(
                 make_cluster(8, store.num_segments, cores=8),
                 dim=dataset.dim,

@@ -12,7 +12,6 @@ connections, matching the paper's sender configuration).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.bench import (
@@ -23,7 +22,12 @@ from repro.bench import (
     recall_at_k,
 )
 from repro.bench.harness import embedding_store_for
-from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
+from repro.cluster import (
+    ClosedLoopLoadGenerator,
+    ClusterSimulator,
+    make_cluster,
+    measure_samples,
+)
 
 from .conftest import record_table
 
@@ -46,35 +50,12 @@ def store_and_dataset():
 
 def pick_ef_for_recall(store, dataset, target, candidates=(8, 16, 32, 64, 128, 256, 512)):
     """Smallest ef whose merged recall reaches ``target``."""
-    queries = dataset.queries[:20]
     for ef in candidates:
-        ids = []
-        for q in queries:
-            merged = []
-            for seg_no in range(store.num_segments):
-                out = store.search_segment(seg_no, q, K, snapshot_tid=1, ef=ef)
-                base = seg_no * store.segment_size
-                merged.extend(zip(out.distances, (base + o for o in out.offsets)))
-            merged.sort()
-            ids.append([vid for _, vid in merged[:K]])
+        _, results = measure_samples(store, dataset.queries[:20], K, 1, ef=ef)
+        ids = [result.ids.tolist() for result in results]
         if recall_at_k(ids, dataset.gt_ids[:20], K) >= target:
             return ef
     return candidates[-1]
-
-
-def measure_samples(store, dataset, ef, num_queries=25):
-    """Measured per-query, per-segment service times for the simulator."""
-    import time
-
-    samples = []
-    for q in dataset.queries[:num_queries]:
-        per_segment = {}
-        for seg_no in range(store.num_segments):
-            start = time.perf_counter()
-            store.search_segment(seg_no, q, K, snapshot_tid=1, ef=ef)
-            per_segment[seg_no] = time.perf_counter() - start
-        samples.append(per_segment)
-    return samples
 
 
 def test_fig9_node_scalability(benchmark, store_and_dataset):
@@ -86,7 +67,7 @@ def test_fig9_node_scalability(benchmark, store_and_dataset):
     rows = []
     qps = {}
     for label, ef in (("90% recall", ef_low), ("99.9% recall", ef_high)):
-        samples = measure_samples(store, dataset, ef)
+        samples, _ = measure_samples(store, dataset.queries[:25], K, 1, ef=ef)
         for machines in MACHINES:
             sim = ClusterSimulator(
                 make_cluster(machines, store.num_segments, cores=8),

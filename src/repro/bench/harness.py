@@ -34,8 +34,6 @@ __all__ = [
     "bench_scale",
     "cached_system",
     "dataset_for",
-    "emit_profiles",
-    "profiles_enabled",
 ]
 
 _CACHE_DIR = Path(os.environ.get("REPRO_BENCH_CACHE", ".bench_cache"))
@@ -121,33 +119,3 @@ def cached_system(key: str, builder):
     with open(path, "wb") as fh:
         pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
     return obj
-
-
-def profiles_enabled() -> bool:
-    """Whether benches should emit per-query telemetry profiles.
-
-    Opt-in via ``REPRO_BENCH_PROFILES=1``: profiling turns telemetry on for
-    the profiled queries, which perturbs the timings the benches report, so
-    it never runs by default.
-    """
-    return os.environ.get("REPRO_BENCH_PROFILES", "") == "1"
-
-
-def emit_profiles(name: str, profiles, results_dir="bench_results", force: bool = False):
-    """Write per-query :class:`~repro.telemetry.QueryProfile`s as JSON.
-
-    ``profiles`` is a list of QueryProfile (or already-dict) entries;
-    returns the output path, or None when profiling is not enabled (pass
-    ``force=True`` to write regardless, e.g. from a dedicated bench).
-    """
-    if not profiles_enabled() and not force:
-        return None
-    import json
-
-    out_dir = Path(results_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = [p.to_dict() if hasattr(p, "to_dict") else p for p in profiles]
-    path = out_dir / f"PROFILES_{name}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path

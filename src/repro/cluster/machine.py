@@ -71,8 +71,8 @@ def make_cluster(
 def segment_holders(machines: list[Machine]) -> dict[int, list[Machine]]:
     """Segment -> replica-holder machines, primary first (placement order).
 
-    The coordinator and the real distributed searcher both route through
-    this map; failover walks the list past dead/quarantined holders.
+    The simulated coordinator routes through this map; failover walks the
+    list past dead/quarantined holders.
     """
     holders: dict[int, list[Machine]] = {}
     for machine in machines:

@@ -18,7 +18,6 @@ _SUBMODULES = {
     "vacuum",
     "action",
     "search",
-    "distributed",
     "database",
     "auth",
 }
@@ -37,7 +36,6 @@ _EXPORTS = {
     "VectorSearchOptions": ("search", "VectorSearchOptions"),
     "vector_search": ("search", "vector_search"),
     "TigerVectorDB": ("database", "TigerVectorDB"),
-    "DistributedSearcher": ("distributed", "DistributedSearcher"),
     "AccessController": ("auth", "AccessController"),
     "Role": ("auth", "Role"),
 }

@@ -47,6 +47,7 @@ __all__ = [
     "SegmentMasks",
     "VectorSearchOptions",
     "build_topk_vertex_set",
+    "check_topk_args",
     "merge_sharded_topk",
     "resolve_search",
     "segment_bitmaps",
@@ -69,6 +70,27 @@ class VectorSearchOptions:
     filter: VertexSet | SegmentMasks | None = None
     distance_map: MapAccum | None = None
     ef: int | None = None
+
+
+def check_topk_args(k, ef: int | None = None) -> None:
+    """Refuse a ``k`` or ``ef`` that is not a positive integer.
+
+    The one check behind every door: a float is refused, not truncated, and
+    ``ef`` 0 or below is refused, not read as "the default" or as a narrower
+    beam.  ``ef=None`` is the default.
+    """
+    if not _positive_int(k):
+        raise VectorSearchError(f"k must be a positive integer, got {k!r}")
+    if ef is not None and not _positive_int(ef):
+        raise VectorSearchError(f"ef must be a positive integer, got {ef!r}")
+
+
+def _positive_int(value) -> bool:
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 1
+    )
 
 
 def resolve_search(
@@ -175,11 +197,10 @@ def vector_search_parts(
     union of per-part top-k), and the (distance, vid) total order makes
     the merged result identical regardless of how segments were split.
     """
-    if k <= 0:
-        raise VectorSearchError("k must be positive")
+    options = options or VectorSearchOptions()
+    check_topk_args(k, options.ef)
     if group_size < 1:
         raise VectorSearchError("group_size must be at least 1")
-    options = options or VectorSearchOptions()
     query = np.asarray(query_vector, dtype=np.float32).reshape(-1)
     require_finite(query, "query vector")
     targets = resolve_search(service, vector_attributes, query.shape[0])
@@ -314,8 +335,7 @@ def vector_search_batch(
 
     Unfiltered only.
     """
-    if k <= 0:
-        raise VectorSearchError("k must be positive")
+    check_topk_args(k, ef)
     queries = np.asarray(query_vectors, dtype=np.float32)
     if queries.ndim == 1:
         queries = queries.reshape(1, -1)

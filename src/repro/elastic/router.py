@@ -23,6 +23,16 @@ never a failed query.  A dead server additionally triggers
 :meth:`handle_crash`: it leaves the ring and every key it owned
 reassigns to the surviving hash owners.
 
+**Lost groups are a typed partial.**  A sub-request that fails with
+:class:`~repro.errors.FaultInjectionError` has already spent its shard's
+retries.  If it carried several groups they are re-sent one per
+sub-request (not counted as route retries), so a poisoned group costs
+only itself; a lone group that fails is lost.  :meth:`ElasticTier.search`
+then raises :class:`~repro.errors.PartialResultError` with ``coverage`` =
+answered / routed groups and the merge of the answered groups attached.
+There is no option to return the partial as an answer, and no hedging:
+a key has one owner (DESIGN §13).
+
 **Live rebalancing (drain at a TID, transfer, re-admit).**  A handoff
 marks the key *draining* — new routes gate on the entry until the move
 completes — records the MVCC handoff point (the snapshot TID at drain
@@ -54,15 +64,12 @@ from __future__ import annotations
 import threading
 import time
 
-from ..core.search import (
-    VectorSearchOptions,
-    build_topk_vertex_set,
-    merge_sharded_topk,
-)
+from ..core.search import build_topk_vertex_set, check_topk_args, merge_sharded_topk
 from ..errors import (
     AdmissionRejectedError,
     ElasticError,
-    ReproError,
+    FaultInjectionError,
+    PartialResultError,
     SegmentOwnershipError,
     ServeError,
 )
@@ -116,7 +123,6 @@ class ElasticTier:
         injectors: dict | None = None,
         group_size: int = 1,
         vnodes: int = 96,
-        server_prefix: str = "shard",
         autoscale: AutoscalePolicy | None = None,
     ):
         if num_servers < 1:
@@ -127,7 +133,6 @@ class ElasticTier:
         self.config = config or ServeConfig()
         self.policy = policy
         self.group_size = int(group_size)
-        self.server_prefix = str(server_prefix)
         self.registry = TenantRegistry(tenants)
         self._injectors = dict(injectors or {})
         self.ring = ConsistentHashRing(vnodes=vnodes)
@@ -146,7 +151,7 @@ class ElasticTier:
 
     # ------------------------------------------------------------- lifecycle
     def _new_shard(self) -> ShardServer:
-        name = f"{self.server_prefix}-{self._server_seq}"
+        name = f"shard-{self._server_seq}"
         self._server_seq += 1
         shard = ShardServer(
             self.db,
@@ -258,23 +263,41 @@ class ElasticTier:
         cache_ok: bool,
         groups: list[int],
         deadline: float | None,
-    ) -> list:
-        """Fan the group set to owners, retrying routes lost to races/crashes."""
+    ) -> tuple[list, list[int], FaultInjectionError | None]:
+        """Fan the group set to owners, retrying routes lost to races/crashes.
+
+        Returns ``(parts, lost, cause)``: the partials of the groups that
+        answered, the groups lost to a :class:`FaultInjectionError` that
+        outlived the shard's own retries, and the first such error.  A
+        multi-group sub-request that fails that way is split: its groups go
+        again next round, one per sub-request, so a poisoned group costs only
+        itself.  A single-group one that fails loses its group.
+        """
         tel = get_telemetry()
         parts: list = []
+        lost: list[int] = []
+        cause: FaultInjectionError | None = None
+        alone: set[int] = set()  # groups re-sent one per sub-request
         remaining = list(groups)
         for _ in range(_MAX_ROUTE_ROUNDS):
             if not remaining:
-                return parts
+                return parts, lost, cause
             acquired = self._acquire(tenant, remaining)
             failed: list[int] = []
+            resent: list[int] = []
             dead: set[str] = set()
             try:
                 assignment: dict[str, list[int]] = {}
                 for group, entry in acquired:
                     assignment.setdefault(entry.server, []).append(group)
-                futures = []
+                batches = []
                 for server, server_groups in sorted(assignment.items()):
+                    together = [g for g in server_groups if g not in alone]
+                    if together:
+                        batches.append((server, together))
+                    batches.extend((server, [g]) for g in server_groups if g in alone)
+                futures = []
+                for server, server_groups in batches:
                     shard = self.shards.get(server)
                     if shard is None or not shard.running:
                         failed.extend(server_groups)
@@ -314,6 +337,13 @@ class ElasticTier:
                     ):
                         failed.extend(server_groups)
                         dead.add(server)
+                    elif isinstance(error, FaultInjectionError):
+                        cause = cause or error
+                        if len(server_groups) > 1:
+                            alone.update(server_groups)
+                            resent.extend(server_groups)
+                        else:
+                            lost.extend(server_groups)
                     else:
                         raise error
             finally:
@@ -322,7 +352,7 @@ class ElasticTier:
                 self.handle_crash(server)
             if failed:
                 tel.inc("elastic.route_retries", len(failed))
-            remaining = failed
+            remaining = failed + resent
         raise ElasticError(
             f"routing did not converge after {_MAX_ROUTE_ROUNDS} rounds "
             f"(groups {sorted(remaining)} kept moving)"
@@ -350,11 +380,19 @@ class ElasticTier:
         one pinned snapshot serves every shard — and the merge re-applies
         the exact (distance, vid) and stable-by-distance orders of the
         unsharded pipeline.
+
+        A segment group whose search fault outlives its shard's retries
+        does not fail the others: the query raises
+        :class:`PartialResultError` carrying ``coverage`` (answered / routed
+        groups) and ``result``, the merge of the groups that answered (with
+        ``distance_map`` filled from it).  A partial answer is never
+        returned as if it were whole.
         """
         tel = get_telemetry()
         tel.inc("elastic.routed_requests")
         if not self._started:
             raise ServeError("ElasticTier is not running; call start() first")
+        check_topk_args(k, ef)  # before a shard's partial cache can see them
         max_staleness = self.config.freshness_contract(max_staleness, session_token)
         role = self.registry.get(tenant).role
         attrs = list(vector_attributes)
@@ -377,7 +415,7 @@ class ElasticTier:
             # Role masks are built once per routed query (a row-predicate role
             # is an O(rows) scan) and ride to the shards as their pre-filter.
             filter = self.db.access.search_filter(role, snapshot, attrs, filter)
-            parts = self._routed_parts(
+            parts, lost, cause = self._routed_parts(
                 attrs,
                 query_vector,
                 k,
@@ -390,8 +428,17 @@ class ElasticTier:
                 groups=groups,
                 deadline=deadline,
             )
-        merged = merge_sharded_topk(parts, int(k))
-        return build_topk_vertex_set(merged, distance_map)
+        result = build_topk_vertex_set(merge_sharded_topk(parts, k), distance_map)
+        if lost:
+            tel.inc("resilience.degraded_queries")
+            coverage = (len(groups) - len(lost)) / len(groups)
+            raise PartialResultError(
+                f"segment group(s) {sorted(lost)} of {len(groups)} failed past "
+                f"their shard's retries (coverage {coverage:.2f})",
+                coverage=coverage,
+                result=result,
+            ) from cause
+        return result
 
     # ------------------------------------------------------------- rebalance
     def rebalance(self, tenant: str, group: int, to_server: str) -> dict | None:

@@ -162,7 +162,7 @@ class ShardServer(QueryServer):
             deadline=deadline,
             vector_attributes=tuple(vector_attributes),
             query=np.asarray(query_vector, dtype=np.float32).reshape(-1),
-            k=int(k),
+            k=k,
             ef=ef,
             filter=filter,
             shard_groups=tuple(sorted(int(g) for g in groups)),

@@ -98,12 +98,13 @@ class QueryTimeoutError(ReproError):
 class PartialResultError(ReproError):
     """A query could only be answered for a strict subset of segments.
 
-    Raised when some segments lost every replica (or exhausted all retry
-    attempts) and the active :class:`~repro.faults.ResiliencePolicy` does not
-    permit degraded answers (``allow_partial=False``), or the achieved
-    ``coverage`` — the fraction of segments that answered — fell below
-    ``min_coverage``.  Carries the coverage and, when available, the partial
-    result so callers can still use the degraded answer.
+    Raised by :meth:`~repro.elastic.ElasticTier.search` when a segment
+    group's search failed past its shard's retries (``coverage`` = answered
+    / routed groups), and by the cluster model when a simulated segment lost
+    every replica and its :class:`~repro.faults.ResiliencePolicy` does not
+    permit degraded answers, or coverage fell below ``min_coverage``.
+    Carries the coverage and, when available, the partial result so callers
+    can still use the degraded answer.
     """
 
     def __init__(self, message: str, coverage: float = 0.0, result=None):

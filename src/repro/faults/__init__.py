@@ -5,9 +5,13 @@ and an MPP coordinator that keeps serving under machine loss.  This package
 is the machinery that *tests* that story: seeded fault plans
 (:class:`FaultPlan`), a runtime injector with a reproducible event trace
 (:class:`FaultInjector`), and the resilience knobs
-(:class:`ResiliencePolicy`, :class:`CircuitBreaker`) threaded through
-:class:`~repro.cluster.coordinator.ClusterSimulator` and
-:class:`~repro.core.distributed.DistributedSearcher`.
+(:class:`ResiliencePolicy`, :class:`CircuitBreaker`).  Machine crashes,
+stragglers, lossy networks, replicas, hedging and the breaker play out in
+the cluster model (:class:`~repro.cluster.coordinator.ClusterSimulator`).
+The served path meets real faults: :meth:`FaultInjector.install_store` makes
+a store's segment searches raise, serve workers crash or stall on plan, and
+an :class:`~repro.elastic.ElasticTier` answers a segment group lost past its
+shard's retries with a typed :class:`~repro.errors.PartialResultError`.
 
 Typical chaos harness::
 

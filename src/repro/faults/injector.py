@@ -7,12 +7,15 @@ RNG) and exposes the hooks the query/durability paths consult:
 - the cluster simulator calls :meth:`advance`, :meth:`slowdown`,
   :meth:`drop_dispatch`, :meth:`extra_network_delay`, :meth:`crash_during`,
   and :meth:`segment_attempt_fails`;
-- the real distributed searcher calls :meth:`advance_query` and
-  :meth:`raise_segment_fault`;
+- :meth:`install_store` gates an
+  :class:`~repro.core.service.EmbeddingStore`'s segment searches through
+  :meth:`raise_segment_fault`, so every real search path (``db.vector_search``,
+  a ``QueryServer``, an ``ElasticTier`` shard) meets the injected segment
+  exceptions;
+- serve workers call :meth:`worker_crash_due` and
+  :meth:`worker_stall_seconds`;
 - the durability side installs :meth:`install_commit_faults` on a
-  :class:`~repro.graph.storage.GraphStore` (mid-commit crashes) and
-  :meth:`install_store` on an :class:`~repro.core.service.EmbeddingStore`
-  (service-layer segment exceptions).
+  :class:`~repro.graph.storage.GraphStore` (mid-commit crashes).
 
 Every injected fault — and every countermeasure the resilience layer takes
 (retry, failover, hedge, deadline cut, breaker transition) — is recorded as
@@ -48,21 +51,31 @@ class TraceEvent:
     detail: str = ""
 
 
-class _WorkerFaultState:
-    """One-shot firing bookkeeping for serve-worker crash/stall faults.
+class _ClaimedFaultState:
+    """Fault budgets that concurrent threads claim from one injector.
 
-    Serve workers race on the injector from concurrent threads, unlike
-    the simulator hooks, which are driven single-threaded per workload.
-    The fired-sets therefore live here, behind their own leaf lock,
-    keeping :class:`FaultInjector`'s own mutations single-threaded by
-    contract.  Methods *claim* due faults atomically and return them;
-    the injector records trace events after the lock is released.
+    Serve workers race on the serve-worker crash/stall one-shots, and the
+    segment searches of a store gated by :meth:`FaultInjector.install_store`
+    race on the per-segment failure counts (a shard's segment fan-out and
+    every worker of every shard reach the same gate).  The simulator hooks,
+    by contrast, are driven single-threaded per workload.  The budgets
+    therefore live here, behind one leaf lock, keeping
+    :class:`FaultInjector`'s own mutations single-threaded by contract.
+    Methods *claim* due faults atomically and return them; the injector
+    records trace events after the lock is released.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, segment_faults) -> None:
         self._lock = threading.Lock()
         self._crashes_fired: set[int] = set()
         self._stalls_fired: set[int] = set()
+        # Remaining injected failures per (seg_no, machine_id-or-None).
+        self._segment_remaining: dict[tuple[int, int | None], int] = {}
+        for fault in segment_faults:
+            key = (fault.seg_no, fault.machine_id)
+            self._segment_remaining[key] = (
+                self._segment_remaining.get(key, 0) + fault.failures
+            )
 
     def claim_crash(self, faults, ordinal: int) -> bool:
         """Atomically claim the first unfired crash due at ``ordinal``."""
@@ -85,6 +98,16 @@ class _WorkerFaultState:
                 due.append(fault)
             return due
 
+    def claim_segment_failure(self, seg_no: int, machine_id: int) -> bool:
+        """Atomically consume one injected failure for this segment attempt."""
+        with self._lock:
+            for key in ((seg_no, machine_id), (seg_no, None)):
+                remaining = self._segment_remaining.get(key, 0)
+                if remaining > 0:
+                    self._segment_remaining[key] = remaining - 1
+                    return True
+        return False
+
 
 class FaultInjector:
     """Stateful executor of one :class:`FaultPlan` over one workload."""
@@ -95,18 +118,11 @@ class FaultInjector:
         self.trace: list[TraceEvent] = []
         self._crashed: set[int] = set()
         self._recovered: set[int] = set()
-        # Remaining injected failures per (seg_no, machine_id-or-None).
-        self._segment_remaining: dict[tuple[int, int | None], int] = {}
-        for fault in self.plan.segment_faults:
-            key = (fault.seg_no, fault.machine_id)
-            self._segment_remaining[key] = (
-                self._segment_remaining.get(key, 0) + fault.failures
-            )
         self._straggle_announced: set[int] = set()
         self._commit_count = 0
         self._apply_calls = 0
         self._graph_store = None
-        self._worker_state = _WorkerFaultState()
+        self._claims = _ClaimedFaultState(self.plan.segment_faults)
 
     # ---------------------------------------------------------------- trace
     def record(
@@ -132,7 +148,7 @@ class FaultInjector:
             machine = by_id.get(fault.machine_id)
             if machine is None:
                 continue
-            if fault.at is not None and i not in self._crashed and now >= fault.at:
+            if i not in self._crashed and now >= fault.at:
                 self._crashed.add(i)
                 machine.alive = False
                 self.record("crash", at=fault.at, machine_id=fault.machine_id)
@@ -146,35 +162,6 @@ class FaultInjector:
                 machine.alive = True
                 self.record("recover", at=fault.recover_at, machine_id=fault.machine_id)
 
-    def advance_query(self, machines, query_index: int) -> None:
-        """Apply query-ordinal crash/recover events (real searcher clock)."""
-        by_id = {m.machine_id: m for m in machines}
-        for i, fault in enumerate(self.plan.crashes):
-            machine = by_id.get(fault.machine_id)
-            if machine is None:
-                continue
-            if (
-                fault.at_query is not None
-                and i not in self._crashed
-                and query_index >= fault.at_query
-            ):
-                self._crashed.add(i)
-                machine.alive = False
-                self.record(
-                    "crash", at=float(query_index), machine_id=fault.machine_id
-                )
-            if (
-                fault.recover_at_query is not None
-                and i in self._crashed
-                and i not in self._recovered
-                and query_index >= fault.recover_at_query
-            ):
-                self._recovered.add(i)
-                machine.alive = True
-                self.record(
-                    "recover", at=float(query_index), machine_id=fault.machine_id
-                )
-
     def crash_during(self, machine, arrive: float, finish: float) -> float | None:
         """Crash time if ``machine`` dies inside [arrive, finish), else None.
 
@@ -182,7 +169,7 @@ class FaultInjector:
         reroutes to live replicas and later requests see it down too.
         """
         for i, fault in enumerate(self.plan.crashes):
-            if fault.machine_id != machine.machine_id or fault.at is None:
+            if fault.machine_id != machine.machine_id:
                 continue
             if i in self._crashed:
                 continue
@@ -233,20 +220,21 @@ class FaultInjector:
     def segment_attempt_fails(
         self, seg_no: int, machine_id: int, attempt: int, now: float = 0.0
     ) -> bool:
-        """Consume one injected failure for this segment attempt, if any."""
-        for key in ((seg_no, machine_id), (seg_no, None)):
-            remaining = self._segment_remaining.get(key, 0)
-            if remaining > 0:
-                self._segment_remaining[key] = remaining - 1
-                self.record(
-                    "segment-fault",
-                    at=now,
-                    machine_id=machine_id,
-                    seg_no=seg_no,
-                    attempt=attempt,
-                )
-                return True
-        return False
+        """Consume one injected failure for this segment attempt, if any.
+
+        Thread-safe: concurrent searches through an installed store gate
+        never fire more failures than the plan holds.
+        """
+        if not self._claims.claim_segment_failure(seg_no, machine_id):
+            return False
+        self.record(
+            "segment-fault",
+            at=now,
+            machine_id=machine_id,
+            seg_no=seg_no,
+            attempt=attempt,
+        )
+        return True
 
     def raise_segment_fault(
         self, seg_no: int, machine_id: int, attempt: int, now: float = 0.0
@@ -266,7 +254,7 @@ class FaultInjector:
         most once, at the first dequeue whose ordinal reaches its
         ``at_request``.  Thread-safe: serve workers race on this.
         """
-        if not self._worker_state.claim_crash(self.plan.worker_crashes, ordinal):
+        if not self._claims.claim_crash(self.plan.worker_crashes, ordinal):
             return False
         self.record("worker-crash", at=float(ordinal), detail=f"ordinal={ordinal}")
         return True
@@ -277,7 +265,7 @@ class FaultInjector:
         Zero when no planned :class:`~repro.faults.plan.WorkerStallFault`
         is due; each fault fires once.
         """
-        due = self._worker_state.claim_stalls(self.plan.worker_stalls, ordinal)
+        due = self._claims.claim_stalls(self.plan.worker_stalls, ordinal)
         for fault in due:
             self.record(
                 "worker-stall",

@@ -9,16 +9,19 @@ event traces (the acceptance property chaos tests assert).
 
 Fault taxonomy (paper Sec. 4.2/5.1 deployment story):
 
-- :class:`CrashFault` — a machine dies (and optionally recovers), keyed by
-  simulated time (:class:`~repro.cluster.coordinator.ClusterSimulator`) or
-  by query ordinal (:class:`~repro.core.distributed.DistributedSearcher`).
+- :class:`CrashFault` — a simulated machine dies (and optionally recovers)
+  at a simulated time (:class:`~repro.cluster.coordinator.ClusterSimulator`).
 - :class:`StragglerFault` — a machine runs slow by a multiplier for a time
   window; the hedging policy is the countermeasure.
 - :class:`NetworkFault` — dispatch drop probability and extra per-hop
   latency over a time window; retries are the countermeasure.
 - :class:`SegmentFault` — the next N search attempts on one segment raise
   :class:`~repro.errors.FaultInjectionError`; retry/failover is the
-  countermeasure.
+  countermeasure.  In the simulator an attempt is a placement; installed on
+  a real store (:meth:`~repro.faults.injector.FaultInjector.install_store`)
+  it is one ``search_segment`` call, and a fault that outlives a shard's
+  retries costs an ``ElasticTier`` query only that segment's group: the
+  query fails typed with :class:`~repro.errors.PartialResultError`.
 - :class:`CommitCrashFault` — the process dies mid-commit (torn WAL append,
   or after the WAL append with ops only partially applied); WAL replay is
   the countermeasure.
@@ -51,17 +54,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrashFault:
-    """Machine death, keyed by sim-time (``at``) or query ordinal (``at_query``)."""
+    """Machine death at sim-time ``at``, and optional recovery at ``recover_at``."""
 
     machine_id: int
     at: float | None = None
     recover_at: float | None = None
-    at_query: int | None = None
-    recover_at_query: int | None = None
 
     def __post_init__(self) -> None:
-        if self.at is None and self.at_query is None:
-            raise FaultInjectionError("crash fault needs 'at' or 'at_query'")
+        if self.at is None:
+            raise FaultInjectionError("crash fault needs 'at'")
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,9 @@ class FaultPlan:
     worker_stalls: list[WorkerStallFault] = field(default_factory=list)
 
     # -------------------------------------------------------------- builder
-    def crash(self, machine_id: int, at: float | None = None, recover_at: float | None = None,
-              at_query: int | None = None, recover_at_query: int | None = None) -> "FaultPlan":
-        self.crashes.append(CrashFault(machine_id, at, recover_at, at_query, recover_at_query))
+    def crash(self, machine_id: int, at: float | None = None,
+              recover_at: float | None = None) -> "FaultPlan":
+        self.crashes.append(CrashFault(machine_id, at, recover_at))
         return self
 
     def straggle(self, machine_id: int, factor: float, start: float = 0.0,

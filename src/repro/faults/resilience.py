@@ -1,7 +1,10 @@
 """Resilience knobs for the distributed query path.
 
-:class:`ResiliencePolicy` bundles the countermeasures the coordinator and
-the real distributed searcher thread through every query:
+:class:`ResiliencePolicy` bundles the countermeasures the cluster model
+(:class:`~repro.cluster.coordinator.ClusterSimulator`) threads through every
+simulated request.  The serve tier reads only the retry budget
+(``max_attempts``, backoff) and ``deadline``: a ``QueryServer``, and so each
+``ElasticTier`` shard, retries an injected fault and sheds past the deadline.
 
 - per-segment-job **retry** with exponential backoff, failing over across
   replica holders (paper Sec. 4.2: replicas make high availability
@@ -12,7 +15,9 @@ the real distributed searcher thread through every query:
   :class:`~repro.errors.QueryTimeoutError`;
 - **degraded mode** (``allow_partial``) returning partial top-k with an
   explicit ``coverage`` — the fraction of requested segments that answered —
-  instead of failing the whole query;
+  instead of failing the whole query.  A simulator option only: the served
+  ``ElasticTier`` has no such switch, and answers a lost segment group with
+  :class:`~repro.errors.PartialResultError` carrying the partial;
 - a per-machine **circuit breaker** quarantining repeat offenders so retry
   traffic stops hammering a dead machine, with half-open probes for
   re-admission after ``breaker_cooldown``.
@@ -46,16 +51,18 @@ class ResiliencePolicy:
     hedge_after: float | None = None
     #: Per-query deadline in seconds (None disables).
     deadline: float | None = None
-    #: Degraded mode: return partial top-k with ``coverage < 1`` instead of
-    #: raising when segments are unrecoverable or miss the deadline.
+    #: Degraded mode (simulator only): return partial top-k with
+    #: ``coverage < 1`` instead of raising when segments are unrecoverable or
+    #: miss the deadline.  ``ElasticTier`` ignores it: a lost group there is
+    #: always a PartialResultError carrying the partial.
     allow_partial: bool = False
-    #: Even in degraded mode, coverage below this raises PartialResultError.
+    #: Even in degraded mode, coverage below this raises PartialResultError
+    #: (simulator only, like ``allow_partial``).
     min_coverage: float = 0.0
     #: Consecutive failures that open a machine's circuit.
     breaker_threshold: int = 3
-    #: How long an open circuit rejects a machine before a half-open probe.
-    #: Unit matches the caller's clock: simulated seconds for the cluster
-    #: simulator, query ordinals for the real searcher.
+    #: How long an open circuit rejects a machine before a half-open probe,
+    #: in the cluster simulator's simulated seconds.
     breaker_cooldown: float = 1.0
 
     def __post_init__(self) -> None:
@@ -75,7 +82,7 @@ class CircuitBreaker:
     Closed -> (``threshold`` consecutive failures) -> open -> (after
     ``cooldown`` on the caller's clock) -> half-open probe -> closed on
     success, re-open on failure.  Single-threaded by design: it lives inside
-    one coordinator/searcher, never shared across threads.
+    one simulated coordinator, never shared across threads.
     """
 
     _CLOSED, _OPEN, _HALF_OPEN = "closed", "open", "half-open"

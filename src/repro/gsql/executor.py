@@ -29,6 +29,7 @@ from ..core.action import EmbeddingAction
 from ..core.embedding import require_finite
 from ..core.search import (
     VectorSearchOptions,
+    check_topk_args,
     merge_sharded_topk,
     resolve_search,
     segment_bitmaps,
@@ -267,7 +268,7 @@ def _eval_vector_search_fn(expr: ast.FuncCall, ctx: ExecutionContext, env) -> Ve
         value = eval_expr(attrs_node, ctx, env)
         attrs = list(value) if isinstance(value, (list, tuple)) else [value]
     query = np.asarray(eval_expr(expr.args[1], ctx, env), dtype=np.float32)
-    k = int(eval_expr(expr.args[2], ctx, env))
+    k = eval_expr(expr.args[2], ctx, env)
     filter_set: VertexSet | None = None
     ef: int | None = ctx.default_ef
     user_map: MapAccum | None = None
@@ -283,7 +284,7 @@ def _eval_vector_search_fn(expr: ast.FuncCall, ctx: ExecutionContext, env) -> Ve
                     raise GSQLSemanticError("VectorSearch filter must be a vertex set")
                 filter_set = value
             elif key == "ef":
-                ef = int(eval_expr(entry.value, ctx, env))
+                ef = eval_expr(entry.value, ctx, env)
             elif key in ("distancemap", "distance_map"):
                 if not isinstance(entry.value, ast.AccumRef) or not entry.value.is_global:
                     raise GSQLSemanticError("distanceMap must be a global map accumulator")
@@ -487,7 +488,7 @@ def _exec_vector_topk(
 ) -> RankedVertexSet:
     vec = info.vector
     query = eval_expr(vec.query_expr, ctx)
-    k = int(eval_expr(vec.k_expr, ctx))
+    k = eval_expr(vec.k_expr, ctx)
     try:
         target_types = [_resolve_target_type(info, ctx, vec.alias)]
     except GSQLSemanticError:
@@ -556,7 +557,8 @@ def _exec_similarity_join(
 ) -> list[dict]:
     """Sec. 5.4: brute-force pair distances over matched paths, global heap."""
     vec = info.vector
-    k = int(eval_expr(vec.k_expr, ctx))
+    k = eval_expr(vec.k_expr, ctx)
+    check_topk_args(k)
     left_type = _resolve_target_type(info, ctx, vec.alias)
     right_type = _resolve_target_type(info, ctx, vec.right_alias)
     left_store = ctx.db.service.store(left_type, vec.attr)

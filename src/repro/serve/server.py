@@ -62,6 +62,7 @@ from ..core.embedding import require_finite
 from ..core.search import (
     VectorSearchOptions,
     build_topk_vertex_set,
+    check_topk_args,
     vector_search_batch,
     vector_search_merged,
 )
@@ -475,8 +476,11 @@ class QueryServer:
 
         A query with a NaN or infinite entry is refused here with
         :class:`~repro.errors.VectorSearchError`: queued, it could ride a
-        fused batch, whose stacked scan would fail every rider with it.
+        fused batch, whose stacked scan would fail every rider with it.  So
+        is a ``k`` or ``ef`` that is not a positive integer: queued, a
+        ``k=1.0`` could hit the cache entry of ``k=1``.
         """
+        check_topk_args(k, ef)
         tenant_obj = self.registry.get(tenant)
         query = require_finite(
             np.asarray(query_vector, dtype=np.float32).reshape(-1), "query vector"
@@ -491,7 +495,7 @@ class QueryServer:
             deadline=self._effective_deadline(submitted_at, timeout),
             vector_attributes=tuple(vector_attributes),
             query=query,
-            k=int(k),
+            k=k,
             ef=ef,
             filter=filter,
             distance_map=distance_map,

@@ -5,8 +5,8 @@ Three pillars (ISSUE 3 / DESIGN.md §8):
 - tracing: nested context-manager :class:`Span` trees per query
 - metrics: a process-global :class:`MetricsRegistry` of counters, gauges,
   and fixed-bucket latency histograms with canonical instrument names
-- profiling/export: :class:`QueryProfile`, a slow-query log, and JSON /
-  Prometheus exporters behind the ``repro-stats`` CLI
+- export: a slow-query log, and JSON / Prometheus exporters behind the
+  ``repro-stats`` CLI
 
 The active instance defaults to :class:`NullTelemetry`; instrumented hot
 paths are behaviorally identical until ``enable_telemetry()`` (or scoped
@@ -23,7 +23,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profile import QueryProfile
 from .runtime import (
     NullTelemetry,
     Telemetry,
@@ -46,7 +45,6 @@ __all__ = [
     "NULL_SPAN",
     "NullSpan",
     "NullTelemetry",
-    "QueryProfile",
     "Span",
     "Telemetry",
     "bucket_preset",

@@ -2,8 +2,9 @@
 
 Subcommands:
 
-- ``demo``: run a small in-process distributed workload with telemetry
-  enabled and print the metrics table plus the last query's trace tree.
+- ``demo``: run a few ``db.vector_search`` calls over a small four-segment
+  database with telemetry enabled and print the metrics table plus the
+  last query's trace tree.
   This is the zero-setup way to see what the instruments look like.
 - ``show SNAPSHOT.json``: render a saved JSON snapshot as the human table.
 - ``prom SNAPSHOT.json``: convert a saved JSON snapshot to Prometheus text.
@@ -29,28 +30,16 @@ def _read_snapshot(path: str) -> dict:
 def _cmd_demo(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from ..core.distributed import DistributedSearcher
-    from ..core.embedding import EmbeddingType
-    from ..core.service import EmbeddingStore
-    from ..types import IndexType, Metric
+    from ..serve.cli import build_demo_db
 
-    rng = np.random.default_rng(args.seed)
-    dim, n = 16, 512
-    embedding = EmbeddingType(
-        name="emb", dimension=dim, model="demo", index=IndexType.HNSW, metric=Metric.L2
-    )
-    store = EmbeddingStore("Demo", embedding, segment_size=128)
-    store.bulk_load(
-        np.arange(n, dtype=np.int64),
-        rng.standard_normal((n, dim), dtype=np.float32),
-        tid=1,
-    )
-    searcher = DistributedSearcher(store, num_machines=2)
-    queries = rng.standard_normal((args.queries, dim), dtype=np.float32)
+    db = build_demo_db(num_vectors=512, dim=16, seed=args.seed, segment_size=128)
+    rng = np.random.default_rng(args.seed + 1)
+    queries = rng.standard_normal((args.queries, 16), dtype=np.float32)
     telemetry = Telemetry(slow_query_seconds=0.0)
     with use_telemetry(telemetry):
         for query in queries:
-            searcher.search(query, k=10, snapshot_tid=1)
+            db.vector_search(["Item.emb"], query, 10)
+    db.close()
     snapshot = telemetry.registry.snapshot()
     if args.json:
         print(to_json(snapshot))

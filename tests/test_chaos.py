@@ -6,7 +6,9 @@ deterministic :class:`FaultPlan`, then asserts the availability contract:
 - replication factor 2 + any single machine crash or straggler -> zero
   failed queries;
 - unrecoverable segment loss in degraded mode -> partial results with
-  ``coverage < 1.0`` reported, never an unhandled exception;
+  ``coverage < 1.0`` reported, never an unhandled exception; on the served
+  ``ElasticTier`` a segment that outlives its shard's retries is a
+  :class:`PartialResultError` carrying the coverage and the partial;
 - identical fault seeds -> identical event traces.
 """
 
@@ -14,13 +16,23 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
-from repro.core.distributed import DistributedSearcher
+from repro.core.search import (
+    VectorSearchOptions,
+    build_topk_vertex_set,
+    merge_sharded_topk,
+    vector_search_parts,
+)
+from repro.elastic import ElasticTier
 from repro.errors import (
     FaultInjectionError,
     PartialResultError,
     QueryTimeoutError,
 )
 from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
+from repro.graph.accumulators import MapAccum
+from repro.telemetry import Telemetry, use_telemetry
+
+ATTR = "Post.content_emb"
 
 
 def seg_times(n, each=0.002):
@@ -196,80 +208,109 @@ class TestFaultMatrixSweep:
 
 
 class TestRealSearcherChaos:
-    """Chaos through the real distributed query path (not the simulator)."""
+    """Chaos through the served distributed path: a 2-server ElasticTier.
 
-    def _searchers(self, db, plan=None, policy=None, rf=2, machines=2):
+    Segment faults are installed on the store (``install_store``), so they
+    fire inside the shards' real segment searches; with ``loaded_post_db``'s
+    four segments, shard-0 owns groups 0 and 2 and shard-1 groups 1 and 3.
+    """
+
+    @pytest.fixture
+    def chaotic(self, loaded_post_db):
+        """``chaotic(injector)`` -> a started 2-server tier over the gated store."""
+        db = loaded_post_db
         store = db.service.store("Post", "content_emb")
-        baseline = DistributedSearcher(store, machines, replication_factor=rf)
-        chaotic = DistributedSearcher(
-            store,
-            machines,
-            replication_factor=rf,
-            injector=FaultInjector(plan) if plan is not None else None,
-            policy=policy,
-        )
-        return store, baseline, chaotic
+        tiers = []
 
-    def test_segment_faults_do_not_change_results(self, loaded_post_db):
+        def start(injector):
+            injector.install_store(store)
+            tier = ElasticTier(db, num_servers=2).start()
+            tiers.append(tier)
+            return tier
+
+        yield start
+        for tier in tiers:
+            tier.stop()
+        store.fault_hook = None
+
+    def test_segment_faults_do_not_change_results(self, loaded_post_db, chaotic):
         db = loaded_post_db
-        plan = FaultPlan(seed=20).fail_segment(0, failures=2).fail_segment(2)
-        _, baseline, chaotic = self._searchers(db, plan)
         query = db._test_vectors[17]
-        with db.snapshot() as snap:
-            want = baseline.search(query, 10, snapshot_tid=snap.tid, ef=64)
-            got = chaotic.search(query, 10, snapshot_tid=snap.tid, ef=64)
-        assert np.array_equal(want.result.ids, got.result.ids)
-        assert np.allclose(want.result.distances, got.result.distances)
-        assert got.coverage == 1.0
-        assert got.failed_segments == []
-        assert got.retries >= 3  # the injected failures were retried away
-
-    def test_machine_crash_fails_over_between_queries(self, loaded_post_db):
-        db = loaded_post_db
-        plan = FaultPlan(seed=21).crash(1, at_query=1)
-        _, baseline, chaotic = self._searchers(db, plan)
-        queries = db._test_vectors[:3]
-        with db.snapshot() as snap:
-            for query in queries:
-                want = baseline.search(query, 5, snapshot_tid=snap.tid, ef=64)
-                got = chaotic.search(query, 5, snapshot_tid=snap.tid, ef=64)
-                assert np.array_equal(want.result.ids, got.result.ids)
-                assert got.coverage == 1.0
-        assert "crash" in chaotic.injector.trace_kinds()
-
-    def test_exhausted_segment_raises_partial_result_error(self, loaded_post_db):
-        db = loaded_post_db
-        plan = FaultPlan(seed=22).fail_segment(1, failures=10)
-        _, _, chaotic = self._searchers(db, plan, rf=1)
-        with db.snapshot() as snap:
-            with pytest.raises(PartialResultError) as excinfo:
-                chaotic.search(db._test_vectors[0], 5, snapshot_tid=snap.tid, ef=64)
-        assert excinfo.value.coverage == 0.75  # 3 of 4 segments answered
-        assert excinfo.value.result is not None  # partial top-k attached
-
-    def test_exhausted_segment_degrades_when_allowed(self, loaded_post_db):
-        db = loaded_post_db
-        plan = FaultPlan(seed=23).fail_segment(1, failures=10)
-        _, _, chaotic = self._searchers(
-            db, plan, rf=1, policy=ResiliencePolicy(allow_partial=True)
+        want_map = MapAccum()
+        want = db.vector_search([ATTR], query, 10, ef=64, distance_map=want_map)
+        injector = FaultInjector(
+            FaultPlan(seed=20).fail_segment(0, failures=2).fail_segment(2)
         )
-        with db.snapshot() as snap:
-            out = chaotic.search(db._test_vectors[0], 5, snapshot_tid=snap.tid, ef=64)
-        assert out.coverage == 0.75
-        assert out.failed_segments == [1]
-        assert out.retries >= 3
-        assert len(out.result) == 5  # still a full top-k from live segments
+        tier = chaotic(injector)
+        telemetry = Telemetry()
+        got_map = MapAccum()
+        with use_telemetry(telemetry):
+            got = tier.search([ATTR], query, 10, ef=64, distance_map=got_map)
+        assert sorted(got) == sorted(want)
+        assert got_map.value == want_map.value
+        # all three injected failures fired and were retried away
+        assert injector.trace_kinds().count("segment-fault") == 3
+        counters = telemetry.registry.snapshot()["counters"]
+        assert counters.get("resilience.degraded_queries", 0) == 0
+        assert counters["resilience.retries"] >= 2
 
-    def test_zero_deadline_raises_query_timeout(self, loaded_post_db):
+    def test_machine_crash_fails_over_between_queries(self, loaded_post_db, chaotic):
         db = loaded_post_db
-        _, _, chaotic = self._searchers(
-            db,
-            FaultPlan(seed=24),
-            policy=ResiliencePolicy(deadline=0.0, allow_partial=True),
-        )
+        tier = chaotic(FaultInjector(FaultPlan(seed=21)))
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            for index, query in enumerate(db._test_vectors[:3]):
+                if index == 1:
+                    tier.shards["shard-1"].stop()  # dies between queries
+                got = tier.search([ATTR], query, 5, ef=64)
+                assert sorted(got) == sorted(db.vector_search([ATTR], query, 5, ef=64))
+        assert telemetry.registry.snapshot()["counters"]["elastic.crash_failovers"] == 1
+
+    def test_two_failures_on_one_segment_are_absorbed(self, loaded_post_db, chaotic):
+        db = loaded_post_db
+        query = db._test_vectors[0]
+        want = db.vector_search([ATTR], query, 5, ef=64)
+        tier = chaotic(FaultInjector(FaultPlan(seed=22).fail_segment(1, failures=2)))
+        assert tier.search([ATTR], query, 5, ef=64) == want
+
+    def test_exhausted_segment_raises_partial_result_error(self, loaded_post_db, chaotic):
+        db = loaded_post_db
+        query = db._test_vectors[0]
         with db.snapshot() as snap:
-            with pytest.raises(QueryTimeoutError):
-                chaotic.search(db._test_vectors[0], 5, snapshot_tid=snap.tid, ef=64)
+            parts, _ = vector_search_parts(
+                db.service, snap, [ATTR], query, 5, VectorSearchOptions(ef=64),
+                groups=frozenset({0, 2, 3}),
+            )
+        want = build_topk_vertex_set(merge_sharded_topk([parts], 5), None)
+        tier = chaotic(FaultInjector(FaultPlan(seed=22).fail_segment(1, failures=10)))
+        with pytest.raises(PartialResultError) as excinfo:
+            tier.search([ATTR], query, 5, ef=64)
+        assert excinfo.value.coverage == 0.75  # 3 of 4 segment groups answered
+        assert excinfo.value.result == want  # the partial top-k is attached
+        assert isinstance(excinfo.value.__cause__, FaultInjectionError)
+
+    def test_exhausted_segment_costs_only_its_group(self, loaded_post_db, chaotic):
+        """shard-1's sub-request for groups {1, 3} fails whole; its groups
+        go again one per sub-request, so group 3 still answers."""
+        db = loaded_post_db
+        tier = chaotic(FaultInjector(FaultPlan(seed=23).fail_segment(1, failures=10)))
+        telemetry = Telemetry()
+        dmap = MapAccum()
+        with use_telemetry(telemetry), pytest.raises(PartialResultError) as excinfo:
+            tier.search([ATTR], db._test_vectors[0], 5, ef=64, distance_map=dmap)
+        assert excinfo.value.coverage == 0.75  # not 0.5: group 3 was re-sent alone
+        assert len(excinfo.value.result) == 5  # still a full top-k from live groups
+        assert set(dmap.value) == excinfo.value.result.members()
+        counters = telemetry.registry.snapshot()["counters"]
+        assert counters["resilience.retries"] >= 3
+        assert counters["resilience.degraded_queries"] == 1
+        assert counters.get("elastic.route_retries", 0) == 0  # re-sends are not routes
+
+    def test_zero_deadline_raises_query_timeout(self, loaded_post_db, chaotic):
+        db = loaded_post_db
+        tier = chaotic(FaultInjector(FaultPlan(seed=24)))
+        with pytest.raises(QueryTimeoutError):
+            tier.search([ATTR], db._test_vectors[0], 5, ef=64, timeout=0.0)
 
     def test_store_level_fault_hook(self, loaded_post_db):
         """install_store routes search_segment through the injected gate."""

@@ -9,8 +9,17 @@ from repro.cluster import (
     NetworkModel,
     TIGERVECTOR_N2D,
     make_cluster,
+    measure_samples,
+)
+from repro.core.action import EmbeddingAction
+from repro.core.search import (
+    VectorSearchOptions,
+    merge_sharded_topk,
+    vector_search_sharded,
 )
 from repro.errors import ClusterError
+
+ATTR = "Post.content_emb"
 
 
 class TestMachines:
@@ -138,30 +147,36 @@ class TestLoadGenerator:
         assert 0.002 < out.mean_latency_seconds < 0.008
 
 
-class TestDistributedSearcher:
-    def test_results_invariant_to_machine_count(self, loaded_post_db):
-        """Local top-k + global merge equals the single-machine answer."""
-        from repro.core.distributed import DistributedSearcher
+class TestSegmentFanOut:
+    """The coordinator merge of per-segment top-k is split-invariant, and the
+    Fig. 9/10 sampler times every segment of the real store."""
 
+    def test_results_invariant_to_group_split(self, loaded_post_db):
+        """Local top-k per group set + global merge equals the whole answer."""
         db = loaded_post_db
-        store = db.service.store("Post", "content_emb")
         q = db._test_vectors[33]
+        options = VectorSearchOptions(ef=128)
+        results = []
         with db.snapshot() as snap:
-            results = []
-            for machines in (1, 2, 4):
-                searcher = DistributedSearcher(store, machines)
-                out = searcher.search(q, 5, snapshot_tid=snap.tid, ef=128)
-                results.append(out.result.ids.tolist())
+            for split in ([{0, 1, 2, 3}], [{0, 2}, {1, 3}], [{0}, {1}, {2}, {3}]):
+                parts = [
+                    vector_search_sharded(
+                        db.service, snap, [ATTR], q, 5, options, groups=frozenset(groups)
+                    )
+                    for groups in split
+                ]
+                results.append(merge_sharded_topk(parts, 5))
         assert results[0] == results[1] == results[2]
+        assert len(results[0]) == 5
 
     def test_measures_per_segment_times(self, loaded_post_db):
-        from repro.core.distributed import DistributedSearcher
-
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
+        query = db._test_vectors[0]
         with db.snapshot() as snap:
-            searcher = DistributedSearcher(store, 2)
-            out = searcher.search(db._test_vectors[0], 5, snapshot_tid=snap.tid)
-        assert set(out.segment_seconds) == {0, 1, 2, 3}
-        assert all(t > 0 for t in out.segment_seconds.values())
-        assert set(out.per_machine_seconds) == {0, 1}
+            samples, results = measure_samples(store, [query], 5, snap.tid)
+            want = EmbeddingAction(store).topk(query, 5, snap.tid)
+        assert set(samples[0]) == {0, 1, 2, 3}
+        assert all(t > 0 for t in samples[0].values())
+        assert results[0].ids.tolist() == want.ids.tolist()
+        assert results[0].distances.tolist() == want.distances.tolist()

@@ -1,41 +1,59 @@
-"""More distributed-search tests: MVCC interplay and simulator wiring."""
+"""Distributed-search tests: MVCC interplay and simulator wiring.
+
+The distributed query is per-segment-group top-k on the owners plus a
+coordinator merge (``vector_search_parts`` + ``merge_sharded_topk``); the
+Fig. 9/10 model replays what ``measure_samples`` measured on the store.
+"""
 
 import numpy as np
-import pytest
 
-from repro.core.distributed import DistributedSearcher
+from repro.cluster import ClusterSimulator, make_cluster, measure_samples
+from repro.core.search import (
+    VectorSearchOptions,
+    merge_sharded_topk,
+    vector_search_parts,
+)
+
+ATTR = "Post.content_emb"
+
+
+def split_search(db, snapshot, query, k, ef):
+    """Groups {0, 1} and {2, 3} searched apart, then merged: top (type, vid)s."""
+    options = VectorSearchOptions(ef=ef)
+    parts = [
+        vector_search_parts(
+            db.service, snapshot, [ATTR], query, k, options, groups=frozenset(groups)
+        )[0]
+        for groups in ({0, 1}, {2, 3})
+    ]
+    return [(vertex_type, vid) for _, vertex_type, vid in merge_sharded_topk(parts, k)]
 
 
 class TestDistributedWithUpdates:
     def test_search_reflects_unmerged_deltas(self, loaded_post_db):
-        """Distributed local searches overlay deltas like local ones do."""
+        """Split-group searches overlay deltas like local ones do."""
         db = loaded_post_db
-        store = db.service.store("Post", "content_emb")
         target = np.full(16, 77.0, dtype=np.float32)
         with db.begin() as txn:
             txn.set_embedding("Post", 123, "content_emb", target)
         with db.snapshot() as snap:
-            searcher = DistributedSearcher(store, 2)
-            out = searcher.search(target, 1, snapshot_tid=snap.tid, ef=64)
-        assert out.result.ids[0] == db.vid_for("Post", 123)
+            top = split_search(db, snap, target, 1, 64)
+        assert top == [("Post", db.vid_for("Post", 123))]
 
     def test_old_snapshot_distributed_read(self, loaded_post_db):
         db = loaded_post_db
-        store = db.service.store("Post", "content_emb")
         vectors = db._test_vectors
         pinned = db.snapshot()
         far = np.full(16, -33.0, dtype=np.float32)
         with db.begin() as txn:
             txn.set_embedding("Post", 60, "content_emb", far)
         db.vacuum()
-        searcher = DistributedSearcher(store, 4)
+        post_60 = ("Post", db.vid_for("Post", 60))
         # at the pinned snapshot, post 60 is still at its original location
-        out = searcher.search(vectors[60], 1, snapshot_tid=pinned.tid, ef=128)
-        assert out.result.ids[0] == db.vid_for("Post", 60)
+        assert split_search(db, pinned, vectors[60], 1, 128) == [post_60]
         # at a fresh snapshot it is not
         with db.snapshot() as snap:
-            out = searcher.search(vectors[60], 1, snapshot_tid=snap.tid, ef=128)
-        assert out.result.ids[0] != db.vid_for("Post", 60)
+            assert split_search(db, snap, vectors[60], 1, 128) != [post_60]
         pinned.release()
 
 
@@ -43,8 +61,9 @@ class TestSimulatorWiring:
     def test_simulator_uses_store_geometry(self, loaded_post_db):
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
-        searcher = DistributedSearcher(store, 3)
-        sim = searcher.simulator(k=7)
+        sim = ClusterSimulator(
+            make_cluster(3, store.num_segments), dim=store.embedding.dimension, k=7
+        )
         assert sim.k == 7
         assert sim.dim == 16
         placed = sorted(s for m in sim.machines for s in m.segments)
@@ -53,11 +72,10 @@ class TestSimulatorWiring:
     def test_measure_samples_shapes(self, loaded_post_db):
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
-        searcher = DistributedSearcher(store, 2)
         queries = db._test_vectors[:3]
         with db.snapshot() as snap:
-            samples, results = searcher.measure_samples(
-                queries, 5, snapshot_tid=snap.tid, ef=64
+            samples, results = measure_samples(
+                store, queries, 5, snapshot_tid=snap.tid, ef=64
             )
         assert len(samples) == 3 and len(results) == 3
         assert all(len(r) == 5 for r in results)

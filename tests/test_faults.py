@@ -2,6 +2,8 @@
 durability-side crash machinery (torn WAL tails, mid-commit failpoints)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -126,6 +128,31 @@ class TestInjectorDeterminism:
         with pytest.raises(FaultInjectionError):
             injector.raise_segment_fault(0, machine_id=2, attempt=0)
         injector.raise_segment_fault(0, machine_id=2, attempt=1)  # drained
+
+    def test_concurrent_claims_never_overdraw_a_segment_budget(self):
+        """Serve workers race on an installed store gate: 8 threads draining
+        one 50-failure budget must fire exactly 50 failures, every trial."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt between a read and its write
+        try:
+            for _ in range(100):
+                injector = FaultInjector(FaultPlan().fail_segment(0, failures=50))
+                barrier = threading.Barrier(8)
+
+                def drain():
+                    barrier.wait(timeout=5)
+                    while injector.segment_attempt_fails(0, -1, 0):
+                        pass
+
+                threads = [threading.Thread(target=drain) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=5)
+                    assert not thread.is_alive()
+                assert injector.trace_kinds().count("segment-fault") == 50
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_identical_seeds_identical_drop_sequences(self):
         plan = FaultPlan(seed=21).degrade_network(drop_probability=0.5)

@@ -20,7 +20,11 @@ import pytest
 from repro import Attribute, AttrType, Metric, TigerVectorDB, VertexSet
 from repro.core.auth import AuthorizationError
 from repro.elastic import ElasticTier
-from repro.errors import DimensionMismatchError, EmbeddingCompatibilityError
+from repro.errors import (
+    DimensionMismatchError,
+    EmbeddingCompatibilityError,
+    VectorSearchError,
+)
 from repro.graph.accumulators import MapAccum
 from repro.serve import QueryServer, ServeConfig, Tenant
 
@@ -66,6 +70,9 @@ def db():
         CREATE QUERY SearchBothIn(List<FLOAT> qv, INT k, Set<VERTEX> F) {
           Map<VERTEX, FLOAT> @@d;
           R = VectorSearch({Post.emb, Comment.emb}, qv, k, {filter: F, distanceMap: @@d});
+        }
+        CREATE QUERY SearchEf(List<FLOAT> qv, INT k, INT e) {
+          R = VectorSearch({Post.emb}, qv, k, {ef: e});
         }
         """
     )
@@ -180,6 +187,42 @@ def test_every_door_gives_the_same_answer(db, server, tier, name, seed):
 # ----------------------------------------------------------------------------
 # the holes the copies had
 # ----------------------------------------------------------------------------
+
+
+BAD_ARGS = {
+    # name: (k, ef) -- each was truncated, read as the default, or searched
+    "k-float": (1.5, None),
+    "ef-zero": (K, 0),
+    "ef-negative": (K, -3),
+    "ef-float": (K, 2.5),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGS)
+def test_every_door_refuses_a_k_or_ef_that_is_not_a_positive_integer(db, server, tier, name):
+    k, ef = BAD_ARGS[name]
+    q = np.random.default_rng(7).standard_normal(DIM).astype(np.float32)
+    attrs = ["Post.emb"]
+    doors = {
+        "direct": lambda: db.vector_search(attrs, q, k, ef=ef),
+        "batch": lambda: db.vector_search_batch(attrs, np.stack([q] * 4), k, ef=ef),
+        "authorized": lambda: db.access.authorized_search("admin", attrs, q, k, ef=ef),
+        "gsql": lambda: db.gsql.run_query("SearchEf", qv=q.tolist(), k=k, e=ef),
+        "server": lambda: server.search(attrs, q, k, ef=ef),
+        "tier": lambda: tier.search(attrs, q, k, ef=ef),
+    }
+    if ef is None:
+        doors["gsql-limit"] = lambda: db.gsql.run(
+            "SELECT t FROM (t:Post) ORDER BY VECTOR_DIST(t.emb, qv) LIMIT k", qv=q.tolist(), k=k
+        )
+    answered = []
+    for door, search in doors.items():
+        try:
+            search()
+        except VectorSearchError:
+            continue
+        answered.append(door)
+    assert answered == []
 
 
 def test_elastic_role_scoped_search_returns_only_authorized_rows(db, tier, rng):

@@ -1,20 +1,23 @@
-"""Telemetry through the real distributed query path.
+"""Telemetry through the distributed query paths.
 
 The acceptance scenario for the observability layer: a distributed top-k
 under a seeded straggler plan must produce a trace tree with coordinator /
-machine / segment spans *including the hedged duplicate dispatch*, and the
-metrics snapshot must report the hedge counter.  A second battery pins the
-contract that telemetry never changes results: with telemetry disabled the
-search output is identical to an uninstrumented run.
+machine spans *including the hedged duplicate dispatch*, and the metrics
+snapshot must report the hedge counter.  Hedging lives in the cluster
+model (:class:`ClusterSimulator`); the served path (:class:`ElasticTier`)
+reports a degraded query in the same counters.  A last battery pins the
+contract that telemetry never changes results.
 """
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.core.distributed import DistributedSearcher
+from repro.cluster import ClusterSimulator, make_cluster
+from repro.elastic import ElasticTier
+from repro.errors import PartialResultError
 from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
+from repro.graph.accumulators import MapAccum
 from repro.telemetry import (
     NullTelemetry,
     Telemetry,
@@ -22,144 +25,113 @@ from repro.telemetry import (
     use_telemetry,
 )
 
+ATTR = "Post.content_emb"
+SEGMENTS = 4
 
-def make_searcher(db, plan=None, policy=None, rf=2, machines=2):
-    store = db.service.store("Post", "content_emb")
-    return DistributedSearcher(
-        store,
-        machines,
-        replication_factor=rf,
-        injector=FaultInjector(plan) if plan is not None else None,
-        policy=policy,
-    )
+
+def seg_times(each=0.002):
+    return {seg_no: each for seg_no in range(SEGMENTS)}
 
 
 class TestStragglerTrace:
-    """A hedged query leaves a complete trace and counts its hedges."""
+    """A hedged request leaves a complete trace and counts its hedges."""
 
     @pytest.fixture
-    def hedged(self, loaded_post_db):
-        db = loaded_post_db
-        # Machine 0 — the first holder of every segment, hence the primary
-        # dispatch target — straggles 10^4x for the whole run (the straggle
-        # clock is the query ordinal); with rf=2 machine 1 is always an
-        # alternate, and hedge_after=50ms guarantees the projected cost
-        # (elapsed * 1e4 >> 50ms) crosses the threshold on every segment.
-        plan = FaultPlan(seed=31).straggle(0, factor=1e4, start=0.0, end=100.0)
-        searcher = make_searcher(
-            db, plan, policy=ResiliencePolicy(hedge_after=0.05)
+    def hedged(self):
+        # Machine 0 — the coordinator, which keeps its own replicas' jobs —
+        # straggles 10^4x for the whole run; with rf=2 machine 1 holds every
+        # segment too, and hedge_after=50ms is far below 2ms * 10^4.
+        injector = FaultInjector(
+            FaultPlan(seed=31).straggle(0, factor=1e4, start=0.0, end=100.0)
         )
-        return db, searcher
+        sim = ClusterSimulator(
+            make_cluster(2, SEGMENTS, cores=4, replication_factor=2),
+            injector=injector,
+            policy=ResiliencePolicy(hedge_after=0.05),
+        )
+        return sim, injector
 
     def test_trace_tree_contains_hedge_span(self, hedged):
-        db, searcher = hedged
+        sim, injector = hedged
         telemetry = Telemetry()
-        with use_telemetry(telemetry), db.snapshot() as snap:
-            output = searcher.search(
-                db._test_vectors[3], 10, snapshot_tid=snap.tid, ef=64
-            )
+        with use_telemetry(telemetry):
+            outcome = sim.simulate_request_outcome(0.0, seg_times())
 
-        assert output.hedges >= 1
-        assert "hedge" in searcher.injector.trace_kinds()
+        assert outcome.hedges >= 1
+        assert "hedge" in injector.trace_kinds()
 
         trace = telemetry.last_trace()
-        assert trace.name == "coordinator.query"
-        dispatches = trace.find("machine.dispatch")
-        segments = trace.find("segment.search")
+        assert trace.name == "coordinator.request"
+        machines = trace.find("machine.execute")
         hedgespans = trace.find("hedge.dispatch")
-        assert len(dispatches) == searcher.store.num_segments
-        assert len(segments) >= searcher.store.num_segments
-        assert len(hedgespans) == output.hedges
-        # The duplicate dispatch nests under the straggling primary's span
-        # and names both parties of the race.
+        assert machines
+        assert len(hedgespans) == outcome.hedges
+        # The duplicate dispatch names both parties of the race.
         hedge = hedgespans[0]
         assert hedge.attrs["primary"] == 0
         assert hedge.attrs["machine_id"] == 1
-        assert any(hedge in d.children for d in dispatches)
-        assert trace.attrs["hedges"] == output.hedges
+        assert hedge in trace.children
+        assert trace.attrs["hedges"] == outcome.hedges
         # The rendered tree is what README shows; it must mention the hedge.
         assert "hedge.dispatch" in format_span_tree(trace)
 
     def test_snapshot_reports_hedge_counter(self, hedged):
-        db, searcher = hedged
+        sim, _ = hedged
         telemetry = Telemetry()
-        with use_telemetry(telemetry), db.snapshot() as snap:
-            for query in db._test_vectors[:3]:
-                searcher.search(query, 10, snapshot_tid=snap.tid, ef=64)
+        with use_telemetry(telemetry):
+            for start in (0.0, 1.0, 2.0):
+                sim.simulate_request_outcome(start, seg_times())
         snapshot = telemetry.registry.snapshot()
         assert snapshot["counters"]["resilience.hedges"] >= 3
-        assert snapshot["counters"]["query.count"] == 3
-        assert snapshot["counters"]["hnsw.searches"] >= 3 * searcher.store.num_segments
-        assert snapshot["histograms"]["query.latency_seconds"]["count"] == 3
+        assert snapshot["counters"]["coordinator.requests"] == 3
 
-    def test_hedging_does_not_change_results(self, hedged):
-        db, searcher = hedged
-        baseline = make_searcher(db)
+    def test_trace_serializes_with_hedge_span(self, hedged):
+        sim, _ = hedged
         telemetry = Telemetry()
-        with use_telemetry(telemetry), db.snapshot() as snap:
-            want = baseline.search(db._test_vectors[0], 10, snapshot_tid=snap.tid, ef=64)
-            got = searcher.search(db._test_vectors[0], 10, snapshot_tid=snap.tid, ef=64)
-        assert np.array_equal(want.result.ids, got.result.ids)
-        assert np.allclose(want.result.distances, got.result.distances)
-
-    def test_profile_attached_and_serializable(self, hedged):
-        db, searcher = hedged
-        with use_telemetry(Telemetry()), db.snapshot() as snap:
-            output = searcher.search(
-                db._test_vectors[5], 10, snapshot_tid=snap.tid, ef=64
-            )
-        profile = output.profile
-        assert profile is not None
-        assert profile.metrics["hedges"] == output.hedges
-        assert profile.metrics["coverage"] == 1.0
-        payload = json.dumps(profile.to_dict())
-        assert "hedge.dispatch" in payload
+        with use_telemetry(telemetry):
+            outcome = sim.simulate_request_outcome(0.0, seg_times())
+        payload = json.loads(json.dumps(telemetry.last_trace().to_dict()))
+        assert payload["attrs"]["hedges"] == outcome.hedges
+        assert payload["attrs"]["coverage"] == 1.0
+        assert "hedge.dispatch" in json.dumps(payload)
 
 
 class TestDegradedQueryMetrics:
-    """Partial coverage and breaker activity show up in the snapshot."""
+    """A served partial answer shows up in the snapshot."""
 
     def test_partial_coverage_metric(self, loaded_post_db):
         db = loaded_post_db
-        plan = FaultPlan(seed=32).fail_segment(1, failures=10)
-        searcher = make_searcher(
-            db, plan, rf=1, policy=ResiliencePolicy(allow_partial=True)
-        )
+        store = db.service.store("Post", "content_emb")
+        FaultInjector(FaultPlan(seed=32).fail_segment(1, failures=10)).install_store(store)
         telemetry = Telemetry()
-        with use_telemetry(telemetry), db.snapshot() as snap:
-            output = searcher.search(
-                db._test_vectors[0], 5, snapshot_tid=snap.tid, ef=64
-            )
-        assert output.coverage < 1.0
+        try:
+            with use_telemetry(telemetry), ElasticTier(db, num_servers=2) as tier:
+                with pytest.raises(PartialResultError) as excinfo:
+                    tier.search([ATTR], db._test_vectors[0], 5, ef=64)
+        finally:
+            store.fault_hook = None
+        assert excinfo.value.coverage < 1.0
 
         snapshot = telemetry.registry.snapshot()
         assert snapshot["counters"]["resilience.degraded_queries"] == 1
         assert snapshot["counters"]["resilience.retries"] >= 3
-        assert snapshot["counters"]["resilience.breaker_open"] >= 1
-
-        trace = telemetry.last_trace()
-        assert trace.attrs["coverage"] == output.coverage
-        assert trace.find("segment-lost"), "lost segment must appear as an event"
-        assert output.profile.metrics["failed_segments"] == [1]
 
 
 class TestDisabledPathUnchanged:
-    """With telemetry off, search output is identical and profile-free."""
+    """With telemetry off, null or live, a served search answers the same."""
 
     def test_results_identical_across_modes(self, loaded_post_db):
         db = loaded_post_db
         query = db._test_vectors[9]
-        searcher = make_searcher(db)
-        with db.snapshot() as snap:
-            plain = searcher.search(query, 10, snapshot_tid=snap.tid, ef=64)
-            with use_telemetry(NullTelemetry()):
-                null = searcher.search(query, 10, snapshot_tid=snap.tid, ef=64)
-            with use_telemetry(Telemetry()):
-                live = searcher.search(query, 10, snapshot_tid=snap.tid, ef=64)
-        for other in (null, live):
-            assert np.array_equal(plain.result.ids, other.result.ids)
-            assert np.array_equal(plain.result.distances, other.result.distances)
-            assert other.coverage == plain.coverage == 1.0
-        assert plain.profile is None
-        assert null.profile is None
-        assert live.profile is not None
+        answers = []
+        with ElasticTier(db, num_servers=2) as tier:
+            for telemetry in (None, NullTelemetry(), Telemetry()):
+                dmap = MapAccum()
+                if telemetry is None:
+                    got = tier.search([ATTR], query, 10, ef=64, distance_map=dmap)
+                else:
+                    with use_telemetry(telemetry):
+                        got = tier.search([ATTR], query, 10, ef=64, distance_map=dmap)
+                answers.append((sorted(got), dmap.value))
+        assert answers[0] == answers[1] == answers[2]
+        assert len(answers[0][0]) == 10
