@@ -20,7 +20,6 @@ from patching.
 
 from __future__ import annotations
 
-import pickle
 import shutil
 import tempfile
 from pathlib import Path
@@ -658,7 +657,7 @@ class HnswFreshBatchVsSearch(Scenario):
         if self.validate:
             state.index.update_items(ids, state.fresh)
             return
-        built = pickle.loads(pickle.dumps(state.index))
+        built = state.index.clone()
         built.update_items(ids, state.fresh)
         live = state.index
         for name in ("_ids", "_id_to_row", "_levels", "_links0", "_links0_cnt", "_links_upper"):

@@ -239,15 +239,17 @@ class EmbeddingSegment:
     def hot_copy(self, snap: SegmentSnapshot) -> SegmentSnapshot:
         """A hot, same-tid copy of ``snap`` that can be written without
         touching ``snap``: its rows materialized (a cold snapshot's may be a
-        read-only memmap) and its index cloned, or, for a cold snapshot,
-        which has none, rebuilt from the present rows.
+        read-only memmap) and its index cloned (``VectorIndex.clone``: an
+        HNSW copies its state once, under its write lock, with no pickle
+        bytes), or, for a cold snapshot, which has none, rebuilt from the
+        present rows.
         """
         vectors = np.array(snap.vectors, dtype=np.float32)
         present = snap.present.copy()
         if snap.index is None:
             index = rebuild_index(self.embedding, vectors, present)
         else:
-            index = _clone_index(snap.index)
+            index = snap.index.clone()
         return SegmentSnapshot(tid=snap.tid, index=index, vectors=vectors, present=present)
 
     def build_next_snapshot(
@@ -256,10 +258,13 @@ class EmbeddingSegment:
         """Apply delta records for this segment to a copy of the snapshot.
 
         This is the index-merge step: the current snapshot is copied
-        (:meth:`hot_copy`), the deltas are folded in with ``update_items`` /
-        ``delete_items``, and the result is returned for
-        :meth:`install_snapshot` to switch to.  The last record per offset
-        decides: a delete followed by an upsert leaves the offset live.
+        (:meth:`hot_copy`), the deltas are folded in with one
+        ``update_items`` and one ``delete_items``, and the result is returned
+        for :meth:`install_snapshot` to switch to.  In an HNSW, the upserted
+        offsets the index has never seen are built and the ones it holds are
+        rewritten, each kind as one batch wired by the same candidate scan.
+        The last record per offset decides: a delete followed by an upsert
+        leaves the offset live.
         """
         with self._lock:  # pin one coherent snapshot to clone from
             current = self._current
@@ -303,13 +308,6 @@ def rebuild_index(
     if offsets.size:
         index.update_items(offsets.tolist(), vectors[offsets])
     return index
-
-
-def _clone_index(index: VectorIndex) -> VectorIndex:
-    """Deep-copy a vector index (pickle round-trip keeps it simple and safe)."""
-    import pickle
-
-    return pickle.loads(pickle.dumps(index))
 
 
 def _empty_like(segment: EmbeddingSegment, tid: int) -> SegmentSnapshot:

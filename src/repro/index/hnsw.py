@@ -21,11 +21,12 @@ embedding segment — with the features TigerVector relies on:
     simulators and first-time embeddings folded in by a vacuum all take it;
   - an id it holds, live or tombstoned, **rewrites that id's row**: the row
     is unlinked, each in-neighbour gets a substitute edge from the row's
-    old out-list, and the row-by-row insert (beam search per layer) runs
-    again at the same row and level (``_unlink``).  The index never holds
-    more rows than distinct ids, so search cost does not grow with the
-    number of updates ever applied, and nothing is left for a compaction
-    pass,
+    old out-list (``_unlink``), and the batch's rewritten rows are then
+    wired like built ones, at the same row and level, from their exact
+    ``ef_construction`` nearest live rows (``_rewrite_held``).  The index
+    never holds more rows than distinct ids, so search cost does not grow
+    with the number of updates ever applied, and nothing is left for a
+    compaction pass,
 - soft deletion (deleted nodes keep navigating but never appear in results;
   a later upsert of the id revives its row),
 - statistics reporting (distance computations, expansion rounds) per Sec. 4.4,
@@ -39,8 +40,8 @@ Performance notes (this is pure Python + numpy):
   a prenormalized row copy reduces COSINE to IP, and per-search
   :class:`~repro.index.kernels.QueryContext` state computes ``q·q`` / query
   normalization once per search instead of once per hop;
-- one layer search (``_search_layer``) serves queries and row rewrites on
-  every layer, and it works in *rounds*: up to ``ef // ROUND_SHARE`` nearest
+- one layer search (``_search_layer``) serves every query on every layer,
+  and it works in *rounds*: up to ``ef // ROUND_SHARE`` nearest
   unexpanded candidates are expanded together — one ``take`` for all their
   adjacency lists, one for the visited test, one row gather and one matvec —
   and "may this row be returned" is one boolean array per search
@@ -223,14 +224,15 @@ class HNSWIndex(VectorIndex):
         layer = self._links_upper[level - 1]
         return np.asarray(layer.get(row, ()), dtype=np.int32)
 
-    def _set_neighbors(self, row: int, level: int, neighbors: Sequence[int]) -> None:  # repro: noqa[R001] -- link-repair internal; every caller (_insert_locked/_append_link/_link_layer) holds _write_lock
-        if level == 0:
-            n = len(neighbors)
-            self._links0[row, :n] = neighbors
-            self._links0[row, n:] = -1  # invariant: -1 at and beyond the count
-            self._links0_cnt[row] = n
-        else:
-            self._links_upper[level - 1][row] = list(neighbors)
+    def _set_neighbors(self, row: int, level: int, neighbors: Sequence[int]) -> None:
+        with self._write_lock:  # reentrant: always already held by _link_layer
+            if level == 0:
+                n = len(neighbors)
+                self._links0[row, :n] = neighbors
+                self._links0[row, n:] = -1  # invariant: -1 at and beyond the count
+                self._links0_cnt[row] = n
+            else:
+                self._links_upper[level - 1][row] = list(neighbors)
 
     # ------------------------------------------------------------- kernels
     def _pairwise(self, rows: np.ndarray) -> np.ndarray:
@@ -491,31 +493,11 @@ class HNSWIndex(VectorIndex):
                     chosen.add(i)
         return [int(rows[i]) for i in selected]
 
-    def _append_link(self, node: int, level: int, new_row: int) -> None:  # repro: noqa[R001] -- backlink hot path; only reachable from _insert_locked, under _write_lock
-        """Add a backlink, pruning with the diversity heuristic on overflow."""
-        bound = self.M0 if level == 0 else self.M
-        if level == 0:
-            cnt = int(self._links0_cnt[node])
-            if cnt < self._links0_width:
-                self._links0[node, cnt] = new_row
-                self._links0_cnt[node] = cnt + 1
-                return
-            links = self._links0[node, :cnt].tolist() + [new_row]
-        else:
-            layer = self._links_upper[level - 1]
-            links = layer.get(node, [])
-            if len(links) < bound:
-                links.append(new_row)
-                layer[node] = links
-                return
-            links = links + [new_row]
-        self._set_neighbors(node, level, self._prune(node, links, bound))
-
     def _prune(self, node: int, links: list[int], bound: int) -> list[int]:
         """``bound`` of ``links`` for ``node``'s list: the diversity heuristic
         over the nearest ``ef_construction`` of them (the nearest ``bound``
         without the heuristic).  A list one past the row width is never cut
-        before the heuristic, so a row rewrite prunes as it always did."""
+        before the heuristic."""
         ctx = self._kernel.query(self._vectors[node])
         dists = self._kernel.distances(ctx, np.asarray(links, dtype=np.int64))
         self._stats.num_distance_computations += ctx.num_distances
@@ -552,7 +534,8 @@ class HNSWIndex(VectorIndex):
         its prune: lists keep their length, so nothing can overflow); with
         no substitute left the edge is dropped.  ``row``'s own lists are
         cleared and, if it was the entry point, another node of the highest
-        remaining level takes over.
+        remaining level that is still linked on layer 0 takes over (rows a
+        batch unlinked before this one are islands until it wires them).
         """
         with self._write_lock:
             links0, cnt0 = self._links0, self._links0_cnt
@@ -563,7 +546,8 @@ class HNSWIndex(VectorIndex):
                 # island.  (None, -1) only when ``row`` is the only row.
                 heir, top = None, -1
                 for level in range(len(self._links_upper), 0, -1):
-                    heir = next((n for n in self._links_upper[level - 1] if n != row), None)
+                    layer = self._links_upper[level - 1]
+                    heir = next((n for n in layer if n != row and cnt0[n]), None)
                     if heir is not None:
                         top = level
                         break
@@ -603,55 +587,6 @@ class HNSWIndex(VectorIndex):
                         nbrs[nbrs.index(row)] = sub
                 layer[row] = []
 
-    def _insert_locked(self, external_id: int, vector: np.ndarray) -> None:  # repro: noqa[R001] -- row rewrite; update_items calls it with _write_lock held
-        # An update rewrites its own row (live or tombstoned): links chosen
-        # for the old vector are unlinked and repaired, then the insert below
-        # runs at the same row and level.  The index therefore never holds
-        # more rows than distinct ids, and the unlink + repair + beam search
-        # per row is why an incremental update costs more than a built row —
-        # the update-vs-rebuild crossover of the paper's Figure 11.
-        row = self._id_to_row[external_id]
-        self._unlink(row)
-        level = self._levels[row]
-        self._vectors[row] = vector
-        self._kernel.set_row(row, self._vectors[row])
-        self._deleted[row] = False
-        self._stats.num_updates += 1
-        self._stats.num_inserts += 1
-        get_telemetry().inc("hnsw.row_reuses")
-
-        if self._entry_point is None:  # it was the only row
-            self._entry_point = row
-            self._max_level = level
-            return
-
-        ctx = self._kernel.query(vector)
-        entry = self._entry_point
-        if level < self._max_level:
-            entry = self._greedy_descend(ctx, entry, self._max_level, level)
-        for l in range(min(level, self._max_level), -1, -1):
-            found = self._search_layer(ctx, entry, self.ef_construction, l)
-            if not found:
-                continue
-            M = self.M0 if l == 0 else self.M
-            # _search_layer returns rank distances (true minus a per-query
-            # constant); the selection heuristic compares them against TRUE
-            # pairwise distances, so materialize true distances first.
-            true_dists = self._kernel.to_true(
-                ctx, np.asarray([d for d, _ in found], dtype=np.float32)
-            )
-            found = [(float(d), row) for d, (_, row) in zip(true_dists, found)]
-            neighbors = self._select_neighbors(found, M)
-            self._set_neighbors(row, l, neighbors)
-            for neighbor in neighbors:
-                self._append_link(neighbor, l, row)
-            entry = found[0][1]
-        if level > self._max_level:
-            self._max_level = level
-            self._entry_point = row
-        self._stats.num_distance_computations += ctx.num_distances
-        self._stats.num_hops += ctx.num_hops
-
     # --------------------------------------------------------------- build
     def _build_fresh(self, ids: list[int], vectors: np.ndarray) -> list[int]:
         """Build a row for every id of ``ids`` the index has never seen, all
@@ -662,8 +597,8 @@ class HNSWIndex(VectorIndex):
         row-by-row insert drew them.  Then, layer by layer, each new row's
         list is chosen by :meth:`_select_neighbors` from its *exact*
         ``ef_construction`` nearest among the layer's rows numbered below it
-        (:meth:`_causal_candidates` — the answer the insert-time beam search
-        approximates), and every list that gains in-edges is settled once
+        (:meth:`_causal_candidates` — the answer a per-row beam search would
+        approximate), and every list that gains in-edges is settled once
         (:meth:`_link_layer`).
 
         Lock-free readers: the rows' vectors, kernel rows and ids are written
@@ -720,15 +655,16 @@ class HNSWIndex(VectorIndex):
             return held
 
     def _link_layer(self, rows: np.ndarray, level: int, levels: np.ndarray) -> None:
-        """Wire the fresh ``rows`` (ascending) into one layer.
+        """Wire ``rows`` (ascending; all fresh, or all rewritten) into one layer.
 
-        Each row's own list comes first, from its causal candidates.  Then
-        its back-edges are grouped by target: a target keeps its list plus
-        every new in-edge when they fit the row width (``_links0_width`` on
-        layer 0, ``M`` above), and is otherwise pruned **once**, over the
-        union, instead of once per overflowing edge — except for the latest
-        in-edges the row-by-row build would have appended after its last
-        prune, which stay as they are.  A list therefore ends as long as it
+        Each row's own list comes first, from its candidates
+        (:meth:`_causal_candidates`).  Then its back-edges are grouped by
+        target: a target keeps its list plus every new in-edge when they
+        fit the row width (``_links0_width`` on layer 0, ``M`` above), and
+        is otherwise pruned **once**, over the union, instead of once per
+        overflowing edge — except for the latest in-edges the row-by-row
+        build would have appended after its last prune, which stay as they
+        are.  A list therefore ends as long as it
         would have row by row (layer-0 mean degree 35.5 at ``M`` 16, not
         the 33.2 of pruning everything to ``M0``, which cost 0.02 recall@10
         at ``ef`` 16 on 16 000 SIFT-like rows).
@@ -757,6 +693,8 @@ class HNSWIndex(VectorIndex):
             for node, lo, hi in zip(targets.tolist(), [0, *stops], stops):
                 links = self._neighbors(node, level).tolist()
                 links += (edges[lo:hi] & 0xFFFFFFFF).tolist()
+                # Two rewritten rows may have chosen each other: one edge.
+                links = list(dict.fromkeys(links))
                 if len(links) > width:
                     # Row by row, a list was pruned at every overflow and
                     # appended to raw in between, so it ended with the links
@@ -767,24 +705,29 @@ class HNSWIndex(VectorIndex):
                 self._set_neighbors(node, level, links)
 
     def _causal_candidates(self, rows: np.ndarray, level: int, levels: np.ndarray):
-        """Yield ``(row, found)`` for each fresh row of ``rows`` (ascending):
+        """Yield ``(row, found)`` for each row of ``rows`` (ascending):
         ``found`` is its ``ef_construction`` nearest live rows of ``level``
-        numbered below it, ``(true distance, row)`` ascending.
+        that it may link, ``(true distance, row)`` ascending.  A row being
+        built (at or past ``_count``) may link the rows numbered below it; a
+        rewritten row (below ``_count``) every other row, the batch's other
+        rewrites at their new vectors included.
 
-        One blocked scan: a block of new rows against the prefix of rows
-        before its last one, the causal part and tombstones set to ``inf``,
-        then one ``argpartition``.  A block holds at least 16 rows and, on a
-        small segment, at most 8 192 distances, so no temporary outgrows the
-        row-by-row build's ``ef_construction``-square pairwise matrix (a
-        larger one is freed to, and kept by, the allocator: peak RSS).
+        One blocked scan: a block of rows against the prefix of rows the
+        block may link, itself, the causal part and tombstones set to
+        ``inf``, then one ``argpartition``.  A block holds at least 16 rows
+        and, on a small segment, at most 8 192 distances, so no temporary
+        outgrows the row-by-row build's ``ef_construction``-square pairwise
+        matrix (a larger one is freed to, and kept by, the allocator: peak
+        RSS).
         """
         ef = self.ef_construction
+        count = self._count
         dead = self._deleted[: levels.shape[0]]
         keys = None if level == 0 else np.flatnonzero((levels >= level) & ~dead)
-        step = max(16, 8192 // max(int(rows[-1]), 1))
+        step = max(16, 8192 // max(int(rows[-1]), count, 1))
         for lo in range(0, rows.size, step):
             block = rows[lo : lo + step]
-            stop = int(block[-1])
+            stop = max(int(block[-1]), count)
             if keys is None:
                 cols = np.arange(stop)
                 dist = self._kernel.pairwise(block, slice(0, stop))
@@ -793,8 +736,10 @@ class HNSWIndex(VectorIndex):
                 cols = keys[: np.searchsorted(keys, stop)]
                 dist = self._kernel.pairwise(block, cols)
             self._stats.num_distance_computations += dist.size
-            tail = int(np.searchsorted(cols, block[0]))  # columns before it are all causal
-            dist[:, tail:][cols[tail:] >= block[:, None]] = np.inf
+            tail = int(np.searchsorted(cols, block[0]))  # columns before it pass every row
+            late = cols[tail:]
+            limit = np.maximum(block, count)[:, None]
+            dist[:, tail:][(late >= limit) | (late == block[:, None])] = np.inf
             if cols.size > ef:
                 pick = np.argpartition(dist, ef - 1, axis=1)[:, :ef]
                 dist = np.take_along_axis(dist, pick, 1)
@@ -807,6 +752,39 @@ class HNSWIndex(VectorIndex):
                 n = int(np.count_nonzero(row_dist < np.inf))
                 yield row, list(zip(row_dist[:n].tolist(), cols[row_pick[:n]].tolist()))
 
+    def _rewrite_held(self, ids: list[int], vectors: np.ndarray, held: list[int]) -> None:
+        """Rewrite, as one batch, the rows of the records at positions
+        ``held`` of ``ids``, whose ids the index holds.
+
+        An id listed twice keeps its last vector.  Each row is unlinked
+        (:meth:`_unlink`), in row order; then every row gets its new vector
+        and loses its tombstone, and layer by layer up to its own level the
+        batch is wired by :meth:`_link_layer`, as a build wires fresh rows,
+        from each row's exact ``ef_construction`` nearest live rows.  A row
+        keeps its slot and level, so the row count and the level draws are
+        those of the first write.  If the hand-overs left the top below a
+        rewritten row's level, the first such row becomes the entry point.
+        """
+        with self._write_lock:
+            last = {self._id_to_row[ids[position]]: position for position in held}
+            rows = np.asarray(sorted(last), dtype=np.int64)
+            for row in rows.tolist():
+                self._unlink(row)
+            self._vectors[rows] = vectors[[last[row] for row in rows.tolist()]]
+            self._kernel.set_rows(rows, self._vectors[rows])
+            self._deleted[rows] = False
+            levels = np.asarray(self._levels)
+            mine = levels[rows]
+            top = int(mine.max())
+            for level in range(top + 1):
+                self._link_layer(rows[mine >= level], level, levels)
+            if top > self._max_level:
+                self._max_level = top
+                self._entry_point = int(rows[int(np.argmax(mine))])
+            self._stats.num_updates += len(held)
+            self._stats.num_inserts += len(held)
+            get_telemetry().inc("hnsw.row_reuses", len(held))
+
     def update_items(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         """Insert-or-replace a batch (UpdateItems, Sec. 4.4).
 
@@ -817,9 +795,10 @@ class HNSWIndex(VectorIndex):
           (:meth:`_build_fresh`): every fresh build — ``bulk_load``, a
           rebuild on tier promotion, first-time embeddings folded in by a
           vacuum — goes this way;
-        - ids it holds, live or tombstoned, **rewrite their row** one record
-          at a time, in record order (:meth:`_insert_locked`), after the
-          fresh rows are in.
+        - ids it holds, live or tombstoned, **rewrite their rows**, all in
+          one batch after the fresh rows are in (:meth:`_rewrite_held`):
+          each row is unlinked and repaired around, then wired by the same
+          candidate scan and once-per-target prune as a built row.
 
         The whole batch is one hold of the write lock, from the build to the
         last rewrite, so ``save`` and other writers see it whole, and the
@@ -835,8 +814,9 @@ class HNSWIndex(VectorIndex):
         start = time.perf_counter()
         ids = [int(ext_id) for ext_id in ids]
         with self._write_lock:
-            for i in self._build_fresh(ids, vectors):
-                self._insert_locked(ids[i], vectors[i])
+            held = self._build_fresh(ids, vectors)
+            if held:
+                self._rewrite_held(ids, vectors, held)
         self._stats.build_seconds += time.perf_counter() - start
 
     def delete_items(self, ids: Sequence[int]) -> None:
@@ -892,6 +872,13 @@ class HNSWIndex(VectorIndex):
             # empty scratch pool instead of potentially checked-out entries.
             state["_visited_pool"] = []
         return state
+
+    def clone(self) -> "HNSWIndex":
+        """An independent copy made from one state copy under the write lock
+        (:meth:`__getstate__`), with no pickle bytes in between."""
+        twin = type(self).__new__(type(self))
+        twin.__setstate__(self.__getstate__())
+        return twin
 
     def __setstate__(self, state: dict) -> None:
         # Drop legacy shared-scratch fields from pre-pool pickles.

@@ -10,6 +10,7 @@ implementing these is all a new index needs.  We mirror that contract in
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -141,6 +142,14 @@ class VectorIndex:
 
     def delete_items(self, ids: Sequence[int]) -> None:
         raise NotImplementedError
+
+    def clone(self) -> "VectorIndex":
+        """An independent copy, which the index merge writes (``hot_copy``).
+
+        A pickle round-trip here; an index with a cheaper state copy
+        overrides it.
+        """
+        return pickle.loads(pickle.dumps(self))
 
     # -- stats -----------------------------------------------------------
     @property

@@ -22,7 +22,7 @@ INSTRUMENTS: dict[str, tuple[str, str]] = {
     "query.slow": ("counter", "queries over the slow-query threshold"),
     # ---- HNSW ------------------------------------------------------------
     "hnsw.searches": ("counter", "HNSW top-k searches"),
-    "hnsw.row_reuses": ("counter", "updates that rewrote their id's existing row (unlink, repair, reinsert)"),
+    "hnsw.row_reuses": ("counter", "updates that rewrote their id's existing row (unlink, repair, wire with the batch)"),
     "hnsw.distance_computations": ("histogram", "distance computations per search"),
     "hnsw.hops": (
         "histogram",

@@ -1,9 +1,11 @@
-"""The batch build of fresh HNSW rows (``HNSWIndex._build_fresh``).
+"""The batch build of fresh HNSW rows (``HNSWIndex._build_fresh``) and the
+batch rewrite of held ones (``HNSWIndex._rewrite_held``).
 
 Ids an index has never seen are built in one pass from exact causal
-candidates; ids it holds are rewritten in place.  These tests pin the graph
-the build leaves (structure, determinism, recall against brute force) and
-the way one ``update_items`` call splits between the two paths.
+candidates; ids it holds are unlinked and wired again in place, as one
+batch, by the same candidate scan and ``_link_layer``.  These tests pin the
+graph both leave (structure, determinism, recall against brute force), the
+way one ``update_items`` call splits between the two paths, and ``clone``.
 """
 
 import pickle
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.index import HNSWIndex
-from repro.types import Metric, batch_distances
+from repro.index.interface import create_index
+from repro.types import IndexType, Metric, batch_distances
 
 
 def clustered(rng, count, dim=32, centers=16):
@@ -210,6 +213,169 @@ class TestOneCall:
         clone.update_items([3, 4], data[[10, 11]])
         assert clone._count == built._count
         assert np.array_equal(clone.get_embedding(3), data[10])
+
+
+class TestRewriteBatch:
+    """Held ids rewritten as one batch: unlinked, then wired like a build."""
+
+    def test_rewriting_every_row(self, data, queries):
+        """The entry point and every upper-layer node included: the top is
+        restored, the entry point sits on it, and layer 0 stays connected."""
+        index = build(data[:400], M=8, ef_construction=32)
+        assert max(index._levels) >= 2
+        moved = clustered(np.random.default_rng(11), 400)
+        order = np.random.default_rng(12).permutation(400)
+        index.update_items(order.tolist(), moved[order])
+        assert index._count == 400 and len(index) == 400
+        assert index._max_level == max(index._levels)
+        assert index._levels[index._entry_point] == index._max_level
+        TestStructure.check(index)
+        assert recall_at_10(index, moved, queries, Metric.L2, ef=64) >= 0.95
+        for ext_id in range(0, 400, 25):
+            assert index.topk_search(moved[ext_id], 1, ef=64).ids.tolist() == [ext_id]
+
+    def test_every_hand_over_lands_on_a_linked_row(self, data):
+        """The batch unlinks all its rows before wiring any: an entry point
+        handed over mid-batch must not be a row unlinked earlier, or a
+        lock-free search starting there finds nothing else."""
+        index = build(data[:400], M=8, ef_construction=32)
+        upper = [row for row, level in enumerate(index._levels) if level >= 1]
+        unlink, entries = index._unlink, []
+
+        def watched(row):
+            unlink(row)
+            entries.append((index._entry_point, int(index._links0_cnt[index._entry_point])))
+
+        index._unlink = watched
+        index.update_items(index._ids[upper].tolist(), data[1000 : 1000 + len(upper)])
+        assert len(entries) == len(upper) and len({entry for entry, _ in entries}) > 1
+        assert all(degree > 0 for _, degree in entries), entries
+        assert index._levels[index._entry_point] == index._max_level == max(index._levels)
+        TestStructure.check(index)
+
+    def test_an_id_listed_twice_keeps_its_last_vector(self, data):
+        index = build(data[:200], M=8, ef_construction=32)
+        updates = index.stats.num_updates
+        index.update_items([3, 3], data[[500, 501]])
+        assert index._count == 200
+        assert np.array_equal(index.get_embedding(3), data[501])
+        assert index.stats.num_updates == updates + 2
+        result = index.topk_search(data[501], 1, ef=64)
+        assert result.ids.tolist() == [3]
+        assert abs(result.distances[0]) <= 1e-3
+        assert 3 not in index.topk_search(data[500], 5, ef=64).ids.tolist()
+        TestStructure.check(index)
+
+    def test_a_tombstoned_held_id_is_live_again(self, data):
+        index = build(data[:200], M=8, ef_construction=32)
+        index.delete_items([7, 8])
+        index.update_items([7], data[600:601])
+        assert 7 in index and 8 not in index and len(index) == 199
+        result = index.topk_search(data[600], 1, ef=64)
+        assert result.ids.tolist() == [7]
+        assert abs(result.distances[0]) <= 1e-3
+
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE])
+    def test_rewritten_rows_link_their_exact_nearest(self, metric):
+        """Against a float64 brute force over the live rows other than the
+        row itself, the batch's other rows at their new vectors included.
+
+        With ``M`` 8 a batch of eight never overflows a rewritten row's list
+        (16 own links plus at most 7 back-edges fit the width of 24), so the
+        first ``M0`` links are the row's own choice and the rest are the
+        batch rows that chose it.
+        """
+        rng = np.random.default_rng(21)
+        data = clustered(rng, 600, dim=16)
+        index = HNSWIndex(16, metric, M=8, ef_construction=32)
+        index.update_items(np.arange(600), data)
+        index.delete_items(range(1, 600, 5))
+        batch = rng.choice(np.arange(0, 600, 5), size=8, replace=False)
+        data[batch] = clustered(rng, 8, dim=16)
+        index.update_items(batch.tolist(), data[batch])
+        live = np.flatnonzero(~index._deleted[:600])
+        own = {}
+        for ext_id in batch.tolist():
+            row = index._id_to_row[ext_id]
+            links = index._links0[row, : index._links0_cnt[row]].tolist()
+            own[row] = links[: index.M0]
+            others = live[live != row]
+            dists = exact_distances(data[ext_id], data[index._ids[others]], metric)
+            cut = np.sort(dists)[index.ef_construction - 1]
+            near = set(others[dists <= cut + 1e-4 * max(1.0, abs(cut))].tolist())
+            assert len(own[row]) == index.M0
+            assert set(own[row]) <= near, (ext_id, set(own[row]) - near)
+        for row in own:
+            links = index._links0[row, : index._links0_cnt[row]].tolist()
+            assert set(links[index.M0 :]) <= {other for other in own if row in own[other]}
+
+    def test_fresh_held_and_repeated_ids_in_one_batch(self, data):
+        index = build(data[:100], M=8, ef_construction=32)
+        ids = [5, 200, 7, 200, 5, 201, 3, 7]
+        vectors = data[700:708]
+        index.update_items(ids, vectors)
+        assert index._count == len(set(range(100)) | set(ids)) == 102
+        last = {ext_id: vectors[i] for i, ext_id in enumerate(ids)}
+        for ext_id, vector in last.items():
+            assert np.array_equal(index.get_embedding(ext_id), vector)
+            assert index.topk_search(vector, 1, ef=64).ids.tolist() == [ext_id]
+        TestStructure.check(index)
+
+    def test_same_batch_same_graph(self, data):
+        def rewritten():
+            index = build(data[:300], M=8, ef_construction=32)
+            index.update_items([9, 40, 41, 250], data[[900, 901, 902, 903]])
+            return index
+
+        one, two = rewritten(), rewritten()
+        assert one._links0.tobytes() == two._links0.tobytes()
+        assert one._links_upper == two._links_upper
+        assert one._entry_point == two._entry_point
+
+
+class TestClone:
+    def test_writing_the_clone_leaves_the_original(self, data, queries):
+        index = build(data[:400], M=8, ef_construction=32)
+        links = index._links0.tobytes()
+        want = [index.topk_search(query, 10, ef=64) for query in queries[:20]]
+        twin = index.clone()
+        twin.update_items([0, 1, 2, index._ids[index._entry_point]], data[[800, 801, 802, 803]])
+        twin.update_items(np.arange(400, 450), data[400:450])
+        assert twin._links0.tobytes() != index._links0[: twin._capacity].tobytes()
+        assert index._links0.tobytes() == links and index._count == 400
+        for query, before in zip(queries[:20], want):
+            after = index.topk_search(query, 10, ef=64)
+            assert after.ids.tolist() == before.ids.tolist()
+            assert after.distances.tolist() == before.distances.tolist()
+
+    def test_clone_equals_a_pickle_round_trip(self, data):
+        index = build(data[:300], M=8, ef_construction=32)
+        index.delete_items([4, 5])
+        index.update_items([6], data[900:901])
+        twin, round_trip = index.clone(), pickle.loads(pickle.dumps(index))
+        assert twin is not index and twin._vectors is not index._vectors
+        skip = {"_write_lock", "_scratch_lock", "_kernel", "_rng", "_stats"}
+        assert set(vars(twin)) == set(vars(round_trip))
+        for name in set(vars(twin)) - skip:
+            mine, theirs = getattr(twin, name), getattr(round_trip, name)
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+            else:
+                assert mine == theirs, name
+        assert np.array_equal(twin._kernel._aug, round_trip._kernel._aug)
+        assert twin._stats.snapshot() == round_trip._stats.snapshot()
+        assert twin._rng.random() == round_trip._rng.random()
+
+    def test_an_index_without_its_own_clone_round_trips_through_pickle(self, data):
+        index = create_index(IndexType.FLAT, data.shape[1], Metric.L2)
+        index.update_items(np.arange(50), data[:50])
+        twin = index.clone()
+        assert type(twin) is type(index) and twin is not index
+        twin.update_items([0], data[60:61])
+        twin.delete_items([1])
+        assert np.array_equal(index.get_embedding(0), data[0]) and 1 in index
+        assert index.topk_search(data[0], 1).ids.tolist() == [0]
+        assert twin.topk_search(data[60], 1).ids.tolist() == [0]
 
 
 class TestPersistence:

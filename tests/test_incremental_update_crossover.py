@@ -1,4 +1,11 @@
-"""Tests for the update-vs-rebuild mechanics behind Figure 11."""
+"""Tests for the update-vs-rebuild mechanics behind Figure 11.
+
+An update of an id the index holds reuses the id's row: every such row of a
+batch is unlinked (its in-neighbours get substitute edges), then the batch
+is wired like a build, from each row's exact nearest live rows with each
+list pruned at most once.  These tests pin what that costs against a build
+and what the graph keeps under churn (row count, recall, degree).
+"""
 
 import pickle
 import time
@@ -44,8 +51,9 @@ class TestUpdateMechanics:
         assert index.topk_search(data[5], 1, ef=64).ids.tolist() == [5]
 
     def test_update_cost_exceeds_fresh_insert(self, base):
-        """The Figure-11 crossover mechanism: updating into a dense graph
-        costs more than batch-build inserts did on average."""
+        """The Figure-11 crossover mechanism: a rewrite pays the unlink and
+        repair on top of a built row's wiring, and its candidates span the
+        whole index, so it costs at least about what a built row did."""
         index, data, build_seconds = base
         per_insert = build_seconds / 1200
         clone = pickle.loads(pickle.dumps(index))
