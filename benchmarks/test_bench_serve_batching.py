@@ -119,8 +119,7 @@ def test_serve_batching_throughput(subject):
 
     base = dict(workers=4, enable_cache=False, max_queue_depth=1024)
     batched_config = ServeConfig(
-        enable_batching=True, batch_window_seconds=0.002, max_batch=32,
-        min_fused=4, **base,
+        enable_batching=True, batch_window_seconds=0.002, max_batch=32, **base,
     )
     unbatched_config = ServeConfig(enable_batching=False, **base)
 

@@ -128,17 +128,19 @@ class CommitVsCachedSearch(Scenario):
     """A commit racing a cache-filling search worker.
 
     Worker 0 commits a new embedding for doc 0 that becomes the query's
-    nearest neighbor.  Worker 1 mimics the serve worker's cache path:
-    read watermarks, probe the cache, pin a snapshot, search, cache.
+    nearest neighbor.  Worker 1 mimics the serve worker's cache path
+    (``QueryServer._execute_vector`` through ``freshness_gate``): read
+    watermarks, pin a snapshot, and only at lag 0 probe the cache, search
+    and fill.
 
-    With ``validate=False`` (the PR 4 fix reverted) there is an
+    With ``validate=False`` (the lag check dropped) there is an
     interleaving — commit past its embedding hook but before publishing
     ``last_tid`` — where worker 1 reads a post-commit watermark, pins a
     pre-commit snapshot, and caches the stale top-k under the post-commit
     key.  ``check`` then finds a poisoned hit for a fresh watermark.
-    With ``validate=True`` (the shipped server logic: serve but don't
-    cache when ``watermark_tid(mark) > snapshot.tid``) every interleaving
-    must pass.
+    With ``validate=True`` (the shipped server logic: serve uncached, the
+    cache neither probed nor filled, when ``watermark_lag > 0``) every
+    interleaving must pass.
     """
 
     threads = 2
@@ -171,18 +173,20 @@ class CommitVsCachedSearch(Scenario):
         # Serve-worker cache path (see QueryServer._execute_vector).
         store = state.db.service.store("Doc", "vec")
         mark = store.watermark()
-        key = ResultCache.key([_ATTR], state.query, _K, None, (mark,))
-        if state.cache.get(key) is not None:
-            return
         with state.db.snapshot() as snapshot:
+            # lag == 0: the snapshot covers the watermark read before it.
+            lag_zero = EmbeddingStore.watermark_tid(mark) <= snapshot.tid
+            cached = lag_zero or not self.validate
+            key = ResultCache.key([_ATTR], state.query, _K, None, (mark,))
+            if cached and state.cache.get(key) is not None:
+                return
             top = tuple(
                 vector_search_merged(
                     state.db.service, snapshot, [_ATTR], state.query, _K
                 )
             )
-            if self.validate and EmbeddingStore.watermark_tid(mark) > snapshot.tid:
-                return  # commit mid-publication: serve without caching
-            state.cache.put(key, top)
+            if cached:  # else commit mid-publication: serve without caching
+                state.cache.put(key, top)
 
     def check(self, state) -> None:
         store = state.db.service.store("Doc", "vec")
@@ -221,9 +225,9 @@ class SessionTokenVsCommitPublish(Scenario):
     token read post-hook, snapshot pinned pre-``last_tid`` — where the
     "serving snapshot" predates the very commit the token names, and the
     client reads a top-k missing its own write.  With ``validate=True``
-    (the shipped ``QueryServer._execute_sla`` logic: only serve from a
-    snapshot whose TID covers the token, bounded retries, fail typed
-    otherwise) every interleaving must pass.
+    (the shipped ``freshness_gate`` logic: only serve from a snapshot
+    whose TID covers the token, bounded retries, fail typed otherwise)
+    every interleaving must pass.
     """
 
     threads = 2

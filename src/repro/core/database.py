@@ -247,9 +247,7 @@ class TigerVectorDB:
         vector_attributes: list[str],
         query_vectors: np.ndarray,
         k: int,
-        ef: int | None = None,
         snapshot: Snapshot | None = None,
-        min_fused: int = 4,
     ) -> list[VertexSet]:
         """Fused multi-query VectorSearch: one segment pass for all queries.
 
@@ -259,8 +257,7 @@ class TigerVectorDB:
         """
         with self.snapshot() if snapshot is None else nullcontext(snapshot) as snap:
             batches = vector_search_batch(
-                self.service, snap, vector_attributes, query_vectors, k,
-                ef=ef, min_fused=min_fused,
+                self.service, snap, vector_attributes, query_vectors, k
             )
         return [build_topk_vertex_set(top, None) for top in batches]
 

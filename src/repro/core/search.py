@@ -320,22 +320,19 @@ def vector_search_batch(
     vector_attributes: list[str],
     query_vectors: np.ndarray,
     k: int,
-    ef: int | None = None,
-    min_fused: int = 4,
 ) -> list[list[tuple[float, str, int]]]:
     """Multi-query VectorSearch on one snapshot (the serving micro-batch kernel).
 
-    Returns one sorted top-k triple list per query row.  A default-``ef``
-    batch of at least ``min_fused`` queries visits every segment once for
-    *all* queries (:meth:`EmbeddingStore.search_segment_batch`, exact brute
-    force, so recall is never below the per-query path).  An explicit ``ef``
-    is an HNSW accuracy contract only a traversal can honour, and traversals
-    share no work across queries (DESIGN §10.3), so such a batch — like one
-    below ``min_fused`` — runs the per-query pipeline query by query.
+    Returns one sorted top-k triple list per query row.  The batch visits
+    every segment once for *all* queries
+    (:meth:`EmbeddingStore.search_segment_batch`, exact brute force, so
+    recall is never below the per-query path).  There is no ``ef``: it is
+    an HNSW accuracy contract only a per-query traversal honours, and
+    traversals share no work across queries (DESIGN §10.3).
 
     Unfiltered only.
     """
-    check_topk_args(k, ef)
+    check_topk_args(k)
     queries = np.asarray(query_vectors, dtype=np.float32)
     if queries.ndim == 1:
         queries = queries.reshape(1, -1)
@@ -343,15 +340,6 @@ def vector_search_batch(
         raise VectorSearchError("query_vectors must be a (Q, d) matrix")
     require_finite(queries, "query vectors")
     targets = resolve_search(service, vector_attributes, queries.shape[1])
-
-    if ef is not None or queries.shape[0] < min_fused:
-        options = VectorSearchOptions(ef=ef)
-        return [
-            vector_search_merged(
-                service, snapshot, vector_attributes, query, k, options
-            )
-            for query in queries
-        ]
 
     tel = get_telemetry()
     dist_blocks: list[np.ndarray] = []

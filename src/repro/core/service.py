@@ -206,8 +206,8 @@ class EmbeddingStore:
         ``marks`` is an iterable of :meth:`watermark` tuples (one per store a
         query touches).  The lag is zero in steady state; it goes positive
         exactly inside the mid-publication commit window (embedding hooks
-        fired, ``last_tid`` not yet published), which is the staleness the
-        serving SLA path bounds: a request with ``max_staleness=0`` insists
+        fired, ``last_tid`` not yet published), which is the staleness
+        ``freshness_gate`` bounds: a request with ``max_staleness=0`` insists
         on a snapshot that covers every observed watermark TID.
         """
         ceiling = max(EmbeddingStore.watermark_tid(mark) for mark in marks)
@@ -392,7 +392,33 @@ class EmbeddingStore:
         if access_hook is not None:
             access_hook(seg_no)  # tier-manager heat accounting
         snap, overlay_last, allowed = self._segment_view(seg_no, snapshot_tid, bitmap)
+        results, used_bruteforce = self._topk_on_view(
+            snap, overlay_last, allowed, query, k, ef, bitmap, bf_threshold
+        )
+        return SegmentSearchOutput(
+            seg_no,
+            offsets=[o for _, o in results],
+            distances=[d for d, _ in results],
+            used_bruteforce=used_bruteforce,
+        )
 
+    def _topk_on_view(
+        self,
+        snap: "SegmentSnapshot",
+        overlay_last: dict[int, DeltaRecord],
+        allowed: np.ndarray,
+        query: np.ndarray,
+        k: int,
+        ef: int | None = None,
+        bitmap: Bitmap | None = None,
+        bf_threshold: int | None = None,
+    ) -> tuple[list[tuple[float, int]], bool]:
+        """One query's sorted local top-k ``(distance, offset)`` pairs on a
+        :meth:`_segment_view`, and whether the snapshot part was brute force.
+
+        The body of :meth:`search_segment`; :meth:`search_segment_batch`
+        runs it once per query row on a cold segment.
+        """
         threshold = self.bf_threshold if bf_threshold is None else bf_threshold
         metric = self.embedding.metric
         valid_count = int(np.count_nonzero(allowed))
@@ -431,13 +457,7 @@ class EmbeddingStore:
             results.extend((float(d), int(o)) for d, o in zip(dists, fresh_offsets))
 
         results.sort()
-        results = results[:k]
-        return SegmentSearchOutput(
-            seg_no,
-            offsets=[o for _, o in results],
-            distances=[d for d, _ in results],
-            used_bruteforce=used_bruteforce,
-        )
+        return results[:k], used_bruteforce
 
     def search_segment_batch(
         self,
@@ -459,7 +479,9 @@ class EmbeddingStore:
         Deliberately a second body beside :meth:`search_segment`, not that
         method's general case: one query routed through these array steps
         pays NumPy's per-call overhead on scans of a few dozen rows, which
-        measurably slows every single-query workload (DESIGN §10.3).
+        measurably slows every single-query workload (DESIGN §10.3).  A
+        cold segment is the exception: its two-phase scan shares no work
+        across queries, so each row runs :meth:`search_segment`'s body.
 
         Returns ``(distances, offsets)``, both ``(Q, top)`` with ``top =
         min(k, candidates)``: row ``q`` is query ``q``'s local top-k sorted
@@ -479,7 +501,15 @@ class EmbeddingStore:
         snap, overlay_last, allowed = self._segment_view(seg_no, snapshot_tid, None)
 
         if snap.pq is not None:
-            return self._batch_cold(snap, queries, k, overlay_last, allowed)
+            # Every row keeps the same candidate count, so the rows stack.
+            rows = [
+                self._topk_on_view(snap, overlay_last, allowed, query, k)[0]
+                for query in queries
+            ]
+            return (
+                np.asarray([[d for d, _ in row] for row in rows], dtype=np.float32),
+                np.asarray([[o for _, o in row] for row in rows], dtype=np.int64),
+            )
 
         if context is None:
             context = MultiQueryContext.build(metric, queries)
@@ -517,51 +547,6 @@ class EmbeddingStore:
         return (
             np.take_along_axis(dists, order, axis=1),
             np.take_along_axis(top_offsets, order, axis=1),
-        )
-
-    def _batch_cold(
-        self,
-        snap: "SegmentSnapshot",
-        queries: np.ndarray,
-        k: int,
-        overlay_last: dict[int, DeltaRecord],
-        allowed: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Micro-batch path over a cold segment.
-
-        The snapshot part is the two-phase (ADC → rerank) evaluation the
-        per-query path runs — never an exact full scan, which would
-        materialize the cold rows — and the overlay part is the usual raw
-        brute force; results therefore match :meth:`search_segment` on the
-        same view, including the sorted (distance, offset) tie-break.  Every
-        query keeps the same number of candidates, so the per-query pair
-        lists stack into the ``(Q, top)`` arrays the hot path returns.
-        """
-        get_telemetry().inc("tier.cold_hits")
-        metric = self.embedding.metric
-        fresh_offsets = [
-            off for off, record in overlay_last.items() if record.action == UPSERT
-        ]
-        okernel = (
-            self._overlay_kernel(overlay_last, fresh_offsets, metric)
-            if fresh_offsets
-            else None
-        )
-        dist_rows: list[list[float]] = []
-        offset_rows: list[list[int]] = []
-        for query in queries:
-            pairs = self._cold_topk(snap, query, k, allowed)
-            if okernel is not None:
-                dists = okernel.distances_prefix(
-                    okernel.query(query), len(fresh_offsets)
-                )
-                pairs.extend((float(d), int(o)) for d, o in zip(dists, fresh_offsets))
-            pairs.sort()
-            dist_rows.append([d for d, _ in pairs[:k]])
-            offset_rows.append([o for _, o in pairs[:k]])
-        return (
-            np.asarray(dist_rows, dtype=np.float32),
-            np.asarray(offset_rows, dtype=np.int64),
         )
 
     # --------------------------------------------------------------- stats

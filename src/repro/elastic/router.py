@@ -51,8 +51,8 @@ shipped vector (plus the group tuple), so no replica can serve a cached
 partial staler than the router's observation, and fills are gated by
 the router's commit-race verdict exactly like the single-server path.
 Every routed search pins its snapshot through
-:func:`~repro.serve.server.freshness_gate` — the gate
-:meth:`QueryServer._execute_sla` calls — so ``max_staleness`` /
+:func:`~repro.serve.server.freshness_gate` — the gate every
+``QueryServer`` vector batch pins through — so ``max_staleness`` /
 ``session_token`` contracts are enforced *at the router*, before the
 fan-out: the verdict holds for the one shipped snapshot all replicas
 execute on, and an SLA answer is never silently stale regardless of
@@ -397,9 +397,7 @@ class ElasticTier:
         role = self.registry.get(tenant).role
         attrs = list(vector_attributes)
         groups = self.group_universe(attrs)
-        if timeout is None:
-            timeout = self.config.default_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = self.config.deadline(time.monotonic(), timeout, self.policy)
         with freshness_gate(
             self.db,
             attrs,

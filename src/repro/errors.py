@@ -172,13 +172,13 @@ class RateLimitedError(AdmissionRejectedError):
 class StalenessBoundError(ServeError):
     """A request's freshness contract could not be met in time.
 
-    Raised by the serving SLA path when a request carries ``max_staleness``
-    (maximum tolerated watermark-TID lag of the pinned snapshot) or a
-    read-your-writes ``session_token`` (a commit TID the serving snapshot
-    must cover), and no fresh-enough snapshot became available within the
-    wait budget.  The failure is *typed and fast* by design: a client that
-    cannot be served fresh data learns so immediately instead of silently
-    receiving a stale answer.
+    Raised by :func:`~repro.serve.server.freshness_gate` when a request
+    carries ``max_staleness`` (maximum tolerated watermark-TID lag of the
+    pinned snapshot) or a read-your-writes ``session_token`` (a commit TID
+    the serving snapshot must cover), and no fresh-enough snapshot became
+    available within the wait budget.  The failure is *typed and fast* by
+    design: a client that cannot be served fresh data learns so immediately
+    instead of silently receiving a stale answer.
 
     ``lag`` is the observed watermark lag at rejection time, ``session_token``
     / ``snapshot_tid`` describe a token violation, and ``waited`` is how long

@@ -4,7 +4,8 @@
 (:class:`~repro.cluster.coordinator.ClusterSimulator`) threads through every
 simulated request.  The serve tier reads only the retry budget
 (``max_attempts``, backoff) and ``deadline``: a ``QueryServer``, and so each
-``ElasticTier`` shard, retries an injected fault and sheds past the deadline.
+``ElasticTier`` shard, retries an injected fault, and both tiers shed a
+request past the deadline (``ServeConfig.deadline``).
 
 - per-segment-job **retry** with exponential backoff, failing over across
   replica holders (paper Sec. 4.2: replicas make high availability

@@ -25,7 +25,7 @@ wait each, never a spin.
 The fused batch then runs through
 :func:`repro.core.search.vector_search_batch`, which visits each segment
 once for all queries with the exact batch scan (recall never drops below
-the per-query HNSW path); batches below the server's ``min_fused`` execute
+the per-query HNSW path); batches below the server's ``MIN_FUSED`` execute
 per-query anyway.  An explicit-``ef`` request has no batch key: only a
 per-query traversal honours its accuracy contract, so it would wait here
 for riders it cannot share work with.

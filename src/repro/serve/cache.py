@@ -18,13 +18,15 @@ in two ways, and they are not symmetric:
   component — but ``last_tid`` is not yet published): the worker reads a
   post-commit watermark yet pins a pre-commit snapshot.  Caching that
   result would serve the pre-commit top-k to every post-commit lookup.
-  The server therefore validates after pinning: if any watermark TID
-  component (:meth:`EmbeddingStore.watermark_tid`) exceeds the
-  snapshot's TID, the result is served but **not** cached
+  The server therefore reads the watermarks, pins, and only then
+  touches the cache (:func:`~repro.serve.server.freshness_gate`): if any
+  watermark TID component (:meth:`EmbeddingStore.watermark_tid`) exceeds
+  the snapshot's TID (the gate's ``lag > 0``), the cache is neither
+  probed nor filled and the result is served uncached
   (``serve.cache_bypass_commit_race``).
 
-Because puts pass that validation, a hit is always consistent: the entry
-was computed on a snapshot at least as new as every TID in its key.
+Because every put passes that validation, a hit is always consistent: the
+entry was computed on a snapshot at least as new as every TID in its key.
 
 Values are the sorted ``(distance, vertex_type, vid)`` triples from
 :func:`repro.core.search.vector_search_merged` — immutable, and carrying

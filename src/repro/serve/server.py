@@ -6,8 +6,9 @@ Request lifecycle::
            -> weighted-fair queue                           [per-tenant]
            -> worker dequeue -> deadline check              [typed timeout]
            -> micro-batch collection (batcher.py)
+           -> snapshot pin (freshness_gate: watermarks, pin, validate)
            -> result cache lookup (cache.py, MVCC-watermark keys)
-           -> fused batch scan or per-query VectorSearch on one snapshot
+           -> fused batch scan or per-query VectorSearch on that snapshot
            -> future completion + telemetry
 
 Correctness contracts:
@@ -21,21 +22,22 @@ Correctness contracts:
   completed — with a result, or with a typed :class:`ReproError`
   (``QueryTimeoutError`` for deadline misses, ``AdmissionRejectedError``
   with ``reason='shutdown'`` for requests drained at stop).
-- **Freshness**: cache keys embed store watermarks read *before* the
-  executing snapshot, and a result is only cached when the pinned
-  snapshot's TID covers every watermark component — a commit can publish
-  its watermark bump (embedding hook) before ``last_tid``, so a worker
-  may observe a post-commit watermark with a pre-commit snapshot; such
-  results are served but never cached (see cache.py for the full
-  interleaving analysis).
-- **SLA path**: requests carrying ``max_staleness`` (maximum tolerated
-  watermark-TID lag) or a read-your-writes ``session_token`` (a commit
-  TID the serving snapshot must cover) pin their snapshot through
+- **One pin per batch**: every vector batch pins its snapshot through
   :func:`freshness_gate` — the one pin/validate/re-pin loop, shared with
-  the elastic router: serve when the contract holds, wait (bounded by
-  ``staleness_wait`` and the request deadline) when it does not, and fail
-  with a typed :class:`~repro.errors.StalenessBoundError` when the budget
-  runs out.  An SLA response is therefore never silently stale.
+  the elastic router.  Cache keys embed store watermarks read *before*
+  that pin, and the cache is probed and filled only when the snapshot's
+  TID covers every watermark component (the gate's ``lag == 0``) — a
+  commit can publish its watermark bump (embedding hook) before
+  ``last_tid``, so a worker may observe a post-commit watermark with a
+  pre-commit snapshot; such results are served but never cached (see
+  cache.py for the full interleaving analysis).
+- **SLA contracts**: a request carrying ``max_staleness`` (maximum
+  tolerated watermark-TID lag) or a read-your-writes ``session_token``
+  (a commit TID the serving snapshot must cover) is served when the gate's
+  contract holds, waits (bounded by ``staleness_wait`` and the request
+  deadline) when it does not, and fails with a typed
+  :class:`~repro.errors.StalenessBoundError` when the budget runs out.
+  An SLA response is therefore never silently stale.
 - **Tenant isolation**: the result cache is partitioned per tenant
   (:class:`~repro.serve.cache.ServeResultCache`) and tenants may carry a
   ``max_queue_share`` admission bound, so one tenant's flood can neither
@@ -83,7 +85,11 @@ from .batcher import MicroBatcher
 from .cache import ResultCache, ServeResultCache
 from .tenancy import Tenant, TenantRegistry, WeightedFairQueue
 
-__all__ = ["QueryServer", "ServeConfig", "ServeFuture"]
+__all__ = ["MIN_FUSED", "QueryServer", "ServeConfig", "ServeFuture"]
+
+#: A batch fuses into one exact scan from this many same-key requests on;
+#: a smaller one runs request by request.
+MIN_FUSED = 4
 
 
 @dataclass
@@ -97,7 +103,6 @@ class ServeConfig:
     #: arrivals themselves (see :mod:`repro.serve.batcher`).
     batch_window_seconds: float = 0.002
     max_batch: int = 32
-    min_fused: int = 4  # below this, a batch falls back to per-query HNSW
     enable_cache: bool = True
     cache_max_bytes: int = 32 << 20
     cache_max_entries: int = 1024
@@ -142,6 +147,18 @@ class ServeConfig:
         if session_token is not None and session_token < 0:
             raise ServeError("session_token must be a commit TID (>= 0)")
         return max_staleness
+
+    def deadline(
+        self, submitted_at: float, timeout: float | None, policy: ResiliencePolicy | None
+    ) -> float | None:
+        """A request's absolute deadline: its own ``timeout``, else
+        ``default_timeout``, else the resilience ``policy``'s ``deadline``
+        (``policy`` may be None); all None means no deadline."""
+        if timeout is None:
+            timeout = self.default_timeout
+        if timeout is None and policy is not None:
+            timeout = policy.deadline
+        return None if timeout is None else submitted_at + timeout
 
 
 class ServeFuture:
@@ -202,18 +219,13 @@ class QueryRequest:
     #: re-queued, bounded by the resilience policy's ``max_attempts``.
     attempts: int = 0
 
-    @property
-    def sla_bound(self) -> bool:
-        """True when the request carries a freshness/session contract."""
-        return self.max_staleness is not None or self.session_token is not None
-
     def batch_key(self) -> tuple | None:
         """Fusion compatibility key; None means unbatchable.
 
         Filtered searches and tenants with restricted roles execute
         per-request (their validity masks differ per caller), SLA-bound
-        requests do too (each needs its own snapshot pin/validate/wait
-        loop), and so does an explicit ``ef``: it is an HNSW accuracy
+        requests do too (a batch's one pin honours its leader's contract
+        only), and so does an explicit ``ef``: it is an HNSW accuracy
         contract, only a per-query traversal honours it, and traversals
         share no work — so the request runs at once instead of waiting in a
         window for riders.  Everything else groups by ``(attributes, k)``
@@ -224,7 +236,8 @@ class QueryRequest:
             or self.filter is not None
             or self.ef is not None
             or self.tenant.role != "admin"
-            or self.sla_bound
+            or self.max_staleness is not None
+            or self.session_token is not None
         ):
             return None
         return (self.vector_attributes, self.k)
@@ -272,8 +285,9 @@ def freshness_gate(
     ``lag == 0`` is exactly "the snapshot covers every watermark", i.e. a
     result computed on it may be cached under ``watermarks``.
 
-    This is the one body behind :meth:`QueryServer._execute_sla` and
-    :meth:`ElasticTier.search <repro.elastic.router.ElasticTier.search>`;
+    This is the one pin behind every served vector batch
+    (:meth:`QueryServer._execute_vector`) and every routed query
+    (:meth:`ElasticTier.search <repro.elastic.router.ElasticTier.search>`);
     the rejection and wait counters are recorded here for both.
     """
     tel = get_telemetry()
@@ -413,13 +427,6 @@ class QueryServer:
         self.stop()
 
     # --------------------------------------------------------------- submit
-    def _effective_deadline(self, submitted_at: float, timeout: float | None):
-        if timeout is None:
-            timeout = self.config.default_timeout
-        if timeout is None:
-            timeout = self.policy.deadline
-        return None if timeout is None else submitted_at + timeout
-
     def _submit(self, request: QueryRequest) -> ServeFuture:
         tel = get_telemetry()
         tel.inc("serve.requests")
@@ -492,7 +499,7 @@ class QueryServer:
             tenant=tenant_obj,
             future=ServeFuture(),
             submitted_at=submitted_at,
-            deadline=self._effective_deadline(submitted_at, timeout),
+            deadline=self.config.deadline(submitted_at, timeout, self.policy),
             vector_attributes=tuple(vector_attributes),
             query=query,
             k=k,
@@ -530,7 +537,7 @@ class QueryServer:
             tenant=tenant_obj,
             future=ServeFuture(),
             submitted_at=submitted_at,
-            deadline=self._effective_deadline(submitted_at, timeout),
+            deadline=self.config.deadline(submitted_at, timeout, self.policy),
             text=text,
             params=dict(params or {}),
         )
@@ -659,8 +666,6 @@ class QueryServer:
         """
         if leader.kind == "gsql":
             return self._execute_gsql
-        if leader.sla_bound:
-            return self._execute_sla
         return None
 
     def _shed_expired(self, batch: list) -> list:
@@ -746,86 +751,34 @@ class QueryServer:
             get_telemetry().inc("serve.cache_evictions", evicted)
 
     def _execute_vector(self, batch: list) -> None:
-        tel = get_telemetry()
-        cache = self.cache
-        watermarks = None
-        if cache is not None and any(r.cacheable for r in batch):
-            # Multi-request batches only form around a shared fusion key,
-            # so every member has the leader's attribute set (singleton
-            # batches trivially so) and one watermark tuple covers all.
-            # Read watermarks BEFORE taking the snapshot (see cache.py).
-            try:
-                watermarks = self.db.service.watermarks(batch[0].vector_attributes)
-            except ReproError as exc:
-                for request in batch:
-                    self._finish(request, error=exc)
-                return
+        """Pin one snapshot for the batch, answer hits, search the rest.
 
-        pending: list[tuple[QueryRequest, tuple | None]] = []
-        for request in batch:
-            if watermarks is not None and request.cacheable:
-                key, hit = self._cache_get(request, watermarks)
-                if hit is not None:
-                    self._finish(
-                        request,
-                        value=build_topk_vertex_set(
-                            list(hit), request.distance_map
-                        ),
-                    )
-                    continue
-                pending.append((request, key))
-            else:
-                pending.append((request, None))
-        if not pending:
-            return
-
-        with self.db.snapshot() as snapshot:
-            if watermarks is not None and any(
-                EmbeddingStore.watermark_tid(mark) > snapshot.tid
-                for mark in watermarks
-            ):
-                # A commit published its watermark bump (the embedding hook
-                # runs inside the commit critical section) but not yet its
-                # last_tid, so the key describes state this snapshot cannot
-                # see.  Caching the result would serve a pre-commit top-k to
-                # every post-commit lookup; serve it uncached instead.
-                tel.inc("serve.cache_bypass_commit_race")
-                pending = [(request, None) for request, _ in pending]
-            fusable = [item for item in pending if item[0].batch_key() is not None]
-            singles = [item for item in pending if item[0].batch_key() is None]
-            if (
-                self.batcher is not None
-                and len(fusable) >= max(2, self.config.min_fused)
-            ):
-                self._execute_fused(fusable, snapshot)
-            else:
-                singles = fusable + singles
-            for request, key in singles:
-                self._execute_single(request, key, snapshot)
-
-    # ------------------------------------------------------------ SLA path
-    def _execute_sla(self, request: QueryRequest) -> None:
-        """Serve one staleness-bounded / read-your-writes request.
-
-        :func:`freshness_gate` pins a snapshot that meets the contract (or
-        raises the typed :class:`StalenessBoundError`); on it the request is
-        a cache probe plus :meth:`_execute_single`.
+        A batch of several requests only forms around a fusion key, which
+        SLA-bound requests lack, so the leader's attributes and freshness
+        contract are the whole batch's.  :func:`freshness_gate` pins the
+        snapshot (or fails typed); its ``lag == 0`` — the snapshot covers
+        every watermark read before the pin — is the one cache rule: probe
+        and fill then, neither otherwise (see cache.py).
         """
+        leader = batch[0]
         try:
             with freshness_gate(
                 self.db,
-                request.vector_attributes,
-                request.max_staleness,
-                request.session_token,
+                leader.vector_attributes,
+                leader.max_staleness,
+                leader.session_token,
                 self.config.staleness_wait,
-                request.deadline,
+                leader.deadline,
             ) as (snapshot, marks, lag):
-                key = None
-                if request.cacheable and self.cache is not None:
-                    if lag == 0:
-                        # Same key discipline as the fast path: the
-                        # snapshot covers every watermark component, so
-                        # a hit is consistent and a fill is safe.
+                cache = self.cache if lag == 0 else None
+                if lag and self.cache is not None and any(r.cacheable for r in batch):
+                    # Mid-publication commit, or tolerated staleness: the
+                    # key would describe state this snapshot cannot see.
+                    get_telemetry().inc("serve.cache_bypass_commit_race")
+                pending: list[tuple[QueryRequest, tuple | None]] = []
+                for request in batch:
+                    key = None
+                    if cache is not None and request.cacheable:
                         key, hit = self._cache_get(request, marks)
                         if hit is not None:
                             self._finish(
@@ -834,16 +787,18 @@ class QueryServer:
                                     list(hit), request.distance_map
                                 ),
                             )
-                            return
-                    else:
-                        # Tolerated nonzero lag (max_staleness > 0 over
-                        # a mid-publication window): serve uncached,
-                        # exactly like the commit-race bypass.
-                        get_telemetry().inc("serve.cache_bypass_commit_race")
-                self._execute_single(request, key, snapshot)
+                            continue
+                    pending.append((request, key))
+                if len(pending) >= MIN_FUSED:  # only a same-key batch is this long
+                    self._execute_fused(pending, snapshot)
+                    return
+                for request, key in pending:
+                    self._execute_single(request, key, snapshot)
         except ReproError as exc:
             # Unknown attribute, or the contract outlived its wait budget.
-            self._finish(request, error=exc)
+            for request in batch:
+                if not request.future.done():
+                    self._finish(request, error=exc)
 
     def _execute_fused(self, fusable: list, snapshot) -> None:
         tel = get_telemetry()
@@ -858,7 +813,6 @@ class QueryServer:
                     list(leader.vector_attributes),
                     queries,
                     leader.k,
-                    min_fused=2,  # the batcher already decided to fuse
                 )
             )
         except FaultInjectionError:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.elastic import ElasticTier
-from repro.errors import ReproError, StalenessBoundError
+from repro.errors import QueryTimeoutError, ReproError, StalenessBoundError
 from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
 from repro.serve import ServeConfig
 from repro.telemetry import Telemetry, use_telemetry
@@ -242,3 +242,25 @@ class TestInjectedWorkerFaults:
         counters = telemetry.registry.snapshot()["counters"]
         assert counters["serve.worker_crashes"] >= 1
         assert counters["serve.worker_respawns"] >= 1
+
+    def test_policy_deadline_sheds_stalled_shards(self, loaded_post_db, rng):
+        """With no timeout and no ``default_timeout``, the resilience
+        policy's deadline bounds a routed query, as it does a
+        ``QueryServer`` request: stalled shard workers shed it typed."""
+        db = loaded_post_db
+        q = rng.standard_normal(DIM).astype(np.float32)
+        injectors = {
+            f"shard-{i}": FaultInjector(FaultPlan().stall_worker(1, seconds=0.3))
+            for i in range(2)
+        }
+        with ElasticTier(
+            db,
+            num_servers=2,
+            config=chaos_config(),
+            policy=ResiliencePolicy(deadline=0.05),
+            injectors=injectors,
+        ) as tier:
+            started = time.monotonic()
+            with pytest.raises(QueryTimeoutError):
+                tier.search([ATTR], q, 5)
+        assert time.monotonic() - started < 5.0

@@ -220,14 +220,14 @@ class TestEmbeddingAction:
         batch's one query context — and return what the inline scans do."""
         db = loaded_post_db
         queries = db._test_vectors[:8]
-        inline = db.vector_search_batch(["Post.content_emb"], queries, 5, min_fused=2)
+        inline = db.vector_search_batch(["Post.content_emb"], queries, 5)
         monkeypatch.setattr("repro.graph.mpp.HANDOFF_WORK", 0)
         store = db.service.store("Post", "content_emb")
         with MPPExecutor(max_workers=4) as executor, db.snapshot() as snap:
             blocks = EmbeddingAction(store, executor=executor).topk_batch(queries, 5, snap.tid)
             assert executor._pool is not None
         assert len(blocks) == store.num_segments
-        pooled = db.vector_search_batch(["Post.content_emb"], queries, 5, min_fused=2)
+        pooled = db.vector_search_batch(["Post.content_emb"], queries, 5)
         assert [sorted(got) for got in pooled] == [sorted(want) for want in inline]
 
     def test_empty_bitmap_segments_skipped(self, loaded_post_db):
@@ -367,9 +367,7 @@ def test_fused_exact_scan_equals_per_query_scan(seed, metric, num_queries, k_off
                     if k >= live:
                         assert got == solo.offsets
             k = store.live_count() + k_offset
-            fused = vector_search_batch(
-                db.service, snap, ["Item.emb"], queries, k, min_fused=1
-            )
+            fused = vector_search_batch(db.service, snap, ["Item.emb"], queries, k)
             for query, got in zip(queries, fused):
                 want = vector_search_merged(db.service, snap, ["Item.emb"], query, k)
                 assert [(t, vid) for _, t, vid in got] == [(t, vid) for _, t, vid in want]

@@ -27,6 +27,8 @@ from repro.errors import (
 )
 from repro.graph.accumulators import MapAccum
 from repro.serve import QueryServer, ServeConfig, Tenant
+from repro.serve.server import MIN_FUSED
+from repro.telemetry import Telemetry, use_telemetry
 
 DIM, ROWS, K = 8, 100, 5
 BF_THRESHOLD = 8  # rows per 32-row segment below which a filtered scan is exact
@@ -205,13 +207,13 @@ def test_every_door_refuses_a_k_or_ef_that_is_not_a_positive_integer(db, server,
     attrs = ["Post.emb"]
     doors = {
         "direct": lambda: db.vector_search(attrs, q, k, ef=ef),
-        "batch": lambda: db.vector_search_batch(attrs, np.stack([q] * 4), k, ef=ef),
         "authorized": lambda: db.access.authorized_search("admin", attrs, q, k, ef=ef),
         "gsql": lambda: db.gsql.run_query("SearchEf", qv=q.tolist(), k=k, e=ef),
         "server": lambda: server.search(attrs, q, k, ef=ef),
         "tier": lambda: tier.search(attrs, q, k, ef=ef),
     }
-    if ef is None:
+    if ef is None:  # the batch has no ef; GSQL's LIMIT takes none
+        doors["batch"] = lambda: db.vector_search_batch(attrs, np.stack([q] * 4), k)
         doors["gsql-limit"] = lambda: db.gsql.run(
             "SELECT t FROM (t:Post) ORDER BY VECTOR_DIST(t.emb, qv) LIMIT k", qv=q.tolist(), k=k
         )
@@ -255,6 +257,41 @@ def test_served_role_scoped_request_pins_one_snapshot(db, server, rng, monkeypat
     q = rng.standard_normal(DIM).astype(np.float32)
     assert len(server.search(["Post.emb"], q, K, tenant="limited", **sla)) == K
     assert len(pins) == 1
+
+
+@pytest.mark.parametrize(
+    "seed, sla", [(10, {}), (11, {"max_staleness": 0}), (12, {"session_token": 0})]
+)
+def test_served_admin_request_pins_one_snapshot_missed_or_cached(
+    db, server, monkeypatch, seed, sla
+):
+    """The pin comes before the cache probe, so a hit costs one pin too."""
+    pins = []
+    pin = db.store.snapshot
+    monkeypatch.setattr(db.store, "snapshot", lambda: pins.append(1) or pin())
+    q = np.random.default_rng(seed).standard_normal(DIM).astype(np.float32)
+    before = server.cache.stats()
+    first = server.search(["Post.emb"], q, K, **sla)
+    assert len(pins) == 1 and server.cache.stats()["misses"] == before["misses"] + 1
+    assert server.search(["Post.emb"], q, K, **sla) == first
+    assert len(pins) == 2 and server.cache.stats()["hits"] == before["hits"] + 1
+
+
+def test_served_fused_batch_pins_one_snapshot(db, monkeypatch):
+    config = ServeConfig(workers=1, enable_cache=False, batch_window_seconds=0.2)
+    queries = np.random.default_rng(13).standard_normal((2 * MIN_FUSED, DIM)).astype(np.float32)
+    telemetry = Telemetry()
+    with use_telemetry(telemetry), QueryServer(db, config) as server:
+        pins = []
+        pin = db.store.snapshot
+        monkeypatch.setattr(db.store, "snapshot", lambda: pins.append(1) or pin())
+        futures = [server.submit_search(["Post.emb"], q, K) for q in queries]
+        results = [future.result(timeout=30) for future in futures]
+    counters = telemetry.registry.snapshot()["counters"]
+    assert counters["serve.fused_queries"] > 0
+    assert len(pins) == counters["serve.batches"]
+    for q, got in zip(queries, results):
+        assert got == db.vector_search(["Post.emb"], q, K)
 
 
 def test_gsql_multi_type_search_checks_compatibility(db, rng):

@@ -87,7 +87,6 @@ class TestByteIdentity:
             enable_batching=True,
             enable_cache=False,
             batch_window_seconds=0.02,
-            min_fused=2,
         )
         queries = rng.standard_normal((24, 16)).astype(np.float32)
         telemetry = Telemetry()
@@ -113,7 +112,6 @@ class TestByteIdentity:
             enable_batching=True,
             enable_cache=True,
             batch_window_seconds=0.5,
-            min_fused=2,
         )
         queries = rng.standard_normal((8, 16)).astype(np.float32)
         telemetry = Telemetry()
@@ -139,41 +137,16 @@ class TestByteIdentity:
         assert counters.get("serve.fused_queries", 0) == 0
         assert stats["kernels"] == {"hnsw": len(queries)}
 
-    def test_explicit_ef_fused_distances_match_per_query(self, loaded_post_db, rng):
-        """db-level check of the same contract without serve-layer timing:
-        the fused explicit-ef batch equals running each query alone."""
-        db = loaded_post_db
-        queries = rng.standard_normal((8, 16)).astype(np.float32)
-        fused = db.vector_search_batch(
-            ["Post.content_emb"], queries, 5, ef=64, min_fused=2
-        )
-        for q, got in zip(queries, fused):
-            dmap = MapAccum()
-            want = db.vector_search(["Post.content_emb"], q, 5, distance_map=dmap, ef=64)
-            assert members(got) == members(want)
-
     def test_db_vector_search_batch_equals_per_query(self, loaded_post_db, rng):
         db = loaded_post_db
         queries = rng.standard_normal((8, 16)).astype(np.float32)
-        fused = db.vector_search_batch(
-            ["Post.content_emb"], queries, 5, min_fused=2
-        )
-        for q, got in zip(queries, fused):
-            assert members(got) == members(db.vector_search(["Post.content_emb"], q, 5))
-
-    def test_batch_below_min_fused_falls_back(self, loaded_post_db, rng):
-        db = loaded_post_db
-        queries = rng.standard_normal((2, 16)).astype(np.float32)
-        fused = db.vector_search_batch(
-            ["Post.content_emb"], queries, 5, min_fused=4
-        )
+        fused = db.vector_search_batch(["Post.content_emb"], queries, 5)
         for q, got in zip(queries, fused):
             assert members(got) == members(db.vector_search(["Post.content_emb"], q, 5))
 
     def test_fused_matches_after_writes_and_vacuum(self, loaded_post_db, rng):
-        """A batch equals the solo path over the delta overlay and after
-        vacuum: the exact scan in members, an explicit-ef batch (which runs
-        query by query) in members and distances."""
+        """A batch equals the solo path in members, over the delta overlay
+        and after vacuum."""
         db = loaded_post_db
         fresh = rng.standard_normal((20, 16))
         with db.begin() as txn:
@@ -183,20 +156,14 @@ class TestByteIdentity:
         queries = rng.standard_normal((6, 16)).astype(np.float32)
         queries[0] = fresh[10]  # its nearest row is in the overlay until vacuum
         for state in ("overlay", "vacuumed"):
-            for ef in (None, 64):
-                with db.snapshot() as snap:
-                    tops = vector_search_batch(
-                        db.service, snap, ["Post.content_emb"], queries, 7,
-                        ef=ef, min_fused=2,
-                    )
-                assert tops[0][0][2] == db.vid_for("Post", 210), (state, ef)
-                for q, top in zip(queries, tops):
-                    want_members, want_dists = distances(
-                        db, ["Post.content_emb"], q, 7, ef=ef
-                    )
-                    assert sorted((vt, vid) for _, vt, vid in top) == want_members
-                    if ef is not None:  # the exact scan's distances differ in the last ulp
-                        assert {(vt, vid): d for d, vt, vid in top} == want_dists
+            with db.snapshot() as snap:
+                tops = vector_search_batch(
+                    db.service, snap, ["Post.content_emb"], queries, 7
+                )
+            assert tops[0][0][2] == db.vid_for("Post", 210), state
+            for q, top in zip(queries, tops):
+                want_members, _ = distances(db, ["Post.content_emb"], q, 7)
+                assert sorted((vt, vid) for _, vt, vid in top) == want_members
             db.vacuum()
 
     def test_batch_distances_multi_validates(self, rng):
@@ -276,7 +243,6 @@ class TestResultCache:
             enable_batching=True,
             enable_cache=True,
             batch_window_seconds=0.02,
-            min_fused=2,
         )
         queries = rng.standard_normal((12, 16)).astype(np.float32)
         with QueryServer(db, config) as server:

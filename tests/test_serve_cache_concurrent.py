@@ -117,7 +117,6 @@ def test_concurrent_cached_searches_never_serve_stale_topk(loaded_post_db, rng):
         enable_batching=True,
         enable_cache=True,
         batch_window_seconds=0.001,
-        min_fused=2,
     )
     probes = rng.standard_normal((PROBES, DIM)).astype(np.float32)
     errors: list[BaseException] = []

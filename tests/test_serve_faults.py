@@ -26,6 +26,7 @@ import pytest
 from repro.errors import FaultInjectionError, ReproError
 from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
 from repro.serve import QueryServer, ServeConfig
+from repro.serve.server import MIN_FUSED
 from repro.telemetry import Telemetry, use_telemetry
 
 ATTR = "Post.content_emb"
@@ -124,10 +125,9 @@ class TestBatchPoison:
             enable_cache=False,
             batch_window_seconds=0.2,
             max_batch=8,
-            min_fused=2,
         )
         policy = ResiliencePolicy(max_attempts=1)  # no in-kernel retry
-        queries = rng.standard_normal((4, DIM)).astype(np.float32)
+        queries = rng.standard_normal((2 * MIN_FUSED, DIM)).astype(np.float32)
         telemetry = Telemetry()
         with use_telemetry(telemetry), QueryServer(
             db, config, policy=policy, injector=injector
@@ -153,10 +153,9 @@ class TestBatchPoison:
             enable_cache=False,
             batch_window_seconds=0.2,
             max_batch=8,
-            min_fused=2,
         )
         policy = ResiliencePolicy(max_attempts=3, backoff_base=0.0)
-        queries = rng.standard_normal((4, DIM)).astype(np.float32)
+        queries = rng.standard_normal((2 * MIN_FUSED, DIM)).astype(np.float32)
         telemetry = Telemetry()
         with use_telemetry(telemetry), QueryServer(
             db, config, policy=policy, injector=injector
@@ -189,7 +188,6 @@ class TestChaosSweep:
             enable_batching=True,
             enable_cache=True,
             batch_window_seconds=0.002,
-            min_fused=2,
         )
         policy = ResiliencePolicy(max_attempts=3, backoff_base=0.0)
         queries = rng.standard_normal((24, DIM)).astype(np.float32)

@@ -243,11 +243,10 @@ class TestNonFiniteVectors:
             enable_batching=True,
             enable_cache=False,
             batch_window_seconds=0.2,
-            min_fused=2,
         )
         bad = db._test_vectors[17].copy()
         bad[0] = np.nan
-        good = [db._test_vectors[i] for i in (1, 2, 5, 8)]
+        good = [db._test_vectors[i] for i in (1, 2, 5, 8, 13, 21, 34, 55)]
         telemetry = Telemetry()
         with use_telemetry(telemetry), QueryServer(db, config) as server:
             futures = [server.submit_search(["Post.content_emb"], q, 5) for q in good[:2]]
