@@ -191,11 +191,10 @@ class EmbeddingAction:
         seg_nos = list(range(store.num_segments))
         num_queries = queries.shape[0]
         context = MultiQueryContext.build(store.embedding.metric, queries)
-        # Every segment is scanned, so every step releases the GIL.
-        work = [
-            store.segment(seg_no).live_count() * num_queries * queries.shape[1]
-            for seg_no in seg_nos
-        ]
+        # Every segment is scanned, so every step releases the GIL; a step
+        # costs the columns it multiplies by the (Q, d+1) query block.
+        width = num_queries * (queries.shape[1] + 1)
+        work = [store.fused_scan_columns(seg_no) * width for seg_no in seg_nos]
 
         def local(seg_no: int) -> tuple[np.ndarray, np.ndarray]:
             dists, offsets = store.search_segment_batch(

@@ -364,8 +364,9 @@ def vector_search_batch(
     # by distance breaks ties exactly as the per-query merge does.
     dists = np.concatenate(dist_blocks, axis=1)
     order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    top_dists = np.take_along_axis(dists, order, axis=1).tolist()
-    top_vids = np.take_along_axis(np.concatenate(vid_blocks, axis=1), order, axis=1).tolist()
+    rows = np.arange(order.shape[0])[:, None]
+    top_dists = dists[rows, order].tolist()
+    top_vids = np.concatenate(vid_blocks, axis=1)[rows, order].tolist()
     top_types = np.concatenate(type_blocks)[order].tolist()
     names = [vertex_type for vertex_type, _ in targets]
     return [

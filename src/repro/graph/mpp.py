@@ -31,7 +31,8 @@ R = TypeVar("R")
 #: step to the pool is faster than running it in the caller's thread.  A
 #: measurement, not a knob: on two CPUs four (Q=8, d=128) scans run pooled
 #: in 0.7-0.9x the inline time from 3.3 M multiply-adds per step and in
-#: 1.0-1.7x up to 1.6 M (DESIGN §9.6 has the runs).
+#: 1.0-1.7x up to 1.6 M; re-measured against the in-place fused scan, the
+#: pool loses at 1.65 M and wins from 2.48 M (DESIGN §9.6 has the runs).
 HANDOFF_WORK = 3_000_000
 
 
@@ -64,8 +65,8 @@ class MPPExecutor:
 
         The one fan-out rule of the segment-parallel search actions:
         ``work[i]`` estimates item ``i``'s GIL-releasing NumPy work in
-        multiply-adds (allowed rows × queries × dimension), 0 for a step that
-        holds the GIL such as an HNSW traversal.  Only items above
+        multiply-adds (rows scanned × queries × dimension), 0 for a step
+        that holds the GIL such as an HNSW traversal.  Only items above
         :data:`HANDOFF_WORK` go to the pool; every other item runs in the
         caller's thread, which finishes it sooner than a hand-off would.
         ``parallel=False``, a one-worker pool or a single item never use the

@@ -31,7 +31,11 @@ Two binding modes:
 
 - **static** (:meth:`DistanceKernel.for_matrix`) — caches computed for every
   row up front; used for immutable matrices (segment snapshots, decoded SQ8
-  scratch, overlay stacks).
+  scratch, overlay stacks).  A static kernel that serves a fused multi-query
+  scan also keeps a *column copy* ``(d+1, n)`` of its augmented rows, built
+  on the first :meth:`DistanceKernel.distances_multi_prefix`: the
+  ``(Q, d+1) @ (d+1, n)`` product then reads a contiguous operand, which
+  BLAS runs several times faster than the transposed row matrix.
 - **incremental** (``precompute=False``) — caches allocated but filled row by
   row via :meth:`set_row` as the owner inserts; used by the mutable HNSW /
   brute-force tables.  :meth:`attach` rebinds after the owner reallocates its
@@ -121,8 +125,9 @@ class MultiQueryContext:
             self.aug_queries = np.stack([ctx.aug_query for ctx in contexts])
         else:
             self.aug_queries = np.zeros((0, queries.shape[1] + 1), dtype=np.float32)
-        # (Q,) float64 rank→true shifts
-        self.q_sq = np.asarray([ctx.q_sq for ctx in contexts], dtype=np.float64)
+        # (Q,) rank→true shifts; each ctx.q_sq is a float32 product, so the
+        # float32 array is exact and the shift is added as to_true adds it.
+        self.q_sq = np.asarray([ctx.q_sq for ctx in contexts], dtype=np.float32)
 
     @classmethod
     def build(cls, metric: Metric, queries: np.ndarray) -> "MultiQueryContext":
@@ -145,7 +150,7 @@ def _query_matrix(queries: np.ndarray) -> np.ndarray:
 class DistanceKernel:
     """A metric-specialized distance kernel bound to one vector matrix."""
 
-    __slots__ = ("metric", "dim", "_vectors", "_aug")
+    __slots__ = ("metric", "dim", "_vectors", "_aug", "_cols")
 
     def __init__(self, metric: Metric, vectors: np.ndarray, precompute: bool = True):
         if not isinstance(metric, Metric):
@@ -158,6 +163,7 @@ class DistanceKernel:
         self._vectors = vectors
         n = vectors.shape[0]
         self._aug = np.zeros((n, self.dim + 1), dtype=np.float32)
+        self._cols = None  # lazy column copy of _aug, see _columns()
         if precompute and n:
             self.set_rows(slice(0, n), vectors[:n])
 
@@ -177,6 +183,7 @@ class DistanceKernel:
         aug = np.zeros((vectors.shape[0], self.dim + 1), dtype=np.float32)
         aug[:copy_rows] = self._aug[:copy_rows]
         self._aug = aug
+        self._cols = None
         self._vectors = vectors
 
     def set_row(self, row: int, vector: np.ndarray) -> None:
@@ -202,6 +209,24 @@ class DistanceKernel:
             self._aug[rows, : self.dim] = vectors / norms[:, None]
         else:
             self._aug[rows, : self.dim] = vectors
+        self._cols = None
+
+    def _columns(self) -> np.ndarray:
+        """The ``(d+1, n)`` contiguous column copy of the augmented rows.
+
+        Built on first use and kept: one more ``(d+1) × n`` float32 per
+        kernel that served a fused scan.  :meth:`set_rows` and
+        :meth:`attach` drop it, so a kernel whose rows changed rebuilds it
+        from the current rows.  Concurrent first calls on an immutable
+        kernel both build an equal copy and one wins the write, the same
+        benign race as ``SegmentSnapshot.kernel``; a mutable kernel's owner
+        already excludes reads while it writes rows.
+        """
+        cols = self._cols
+        if cols is None:
+            cols = np.ascontiguousarray(self._aug.T)
+            self._cols = cols
+        return cols
 
     # ------------------------------------------------------------- queries
     def query(self, query: np.ndarray) -> QueryContext:
@@ -257,19 +282,22 @@ class DistanceKernel:
 
     def distances_multi(self, mctx: MultiQueryContext, rows) -> np.ndarray:
         """Fused ``(Q, len(rows))`` true-distance matrix: one matmul for Q
-        queries (equal to per-query :meth:`distances` up to summation order)."""
-        block = self._aug[rows]
-        return self._multi_from_block(mctx, block)
+        queries over the gathered ``rows`` (equal to per-query
+        :meth:`distances` up to summation order).  For a few rows of a
+        larger matrix; a dense range is :meth:`distances_multi_prefix`."""
+        return self._multi_from_columns(mctx, self._aug[rows].T)
 
     def distances_multi_prefix(self, mctx: MultiQueryContext, n: int) -> np.ndarray:
-        """Fused ``(Q, n)`` true distances over rows ``[0, n)``, no gather."""
-        return self._multi_from_block(mctx, self._aug[:n])
+        """Fused ``(Q, n)`` true distances over rows ``[0, n)``, no gather:
+        one contiguous product with the first ``n`` columns of the lazy
+        column copy (:meth:`_columns`)."""
+        return self._multi_from_columns(mctx, self._columns()[:, :n])
 
-    def _multi_from_block(self, mctx: MultiQueryContext, block: np.ndarray) -> np.ndarray:
-        count = block.shape[0]
+    def _multi_from_columns(self, mctx: MultiQueryContext, columns: np.ndarray) -> np.ndarray:
+        count = columns.shape[1]
         for ctx in mctx.contexts:
             ctx.num_distances += count
-        out = mctx.aug_queries @ block.T
+        out = mctx.aug_queries @ columns
         if self.metric is Metric.L2:
             out += mctx.q_sq[:, None]
             np.maximum(out, 0.0, out=out)

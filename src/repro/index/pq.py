@@ -303,6 +303,7 @@ class PQKernel(DistanceKernel):
         self.dim = codebook.dim
         self._vectors = None
         self._aug = None
+        self._cols = None
         self.codebook = codebook
         self._codes = codes
         self._flat_offsets = np.arange(codebook.m, dtype=np.intp) * CODEBOOK_SIZE

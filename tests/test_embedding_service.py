@@ -376,3 +376,90 @@ def test_fused_exact_scan_equals_per_query_scan(seed, metric, num_queries, k_off
                 )
     finally:
         db.close()
+
+
+# --------------------------------------------------------------------------
+# the fused scan on segments with holes: in-place columns, +inf holes, gathers
+# --------------------------------------------------------------------------
+
+_HSEG, _HDIM = 32, 16
+
+
+def _holes_db(metric: Metric, rng) -> TigerVectorDB:
+    """Four segments of 32 rows, one per shape the fused scan reads:
+
+    0. fully present: every column of ``[0, hi)`` is a candidate;
+    1. holes a vacuum merged in (five tombstones) plus one unvacuumed
+       upsert and delete: scanned in place, the holes and the superseded
+       column set to +inf;
+    2. a vacuum left three of 32 rows, below the half-allowed crossover:
+       the allowed rows are gathered;
+    3. every snapshot row superseded by an unvacuumed upsert: only the
+       overlay's columns remain.
+    """
+    db = TigerVectorDB(segment_size=_HSEG)
+    db.schema.create_vertex_type("Item", [Attribute("id", AttrType.INT, primary_key=True)])
+    db.schema.add_embedding_attribute("Item", "emb", dimension=_HDIM, model="t", metric=metric)
+    rows = 4 * _HSEG
+    db.bulk_load_vertices("Item", [{"id": i} for i in range(rows)])
+    db.bulk_load_embeddings("Item", "emb", list(range(rows)), _unit_scale(rng, rows))
+    tombstones = [33, 36, 40, 41, 50] + [64 + off for off in range(_HSEG) if off not in (2, 5, 31)]
+    with db.begin() as txn:
+        for vid in tombstones:
+            txn.delete_embedding("Item", vid, "emb")
+    db.vacuum()
+    with db.begin() as txn:  # left unvacuumed: these are the overlay
+        txn.set_embedding("Item", 44, "emb", _unit_scale(rng, 1)[0])
+        txn.delete_embedding("Item", 47, "emb")
+        for vid in range(3 * _HSEG, 4 * _HSEG):
+            txn.set_embedding("Item", vid, "emb", _unit_scale(rng, 1)[0])
+    return db
+
+
+def _unit_scale(rng, count: int) -> np.ndarray:
+    """Gaussian rows of norm about 1, so a distance's rounding stays near
+    float32 eps in absolute terms whatever the metric."""
+    return (rng.standard_normal((count, _HDIM)) / np.sqrt(_HDIM)).astype(np.float32)
+
+
+@pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE, Metric.IP])
+def test_fused_scan_equals_per_query_scan_on_holes(metric):
+    rng = np.random.default_rng(31)
+    db = _holes_db(metric, rng)
+    try:
+        store = db.service.store("Item", "emb")
+        store.bf_threshold = _HSEG + 1  # the solo path brute-forces every segment
+        # Columns each segment's fused scan multiplies: [0, hi) in place for
+        # 0, 1 and 3 (overlay aside), the three allowed rows gathered for 2.
+        assert [store.fused_scan_columns(seg_no) for seg_no in range(4)] == [32, 32, 3, 32]
+        assert not store.segment(1).present[[1, 4, 8, 9, 18]].any()  # merged tombstones
+        seg1 = store.segment(1).current_snapshot().vectors
+        # Queries next to a hole's stale row and to the superseded row: a
+        # fused scan that let those columns through would rank them first.
+        queries = np.concatenate(
+            [
+                _unit_scale(rng, 5),
+                seg1[[1, 9, 12, 15]] + np.float32(1e-3),
+                store.segment(2).current_snapshot().vectors[[0, 7]],
+            ]
+        )
+        with db.snapshot() as snap:
+            for seg_no in range(4):
+                live = sum(
+                    store.get_embedding(seg_no * _HSEG + off, snap.tid) is not None
+                    for off in range(_HSEG)
+                )
+                for k in (3, live):
+                    dists, offsets = store.search_segment_batch(seg_no, queries, k, snap.tid)
+                    assert dists.shape == offsets.shape == (len(queries), min(k, live))
+                    for qi, query in enumerate(queries):
+                        solo = store.search_segment(seg_no, query, k, snap.tid)
+                        assert offsets[qi].tolist() == solo.offsets
+                        # An IP / COSINE distance near 0 is 1 + rank with
+                        # rank near -1: the summation orders' difference
+                        # is absolute, hence the sibling test's floor.
+                        np.testing.assert_allclose(
+                            dists[qi], solo.distances, rtol=1e-6, atol=_ATOL
+                        )
+    finally:
+        db.close()

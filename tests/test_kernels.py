@@ -12,9 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.embedding import EmbeddingType
+from repro.core.service import EmbeddingStore
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.kernels import DistanceKernel
 from repro.types import (
+    IndexType,
     Metric,
     batch_distances,
     batch_distances_multi,
@@ -135,6 +138,61 @@ class TestKernelEquivalence:
         assert rel_err(true, batch_distances(q, vectors, metric)) <= 1e-4
         if metric is Metric.L2:
             assert float(true.min()) >= 0.0
+
+
+# --------------------------------------------------------------------------
+# the lazy column copy a fused scan multiplies follows the rows
+# --------------------------------------------------------------------------
+
+
+class TestColumnCopy:
+    """``distances_multi_prefix`` reads a (d+1, n) copy of the augmented
+    rows built on first use; a kernel whose rows change must never serve
+    the copy of its old rows."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_set_rows_drops_the_copy(self, rng, metric):
+        vectors = make_case(rng, 30, 6)
+        kernel = DistanceKernel.for_matrix(vectors.copy(), metric)
+        mctx = kernel.queries(rng.standard_normal((4, 6)).astype(np.float32))
+        kernel.distances_multi_prefix(mctx, 30)  # builds the copy
+        vectors[5:9] = rng.standard_normal((4, 6))
+        kernel.set_rows(slice(5, 9), vectors[5:9])
+        vectors[20] = rng.standard_normal(6)
+        kernel.set_row(20, vectors[20])
+        want = DistanceKernel.for_matrix(vectors, metric).distances_multi_prefix(mctx, 30)
+        np.testing.assert_array_equal(kernel.distances_multi_prefix(mctx, 30), want)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_attach_drops_the_copy(self, rng, metric):
+        vectors = make_case(rng, 24, 5)
+        kernel = DistanceKernel(metric, vectors[:10].copy(), precompute=False)
+        kernel.set_rows(slice(0, 10), vectors[:10])
+        mctx = kernel.queries(rng.standard_normal((3, 5)).astype(np.float32))
+        assert kernel.distances_multi_prefix(mctx, 10).shape == (3, 10)
+        kernel.attach(vectors.copy(), copy_rows=10)  # the owner grew its matrix
+        assert kernel.distances_multi_prefix(mctx, 24).shape == (3, 24)
+        kernel.set_rows(slice(10, 24), vectors[10:])
+        want = DistanceKernel.for_matrix(vectors, metric).distances_multi_prefix(mctx, 24)
+        np.testing.assert_array_equal(kernel.distances_multi_prefix(mctx, 24), want)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_bulk_load_drops_the_snapshot_kernel(self, rng, metric):
+        """``bulk_load`` writes the current snapshot in place and drops its
+        kernel, copy and all: the next fused batch reads the new rows."""
+        dim = 8
+        embedding = EmbeddingType("emb", dim, metric=metric, index=IndexType.FLAT, index_params={})
+        store = EmbeddingStore("Doc", embedding, segment_size=32)
+        vectors = make_case(rng, 32, dim)
+        store.bulk_load(np.arange(20), vectors[:20], tid=1)
+        queries = rng.standard_normal((4, dim)).astype(np.float32)
+        store.search_segment_batch(0, queries, 32, snapshot_tid=1)  # builds the copy
+        store.bulk_load(np.arange(3, 32), vectors[3:], tid=1)  # rewrites 3..19, adds 20..31
+        dists, offsets = store.search_segment_batch(0, queries, 32, snapshot_tid=1)
+        for qi, q in enumerate(queries):
+            want = batch_distances(q, vectors, metric)
+            assert sorted(offsets[qi].tolist()) == list(range(32))
+            assert rel_err(dists[qi], want[offsets[qi]]) <= 1e-4
 
 
 # --------------------------------------------------------------------------

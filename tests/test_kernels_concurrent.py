@@ -15,6 +15,10 @@ Three races this PR fixed or must never reintroduce:
    the :class:`~repro.index.kernels.QueryContext`, never on the shared
    cumulative ``IndexStats``; overlapping searches observe exactly the
    values a serial run would.
+
+And one lazy cache: the first fused batch on a snapshot builds its scan
+kernel and the kernel's column copy; two batches racing to build them
+answer alike.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.embedding import EmbeddingType
+from repro.core.service import EmbeddingStore
 from repro.index.hnsw import HNSWIndex
 from repro.telemetry import Telemetry, use_telemetry
-from repro.types import Metric
+from repro.types import IndexType, Metric
 
 DIM = 12
 
@@ -290,3 +296,30 @@ class TestTelemetryAttribution:
             assert got[name]["sum"] == want[name]["sum"]
             assert got[name]["min"] == want[name]["min"]
             assert got[name]["max"] == want[name]["max"]
+
+
+class TestLazyColumnCopy:
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE])
+    def test_racing_first_fused_batches_agree(self, rng, metric):
+        """Two threads race the first fused batch on one snapshot: both may
+        build the scan kernel and its column copy, one wins each write, and
+        both answers equal a serial batch's."""
+        embedding = EmbeddingType("emb", DIM, metric=metric, index=IndexType.FLAT, index_params={})
+        store = EmbeddingStore("Doc", embedding, segment_size=512)
+        store.bulk_load(np.arange(500), rng.standard_normal((500, DIM)).astype(np.float32), tid=1)
+        queries = rng.standard_normal((8, DIM)).astype(np.float32)
+        want = store.search_segment_batch(0, queries, 10, snapshot_tid=1)
+        snap = store.segment(0).current_snapshot()
+        for _ in range(20):
+            snap._kernel = None  # as bulk_load leaves it: the next batch rebuilds
+            barrier = threading.Barrier(2)
+            got = [None, None]
+
+            def worker(slot: int) -> None:
+                barrier.wait()
+                got[slot] = store.search_segment_batch(0, queries, 10, snapshot_tid=1)
+
+            run_threads([lambda slot=s: worker(slot) for s in range(2)])
+            for dists, offsets in got:
+                np.testing.assert_array_equal(dists, want[0])
+                np.testing.assert_array_equal(offsets, want[1])
