@@ -4,11 +4,17 @@ Keywords are case-insensitive (``SELECT`` == ``select``); identifiers keep
 their case.  Comments: ``--`` to end of line and ``/* ... */`` blocks.
 Multi-character operators include the pattern arrows ``->`` and ``<-``, so
 the lexer longest-matches those before ``<`` / ``-``.
+
+One compiled pattern reads a token per match: blanks are eaten as its
+prefix, and a named group says what follows.  Once its opener is seen, a
+string is finished by its own small pattern and a block comment by a
+search for ``*/``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import GSQLLexError
 
@@ -31,9 +37,27 @@ _OPERATORS = [
     "=", "<", ">", "+", "-", "*", "/", "%", "@@", "@",
 ]
 
+# A digit is a Unicode decimal digit (``\d``): exactly what int() and float()
+# read.  An exponent sign with no digit after it is matched so that it can be
+# refused as a malformed number rather than split into other tokens.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<NL>\n)"
+    r"|(?P<COMMENT>--[^\n]*)"
+    r"|(?P<BLOCK>/\*)"
+    r"|(?P<NUM>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE](?:\d+|[+-]\d*))?)"
+    r"|(?P<WORD>[^\W\d]\w*)"
+    r"|(?P<OP>" + "|".join(map(re.escape, _OPERATORS)) + r")"
+    r"|(?P<QUOTE>[\"'])"
+    r"|(?P<BAD>.)"
+    r")?"
+)
+_BODY = {q: re.compile(rf"((?:[^{q}\\\n]|\\.)*){q}", re.DOTALL) for q in "\"'"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPED = {"n": "\n", "t": "\t"}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """One lexical token: kind is KEYWORD, IDENT, INT, FLOAT, STRING, OP, EOF."""
 
     kind: str
@@ -47,120 +71,69 @@ class Token:
     def is_op(self, op: str) -> bool:
         return self.kind == "OP" and self.value == op
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPED.get(match[1], match[1])
 
 
 def tokenize(source: str) -> list[Token]:
     """Turn GSQL source into a token list ending with an EOF token."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the NamedTuple __new__ wrapper
+    match = _TOKEN.match
     line = 1
     line_start = 0
-    n = len(source)
-
-    def column() -> int:
-        return i - line_start + 1
-
-    while i < n:
-        ch = source[i]
-        # -- whitespace / newlines
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        # -- comments
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise GSQLLexError("unterminated block comment", line, column())
-            for offset in range(i, end):
-                if source[offset] == "\n":
-                    line += 1
-                    line_start = offset + 1
-            i = end + 2
-            continue
-        # -- strings
-        if ch in "\"'":
-            quote = ch
-            start_col = column()
-            j = i + 1
-            buf = []
-            while j < n and source[j] != quote:
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    buf.append({"n": "\n", "t": "\t", "\\": "\\", quote: quote}.get(esc, esc))
-                    j += 2
-                else:
-                    if source[j] == "\n":
-                        raise GSQLLexError("unterminated string literal", line, start_col)
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise GSQLLexError("unterminated string literal", line, start_col)
-            tokens.append(Token("STRING", "".join(buf), line, start_col))
-            i = j + 1
-            continue
-        # -- numbers
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start_col = column()
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = source[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    # Don't eat `1.attr`-style member access on ints.
-                    if j + 1 < n and (source[j + 1].isdigit()):
-                        seen_dot = True
-                        j += 1
-                    else:
-                        break
-                elif c in "eE" and not seen_exp and j + 1 < n and (
-                    source[j + 1].isdigit() or source[j + 1] in "+-"
-                ):
-                    seen_exp = True
-                    j += 2 if source[j + 1] in "+-" else 1
-                else:
-                    break
-            text = source[i:j]
-            kind = "FLOAT" if ("." in text or "e" in text or "E" in text) else "INT"
-            tokens.append(Token(kind, text, line, start_col))
-            i = j
-            continue
-        # -- identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            start_col = column()
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+    i = 0
+    while True:
+        m = match(source, i)
+        kind = m.lastgroup
+        i = m.end()
+        if kind is None:  # only blanks were left
+            break
+        start = m.start(kind)
+        column = start - line_start + 1
+        if kind == "WORD":
+            text = m[kind]
             upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, line, start_col))
-            else:
-                tokens.append(Token("IDENT", text, line, start_col))
-            i = j
-            continue
-        # -- operators (longest match)
-        matched = False
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("OP", op, line, column()))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise GSQLLexError(f"unexpected character {ch!r}", line, column())
-    tokens.append(Token("EOF", "", line, column()))
+                append(new(Token, ("KEYWORD", upper, line, column)))
+            elif text[0].isalpha() or text[0] == "_":
+                append(new(Token, ("IDENT", text, line, column)))
+            else:  # a numeric symbol such as '²' or '½': neither a digit nor a letter
+                raise GSQLLexError(f"unexpected character {text[0]!r}", line, column)
+        elif kind == "OP":
+            append(new(Token, ("OP", m[kind], line, column)))
+        elif kind == "NUM":
+            text = m[kind]
+            if text[-1] in "+-":
+                raise GSQLLexError(f"malformed number {text!r}", line, column)
+            append(new(Token, ("INT" if text.isdecimal() else "FLOAT", text, line, column)))
+        elif kind == "NL":
+            line += 1
+            line_start = i
+        elif kind == "QUOTE":
+            body = _BODY[source[start]].match(source, i)
+            if body is None:
+                raise GSQLLexError("unterminated string literal", line, column)
+            text = body[1]
+            value = _ESCAPE.sub(_unescape, text) if "\\" in text else text
+            append(new(Token, ("STRING", value, line, column)))
+            i = body.end()
+            if "\n" in text:  # escaped newlines: the string ends on a later line
+                line += text.count("\n")
+                line_start = source.rindex("\n", start, i) + 1
+        elif kind == "BLOCK":
+            end = source.find("*/", i)
+            if end < 0:
+                raise GSQLLexError("unterminated block comment", line, column)
+            newlines = source.count("\n", i, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", i, end) + 1
+            i = end + 2
+        elif kind == "BAD":
+            raise GSQLLexError(f"unexpected character {source[start]!r}", line, column)
+        # COMMENT: nothing to emit; the newline after it is the next match.
+    append(new(Token, ("EOF", "", line, i - line_start + 1)))
     return tokens

@@ -1,4 +1,4 @@
-"""GSQL recursive-descent parser.
+"""GSQL parser: recursive descent for statements, precedence climbing for expressions.
 
 Parses the GSQL subset shown in the paper into the AST of
 :mod:`repro.gsql.ast_nodes`.  Entry point: :func:`parse`, which returns a
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..errors import GSQLParseError
+from ..errors import GSQLLexError, GSQLParseError
 from . import ast_nodes as ast
 from .lexer import Token, tokenize
 
@@ -23,17 +23,48 @@ ACCUM_KINDS = {
     "HeapAccum", "Map",
 }
 
+#: Binary precedence levels, loosest first; ``NOT`` is a prefix at ``_NOT``.
+_SET, _OR, _AND, _NOT, _CMP, _ADD, _MUL = range(1, 8)
+
+#: Binary operators by the value of an OP or KEYWORD token: (level, the
+#: node's operator, node class).  ``=`` reads as ``==`` and ``<>`` as ``!=``.
+_BINARY = {
+    "UNION": (_SET, "UNION", ast.SetOpExpr),
+    "INTERSECT": (_SET, "INTERSECT", ast.SetOpExpr),
+    "MINUS": (_SET, "MINUS", ast.SetOpExpr),
+    "OR": (_OR, "OR", ast.BinaryOp),
+    "AND": (_AND, "AND", ast.BinaryOp),
+    "==": (_CMP, "==", ast.BinaryOp),
+    "=": (_CMP, "==", ast.BinaryOp),
+    "!=": (_CMP, "!=", ast.BinaryOp),
+    "<>": (_CMP, "!=", ast.BinaryOp),
+    "<=": (_CMP, "<=", ast.BinaryOp),
+    ">=": (_CMP, ">=", ast.BinaryOp),
+    "<": (_CMP, "<", ast.BinaryOp),
+    ">": (_CMP, ">", ast.BinaryOp),
+    "IN": (_CMP, "IN", ast.BinaryOp),
+    "+": (_ADD, "+", ast.BinaryOp),
+    "-": (_ADD, "-", ast.BinaryOp),
+    "*": (_MUL, "*", ast.BinaryOp),
+    "/": (_MUL, "/", ast.BinaryOp),
+    "%": (_MUL, "%", ast.BinaryOp),
+}
+
+
+def _int(tok: Token) -> int:
+    try:
+        return int(tok.value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise GSQLLexError("integer literal too long", tok.line, tok.column) from None
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.current = tokens[0]
 
     # ------------------------------------------------------------- plumbing
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
     def peek(self, offset: int = 1) -> Token:
         index = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[index]
@@ -42,6 +73,7 @@ class _Parser:
         token = self.current
         if token.kind != "EOF":
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return token
 
     def error(self, message: str) -> GSQLParseError:
@@ -219,7 +251,7 @@ class _Parser:
             self.expect_op("=")
             tok = self.advance()
             if tok.kind == "INT":
-                options[key] = int(tok.value)
+                options[key] = _int(tok)
             elif tok.kind == "FLOAT":
                 options[key] = float(tok.value)
             elif tok.kind in ("IDENT", "STRING", "KEYWORD"):
@@ -381,7 +413,7 @@ class _Parser:
                     tok = self.advance()
                     if tok.kind != "INT":
                         raise self.error("repeat count must be an integer")
-                    repeat = int(tok.value)
+                    repeat = _int(tok)
             self.expect_op("]")
         if incoming:
             self.expect_op("-")
@@ -506,6 +538,7 @@ class _Parser:
             is_global = False
         else:
             self.pos = start  # it was an expression after all
+            self.current = self.tokens[start]
             return None
         name = self.expect_ident()
         self.expect_op(";")
@@ -587,7 +620,7 @@ class _Parser:
             tok = self.advance()
             if tok.kind != "INT":
                 raise self.error("WHILE LIMIT must be an integer")
-            limit = int(tok.value)
+            limit = _int(tok)
         self.expect_kw("DO")
         body = self.parse_statement_block()
         self.expect_kw("END")
@@ -603,62 +636,31 @@ class _Parser:
         return body
 
     # ---------------------------------------------------------- expressions
-    def parse_expr(self) -> ast.Expr:
-        return self.parse_set_op()
+    def parse_expr(self, floor: int = _SET) -> ast.Expr:
+        """An expression of operators binding at least as tight as ``floor``.
 
-    def parse_set_op(self) -> ast.Expr:
-        left = self.parse_or()
+        Left-associative, except that a comparison or ``IN`` does not chain.
+        ``ceiling`` bounds the next operator: after a comparison, or after
+        ``NOT x``, only a looser one may follow.
+        """
+        if floor <= _NOT and self.current.is_kw("NOT"):
+            self.advance()
+            left = ast.UnaryOp("NOT", self.parse_expr(_NOT))
+            ceiling = _NOT
+        else:
+            left = self.parse_unary()
+            ceiling = _MUL + 1
         while True:
-            if self.accept_kw("UNION"):
-                left = ast.SetOpExpr("UNION", left, self.parse_or())
-            elif self.accept_kw("INTERSECT"):
-                left = ast.SetOpExpr("INTERSECT", left, self.parse_or())
-            elif self.accept_kw("MINUS"):
-                left = ast.SetOpExpr("MINUS", left, self.parse_or())
-            else:
+            tok = self.current
+            entry = _BINARY.get(tok.value)
+            if entry is None or tok.kind not in ("OP", "KEYWORD"):
                 return left
-
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.accept_kw("OR"):
-            left = ast.BinaryOp("OR", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> ast.Expr:
-        left = self.parse_not()
-        while self.accept_kw("AND"):
-            left = ast.BinaryOp("AND", left, self.parse_not())
-        return left
-
-    def parse_not(self) -> ast.Expr:
-        if self.accept_kw("NOT"):
-            return ast.UnaryOp("NOT", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> ast.Expr:
-        left = self.parse_additive()
-        for op in ("==", "=", "!=", "<>", "<=", ">=", "<", ">"):
-            if self.current.is_op(op):
-                self.advance()
-                norm = {"=": "==", "<>": "!="}.get(op, op)
-                return ast.BinaryOp(norm, left, self.parse_additive())
-        if self.accept_kw("IN"):
-            return ast.BinaryOp("IN", left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.current.is_op("+") or self.current.is_op("-"):
-            op = self.advance().value
-            left = ast.BinaryOp(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> ast.Expr:
-        left = self.parse_unary()
-        while self.current.is_op("*") or self.current.is_op("/") or self.current.is_op("%"):
-            op = self.advance().value
-            left = ast.BinaryOp(op, left, self.parse_unary())
-        return left
+            level, op, node = entry
+            if not floor <= level < ceiling:
+                return left
+            self.advance()
+            left = node(op, left, self.parse_expr(level + 1))
+            ceiling = level if level == _CMP else level + 1
 
     def parse_unary(self) -> ast.Expr:
         if self.current.is_op("-"):
@@ -672,7 +674,7 @@ class _Parser:
             return self.parse_select_block()
         if tok.kind == "INT":
             self.advance()
-            return ast.Literal(int(tok.value))
+            return ast.Literal(_int(tok))
         if tok.kind == "FLOAT":
             self.advance()
             return ast.Literal(float(tok.value))

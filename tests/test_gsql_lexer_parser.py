@@ -1,10 +1,15 @@
 """Tests for the GSQL lexer and parser."""
 
-import pytest
+import sys
 
-from repro.errors import GSQLLexError, GSQLParseError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import TigerVectorDB
+from repro.errors import GSQLError, GSQLLexError, GSQLParseError
 from repro.gsql import ast_nodes as ast
-from repro.gsql.lexer import tokenize
+from repro.gsql.lexer import KEYWORDS, tokenize
 from repro.gsql.parser import parse, parse_expression
 
 
@@ -252,3 +257,164 @@ class TestExpressions:
         with pytest.raises(GSQLParseError) as err:
             parse("SELECT FROM;")
         assert err.value.line == 1
+
+
+class TestMalformedNumbers:
+    """A literal that int() / float() cannot read is a typed lexer error."""
+
+    @pytest.mark.parametrize("text, column", [("1e+", 1), ("x = 2.5E-", 5), ("²", 1), ("1²", 2)])
+    def test_parse_expression(self, text, column):
+        with pytest.raises(GSQLLexError) as err:
+            parse_expression(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_parse(self):
+        with pytest.raises(GSQLLexError) as err:
+            parse("SELECT s FROM (s:Post)\n  LIMIT 1e-;")
+        assert (err.value.line, err.value.column) == (2, 9)
+
+    def test_run_gsql(self):
+        with TigerVectorDB() as db:
+            with pytest.raises(GSQLLexError, match="malformed number"):
+                db.run_gsql("SELECT s FROM (s:Post) ORDER BY VECTOR_DIST(s.emb, q) LIMIT 1e+;")
+
+    def test_exponent_needs_a_digit(self):
+        assert [(t.kind, t.value) for t in tokenize("1e5 1E+5 .5e-3 1ex")[:5]] == [
+            ("FLOAT", "1e5"), ("FLOAT", "1E+5"), ("FLOAT", ".5e-3"), ("INT", "1"), ("IDENT", "ex"),
+        ]
+
+    def test_integer_over_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        with pytest.raises(GSQLLexError, match="too long"):
+            parse_expression("x + " + "9" * (limit + 1))
+
+
+class TestLineTracking:
+    def test_backslash_newline_in_string_counts_the_line(self):
+        tokens = tokenize('"a\\\nb" c')
+        assert tokens[0].value == "a\nb"
+        assert (tokens[1].value, tokens[1].line, tokens[1].column) == ("c", 2, 4)
+
+    def test_block_comment_newlines(self):
+        tokens = tokenize("a /* x\n y\n */ b\n c")
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("a", 1, 1), ("b", 3, 5), ("c", 4, 2), ("", 4, 3),
+        ]
+
+
+class TestGrammarPins:
+    def test_where_a_lt_b_lt_c(self):
+        with pytest.raises(GSQLParseError) as err:
+            parse("SELECT s FROM (s:A) WHERE a < b < c;")
+        assert str(err.value) == (
+            "expected a DDL statement, SELECT block, or CREATE QUERY (found '<') at line 1, column 33"
+        )
+        assert (err.value.line, err.value.column) == (1, 33)
+
+    @pytest.mark.parametrize("text", ["a < b < c", "a = b IN c", "NOT a < b < c", "a AND b < c < d"])
+    def test_second_comparison_is_trailing_input(self, text):
+        with pytest.raises(GSQLParseError, match="unexpected trailing input"):
+            parse_expression(text)
+
+    def test_not_is_a_prefix_only_above_comparisons(self):
+        a_eq_b = ast.BinaryOp("==", ast.VarRef("a"), ast.VarRef("b"))
+        assert parse_expression("NOT a = b") == ast.UnaryOp("NOT", a_eq_b)
+        with pytest.raises(GSQLParseError, match="expected an expression"):
+            parse_expression("a = NOT b")
+
+    def test_a_string_is_never_an_operator(self):
+        with pytest.raises(GSQLParseError, match="unexpected trailing input"):
+            parse_expression("a '+' b")
+
+
+# -------------------------------------------------------------- properties
+#: The grammar's binary operators: spelling -> (level, node op, node class).
+#: Higher levels bind tighter; NOT is a prefix at level 4, unary minus at 8.
+_SPELLINGS = {
+    **{op: (1, op, ast.SetOpExpr) for op in ("UNION", "INTERSECT", "MINUS")},
+    "OR": (2, "OR", ast.BinaryOp),
+    "AND": (3, "AND", ast.BinaryOp),
+    **{op: (5, op, ast.BinaryOp) for op in ("==", "!=", "<=", ">=", "<", ">", "IN")},
+    "=": (5, "==", ast.BinaryOp),
+    "<>": (5, "!=", ast.BinaryOp),
+    **{op: (6, op, ast.BinaryOp) for op in ("+", "-")},
+    **{op: (7, op, ast.BinaryOp) for op in ("*", "/", "%")},
+}
+_NOT, _CMP, _NEG, _ATOM = 4, 5, 8, 9
+
+
+def _quote(text):
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
+    return f'"{escaped}"'
+
+
+def _wrap(child, parens):
+    return f"({child[1]})" if parens else child[1]
+
+
+def _binary(args):
+    spelling, left, right = args
+    level, op, node = _SPELLINGS[spelling]
+    # Left-associative: a left child as loose as the operator needs no
+    # parentheses, except under a comparison, which does not chain.
+    left_text = _wrap(left, left[2] < level or (level == _CMP and left[2] == _CMP))
+    return node(op, left[0], right[0]), f"{left_text} {spelling} {_wrap(right, right[2] <= level)}", level
+
+
+def _prefix(args):
+    op, operand = args
+    level = _NOT if op == "NOT" else _NEG
+    return ast.UnaryOp(op, operand[0]), f"{op} {_wrap(operand, operand[2] < level)}", level
+
+
+_ATOMS = st.one_of(
+    st.integers(0, 10**12).map(lambda v: (ast.Literal(v), str(v), _ATOM)),
+    st.floats(0, 1e300).map(lambda v: (ast.Literal(v), repr(v), _ATOM)),
+    st.text(max_size=4).map(lambda v: (ast.Literal(v), _quote(v), _ATOM)),
+    st.booleans().map(lambda v: (ast.Literal(v), str(v).upper(), _ATOM)),
+    st.sampled_from(["a", "_b", "Item2", "x"]).map(lambda v: (ast.VarRef(v), v, _ATOM)),
+    st.sampled_from(["s.emb", "t.id"]).map(lambda v: (ast.AttrRef(*v.split(".")), v, _ATOM)),
+)
+_TREES = st.recursive(
+    _ATOMS,
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from(sorted(_SPELLINGS)), children, children).map(_binary),
+        st.tuples(st.sampled_from(["NOT", "-"]), children).map(_prefix),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_expression_round_trip(tree):
+    """Rendered with only the parentheses precedence needs, a tree parses back to itself."""
+    node, text, _ = tree
+    assert parse_expression(text) == node, text
+
+
+_SOUP_WORDS = sorted(KEYWORDS) + [
+    "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "->", "<-", "<", ">", "=", "==", "!=", "<>",
+    "<=", ">=", "+", "-", "+=", "*", "/", "%", "@", "@@", "s", "Item", "VECTOR_DIST", "SumAccum",
+    "0", "42", "2.5", ".5", "1e3", "1e", "1e+", "2E-", "1e²", "²", "½", "'a'", '"b\\"', '"', "'",
+    "--c\n", "/*c*/", "/*", "\\", "§",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.tuples(st.sampled_from(_SOUP_WORDS), st.sampled_from(["", " ", "\n"])), max_size=30).map(
+            lambda parts: "".join(word + sep for word, sep in parts)
+        ),
+        st.text(max_size=40),
+    )
+)
+def test_token_soup_raises_only_gsql_errors(text):
+    for entry in (parse, parse_expression):
+        try:
+            entry(text)
+        except GSQLError:
+            pass
