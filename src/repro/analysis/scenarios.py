@@ -28,6 +28,7 @@ import numpy as np
 
 from .. import Attribute, AttrType, Metric, TigerVectorDB
 from ..core.search import (
+    SearchSpec,
     merge_sharded_topk,
     vector_search_merged,
     vector_search_sharded,
@@ -139,8 +140,8 @@ class CommitVsCachedSearch(Scenario):
     pre-commit snapshot, and caches the stale top-k under the post-commit
     key.  ``check`` then finds a poisoned hit for a fresh watermark.
     With ``validate=True`` (the shipped server logic: serve uncached, the
-    cache neither probed nor filled, when ``watermark_lag > 0``) every
-    interleaving must pass.
+    cache neither probed nor filled, when the watermark lag is positive)
+    every interleaving must pass.
     """
 
     threads = 2
@@ -161,6 +162,7 @@ class CommitVsCachedSearch(Scenario):
         state.cache = ResultCache()
         state.query = np.zeros(_DIM, dtype=np.float32)
         state.query[0] = 100.0
+        state.spec = SearchSpec(state.db.service, [_ATTR], state.query, _K)
         state.new_vector = np.zeros(_DIM, dtype=np.float32)
         state.new_vector[0] = 99.0  # post-commit nearest neighbor for query
         return state
@@ -177,7 +179,7 @@ class CommitVsCachedSearch(Scenario):
             # lag == 0: the snapshot covers the watermark read before it.
             lag_zero = EmbeddingStore.watermark_tid(mark) <= snapshot.tid
             cached = lag_zero or not self.validate
-            key = ResultCache.key([_ATTR], state.query, _K, None, (mark,))
+            key = state.spec.cache_key((mark,))
             if cached and state.cache.get(key) is not None:
                 return
             top = tuple(
@@ -191,7 +193,7 @@ class CommitVsCachedSearch(Scenario):
     def check(self, state) -> None:
         store = state.db.service.store("Doc", "vec")
         fresh_mark = store.watermark()
-        key = ResultCache.key([_ATTR], state.query, _K, None, (fresh_mark,))
+        key = state.spec.cache_key((fresh_mark,))
         hit = state.cache.get(key)
         if hit is None:
             return

@@ -33,7 +33,7 @@ _EXPORTS = {
     "DeltaRecord": ("delta", "DeltaRecord"),
     "VacuumManager": ("vacuum", "VacuumManager"),
     "EmbeddingAction": ("action", "EmbeddingAction"),
-    "VectorSearchOptions": ("search", "VectorSearchOptions"),
+    "SearchSpec": ("search", "SearchSpec"),
     "vector_search": ("search", "vector_search"),
     "TigerVectorDB": ("database", "TigerVectorDB"),
     "AccessController": ("auth", "AccessController"),

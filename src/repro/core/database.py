@@ -28,13 +28,14 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from ..errors import VectorSearchError
 from ..graph.schema import GraphSchema
 from ..graph.storage import GraphStore
 from ..graph.txn import Snapshot, Transaction
 from ..graph.vertex_set import VertexSet
 from .search import (
+    SearchSpec,
     SegmentMasks,
-    VectorSearchOptions,
     build_topk_vertex_set,
     vector_search,
     vector_search_batch,
@@ -236,10 +237,10 @@ class TigerVectorDB:
         snapshot: Snapshot | None = None,
     ) -> VertexSet:
         """The VectorSearch() function (Sec. 5.5) on the current snapshot."""
-        options = VectorSearchOptions(filter=filter, distance_map=distance_map, ef=ef)
         with self.snapshot() if snapshot is None else nullcontext(snapshot) as snap:
             return vector_search(
-                self.service, snap, vector_attributes, query_vector, k, options
+                self.service, snap, vector_attributes, query_vector, k,
+                filter=filter, distance_map=distance_map, ef=ef,
             )
 
     def vector_search_batch(
@@ -255,10 +256,14 @@ class TigerVectorDB:
         direct use.  All queries run against one MVCC snapshot; returns one
         :class:`VertexSet` per query row.
         """
+        queries = np.asarray(query_vectors, dtype=np.float32)
+        if queries.ndim == 1:
+            queries = queries.reshape(1, -1)
+        if queries.ndim != 2:
+            raise VectorSearchError("query_vectors must be a (Q, d) matrix")
+        specs = [SearchSpec(self.service, vector_attributes, query, k) for query in queries]
         with self.snapshot() if snapshot is None else nullcontext(snapshot) as snap:
-            batches = vector_search_batch(
-                self.service, snap, vector_attributes, query_vectors, k
-            )
+            batches = vector_search_batch(self.service, snap, specs)
         return [build_topk_vertex_set(top, None) for top in batches]
 
     # ------------------------------------------------------------------ RBAC

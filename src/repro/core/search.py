@@ -24,6 +24,10 @@ is the only place an attribute list becomes :class:`EmbeddingAction` top-k
 calls; every door — this function, GSQL, ``authorized_search``, the serving
 tiers — calls it and merges with :func:`merge_sharded_topk`.  The doors
 differ only in who produced the pre-filter.
+
+**One check.**  The arguments travel as one :class:`SearchSpec`, checked
+when it is built; every door builds one and nothing downstream checks
+again.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, VectorSearchError
+from ..errors import DimensionMismatchError, ServeError, VectorSearchError
 from ..graph.accumulators import MapAccum
 from ..graph.txn import Snapshot
 from ..graph.vertex_set import VertexSet
@@ -44,12 +48,13 @@ from .embedding import check_compatible, require_finite
 from .service import EmbeddingService, EmbeddingStore
 
 __all__ = [
+    "SearchSpec",
     "SegmentMasks",
-    "VectorSearchOptions",
     "build_topk_vertex_set",
     "check_topk_args",
     "merge_sharded_topk",
     "resolve_search",
+    "search_merged",
     "segment_bitmaps",
     "vector_search",
     "vector_search_batch",
@@ -63,56 +68,110 @@ __all__ = [
 SegmentMasks = Mapping[str, Sequence[Bitmap]]
 
 
-@dataclass
-class VectorSearchOptions:
-    """Optional VectorSearch parameters (Sec. 5.5 list item 4)."""
-
-    filter: VertexSet | SegmentMasks | None = None
-    distance_map: MapAccum | None = None
-    ef: int | None = None
-
-
 def check_topk_args(k, ef: int | None = None) -> None:
     """Refuse a ``k`` or ``ef`` that is not a positive integer.
 
-    The one check behind every door: a float is refused, not truncated, and
-    ``ef`` 0 or below is refused, not read as "the default" or as a narrower
-    beam.  ``ef=None`` is the default.
+    A float is refused, not truncated, and ``ef`` 0 or below is refused, not
+    read as "the default" or as a narrower beam.  ``ef=None`` is the default.
     """
-    if not _positive_int(k):
+    if not _int_from(k, 1):
         raise VectorSearchError(f"k must be a positive integer, got {k!r}")
-    if ef is not None and not _positive_int(ef):
+    if ef is not None and not _int_from(ef, 1):
         raise VectorSearchError(f"ef must be a positive integer, got {ef!r}")
 
 
-def _positive_int(value) -> bool:
-    return (
-        isinstance(value, (int, np.integer))
-        and not isinstance(value, bool)
-        and value >= 1
-    )
+def _int_from(value, low: int) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 def resolve_search(
-    service: EmbeddingService, vector_attributes: list[str], dimension: int
-) -> list[tuple[str, EmbeddingStore]]:
-    """``"VertexType.attr"`` names -> ``(vertex_type, store)`` search targets.
+    service: EmbeddingService, vector_attributes: Sequence[str], dimension: int
+) -> list[tuple[str, str]]:
+    """``"VertexType.attr"`` names -> ``(vertex_type, attr)`` search targets.
 
     The static half of every search: the Sec. 4.1 compatibility check, and a
     query of the wrong ``dimension`` refused before any segment is touched.
     """
-    resolved = [service.schema.embedding_attribute(name) for name in vector_attributes]
-    representative = check_compatible(
-        zip(vector_attributes, (embedding for _, embedding in resolved))
-    )
+    schema = service.schema
+    resolved = [(name, *schema.embedding_attribute(name)) for name in vector_attributes]
+    representative = check_compatible([(name, embedding) for name, _, embedding in resolved])
     if dimension != representative.dimension:
         raise DimensionMismatchError(
             f"query has dimension {dimension}, embedding expects {representative.dimension}"
         )
-    return [
-        (vertex_type, service.store(vertex_type, embedding.name))
-        for vertex_type, embedding in resolved
-    ]
+    return [(vertex_type, embedding.name) for _, vertex_type, embedding in resolved]
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class SearchSpec:
+    """One checked ``VectorSearch(attrs, query, k, opts)`` request (Sec. 5.5).
+
+    The constructor is the one check: ``k`` and ``ef`` are positive
+    integers, the query is finite, the attributes are compatible and of
+    the query's dimension (:func:`resolve_search`), and the freshness
+    bounds — ``max_staleness`` (watermark-TID lag) and ``session_token``
+    (a commit TID) — are non-negative integers, else
+    :class:`~repro.errors.ServeError`.  Every door builds one; the loop,
+    the freshness gate, the fusion and cache keys and a shard's
+    sub-request read it.  It holds no store, snapshot or lock.
+    """
+
+    attributes: tuple[str, ...]
+    query: np.ndarray
+    k: int
+    ef: int | None
+    filter: VertexSet | SegmentMasks | None
+    distance_map: MapAccum | None
+    max_staleness: int | None
+    session_token: int | None
+    targets: tuple[tuple[str, str], ...]  # (vertex_type, attr) per attribute
+
+    def __init__(
+        self, service: EmbeddingService, attributes: Sequence[str], query, k: int, *,
+        ef=None, filter=None, distance_map=None, max_staleness=None, session_token=None,
+    ):
+        check_topk_args(k, ef)
+        query = require_finite(np.asarray(query, dtype=np.float32).reshape(-1), "query vector")
+        attributes = tuple(attributes)
+        targets = tuple(resolve_search(service, attributes, query.shape[0]))
+        for name, value in (("max_staleness", max_staleness), ("session_token", session_token)):
+            if value is not None and not _int_from(value, 0):
+                raise ServeError(f"{name} must be a non-negative integer, got {value!r}")
+        init = object.__setattr__  # one call per field: the door's hot path
+        init(self, "attributes", attributes)
+        init(self, "query", query)
+        init(self, "k", k)
+        init(self, "ef", ef)
+        init(self, "filter", filter)
+        init(self, "distance_map", distance_map)
+        init(self, "max_staleness", max_staleness)
+        init(self, "session_token", session_token)
+        init(self, "targets", targets)
+
+    def stores(self, service: EmbeddingService) -> list[tuple[str, EmbeddingStore]]:
+        """``(vertex_type, store)`` per attribute, in attribute order."""
+        return [(vtype, service.store(vtype, attr)) for vtype, attr in self.targets]
+
+    def fusion_key(self) -> tuple | None:
+        """What a fused batch shares; ``None`` runs the search alone.
+
+        A filter differs per request, an SLA bound needs its own pin, and an
+        explicit ``ef`` is an accuracy contract only a per-query traversal
+        honours (traversals share no work, so it runs at once).
+        """
+        if (
+            self.filter is not None
+            or self.ef is not None
+            or self.max_staleness is not None
+            or self.session_token is not None
+        ):
+            return None
+        return (self.attributes, self.k)
+
+    def cache_key(self, watermarks: tuple, *suffix) -> tuple:
+        """The result-cache key at ``watermarks`` (read before the pin, see
+        :mod:`repro.serve.cache`); the query bytes stand at index 3."""
+        return (self.attributes, self.k, self.ef, self.query.tobytes(), watermarks) + suffix
 
 
 def segment_bitmaps(
@@ -144,37 +203,48 @@ def build_topk_vertex_set(
     return out
 
 
+def search_merged(
+    service: EmbeddingService,
+    snapshot: Snapshot,
+    spec: SearchSpec,
+    prefilter: VertexSet | SegmentMasks | None,
+) -> list[tuple[float, str, int]]:
+    """Global top-k of ``spec`` as sorted ``(distance, vertex_type, vid)`` triples.
+
+    The full VectorSearch pipeline minus result materialization; the serving
+    layer caches these triples because, unlike a :class:`VertexSet`, they
+    are immutable and carry the distances.  It is the one-shard case of the
+    sharded search: every segment group, one partial, merged.
+    ``prefilter`` is the filter in force — ``spec.filter``, or that ANDed
+    with a role's masks.
+    """
+    with get_telemetry().span(
+        "vector.search", k=spec.k, attributes=list(spec.attributes)
+    ):
+        parts, _ = vector_search_parts(service, snapshot, spec, prefilter)
+        return merge_sharded_topk([parts], spec.k)
+
+
 def vector_search_merged(
     service: EmbeddingService,
     snapshot: Snapshot,
     vector_attributes: list[str],
     query_vector: np.ndarray,
     k: int,
-    options: VectorSearchOptions | None = None,
+    *,
+    filter: VertexSet | SegmentMasks | None = None,
+    ef: int | None = None,
 ) -> list[tuple[float, str, int]]:
-    """Global top-k as sorted ``(distance, vertex_type, vid)`` triples.
-
-    The full VectorSearch pipeline minus result materialization; the serving
-    layer caches these triples because, unlike a :class:`VertexSet`, they
-    are immutable and carry the distances.  It is the one-shard case of the
-    sharded search: every segment group, one partial, merged.
-    """
-    with get_telemetry().span(
-        "vector.search", k=k, attributes=list(vector_attributes)
-    ):
-        parts = vector_search_sharded(
-            service, snapshot, vector_attributes, query_vector, k, options
-        )
-        return merge_sharded_topk([parts], k)
+    """:func:`search_merged` of the spec these arguments make."""
+    spec = SearchSpec(service, vector_attributes, query_vector, k, ef=ef, filter=filter)
+    return search_merged(service, snapshot, spec, spec.filter)
 
 
 def vector_search_parts(
     service: EmbeddingService,
     snapshot: Snapshot,
-    vector_attributes: list[str],
-    query_vector: np.ndarray,
-    k: int,
-    options: VectorSearchOptions | None = None,
+    spec: SearchSpec,
+    prefilter: VertexSet | SegmentMasks | None,
     groups: frozenset | set | None = None,
     group_size: int = 1,
 ) -> tuple[list[tuple[str, tuple[tuple[float, int], ...]]], ActionStats]:
@@ -184,40 +254,35 @@ def vector_search_parts(
     runs this over the segment ordinals whose group (``seg_no //
     group_size``) it owns, and the router merges the partials with
     :func:`merge_sharded_topk`.  Returns one ``(vertex_type, pairs)`` entry
-    per attribute in resolution order, where ``pairs`` are the attribute's
-    local top-k ``(distance, vid)`` tuples sorted exactly as
+    per attribute in ``spec.attributes`` order, where ``pairs`` are the
+    attribute's local top-k ``(distance, vid)`` tuples sorted exactly as
     :meth:`EmbeddingAction.topk` sorts them (distance, then vid) — empty,
-    and not searched, when the pre-filter has no candidate of the type —
-    plus the attributes' summed :class:`ActionStats`.
+    and not searched, when ``prefilter`` has no candidate of the type —
+    plus the attributes' summed :class:`ActionStats`.  ``prefilter`` is
+    the filter in force: ``spec.filter``, that ANDed with a role's masks,
+    or a GSQL block's candidates.
 
-    ``groups=None`` searches every segment; :func:`vector_search_merged` is
+    ``groups=None`` searches every segment; :func:`search_merged` is
     exactly that single-shard merge.  With complementary
     group subsets the union of partial top-k lists per attribute contains
     the attribute's global top-k (top-k of a union is contained in the
     union of per-part top-k), and the (distance, vid) total order makes
     the merged result identical regardless of how segments were split.
     """
-    options = options or VectorSearchOptions()
-    check_topk_args(k, options.ef)
     if group_size < 1:
         raise VectorSearchError("group_size must be at least 1")
-    query = np.asarray(query_vector, dtype=np.float32).reshape(-1)
-    require_finite(query, "query vector")
-    targets = resolve_search(service, vector_attributes, query.shape[0])
-
-    tel = get_telemetry()
     parts: list[tuple[str, tuple[tuple[float, int], ...]]] = []
     stats = ActionStats()
-    with tel.span(
+    with get_telemetry().span(
         "vector.search_sharded",
-        k=k,
-        attributes=list(vector_attributes),
+        k=spec.k,
+        attributes=list(spec.attributes),
         groups=None if groups is None else sorted(groups),
     ):
-        for vertex_type, store in targets:
+        for vertex_type, store in spec.stores(service):
             bitmaps = None
-            if options.filter is not None:
-                bitmaps = segment_bitmaps(options.filter, snapshot, vertex_type)
+            if prefilter is not None:
+                bitmaps = segment_bitmaps(prefilter, snapshot, vertex_type)
                 if bitmaps is None:
                     parts.append((vertex_type, ()))
                     continue
@@ -230,10 +295,10 @@ def vector_search_parts(
                 ]
             action = EmbeddingAction(store)
             result = action.topk(
-                query,
-                k,
+                spec.query,
+                spec.k,
                 snapshot_tid=snapshot.tid,
-                ef=options.ef,
+                ef=spec.ef,
                 bitmaps=bitmaps,
                 seg_nos=seg_nos,
             )
@@ -250,14 +315,16 @@ def vector_search_sharded(
     vector_attributes: list[str],
     query_vector: np.ndarray,
     k: int,
-    options: VectorSearchOptions | None = None,
+    *,
+    filter: VertexSet | SegmentMasks | None = None,
+    ef: int | None = None,
     groups: frozenset | set | None = None,
     group_size: int = 1,
 ) -> list[tuple[str, tuple[tuple[float, int], ...]]]:
-    """:func:`vector_search_parts` without the statistics (what a shard ships)."""
-    return vector_search_parts(
-        service, snapshot, vector_attributes, query_vector, k, options, groups, group_size
-    )[0]
+    """:func:`vector_search_parts` of the spec these arguments make, without
+    the statistics (what a shard ships)."""
+    spec = SearchSpec(service, vector_attributes, query_vector, k, ef=ef, filter=filter)
+    return vector_search_parts(service, snapshot, spec, spec.filter, groups, group_size)[0]
 
 
 def merge_sharded_topk(
@@ -266,14 +333,14 @@ def merge_sharded_topk(
 ) -> list[tuple[float, str, int]]:
     """Coordinator merge of shard partials into the global sorted triples.
 
-    Every shard's output must come from :func:`vector_search_sharded` over
+    Every shard's output must come from :func:`vector_search_parts` over
     the *same attribute list* (so attribute indexes align).  Per attribute,
     the shard pair-lists are merged under the (distance, vid) total order
     and truncated to k — reconstructing what a whole-store
     :meth:`EmbeddingAction.topk` would have returned — then the attribute
     results are flattened in attribute order and stable-sorted by distance.
     The output is therefore byte-identical however the segments were split,
-    one shard (:func:`vector_search_merged`) included.
+    one shard (:func:`search_merged`) included.
     """
     if not shard_parts:
         return []
@@ -296,7 +363,10 @@ def vector_search(
     vector_attributes: list[str],
     query_vector: np.ndarray,
     k: int,
-    options: VectorSearchOptions | None = None,
+    *,
+    filter: VertexSet | SegmentMasks | None = None,
+    distance_map: MapAccum | None = None,
+    ef: int | None = None,
 ) -> VertexSet:
     """Top-k across one or more embedding attributes; returns a VertexSet.
 
@@ -307,49 +377,44 @@ def vector_search(
     which is well-defined because the compatibility check guarantees a
     shared metric and dimension.
     """
-    options = options or VectorSearchOptions()
-    top = vector_search_merged(
-        service, snapshot, vector_attributes, query_vector, k, options
+    spec = SearchSpec(
+        service, vector_attributes, query_vector, k,
+        ef=ef, filter=filter, distance_map=distance_map,
     )
-    return build_topk_vertex_set(top, options.distance_map)
+    top = search_merged(service, snapshot, spec, spec.filter)
+    return build_topk_vertex_set(top, spec.distance_map)
 
 
 def vector_search_batch(
     service: EmbeddingService,
     snapshot: Snapshot,
-    vector_attributes: list[str],
-    query_vectors: np.ndarray,
-    k: int,
+    specs: Sequence[SearchSpec],
 ) -> list[list[tuple[float, str, int]]]:
     """Multi-query VectorSearch on one snapshot (the serving micro-batch kernel).
 
-    Returns one sorted top-k triple list per query row.  The batch visits
-    every segment once for *all* queries
-    (:meth:`EmbeddingStore.search_segment_batch`, exact brute force, so
-    recall is never below the per-query path).  There is no ``ef``: it is
-    an HNSW accuracy contract only a per-query traversal honours, and
+    ``specs`` share one :meth:`SearchSpec.fusion_key` — attributes and
+    ``k``, no filter, ``ef`` or freshness bound.  Returns one sorted top-k
+    triple list per spec.  The batch visits every segment once for *all*
+    queries (:meth:`EmbeddingStore.search_segment_batch`, exact brute force,
+    so recall is never below the per-query path).  There is no ``ef``: it
+    is an HNSW accuracy contract only a per-query traversal honours, and
     traversals share no work across queries (DESIGN §10.3).
-
-    Unfiltered only.
     """
-    check_topk_args(k)
-    queries = np.asarray(query_vectors, dtype=np.float32)
-    if queries.ndim == 1:
-        queries = queries.reshape(1, -1)
-    if queries.ndim != 2:
-        raise VectorSearchError("query_vectors must be a (Q, d) matrix")
-    require_finite(queries, "query vectors")
-    targets = resolve_search(service, vector_attributes, queries.shape[1])
+    if not specs:
+        return []
+    leader = specs[0]
+    k = leader.k
+    queries = np.stack([spec.query for spec in specs])
+    targets = leader.stores(service)
 
-    tel = get_telemetry()
     dist_blocks: list[np.ndarray] = []
     vid_blocks: list[np.ndarray] = []
     type_blocks: list[np.ndarray] = []
-    with tel.span(
+    with get_telemetry().span(
         "vector.search_batch",
         k=k,
-        batch=queries.shape[0],
-        attributes=list(vector_attributes),
+        batch=len(specs),
+        attributes=list(leader.attributes),
     ):
         for index, (_, store) in enumerate(targets):
             for dists, vids in EmbeddingAction(store).topk_batch(
@@ -359,7 +424,7 @@ def vector_search_batch(
                 vid_blocks.append(vids)
                 type_blocks.append(np.full(dists.shape[1], index))
     if not dist_blocks:
-        return [[] for _ in queries]
+        return [[] for _ in specs]
     # Columns stand in (attribute, segment, rank) order, so the stable sort
     # by distance breaks ties exactly as the per-query merge does.
     dists = np.concatenate(dist_blocks, axis=1)

@@ -199,20 +199,6 @@ class EmbeddingStore:
         """
         return max(mark[1], mark[2], mark[3])
 
-    @staticmethod
-    def watermark_lag(marks, snapshot_tid: int) -> int:
-        """How far ``snapshot_tid`` trails the freshest watermark component.
-
-        ``marks`` is an iterable of :meth:`watermark` tuples (one per store a
-        query touches).  The lag is zero in steady state; it goes positive
-        exactly inside the mid-publication commit window (embedding hooks
-        fired, ``last_tid`` not yet published), which is the staleness
-        ``freshness_gate`` bounds: a request with ``max_staleness=0`` insists
-        on a snapshot that covers every observed watermark TID.
-        """
-        ceiling = max(EmbeddingStore.watermark_tid(mark) for mark in marks)
-        return max(0, ceiling - snapshot_tid)
-
     # ------------------------------------------------------------ loading
     def bulk_load(self, vids: np.ndarray, vectors: np.ndarray, tid: int) -> None:
         """Partition a bulk batch by segment and build each directly."""
@@ -631,18 +617,6 @@ class EmbeddingService:
 
     def stores(self) -> Iterator[EmbeddingStore]:
         return iter(list(self._stores.values()))
-
-    def watermarks(self, vector_attributes) -> tuple:
-        """One :meth:`EmbeddingStore.watermark` per ``"VertexType.attr"`` name.
-
-        The watermark half of a served search's cache key; callers read it
-        *before* pinning their snapshot (see :mod:`repro.serve.cache`).
-        """
-        marks = []
-        for qualified in vector_attributes:
-            vertex_type, _ = self.schema.embedding_attribute(qualified)
-            marks.append(self.store(vertex_type, qualified.split(".", 1)[1]).watermark())
-        return tuple(marks)
 
     def attach_store(self, vertex_type: str, attr: str, store: EmbeddingStore) -> None:
         """Install a pre-built store (bench/recovery harness hook).

@@ -64,7 +64,7 @@ from __future__ import annotations
 import threading
 import time
 
-from ..core.search import build_topk_vertex_set, check_topk_args, merge_sharded_topk
+from ..core.search import SearchSpec, build_topk_vertex_set, merge_sharded_topk
 from ..errors import (
     AdmissionRejectedError,
     ElasticError,
@@ -251,13 +251,10 @@ class ElasticTier:
 
     def _routed_parts(
         self,
-        vector_attributes,
-        query,
-        k: int,
+        spec: SearchSpec,
         *,
         tenant: str,
-        ef,
-        filter,
+        prefilter,
         snapshot,
         watermarks: tuple,
         cache_ok: bool,
@@ -305,12 +302,9 @@ class ElasticTier:
                         continue
                     try:
                         future = shard.submit_shard(
-                            vector_attributes,
-                            query,
-                            k,
+                            spec,
                             tenant=tenant,
-                            ef=ef,
-                            filter=filter,
+                            prefilter=prefilter,
                             snapshot=snapshot,
                             watermarks=watermarks,
                             cache_ok=cache_ok,
@@ -379,7 +373,9 @@ class ElasticTier:
         to a direct ``db.vector_search``): same snapshot semantics —
         one pinned snapshot serves every shard — and the merge re-applies
         the exact (distance, vid) and stable-by-distance orders of the
-        unsharded pipeline.
+        unsharded pipeline.  The :class:`~repro.core.search.SearchSpec` is
+        built first, so a search it refuses pins nothing and sends no
+        sub-request.
 
         A segment group whose search fault outlives its shard's retries
         does not fail the others: the query raises
@@ -392,19 +388,18 @@ class ElasticTier:
         tel.inc("elastic.routed_requests")
         if not self._started:
             raise ServeError("ElasticTier is not running; call start() first")
-        check_topk_args(k, ef)  # before a shard's partial cache can see them
-        max_staleness = self.config.freshness_contract(max_staleness, session_token)
+        if max_staleness is None:
+            max_staleness = self.config.default_max_staleness
+        spec = SearchSpec(
+            self.db.service, vector_attributes, query_vector, k,
+            ef=ef, filter=filter, distance_map=distance_map,
+            max_staleness=max_staleness, session_token=session_token,
+        )
         role = self.registry.get(tenant).role
-        attrs = list(vector_attributes)
-        groups = self.group_universe(attrs)
+        groups = self.group_universe(spec.attributes)
         deadline = self.config.deadline(time.monotonic(), timeout, self.policy)
         with freshness_gate(
-            self.db,
-            attrs,
-            max_staleness,
-            session_token,
-            self.config.staleness_wait,
-            deadline,
+            self.db, spec, self.config.staleness_wait, deadline
         ) as (snapshot, watermarks, lag):
             # lag == 0: the snapshot covers every watermark component, so
             # shards may hit and fill partials keyed by the shipped vector.
@@ -412,21 +407,20 @@ class ElasticTier:
                 tel.inc("elastic.cache_coherence_bypass")
             # Role masks are built once per routed query (a row-predicate role
             # is an O(rows) scan) and ride to the shards as their pre-filter.
-            filter = self.db.access.search_filter(role, snapshot, attrs, filter)
+            prefilter = self.db.access.search_filter(
+                role, snapshot, spec.attributes, spec.filter
+            )
             parts, lost, cause = self._routed_parts(
-                attrs,
-                query_vector,
-                k,
+                spec,
                 tenant=tenant,
-                ef=ef,
-                filter=filter,
+                prefilter=prefilter,
                 snapshot=snapshot,
                 watermarks=watermarks,
                 cache_ok=lag == 0,
                 groups=groups,
                 deadline=deadline,
             )
-        result = build_topk_vertex_set(merge_sharded_topk(parts, k), distance_map)
+        result = build_topk_vertex_set(merge_sharded_topk(parts, spec.k), spec.distance_map)
         if lost:
             tel.inc("resilience.degraded_queries")
             coverage = (len(groups) - len(lost)) / len(groups)

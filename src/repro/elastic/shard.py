@@ -3,12 +3,13 @@
 Each shard is a full serving stack — admission control, weighted-fair
 queue, worker pool, chaos hooks, and a per-tenant result cache — plus an
 *ownership set* of ``(tenant, group)`` keys granted by the elastic tier's
-router.  Routed sub-requests (``kind="shard"``) flow through the same
+router.  Routed sub-requests (:class:`ShardRequest`) flow through the same
 queue and workers as ordinary requests, so tenant fairness and fault
 injection apply to shard traffic too, but execute
-:func:`~repro.core.search.vector_search_sharded` over only the owned
-segment ordinals and complete their future with the *partial* per-attribute
-top-k pairs for the router to merge.
+:func:`~repro.core.search.vector_search_parts` of the router's checked
+:class:`~repro.core.search.SearchSpec` over only the owned segment
+ordinals and complete their future with the *partial* per-attribute top-k
+pairs for the router to merge.
 
 Two contracts matter here:
 
@@ -25,7 +26,7 @@ Two contracts matter here:
 - **Replica-coherent caching.**  The shard never reads watermarks
   itself: the router reads the watermark vector once, pins one snapshot,
   and ships both with every sub-request.  The partial cache key is the
-  standard watermark-keyed :meth:`ResultCache.key` *extended with the
+  spec's watermark-keyed :meth:`SearchSpec.cache_key` *extended with the
   owned group tuple*, so (a) an entry can only be hit by a request whose
   router observed the identical watermark vector — a replica can never
   answer from state staler than the router's observation — and (b)
@@ -41,38 +42,40 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..analysis.hooks import schedule_point
-from ..core.search import VectorSearchOptions, vector_search_sharded
+from ..core.search import SearchSpec, vector_search_parts
 from ..errors import ReproError, SegmentOwnershipError, ServeError
+from ..graph.txn import Snapshot
 from ..serve.server import QueryRequest, QueryServer, ServeConfig, ServeFuture
 from ..telemetry import get_telemetry
 
 __all__ = ["ShardRequest", "ShardServer"]
 
 
-@dataclass
+@dataclass(eq=False, kw_only=True)
 class ShardRequest(QueryRequest):
     """One routed sub-request: a partial search over owned groups.
 
-    ``kind="shard"`` keeps the base dispatch honest: ``batch_key()``
-    returns ``None`` (partials never fuse — each carries its own group
-    set and shipped snapshot) and ``cacheable`` is ``False`` for the
-    *whole-query* cache; the shard maintains its own partial-entry
-    discipline in :meth:`ShardServer._execute_shard`.
+    It never fuses (the base ``batch_key()`` is ``None``: each carries its
+    own group set and shipped snapshot) and never touches the whole-query
+    cache; the shard keeps its own partial entries in
+    :meth:`ShardServer._execute_shard`.
     """
 
+    spec: SearchSpec
+    #: The router's pre-filter in force: ``spec.filter`` ANDed with the
+    #: tenant's role masks at the shipped snapshot.
+    prefilter: object | None = None
     #: Segment groups this sub-request must cover (sorted by the router).
-    shard_groups: tuple[int, ...] = ()
+    groups: tuple[int, ...]
     #: Snapshot pinned by the router; every shard of one routed query
     #: executes on this same snapshot (one consistent MVCC view).
-    shard_snapshot: object | None = None
+    snapshot: Snapshot
     #: Watermark vector observed by the router *before* pinning.
-    shard_watermarks: tuple = ()
+    watermarks: tuple = ()
     #: Router verdict: the snapshot covers every watermark component, so
     #: the partial may be cached under the shipped watermark key.
-    shard_cache_ok: bool = False
+    cache_ok: bool = False
 
 
 class ShardServer(QueryServer):
@@ -133,20 +136,18 @@ class ShardServer(QueryServer):
     # ---------------------------------------------------------------- submit
     def submit_shard(
         self,
-        vector_attributes,
-        query_vector,
-        k: int,
+        spec: SearchSpec,
         *,
         tenant: str = "default",
-        ef: int | None = None,
-        filter=None,
+        prefilter=None,
         snapshot,
         watermarks: tuple = (),
         cache_ok: bool = False,
         groups,
         deadline: float | None = None,
     ) -> ServeFuture:
-        """Queue one partial search over ``groups`` on the shipped snapshot.
+        """Queue one partial search of ``spec`` over ``groups`` on the
+        shipped snapshot, under the router's ``prefilter``.
 
         ``deadline`` is absolute (monotonic clock) — the router forwards
         the parent request's remaining budget so a shard queue backlog
@@ -155,26 +156,22 @@ class ShardServer(QueryServer):
         tenant_obj = self.registry.get(tenant)
         get_telemetry().inc("elastic.shard_requests")
         request = ShardRequest(
-            kind="shard",
             tenant=tenant_obj,
             future=ServeFuture(),
             submitted_at=time.monotonic(),
             deadline=deadline,
-            vector_attributes=tuple(vector_attributes),
-            query=np.asarray(query_vector, dtype=np.float32).reshape(-1),
-            k=k,
-            ef=ef,
-            filter=filter,
-            shard_groups=tuple(sorted(int(g) for g in groups)),
-            shard_snapshot=snapshot,
-            shard_watermarks=tuple(watermarks),
-            shard_cache_ok=bool(cache_ok),
+            spec=spec,
+            prefilter=prefilter,
+            groups=tuple(sorted(int(g) for g in groups)),
+            snapshot=snapshot,
+            watermarks=tuple(watermarks),
+            cache_ok=bool(cache_ok),
         )
         return self._submit(request)
 
     # -------------------------------------------------------------- dispatch
     def _executor(self, leader: QueryRequest):
-        if leader.kind == "shard":
+        if isinstance(leader, ShardRequest):
             return self._execute_shard
         return super()._executor(leader)
 
@@ -184,7 +181,7 @@ class ShardServer(QueryServer):
         with self._owned_lock:
             missing = [
                 group
-                for group in request.shard_groups
+                for group in request.groups
                 if (tenant, group) not in self._owned
             ]
         if missing:
@@ -200,32 +197,23 @@ class ShardServer(QueryServer):
             return
 
         key = None
-        if (
-            request.shard_cache_ok
-            and request.filter is None
-            and self.cache is not None
-        ):
+        if request.cache_ok and request.prefilter is None and self.cache is not None:
             # Watermark-keyed partial entry, disambiguated by the group
             # tuple (6-tuple keys can never collide with the 5-tuple
             # whole-query keys sharing the partition).
-            key, hit = self._cache_get(
-                request, request.shard_watermarks, request.shard_groups
-            )
+            key, hit = self._cache_get(request, request.watermarks, request.groups)
             if hit is not None:
                 self._finish(request, value=hit)
                 return
 
-        options = VectorSearchOptions(filter=request.filter, ef=request.ef)
         try:
-            parts = self._with_retries(
-                lambda: vector_search_sharded(
+            parts, _ = self._with_retries(
+                lambda: vector_search_parts(
                     self.db.service,
-                    request.shard_snapshot,
-                    list(request.vector_attributes),
-                    request.query,
-                    request.k,
-                    options,
-                    groups=frozenset(request.shard_groups),
+                    request.snapshot,
+                    request.spec,
+                    request.prefilter,
+                    groups=frozenset(request.groups),
                     group_size=self.group_size,
                 )
             )

@@ -28,12 +28,12 @@ import numpy as np
 from ..core.action import EmbeddingAction
 from ..core.embedding import require_finite
 from ..core.search import (
-    VectorSearchOptions,
+    SearchSpec,
     check_topk_args,
     merge_sharded_topk,
     resolve_search,
+    search_merged,
     segment_bitmaps,
-    vector_search_merged,
     vector_search_parts,
 )
 from ..errors import GSQLSemanticError
@@ -267,7 +267,7 @@ def _eval_vector_search_fn(expr: ast.FuncCall, ctx: ExecutionContext, env) -> Ve
     else:
         value = eval_expr(attrs_node, ctx, env)
         attrs = list(value) if isinstance(value, (list, tuple)) else [value]
-    query = np.asarray(eval_expr(expr.args[1], ctx, env), dtype=np.float32)
+    query = eval_expr(expr.args[1], ctx, env)
     k = eval_expr(expr.args[2], ctx, env)
     filter_set: VertexSet | None = None
     ef: int | None = ctx.default_ef
@@ -297,14 +297,8 @@ def _eval_vector_search_fn(expr: ast.FuncCall, ctx: ExecutionContext, env) -> Ve
             else:
                 raise GSQLSemanticError(f"unknown VectorSearch option '{entry.key}'")
     start = time.perf_counter()
-    top = vector_search_merged(
-        ctx.db.service,
-        ctx.snapshot,
-        attrs,
-        query,
-        k,
-        VectorSearchOptions(filter=filter_set, ef=ef),
-    )
+    spec = SearchSpec(ctx.db.service, attrs, query, k, ef=ef, filter=filter_set)
+    top = search_merged(ctx.db.service, ctx.snapshot, spec, spec.filter)
     ctx.metrics["vector_seconds"] = time.perf_counter() - start
     if filter_set is not None:
         ctx.metrics["num_candidates"] = len(filter_set)
@@ -503,15 +497,18 @@ def _exec_vector_topk(
     start = time.perf_counter()
     top: list[tuple[float, str, int]] = []
     if target_types:
-        parts, ctx.metrics["action_stats"] = vector_search_parts(
+        # The block's candidates are the pre-filter; the spec has no filter.
+        spec = SearchSpec(
             ctx.db.service,
-            ctx.snapshot,
             [f"{vertex_type}.{vec.attr}" for vertex_type in target_types],
             query,
             k,
-            VectorSearchOptions(filter=candidates, ef=ctx.default_ef),
+            ef=ctx.default_ef,
         )
-        top = merge_sharded_topk([parts], k)
+        parts, ctx.metrics["action_stats"] = vector_search_parts(
+            ctx.db.service, ctx.snapshot, spec, candidates
+        )
+        top = merge_sharded_topk([parts], spec.k)
     ctx.metrics["vector_seconds"] = time.perf_counter() - start
     ranking = [((vertex_type, vid), dist) for dist, vertex_type, vid in top]
     out = RankedVertexSet(ranking, name="TopK")
@@ -529,7 +526,8 @@ def _exec_vector_range(
     query = require_finite(
         np.asarray(eval_expr(vec.query_expr, ctx), dtype=np.float32), "query vector"
     )
-    [(_, store)] = resolve_search(ctx.db.service, [f"{vertex_type}.{vec.attr}"], query.size)
+    resolve_search(ctx.db.service, [f"{vertex_type}.{vec.attr}"], query.size)
+    store = ctx.db.service.store(vertex_type, vec.attr)
     threshold = float(eval_expr(vec.threshold_expr, ctx))
     bitmaps = None
     needs_filter = (

@@ -51,6 +51,13 @@ _BINARY = {
 }
 
 
+#: How deep an expression may nest (parentheses, brackets, call arguments,
+#: a ``NOT`` or ``-`` prefix each add a level).  The parser and the
+#: evaluator recurse once or a few times per level, so this keeps a deep
+#: expression a typed parse error, well inside Python's recursion limit.
+MAX_NESTING = 128
+
+
 def _int(tok: Token) -> int:
     try:
         return int(tok.value)
@@ -63,6 +70,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.current = tokens[0]
+        self.depth = 0  # expression nesting, bounded by MAX_NESTING
 
     # ------------------------------------------------------------- plumbing
     def peek(self, offset: int = 1) -> Token:
@@ -75,6 +83,12 @@ class _Parser:
             self.pos += 1
             self.current = self.tokens[self.pos]
         return token
+
+    def nest(self) -> None:
+        """Enter one more expression level; the caller leaves it (``depth -= 1``)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"expression nests deeper than {MAX_NESTING} levels")
 
     def error(self, message: str) -> GSQLParseError:
         tok = self.current
@@ -643,6 +657,7 @@ class _Parser:
         ``ceiling`` bounds the next operator: after a comparison, or after
         ``NOT x``, only a looser one may follow.
         """
+        self.nest()
         if floor <= _NOT and self.current.is_kw("NOT"):
             self.advance()
             left = ast.UnaryOp("NOT", self.parse_expr(_NOT))
@@ -654,19 +669,24 @@ class _Parser:
             tok = self.current
             entry = _BINARY.get(tok.value)
             if entry is None or tok.kind not in ("OP", "KEYWORD"):
-                return left
+                break
             level, op, node = entry
             if not floor <= level < ceiling:
-                return left
+                break
             self.advance()
             left = node(op, left, self.parse_expr(level + 1))
             ceiling = level if level == _CMP else level + 1
+        self.depth -= 1
+        return left
 
     def parse_unary(self) -> ast.Expr:
-        if self.current.is_op("-"):
-            self.advance()
-            return ast.UnaryOp("-", self.parse_unary())
-        return self.parse_primary()
+        if not self.current.is_op("-"):
+            return self.parse_primary()
+        self.nest()
+        self.advance()
+        expr = ast.UnaryOp("-", self.parse_unary())
+        self.depth -= 1
+        return expr
 
     def parse_primary(self) -> ast.Expr:
         tok = self.current

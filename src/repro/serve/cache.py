@@ -1,7 +1,8 @@
 """Snapshot-keyed LRU result cache.
 
-Keys embed the MVCC watermark (:meth:`EmbeddingStore.watermark`) of every
-store the query touches, read *before* the executing snapshot is taken.
+Keys (:meth:`~repro.core.search.SearchSpec.cache_key`) embed the MVCC
+watermark (:meth:`EmbeddingStore.watermark`) of every store the query
+touches, read *before* the executing snapshot is taken.
 Any commit, delta merge, or index merge on a touched store perturbs its
 watermark, so stale entries become unreachable rather than needing
 explicit invalidation.
@@ -50,9 +51,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable
-
-import numpy as np
 
 from ..analysis.hooks import schedule_point
 from ..errors import ServeError
@@ -82,25 +80,9 @@ class ResultCache:
         self._evictions = 0
 
     @staticmethod
-    def key(
-        vector_attributes: Iterable[str],
-        query_vector: np.ndarray,
-        k: int,
-        ef: int | None,
-        watermarks: Iterable[tuple],
-    ) -> tuple:
-        """Build a cache key; ``watermarks`` must cover every touched store."""
-        query = np.asarray(query_vector, dtype=np.float32)
-        return (
-            tuple(vector_attributes),
-            int(k),
-            ef,
-            query.tobytes(),
-            tuple(watermarks),
-        )
-
-    @staticmethod
     def _estimate(key: tuple, value: tuple) -> int:
+        """Bytes held: the query bytes of a
+        :meth:`~repro.core.search.SearchSpec.cache_key` and the triples."""
         return len(key[3]) + _TRIPLE_BYTES * len(value) + _ENTRY_OVERHEAD
 
     def get(self, key: tuple):
@@ -212,8 +194,6 @@ class ServeResultCache:
         )
         self._lock = threading.Lock()
         self._partitions: dict[str, ResultCache] = {}
-
-    key = staticmethod(ResultCache.key)
 
     def partition(self, tenant_name: str) -> ResultCache:
         """The tenant's partition, created on first use."""

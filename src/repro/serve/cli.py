@@ -56,15 +56,23 @@ def drive_closed_loop(search, queries, concurrency: int, midrun=None):
     ``concurrency`` client threads stride over the rows of ``queries``,
     each calling ``search(query)`` and timing it; ``midrun`` (if given)
     runs on the calling thread once every client has started — the elastic
-    demos fire their live rebalance there, under traffic.
+    demos fire their live rebalance there, under traffic.  A search that
+    raises stops its client, and the first such error is re-raised here, so
+    the demo exits non-zero instead of reporting a partial run.
     """
     latencies: list[float] = []
+    errors: list[Exception] = []
     lat_lock = threading.Lock()
 
     def client(worker_id: int) -> None:
         for qi in range(worker_id, len(queries), concurrency):
             start = time.perf_counter()
-            search(queries[qi])
+            try:
+                search(queries[qi])
+            except Exception as exc:
+                with lat_lock:
+                    errors.append(exc)
+                return
             elapsed = time.perf_counter() - start
             with lat_lock:
                 latencies.append(elapsed)
@@ -79,6 +87,8 @@ def drive_closed_loop(search, queries, concurrency: int, midrun=None):
         midrun()
     for thread in threads:
         thread.join()
+    if errors:
+        raise errors[0]
     return time.perf_counter() - start, latencies
 
 

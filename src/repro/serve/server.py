@@ -55,18 +55,14 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core.auth import AuthorizationError
-from ..core.embedding import require_finite
 from ..core.search import (
-    VectorSearchOptions,
+    SearchSpec,
     build_topk_vertex_set,
-    check_topk_args,
+    search_merged,
     vector_search_batch,
-    vector_search_merged,
 )
 from ..core.service import EmbeddingStore
 from ..errors import (
@@ -82,7 +78,7 @@ from ..faults import FaultInjector, ResiliencePolicy
 from ..telemetry import get_telemetry
 from .admission import AdmissionController
 from .batcher import MicroBatcher
-from .cache import ResultCache, ServeResultCache
+from .cache import ServeResultCache
 from .tenancy import Tenant, TenantRegistry, WeightedFairQueue
 
 __all__ = ["MIN_FUSED", "QueryServer", "ServeConfig", "ServeFuture"]
@@ -135,19 +131,6 @@ class ServeConfig:
         if self.staleness_wait < 0:
             raise ServeError("staleness_wait must be non-negative")
 
-    def freshness_contract(
-        self, max_staleness: int | None, session_token: int | None
-    ) -> int | None:
-        """Validate a request's SLA arguments; returns the staleness bound
-        in force (``default_max_staleness`` when the request names none)."""
-        if max_staleness is None:
-            max_staleness = self.default_max_staleness
-        if max_staleness is not None and max_staleness < 0:
-            raise ServeError("max_staleness must be non-negative")
-        if session_token is not None and session_token < 0:
-            raise ServeError("session_token must be a commit TID (>= 0)")
-        return max_staleness
-
     def deadline(
         self, submitted_at: float, timeout: float | None, policy: ResiliencePolicy | None
     ) -> float | None:
@@ -195,52 +178,42 @@ class ServeFuture:
         self._event.set()
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryRequest:
-    """Internal queue entry; one per submitted request."""
+    """Internal queue entry; one per submitted request.
 
-    kind: str  # "vector" | "gsql" | "shard" (repro.elastic.shard)
+    A worker dispatches on the subclass: :class:`VectorRequest`,
+    :class:`GSQLRequest`, or an elastic shard's sub-request.
+    """
+
     tenant: Tenant
     future: ServeFuture
     submitted_at: float
     deadline: float | None
-    vector_attributes: tuple[str, ...] = ()
-    query: np.ndarray | None = None
-    k: int = 0
-    ef: int | None = None
-    filter: object | None = None
-    distance_map: object | None = None
-    text: str = ""
-    params: dict = field(default_factory=dict)
-    no_cache: bool = False
-    max_staleness: int | None = None
-    session_token: int | None = None
     #: Execution attempts so far; bumped when a crashed worker's batch is
     #: re-queued, bounded by the resilience policy's ``max_attempts``.
     attempts: int = 0
 
     def batch_key(self) -> tuple | None:
-        """Fusion compatibility key; None means unbatchable.
+        """Fusion compatibility key; None means unbatchable."""
+        return None
 
-        Filtered searches and tenants with restricted roles execute
-        per-request (their validity masks differ per caller), SLA-bound
-        requests do too (a batch's one pin honours its leader's contract
-        only), and so does an explicit ``ef``: it is an HNSW accuracy
-        contract, only a per-query traversal honours it, and traversals
-        share no work — so the request runs at once instead of waiting in a
-        window for riders.  Everything else groups by ``(attributes, k)``
-        and runs the exact fused scan.
+
+@dataclass(eq=False, kw_only=True)
+class VectorRequest(QueryRequest):
+    """A VectorSearch: its checked spec, and whether it may use the cache."""
+
+    spec: SearchSpec
+    no_cache: bool = False
+
+    def batch_key(self) -> tuple | None:
+        """The spec's fusion key, for a tenant whose role masks nothing.
+
+        A role-scoped tenant's masks differ per caller, so it runs alone.
         """
-        if (
-            self.kind != "vector"
-            or self.filter is not None
-            or self.ef is not None
-            or self.tenant.role != "admin"
-            or self.max_staleness is not None
-            or self.session_token is not None
-        ):
+        if self.tenant.role != "admin":
             return None
-        return (self.vector_attributes, self.k)
+        return self.spec.fusion_key()
 
     @property
     def cacheable(self) -> bool:
@@ -251,11 +224,18 @@ class QueryRequest:
         accuracy by the per-query kernel.
         """
         return (
-            self.kind == "vector"
-            and self.filter is None
+            self.spec.filter is None
             and self.tenant.role == "admin"
             and not self.no_cache
         )
+
+
+@dataclass(eq=False, kw_only=True)
+class GSQLRequest(QueryRequest):
+    """A GSQL statement and its parameters."""
+
+    text: str
+    params: dict
 
 
 #: Snapshot re-pin cadence while waiting out a freshness violation.
@@ -263,27 +243,21 @@ _SLA_RETRY_SLEEP = 0.0005
 
 
 @contextmanager
-def freshness_gate(
-    db,
-    vector_attributes,
-    max_staleness: int | None,
-    session_token: int | None,
-    wait: float,
-    deadline: float | None,
-):
-    """Pin a snapshot that honours a freshness contract, or fail typed.
+def freshness_gate(db, spec: SearchSpec, wait: float, deadline: float | None):
+    """Pin a snapshot that honours ``spec``'s freshness contract, or fail typed.
 
     Yields ``(snapshot, watermarks, lag)``.  The loop: read the stores'
     watermarks *before* the pin (the cache-key order, see cache.py), pin,
     validate — ``lag`` (how far the snapshot trails the freshest watermark
-    TID) within ``max_staleness``, snapshot TID covering ``session_token`` —
-    and otherwise release and re-pin until ``wait`` seconds or the absolute
-    ``deadline`` run out, then raise :class:`StalenessBoundError`.  The
-    violation window is the mid-publication commit interleaving (embedding
-    hooks fired, ``last_tid`` unpublished), so waits are normally a handful
-    of re-pins.  With neither bound set the first pin is yielded, and
-    ``lag == 0`` is exactly "the snapshot covers every watermark", i.e. a
-    result computed on it may be cached under ``watermarks``.
+    TID) within ``spec.max_staleness``, snapshot TID covering
+    ``spec.session_token`` — and otherwise release and re-pin until ``wait``
+    seconds or the absolute ``deadline`` run out, then raise
+    :class:`StalenessBoundError`.  The violation window is the
+    mid-publication commit interleaving (embedding hooks fired, ``last_tid``
+    unpublished), so waits are normally a handful of re-pins.  With neither
+    bound set the first pin is yielded, and ``lag == 0`` is exactly "the
+    snapshot covers every watermark", i.e. a result computed on it may be
+    cached under ``watermarks``.
 
     This is the one pin behind every served vector batch
     (:meth:`QueryServer._execute_vector`) and every routed query
@@ -291,16 +265,19 @@ def freshness_gate(
     the rejection and wait counters are recorded here for both.
     """
     tel = get_telemetry()
+    max_staleness, session_token = spec.max_staleness, spec.session_token
     started = time.monotonic()
     limit = started + wait
     if deadline is not None:
         limit = min(limit, deadline)
+    stores = spec.stores(db.service)
     while True:
-        marks = db.service.watermarks(vector_attributes)
+        marks = tuple(store.watermark() for _, store in stores)
         with db.snapshot() as snapshot:
-            # No attributes means no watermarks and no lag; the search the
-            # caller runs next rejects the empty attribute list typed.
-            lag = EmbeddingStore.watermark_lag(marks, snapshot.tid) if marks else 0
+            # The lag is nonzero exactly inside a commit's publication window:
+            # its embedding hooks bump a watermark before last_tid publishes.
+            ceiling = max(EmbeddingStore.watermark_tid(mark) for mark in marks)
+            lag = max(0, ceiling - snapshot.tid)
             stale = max_staleness is not None and lag > max_staleness
             behind = session_token is not None and snapshot.tid < session_token
             if not stale and not behind:
@@ -481,34 +458,28 @@ class QueryServer:
         fresh, or failed with :class:`~repro.errors.StalenessBoundError`;
         never silently stale.
 
-        A query with a NaN or infinite entry is refused here with
-        :class:`~repro.errors.VectorSearchError`: queued, it could ride a
-        fused batch, whose stacked scan would fail every rider with it.  So
-        is a ``k`` or ``ef`` that is not a positive integer: queued, a
-        ``k=1.0`` could hit the cache entry of ``k=1``.
+        The :class:`~repro.core.search.SearchSpec` is built here, so a
+        search it refuses never queues: a NaN or wrong-dimension query
+        could otherwise ride a fused batch, whose stacked scan would fail
+        every rider with it, and a ``k=1.0`` could hit the cache entry of
+        ``k=1``.
         """
-        check_topk_args(k, ef)
-        tenant_obj = self.registry.get(tenant)
-        query = require_finite(
-            np.asarray(query_vector, dtype=np.float32).reshape(-1), "query vector"
+        if max_staleness is None:
+            max_staleness = self.config.default_max_staleness
+        spec = SearchSpec(
+            self.db.service, vector_attributes, query_vector, k,
+            ef=ef, filter=filter, distance_map=distance_map,
+            max_staleness=max_staleness, session_token=session_token,
         )
+        tenant_obj = self.registry.get(tenant)
         submitted_at = time.monotonic()
-        max_staleness = self.config.freshness_contract(max_staleness, session_token)
-        request = QueryRequest(
-            kind="vector",
+        request = VectorRequest(
             tenant=tenant_obj,
             future=ServeFuture(),
             submitted_at=submitted_at,
             deadline=self.config.deadline(submitted_at, timeout, self.policy),
-            vector_attributes=tuple(vector_attributes),
-            query=query,
-            k=k,
-            ef=ef,
-            filter=filter,
-            distance_map=distance_map,
+            spec=spec,
             no_cache=no_cache,
-            max_staleness=max_staleness,
-            session_token=session_token,
         )
         return self._submit(request)
 
@@ -532,8 +503,7 @@ class QueryServer:
                 f"not enforce row rules, is served to role 'admin' only"
             )
         submitted_at = time.monotonic()
-        request = QueryRequest(
-            kind="gsql",
+        request = GSQLRequest(
             tenant=tenant_obj,
             future=ServeFuture(),
             submitted_at=submitted_at,
@@ -659,12 +629,12 @@ class QueryServer:
         """Per-request executor for a batch, chosen by its leader.
 
         ``None`` selects :meth:`_execute_vector`, which takes the whole
-        batch (shared cache probe, fusion); every other kind runs request
-        by request — a batch only groups same-key fusable vector requests,
-        so these batches are singletons.  Subclasses add request kinds by
-        extending this lookup.
+        batch (shared cache probe, fusion); every other request type runs
+        request by request — a batch only groups same-key fusable vector
+        requests, so these batches are singletons.  Subclasses add request
+        types by extending this lookup.
         """
-        if leader.kind == "gsql":
+        if isinstance(leader, GSQLRequest):
             return self._execute_gsql
         return None
 
@@ -707,7 +677,7 @@ class QueryServer:
                     time.sleep(delay)
 
     # ----------------------------------------------------------------- GSQL
-    def _execute_gsql(self, request: QueryRequest) -> None:
+    def _execute_gsql(self, request: GSQLRequest) -> None:
         try:
             result = self._with_retries(
                 lambda: self.db.gsql.run(
@@ -729,13 +699,7 @@ class QueryServer:
 
         ``suffix`` extends the watermark key (a shard's owned group tuple).
         """
-        key = ResultCache.key(
-            request.vector_attributes,
-            request.query,
-            request.k,
-            request.ef,
-            watermarks,
-        ) + suffix
+        key = request.spec.cache_key(watermarks, *suffix)
         hit = self.cache.get(request.tenant.name, key)
         get_telemetry().inc(
             "serve.cache_misses" if hit is None else "serve.cache_hits"
@@ -763,19 +727,14 @@ class QueryServer:
         leader = batch[0]
         try:
             with freshness_gate(
-                self.db,
-                leader.vector_attributes,
-                leader.max_staleness,
-                leader.session_token,
-                self.config.staleness_wait,
-                leader.deadline,
+                self.db, leader.spec, self.config.staleness_wait, leader.deadline
             ) as (snapshot, marks, lag):
                 cache = self.cache if lag == 0 else None
                 if lag and self.cache is not None and any(r.cacheable for r in batch):
                     # Mid-publication commit, or tolerated staleness: the
                     # key would describe state this snapshot cannot see.
                     get_telemetry().inc("serve.cache_bypass_commit_race")
-                pending: list[tuple[QueryRequest, tuple | None]] = []
+                pending: list[tuple[VectorRequest, tuple | None]] = []
                 for request in batch:
                     key = None
                     if cache is not None and request.cacheable:
@@ -784,7 +743,7 @@ class QueryServer:
                             self._finish(
                                 request,
                                 value=build_topk_vertex_set(
-                                    list(hit), request.distance_map
+                                    list(hit), request.spec.distance_map
                                 ),
                             )
                             continue
@@ -803,17 +762,10 @@ class QueryServer:
     def _execute_fused(self, fusable: list, snapshot) -> None:
         tel = get_telemetry()
         requests = [request for request, _ in fusable]
-        leader = requests[0]
-        queries = np.stack([request.query for request in requests])
+        specs = [request.spec for request in requests]
         try:
             tops = self._with_retries(
-                lambda: vector_search_batch(
-                    self.db.service,
-                    snapshot,
-                    list(leader.vector_attributes),
-                    queries,
-                    leader.k,
-                )
+                lambda: vector_search_batch(self.db.service, snapshot, specs)
             )
         except FaultInjectionError:
             # Poisoned fused batch: one injected segment fault survived the
@@ -832,32 +784,25 @@ class QueryServer:
         for (request, key), top in zip(fusable, tops):
             self._cache_put(request, key, top, kernel="fused")
             self._finish(
-                request, value=build_topk_vertex_set(top, request.distance_map)
+                request, value=build_topk_vertex_set(top, request.spec.distance_map)
             )
 
-    def _execute_single(self, request: QueryRequest, key, snapshot) -> None:
-        attrs = list(request.vector_attributes)
+    def _execute_single(self, request: VectorRequest, key, snapshot) -> None:
+        spec = request.spec
         try:
             # A role-scoped tenant is the same search on the batch's snapshot,
             # the role's masks ANDed into its pre-filter (never cached or fused).
-            options = VectorSearchOptions(
-                filter=self.db.access.search_filter(
-                    request.tenant.role, snapshot, attrs, request.filter
-                ),
-                ef=request.ef,
+            prefilter = self.db.access.search_filter(
+                request.tenant.role, snapshot, spec.attributes, spec.filter
             )
             top = self._with_retries(
-                lambda: vector_search_merged(
-                    self.db.service, snapshot, attrs, request.query, request.k, options
-                )
+                lambda: search_merged(self.db.service, snapshot, spec, prefilter)
             )
         except ReproError as exc:
             self._finish(request, error=exc)
             return
         self._cache_put(request, key, top, kernel="hnsw")
-        self._finish(
-            request, value=build_topk_vertex_set(top, request.distance_map)
-        )
+        self._finish(request, value=build_topk_vertex_set(top, spec.distance_map))
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> dict:

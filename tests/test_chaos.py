@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
 from repro.core.search import (
-    VectorSearchOptions,
+    SearchSpec,
     build_topk_vertex_set,
     merge_sharded_topk,
     vector_search_parts,
@@ -278,7 +278,7 @@ class TestRealSearcherChaos:
         query = db._test_vectors[0]
         with db.snapshot() as snap:
             parts, _ = vector_search_parts(
-                db.service, snap, [ATTR], query, 5, VectorSearchOptions(ef=64),
+                db.service, snap, SearchSpec(db.service, [ATTR], query, 5, ef=64), None,
                 groups=frozenset({0, 2, 3}),
             )
         want = build_topk_vertex_set(merge_sharded_topk([parts], 5), None)

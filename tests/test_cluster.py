@@ -13,7 +13,6 @@ from repro.cluster import (
 )
 from repro.core.action import EmbeddingAction
 from repro.core.search import (
-    VectorSearchOptions,
     merge_sharded_topk,
     vector_search_sharded,
 )
@@ -155,13 +154,12 @@ class TestSegmentFanOut:
         """Local top-k per group set + global merge equals the whole answer."""
         db = loaded_post_db
         q = db._test_vectors[33]
-        options = VectorSearchOptions(ef=128)
         results = []
         with db.snapshot() as snap:
             for split in ([{0, 1, 2, 3}], [{0, 2}, {1, 3}], [{0}, {1}, {2}, {3}]):
                 parts = [
                     vector_search_sharded(
-                        db.service, snap, [ATTR], q, 5, options, groups=frozenset(groups)
+                        db.service, snap, [ATTR], q, 5, ef=128, groups=frozenset(groups)
                     )
                     for groups in split
                 ]

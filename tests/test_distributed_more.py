@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.cluster import ClusterSimulator, make_cluster, measure_samples
 from repro.core.search import (
-    VectorSearchOptions,
+    SearchSpec,
     merge_sharded_topk,
     vector_search_parts,
 )
@@ -19,11 +19,9 @@ ATTR = "Post.content_emb"
 
 def split_search(db, snapshot, query, k, ef):
     """Groups {0, 1} and {2, 3} searched apart, then merged: top (type, vid)s."""
-    options = VectorSearchOptions(ef=ef)
+    spec = SearchSpec(db.service, [ATTR], query, k, ef=ef)
     parts = [
-        vector_search_parts(
-            db.service, snapshot, [ATTR], query, k, options, groups=frozenset(groups)
-        )[0]
+        vector_search_parts(db.service, snapshot, spec, None, groups=frozenset(groups))[0]
         for groups in ({0, 1}, {2, 3})
     ]
     return [(vertex_type, vid) for _, vertex_type, vid in merge_sharded_topk(parts, k)]

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.search import (
+    SearchSpec,
     merge_sharded_topk,
     vector_search_merged,
     vector_search_sharded,
@@ -482,7 +483,12 @@ class TestReplicaCoherence:
         q = rng.standard_normal(DIM).astype(np.float32)
         config = ServeConfig(workers=2, enable_batching=False, staleness_wait=0.2)
         with ElasticTier(db, num_servers=2, config=config) as tier:
-            for bad in ({"max_staleness": -1}, {"session_token": -5}):
+            for bad in (
+                {"max_staleness": -1},
+                {"session_token": -5},
+                {"max_staleness": 1.5},
+                {"session_token": True},
+            ):
                 with pytest.raises(ServeError) as excinfo:
                     tier.search([ATTR], q, 5, timeout=10.0, **bad)
                 assert not isinstance(excinfo.value, StalenessBoundError)
@@ -692,7 +698,7 @@ class TestShardServer:
         with shard:
             with db.snapshot() as snapshot:
                 future = shard.submit_shard(
-                    [ATTR], q, 5, snapshot=snapshot, groups=[0, 1]
+                    SearchSpec(db.service, [ATTR], q, 5), snapshot=snapshot, groups=[0, 1]
                 )
                 error = future.exception(timeout=10)
         assert isinstance(error, SegmentOwnershipError)
@@ -708,7 +714,7 @@ class TestShardServer:
         with shard:
             with db.snapshot() as snapshot:
                 future = shard.submit_shard(
-                    [ATTR], q, 5,
+                    SearchSpec(db.service, [ATTR], q, 5),
                     snapshot=snapshot, groups=range(num_groups),
                 )
                 parts = future.result(timeout=10)

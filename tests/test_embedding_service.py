@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro import Attribute, AttrType, TigerVectorDB
 from repro.core.action import EmbeddingAction
 from repro.core.embedding import EmbeddingType
-from repro.core.search import vector_search_batch, vector_search_merged
+from repro.core.search import SearchSpec, vector_search_batch, vector_search_merged
 from repro.core.service import EmbeddingStore
 from repro.graph.mpp import MPPExecutor
 from repro.index.bitmap import Bitmap
@@ -367,7 +367,8 @@ def test_fused_exact_scan_equals_per_query_scan(seed, metric, num_queries, k_off
                     if k >= live:
                         assert got == solo.offsets
             k = store.live_count() + k_offset
-            fused = vector_search_batch(db.service, snap, ["Item.emb"], queries, k)
+            specs = [SearchSpec(db.service, ["Item.emb"], query, k) for query in queries]
+            fused = vector_search_batch(db.service, snap, specs)
             for query, got in zip(queries, fused):
                 want = vector_search_merged(db.service, snap, ["Item.emb"], query, k)
                 assert [(t, vid) for _, t, vid in got] == [(t, vid) for _, t, vid in want]

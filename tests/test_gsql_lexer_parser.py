@@ -10,7 +10,7 @@ from repro import TigerVectorDB
 from repro.errors import GSQLError, GSQLLexError, GSQLParseError
 from repro.gsql import ast_nodes as ast
 from repro.gsql.lexer import KEYWORDS, tokenize
-from repro.gsql.parser import parse, parse_expression
+from repro.gsql.parser import MAX_NESTING, parse, parse_expression
 
 
 class TestLexer:
@@ -327,6 +327,29 @@ class TestGrammarPins:
     def test_a_string_is_never_an_operator(self):
         with pytest.raises(GSQLParseError, match="unexpected trailing input"):
             parse_expression("a '+' b")
+
+    @pytest.mark.parametrize(
+        "expr, token",
+        [("(" * 332 + "1" + ")" * 332, "("), ("NOT " * 2000 + "1", "NOT"), ("- " * 2000 + "1", "-")],
+        ids=["parentheses", "not-chain", "minus-chain"],
+    )
+    def test_deep_nesting_is_a_parse_error_at_every_entry_point(self, expr, token):
+        text = "SELECT s FROM (s:Post) WHERE " + expr
+        with TigerVectorDB() as db:
+            for entry, source in ((parse_expression, expr), (parse, text), (db.run_gsql, text)):
+                with pytest.raises(GSQLParseError, match=f"deeper than {MAX_NESTING} levels") as err:
+                    entry(source)
+                assert err.value.line == 1
+                assert source[err.value.column - 1 :].startswith(token)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        depth = MAX_NESTING - 1  # the outermost expression is a level too
+        assert parse_expression("(" * depth + "1" + ")" * depth) == ast.Literal(1)
+        node = parse_expression("- " * depth + "1")
+        for _ in range(depth):
+            assert node.op == "-"
+            node = node.operand
+        assert node == ast.Literal(1)
 
 
 # -------------------------------------------------------------- properties

@@ -294,6 +294,39 @@ def test_served_fused_batch_pins_one_snapshot(db, monkeypatch):
         assert got == db.vector_search(["Post.emb"], q, K)
 
 
+def test_a_wrong_dimension_query_is_refused_at_the_door_and_never_rides_a_batch(db):
+    config = ServeConfig(workers=1, enable_cache=False, batch_window_seconds=0.2)
+    queries = np.random.default_rng(14).standard_normal((MIN_FUSED + 2, DIM)).astype(np.float32)
+    wide = np.random.default_rng(15).standard_normal(DIM + 1).astype(np.float32)
+    with QueryServer(db, config) as server:
+        futures = [server.submit_search(["Post.emb"], q, K) for q in queries[:2]]
+        with pytest.raises(DimensionMismatchError):
+            server.submit_search(["Post.emb"], wide, K)
+        futures += [server.submit_search(["Post.emb"], q, K) for q in queries[2:]]
+        results = [future.result(timeout=30) for future in futures]
+    for q, got in zip(queries, results):
+        assert got == db.vector_search(["Post.emb"], q, K)
+
+
+def test_a_refused_tier_search_sends_no_sub_request(tier):
+    q = np.random.default_rng(16).standard_normal(DIM).astype(np.float32)
+    nan = q.copy()
+    nan[0] = np.nan
+    refused = [
+        (nan, K, VectorSearchError),
+        (np.append(q, 1.0), K, DimensionMismatchError),
+        (q, 1.5, VectorSearchError),
+    ]
+    telemetry = Telemetry()
+    with use_telemetry(telemetry):
+        for query, k, error in refused:
+            with pytest.raises(error):
+                tier.search(["Post.emb"], query, k)
+    counters = telemetry.registry.snapshot()["counters"]
+    assert counters["elastic.routed_requests"] == len(refused)
+    assert counters.get("elastic.shard_requests", 0) == 0
+
+
 def test_gsql_multi_type_search_checks_compatibility(db, rng):
     mixed = VertexSet([("Post", v) for v in range(20)] + [("Note", v) for v in range(20)])
     q = rng.standard_normal(DIM).tolist()

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
-from repro.core.search import vector_search_batch
+from repro.core.search import SearchSpec, vector_search_batch
 from repro.errors import (
     AdmissionRejectedError,
     GSQLSemanticError,
@@ -157,9 +157,8 @@ class TestByteIdentity:
         queries[0] = fresh[10]  # its nearest row is in the overlay until vacuum
         for state in ("overlay", "vacuumed"):
             with db.snapshot() as snap:
-                tops = vector_search_batch(
-                    db.service, snap, ["Post.content_emb"], queries, 7
-                )
+                specs = [SearchSpec(db.service, ["Post.content_emb"], q, 7) for q in queries]
+                tops = vector_search_batch(db.service, snap, specs)
             assert tops[0][0][2] == db.vid_for("Post", 210), state
             for q, top in zip(queries, tops):
                 want_members, _ = distances(db, ["Post.content_emb"], q, 7)
@@ -259,9 +258,7 @@ class TestResultCache:
     def test_lru_bounds(self):
         cache = ResultCache(max_bytes=1 << 20, max_entries=2)
         def key_for(i):
-            return ResultCache.key(
-                ("Post.content_emb",), np.float32([i]), 3, None, ((1, 1, 1, 0),)
-            )
+            return (("Post.content_emb",), 3, None, np.float32([i]).tobytes(), ((1, 1, 1, 0),))
         assert cache.put(key_for(0), ((0.0, "Post", 0),)) == 0
         assert cache.put(key_for(1), ((0.0, "Post", 1),)) == 0
         assert cache.get(key_for(0)) is not None  # 0 becomes most-recent
@@ -274,7 +271,7 @@ class TestResultCache:
         cache = ResultCache(max_bytes=1200, max_entries=64)
         big = tuple((float(i), "Post", i) for i in range(8))
         keys = [
-            ResultCache.key(("a",), np.float32([i]), 3, None, ((i, 0, 0, 0),))
+            (("a",), 3, None, np.float32([i]).tobytes(), ((i, 0, 0, 0),))
             for i in range(4)
         ]
         evicted = sum(cache.put(k, big) for k in keys)
@@ -1016,6 +1013,10 @@ class TestSLA:
                 server.submit_search(["Post.content_emb"], q, 3, max_staleness=-1)
             with pytest.raises(ServeError):
                 server.submit_search(["Post.content_emb"], q, 3, session_token=-2)
+            with pytest.raises(ServeError):
+                server.submit_search(["Post.content_emb"], q, 3, max_staleness=1.5)
+            with pytest.raises(ServeError):
+                server.submit_search(["Post.content_emb"], q, 3, session_token=True)
 
     def test_sla_over_no_attributes_fails_typed(self, loaded_post_db, rng):
         """An SLA-bound search over an empty attribute list fails like the

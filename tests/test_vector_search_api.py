@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Metric, RankedVertexSet, VertexSet
-from repro.core.search import VectorSearchOptions, vector_search
+from repro.core.search import vector_search
 from repro.errors import (
     DimensionMismatchError,
     EmbeddingCompatibilityError,
@@ -67,7 +67,7 @@ class TestVectorSearchFunction:
         with db.snapshot() as snap:
             out = vector_search(
                 db.service, snap, ["Post.content_emb"], q, 5,
-                VectorSearchOptions(filter=allowed),
+                filter=allowed,
             )
         assert len(out) == 5
         assert all(member in allowed for member in out)
@@ -78,7 +78,7 @@ class TestVectorSearchFunction:
         with db.snapshot() as snap:
             out = vector_search(
                 db.service, snap, ["Post.content_emb"], db._test_vectors[3], 4,
-                VectorSearchOptions(distance_map=dmap),
+                distance_map=dmap,
             )
         assert len(dmap) == 4
         assert all(member in out for member in dmap.value)
@@ -103,7 +103,7 @@ class TestVectorSearchFunction:
         with db.snapshot() as snap:
             out = vector_search(
                 db.service, snap, ["Post.content_emb"], db._test_vectors[0], 5,
-                VectorSearchOptions(filter=VertexSet()),
+                filter=VertexSet(),
             )
         assert len(out) == 0
 
@@ -184,7 +184,7 @@ class TestMultiTypeSearch:
             out = vector_search(
                 db.service, snap,
                 ["Post.content_emb", "Comment.content_emb"], q, 8,
-                VectorSearchOptions(filter=allowed),
+                filter=allowed,
             )
         assert len(out) == 8
         assert all(member in allowed for member in out)
