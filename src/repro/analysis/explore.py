@@ -21,8 +21,14 @@ Execution model
   than one worker is runnable, so the choice list is exactly the branching
   structure of the run.
 - A worker that tries to acquire a held lock is marked *blocked* on that
-  lock and stays undispatchable until the holder releases it.  All workers
-  blocked with none runnable is reported as a deadlock.
+  lock and stays undispatchable until the holder releases it.
+- A worker that waits on a :class:`~.sanitizer.SanitizedCondition` is
+  marked *waiting* until a ``notify`` picks it (oldest waiter first) or,
+  for a timed wait, until no other worker can run: the timeout fires then,
+  ``wait`` returns False, and no time passes.  A notify that lands before
+  the wait is lost, as it is in ``threading``.
+- All workers blocked or waiting untimed, with none runnable, is reported
+  as a deadlock.
 - When every worker finished, ``scenario.check(state)`` asserts the
   invariant; its failure (or any worker exception, or a deadlock) makes
   the run a failure carrying the full yield trace and choice list.
@@ -66,7 +72,6 @@ class Scenario:
 
     name = "scenario"
     threads = 2
-    description = ""
 
     def setup(self):
         return None
@@ -89,12 +94,13 @@ class _Abort(BaseException):
     """
 
 
-_PARKED = ("yielded", "blocked")
+_PARKED = ("yielded", "blocked", "waiting")
 _FINISHED = ("done", "aborted", "error")
 
 
 class _Worker:
-    __slots__ = ("index", "thread", "go", "state", "point", "blocked_key", "error")
+    __slots__ = ("index", "thread", "go", "state", "point", "blocked_key", "error",
+                 "cond", "timed", "notified", "wait_seq")
 
     def __init__(self, index: int):
         self.index = index
@@ -104,6 +110,11 @@ class _Worker:
         self.point = ""
         self.blocked_key: int | None = None
         self.error: BaseException | None = None
+        #: The condition waited on (None if none), with the wait's details.
+        self.cond = None
+        self.timed = False
+        self.notified = False
+        self.wait_seq = 0
 
 
 @dataclass(frozen=True)
@@ -184,6 +195,7 @@ class _Controller:
         self.decisions: list[Decision] = []
         self.trace: list[tuple[int, str]] = []
         self.steps = 0
+        self._waits = 0
 
     # ---- worker-side ----------------------------------------------------
 
@@ -198,7 +210,10 @@ class _Controller:
         with self._mutex:
             worker.point = point
             worker.blocked_key = blocked_key
-            worker.state = "blocked" if blocked_key is not None else "yielded"
+            if blocked_key is not None:
+                worker.state = "blocked"
+            else:
+                worker.state = "yielded" if worker.cond is None else "waiting"
             self._wake.set()
         if not worker.go.wait(self._timeout):
             raise _Abort(f"worker {worker.index} handoff timed out at {point}")
@@ -245,6 +260,53 @@ class _Controller:
                     other.blocked_key = None
                     other.state = "yielded"
         self._park(worker, f"lock.release:{name}")
+
+    def condition_wait(self, cond, timeout: float | None) -> bool | None:
+        """Sanitized-condition hook: whether a notify (not the timeout) ended
+        the wait, or None for an uncontrolled thread (it waits for real).
+
+        As in ``Condition.wait``, the waiter registers before it releases
+        the lock; the release's yield (or an explicit one) parks it.
+        """
+        worker = self._current()
+        if worker is None:
+            return None
+        with self._mutex:
+            self._waits += 1
+            worker.cond = cond
+            worker.timed = timeout is not None
+            worker.notified = False
+            worker.wait_seq = self._waits
+        saved = cond._release_save()
+        try:
+            if worker.cond is cond:
+                self._park(worker, "cond.wait")
+        finally:
+            cond._acquire_restore(saved)
+        return worker.notified
+
+    def condition_notify(self, cond, n: int) -> None:
+        """Sanitized-condition hook: wake up to ``n`` waiters, oldest first."""
+        with self._mutex:
+            waiters = sorted(
+                (w for w in self._workers if w.cond is cond), key=lambda w: w.wait_seq
+            )
+            for waiter in waiters[:n]:
+                waiter.cond = None
+                waiter.notified = True
+                if waiter.state == "waiting":
+                    waiter.state = "yielded"
+
+    def _fire_timeout(self) -> bool:
+        """With nothing runnable, end the oldest timed wait; False if none."""
+        with self._mutex:
+            timed = [w for w in self._workers if w.state == "waiting" and w.timed]
+            if not timed:
+                return False
+            waiter = min(timed, key=lambda w: w.wait_seq)
+            waiter.cond = None
+            waiter.state = "yielded"
+            return True
 
     def _worker_main(self, worker: _Worker) -> None:
         self._by_ident[threading.get_ident()] = worker
@@ -324,10 +386,12 @@ class _Controller:
                     w.index for w in self._workers if w.state == "yielded"
                 )
                 if not runnable:
+                    if self._fire_timeout():
+                        continue
                     blocked = "; ".join(
-                        f"w{w.index} blocked at {w.point}"
+                        f"w{w.index} {w.state} at {w.point}"
                         for w in self._workers
-                        if w.state == "blocked"
+                        if w.state in ("blocked", "waiting")
                     )
                     failure_kind = "deadlock"
                     failure = f"all workers blocked: {blocked}"

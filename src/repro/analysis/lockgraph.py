@@ -27,12 +27,6 @@ class LockOrderGraph:
     def __len__(self) -> int:
         return sum(len(out) for out in self._edges.values())
 
-    def nodes(self) -> set[str]:
-        out = set(self._edges)
-        for targets in self._edges.values():
-            out.update(targets)
-        return out
-
     def edges(self):
         """Yield ``(a, b, info)`` for every recorded ordering."""
         for a, targets in self._edges.items():

@@ -17,7 +17,8 @@ one node, lockdep-style).  Two violation kinds are detected:
 :func:`patch_locks` monkey-patches ``threading.Lock``/``RLock`` so that locks
 *created by repro code* (caller file under ``repro/`` but outside
 ``repro/analysis/``) come back instrumented; all other callers (stdlib,
-pytest, numpy) get real locks.  ``tests/conftest.py`` enables this under
+pytest, numpy) get real locks; ``threading.Condition`` likewise comes back
+as a :class:`SanitizedCondition`.  ``tests/conftest.py`` enables this under
 ``REPRO_SANITIZE=1`` and fails the session if any violation was recorded; a
 process-exit hook additionally prints the report for non-pytest runs.
 """
@@ -31,7 +32,7 @@ import re
 import sys
 import threading
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import hooks
 from .lockgraph import LockOrderGraph
@@ -39,6 +40,7 @@ from .lockgraph import LockOrderGraph
 __all__ = [
     "ENV_VAR",
     "SanitizedLock",
+    "SanitizedCondition",
     "Violation",
     "enabled",
     "patch_locks",
@@ -46,7 +48,6 @@ __all__ = [
     "is_patched",
     "reset",
     "set_context",
-    "current_context",
     "violations",
     "counters",
     "format_report",
@@ -58,6 +59,7 @@ ENV_VAR = "REPRO_SANITIZE"
 # Real constructors captured at import time, before any patching.
 _REAL_LOCK = threading.Lock
 _REAL_RLOCK = threading.RLock
+_REAL_CONDITION = threading.Condition
 
 _COMMIT_PAT = re.compile(r"commit", re.IGNORECASE)
 
@@ -158,11 +160,6 @@ def set_context(context: str | None) -> None:
         _state.context = context
 
 
-def current_context() -> str | None:
-    with _state.mutex:
-        return _state.context
-
-
 def _record_acquire(lock: "SanitizedLock", held: list) -> None:
     """Record ordering edges and check invariants BEFORE blocking."""
     with _state.mutex:
@@ -171,7 +168,9 @@ def _record_acquire(lock: "SanitizedLock", held: list) -> None:
             return
         distinct = {h.name: h for h in held}
         for name in distinct:
-            if name == lock.name:
+            # A known edge adds nothing: any cycle through it was reported
+            # when the cycle's last edge went in.
+            if name == lock.name or _state.graph.has_edge(name, lock.name):
                 continue
             inversion = _state.graph.add_edge(name, lock.name, _short_stack())
             if inversion is not None:
@@ -260,6 +259,10 @@ class SanitizedLock:
     def __exit__(self, *exc_info) -> None:
         self.release()
 
+    def _is_owned(self) -> bool:
+        """Held by the calling thread (what ``Condition`` asks)."""
+        return any(h is self for h in _state.held())
+
     def locked(self) -> bool:
         inner_locked = getattr(self._inner, "locked", None)
         if inner_locked is not None:
@@ -280,33 +283,67 @@ class SanitizedLock:
         self._inner = _REAL_RLOCK() if self._reentrant else _REAL_LOCK()
 
 
+class SanitizedCondition(_REAL_CONDITION):
+    """``threading.Condition`` whose waits the interleaving explorer sees.
+
+    A worker under the explorer's control parks in :meth:`wait` until a
+    ``notify`` picks it or, for a timed wait, until no other worker can run
+    (see :mod:`~.explore`).  Everywhere else this is a plain ``Condition``.
+    """
+
+    def wait(self, timeout: float | None = None) -> bool:
+        controller = hooks.active()
+        if controller is not None:
+            notified = controller.condition_wait(self, timeout)
+            if notified is not None:
+                return notified
+        return super().wait(timeout)
+
+    def notify(self, n: int = 1) -> None:
+        controller = hooks.active()
+        if controller is not None:
+            controller.condition_notify(self, n)
+        super().notify(n)
+
+    def notify_all(self) -> None:
+        self.notify(sys.maxsize)
+
+
 def _should_instrument(filename: str) -> bool:
     fname = filename.replace(os.sep, "/")
     return "/repro/" in fname and "/repro/analysis/" not in fname
 
 
-def _factory(reentrant: bool):
-    def make_lock():
+def _factory(real, instrumented):
+    """A constructor: ``instrumented(site_name, *args)`` for a caller in repro
+    code, ``real(*args)`` for anyone else."""
+
+    def make(*args, **kwargs):
         frame = sys._getframe(1)
         if _should_instrument(frame.f_code.co_filename):
-            return SanitizedLock(name=_site_name(frame), reentrant=reentrant)
-        return _REAL_RLOCK() if reentrant else _REAL_LOCK()
+            return instrumented(_site_name(frame), *args, **kwargs)
+        return real(*args, **kwargs)
 
-    return make_lock
+    return make
+
+
+def _condition(site: str, lock=None) -> SanitizedCondition:
+    return SanitizedCondition(SanitizedLock(site, reentrant=True) if lock is None else lock)
 
 
 def patch_locks() -> None:
-    """Route ``threading.Lock``/``RLock`` creation through the sanitizer.
+    """Route ``threading.Lock``/``RLock``/``Condition`` creation through the sanitizer.
 
-    Only locks created from repro source files (outside this package) are
-    instrumented; everything else gets a real lock, so stdlib and test
+    Only those created from repro source files (outside this package) are
+    instrumented; everything else gets the real class, so stdlib and test
     machinery are unaffected.  Idempotent.
     """
     global _patched, _atexit_registered
     if _patched:
         return
-    threading.Lock = _factory(reentrant=False)
-    threading.RLock = _factory(reentrant=True)
+    threading.Lock = _factory(_REAL_LOCK, SanitizedLock)
+    threading.RLock = _factory(_REAL_RLOCK, lambda site: SanitizedLock(site, reentrant=True))
+    threading.Condition = _factory(_REAL_CONDITION, _condition)
     _patched = True
     if not _atexit_registered:
         atexit.register(_report_at_exit)
@@ -318,6 +355,7 @@ def unpatch_locks() -> None:
     global _patched
     threading.Lock = _REAL_LOCK
     threading.RLock = _REAL_RLOCK
+    threading.Condition = _REAL_CONDITION
     _patched = False
 
 
@@ -348,11 +386,6 @@ def counters() -> dict:
             "acquisitions": _state.acquisitions,
             "orderings": len(_state.graph),
         }
-
-
-def order_graph() -> LockOrderGraph:
-    """The live order graph (read-only use; synchronize for iteration)."""
-    return _state.graph
 
 
 def summary_line() -> str:

@@ -5,42 +5,52 @@ correctness story depends on (PAPER.md Sec. 4.3/4.5) into a
 :class:`~repro.analysis.explore.Scenario`: deterministic setup, two
 controlled workers, and a post-join invariant check.  ``MATRIX`` lists
 the scenarios with the exploration strategy and *expected* outcome —
-the intentionally-broken variants (the PR 4 cache race with its fix
-disabled, the toy lost update) must be *found* within their budget,
+the intentionally-broken variants must be *found* within their budget,
 which keeps the explorer itself honest in CI.
 
-Scenario state must only share :class:`~.sanitizer.SanitizedLock`-guarded
-structures between workers: the explorer can only deschedule a worker at
-instrumented points, and a controlled worker blocking on an *uninstrumented*
-primitive stalls the scheduler.  Production ``repro`` locks are instrumented
-by ``patch_locks`` (run_schedule ensures it); toy scenarios instantiate
-``SanitizedLock`` directly because ``repro/analysis/`` itself is exempt
-from patching.
+A validated serve or tier row calls the shipped entry point
+(``QueryServer._execute_vector``, ``ElasticTier.search`` / ``rebalance`` /
+``remove_server``, the server's queue and ``MicroBatcher``), never a copy
+of its logic, and its ``-unvalidated`` twin plants the defect by patching
+shipped code inside the scenario (DESIGN §6.3 has the table).
+
+Scenario state must only share instrumented structures between workers:
+the explorer can only deschedule a worker at instrumented points (locks,
+conditions, ``schedule_point``), and a controlled worker blocking on an
+*uninstrumented* primitive stalls the scheduler.  Production ``repro``
+locks and conditions are instrumented by ``patch_locks`` (run_schedule
+ensures it); toy scenarios instantiate ``SanitizedLock`` directly because
+``repro/analysis/`` itself is exempt from patching.  A row must also be
+deterministic modulo schedule: no outcome may hinge on the wall clock.
 """
 
 from __future__ import annotations
 
+import copy
 import shutil
 import tempfile
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from .. import Attribute, AttrType, Metric, TigerVectorDB
-from ..core.search import (
-    SearchSpec,
-    merge_sharded_topk,
-    vector_search_merged,
-    vector_search_sharded,
-)
-from ..errors import SegmentOwnershipError
+from ..core.search import SearchSpec, vector_search_merged
 from ..core.service import EmbeddingStore
+from ..elastic import ElasticTier
+from ..errors import SegmentOwnershipError, StalenessBoundError
 from ..index.hnsw import HNSWIndex
 from ..index.pq import PQCodebook, PQCodes, PQSearchConfig
+from ..serve import server as server_module
+from ..serve.server import (
+    QueryServer,
+    ServeConfig,
+    ServeFuture,
+    VectorRequest,
+    freshness_gate,
+)
 from ..tier import demote_segment
-from ..serve.cache import ResultCache
-from ..serve.batcher import MicroBatcher
-from ..serve.tenancy import TenantRegistry, WeightedFairQueue
 from .explore import Scenario
 from .hooks import schedule_point
 from .sanitizer import SanitizedLock
@@ -52,6 +62,17 @@ class _Box:
     """Attribute bag for scenario state."""
 
 
+class _Twinned(Scenario):
+    """A validated row named ``row``; ``validate=False`` builds its twin,
+    named ``row + twin``, which plants the defect."""
+
+    twin = "-unvalidated"
+
+    def __init__(self, validate: bool = True):
+        self.validate = validate
+        self.name = self.row + ("" if validate else self.twin)
+
+
 # --------------------------------------------------------------------------
 # toy lost update — the explorer's own regression fixture
 # --------------------------------------------------------------------------
@@ -60,9 +81,6 @@ class _Box:
 class LostUpdateScenario(Scenario):
     """Two workers increment a shared counter; the broken variant reads the
     current value *outside* the lock (classic lost update)."""
-
-    threads = 2
-    description = "toy read-modify-write; broken variant reads outside the lock"
 
     def __init__(self, guarded: bool = False):
         self.guarded = guarded
@@ -93,8 +111,9 @@ class LostUpdateScenario(Scenario):
 
 
 # --------------------------------------------------------------------------
-# commit vs cached search — the PR 4 watermark/commit cache-poisoning race
+# served search vs commit publish — the shipped serve worker's batch body
 # --------------------------------------------------------------------------
+
 
 _ATTR = "Doc.vec"
 _DIM = 4
@@ -125,44 +144,40 @@ def _search(db, query: np.ndarray, k: int = _K) -> tuple:
         return tuple(vector_search_merged(db.service, snapshot, [_ATTR], query, k))
 
 
-class CommitVsCachedSearch(Scenario):
-    """A commit racing a cache-filling search worker.
+@contextmanager
+def _gate_reporting_lag_zero(db, spec, wait, deadline):
+    """``freshness_gate`` that reports lag 0 whatever snapshot it pinned."""
+    with freshness_gate(db, spec, wait, deadline) as (snapshot, marks, _lag):
+        yield snapshot, marks, 0
 
-    Worker 0 commits a new embedding for doc 0 that becomes the query's
-    nearest neighbor.  Worker 1 mimics the serve worker's cache path
-    (``QueryServer._execute_vector`` through ``freshness_gate``): read
-    watermarks, pin a snapshot, and only at lag 0 probe the cache, search
-    and fill.
 
-    With ``validate=False`` (the lag check dropped) there is an
-    interleaving — commit past its embedding hook but before publishing
-    ``last_tid`` — where worker 1 reads a post-commit watermark, pins a
-    pre-commit snapshot, and caches the stale top-k under the post-commit
-    key.  ``check`` then finds a poisoned hit for a fresh watermark.
-    With ``validate=True`` (the shipped server logic: serve uncached, the
-    cache neither probed nor filled, when the watermark lag is positive)
-    every interleaving must pass.
+def _request(server: QueryServer, spec: SearchSpec) -> VectorRequest:
+    """The request ``server.submit_search`` would queue for ``spec``."""
+    tenant = server.registry.get("default")
+    return VectorRequest(
+        tenant=tenant, future=ServeFuture(), submitted_at=0.0, deadline=None, spec=spec
+    )
+
+
+class _ServedSearchVsCommit(_Twinned):
+    """Worker 0 commits a new embedding for doc 0 that becomes the query's
+    nearest neighbor; worker 1 runs ``QueryServer._execute_vector``, the
+    serve worker's batch body, on a server that was never started.
+
+    The window both rows guard: a commit bumps its store watermark (the
+    embedding hook) before it publishes ``GraphStore.last_tid``, so a search
+    in between reads a post-commit watermark and pins a pre-commit snapshot.
     """
 
-    threads = 2
-    description = "commit vs watermark-keyed cached search (PR 4 race)"
-
-    def __init__(self, validate: bool = True):
-        self.validate = validate
-        self.name = (
-            "commit-vs-cached-search"
-            if validate
-            else "commit-vs-cached-search-unvalidated"
-        )
+    config = ServeConfig()
 
     def setup(self):
         state = _Box()
         state.db = _make_doc_db()
         state.db.vacuum()
-        state.cache = ResultCache()
+        state.server = QueryServer(state.db, self.config)
         state.query = np.zeros(_DIM, dtype=np.float32)
         state.query[0] = 100.0
-        state.spec = SearchSpec(state.db.service, [_ATTR], state.query, _K)
         state.new_vector = np.zeros(_DIM, dtype=np.float32)
         state.new_vector[0] = 99.0  # post-commit nearest neighbor for query
         return state
@@ -172,29 +187,35 @@ class CommitVsCachedSearch(Scenario):
             with state.db.begin() as txn:
                 txn.set_embedding("Doc", 0, "vec", state.new_vector)
             return
-        # Serve-worker cache path (see QueryServer._execute_vector).
-        store = state.db.service.store("Doc", "vec")
-        mark = store.watermark()
-        with state.db.snapshot() as snapshot:
-            # lag == 0: the snapshot covers the watermark read before it.
-            lag_zero = EmbeddingStore.watermark_tid(mark) <= snapshot.tid
-            cached = lag_zero or not self.validate
-            key = state.spec.cache_key((mark,))
-            if cached and state.cache.get(key) is not None:
-                return
-            top = tuple(
-                vector_search_merged(
-                    state.db.service, snapshot, [_ATTR], state.query, _K
-                )
-            )
-            if cached:  # else commit mid-publication: serve without caching
-                state.cache.put(key, top)
+        self.search(state)
+
+    def teardown(self, state) -> None:
+        state.db.close()
+
+
+class CommitVsCachedSearch(_ServedSearchVsCommit):
+    """The served search fills the cache.  ``freshness_gate``'s ``lag == 0``
+    is the cache rule: a search in the commit's window is served uncached,
+    so every interleaving must pass.  The ``-unvalidated`` twin swaps
+    ``repro.serve.server.freshness_gate`` for one that always reports lag 0:
+    the window's stale top-k is cached under the post-commit key, and
+    ``check`` finds the poisoned hit.
+    """
+
+    row = "commit-vs-cached-search"
+
+    def search(self, state) -> None:
+        spec = SearchSpec(state.db.service, [_ATTR], state.query, _K)
+        state.request = _request(state.server, spec)
+        with nullcontext() if self.validate else mock.patch.object(
+            server_module, "freshness_gate", _gate_reporting_lag_zero
+        ):
+            state.server._execute_vector([state.request])
 
     def check(self, state) -> None:
         store = state.db.service.store("Doc", "vec")
-        fresh_mark = store.watermark()
-        key = state.spec.cache_key((fresh_mark,))
-        hit = state.cache.get(key)
+        key = state.request.spec.cache_key((store.watermark(),))
+        hit = state.server.cache.get("default", key)
         if hit is None:
             return
         truth = _search(state.db, state.query)
@@ -205,97 +226,43 @@ class CommitVsCachedSearch(Scenario):
             f"watermark key (cached {hit_ids}, fresh snapshot {truth_ids})"
         )
 
-    def teardown(self, state) -> None:
-        state.db.close()
 
-
-# --------------------------------------------------------------------------
-# read-your-writes session token vs commit publish
-# --------------------------------------------------------------------------
-
-
-class SessionTokenVsCommitPublish(Scenario):
-    """A session token racing the commit that issued it.
-
-    Worker 0 commits a new nearest-neighbor embedding for doc 0.  Worker 1
-    models a client that just committed: it derives a session token from
-    the store watermark — the embedding hook publishes the commit's TID
-    there *before* ``GraphStore.last_tid`` — then asks to be served
-    read-your-writes.
-
-    With ``validate=False`` (no token check) there is an interleaving —
-    token read post-hook, snapshot pinned pre-``last_tid`` — where the
-    "serving snapshot" predates the very commit the token names, and the
-    client reads a top-k missing its own write.  With ``validate=True``
-    (the shipped ``freshness_gate`` logic: only serve from a snapshot
-    whose TID covers the token, bounded retries, fail typed otherwise)
-    every interleaving must pass.
+class SessionTokenVsCommitPublish(_ServedSearchVsCommit):
+    """The served search carries a read-your-writes session token read from
+    the store watermark, which names the commit as soon as its embedding
+    hook has run.  ``freshness_gate`` serves only a snapshot covering the
+    token; with ``staleness_wait=0`` it fails typed at once otherwise, so no
+    wall-clock wait decides an outcome.  The ``-unvalidated`` twin builds
+    its spec without the token: the window's snapshot predates the very
+    commit the token names, and the client reads a top-1 missing its write.
+    ``k`` is 1 because a ``VertexSet`` does not keep rank order.
     """
 
-    threads = 2
-    description = "read-your-writes token vs commit publish window"
+    row = "session-token-vs-commit"
+    config = ServeConfig(staleness_wait=0)
 
-    #: Mirrors the server's bounded staleness_wait: give up (fail typed)
-    #: rather than spin forever inside an adversarial schedule.
-    _MAX_RETRIES = 8
-
-    def __init__(self, validate: bool = True):
-        self.validate = validate
-        self.name = (
-            "session-token-vs-commit"
-            if validate
-            else "session-token-vs-commit-unvalidated"
-        )
-
-    def setup(self):
-        state = _Box()
-        state.db = _make_doc_db()
-        state.db.vacuum()
-        state.query = np.zeros(_DIM, dtype=np.float32)
-        state.query[0] = 100.0
-        state.new_vector = np.zeros(_DIM, dtype=np.float32)
-        state.new_vector[0] = 99.0  # post-commit nearest neighbor for query
-        state.token = None
-        state.served = None
-        return state
-
-    def worker(self, state, index: int) -> None:
-        if index == 0:
-            with state.db.begin() as txn:
-                txn.set_embedding("Doc", 0, "vec", state.new_vector)
-            return
+    def search(self, state) -> None:
         store = state.db.service.store("Doc", "vec")
         state.token = EmbeddingStore.watermark_tid(store.watermark())
-        for _ in range(self._MAX_RETRIES):
-            with state.db.snapshot() as snapshot:
-                if not self.validate or snapshot.tid >= state.token:
-                    state.served = [
-                        (vtype, vid)
-                        for _, vtype, vid in vector_search_merged(
-                            state.db.service, snapshot, [_ATTR], state.query, _K
-                        )
-                    ]
-                    return
-            schedule_point("serve.sla.retry")
-        # Retry budget exhausted with the token still uncovered: the server
-        # fails this request typed (StalenessBoundError), never stale.
+        spec = SearchSpec(
+            state.db.service, [_ATTR], state.query, 1,
+            session_token=state.token if self.validate else None,
+        )
+        state.request = _request(state.server, spec)
+        state.server._execute_vector([state.request])
 
     def check(self, state) -> None:
-        if state.served is None:
-            return
-        commit_tid = state.db.store.last_tid
-        if state.token is None or state.token < commit_tid:
+        future = state.request.future
+        if isinstance(future.exception(), StalenessBoundError):
+            return  # refused typed: allowed, never stale
+        served = list(future.result())
+        if state.token < state.db.store.last_tid:
             return  # token predates the commit: no read-your-writes claim
-        truth = [
-            (vtype, vid) for _, vtype, vid in _search(state.db, state.query)
-        ]
-        assert state.served == truth, (
+        truth = [(vtype, vid) for _, vtype, vid in _search(state.db, state.query, k=1)]
+        assert served == truth, (
             f"read-your-writes violated: token {state.token} was served "
-            f"stale top-k {state.served} != {truth}"
+            f"stale top-1 {served} != {truth}"
         )
-
-    def teardown(self, state) -> None:
-        state.db.close()
 
 
 # --------------------------------------------------------------------------
@@ -312,8 +279,6 @@ class VacuumVsSearch(Scenario):
     """
 
     name = "vacuum-vs-search"
-    threads = 2
-    description = "two-stage vacuum vs snapshot-pinned search"
 
     def setup(self):
         state = _Box()
@@ -330,10 +295,7 @@ class VacuumVsSearch(Scenario):
         if index == 0:
             state.db.vacuum()
             return
-        with state.db.snapshot() as snapshot:
-            top = vector_search_merged(
-                state.db.service, snapshot, [_ATTR], state.query, 3
-            )
+        top = _search(state.db, state.query, k=3)
         state.result_ids = [(vtype, vid) for _, vtype, vid in top]
 
     def check(self, state) -> None:
@@ -351,7 +313,7 @@ class VacuumVsSearch(Scenario):
 # --------------------------------------------------------------------------
 
 
-class TierDemoteVsSearch(Scenario):
+class TierDemoteVsSearch(_Twinned):
     """A hot→cold tier demotion racing a snapshot-pinned search.
 
     Worker 0 demotes the only segment to the cold (PQ) tier; worker 1 runs
@@ -370,14 +332,7 @@ class TierDemoteVsSearch(Scenario):
     same-tid ``install_snapshot`` publish) every interleaving must pass.
     """
 
-    threads = 2
-    description = "tier demotion vs snapshot-pinned search (DESIGN §12)"
-
-    def __init__(self, validate: bool = True):
-        self.validate = validate
-        self.name = (
-            "tier-demote-vs-search" if validate else "tier-demote-vs-search-unvalidated"
-        )
+    row = "tier-demote-vs-search"
 
     def setup(self):
         state = _Box()
@@ -429,143 +384,115 @@ class TierDemoteVsSearch(Scenario):
 
 
 # --------------------------------------------------------------------------
-# elastic rebalance vs pinned search
+# ownership changes vs a routed search — the shipped ElasticTier
 # --------------------------------------------------------------------------
 
 
-class RebalanceVsSearch(Scenario):
-    """A segment-group handoff racing a routed, snapshot-pinned search.
+def _inline_tier(db, refusals: list) -> ElasticTier:
+    """A started 2-server ``ElasticTier`` whose shards run no worker thread:
+    each sub-request runs ``_execute_batch`` on the thread that submits it
+    (the controlled router thread), and every ``SegmentOwnershipError`` it
+    answers is appended to ``refusals``."""
+    tier = ElasticTier(db, num_servers=2, config=ServeConfig(enable_cache=False))
+    for shard in tier.shards.values():
+        shard._running = True  # so start() spawns no workers
 
-    Models the elastic tier's hot path (``repro.elastic``): worker 1 is a
-    router thread — gate past a draining key, take an in-flight ref,
-    resolve owners, pin a snapshot, then (after the shard-side ownership
-    re-check) run the sharded search and merge.  Worker 0 moves group 1
-    between servers.
+        def submit(request, shard=shard):
+            shard._execute_batch([request])
+            if isinstance(request.future.exception(), SegmentOwnershipError):
+                refusals.append(request.future.exception())
+            return request.future
 
-    With ``validate=True`` the mover follows the shipped handoff
-    protocol: close the gate, *wait for the in-flight count to drain to
-    zero*, then transfer — so the shard-side re-check can never observe
-    a revocation mid-flight, and every interleaving must produce either
-    the exact merged top-k or a clean gated refusal.  With
-    ``validate=False`` the mover revokes immediately (handoff without
-    the watermark drain): an interleaving where the search has routed
-    and pinned but not yet re-checked observes the revocation and raises
-    :class:`SegmentOwnershipError` — the planted bug the explorer must
-    find within budget.
+        shard._submit = submit
+    return tier.start()
+
+
+def _acquire_holding_no_ref(tier: ElasticTier):
+    """``tier._acquire`` that passes the gate but keeps no in-flight ref."""
+    acquire = tier._acquire
+
+    def acquire_without_ref(tenant, groups):
+        acquired = acquire(tenant, groups)
+        tier._release(acquired)
+        return [(group, copy.copy(entry)) for group, entry in acquired]
+
+    return acquire_without_ref
+
+
+class _OwnershipChangeVsRoutedSearch(Scenario):
+    """Worker 0 changes segment-group ownership on a real ``ElasticTier``;
+    worker 1 runs ``ElasticTier.search`` through it.  The drain makes the
+    shard-side ownership re-check unreachable, so ``check`` wants the exact
+    top-k and no :class:`SegmentOwnershipError` answered on the way (the
+    router would re-route one and still answer right).
     """
-
-    threads = 2
-    description = "segment-group handoff vs routed pinned search (DESIGN §13)"
-
-    #: Bounded gate/drain retries, mirroring the tier's bounded waits:
-    #: give up cleanly rather than spin forever in an adversarial schedule.
-    _MAX_RETRIES = 8
-
-    def __init__(self, validate: bool = True):
-        self.validate = validate
-        self.name = (
-            "rebalance-vs-search" if validate else "rebalance-vs-search-unvalidated"
-        )
 
     def setup(self):
         state = _Box()
         state.db = _make_doc_db(num_docs=10)  # 2 segments -> groups {0, 1}
         state.db.vacuum()
-        state.lock = SanitizedLock(name="elastic.ownership.lock")
-        state.owner = {0: "a", 1: "a"}  # router's entry map: group -> server
-        state.served_by = {"a": {0, 1}, "b": set()}  # shard ownership sets
-        state.draining = False
-        state.inflight = 0
+        state.refusals = []
+        state.tier = _inline_tier(state.db, state.refusals)
         state.query = np.zeros(_DIM, dtype=np.float32)
         state.query[1] = 25.0
-        state.truth_ids = [
+        state.truth_ids = {
             (vtype, vid) for _, vtype, vid in _search(state.db, state.query, k=3)
-        ]
-        state.result_ids = None
+        }
+        state.tier.search([_ATTR], state.query, 3)  # grants both groups
+        state.owner = next(
+            name for name, shard in state.tier.shards.items() if shard.owns("default", 1)
+        )
+        state.result = None
         return state
-
-    def _move(self, state) -> None:
-        if not self.validate:
-            # Handoff without the drain: transfer under a live in-flight ref.
-            with state.lock:
-                state.served_by["a"].discard(1)
-                state.served_by["b"].add(1)
-                state.owner[1] = "b"
-            return
-        with state.lock:
-            state.draining = True
-        for _ in range(self._MAX_RETRIES):
-            with state.lock:
-                if state.inflight == 0:
-                    state.served_by["a"].discard(1)
-                    state.served_by["b"].add(1)
-                    state.owner[1] = "b"
-                    state.draining = False
-                    return
-            schedule_point("elastic.drain.wait")
-        with state.lock:
-            state.draining = False  # drain budget exhausted: abort the move
 
     def worker(self, state, index: int) -> None:
         if index == 0:
-            self._move(state)
+            self.change(state)
             return
-        # Router thread: gate, acquire, route, pin, execute, merge.
-        for _ in range(self._MAX_RETRIES):
-            with state.lock:
-                if not state.draining:
-                    routed = dict(state.owner)
-                    state.inflight += 1
-                    break
-            schedule_point("elastic.gate.wait")
-        else:
-            return  # gated out for the whole budget: clean refusal
-        try:
-            assignment: dict[str, list[int]] = {}
-            for group, server in routed.items():
-                assignment.setdefault(server, []).append(group)
-            with state.db.snapshot() as snapshot:
-                schedule_point("elastic.shard.pinned")
-                parts = []
-                for server, groups in sorted(assignment.items()):
-                    # The shard-side execution-time ownership re-check.
-                    with state.lock:
-                        missing = [
-                            g for g in groups if g not in state.served_by[server]
-                        ]
-                    if missing:
-                        raise SegmentOwnershipError(
-                            f"server '{server}' lost group {missing[0]} "
-                            f"mid-flight (handoff did not drain)",
-                            group=missing[0],
-                        )
-                    parts.append(
-                        vector_search_sharded(
-                            state.db.service,
-                            snapshot,
-                            [_ATTR],
-                            state.query,
-                            3,
-                            groups=frozenset(groups),
-                            group_size=1,
-                        )
-                    )
-            merged = merge_sharded_topk(parts, 3)
-            state.result_ids = [(vtype, vid) for _, vtype, vid in merged]
-        finally:
-            with state.lock:
-                state.inflight -= 1
+        state.result = state.tier.search([_ATTR], state.query, 3)
 
     def check(self, state) -> None:
-        if state.result_ids is None:
-            return  # cleanly refused at the gate: allowed, never wrong
-        assert state.result_ids == state.truth_ids, (
-            "handoff changed routed search content: "
-            f"{state.result_ids} != {state.truth_ids}"
+        assert not state.refusals, (
+            f"a routed sub-request was refused mid-flight: {state.refusals[0]}"
+        )
+        assert set(state.result) == state.truth_ids, (
+            "ownership change altered routed search content: "
+            f"{sorted(state.result)} != {sorted(state.truth_ids)}"
         )
 
     def teardown(self, state) -> None:
+        state.tier.stop()
         state.db.close()
+
+
+class RebalanceVsSearch(_Twinned, _OwnershipChangeVsRoutedSearch):
+    """``ElasticTier.rebalance`` moves group 1 to the other server.  The
+    ``-unvalidated`` twin patches the tier's ``_acquire`` so the router
+    holds no in-flight ref: the shipped drain then waits for nothing, and a
+    sub-request routed before the move reaches a shard that lost its group.
+    """
+
+    row = "rebalance-vs-search"
+
+    def setup(self):
+        state = super().setup()
+        if not self.validate:
+            state.tier._acquire = _acquire_holding_no_ref(state.tier)
+        return state
+
+    def change(self, state) -> None:
+        target = next(name for name in state.tier.shards if name != state.owner)
+        state.tier.rebalance("default", 1, target)
+
+
+class RemoveServerVsSearch(_OwnershipChangeVsRoutedSearch):
+    """``ElasticTier.remove_server`` scales in the server owning group 1:
+    every key it owns drains and moves, then the server stops."""
+
+    name = "remove-server-vs-search"
+
+    def change(self, state) -> None:
+        state.tier.remove_server(state.owner)
 
 
 # --------------------------------------------------------------------------
@@ -582,8 +509,6 @@ class HnswInsertVsSave(Scenario):
     """
 
     name = "hnsw-insert-vs-save"
-    threads = 2
-    description = "HNSW update_items vs save/load round-trip"
 
     def setup(self):
         state = _Box()
@@ -618,7 +543,7 @@ class HnswInsertVsSave(Scenario):
 # --------------------------------------------------------------------------
 
 
-class HnswFreshBatchVsSearch(Scenario):
+class HnswFreshBatchVsSearch(_Twinned):
     """A batch of ids the index has never seen, built into it while a
     lock-free ``topk_search`` runs.
 
@@ -637,12 +562,8 @@ class HnswFreshBatchVsSearch(Scenario):
     search landing at ``hnsw.publish`` walks new rows it reads as zeros.
     """
 
-    threads = 2
-    description = "fresh HNSW batch built into a live index vs a lock-free search"
-
-    def __init__(self, validate: bool = True):
-        self.validate = validate
-        self.name = "hnsw-fresh-batch-vs-search" + ("" if validate else "-count-first")
+    row = "hnsw-fresh-batch-vs-search"
+    twin = "-count-first"
 
     def setup(self):
         state = _Box()
@@ -690,7 +611,7 @@ class HnswFreshBatchVsSearch(Scenario):
 # --------------------------------------------------------------------------
 
 
-class IndexMergeRowReuseVsPinnedSearch(Scenario):
+class IndexMergeRowReuseVsPinnedSearch(_Twinned):
     """The index merge rewriting a row while an older reader searches.
 
     An HNSW update reuses its id's row — unlink, repair the in-neighbours,
@@ -706,12 +627,8 @@ class IndexMergeRowReuseVsPinnedSearch(Scenario):
     walking: once the rewrite has run, the old vector is gone from under it.
     """
 
-    threads = 2
-    description = "index merge rewriting a row vs a search pinned on the older snapshot"
-
-    def __init__(self, validate: bool = True):
-        self.validate = validate
-        self.name = "index-merge-row-reuse-vs-pinned-search" + ("" if validate else "-inplace")
+    row = "index-merge-row-reuse-vs-pinned-search"
+    twin = "-inplace"
 
     def setup(self):
         state = _Box()
@@ -756,54 +673,48 @@ class IndexMergeRowReuseVsPinnedSearch(Scenario):
 # --------------------------------------------------------------------------
 
 
-class _BatchReq:
-    """Minimal batchable request (compare serve/server._Request)."""
-
-    def __init__(self, rid: int):
-        self.rid = rid
-
-    def batch_key(self):
-        return (_ATTR, _K, None)
-
-
 class BatcherVsWindowClose(Scenario):
     """Enqueues racing a leader's batch-collection window.
 
-    Whatever the interleaving, conservation must hold: every request ends
-    up either in the collected batch or still queued — none lost, none
-    duplicated — and the batch never exceeds ``max_batch``.
+    Worker 0 puts four requests built from one spec (one fusion key) on a
+    ``QueryServer``'s queue; worker 1 takes a leader and runs the server's
+    ``MicroBatcher.collect``.  Whatever the interleaving, conservation must
+    hold: every request ends up either in the collected batch or still
+    queued — none lost, none duplicated — and the batch never exceeds
+    ``max_batch``.  Every request is stamped as submitted at time 0, so the
+    batch's own cadence says its burst is over and the collection closes on
+    what is queued without a wall-clock wait.
     """
 
     name = "batcher-vs-window"
-    threads = 2
-    description = "batcher enqueue vs collection-window close"
 
     def setup(self):
         state = _Box()
-        state.queue = WeightedFairQueue(TenantRegistry())
-        state.batcher = MicroBatcher(state.queue, window_seconds=0.2, max_batch=4)
-        state.requests = [_BatchReq(i) for i in range(4)]
+        state.db = _make_doc_db()
+        state.server = QueryServer(state.db, ServeConfig(max_batch=4))
+        spec = SearchSpec(state.db.service, [_ATTR], np.ones(_DIM, dtype=np.float32), _K)
+        state.requests = [_request(state.server, spec) for _ in range(4)]
         state.batch = []
         return state
 
     def worker(self, state, index: int) -> None:
         if index == 0:
             for request in state.requests:
-                state.queue.put(request, "default")
-                schedule_point("batcher.enqueued")
+                state.server.queue.put(request, "default")
             return
-        leader = state.queue.take(timeout=0.05)
-        if leader is None:
-            return
-        state.batch = state.batcher.collect(leader)
+        leader = state.server.queue.take()
+        state.batch = state.server.batcher.collect(leader)
 
     def check(self, state) -> None:
-        drained = state.queue.drain_matching(lambda _request: True, 16)
-        seen = [r.rid for r in state.batch] + [r.rid for r in drained]
-        assert sorted(seen) == [r.rid for r in state.requests], (
-            f"requests lost or duplicated across batch/queue: {sorted(seen)}"
+        drained = state.server.queue.drain_matching(lambda _request: True, 16)
+        seen = sorted(state.requests.index(r) for r in state.batch + drained)
+        assert seen == list(range(len(state.requests))), (
+            f"requests lost or duplicated across batch/queue: {seen}"
         )
-        assert len(state.batch) <= state.batcher.max_batch
+        assert len(state.batch) <= state.server.batcher.max_batch
+
+    def teardown(self, state) -> None:
+        state.db.close()
 
 
 # --------------------------------------------------------------------------
@@ -831,27 +742,20 @@ MATRIX: list[ScenarioSpec] = [
     ScenarioSpec(lambda: LostUpdateScenario(guarded=False), ("exhaustive", 8, 64), True),
     ScenarioSpec(lambda: LostUpdateScenario(guarded=True), ("exhaustive", 8, 64), False),
     ScenarioSpec(lambda: CommitVsCachedSearch(validate=False), ("pct", 256), True),
-    ScenarioSpec(lambda: CommitVsCachedSearch(validate=True), ("pct", 64), False),
-    ScenarioSpec(
-        lambda: SessionTokenVsCommitPublish(validate=False), ("pct", 256), True
-    ),
-    ScenarioSpec(
-        lambda: SessionTokenVsCommitPublish(validate=True), ("pct", 64), False
-    ),
+    ScenarioSpec(lambda: CommitVsCachedSearch(validate=True), ("pct", 256), False),
+    ScenarioSpec(lambda: SessionTokenVsCommitPublish(validate=False), ("pct", 256), True),
+    ScenarioSpec(lambda: SessionTokenVsCommitPublish(validate=True), ("pct", 256), False),
     ScenarioSpec(lambda: VacuumVsSearch(), ("pct", 12), False),
     ScenarioSpec(lambda: TierDemoteVsSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: TierDemoteVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: RebalanceVsSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: RebalanceVsSearch(validate=True), ("pct", 64), False),
+    ScenarioSpec(lambda: RemoveServerVsSearch(), ("pct", 64), False),
     ScenarioSpec(lambda: HnswInsertVsSave(), ("pct", 12), False),
     ScenarioSpec(lambda: HnswFreshBatchVsSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: HnswFreshBatchVsSearch(validate=True), ("pct", 64), False),
-    ScenarioSpec(
-        lambda: IndexMergeRowReuseVsPinnedSearch(validate=False), ("pct", 256), True
-    ),
-    ScenarioSpec(
-        lambda: IndexMergeRowReuseVsPinnedSearch(validate=True), ("pct", 64), False
-    ),
+    ScenarioSpec(lambda: IndexMergeRowReuseVsPinnedSearch(validate=False), ("pct", 256), True),
+    ScenarioSpec(lambda: IndexMergeRowReuseVsPinnedSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: BatcherVsWindowClose(), ("random", 8), False),
 ]
 

@@ -41,8 +41,8 @@ acquired the key before the gate closed has completed; all of them
 executed on snapshots at or before the handoff TID), grants the new
 owner, revokes the old, pins the ring, and re-admits gated requests.
 The execution-time ownership check in the shard is therefore
-unreachable for drained handoffs; skipping the drain (the unvalidated
-explorer variant) makes it fire.
+unreachable for drained handoffs; a rebalance without the drain, or a
+router holding no in-flight ref (an explorer twin), makes it fire.
 
 **Replica-coherent caching and cross-replica SLAs.**  The router reads
 the watermark vector once, pins ONE snapshot for the whole fan-out, and

@@ -21,8 +21,8 @@ Two contracts matter here:
   partial computed over segments the shard no longer serves.  The
   router treats that error as retryable.  (The drain protocol makes the
   race unreachable for *granted-then-drained* handoffs; the check is the
-  belt to that suspender, and exactly what the unvalidated
-  ``rebalance-vs-search`` explorer scenario trips.)
+  belt to that suspender, and the explorer's tier rows fail on any refusal
+  it answers — which their twin, a router holding no in-flight ref, trips.)
 - **Replica-coherent caching.**  The shard never reads watermarks
   itself: the router reads the watermark vector once, pins one snapshot,
   and ships both with every sub-request.  The partial cache key is the

@@ -509,6 +509,10 @@ def _exec_vector_topk(
             ctx.db.service, ctx.snapshot, spec, candidates
         )
         top = merge_sharded_topk([parts], spec.k)
+    else:
+        # Nothing to search, but a bad k or query is refused all the same.
+        check_topk_args(k)
+        require_finite(np.asarray(query, dtype=np.float32), "query vector")
     ctx.metrics["vector_seconds"] = time.perf_counter() - start
     ranking = [((vertex_type, vid), dist) for dist, vertex_type, vid in top]
     out = RankedVertexSet(ranking, name="TopK")

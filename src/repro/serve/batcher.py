@@ -67,10 +67,8 @@ class MicroBatcher:
         started = time.monotonic()
         cap = started + self.window_seconds
         # Arrival times and the earliest deadline of the requests in hand.
-        # A request that records no submit time arrived "now": it shows no
-        # cadence, so it never extends the wait.
-        first = last = getattr(leader, "submitted_at", started)
-        due = getattr(leader, "deadline", None)
+        first = last = leader.submitted_at
+        due = leader.deadline
         waited = 0.0
         while True:
             # Read the arrival counter BEFORE draining: a put landing
@@ -90,10 +88,9 @@ class MicroBatcher:
                 reason = "lone"
                 break
             for request in matched:
-                stamp = getattr(request, "submitted_at", now)
-                first = min(first, stamp)
-                last = max(last, stamp)
-                deadline = getattr(request, "deadline", None)
+                first = min(first, request.submitted_at)
+                last = max(last, request.submitted_at)
+                deadline = request.deadline
                 if deadline is not None and (due is None or deadline < due):
                     due = deadline
             quiet_at = last + QUIET_GAPS * (last - first) / (len(batch) - 1)

@@ -4,23 +4,30 @@ Covers the explorer's core guarantees: seeded schedules are deterministic,
 failures replay byte-identically from their recorded choices, the toy
 lost-update bug is found within a bounded budget, the serve-layer commit
 race is re-discovered when its validation is disabled (and stays hidden
-when enabled), and true deadlocks are reported as such.
+when enabled), true deadlocks are reported as such, and a condition wait
+parks its worker until a notify (or, timed, until nothing else can run).
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro.analysis import explore, sanitizer, scenarios
 from repro.analysis.schedules import PCTSchedule, RandomSchedule, ReplaySchedule
-from repro.analysis.sanitizer import SanitizedLock
+from repro.analysis.sanitizer import SanitizedCondition, SanitizedLock
 
 
 @pytest.fixture
 def clean_sanitizer():
+    """A fresh lock-order graph per test, and no violation left in it: the
+    explored code's locks and conditions are recorded as they run."""
     sanitizer.reset()
     yield sanitizer
+    found = sanitizer.format_report() if sanitizer.violations() else ""
     sanitizer.reset()
+    assert not found, found
 
 
 # ------------------------------------------------------------ determinism
@@ -157,6 +164,106 @@ def test_abba_deadlock_detected(clean_sanitizer):
     assert result.found
     assert result.failure.failure_kind == "deadlock"
     assert "deadlock" in result.failure.failure
+    # The sanitizer records the same inversion: it is this test's subject.
+    kinds = [violation.kind for violation in clean_sanitizer.violations()]
+    assert kinds == ["lock-order-inversion"]
+    clean_sanitizer.reset()
+
+
+# ------------------------------------------------------------ conditions
+
+
+class _Handoff(explore.Scenario):
+    """Worker 0 sets a flag and notifies; worker 1 waits for it, untimed.
+
+    With ``predicate_loop=False`` the waiter waits once without looking at
+    the flag: a notify that lands first is lost and the waiter never wakes.
+    """
+
+    def __init__(self, predicate_loop: bool = True):
+        self.predicate_loop = predicate_loop
+        self.name = "handoff" + ("" if predicate_loop else "-lost-wakeup")
+
+    def setup(self):
+        state = scenarios._Box()
+        state.cond = SanitizedCondition(SanitizedLock(name="toy.handoff.lock"))
+        state.ready = False
+        state.seen = None
+        return state
+
+    def worker(self, state, index: int) -> None:
+        with state.cond:
+            if index == 0:
+                state.ready = True
+                state.cond.notify()
+                return
+            if self.predicate_loop:
+                while not state.ready:
+                    state.cond.wait()
+            else:
+                state.cond.wait()
+            state.seen = state.ready
+
+    def check(self, state) -> None:
+        assert state.seen, "the waiter returned without seeing the flag"
+
+
+def test_untimed_handoff_stays_clean_exhaustively(clean_sanitizer):
+    result = explore.explore_exhaustive(
+        lambda: _Handoff(), max_decisions=12, max_schedules=64
+    )
+    assert not result.found, result.summary()
+    assert result.schedules_run > 1  # notify-first and wait-first both ran
+
+
+def test_lost_wakeup_is_reported_as_deadlock(clean_sanitizer):
+    result = explore.explore_exhaustive(
+        lambda: _Handoff(predicate_loop=False), max_decisions=12, max_schedules=64
+    )
+    assert result.found
+    assert result.failure.failure_kind == "deadlock"
+    assert "w1 waiting" in result.failure.failure
+
+
+class _TimedWaitAlone(explore.Scenario):
+    name = "timed-wait-alone"
+    threads = 1
+
+    def setup(self):
+        state = scenarios._Box()
+        state.cond = SanitizedCondition(SanitizedLock(name="toy.timed.lock"))
+        state.returned = None
+        return state
+
+    def worker(self, state, index: int) -> None:
+        with state.cond:
+            state.returned = state.cond.wait(timeout=30.0)
+
+    def check(self, state) -> None:
+        assert state.returned is False, f"wait returned {state.returned!r}"
+
+
+def test_unnotified_timed_wait_times_out_without_sleeping(clean_sanitizer):
+    started = time.monotonic()
+    result = explore.run_schedule(_TimedWaitAlone(), ReplaySchedule())
+    assert result.ok, result.failure
+    assert time.monotonic() - started < 5.0  # the wait's 30 s never passed
+
+
+def test_rebalance_twin_failure_replays_byte_identically(clean_sanitizer):
+    found = explore.explore_random(
+        lambda: scenarios.RebalanceVsSearch(validate=False),
+        seeds=range(256),
+        make_schedule=PCTSchedule,
+    )
+    assert found.found, "explorer lost coverage of the undrained handoff"
+    assert "refused mid-flight" in found.failure.failure
+    replayed = explore.replay(
+        scenarios.RebalanceVsSearch(validate=False), found.failure.choices
+    )
+    assert not replayed.ok
+    assert replayed.trace == found.failure.trace
+    assert replayed.failure == found.failure.failure
 
 
 # ------------------------------------------------------- matrix sanity

@@ -336,6 +336,26 @@ def test_gsql_multi_type_search_checks_compatibility(db, rng):
         db.gsql.run("SELECT t FROM (t:C) ORDER BY VECTOR_DIST(t.emb, qv) LIMIT 3", qv=q, C=mixed)
 
 
+def test_gsql_limit_over_a_set_without_the_attribute_still_checks_k_and_query():
+    # A set of Tags (no embedding) or an empty set: no candidate type carries
+    # the attribute, so there is nothing to search, but the arguments count.
+    tags = TigerVectorDB()
+    tags.schema.create_vertex_type("Tag", [Attribute("id", AttrType.INT, primary_key=True)])
+    with tags.begin() as txn:
+        for i in range(3):
+            txn.upsert_vertex("Tag", i, {})
+    text = "SELECT t FROM (t:C) ORDER BY VECTOR_DIST(t.emb, qv) LIMIT k"
+    zero, nan = [0.0] * DIM, [float("nan")] * DIM
+    for members in ([("Tag", tags.vid_for("Tag", i)) for i in range(3)], []):
+        C = VertexSet(members)
+        assert len(tags.gsql.run(text, qv=zero, k=3, C=C).result) == 0
+        with pytest.raises(VectorSearchError):
+            tags.gsql.run(text, qv=zero, k=1.5, C=C)
+        with pytest.raises(VectorSearchError):
+            tags.gsql.run(text, qv=nan, k=3, C=C)
+    tags.close()
+
+
 def test_gsql_filtered_block_checks_the_query_dimension(db, rng):
     short = rng.standard_normal(DIM - 3).tolist()
     for text in (
