@@ -100,7 +100,7 @@ _FINISHED = ("done", "aborted", "error")
 
 class _Worker:
     __slots__ = ("index", "thread", "go", "state", "point", "blocked_key", "error",
-                 "cond", "timed", "notified", "wait_seq")
+                 "cond", "timed", "notified")
 
     def __init__(self, index: int):
         self.index = index
@@ -114,7 +114,12 @@ class _Worker:
         self.cond = None
         self.timed = False
         self.notified = False
-        self.wait_seq = 0
+
+    def end_wait(self, notified: bool) -> None:
+        """The wait is over (under the controller's mutex); runnable if parked."""
+        self.cond, self.notified = None, notified
+        if self.state == "waiting":
+            self.state = "yielded"
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,7 @@ class _Controller:
         self.decisions: list[Decision] = []
         self.trace: list[tuple[int, str]] = []
         self.steps = 0
-        self._waits = 0
+        self._waiters: list[_Worker] = []  # oldest wait first
 
     # ---- worker-side ----------------------------------------------------
 
@@ -272,11 +277,8 @@ class _Controller:
         if worker is None:
             return None
         with self._mutex:
-            self._waits += 1
-            worker.cond = cond
-            worker.timed = timeout is not None
-            worker.notified = False
-            worker.wait_seq = self._waits
+            worker.cond, worker.timed, worker.notified = cond, timeout is not None, False
+            self._waiters.append(worker)
         saved = cond._release_save()
         try:
             if worker.cond is cond:
@@ -288,25 +290,18 @@ class _Controller:
     def condition_notify(self, cond, n: int) -> None:
         """Sanitized-condition hook: wake up to ``n`` waiters, oldest first."""
         with self._mutex:
-            waiters = sorted(
-                (w for w in self._workers if w.cond is cond), key=lambda w: w.wait_seq
-            )
-            for waiter in waiters[:n]:
-                waiter.cond = None
-                waiter.notified = True
-                if waiter.state == "waiting":
-                    waiter.state = "yielded"
+            for waiter in [w for w in self._waiters if w.cond is cond][:n]:
+                self._waiters.remove(waiter)
+                waiter.end_wait(notified=True)
 
     def _fire_timeout(self) -> bool:
         """With nothing runnable, end the oldest timed wait; False if none."""
         with self._mutex:
-            timed = [w for w in self._workers if w.state == "waiting" and w.timed]
-            if not timed:
-                return False
-            waiter = min(timed, key=lambda w: w.wait_seq)
-            waiter.cond = None
-            waiter.state = "yielded"
-            return True
+            timed = [w for w in self._waiters if w.timed and w.state == "waiting"]
+            if timed:
+                self._waiters.remove(timed[0])
+                timed[0].end_wait(notified=False)
+            return bool(timed)
 
     def _worker_main(self, worker: _Worker) -> None:
         self._by_ident[threading.get_ident()] = worker

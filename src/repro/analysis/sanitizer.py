@@ -34,6 +34,7 @@ import threading
 import traceback
 from dataclasses import dataclass
 
+from ..errors import UnownedLockError
 from . import hooks
 from .lockgraph import LockOrderGraph
 
@@ -263,6 +264,21 @@ class SanitizedLock:
         """Held by the calling thread (what ``Condition`` asks)."""
         return any(h is self for h in _state.held())
 
+    def _release_save(self) -> int:
+        """Release every level held, as ``Condition.wait`` does; only the
+        last frees the lock, so only its release yields."""
+        held = _state.held()
+        depth = sum(1 for h in held if h is self)
+        for _ in range(depth - 1):
+            self._inner.release()
+            held.remove(self)
+        self.release()
+        return depth
+
+    def _acquire_restore(self, depth: int) -> None:
+        for _ in range(depth):
+            self.acquire()
+
     def locked(self) -> bool:
         inner_locked = getattr(self._inner, "locked", None)
         if inner_locked is not None:
@@ -292,6 +308,8 @@ class SanitizedCondition(_REAL_CONDITION):
     """
 
     def wait(self, timeout: float | None = None) -> bool:
+        if not self._is_owned():
+            raise UnownedLockError("cannot wait on un-acquired lock")
         controller = hooks.active()
         if controller is not None:
             notified = controller.condition_wait(self, timeout)
@@ -300,10 +318,10 @@ class SanitizedCondition(_REAL_CONDITION):
         return super().wait(timeout)
 
     def notify(self, n: int = 1) -> None:
+        super().notify(n)  # first: it refuses a caller not holding the lock
         controller = hooks.active()
         if controller is not None:
             controller.condition_notify(self, n)
-        super().notify(n)
 
     def notify_all(self) -> None:
         self.notify(sys.maxsize)

@@ -151,12 +151,10 @@ def _gate_reporting_lag_zero(db, spec, wait, deadline):
         yield snapshot, marks, 0
 
 
-def _request(server: QueryServer, spec: SearchSpec) -> VectorRequest:
+def _request(server: QueryServer, spec: SearchSpec, submitted_at=0.0) -> VectorRequest:
     """The request ``server.submit_search`` would queue for ``spec``."""
     tenant = server.registry.get("default")
-    return VectorRequest(
-        tenant=tenant, future=ServeFuture(), submitted_at=0.0, deadline=None, spec=spec
-    )
+    return VectorRequest(tenant, ServeFuture(), submitted_at, deadline=None, spec=spec)
 
 
 class _ServedSearchVsCommit(_Twinned):
@@ -681,9 +679,10 @@ class BatcherVsWindowClose(Scenario):
     ``MicroBatcher.collect``.  Whatever the interleaving, conservation must
     hold: every request ends up either in the collected batch or still
     queued — none lost, none duplicated — and the batch never exceeds
-    ``max_batch``.  Every request is stamped as submitted at time 0, so the
-    batch's own cadence says its burst is over and the collection closes on
-    what is queued without a wall-clock wait.
+    ``max_batch``.  The requests are stamped at one instant far past the
+    clock and the window is a minute, so with riders in hand ``collect``
+    waits until a put's notify, never a timeout, and closes ``full`` (or
+    ``lone``) where only the schedule decides.
     """
 
     name = "batcher-vs-window"
@@ -691,9 +690,10 @@ class BatcherVsWindowClose(Scenario):
     def setup(self):
         state = _Box()
         state.db = _make_doc_db()
-        state.server = QueryServer(state.db, ServeConfig(max_batch=4))
+        config = ServeConfig(max_batch=4, batch_window_seconds=60.0)
+        state.server = QueryServer(state.db, config)
         spec = SearchSpec(state.db.service, [_ATTR], np.ones(_DIM, dtype=np.float32), _K)
-        state.requests = [_request(state.server, spec) for _ in range(4)]
+        state.requests = [_request(state.server, spec, 1e12) for _ in range(4)]
         state.batch = []
         return state
 
@@ -756,7 +756,7 @@ MATRIX: list[ScenarioSpec] = [
     ScenarioSpec(lambda: HnswFreshBatchVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: IndexMergeRowReuseVsPinnedSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: IndexMergeRowReuseVsPinnedSearch(validate=True), ("pct", 64), False),
-    ScenarioSpec(lambda: BatcherVsWindowClose(), ("random", 8), False),
+    ScenarioSpec(lambda: BatcherVsWindowClose(), ("random", 64), False),
 ]
 
 

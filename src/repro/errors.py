@@ -244,3 +244,8 @@ class ExplorationError(ReproError):
     violation, which surfaces as the scenario's own exception inside a
     :class:`repro.analysis.explore.RunResult`.
     """
+
+
+class UnownedLockError(ReproError, RuntimeError):
+    """A condition wait by a thread not holding the condition's lock: the
+    ``RuntimeError`` ``threading.Condition`` raises, as a typed failure."""

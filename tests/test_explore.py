@@ -15,14 +15,20 @@ import time
 import pytest
 
 from repro.analysis import explore, sanitizer, scenarios
+from repro.analysis.hooks import schedule_point
 from repro.analysis.schedules import PCTSchedule, RandomSchedule, ReplaySchedule
 from repro.analysis.sanitizer import SanitizedCondition, SanitizedLock
+from repro.serve.tenancy import WeightedFairQueue
 
 
 @pytest.fixture
 def clean_sanitizer():
     """A fresh lock-order graph per test, and no violation left in it: the
-    explored code's locks and conditions are recorded as they run."""
+    explored code's locks and conditions are recorded as they run.  A
+    violation an earlier test recorded fails here rather than being reset
+    away before the session's report can see it."""
+    earlier = sanitizer.format_report() if sanitizer.violations() else ""
+    assert not earlier, earlier
     sanitizer.reset()
     yield sanitizer
     found = sanitizer.format_report() if sanitizer.violations() else ""
@@ -248,6 +254,93 @@ def test_unnotified_timed_wait_times_out_without_sleeping(clean_sanitizer):
     result = explore.run_schedule(_TimedWaitAlone(), ReplaySchedule())
     assert result.ok, result.failure
     assert time.monotonic() - started < 5.0  # the wait's 30 s never passed
+
+
+def test_condition_wait_and_notify_need_the_lock():
+    cond = SanitizedCondition(SanitizedLock(name="toy.unowned.lock"))
+    with pytest.raises(RuntimeError):
+        cond.wait(timeout=0)
+    with pytest.raises(RuntimeError):
+        cond.notify()
+
+
+class _UnownedWait(explore.Scenario):
+    """Worker 1 waits on a condition whose lock worker 0 may be holding: the
+    wait must refuse, not release the other worker's lock."""
+
+    name = "unowned-wait"
+
+    def setup(self):
+        state = scenarios._Box()
+        state.cond = SanitizedCondition(SanitizedLock(name="toy.unowned.lock"))
+        state.raised = None
+        return state
+
+    def worker(self, state, index: int) -> None:
+        if index == 0:
+            with state.cond:
+                schedule_point("toy.held")
+            return
+        try:
+            state.cond.wait(timeout=30.0)
+        except RuntimeError as error:
+            state.raised = error
+
+    def check(self, state) -> None:
+        assert state.raised is not None, "a wait without the lock went ahead"
+
+
+def test_controlled_wait_without_the_lock_raises(clean_sanitizer):
+    result = explore.explore_exhaustive(
+        lambda: _UnownedWait(), max_decisions=12, max_schedules=64
+    )
+    assert not result.found, result.summary()
+
+
+class _ReentrantHandoff(_Handoff):
+    """The waiter holds a reentrant lock twice when it waits: the wait must
+    release both levels, or the notifier never gets the lock."""
+
+    def __init__(self):
+        super().__init__()
+        self.name = "reentrant-handoff"
+
+    def setup(self):
+        state = super().setup()
+        state.cond = SanitizedCondition(
+            SanitizedLock(name="toy.reentrant.lock", reentrant=True)
+        )
+        return state
+
+    def worker(self, state, index: int) -> None:
+        with state.cond:
+            super().worker(state, index)
+
+
+def test_wait_releases_every_level_of_a_reentrant_lock(clean_sanitizer):
+    result = explore.explore_exhaustive(
+        lambda: _ReentrantHandoff(), max_decisions=12, max_schedules=64
+    )
+    assert not result.found, result.summary()
+
+
+def test_batcher_row_waits_for_puts_and_is_woken_by_them(clean_sanitizer, monkeypatch):
+    woken = []
+    wait_for_put = WeightedFairQueue.wait_for_put
+
+    def recording(queue, since, timeout):
+        sequence = wait_for_put(queue, since, timeout)
+        woken.append(queue.put_sequence() > since)
+        return sequence
+
+    monkeypatch.setattr(WeightedFairQueue, "wait_for_put", recording)
+    spec = next(s for s in scenarios.MATRIX if s.name == "batcher-vs-window")
+    result = explore.explore_random(
+        spec.factory, seeds=range(spec.strategy[1]), make_schedule=RandomSchedule
+    )
+    assert not result.found, result.summary()
+    assert woken, "no schedule reached the collection window's wait"
+    assert all(woken), "a window wait ended by its timeout, not by a put"
 
 
 def test_rebalance_twin_failure_replays_byte_identically(clean_sanitizer):
