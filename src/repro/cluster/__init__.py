@@ -11,7 +11,7 @@ compute/communication ratio, which is the same mechanism at play on real
 hardware.
 """
 
-from .coordinator import ClusterSimulator, QueryTrace, RequestOutcome
+from .coordinator import ClusterSimulator, QueryTrace
 from .costs import HardwareCost, NEPTUNE_1024_MNCU, TIGERVECTOR_N2D
 from .loadgen import ClosedLoopLoadGenerator, LoadResult
 from .machine import Machine, make_cluster, segment_holders
@@ -27,7 +27,6 @@ __all__ = [
     "NEPTUNE_1024_MNCU",
     "NetworkModel",
     "QueryTrace",
-    "RequestOutcome",
     "TIGERVECTOR_N2D",
     "make_cluster",
     "measure_samples",

@@ -11,32 +11,25 @@ segment searches are list-scheduled onto the machine's earliest-free cores,
 which approximates the real thread-pool behaviour and keeps the simulation
 fast enough to drive millions of simulated requests.
 
-Resilience (paper Sec. 4.2's availability story, exercised by
-``repro.faults``): when a :class:`~repro.faults.FaultInjector` and/or
-:class:`~repro.faults.ResiliencePolicy` are attached, every request runs the
-hardened pipeline — per-segment-job retry with exponential backoff and
-replica failover, hedged duplicate dispatch for straggler machines, a
-per-query deadline that converts overruns into
-:class:`~repro.errors.QueryTimeoutError`, a degraded mode returning partial
-top-k with an explicit ``coverage``, and a circuit breaker that quarantines
-repeatedly-failing machines until a half-open probe re-admits them.  With no
-faults and the default policy the resilient path is numerically identical
-to the plain pipeline.
+Replicas (paper Sec. 4.2): with a replication factor above one, each
+segment runs on the least-loaded alive holder, so :meth:`fail_machine`
+reroutes a dead machine's segments and the model shows the failover
+capacity.  The model is a cost model only; retries, worker crashes and
+lost segment groups play out on the served path
+(:class:`~repro.elastic.ElasticTier`, exercised by ``repro.faults``).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..errors import ClusterError, PartialResultError, QueryTimeoutError
-from ..faults.injector import FaultInjector
-from ..faults.resilience import CircuitBreaker, ResiliencePolicy
+from ..errors import ClusterError
 from ..telemetry import get_telemetry
 from .machine import Machine, segment_holders
 from .network import NetworkModel
 
-__all__ = ["ClusterSimulator", "QueryTrace", "RequestOutcome"]
+__all__ = ["ClusterSimulator", "QueryTrace"]
 
 
 @dataclass
@@ -50,26 +43,6 @@ class QueryTrace:
     merge_seconds: float
 
 
-@dataclass
-class RequestOutcome:
-    """Full result of one resilient request through the pipeline.
-
-    ``coverage`` is the contract for degraded mode: the fraction of the
-    request's segments whose responses made it into the merge.  ``1.0``
-    means a complete answer; anything lower is an explicit partial result
-    (only possible with ``allow_partial=True``).
-    """
-
-    completion_seconds: float
-    coverage: float = 1.0
-    total_segments: int = 0
-    answered_segments: int = 0
-    failed_segments: list[int] = field(default_factory=list)
-    retries: int = 0
-    hedges: int = 0
-    timed_out: bool = False
-
-
 class ClusterSimulator:
     """Replays segment service times through the coordinator/worker pipeline."""
 
@@ -81,8 +54,6 @@ class ClusterSimulator:
         k: int = 10,
         coordinator_overhead: float = 5e-5,
         merge_per_machine: float = 8e-6,
-        injector: FaultInjector | None = None,
-        policy: ResiliencePolicy | None = None,
     ):
         if not machines:
             raise ClusterError("simulator needs at least one machine")
@@ -92,11 +63,6 @@ class ClusterSimulator:
         self.k = k
         self.coordinator_overhead = coordinator_overhead
         self.merge_per_machine = merge_per_machine
-        self.injector = injector
-        self.policy = policy if policy is not None else ResiliencePolicy()
-        self.breaker = CircuitBreaker(
-            self.policy.breaker_threshold, self.policy.breaker_cooldown
-        )
         # Earliest-free timestamps, one heap entry per core per machine.
         self._core_free: dict[int, list[float]] = {
             m.machine_id: [0.0] * m.cores for m in machines
@@ -116,12 +82,11 @@ class ClusterSimulator:
         machine.alive = False
 
     def recover_machine(self, machine_id: int) -> None:
-        """Bring a machine back; also re-admits it past the circuit breaker."""
+        """Bring a machine back into placement."""
         machine = self._machine_by_id.get(machine_id)
         if machine is None:
             raise ClusterError(f"no machine {machine_id}")
         machine.alive = True
-        self.breaker.reset(machine_id)
 
     def _assign_segments(self, segment_seconds: dict[int, float]) -> dict[int, list[int]]:
         """Pick one alive replica holder per segment (least-loaded first).
@@ -138,19 +103,16 @@ class ClusterSimulator:
                     f"segment {seg_no} has no alive replica (increase the "
                     f"replication factor)"
                 )
-            chosen = self._least_loaded(holders, pending)
+            chosen = min(
+                holders,
+                key=lambda m: (
+                    self._core_free[m.machine_id][0]
+                    + pending.get(m.machine_id, 0.0) / m.cores
+                ),
+            )
             assignment.setdefault(chosen.machine_id, []).append(seg_no)
             pending[chosen.machine_id] = pending.get(chosen.machine_id, 0.0) + duration
         return assignment
-
-    def _least_loaded(self, holders: list[Machine], pending: dict[int, float]) -> Machine:
-        return min(
-            holders,
-            key=lambda m: (
-                self._core_free[m.machine_id][0]
-                + pending.get(m.machine_id, 0.0) / m.cores
-            ),
-        )
 
     def reset(self) -> None:
         for machine in self.machines:
@@ -182,20 +144,8 @@ class ClusterSimulator:
         ``segment_seconds`` maps segment number -> measured local search
         time.  Each segment runs on exactly one alive replica holder; the
         coordinator is machine 0 and doubles as a worker (Sec. 5.1), so its
-        subtask skips the network hop.
-        """
-        return self.simulate_request_outcome(start_time, segment_seconds).completion_seconds
-
-    def simulate_request_outcome(
-        self, start_time: float, segment_seconds: dict[int, float]
-    ) -> RequestOutcome:
-        """One request through the resilient pipeline; see module docstring.
-
-        Raises :class:`ClusterError` for an empty request or an
-        unrecoverable segment with ``allow_partial=False``,
-        :class:`QueryTimeoutError` when the deadline elapses (or nothing
-        answered in time), and :class:`PartialResultError` when degraded
-        coverage falls below ``policy.min_coverage``.
+        subtask skips the network hop.  Raises :class:`ClusterError` for an
+        empty request or a segment with no alive holder.
         """
         if not segment_seconds:
             raise ClusterError(
@@ -207,314 +157,25 @@ class ClusterSimulator:
             "coordinator.request",
             start_time=start_time,
             segments=len(segment_seconds),
-        ) as rspan:
-            outcome = self._request_outcome_impl(start_time, segment_seconds, tel)
-            if tel.enabled:
-                rspan.set(
-                    coverage=outcome.coverage,
-                    retries=outcome.retries,
-                    hedges=outcome.hedges,
-                    timed_out=outcome.timed_out,
-                )
-                tel.inc("coordinator.requests")
-                if outcome.retries:
-                    tel.inc("resilience.retries", outcome.retries)
-                if outcome.hedges:
-                    tel.inc("resilience.hedges", outcome.hedges)
-                if outcome.coverage < 1.0:
-                    tel.inc("resilience.degraded_queries")
-        return outcome
-
-    def _request_outcome_impl(
-        self, start_time: float, segment_seconds: dict[int, float], tel
-    ) -> RequestOutcome:
-        policy = self.policy
-        injector = self.injector
-        if injector is not None:
-            injector.advance(self.machines, start_time)
-        dispatched = start_time + self.coordinator_overhead
-        extra = injector.extra_network_delay(start_time) if injector else 0.0
-        out_hop = self.network.transfer_seconds(self.network.query_dispatch_bytes(self.dim)) + extra
-        back_hop = self.network.transfer_seconds(self.network.result_bytes(self.k)) + extra
-
-        total = len(segment_seconds)
-        failed: list[int] = []
-        retries = 0
-        hedges = 0
-
-        placement, placement_stats = self._place_with_retries(
-            segment_seconds, start_time, failed
-        )
-        retries += placement_stats
-
-        # ---- dispatch + per-machine scheduling (drops, stragglers, crashes)
-        seg_respond: dict[int, float] = {}
-        seg_source: dict[int, int] = {}
-        deferred: list[tuple[int, float, float]] = []  # (seg, duration, ready)
-        for machine_id, jobs in placement.items():
-            is_coordinator = machine_id == 0
-            arrive = dispatched if is_coordinator else dispatched + out_hop
-            with tel.span(
-                "machine.execute",
-                machine_id=machine_id,
-                segments=[seg_no for seg_no, _ in jobs],
-            ) as mspan:
-                if (
-                    injector is not None
-                    and not is_coordinator
-                    and injector.drop_dispatch(machine_id, start_time)
-                ):
-                    # Lost on the wire: the coordinator times out and resends.
-                    retries += 1
-                    arrive += policy.backoff(0) + out_hop
-                    mspan.event("dispatch-resent")
-                    injector.record(
-                        "retry", at=start_time, machine_id=machine_id, detail="dispatch resent"
+        ):
+            dispatched = start_time + self.coordinator_overhead
+            out_hop = self.network.transfer_seconds(self.network.query_dispatch_bytes(self.dim))
+            back_hop = self.network.transfer_seconds(self.network.result_bytes(self.k))
+            assignment = self._assign_segments(segment_seconds)
+            respond = []
+            for machine_id, segments in assignment.items():
+                is_coordinator = machine_id == 0
+                arrive = dispatched if is_coordinator else dispatched + out_hop
+                with tel.span(
+                    "machine.execute", machine_id=machine_id, segments=segments
+                ) as mspan:
+                    finish = self._schedule_jobs(
+                        machine_id, arrive, [segment_seconds[seg] for seg in segments]
                     )
-                slow = injector.slowdown(machine_id, start_time) if injector else 1.0
-                finish = self._schedule_jobs(
-                    machine_id, arrive, [duration * slow for _, duration in jobs]
-                )
-                crash_at = (
-                    injector.crash_during(self._machine_by_id[machine_id], arrive, finish)
-                    if injector is not None
-                    else None
-                )
-                if crash_at is not None:
-                    # Machine died mid-execution: every job fails over to a
-                    # replica after one backoff (single failover level).
-                    mspan.set(outcome="crashed", crash_at=crash_at)
-                    for seg_no, duration in jobs:
-                        deferred.append((seg_no, duration, crash_at + policy.backoff(0)))
-                        retries += 1
-                        injector.record(
-                            "failover", at=crash_at, machine_id=machine_id, seg_no=seg_no
-                        )
-                    continue
-                respond = finish if is_coordinator else finish + back_hop
-                mspan.set(outcome="ok", simulated_finish=finish)
-                for seg_no, _ in jobs:
-                    seg_respond[seg_no] = respond
-                    seg_source[seg_no] = machine_id
-
-        for seg_no, duration, ready in deferred:
-            holders = [
-                m
-                for m in self._holders.get(seg_no, [])
-                if m.alive and self.breaker.allow(m.machine_id, ready)
-            ]
-            if not holders:
-                if policy.allow_partial:
-                    failed.append(seg_no)
-                    if injector is not None:
-                        injector.record("segment-lost", at=ready, seg_no=seg_no)
-                    continue
-                raise ClusterError(
-                    f"segment {seg_no} has no alive replica (increase the "
-                    f"replication factor)"
-                )
-            chosen = self._least_loaded(holders, {})
-            is_coordinator = chosen.machine_id == 0
-            arrive = ready if is_coordinator else ready + out_hop
-            slow = injector.slowdown(chosen.machine_id, ready) if injector else 1.0
-            finish = self._schedule_jobs(chosen.machine_id, arrive, [duration * slow])
-            seg_respond[seg_no] = finish if is_coordinator else finish + back_hop
-            seg_source[seg_no] = chosen.machine_id
-
-        # ---- hedged duplicate dispatch for straggler response groups
-        if policy.hedge_after is not None:
-            hedges += self._hedge(
-                segment_seconds, seg_respond, seg_source, dispatched, out_hop, back_hop
-            )
-
-        # ---- deadline: stop waiting, merge what arrived
-        timed_out = False
-        if policy.deadline is not None:
-            cutoff = start_time + policy.deadline
-            late = sorted(s for s, r in seg_respond.items() if r > cutoff)
-            if late:
-                if not policy.allow_partial:
-                    raise QueryTimeoutError(
-                        f"query missed its {policy.deadline:g}s deadline "
-                        f"({len(late)} segment(s) still pending)",
-                        deadline=policy.deadline,
-                    )
-                timed_out = True
-                if injector is not None:
-                    injector.record(
-                        "deadline", at=cutoff, detail=f"{len(late)} segment(s) cut"
-                    )
-                for seg_no in late:
-                    del seg_respond[seg_no]
-                    seg_source.pop(seg_no, None)
-                    failed.append(seg_no)
-                if not seg_respond:
-                    raise QueryTimeoutError(
-                        "deadline elapsed before any segment answered",
-                        deadline=policy.deadline,
-                    )
-
-        answered = len(seg_respond)
-        coverage = answered / total
-        if failed and coverage < policy.min_coverage:
-            raise PartialResultError(
-                f"coverage {coverage:.2f} below required minimum "
-                f"{policy.min_coverage:.2f} ({sorted(set(failed))} unanswered)",
-                coverage=coverage,
-            )
-        merge = self.merge_per_machine * len(set(seg_source.values()))
-        if timed_out:
-            completion = start_time + policy.deadline + merge
-        elif seg_respond:
-            completion = max(seg_respond.values()) + merge
-        else:
-            # Everything failed in degraded mode: the coordinator answers
-            # immediately with an empty (coverage 0) result.
-            completion = dispatched
-        return RequestOutcome(
-            completion_seconds=completion,
-            coverage=coverage,
-            total_segments=total,
-            answered_segments=answered,
-            failed_segments=sorted(set(failed)),
-            retries=retries,
-            hedges=hedges,
-            timed_out=timed_out,
-        )
-
-    def _place_with_retries(
-        self,
-        segment_seconds: dict[int, float],
-        start_time: float,
-        failed: list[int],
-    ) -> tuple[dict[int, list[tuple[int, float]]], int]:
-        """Fault-aware placement: machine -> [(seg, duration+backoff)].
-
-        Injected per-segment failures consume attempts; each retry prefers a
-        replica not yet tried (failover) and adds exponential backoff to the
-        job's effective duration.  Exhausted segments go to ``failed`` in
-        degraded mode, or raise.
-        """
-        policy = self.policy
-        injector = self.injector
-        placement: dict[int, list[tuple[int, float]]] = {}
-        pending: dict[int, float] = {}
-        retries = 0
-        for seg_no, duration in segment_seconds.items():
-            placed = False
-            attempt = 0
-            penalty = 0.0
-            tried: set[int] = set()
-            while attempt < policy.max_attempts:
-                holders = [
-                    m
-                    for m in self._holders.get(seg_no, [])
-                    if m.alive and self.breaker.allow(m.machine_id, start_time)
-                ]
-                fresh = [m for m in holders if m.machine_id not in tried]
-                candidates = fresh or holders
-                if not candidates:
-                    break
-                chosen = self._least_loaded(candidates, pending)
-                if injector is not None and injector.segment_attempt_fails(
-                    seg_no, chosen.machine_id, attempt, now=start_time
-                ):
-                    tried.add(chosen.machine_id)
-                    penalty += policy.backoff(attempt)
-                    retries += 1
-                    if self.breaker.record_failure(chosen.machine_id, start_time):
-                        injector.record(
-                            "breaker-open", at=start_time, machine_id=chosen.machine_id
-                        )
-                    injector.record(
-                        "retry",
-                        at=start_time,
-                        machine_id=chosen.machine_id,
-                        seg_no=seg_no,
-                        attempt=attempt,
-                    )
-                    attempt += 1
-                    continue
-                self.breaker.record_success(chosen.machine_id)
-                cost = duration + penalty
-                placement.setdefault(chosen.machine_id, []).append((seg_no, cost))
-                pending[chosen.machine_id] = pending.get(chosen.machine_id, 0.0) + cost
-                placed = True
-                break
-            if placed:
-                continue
-            alive = [m for m in self._holders.get(seg_no, []) if m.alive]
-            if self.policy.allow_partial:
-                failed.append(seg_no)
-                if injector is not None:
-                    injector.record("segment-lost", at=start_time, seg_no=seg_no)
-            elif not alive:
-                raise ClusterError(
-                    f"segment {seg_no} has no alive replica (increase the "
-                    f"replication factor)"
-                )
-            else:
-                raise ClusterError(
-                    f"segment {seg_no} still failing after {attempt} attempt(s); "
-                    f"no usable replica"
-                )
-        return placement, retries
-
-    def _hedge(
-        self,
-        segment_seconds: dict[int, float],
-        seg_respond: dict[int, float],
-        seg_source: dict[int, int],
-        dispatched: float,
-        out_hop: float,
-        back_hop: float,
-    ) -> int:
-        """Duplicate slow segments on alternate replicas; keep the winner."""
-        policy = self.policy
-        injector = self.injector
-        tel = get_telemetry()
-        hedge_start = dispatched + policy.hedge_after
-        hedges = 0
-        for seg_no in sorted(seg_respond):
-            respond = seg_respond[seg_no]
-            if respond - dispatched <= policy.hedge_after:
-                continue
-            source = seg_source[seg_no]
-            alternates = [
-                m
-                for m in self._holders.get(seg_no, [])
-                if m.alive and m.machine_id != source
-            ]
-            if not alternates:
-                continue
-            chosen = self._least_loaded(alternates, {})
-            is_coordinator = chosen.machine_id == 0
-            arrive = hedge_start if is_coordinator else hedge_start + out_hop
-            with tel.span(
-                "hedge.dispatch",
-                machine_id=chosen.machine_id,
-                seg_no=seg_no,
-                primary=source,
-            ) as hspan:
-                slow = injector.slowdown(chosen.machine_id, hedge_start) if injector else 1.0
-                finish = self._schedule_jobs(
-                    chosen.machine_id, arrive, [segment_seconds[seg_no] * slow]
-                )
-                hedged = finish if is_coordinator else finish + back_hop
-                hspan.set(simulated_finish=hedged, won=hedged < respond)
-            hedges += 1
-            if injector is not None:
-                injector.record(
-                    "hedge",
-                    at=hedge_start,
-                    machine_id=chosen.machine_id,
-                    seg_no=seg_no,
-                    detail=f"duplicate of machine {source}",
-                )
-            if hedged < respond:
-                seg_respond[seg_no] = hedged
-                seg_source[seg_no] = chosen.machine_id
-        return hedges
+                    mspan.set(simulated_finish=finish)
+                respond.append(finish if is_coordinator else finish + back_hop)
+            tel.inc("coordinator.requests")
+        return max(respond) + self.merge_per_machine * len(assignment)
 
     def trace(self, segment_seconds: dict[int, float]) -> QueryTrace:
         """One request on an idle cluster, with latency decomposition."""

@@ -18,16 +18,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    ClusterError,
-    PartialResultError,
-    QueryTimeoutError,
-    StalenessBoundError,
-)
+from ..errors import ClusterError
 from .coordinator import ClusterSimulator
 
 __all__ = ["ClosedLoopLoadGenerator", "LoadResult"]
@@ -35,14 +30,7 @@ __all__ = ["ClosedLoopLoadGenerator", "LoadResult"]
 
 @dataclass
 class LoadResult:
-    """Throughput/latency outcome of one simulated load run.
-
-    Under chaos (a fault injector attached to the simulator) the run also
-    reports availability: ``failed`` counts queries that raised
-    (timeout/unrecoverable loss), ``partial`` counts degraded answers with
-    ``coverage < 1``, and ``mean_coverage`` averages coverage over all
-    non-failed queries.
-    """
+    """Throughput/latency outcome of one simulated load run."""
 
     qps: float
     completed: int
@@ -51,22 +39,8 @@ class LoadResult:
     p50_latency_seconds: float
     p99_latency_seconds: float
     connections: int
-    failed: int = 0
-    partial: int = 0
-    mean_coverage: float = 1.0
-    #: SLA accounting breakdown of ``failed``: deadline misses vs
-    #: freshness-contract rejections (:class:`StalenessBoundError`) are
-    #: different operator signals — the former wants capacity, the latter
-    #: wants the vacuum/commit pipeline to catch up.
-    deadline_failed: int = 0
-    stale_rejected: int = 0
-    #: Total snapshot re-pin waits reported by successful outcomes
-    #: (read-your-writes/session-token waits); latency already folds them
-    #: in, this counts how often freshness had to be waited for.
-    token_waits: int = 0
     #: Open-loop runs only: the Poisson arrival rate that was offered and
-    #: the number of arrivals generated (compare with ``completed`` +
-    #: ``failed`` to see shed/backlog behavior under overload).
+    #: the number of arrivals generated.
     target_qps: float | None = None
     offered: int = 0
 
@@ -124,44 +98,23 @@ class ClosedLoopLoadGenerator:
             raise ClusterError("need at least one measured sample")
         self.simulator.reset()
         samples = self._sample_iter(sample_segment_seconds)
-        chaos = self._resilient()
-        self._reset_accounting()
         # Event heap holds (completion_time, seq, issue_time).
         events: list[tuple[float, int, float]] = []
         seq = itertools.count()
         for _ in range(self.connections):
             issue = 0.0
-            done = self._issue(issue, next(samples), chaos)
+            done = self.simulator.simulate_request(issue, next(samples))
             heapq.heappush(events, (done, next(seq), issue))
         latencies: list[float] = []
-        completed = 0
         now = 0.0
         while events:
             done, _, issued = heapq.heappop(events)
             now = done
             latencies.append(done - issued)
-            completed += 1
             if done < duration_seconds:
-                next_done = self._issue(done, next(samples), chaos)
+                next_done = self.simulator.simulate_request(done, next(samples))
                 heapq.heappush(events, (next_done, next(seq), done))
-        horizon = max(now, duration_seconds)
-        lat = np.asarray(latencies)
-        coverages = np.asarray(self._coverages) if self._coverages else np.ones(1)
-        return LoadResult(
-            qps=completed / horizon,
-            completed=completed,
-            duration_seconds=horizon,
-            mean_latency_seconds=float(lat.mean()) if lat.size else 0.0,
-            p50_latency_seconds=float(np.percentile(lat, 50)) if lat.size else 0.0,
-            p99_latency_seconds=float(np.percentile(lat, 99)) if lat.size else 0.0,
-            connections=self.connections,
-            failed=self._failed,
-            partial=int(np.count_nonzero(coverages < 1.0)),
-            mean_coverage=float(coverages.mean()),
-            deadline_failed=self._deadline_failed,
-            stale_rejected=self._stale_rejected,
-            token_waits=self._token_waits,
-        )
+        return _load_result(latencies, max(now, duration_seconds), self.connections)
 
     def run_open_loop(
         self,
@@ -173,10 +126,10 @@ class ClosedLoopLoadGenerator:
         """Seeded open-loop (Poisson-arrival) load at ``target_qps``.
 
         Unlike the closed loop, arrivals do not wait for completions, so a
-        target above capacity builds a genuine backlog — this is the mode
-        the serve benchmark uses to drive overload and measure shed and
-        deadline behavior.  Inter-arrival gaps are exponential draws from
-        ``numpy.random.default_rng(seed)``, so runs are reproducible.
+        target above capacity builds a genuine backlog and the reported QPS
+        converges to the cluster's capacity.  Inter-arrival gaps are
+        exponential draws from ``numpy.random.default_rng(seed)``, so runs
+        are reproducible.
         """
         if not sample_segment_seconds:
             raise ClusterError("need at least one measured sample")
@@ -184,91 +137,37 @@ class ClosedLoopLoadGenerator:
             raise ClusterError("target_qps must be positive")
         self.simulator.reset()
         samples = self._sample_iter(sample_segment_seconds)
-        resilient = self._resilient()
-        self._reset_accounting()
         rng = np.random.default_rng(seed)
         latencies: list[float] = []
-        completed = 0
-        offered = 0
         last_done = 0.0
         arrival = 0.0
         while True:
             arrival += rng.exponential(1.0 / target_qps)
             if arrival >= duration_seconds:
                 break
-            offered += 1
-            done = self._issue(arrival, next(samples), resilient)
+            done = self.simulator.simulate_request(arrival, next(samples))
             latencies.append(done - arrival)
-            completed += 1
             last_done = max(last_done, done)
-        horizon = max(last_done, duration_seconds)
-        lat = np.asarray(latencies)
-        coverages = np.asarray(self._coverages) if self._coverages else np.ones(1)
-        return LoadResult(
-            qps=completed / horizon,
-            completed=completed,
-            duration_seconds=horizon,
-            mean_latency_seconds=float(lat.mean()) if lat.size else 0.0,
-            p50_latency_seconds=float(np.percentile(lat, 50)) if lat.size else 0.0,
-            p99_latency_seconds=float(np.percentile(lat, 99)) if lat.size else 0.0,
-            connections=0,
-            failed=self._failed,
-            partial=int(np.count_nonzero(coverages < 1.0)),
-            mean_coverage=float(coverages.mean()),
-            deadline_failed=self._deadline_failed,
-            stale_rejected=self._stale_rejected,
-            token_waits=self._token_waits,
+        return _load_result(
+            latencies,
+            max(last_done, duration_seconds),
+            0,
             target_qps=target_qps,
-            offered=offered,
+            offered=len(latencies),
         )
 
-    def _reset_accounting(self) -> None:
-        self._failed = 0
-        self._deadline_failed = 0
-        self._stale_rejected = 0
-        self._token_waits = 0
-        self._coverages: list[float] = []
 
-    def _resilient(self) -> bool:
-        """Whether per-request failures should be counted, not raised.
-
-        True under chaos (an injector is attached) and also when the policy
-        sets a deadline: the outcome path enforces the deadline even without
-        an injector, which is the whole point of an overload run.
-        """
-        return (
-            self.simulator.injector is not None
-            or self.simulator.policy.deadline is not None
-        )
-
-    def _issue(self, issue: float, sample: dict[int, float], chaos: bool) -> float:
-        """One request; under chaos, failures are counted, not raised.
-
-        A deadline-failed query still occupies its connection until the
-        deadline (if configured) or a nominal timeout, mirroring a client
-        that waits out the error before reissuing.  A staleness rejection
-        is a fast typed failure (the server refuses rather than serving
-        stale), so the connection frees almost immediately; both are
-        counted in ``failed`` but broken out separately in
-        :class:`LoadResult`.
-        """
-        if not chaos:
-            return self.simulator.simulate_request(issue, sample)
-        try:
-            outcome = self.simulator.simulate_request_outcome(issue, sample)
-        except QueryTimeoutError:
-            self._failed += 1
-            self._deadline_failed += 1
-            deadline = self.simulator.policy.deadline
-            return issue + (deadline if deadline is not None else 0.001)
-        except StalenessBoundError as exc:
-            self._failed += 1
-            self._stale_rejected += 1
-            return issue + max(getattr(exc, "waited", 0.0) or 0.0, 0.001)
-        except (PartialResultError, ClusterError):
-            self._failed += 1
-            deadline = self.simulator.policy.deadline
-            return issue + (deadline if deadline is not None else 0.001)
-        self._coverages.append(outcome.coverage)
-        self._token_waits += int(getattr(outcome, "token_waits", 0) or 0)
-        return outcome.completion_seconds
+def _load_result(
+    latencies: list[float], horizon: float, connections: int, **open_loop
+) -> LoadResult:
+    lat = np.asarray(latencies)
+    return LoadResult(
+        qps=len(latencies) / horizon,
+        completed=len(latencies),
+        duration_seconds=horizon,
+        mean_latency_seconds=float(lat.mean()) if lat.size else 0.0,
+        p50_latency_seconds=float(np.percentile(lat, 50)) if lat.size else 0.0,
+        p99_latency_seconds=float(np.percentile(lat, 99)) if lat.size else 0.0,
+        connections=connections,
+        **open_loop,
+    )

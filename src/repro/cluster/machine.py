@@ -71,8 +71,8 @@ def make_cluster(
 def segment_holders(machines: list[Machine]) -> dict[int, list[Machine]]:
     """Segment -> replica-holder machines, primary first (placement order).
 
-    The simulated coordinator routes through this map; failover walks the
-    list past dead/quarantined holders.
+    The simulated coordinator routes each segment to the least-loaded
+    alive holder in this map.
     """
     holders: dict[int, list[Machine]] = {}
     for machine in machines:

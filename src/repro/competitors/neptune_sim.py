@@ -19,7 +19,3 @@ class NeptuneSim(VectorSystemSim):
 
     def __init__(self, M: int = 16, ef_construction: int = 128):
         super().__init__(PROFILES["Neptune"], M=M, ef_construction=ef_construction)
-
-    def update_is_atomic(self) -> bool:
-        """Neptune documents that vector-index updates are not atomic."""
-        return self.profile.atomic_updates

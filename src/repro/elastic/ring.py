@@ -136,10 +136,6 @@ class ConsistentHashRing:
             else:
                 self._pins[key] = server
 
-    def unpin(self, tenant: str, group: int) -> None:
-        with self._lock:
-            self._pins.pop((tenant, int(group)), None)
-
     def pins(self) -> dict[tuple[str, int], str]:
         with self._lock:
             return dict(self._pins)

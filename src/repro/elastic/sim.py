@@ -38,7 +38,6 @@ class SimulatedElasticServe:
         dim: int = 128,
         k: int = 10,
         tenant: str = "default",
-        policy=None,
     ):
         if num_servers < 1:
             raise ElasticError("need at least one server")
@@ -65,8 +64,7 @@ class SimulatedElasticServe:
             ):
                 machines[index[server]].segments.append(seg_no)
         self.machines = machines
-        kwargs = {} if policy is None else {"policy": policy}
-        self.simulator = ClusterSimulator(machines, dim=dim, k=k, **kwargs)
+        self.simulator = ClusterSimulator(machines, dim=dim, k=k)
 
     def segment_counts(self) -> list[int]:
         """Owned-segment count per machine (placement-balance visibility)."""

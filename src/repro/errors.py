@@ -100,11 +100,8 @@ class PartialResultError(ReproError):
 
     Raised by :meth:`~repro.elastic.ElasticTier.search` when a segment
     group's search failed past its shard's retries (``coverage`` = answered
-    / routed groups), and by the cluster model when a simulated segment lost
-    every replica and its :class:`~repro.faults.ResiliencePolicy` does not
-    permit degraded answers, or coverage fell below ``min_coverage``.
-    Carries the coverage and, when available, the partial result so callers
-    can still use the degraded answer.
+    / routed groups).  Carries the coverage and, when available, the
+    partial result so callers can still use the degraded answer.
     """
 
     def __init__(self, message: str, coverage: float = 0.0, result=None):
@@ -116,10 +113,10 @@ class PartialResultError(ReproError):
 class FaultInjectionError(ReproError):
     """An error deliberately injected by the fault harness (``repro.faults``).
 
-    Models transient worker-side failures (a segment search raising on one
-    replica, a dropped dispatch).  The resilient query path treats it like
-    any real per-segment failure: retry with backoff, fail over to another
-    replica, and count it toward the circuit breaker.
+    Models a transient worker-side failure: a segment search raising.  The
+    served query path treats it like any real per-segment failure: the
+    serving shard retries with backoff, and the router re-sends a
+    multi-group sub-request one group at a time.
     """
 
 

@@ -2,52 +2,40 @@
 
 The paper's deployment story (Sec. 4.2, 5.1) leans on segment replication
 and an MPP coordinator that keeps serving under machine loss.  This package
-is the machinery that *tests* that story: seeded fault plans
-(:class:`FaultPlan`), a runtime injector with a reproducible event trace
-(:class:`FaultInjector`), and the resilience knobs
-(:class:`ResiliencePolicy`, :class:`CircuitBreaker`).  Machine crashes,
-stragglers, lossy networks, replicas, hedging and the breaker play out in
-the cluster model (:class:`~repro.cluster.coordinator.ClusterSimulator`).
-The served path meets real faults: :meth:`FaultInjector.install_store` makes
-a store's segment searches raise, serve workers crash or stall on plan, and
-an :class:`~repro.elastic.ElasticTier` answers a segment group lost past its
-shard's retries with a typed :class:`~repro.errors.PartialResultError`.
+is the machinery that *tests* that story on the served path: seeded fault
+plans (:class:`FaultPlan`), a runtime injector with a reproducible event
+trace (:class:`FaultInjector`), and the retry/deadline knobs
+(:class:`ResiliencePolicy`).  :meth:`FaultInjector.install_store` makes a
+store's segment searches raise, serve workers crash or stall on plan, and
+an :class:`~repro.elastic.ElasticTier` moves a stopped server's keys to its
+ring successor and answers a segment group lost past its shard's retries
+with a typed :class:`~repro.errors.PartialResultError`.
 
 Typical chaos harness::
 
-    plan = FaultPlan.random(seed=7, num_machines=4, num_segments=16)
-    injector = FaultInjector(plan)
-    sim = ClusterSimulator(
-        make_cluster(4, 16, replication_factor=2),
-        injector=injector,
-        policy=ResiliencePolicy(allow_partial=True, deadline=0.05),
-    )
-    ...  # drive load; inspect injector.trace and per-query coverage
+    plan = FaultPlan.random(seed=7, num_segments=4)
+    FaultInjector(plan).install_store(db.service.store("Post", "content_emb"))
+    tier = ElasticTier(db, num_servers=2, injectors={"shard-0": FaultInjector(plan)})
+    with tier:
+        ...  # search; stop a shard mid-run; compare with db.vector_search
 """
 
 from .injector import FaultInjector, TraceEvent
 from .plan import (
     CommitCrashFault,
-    CrashFault,
     FaultPlan,
-    NetworkFault,
     SegmentFault,
-    StragglerFault,
     WorkerCrashFault,
     WorkerStallFault,
 )
-from .resilience import CircuitBreaker, ResiliencePolicy
+from .resilience import ResiliencePolicy
 
 __all__ = [
-    "CircuitBreaker",
     "CommitCrashFault",
-    "CrashFault",
     "FaultInjector",
     "FaultPlan",
-    "NetworkFault",
     "ResiliencePolicy",
     "SegmentFault",
-    "StragglerFault",
     "TraceEvent",
     "WorkerCrashFault",
     "WorkerStallFault",

@@ -1,12 +1,9 @@
 """Runtime fault injection with a deterministic event trace.
 
 :class:`FaultInjector` compiles a :class:`~repro.faults.plan.FaultPlan` into
-mutable runtime state (remaining segment failures, crash flags, a seeded
-RNG) and exposes the hooks the query/durability paths consult:
+mutable runtime state (remaining segment failures, fired worker faults,
+the commit count) and exposes the hooks the query/durability paths consult:
 
-- the cluster simulator calls :meth:`advance`, :meth:`slowdown`,
-  :meth:`drop_dispatch`, :meth:`extra_network_delay`, :meth:`crash_during`,
-  and :meth:`segment_attempt_fails`;
 - :meth:`install_store` gates an
   :class:`~repro.core.service.EmbeddingStore`'s segment searches through
   :meth:`raise_segment_fault`, so every real search path (``db.vector_search``,
@@ -17,11 +14,11 @@ RNG) and exposes the hooks the query/durability paths consult:
 - the durability side installs :meth:`install_commit_faults` on a
   :class:`~repro.graph.storage.GraphStore` (mid-commit crashes).
 
-Every injected fault — and every countermeasure the resilience layer takes
-(retry, failover, hedge, deadline cut, breaker transition) — is recorded as
-a :class:`TraceEvent`.  The trace is a pure function of (plan seed,
-workload), so identical seeds reproduce identical traces; chaos tests
-assert that equality directly.
+Every injected fault is recorded as a :class:`TraceEvent`.  Each fault
+fires on a count, never on the clock, so identical seeds over the same
+workload fire the same faults; chaos tests assert that directly.  The
+countermeasures (retries, re-queues, re-routes) show in telemetry
+counters, not in the trace.
 
 An injector is single-use per workload run: build a fresh one (same plan)
 to replay.
@@ -29,7 +26,6 @@ to replay.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass
 
@@ -41,13 +37,11 @@ __all__ = ["FaultInjector", "TraceEvent"]
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One observed fault or resilience action, in injection order."""
+    """One injected fault, in injection order."""
 
     at: float
     kind: str
-    machine_id: int | None = None
     seg_no: int | None = None
-    attempt: int | None = None
     detail: str = ""
 
 
@@ -57,24 +51,21 @@ class _ClaimedFaultState:
     Serve workers race on the serve-worker crash/stall one-shots, and the
     segment searches of a store gated by :meth:`FaultInjector.install_store`
     race on the per-segment failure counts (a shard's segment fan-out and
-    every worker of every shard reach the same gate).  The simulator hooks,
-    by contrast, are driven single-threaded per workload.  The budgets
-    therefore live here, behind one leaf lock, keeping
-    :class:`FaultInjector`'s own mutations single-threaded by contract.
-    Methods *claim* due faults atomically and return them; the injector
-    records trace events after the lock is released.
+    every worker of every shard reach the same gate).  The budgets
+    therefore live here, behind one leaf lock.  Methods *claim* due faults
+    atomically and return them; the injector records trace events after
+    the lock is released.
     """
 
     def __init__(self, segment_faults) -> None:
         self._lock = threading.Lock()
         self._crashes_fired: set[int] = set()
         self._stalls_fired: set[int] = set()
-        # Remaining injected failures per (seg_no, machine_id-or-None).
-        self._segment_remaining: dict[tuple[int, int | None], int] = {}
+        # Remaining injected failures per segment.
+        self._segment_remaining: dict[int, int] = {}
         for fault in segment_faults:
-            key = (fault.seg_no, fault.machine_id)
-            self._segment_remaining[key] = (
-                self._segment_remaining.get(key, 0) + fault.failures
+            self._segment_remaining[fault.seg_no] = (
+                self._segment_remaining.get(fault.seg_no, 0) + fault.failures
             )
 
     def claim_crash(self, faults, ordinal: int) -> bool:
@@ -98,14 +89,13 @@ class _ClaimedFaultState:
                 due.append(fault)
             return due
 
-    def claim_segment_failure(self, seg_no: int, machine_id: int) -> bool:
+    def claim_segment_failure(self, seg_no: int) -> bool:
         """Atomically consume one injected failure for this segment attempt."""
         with self._lock:
-            for key in ((seg_no, machine_id), (seg_no, None)):
-                remaining = self._segment_remaining.get(key, 0)
-                if remaining > 0:
-                    self._segment_remaining[key] = remaining - 1
-                    return True
+            remaining = self._segment_remaining.get(seg_no, 0)
+            if remaining > 0:
+                self._segment_remaining[seg_no] = remaining - 1
+                return True
         return False
 
 
@@ -114,11 +104,7 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan | None = None):
         self.plan = plan or FaultPlan()
-        self.rng = random.Random(self.plan.seed)
         self.trace: list[TraceEvent] = []
-        self._crashed: set[int] = set()
-        self._recovered: set[int] = set()
-        self._straggle_announced: set[int] = set()
         self._commit_count = 0
         self._apply_calls = 0
         self._graph_store = None
@@ -129,122 +115,31 @@ class FaultInjector:
         self,
         kind: str,
         at: float = 0.0,
-        machine_id: int | None = None,
         seg_no: int | None = None,
-        attempt: int | None = None,
         detail: str = "",
     ) -> None:
-        """Append one event; the resilience layer records through this too."""
-        self.trace.append(TraceEvent(at, kind, machine_id, seg_no, attempt, detail))
+        """Append one event."""
+        self.trace.append(TraceEvent(at, kind, seg_no, detail))
 
     def trace_kinds(self) -> list[str]:
         return [event.kind for event in self.trace]
 
-    # ------------------------------------------------------- machine faults
-    def advance(self, machines, now: float) -> None:
-        """Apply sim-time crash/recover events due at or before ``now``."""
-        by_id = {m.machine_id: m for m in machines}
-        for i, fault in enumerate(self.plan.crashes):
-            machine = by_id.get(fault.machine_id)
-            if machine is None:
-                continue
-            if i not in self._crashed and now >= fault.at:
-                self._crashed.add(i)
-                machine.alive = False
-                self.record("crash", at=fault.at, machine_id=fault.machine_id)
-            if (
-                fault.recover_at is not None
-                and i in self._crashed
-                and i not in self._recovered
-                and now >= fault.recover_at
-            ):
-                self._recovered.add(i)
-                machine.alive = True
-                self.record("recover", at=fault.recover_at, machine_id=fault.machine_id)
-
-    def crash_during(self, machine, arrive: float, finish: float) -> float | None:
-        """Crash time if ``machine`` dies inside [arrive, finish), else None.
-
-        Applies the crash (marks the machine dead) so the caller's failover
-        reroutes to live replicas and later requests see it down too.
-        """
-        for i, fault in enumerate(self.plan.crashes):
-            if fault.machine_id != machine.machine_id:
-                continue
-            if i in self._crashed:
-                continue
-            if arrive <= fault.at < finish:
-                self._crashed.add(i)
-                machine.alive = False
-                self.record("crash", at=fault.at, machine_id=fault.machine_id)
-                return fault.at
-        return None
-
-    def slowdown(self, machine_id: int, now: float) -> float:
-        """Combined straggler multiplier active on this machine at ``now``."""
-        factor = 1.0
-        for i, fault in enumerate(self.plan.stragglers):
-            if fault.machine_id != machine_id:
-                continue
-            if fault.start <= now < fault.end:
-                factor *= fault.factor
-                if i not in self._straggle_announced:
-                    self._straggle_announced.add(i)
-                    self.record(
-                        "straggle",
-                        at=fault.start,
-                        machine_id=machine_id,
-                        detail=f"factor={fault.factor:g}",
-                    )
-        return factor
-
-    # ------------------------------------------------------- network faults
-    def drop_dispatch(self, machine_id: int, now: float) -> bool:
-        """Seeded Bernoulli: is this dispatch lost on the wire?"""
-        for fault in self.plan.network:
-            if fault.drop_probability <= 0.0 or not fault.start <= now < fault.end:
-                continue
-            if self.rng.random() < fault.drop_probability:
-                self.record("drop", at=now, machine_id=machine_id)
-                return True
-        return False
-
-    def extra_network_delay(self, now: float) -> float:
-        return sum(
-            fault.extra_latency
-            for fault in self.plan.network
-            if fault.start <= now < fault.end
-        )
-
     # ------------------------------------------------------- segment faults
-    def segment_attempt_fails(
-        self, seg_no: int, machine_id: int, attempt: int, now: float = 0.0
-    ) -> bool:
+    def segment_attempt_fails(self, seg_no: int) -> bool:
         """Consume one injected failure for this segment attempt, if any.
 
         Thread-safe: concurrent searches through an installed store gate
         never fire more failures than the plan holds.
         """
-        if not self._claims.claim_segment_failure(seg_no, machine_id):
+        if not self._claims.claim_segment_failure(seg_no):
             return False
-        self.record(
-            "segment-fault",
-            at=now,
-            machine_id=machine_id,
-            seg_no=seg_no,
-            attempt=attempt,
-        )
+        self.record("segment-fault", seg_no=seg_no)
         return True
 
-    def raise_segment_fault(
-        self, seg_no: int, machine_id: int, attempt: int, now: float = 0.0
-    ) -> None:
-        """Real-path hook: raise instead of returning a flag."""
-        if self.segment_attempt_fails(seg_no, machine_id, attempt, now=now):
-            raise FaultInjectionError(
-                f"injected search failure: segment {seg_no} on machine "
-                f"{machine_id} (attempt {attempt})"
-            )
+    def raise_segment_fault(self, seg_no: int) -> None:
+        """Store-gate hook: raise instead of returning a flag."""
+        if self.segment_attempt_fails(seg_no):
+            raise FaultInjectionError(f"injected search failure: segment {seg_no}")
 
     # ------------------------------------------------- serve-worker faults
     def worker_crash_due(self, ordinal: int) -> bool:
@@ -277,12 +172,7 @@ class FaultInjector:
     # ---------------------------------------------------- durability faults
     def install_store(self, store) -> None:
         """Route an EmbeddingStore's search path through the segment gate."""
-        injector = self
-
-        def gate(seg_no: int) -> None:
-            injector.raise_segment_fault(seg_no, machine_id=-1, attempt=0)
-
-        store.fault_hook = gate
+        store.fault_hook = self.raise_segment_fault
 
     def install_commit_faults(self, graph_store) -> None:
         """Arm mid-commit crashes on a GraphStore (see CommitCrashFault)."""

@@ -1,25 +1,20 @@
 """Fault plans: declarative, seeded schedules of what goes wrong and when.
 
 A :class:`FaultPlan` is pure data — frozen fault specs plus a seed — so a
-plan can be logged, replayed, and swept in a matrix.  All nondeterminism
-(random drop decisions, random matrices) flows from ``random.Random(seed)``
-inside the :class:`~repro.faults.injector.FaultInjector`, which is what makes
-two runs of the same plan over the same workload produce byte-identical
-event traces (the acceptance property chaos tests assert).
+plan can be logged, replayed, and swept in a matrix.  A random matrix
+(:meth:`FaultPlan.random`) is drawn from ``random.Random(seed)``, so one
+seed gives one plan, and every fault fires on a count (a segment attempt,
+a dequeue ordinal, a commit), never on the clock: replaying a plan over the
+same workload fires the same faults (the property chaos tests assert).
 
-Fault taxonomy (paper Sec. 4.2/5.1 deployment story):
+Fault taxonomy (paper Sec. 4.2/5.1 deployment story), each met by the real
+code it targets:
 
-- :class:`CrashFault` — a simulated machine dies (and optionally recovers)
-  at a simulated time (:class:`~repro.cluster.coordinator.ClusterSimulator`).
-- :class:`StragglerFault` — a machine runs slow by a multiplier for a time
-  window; the hedging policy is the countermeasure.
-- :class:`NetworkFault` — dispatch drop probability and extra per-hop
-  latency over a time window; retries are the countermeasure.
 - :class:`SegmentFault` — the next N search attempts on one segment raise
-  :class:`~repro.errors.FaultInjectionError`; retry/failover is the
-  countermeasure.  In the simulator an attempt is a placement; installed on
-  a real store (:meth:`~repro.faults.injector.FaultInjector.install_store`)
-  it is one ``search_segment`` call, and a fault that outlives a shard's
+  :class:`~repro.errors.FaultInjectionError`; the serving shard's retries
+  are the countermeasure.  Installed on a store
+  (:meth:`~repro.faults.injector.FaultInjector.install_store`) an attempt
+  is one ``search_segment`` call, and a fault that outlives a shard's
   retries costs an ``ElasticTier`` query only that segment's group: the
   query fails typed with :class:`~repro.errors.PartialResultError`.
 - :class:`CommitCrashFault` — the process dies mid-commit (torn WAL append,
@@ -34,78 +29,27 @@ Fault taxonomy (paper Sec. 4.2/5.1 deployment story):
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
 from ..errors import FaultInjectionError
+from .resilience import ResiliencePolicy
 
 __all__ = [
     "CommitCrashFault",
-    "CrashFault",
     "FaultPlan",
-    "NetworkFault",
     "SegmentFault",
-    "StragglerFault",
     "WorkerCrashFault",
     "WorkerStallFault",
 ]
 
 
 @dataclass(frozen=True)
-class CrashFault:
-    """Machine death at sim-time ``at``, and optional recovery at ``recover_at``."""
-
-    machine_id: int
-    at: float | None = None
-    recover_at: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.at is None:
-            raise FaultInjectionError("crash fault needs 'at'")
-
-
-@dataclass(frozen=True)
-class StragglerFault:
-    """Machine ``machine_id`` runs ``factor``x slower during [start, end)."""
-
-    machine_id: int
-    factor: float
-    start: float = 0.0
-    end: float = math.inf
-
-    def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise FaultInjectionError("straggler factor must be >= 1")
-
-
-@dataclass(frozen=True)
-class NetworkFault:
-    """Lossy/slow network during [start, end)."""
-
-    drop_probability: float = 0.0
-    extra_latency: float = 0.0
-    start: float = 0.0
-    end: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_probability <= 1.0:
-            raise FaultInjectionError("drop probability must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class SegmentFault:
-    """The next ``failures`` search attempts on this segment raise.
-
-    ``machine_id`` restricts the fault to one replica holder (None hits
-    whichever machine attempts the segment), so a plan can model either a
-    corrupt replica (failover fixes it) or a poisoned segment (only retries
-    on the same data can drain it).
-    """
+    """The next ``failures`` search attempts on this segment raise."""
 
     seg_no: int
     failures: int = 1
-    machine_id: int | None = None
 
 
 @dataclass(frozen=True)
@@ -179,33 +123,14 @@ class FaultPlan:
     """A seeded schedule of faults; feed it to a :class:`FaultInjector`."""
 
     seed: int = 0
-    crashes: list[CrashFault] = field(default_factory=list)
-    stragglers: list[StragglerFault] = field(default_factory=list)
-    network: list[NetworkFault] = field(default_factory=list)
     segment_faults: list[SegmentFault] = field(default_factory=list)
     commit_crashes: list[CommitCrashFault] = field(default_factory=list)
     worker_crashes: list[WorkerCrashFault] = field(default_factory=list)
     worker_stalls: list[WorkerStallFault] = field(default_factory=list)
 
     # -------------------------------------------------------------- builder
-    def crash(self, machine_id: int, at: float | None = None,
-              recover_at: float | None = None) -> "FaultPlan":
-        self.crashes.append(CrashFault(machine_id, at, recover_at))
-        return self
-
-    def straggle(self, machine_id: int, factor: float, start: float = 0.0,
-                 end: float = math.inf) -> "FaultPlan":
-        self.stragglers.append(StragglerFault(machine_id, factor, start, end))
-        return self
-
-    def degrade_network(self, drop_probability: float = 0.0, extra_latency: float = 0.0,
-                        start: float = 0.0, end: float = math.inf) -> "FaultPlan":
-        self.network.append(NetworkFault(drop_probability, extra_latency, start, end))
-        return self
-
-    def fail_segment(self, seg_no: int, failures: int = 1,
-                     machine_id: int | None = None) -> "FaultPlan":
-        self.segment_faults.append(SegmentFault(seg_no, failures, machine_id))
+    def fail_segment(self, seg_no: int, failures: int = 1) -> "FaultPlan":
+        self.segment_faults.append(SegmentFault(seg_no, failures))
         return self
 
     def crash_commit(self, at_commit: int, mode: str = "torn-wal", after_ops: int = 1,
@@ -226,40 +151,22 @@ class FaultPlan:
     def random(
         cls,
         seed: int,
-        num_machines: int,
         num_segments: int,
-        duration: float = 2.0,
-        crashes: int = 1,
-        stragglers: int = 1,
-        segment_faults: int = 2,
-        max_segment_failures: int = 2,
+        requests: int = 8,
     ) -> "FaultPlan":
-        """A random-but-reproducible fault matrix for chaos sweeps.
+        """A random-but-reproducible fault matrix for live chaos sweeps.
 
-        Crash windows are serialized (each machine recovers before the next
-        crash begins) so a replication factor of 2 is always sufficient to
-        keep every segment reachable — the property the chaos tests assert.
+        One worker crash and one 5–50 ms worker stall land on dequeue
+        ordinals in ``[1, requests]``; two segment faults hit distinct
+        segments, each with fewer failures than
+        :class:`~repro.faults.ResiliencePolicy`'s default ``max_attempts``,
+        so a shard's own retries absorb every one of them.
         """
         rng = random.Random(seed)
         plan = cls(seed=seed)
-        window = duration / max(1, crashes)
-        victims = rng.sample(range(num_machines), k=min(crashes, num_machines))
-        for i, machine_id in enumerate(victims):
-            start = i * window + rng.uniform(0.05, 0.3) * window
-            end = min((i + 0.9) * window, start + rng.uniform(0.2, 0.6) * window)
-            plan.crash(machine_id, at=start, recover_at=end)
-        for _ in range(stragglers):
-            machine_id = rng.randrange(num_machines)
-            start = rng.uniform(0.0, duration * 0.7)
-            plan.straggle(
-                machine_id,
-                factor=rng.uniform(2.0, 10.0),
-                start=start,
-                end=start + rng.uniform(0.1, 0.4) * duration,
-            )
-        for _ in range(segment_faults):
-            plan.fail_segment(
-                rng.randrange(max(1, num_segments)),
-                failures=rng.randint(1, max_segment_failures),
-            )
+        plan.crash_worker(rng.randint(1, requests))
+        plan.stall_worker(rng.randint(1, requests), rng.uniform(0.005, 0.05))
+        budget = ResiliencePolicy().max_attempts - 1
+        for seg_no in rng.sample(range(num_segments), k=min(2, num_segments)):
+            plan.fail_segment(seg_no, failures=rng.randint(1, budget))
         return plan

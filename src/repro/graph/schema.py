@@ -77,9 +77,6 @@ class VertexType:
             )
         self.embeddings[embedding.name] = embedding
 
-    def has_attribute(self, name: str) -> bool:
-        return name in self.attributes or name in self.embeddings
-
     def attribute(self, name: str) -> Attribute:
         try:
             return self.attributes[name]

@@ -60,11 +60,7 @@ INSTRUMENTS: dict[str, tuple[str, str]] = {
     "machine.jobs": ("counter", "segment jobs scheduled onto machine cores"),
     # ---- resilience ------------------------------------------------------
     "resilience.retries": ("counter", "segment search retries after injected faults"),
-    "resilience.hedges": ("counter", "hedged duplicate dispatches"),
     "resilience.degraded_queries": ("counter", "queries answered with coverage < 1"),
-    "resilience.breaker_open": ("counter", "circuit breaker closed->open transitions"),
-    "resilience.breaker_half_open": ("counter", "circuit breaker open->half-open probes"),
-    "resilience.breaker_close": ("counter", "circuit breaker half-open->closed recoveries"),
     # ---- serving ---------------------------------------------------------
     "serve.requests": ("counter", "requests submitted to the query server"),
     "serve.completed": ("counter", "requests answered (including typed failures)"),

@@ -3,11 +3,11 @@
 A :class:`Span` is one timed region of a query with a name, free-form
 attributes, and children.  Spans nest through context managers held in a
 per-thread stack (owned by :class:`~repro.telemetry.runtime.Telemetry`), so
-a distributed query produces one tree — coordinator at the root, machine
-dispatches below it, segment searches below those — even though the
-"machines" are simulated in-process.  Retries, hedges, and breaker
-rejections appear as extra child spans/events, which is what makes the
-resilience layer's decisions visible.
+a query produces one tree: the cluster model's ``coordinator.request``
+with one ``machine.execute`` child per machine it dispatched to, a GSQL
+statement's ``gsql.query`` over its parse/plan/execute phases, or a
+search's ``vector.search*`` span.  Span events mark single points inside
+a region.
 
 The disabled path uses :data:`NULL_SPAN`, a shared inert span whose every
 method is a no-op, so instrumented code never branches on "is telemetry

@@ -1,21 +1,23 @@
 """Seeded chaos tests: the acceptance criteria of the resilience layer.
 
-Each test drives a workload while a :class:`FaultInjector` executes a
-deterministic :class:`FaultPlan`, then asserts the availability contract:
+Each test drives searches on a 2-server :class:`ElasticTier` while
+:class:`FaultInjector` s execute a deterministic :class:`FaultPlan`:
+segment faults on the store (``install_store``), worker crashes and stalls
+on one shard, and the other shard stopped mid-run.  The availability
+contract:
 
-- replication factor 2 + any single machine crash or straggler -> zero
-  failed queries;
-- unrecoverable segment loss in degraded mode -> partial results with
-  ``coverage < 1.0`` reported, never an unhandled exception; on the served
-  ``ElasticTier`` a segment that outlives its shard's retries is a
+- any single worker crash, worker stall, stopped server, or segment fault
+  within a shard's retries -> zero failed queries, and every answer equals
+  ``db.vector_search``;
+- a segment that outlives its shard's retries is a
   :class:`PartialResultError` carrying the coverage and the partial;
-- identical fault seeds -> identical event traces.
+- identical fault seeds -> identical plans and identical fault traces.
 """
 
-import numpy as np
+import threading
+
 import pytest
 
-from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
 from repro.core.search import (
     SearchSpec,
     build_topk_vertex_set,
@@ -27,184 +29,137 @@ from repro.errors import (
     FaultInjectionError,
     PartialResultError,
     QueryTimeoutError,
+    ReproError,
 )
-from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
+from repro.faults import FaultInjector, FaultPlan
 from repro.graph.accumulators import MapAccum
 from repro.telemetry import Telemetry, use_telemetry
 
 ATTR = "Post.content_emb"
+QUERIES = 12
 
 
-def seg_times(n, each=0.002):
-    return {s: each for s in range(n)}
+def live_run(db, plan, *, stop_after=None):
+    """``QUERIES`` searches from two clients on a 2-server tier under ``plan``.
 
+    The plan's segment faults fire in the store's segment searches; its
+    worker crashes and stalls fire on shard-0, which survives.  Once
+    ``stop_after`` queries have answered, shard-1 is stopped while the
+    other client's query may be in flight.  Returns ``(failures, counters,
+    sorted trace kinds)`` after asserting every answer equals
+    ``db.vector_search``.
+    """
+    store = db.service.store("Post", "content_emb")
+    store_faults = FaultInjector(plan)
+    worker_faults = FaultInjector(plan)  # only its worker faults are consulted
+    store_faults.install_store(store)
+    queries = db._test_vectors[:QUERIES]
+    answers: dict[int, object] = {}
+    failures: list[ReproError] = []
+    answered = threading.Semaphore(0)
+    telemetry = Telemetry()
+    try:
+        with use_telemetry(telemetry), ElasticTier(
+            db, num_servers=2, injectors={"shard-0": worker_faults}
+        ) as tier:
 
-def run_load(
-    plan,
-    *,
-    rf=2,
-    policy=None,
-    machines=4,
-    segments=8,
-    cores=4,
-    connections=16,
-    duration=2.0,
-    each=0.002,
-):
-    """One closed-loop chaos run; returns (LoadResult, injector)."""
-    injector = FaultInjector(plan)
-    sim = ClusterSimulator(
-        make_cluster(machines, segments, cores=cores, replication_factor=rf),
-        injector=injector,
-        policy=policy,
-    )
-    result = ClosedLoopLoadGenerator(sim, connections=connections).run(
-        [seg_times(segments, each=each)], duration_seconds=duration
-    )
-    return result, injector
+            def client(indices):
+                for i in indices:
+                    try:
+                        answers[i] = tier.search([ATTR], queries[i], 5, ef=64)
+                    except ReproError as exc:
+                        failures.append(exc)
+                    answered.release()
+
+            # Daemons: a request the tier loses hangs its client, not pytest.
+            clients = [
+                threading.Thread(
+                    target=client, args=(range(c, QUERIES, 2),), daemon=True
+                )
+                for c in range(2)
+            ]
+            for thread in clients:
+                thread.start()
+            if stop_after is not None:
+                for _ in range(stop_after):
+                    assert answered.acquire(timeout=30)
+                tier.shards["shard-1"].stop()
+            for thread in clients:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+    finally:
+        store.fault_hook = None
+    assert len(answers) + len(failures) == QUERIES  # no client died untyped
+    for i, got in answers.items():
+        assert got == db.vector_search([ATTR], queries[i], 5, ef=64)
+    kinds = sorted(store_faults.trace_kinds() + worker_faults.trace_kinds())
+    return failures, telemetry.registry.snapshot()["counters"], kinds
 
 
 class TestSingleFaultAvailability:
-    def test_machine_crash_with_rf2_zero_failed_queries(self):
-        plan = FaultPlan(seed=1).crash(2, at=0.2, recover_at=1.0)
-        result, injector = run_load(plan)
-        assert result.completed > 0
-        assert result.failed == 0
-        assert result.mean_coverage == 1.0
-        kinds = injector.trace_kinds()
-        assert "crash" in kinds and "recover" in kinds
-
-    def test_crash_without_recovery_still_zero_failed(self):
-        plan = FaultPlan(seed=2).crash(1, at=0.1)
-        result, injector = run_load(plan)
-        assert result.failed == 0
-        assert "crash" in injector.trace_kinds()
-
-    def test_straggler_with_hedging_zero_failed(self):
-        plan = FaultPlan(seed=3).straggle(1, factor=20.0, start=0.0, end=2.0)
-        result, injector = run_load(
-            plan, policy=ResiliencePolicy(hedge_after=0.01)
+    def test_worker_crash_zero_failed_queries(self, loaded_post_db):
+        failures, counters, kinds = live_run(
+            loaded_post_db, FaultPlan(seed=1).crash_worker(3)
         )
-        assert result.failed == 0
-        kinds = injector.trace_kinds()
-        assert "straggle" in kinds
-        assert "hedge" in kinds  # tail tolerance actually engaged
+        assert failures == []
+        assert kinds == ["worker-crash"]
+        assert counters["serve.worker_crashes"] == 1
 
-    def test_straggler_without_hedging_is_slow_but_complete(self):
-        plan = FaultPlan(seed=4).straggle(1, factor=20.0, start=0.0, end=2.0)
-        result, _ = run_load(plan)
-        assert result.failed == 0
+    def test_crash_without_recovery_still_zero_failed(self, loaded_post_db):
+        """shard-1 stops mid-run for good; its keys move to shard-0."""
+        failures, counters, _ = live_run(
+            loaded_post_db, FaultPlan(seed=2), stop_after=4
+        )
+        assert failures == []
+        assert counters["elastic.crash_failovers"] == 1
 
-    def test_injected_segment_faults_absorbed_by_retries(self):
+    def test_straggler_without_hedging_is_slow_but_complete(self, loaded_post_db):
+        failures, counters, kinds = live_run(
+            loaded_post_db, FaultPlan(seed=4).stall_worker(1, seconds=0.2)
+        )
+        assert failures == []
+        assert kinds == ["worker-stall"]
+        assert counters["serve.worker_stalls"] == 1
+
+    def test_injected_segment_faults_absorbed_by_retries(self, loaded_post_db):
         plan = (
             FaultPlan(seed=5)
             .fail_segment(0, failures=2)
-            .fail_segment(3, failures=1)
-            .fail_segment(5, failures=2)
+            .fail_segment(1, failures=1)
+            .fail_segment(3, failures=2)
         )
-        result, injector = run_load(plan)
-        assert result.failed == 0
-        assert injector.trace_kinds().count("segment-fault") == 5
-        assert "retry" in injector.trace_kinds()
-
-    def test_dispatch_drops_are_resent(self):
-        plan = FaultPlan(seed=6).degrade_network(
-            drop_probability=0.2, start=0.0, end=2.0
-        )
-        result, injector = run_load(plan)
-        assert result.failed == 0
-        assert "drop" in injector.trace_kinds()
-
-
-class TestDegradedMode:
-    def test_unrecoverable_loss_reports_partial_coverage(self):
-        """RF=1 + permanent machine loss: explicit coverage, no exceptions."""
-        plan = FaultPlan(seed=7).crash(1, at=0.1)
-        result, injector = run_load(
-            plan,
-            rf=1,
-            machines=2,
-            policy=ResiliencePolicy(allow_partial=True),
-        )
-        assert result.failed == 0  # never an unhandled exception
-        assert result.partial > 0
-        assert result.mean_coverage < 1.0
-        assert "segment-lost" in injector.trace_kinds()
-
-    def test_unrecoverable_loss_without_degraded_mode_fails_queries(self):
-        plan = FaultPlan(seed=8).crash(1, at=0.1)
-        result, _ = run_load(plan, rf=1, machines=2)
-        assert result.failed > 0
-
-    def test_min_coverage_floor_fails_queries_below_it(self):
-        plan = FaultPlan(seed=9).crash(1, at=0.1)
-        result, _ = run_load(
-            plan,
-            rf=1,
-            machines=2,
-            policy=ResiliencePolicy(allow_partial=True, min_coverage=0.9),
-        )
-        assert result.failed > 0  # coverage 0.5 violates the floor
-
-    def test_impossible_deadline_times_out_queries(self):
-        result, injector = run_load(
-            FaultPlan(seed=10),
-            policy=ResiliencePolicy(deadline=1e-4, allow_partial=True),
-        )
-        assert result.failed == result.completed > 0
-
-    def test_deadline_cuts_straggler_segments_in_degraded_mode(self):
-        plan = FaultPlan(seed=11).straggle(1, factor=200.0, start=0.0, end=2.0)
-        result, injector = run_load(
-            plan,
-            policy=ResiliencePolicy(deadline=0.05, allow_partial=True),
-            connections=8,
-        )
-        assert result.failed == 0
-        assert result.mean_coverage <= 1.0
-        # every query either made the deadline fully or shed load explicitly
-        assert result.partial == sum(
-            1 for e in injector.trace if e.kind == "deadline"
-        )
+        failures, counters, kinds = live_run(loaded_post_db, plan)
+        assert failures == []
+        assert kinds == ["segment-fault"] * 5
+        assert counters["resilience.retries"] > 0
+        assert counters.get("resilience.degraded_queries", 0) == 0
 
 
 class TestFaultMatrixSweep:
+    @staticmethod
+    def matrix(seed):
+        return FaultPlan.random(seed, num_segments=4, requests=5)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_matrix_with_rf2_zero_failed(self, seed):
-        """Acceptance: any seeded single-failure matrix, RF=2, no failures."""
-        plan = FaultPlan.random(
-            seed,
-            num_machines=4,
-            num_segments=8,
-            duration=2.0,
-            crashes=2,
-            stragglers=1,
-            segment_faults=2,
-        )
-        result, _ = run_load(plan)
-        assert result.completed > 0
-        assert result.failed == 0
-        assert result.mean_coverage == 1.0
+    def test_random_matrix_zero_failed(self, loaded_post_db, seed):
+        """Acceptance: a seeded worker crash, stall and segment faults plus a
+        server stopped mid-run cost no query, and change no answer."""
+        plan = self.matrix(seed)
+        failures, counters, kinds = live_run(loaded_post_db, plan, stop_after=6)
+        assert failures == []
+        assert kinds.count("worker-crash") == kinds.count("worker-stall") == 1
+        assert kinds.count("segment-fault") == sum(f.failures for f in plan.segment_faults)
+        assert counters["elastic.crash_failovers"] == 1
+        assert counters.get("resilience.degraded_queries", 0) == 0
 
-    def test_identical_seeds_reproduce_identical_traces(self):
-        traces = []
+    def test_identical_seeds_reproduce_identical_traces(self, loaded_post_db):
+        runs = []
         for _ in range(2):
-            plan = FaultPlan.random(
-                7, num_machines=4, num_segments=8, crashes=2, segment_faults=2
-            )
-            _, injector = run_load(plan)
-            traces.append(injector.trace)
-        assert traces[0]  # the run actually injected something
-        assert traces[0] == traces[1]
-
-    def test_breaker_quarantines_repeat_offender(self):
-        """A machine failing every attempt trips the breaker; queries survive."""
-        plan = FaultPlan(seed=12)
-        for seg_no in range(8):
-            plan.fail_segment(seg_no, failures=2, machine_id=1)
-        result, injector = run_load(plan, policy=ResiliencePolicy(breaker_threshold=2))
-        assert result.failed == 0
-        assert "breaker-open" in injector.trace_kinds()
+            plan = self.matrix(7)
+            _, _, kinds = live_run(loaded_post_db, plan, stop_after=6)
+            runs.append((plan, kinds))
+        assert runs[0][1]  # the run actually injected something
+        assert runs[0] == runs[1]
 
 
 class TestRealSearcherChaos:

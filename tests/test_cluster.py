@@ -1,5 +1,7 @@
 """Tests for the cluster simulation: machines, network, coordinator, loadgen."""
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -103,6 +105,44 @@ class TestClusterSimulator:
     def test_needs_machines(self):
         with pytest.raises(ClusterError):
             ClusterSimulator([])
+
+
+class TestGoldenCompletionTimes:
+    """Fig. 9/10 model output, pinned bit for bit.
+
+    The floats were captured from the model before its resilience loop was
+    removed; any change to placement, scheduling, hops or merge shows here.
+    """
+
+    RF1 = [
+        0.004146418840709888, 0.006445362038817419, 0.0095442080926724,
+        0.012260207420370593, 0.014252321524773303, 0.016479955085194654,
+        0.019235720452875495, 0.020281868664684084,
+    ]
+    RF2_MACHINE_1_FAILED = [
+        0.004146418840709888, 0.006340223992720237, 0.00872816932546964,
+        0.01218752960973596, 0.013103481861037417, 0.014952905461727064,
+        0.016902405842655826, 0.019889615609298607,
+    ]
+
+    @staticmethod
+    def stream(sim, seed=9):
+        rng = random.Random(seed)
+        start, done = 0.0, []
+        for _ in range(8):
+            start += rng.uniform(0.0, 0.002)
+            sample = {seg: rng.uniform(0.0005, 0.003) for seg in range(8)}
+            done.append(sim.simulate_request(start, sample))
+        return done
+
+    def test_rf1(self):
+        sim = ClusterSimulator(make_cluster(3, 8, cores=2))
+        assert self.stream(sim) == self.RF1
+
+    def test_rf2_with_failed_machine(self):
+        sim = ClusterSimulator(make_cluster(4, 8, cores=2, replication_factor=2))
+        sim.fail_machine(1)
+        assert self.stream(sim) == self.RF2_MACHINE_1_FAILED
 
 
 class TestLoadGenerator:

@@ -13,7 +13,7 @@ from repro.errors import (
     SimulatedCrash,
     WALCorruptionError,
 )
-from repro.faults import CircuitBreaker, FaultInjector, FaultPlan, ResiliencePolicy
+from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
 from repro.graph.storage import GraphStore
 from repro.graph.wal import WriteAheadLog
 
@@ -33,15 +33,11 @@ def make_schema():
 
 
 class TestFaultPlan:
-    def test_crash_needs_a_clock(self):
-        with pytest.raises(FaultInjectionError):
-            FaultPlan().crash(machine_id=1)
-
     def test_validation(self):
         with pytest.raises(FaultInjectionError):
-            FaultPlan().straggle(0, factor=0.5)
+            FaultPlan().crash_worker(at_request=0)
         with pytest.raises(FaultInjectionError):
-            FaultPlan().degrade_network(drop_probability=1.5)
+            FaultPlan().stall_worker(1, seconds=0.0)
         with pytest.raises(FaultInjectionError):
             FaultPlan().crash_commit(1, mode="halt-and-catch-fire")
         with pytest.raises(FaultInjectionError):
@@ -50,84 +46,47 @@ class TestFaultPlan:
     def test_builder_chains(self):
         plan = (
             FaultPlan(seed=3)
-            .crash(1, at=0.5, recover_at=1.0)
-            .straggle(2, factor=4.0)
+            .crash_worker(2)
+            .stall_worker(4, seconds=0.01)
             .fail_segment(0, failures=2)
         )
-        assert len(plan.crashes) == 1
-        assert len(plan.stragglers) == 1
+        assert [f.at_request for f in plan.worker_crashes] == [2]
+        assert [f.at_request for f in plan.worker_stalls] == [4]
         assert plan.segment_faults[0].failures == 2
 
     def test_random_plan_is_reproducible(self):
-        a = FaultPlan.random(seed=11, num_machines=4, num_segments=16)
-        b = FaultPlan.random(seed=11, num_machines=4, num_segments=16)
+        a = FaultPlan.random(seed=11, num_segments=16)
+        b = FaultPlan.random(seed=11, num_segments=16)
         assert a == b
-        c = FaultPlan.random(seed=12, num_machines=4, num_segments=16)
+        c = FaultPlan.random(seed=12, num_segments=16)
         assert a != c
 
-    def test_random_crash_windows_are_serialized(self):
-        plan = FaultPlan.random(seed=5, num_machines=4, num_segments=8, crashes=3)
-        windows = sorted((f.at, f.recover_at) for f in plan.crashes)
-        for (_, end), (start, _) in zip(windows, windows[1:]):
-            assert end <= start  # one machine down at a time
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold(self):
-        breaker = CircuitBreaker(threshold=3, cooldown=10.0)
-        assert not breaker.record_failure(1, now=0.0)
-        assert not breaker.record_failure(1, now=0.0)
-        assert breaker.record_failure(1, now=0.0)  # newly opened
-        assert not breaker.allow(1, now=1.0)
-        assert breaker.open_machines() == [1]
-
-    def test_half_open_probe_then_close(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=5.0)
-        breaker.record_failure(2, now=0.0)
-        assert not breaker.allow(2, now=4.9)
-        assert breaker.allow(2, now=5.0)  # half-open probe
-        breaker.record_success(2)
-        assert breaker.state(2) == "closed"
-
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=5.0)
-        breaker.record_failure(2, now=0.0)
-        assert breaker.allow(2, now=6.0)
-        breaker.record_failure(2, now=6.0)  # probe fails
-        assert not breaker.allow(2, now=10.9)  # fresh cooldown from t=6
-        assert breaker.allow(2, now=11.0)
-
-    def test_success_clears_streak(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=1.0)
-        breaker.record_failure(3, now=0.0)
-        breaker.record_success(3)
-        assert not breaker.record_failure(3, now=0.0)  # streak restarted
-
-    def test_reset_readmits(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=100.0)
-        breaker.record_failure(1, now=0.0)
-        breaker.reset(1)
-        assert breaker.allow(1, now=0.0)
+    def test_random_segment_faults_fit_the_retry_budget(self):
+        """Distinct segments, each failing fewer times than a shard tries."""
+        budget = ResiliencePolicy().max_attempts
+        for seed in range(20):
+            plan = FaultPlan.random(seed, num_segments=3, requests=5)
+            segments = [f.seg_no for f in plan.segment_faults]
+            assert len(set(segments)) == len(segments) == 2
+            assert all(1 <= f.failures < budget for f in plan.segment_faults)
+            ordinals = [f.at_request for f in plan.worker_crashes + plan.worker_stalls]
+            assert all(1 <= at <= 5 for at in ordinals)
 
 
 class TestInjectorDeterminism:
     def test_segment_faults_consumed_in_order(self):
         injector = FaultInjector(FaultPlan().fail_segment(3, failures=2))
-        assert injector.segment_attempt_fails(3, 0, 0)
-        assert injector.segment_attempt_fails(3, 1, 1)
-        assert not injector.segment_attempt_fails(3, 0, 2)
+        assert not injector.segment_attempt_fails(2)  # other segment
+        assert injector.segment_attempt_fails(3)
+        assert injector.segment_attempt_fails(3)
+        assert not injector.segment_attempt_fails(3)
         assert [e.kind for e in injector.trace] == ["segment-fault", "segment-fault"]
-
-    def test_machine_scoped_segment_fault(self):
-        injector = FaultInjector(FaultPlan().fail_segment(1, failures=1, machine_id=7))
-        assert not injector.segment_attempt_fails(1, 0, 0)  # other machine
-        assert injector.segment_attempt_fails(1, 7, 0)
 
     def test_raise_segment_fault(self):
         injector = FaultInjector(FaultPlan().fail_segment(0))
         with pytest.raises(FaultInjectionError):
-            injector.raise_segment_fault(0, machine_id=2, attempt=0)
-        injector.raise_segment_fault(0, machine_id=2, attempt=1)  # drained
+            injector.raise_segment_fault(0)
+        injector.raise_segment_fault(0)  # drained
 
     def test_concurrent_claims_never_overdraw_a_segment_budget(self):
         """Serve workers race on an installed store gate: 8 threads draining
@@ -141,7 +100,7 @@ class TestInjectorDeterminism:
 
                 def drain():
                     barrier.wait(timeout=5)
-                    while injector.segment_attempt_fails(0, -1, 0):
+                    while injector.segment_attempt_fails(0):
                         pass
 
                 threads = [threading.Thread(target=drain) for _ in range(8)]
@@ -153,24 +112,6 @@ class TestInjectorDeterminism:
                 assert injector.trace_kinds().count("segment-fault") == 50
         finally:
             sys.setswitchinterval(interval)
-
-    def test_identical_seeds_identical_drop_sequences(self):
-        plan = FaultPlan(seed=21).degrade_network(drop_probability=0.5)
-        a = FaultInjector(plan)
-        b = FaultInjector(FaultPlan(seed=21).degrade_network(drop_probability=0.5))
-        seq_a = [a.drop_dispatch(1, now=0.1) for _ in range(50)]
-        seq_b = [b.drop_dispatch(1, now=0.1) for _ in range(50)]
-        assert seq_a == seq_b
-        assert a.trace == b.trace
-
-    def test_slowdown_window(self):
-        injector = FaultInjector(FaultPlan().straggle(2, factor=8.0, start=1.0, end=2.0))
-        assert injector.slowdown(2, now=0.5) == 1.0
-        assert injector.slowdown(2, now=1.5) == 8.0
-        assert injector.slowdown(2, now=2.5) == 1.0
-        assert injector.slowdown(1, now=1.5) == 1.0
-        # announced exactly once despite repeated queries
-        assert injector.trace_kinds().count("straggle") == 1
 
 
 class TestTornWalReplay:

@@ -34,7 +34,6 @@ from repro.errors import (
     StalenessBoundError,
     VectorSearchError,
 )
-from repro.faults import ResiliencePolicy
 from repro.graph.accumulators import MapAccum
 from repro.index.hnsw import FORMAT_VERSION, HNSWIndex
 from repro.serve import (
@@ -812,37 +811,25 @@ class TestHNSWPersistence:
 
 
 class TestOpenLoopLoadGen:
-    def make_gen(self, deadline=0.02):
-        sim = ClusterSimulator(
-            make_cluster(1, 8, cores=2), policy=ResiliencePolicy(deadline=deadline)
+    def make_gen(self):
+        return ClosedLoopLoadGenerator(
+            ClusterSimulator(make_cluster(1, 8, cores=2)), connections=8
         )
-        return ClosedLoopLoadGenerator(sim, connections=8)
 
     def test_underload_completes_offered(self):
-        gen = self.make_gen(deadline=0.5)
+        gen = self.make_gen()
         times = [{seg: 0.004 for seg in range(8)}]
         result = gen.run_open_loop(times, duration_seconds=2.0, target_qps=20, seed=7)
         assert result.offered > 0
         assert result.completed == result.offered
-        assert result.failed == 0
         assert result.target_qps == 20
-
-    def test_overload_fails_on_deadline_not_hangs(self):
-        gen = self.make_gen(deadline=0.02)
-        times = [{seg: 0.004 for seg in range(8)}]
-        result = gen.run_open_loop(times, duration_seconds=2.0, target_qps=500, seed=7)
-        assert result.offered > 500
-        assert result.failed > 0
-        assert result.completed == result.offered  # every arrival resolved
 
     def test_seeded_runs_reproduce(self):
         gen = self.make_gen()
         times = [{seg: 0.004 for seg in range(8)}]
         a = gen.run_open_loop(times, duration_seconds=1.0, target_qps=100, seed=3)
         b = gen.run_open_loop(times, duration_seconds=1.0, target_qps=100, seed=3)
-        assert (a.offered, a.completed, a.failed, a.qps) == (
-            b.offered, b.completed, b.failed, b.qps,
-        )
+        assert (a.offered, a.completed, a.qps) == (b.offered, b.completed, b.qps)
         c = gen.run_open_loop(times, duration_seconds=1.0, target_qps=100, seed=4)
         assert (a.offered, a.qps) != (c.offered, c.qps)
 
@@ -1196,70 +1183,3 @@ class TestNoisyNeighbor:
         vm.set_tenant_quota("b", None)
         third = vm.run_once()
         assert third["quota_deferred"] == 0
-
-
-# --------------------------------------------------------------------------
-# load-generator SLA accounting
-# --------------------------------------------------------------------------
-
-
-class _ScriptedOutcome:
-    def __init__(self, completion_seconds, token_waits=0, coverage=1.0):
-        self.completion_seconds = completion_seconds
-        self.token_waits = token_waits
-        self.coverage = coverage
-
-
-class _ScriptedSimulator:
-    """Duck-typed ClusterSimulator returning a fixed outcome script."""
-
-    def __init__(self, script, deadline=1.0):
-        self._script = list(script)
-        self.injector = None
-        self.policy = ResiliencePolicy(deadline=deadline)
-
-    def reset(self):
-        pass
-
-    def simulate_request_outcome(self, issue, sample):
-        step = self._script.pop(0)
-        if isinstance(step, BaseException):
-            raise step
-        return _ScriptedOutcome(issue + step.completion_seconds,
-                                token_waits=step.token_waits)
-
-
-class TestLoadgenSLAAccounting:
-    def test_failure_classes_split_in_load_result(self):
-        """Deadline misses, staleness rejections, and token waits land in
-        separate LoadResult fields — a deadline miss asks for capacity, a
-        staleness rejection asks for the commit pipeline to catch up."""
-        script = [
-            QueryTimeoutError("too slow", deadline=1.0, elapsed=1.0),
-            StalenessBoundError("behind", session_token=9, waited=0.9),
-            _ScriptedOutcome(1.0, token_waits=2),
-            _ScriptedOutcome(1.0, token_waits=1),
-        ]
-        gen = ClosedLoopLoadGenerator(_ScriptedSimulator(script), connections=4)
-        times = [{0: 0.001}]
-        # duration 0.5 < every completion time, so each connection issues
-        # exactly once and the script is consumed in order.
-        result = gen.run(times, duration_seconds=0.5)
-        assert result.failed == 2
-        assert result.deadline_failed == 1
-        assert result.stale_rejected == 1
-        assert result.token_waits == 3
-        assert result.completed == 4
-
-    def test_accounting_resets_between_runs(self):
-        def make(script):
-            return ClosedLoopLoadGenerator(
-                _ScriptedSimulator(script), connections=1
-            )
-
-        gen = make([StalenessBoundError("behind", waited=0.9)])
-        first = gen.run([{0: 0.001}], duration_seconds=0.5)
-        assert first.stale_rejected == 1
-        gen.simulator = _ScriptedSimulator([_ScriptedOutcome(1.0)])
-        second = gen.run([{0: 0.001}], duration_seconds=0.5)
-        assert second.stale_rejected == 0 and second.failed == 0
