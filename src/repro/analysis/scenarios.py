@@ -38,7 +38,7 @@ import numpy as np
 from .. import Attribute, AttrType, Metric, TigerVectorDB
 from ..core.search import SearchSpec, vector_search_merged
 from ..core.service import EmbeddingStore
-from ..elastic import ElasticTier
+from ..elastic import ElasticTier, ShardServer
 from ..errors import SegmentOwnershipError, StalenessBoundError
 from ..index.hnsw import HNSWIndex
 from ..index.pq import PQCodebook, PQCodes, PQSearchConfig
@@ -386,23 +386,26 @@ class TierDemoteVsSearch(_Twinned):
 # --------------------------------------------------------------------------
 
 
-def _inline_tier(db, refusals: list) -> ElasticTier:
-    """A started 2-server ``ElasticTier`` whose shards run no worker thread:
-    each sub-request runs ``_execute_batch`` on the thread that submits it
-    (the controlled router thread), and every ``SegmentOwnershipError`` it
-    answers is appended to ``refusals``."""
-    tier = ElasticTier(db, num_servers=2, config=ServeConfig(enable_cache=False))
-    for shard in tier.shards.values():
-        shard._running = True  # so start() spawns no workers
+class InlineTransport(ShardServer):
+    """A shard that starts no worker: each sub-request runs the shipped
+    ``_execute_batch`` on the submitting (controlled router) thread, and
+    every ``SegmentOwnershipError`` it answers lands in ``refusals``."""
 
-        def submit(request, shard=shard):
-            shard._execute_batch([request])
-            if isinstance(request.future.exception(), SegmentOwnershipError):
-                refusals.append(request.future.exception())
-            return request.future
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refusals: list[SegmentOwnershipError] = []
 
-        shard._submit = submit
-    return tier.start()
+    def start(self) -> "InlineTransport":
+        with self._lifecycle_lock:
+            self._running = True
+        return self
+
+    def _submit(self, request) -> ServeFuture:
+        self._execute_batch([request])
+        error = request.future.exception()
+        if isinstance(error, SegmentOwnershipError):
+            self.refusals.append(error)
+        return request.future
 
 
 def _acquire_holding_no_ref(tier: ElasticTier):
@@ -429,8 +432,9 @@ class _OwnershipChangeVsRoutedSearch(Scenario):
         state = _Box()
         state.db = _make_doc_db(num_docs=10)  # 2 segments -> groups {0, 1}
         state.db.vacuum()
-        state.refusals = []
-        state.tier = _inline_tier(state.db, state.refusals)
+        config = ServeConfig(enable_cache=False)
+        state.tier = ElasticTier(state.db, 2, config, transport=InlineTransport).start()
+        state.shards = list(state.tier.shards.values())  # outlive remove_server
         state.query = np.zeros(_DIM, dtype=np.float32)
         state.query[1] = 25.0
         state.truth_ids = {
@@ -450,8 +454,9 @@ class _OwnershipChangeVsRoutedSearch(Scenario):
         state.result = state.tier.search([_ATTR], state.query, 3)
 
     def check(self, state) -> None:
-        assert not state.refusals, (
-            f"a routed sub-request was refused mid-flight: {state.refusals[0]}"
+        refusals = [error for shard in state.shards for error in shard.refusals]
+        assert not refusals, (
+            f"a routed sub-request was refused mid-flight: {refusals[0]}"
         )
         assert set(state.result) == state.truth_ids, (
             "ownership change altered routed search content: "

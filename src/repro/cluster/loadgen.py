@@ -39,10 +39,9 @@ class LoadResult:
     p50_latency_seconds: float
     p99_latency_seconds: float
     connections: int
-    #: Open-loop runs only: the Poisson arrival rate that was offered and
-    #: the number of arrivals generated.
+    #: Open-loop runs only: the Poisson arrival rate that was offered.
+    #: Every arrival completes, so ``completed`` counts the arrivals.
     target_qps: float | None = None
-    offered: int = 0
 
 
 class ClosedLoopLoadGenerator:
@@ -153,12 +152,14 @@ class ClosedLoopLoadGenerator:
             max(last_done, duration_seconds),
             0,
             target_qps=target_qps,
-            offered=len(latencies),
         )
 
 
 def _load_result(
-    latencies: list[float], horizon: float, connections: int, **open_loop
+    latencies: list[float],
+    horizon: float,
+    connections: int,
+    target_qps: float | None = None,
 ) -> LoadResult:
     lat = np.asarray(latencies)
     return LoadResult(
@@ -169,5 +170,5 @@ def _load_result(
         p50_latency_seconds=float(np.percentile(lat, 50)) if lat.size else 0.0,
         p99_latency_seconds=float(np.percentile(lat, 99)) if lat.size else 0.0,
         connections=connections,
-        **open_loop,
+        target_qps=target_qps,
     )

@@ -179,41 +179,47 @@ class VectorSystemSim:
         paper measures them comparable), while Milvus parses row by row,
         reproducing Table 2's 9.6-22.5x data-load gap mechanically.  The
         profile's ``load_factor`` covers residual engine overheads.
+
+        Parse and build each report the best of three runs: one wall-clock
+        run is noise, not the mechanism Table 2 reproduces.  Builds are
+        seeded, so the index kept is the same whichever run made it.
         """
         vectors = dataset.vectors
         self.metric = dataset.metric
         self.dim = int(vectors.shape[1])
         self.num_vectors = int(vectors.shape[0])
         csv_text = "\n".join(",".join(f"{x:.6f}" for x in row) for row in vectors)
-        start = time.perf_counter()
-        if self.profile.name == "Milvus":
-            parsed = self._parse_vectors_slow(csv_text, self.dim)
-        else:
-            parsed = self._parse_vectors_fast(csv_text, self.dim)
-        if self.segment_size is None:
-            chunks = [(0, parsed)]
-        else:
-            chunks = [
-                (lo, parsed[lo: lo + self.segment_size])
-                for lo in range(0, len(parsed), self.segment_size)
-            ]
-        staged = [(lo, np.array(chunk, dtype=np.float32)) for lo, chunk in chunks]
-        measured_load = time.perf_counter() - start
-        self.load_seconds = measured_load * self.profile.load_factor
+        measured_load = measured_build = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            if self.profile.name == "Milvus":
+                parsed = self._parse_vectors_slow(csv_text, self.dim)
+            else:
+                parsed = self._parse_vectors_fast(csv_text, self.dim)
+            if self.segment_size is None:
+                chunks = [(0, parsed)]
+            else:
+                chunks = [
+                    (lo, parsed[lo: lo + self.segment_size])
+                    for lo in range(0, len(parsed), self.segment_size)
+                ]
+            staged = [(lo, np.array(chunk, dtype=np.float32)) for lo, chunk in chunks]
+            measured_load = min(measured_load, time.perf_counter() - start)
 
-        start = time.perf_counter()
-        self.indexes = []
-        for lo, chunk in staged:
-            index = HNSWIndex(
-                self.dim,
-                self.metric,
-                M=self.M,
-                ef_construction=self.ef_construction,
-                prune_heuristic=self.profile.diversity_heuristic,
-            )
-            index.update_items(range(lo, lo + len(chunk)), chunk)
-            self.indexes.append(index)
-        measured_build = time.perf_counter() - start
+            start = time.perf_counter()
+            self.indexes = []
+            for lo, chunk in staged:
+                index = HNSWIndex(
+                    self.dim,
+                    self.metric,
+                    M=self.M,
+                    ef_construction=self.ef_construction,
+                    prune_heuristic=self.profile.diversity_heuristic,
+                )
+                index.update_items(range(lo, lo + len(chunk)), chunk)
+                self.indexes.append(index)
+            measured_build = min(measured_build, time.perf_counter() - start)
+        self.load_seconds = measured_load * self.profile.load_factor
         self.build_seconds = measured_build * self.profile.build_factor
         return {
             "data_load_seconds": self.load_seconds,

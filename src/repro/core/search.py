@@ -246,13 +246,12 @@ def vector_search_parts(
     spec: SearchSpec,
     prefilter: VertexSet | SegmentMasks | None,
     groups: frozenset | set | None = None,
-    group_size: int = 1,
 ) -> tuple[list[tuple[str, tuple[tuple[float, int], ...]]], ActionStats]:
     """Per-attribute partial top-k over a subset of segment groups, and its cost.
 
-    The shard-owner half of the elastic tier's search: each owning server
-    runs this over the segment ordinals whose group (``seg_no //
-    group_size``) it owns, and the router merges the partials with
+    The shard-owner half of the elastic tier's search: a group is one
+    segment ordinal, each owning server runs this over the ordinals it
+    owns, and the router merges the partials with
     :func:`merge_sharded_topk`.  Returns one ``(vertex_type, pairs)`` entry
     per attribute in ``spec.attributes`` order, where ``pairs`` are the
     attribute's local top-k ``(distance, vid)`` tuples sorted exactly as
@@ -269,8 +268,6 @@ def vector_search_parts(
     union of per-part top-k), and the (distance, vid) total order makes
     the merged result identical regardless of how segments were split.
     """
-    if group_size < 1:
-        raise VectorSearchError("group_size must be at least 1")
     parts: list[tuple[str, tuple[tuple[float, int], ...]]] = []
     stats = ActionStats()
     with get_telemetry().span(
@@ -291,7 +288,7 @@ def vector_search_parts(
                 seg_nos = [
                     seg_no
                     for seg_no in range(store.num_segments)
-                    if seg_no // group_size in groups
+                    if seg_no in groups
                 ]
             action = EmbeddingAction(store)
             result = action.topk(
@@ -319,12 +316,11 @@ def vector_search_sharded(
     filter: VertexSet | SegmentMasks | None = None,
     ef: int | None = None,
     groups: frozenset | set | None = None,
-    group_size: int = 1,
 ) -> list[tuple[str, tuple[tuple[float, int], ...]]]:
     """:func:`vector_search_parts` of the spec these arguments make, without
     the statistics (what a shard ships)."""
     spec = SearchSpec(service, vector_attributes, query_vector, k, ef=ef, filter=filter)
-    return vector_search_parts(service, snapshot, spec, spec.filter, groups, group_size)[0]
+    return vector_search_parts(service, snapshot, spec, spec.filter, groups)[0]
 
 
 def merge_sharded_topk(

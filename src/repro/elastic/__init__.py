@@ -1,27 +1,26 @@
-"""Elastic distributed serve tier (ROADMAP item 2).
+"""Elastic distributed serve tier.
 
-Sharded :class:`~repro.elastic.shard.ShardServer` instances — each a full
-:class:`~repro.serve.server.QueryServer` owning a subset of segment
-groups — behind a consistent-hash ring and an
-:class:`~repro.elastic.router.ElasticTier` router that fans top-k
-requests to owners, merges the partials byte-identically to the
-unsharded path, rebalances ownership live under traffic (drain at an
-MVCC TID, transfer, re-admit), keeps the watermark-keyed result caches
-replica-coherent, and autoscales on telemetry p99s.
+Shards — by default :class:`~repro.elastic.shard.ShardServer` instances,
+each a full :class:`~repro.serve.server.QueryServer` owning a subset of
+segment groups, reached through the seven-member
+:class:`~repro.elastic.shard.ShardTransport` seam — behind a
+consistent-hash ring and an :class:`~repro.elastic.router.ElasticTier`
+router that fans top-k requests to owners, merges the partials
+byte-identically to the unsharded path, rebalances ownership live under
+traffic (drain at an MVCC TID, transfer, re-admit), and keeps the
+watermark-keyed result caches replica-coherent.
 """
 
-from .autoscale import AutoscalePolicy, Autoscaler
 from .ring import ConsistentHashRing
 from .router import ElasticTier
-from .shard import ShardRequest, ShardServer
+from .shard import ShardRequest, ShardServer, ShardTransport
 from .sim import SimulatedElasticServe
 
 __all__ = [
-    "AutoscalePolicy",
-    "Autoscaler",
     "ConsistentHashRing",
     "ElasticTier",
     "ShardRequest",
     "ShardServer",
+    "ShardTransport",
     "SimulatedElasticServe",
 ]

@@ -1,8 +1,8 @@
 """Consistent-hash ring over (tenant, segment-group) routing keys.
 
 The elastic serve tier routes every request key — a ``(tenant, group)``
-pair, where a *group* is a contiguous run of ``group_size`` embedding
-segments — to the :class:`~repro.elastic.shard.ShardServer` that owns it.
+pair, where a *group* is one embedding-segment ordinal on the live tier
+— to the shard that owns it.
 Ownership defaults to consistent hashing so that membership changes move
 as few keys as possible: each server contributes ``vnodes`` virtual points
 on a 64-bit ring (seeded BLAKE2b, no process-salt randomness), a key is

@@ -2,15 +2,18 @@
 
 The distributed story of the paper's Sec. 3/5 — segment-partitioned
 vector data behind a coordinator that fans a top-k out to owners and
-merges — lifted to the serving layer: several
-:class:`~repro.elastic.shard.ShardServer` instances each own a subset of
-*segment groups* (``group = seg_no // group_size``, uniform across every
+merges — lifted to the serving layer: several shards each own a subset
+of *segment groups* (a group is one segment ordinal, the same in every
 attribute store, mirroring vertex-centric partitioning), a
 :class:`ConsistentHashRing` keyed by ``(tenant, group)`` decides default
 ownership, and the router fans each query to the owners and merges the
 partials with :func:`~repro.core.search.merge_sharded_topk` — which
 reconstructs the unsharded answer byte-for-byte (see its docstring for
 the containment argument).
+
+**One seam to the shards.**  The router calls a shard only through the
+seven members of :class:`~repro.elastic.shard.ShardTransport`; the default
+transport, :class:`~repro.elastic.shard.ShardServer`, runs on threads.
 
 **Routing and retry.**  Ownership entries materialize lazily from the
 ring (grant first, publish second, so a published entry is always backed
@@ -76,9 +79,8 @@ from ..errors import (
 from ..serve.server import ServeConfig, freshness_gate
 from ..serve.tenancy import TenantRegistry
 from ..telemetry import get_telemetry
-from .autoscale import Autoscaler, AutoscalePolicy
 from .ring import ConsistentHashRing
-from .shard import ShardServer
+from .shard import ShardServer, ShardTransport
 
 __all__ = ["ElasticTier"]
 
@@ -111,7 +113,10 @@ class _Ownership:
 
 
 class ElasticTier:
-    """Shard-routing front tier over one database: route, merge, rebalance."""
+    """Shard-routing front tier over one database: route, merge, rebalance.
+
+    ``transport(db, name, *, config, tenants, policy, injector)`` builds
+    each shard."""
 
     def __init__(
         self,
@@ -121,24 +126,19 @@ class ElasticTier:
         tenants=None,
         policy=None,
         injectors: dict | None = None,
-        group_size: int = 1,
-        vnodes: int = 96,
-        autoscale: AutoscalePolicy | None = None,
+        transport=ShardServer,
     ):
         if num_servers < 1:
             raise ElasticError("need at least one server")
-        if group_size < 1:
-            raise ElasticError("group_size must be at least 1")
         self.db = db
         self.config = config or ServeConfig()
         self.policy = policy
-        self.group_size = int(group_size)
         self.registry = TenantRegistry(tenants)
         self._injectors = dict(injectors or {})
-        self.ring = ConsistentHashRing(vnodes=vnodes)
-        self.shards: dict[str, ShardServer] = {}
+        self._transport = transport
+        self.ring = ConsistentHashRing()
+        self.shards: dict[str, ShardTransport] = {}
         self._server_seq = 0
-        self.autoscaler = Autoscaler(autoscale or AutoscalePolicy())
         # One condition guards the ownership map and every entry's
         # draining/inflight state; telemetry is recorded outside it.
         self._route_cond = threading.Condition(threading.Lock())
@@ -150,22 +150,21 @@ class ElasticTier:
             self._new_shard()
 
     # ------------------------------------------------------------- lifecycle
-    def _new_shard(self) -> ShardServer:
+    def _new_shard(self) -> str:
         name = f"shard-{self._server_seq}"
         self._server_seq += 1
-        shard = ShardServer(
+        shard = self._transport(
             self.db,
             name,
             config=self.config,
             tenants=[self.registry.get(name) for name in self.registry.names()],
             policy=self.policy,
             injector=self._injectors.get(name),
-            group_size=self.group_size,
         )
         with self._route_cond:
             self.shards[name] = shard
         self.ring.add(name)  # ring is its own lock leaf: add outside the cond
-        return shard
+        return name
 
     def start(self) -> "ElasticTier":
         for shard in self.shards.values():
@@ -193,15 +192,15 @@ class ElasticTier:
 
     # --------------------------------------------------------------- routing
     def group_universe(self, vector_attributes) -> list[int]:
-        """Every group id a query over these attributes can touch."""
+        """Every group id (segment ordinal) a query over these attributes
+        can touch."""
         schema = self.db.schema
         max_segments = 1
         for qualified in vector_attributes:
             vertex_type, _ = schema.embedding_attribute(qualified)
             store = self.db.service.store(vertex_type, qualified.split(".", 1)[1])
             max_segments = max(max_segments, store.num_segments)
-        num_groups = -(-max_segments // self.group_size)  # ceil
-        return list(range(num_groups))
+        return list(range(max_segments))
 
     def _materialize(self, tenant: str, group: int) -> _Ownership:
         """Entry for a key, granting the ring owner on first touch.
@@ -496,7 +495,7 @@ class ElasticTier:
         """Drive ownership to the bounded-load assignment; returns move count."""
         groups = self.group_universe(list(vector_attributes))
         live = self._live_names()
-        target = ConsistentHashRing(vnodes=self.ring.vnodes)
+        target = ConsistentHashRing()
         for name in live:
             target.add(name)
         plan = target.balanced_assignment(tenant, groups)
@@ -536,12 +535,12 @@ class ElasticTier:
         tel.set_gauge("elastic.servers", len(self._live_names()))
         return moved
 
-    # ------------------------------------------------------------ autoscaling
+    # ------------------------------------------------------------ membership
     def add_server(self) -> str:
         """Scale out one server and migrate keys the ring now hashes to it."""
-        shard = self._new_shard()
+        name = self._new_shard()
         if self._started:
-            shard.start()
+            self.shards[name].start()
         with self._route_cond:
             materialized = sorted(self._owners)
         pins = self.ring.pins()
@@ -554,7 +553,7 @@ class ElasticTier:
             if owner != current:
                 self.rebalance(tenant, group, owner)
         get_telemetry().set_gauge("elastic.servers", len(self._live_names()))
-        return shard.name
+        return name
 
     def remove_server(self, name: str | None = None) -> str:
         """Scale in one server gracefully: migrate every key, then stop it."""
@@ -577,19 +576,6 @@ class ElasticTier:
         get_telemetry().set_gauge("elastic.servers", len(self._live_names()))
         return name
 
-    def autoscale_step(self) -> str:
-        """One policy tick off live telemetry p99s; returns the decision."""
-        tel = get_telemetry()
-        p99 = tel.registry.histogram("serve.queue_wait_seconds").percentile(0.99)
-        decision = self.autoscaler.observe(p99, len(self._live_names()))
-        if decision == "scale_out":
-            self.add_server()
-            tel.inc("elastic.scale_out")
-        elif decision == "scale_in":
-            self.remove_server()
-            tel.inc("elastic.scale_in")
-        return decision
-
     # ---------------------------------------------------------------- stats
     def ownership(self) -> dict[str, dict[str, list[int]]]:
         """server -> tenant -> sorted groups (materialized keys only)."""
@@ -606,13 +592,15 @@ class ElasticTier:
         ``routed_requests``, ``route_retries``, ``cache_coherence_bypass``
         and ``crash_failovers`` are read from the active telemetry registry;
         with telemetry off (the default) nothing counts them, and they are
-        ``None``, not 0.
+        ``None``, not 0.  A server's ``rebalances_in`` / ``rebalances_out``
+        count the logged handoffs to / from it (a first grant is none).
         """
         tel = get_telemetry()
 
         def counter(name: str) -> int | None:
             return tel.registry.counter(name).value if tel.enabled else None
 
+        log = list(self._rebalance_log)
         per_server = {}
         for name, shard in sorted(self.shards.items()):
             stats = shard.stats()
@@ -620,8 +608,8 @@ class ElasticTier:
             per_server[name] = {
                 "running": stats["running"],
                 "owned": stats["owned"],
-                "rebalances_in": stats["rebalances_in"],
-                "rebalances_out": stats["rebalances_out"],
+                "rebalances_in": sum(1 for record in log if record["to"] == name),
+                "rebalances_out": sum(1 for record in log if record["from"] == name),
                 "queue_depth": stats["queue_depth"],
                 "workers_alive": stats.get("workers_alive", 0),
                 "cache_hit_ratio": cache.get("hit_ratio", 0.0),
@@ -631,8 +619,8 @@ class ElasticTier:
             "servers": per_server,
             "live_servers": self._live_names(),
             "ownership": self.ownership(),
-            "rebalances": len(self._rebalance_log),
-            "rebalance_log": list(self._rebalance_log),
+            "rebalances": len(log),
+            "rebalance_log": log,
             "routed_requests": counter("elastic.routed_requests"),
             "route_retries": counter("elastic.route_retries"),
             "cache_coherence_bypass": counter("elastic.cache_coherence_bypass"),

@@ -1,5 +1,9 @@
 """ShardServer: a :class:`QueryServer` that owns a subset of segment groups.
 
+A *group* is one segment ordinal of every attribute store.  The router
+reaches a shard only through :class:`ShardTransport`; ``ShardServer`` is
+its thread implementation.
+
 Each shard is a full serving stack — admission control, weighted-fair
 queue, worker pool, chaos hooks, and a per-tenant result cache — plus an
 *ownership set* of ``(tenant, group)`` keys granted by the elastic tier's
@@ -41,15 +45,41 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import Protocol
 
 from ..analysis.hooks import schedule_point
 from ..core.search import SearchSpec, vector_search_parts
-from ..errors import ReproError, SegmentOwnershipError, ServeError
+from ..errors import ReproError, SegmentOwnershipError
 from ..graph.txn import Snapshot
 from ..serve.server import QueryRequest, QueryServer, ServeConfig, ServeFuture
 from ..telemetry import get_telemetry
 
-__all__ = ["ShardRequest", "ShardServer"]
+__all__ = ["ShardRequest", "ShardServer", "ShardTransport"]
+
+
+class ShardTransport(Protocol):
+    """The seven members :class:`~repro.elastic.router.ElasticTier` calls on
+    a shard, and nothing else.  A transport decides only how a sub-request
+    reaches the shard; ``stats()`` reports at least ``running``, ``owned``
+    and ``queue_depth``."""
+
+    def submit_shard(
+        self, spec: SearchSpec, *, tenant: str, prefilter, snapshot,
+        watermarks: tuple, cache_ok: bool, groups, deadline: float | None,
+    ) -> ServeFuture: ...
+
+    def grant(self, tenant: str, group: int) -> None: ...
+
+    def revoke(self, tenant: str, group: int) -> None: ...
+
+    @property
+    def running(self) -> bool: ...
+
+    def start(self): ...
+
+    def stop(self) -> None: ...
+
+    def stats(self) -> dict: ...
 
 
 @dataclass(eq=False, kw_only=True)
@@ -89,34 +119,24 @@ class ShardServer(QueryServer):
         tenants=None,
         policy=None,
         injector=None,
-        group_size: int = 1,
     ):
         super().__init__(db, config=config, tenants=tenants, policy=policy, injector=injector)
-        if group_size < 1:
-            raise ServeError("group_size must be at least 1")
         self.name = str(name)
-        self.group_size = int(group_size)
         # Ownership is a lock leaf guarded by the queue/worker-visible
         # `_owned_lock`; grant/revoke never call out while holding it.
         self._owned_lock = threading.Lock()
         self._owned: set[tuple[str, int]] = set()
-        self._rebalances_in = 0
-        self._rebalances_out = 0
 
     # ------------------------------------------------------------- ownership
     def grant(self, tenant: str, group: int) -> None:
         """Admit ``(tenant, group)``; idempotent (the router may re-grant)."""
         with self._owned_lock:
-            if (tenant, int(group)) not in self._owned:
-                self._owned.add((tenant, int(group)))
-                self._rebalances_in += 1
+            self._owned.add((tenant, int(group)))
 
     def revoke(self, tenant: str, group: int) -> None:
         """Drop ``(tenant, group)``; in-flight checks then fail typed."""
         with self._owned_lock:
-            if (tenant, int(group)) in self._owned:
-                self._owned.discard((tenant, int(group)))
-                self._rebalances_out += 1
+            self._owned.discard((tenant, int(group)))
 
     def owns(self, tenant: str, group: int) -> bool:
         with self._owned_lock:
@@ -214,7 +234,6 @@ class ShardServer(QueryServer):
                     request.spec,
                     request.prefilter,
                     groups=frozenset(request.groups),
-                    group_size=self.group_size,
                 )
             )
         except ReproError as exc:
@@ -229,6 +248,4 @@ class ShardServer(QueryServer):
         out = super().stats()
         out["name"] = self.name
         out["owned"] = self.owned_groups()
-        out["rebalances_in"] = self._rebalances_in
-        out["rebalances_out"] = self._rebalances_out
         return out

@@ -201,7 +201,7 @@ class StalenessBoundError(ServeError):
 
 class ElasticError(ServeError):
     """Elastic serve-tier failure (``repro.elastic``): ring, routing,
-    rebalancing, or autoscaling misconfiguration."""
+    rebalancing, or membership misconfiguration."""
 
 
 class SegmentOwnershipError(ElasticError):

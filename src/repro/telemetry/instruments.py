@@ -158,8 +158,6 @@ INSTRUMENTS: dict[str, tuple[str, str]] = {
         "fan-outs shipped cache_ok=False: watermark outran the routed snapshot",
     ),
     "elastic.crash_failovers": ("counter", "servers failed out of the ring"),
-    "elastic.scale_out": ("counter", "autoscaler scale-out decisions applied"),
-    "elastic.scale_in": ("counter", "autoscaler scale-in decisions applied"),
     "elastic.servers": ("gauge", "live servers in the elastic tier"),
     # ---- product quantization -------------------------------------------
     "pq.trainings": ("counter", "PQ codebook trainings (segment demotions)"),

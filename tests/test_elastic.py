@@ -13,7 +13,8 @@ Covers the acceptance contracts of the elastic PR:
   identity preserved under moves, scale out/in migration;
 - replica-coherent caching: a commit advances the watermark vector, so
   no replica can serve a pre-commit partial for a post-commit request;
-- the telemetry-driven autoscaler's decision debouncing;
+- the shard seam: a tier built on a transport that is not a
+  ``ShardServer`` answers exactly like the direct path;
 - EDF dequeue within a tenant (satellite): fewer deadline misses than
   FIFO at equal throughput, ``serve.deadline_reorders`` accounting, and
   untouched cross-tenant fairness.
@@ -31,11 +32,10 @@ from repro.core.search import (
     SearchSpec,
     merge_sharded_topk,
     vector_search_merged,
+    vector_search_parts,
     vector_search_sharded,
 )
 from repro.elastic import (
-    AutoscalePolicy,
-    Autoscaler,
     ConsistentHashRing,
     ElasticTier,
     ShardServer,
@@ -44,6 +44,7 @@ from repro.elastic import (
 from repro.errors import ElasticError, SegmentOwnershipError, ServeError
 from repro.graph.accumulators import MapAccum
 from repro.serve import QueryServer, ServeConfig, Tenant, TenantRegistry, WeightedFairQueue
+from repro.serve.server import ServeFuture
 from repro.telemetry import Telemetry, use_telemetry
 
 ATTR = "Post.content_emb"
@@ -222,25 +223,10 @@ class TestShardedIdentity:
                             q,
                             5,
                             groups=frozenset(shard),
-                            group_size=1,
                         )
                         for shard in partition
                     ]
                 assert merge_sharded_topk(parts, 5) == want
-
-    def test_group_size_coarsens_partitioning(self, loaded_post_db, rng):
-        db = loaded_post_db
-        q = rng.standard_normal(DIM).astype(np.float32)
-        want = merged_triples(db, q, 5)
-        with db.snapshot() as snapshot:
-            parts = [
-                vector_search_sharded(
-                    db.service, snapshot, [ATTR], q, 5,
-                    groups=frozenset([g]), group_size=2,
-                )
-                for g in range(2)
-            ]
-        assert merge_sharded_topk(parts, 5) == want
 
     def test_empty_group_set_yields_empty_partial(self, loaded_post_db, rng):
         db = loaded_post_db
@@ -248,7 +234,7 @@ class TestShardedIdentity:
         with db.snapshot() as snapshot:
             parts = vector_search_sharded(
                 db.service, snapshot, [ATTR], q, 5,
-                groups=frozenset([999]), group_size=1,
+                groups=frozenset([999]),
             )
         assert parts == [("Post", ())]
 
@@ -337,6 +323,24 @@ class TestElasticTier:
             assert members(got) == want_members
             assert dict(dmap.items()) == want_dists
             assert tier.stats()["rebalances"] == 1
+
+    def test_rebalance_counts_are_handoffs(self, loaded_post_db, rng):
+        # First grants are not rebalances: after one search and one move,
+        # only the moving pair counts, once each.
+        db = loaded_post_db
+        q = rng.standard_normal(DIM).astype(np.float32)
+        with ElasticTier(db, num_servers=2, config=tier_config()) as tier:
+            tier.search([ATTR], q, 5)
+            src = next(
+                name for name, shard in tier.shards.items() if shard.owns("default", 0)
+            )
+            dst = next(name for name in tier.shards if name != src)
+            tier.rebalance("default", 0, dst)
+            stats = tier.stats()
+        assert stats["rebalances"] == 1
+        servers = stats["servers"]
+        assert (servers[src]["rebalances_in"], servers[src]["rebalances_out"]) == (0, 1)
+        assert (servers[dst]["rebalances_in"], servers[dst]["rebalances_out"]) == (1, 0)
 
     def test_rebalance_unknown_target_raises(self, loaded_post_db):
         with ElasticTier(loaded_post_db, num_servers=2) as tier:
@@ -495,79 +499,6 @@ class TestReplicaCoherence:
 
 
 # --------------------------------------------------------------------------
-# autoscaler decisions
-# --------------------------------------------------------------------------
-
-
-class TestAutoscaler:
-    def test_policy_validation(self):
-        with pytest.raises(ServeError):
-            AutoscalePolicy(queue_delay_p99=0.0)
-        with pytest.raises(ServeError):
-            AutoscalePolicy(min_servers=3, max_servers=2)
-
-    def test_scale_out_after_consecutive_breaches(self):
-        scaler = Autoscaler(AutoscalePolicy(
-            queue_delay_p99=0.05, breach_observations=3, max_servers=4
-        ))
-        assert scaler.observe(0.2, 2) == "hold"
-        assert scaler.observe(0.2, 2) == "hold"
-        assert scaler.observe(0.2, 2) == "scale_out"
-        # The streak resets after a decision fires.
-        assert scaler.observe(0.2, 3) == "hold"
-
-    def test_midband_reading_resets_streaks(self):
-        scaler = Autoscaler(AutoscalePolicy(
-            queue_delay_p99=0.05, breach_observations=2
-        ))
-        assert scaler.observe(0.2, 2) == "hold"
-        assert scaler.observe(0.02, 2) == "hold"  # mid-band: resets
-        assert scaler.observe(0.2, 2) == "hold"
-        assert scaler.observe(0.2, 2) == "scale_out"
-
-    def test_scale_in_on_sustained_idle(self):
-        policy = AutoscalePolicy(
-            queue_delay_p99=0.05,
-            idle_delay_p99=0.005,
-            idle_observations=3,
-            min_servers=1,
-        )
-        scaler = Autoscaler(policy)
-        assert scaler.observe(0.001, 3) == "hold"
-        assert scaler.observe(0.001, 3) == "hold"
-        assert scaler.observe(0.001, 3) == "scale_in"
-
-    def test_bounds_respected(self):
-        policy = AutoscalePolicy(
-            queue_delay_p99=0.05,
-            breach_observations=1,
-            idle_delay_p99=0.005,
-            idle_observations=1,
-            min_servers=2,
-            max_servers=2,
-        )
-        scaler = Autoscaler(policy)
-        assert scaler.observe(1.0, 2) == "hold"  # at max: no scale_out
-        assert scaler.observe(0.0, 2) == "hold"  # at min: no scale_in
-
-    def test_autoscale_step_scales_tier_out(self, loaded_post_db, rng):
-        db = loaded_post_db
-        q = rng.standard_normal(DIM).astype(np.float32)
-        telemetry = Telemetry()
-        policy = AutoscalePolicy(queue_delay_p99=1e-9, breach_observations=1)
-        with use_telemetry(telemetry), ElasticTier(
-            db, num_servers=1, config=tier_config(), autoscale=policy
-        ) as tier:
-            want_members, _ = direct(db, q, 5)
-            tier.search([ATTR], q, 5)  # records a queue_wait above the bound
-            assert tier.autoscale_step() == "scale_out"
-            assert len(tier._live_names()) == 2
-            assert members(tier.search([ATTR], q, 5)) == want_members
-        counters = telemetry.registry.snapshot()["counters"]
-        assert counters["elastic.scale_out"] == 1
-
-
-# --------------------------------------------------------------------------
 # simulated scaling smoke (the full curve lives in the benchmark)
 # --------------------------------------------------------------------------
 
@@ -723,10 +654,87 @@ class TestShardServer:
     def test_grant_revoke_counted(self, loaded_post_db):
         shard = ShardServer(loaded_post_db, "s")
         shard.grant("default", 0)
-        shard.grant("default", 0)  # idempotent: counted once
+        shard.grant("default", 0)  # idempotent: owned once
+        assert shard.owned_groups() == {"default": [0]}
         shard.revoke("default", 0)
         shard.revoke("default", 0)
-        stats_owned = shard.owned_groups()
-        assert stats_owned == {}
-        assert shard._rebalances_in == 1
-        assert shard._rebalances_out == 1
+        assert shard.owned_groups() == {}
+        assert not shard.owns("default", 0)
+
+
+# --------------------------------------------------------------------------
+# the shard seam
+# --------------------------------------------------------------------------
+
+
+class _CallerThreadTransport:
+    """A shard transport that is not a ``ShardServer``: an owned set, and a
+    ``submit_shard`` that runs ``vector_search_parts`` on the calling thread
+    and returns a completed future.  The router must need nothing else."""
+
+    def __init__(self, db, name, *, config, tenants, policy, injector):
+        self.db = db
+        self.name = name
+        self.owned: set[tuple[str, int]] = set()
+        self.running = False
+
+    def submit_shard(
+        self, spec, *, tenant, prefilter, snapshot, watermarks, cache_ok, groups, deadline
+    ):
+        future = ServeFuture()
+        missing = [g for g in groups if (tenant, g) not in self.owned]
+        if missing:
+            future._fail(SegmentOwnershipError(
+                f"{self.name} does not own group {missing[0]}",
+                tenant=tenant, group=missing[0],
+            ))
+            return future
+        parts, _ = vector_search_parts(
+            self.db.service, snapshot, spec, prefilter, groups=frozenset(groups)
+        )
+        future._complete(tuple(parts))
+        return future
+
+    def grant(self, tenant, group):
+        self.owned.add((tenant, group))
+
+    def revoke(self, tenant, group):
+        self.owned.discard((tenant, group))
+
+    def start(self):
+        self.running = True
+        return self
+
+    def stop(self):
+        self.running = False
+
+    def stats(self):
+        owned: dict[str, list[int]] = {}
+        for tenant, group in sorted(self.owned):
+            owned.setdefault(tenant, []).append(group)
+        return {"running": self.running, "owned": owned, "queue_depth": 0}
+
+
+class TestShardTransportSeam:
+    def test_tier_on_a_foreign_transport_matches_direct(self, loaded_post_db, rng):
+        db = loaded_post_db
+        queries = rng.standard_normal((4, DIM)).astype(np.float32)
+        with ElasticTier(db, num_servers=2, transport=_CallerThreadTransport) as tier:
+            assert not any(isinstance(s, ShardServer) for s in tier.shards.values())
+
+            def assert_direct():
+                for q in queries:
+                    dmap = MapAccum()
+                    got = tier.search([ATTR], q, 5, distance_map=dmap)
+                    want_members, want_dists = direct(db, q, 5)
+                    assert members(got) == want_members
+                    assert dict(dmap.items()) == want_dists
+
+            assert_direct()
+            src = next(n for n, s in tier.shards.items() if ("default", 0) in s.owned)
+            dst = next(name for name in tier.shards if name != src)
+            assert tier.rebalance("default", 0, dst) is not None
+            assert ("default", 0) in tier.shards[dst].owned
+            assert ("default", 0) not in tier.shards[src].owned
+            assert_direct()
+            assert tier.stats()["servers"][dst]["rebalances_in"] == 1

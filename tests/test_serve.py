@@ -820,8 +820,9 @@ class TestOpenLoopLoadGen:
         gen = self.make_gen()
         times = [{seg: 0.004 for seg in range(8)}]
         result = gen.run_open_loop(times, duration_seconds=2.0, target_qps=20, seed=7)
-        assert result.offered > 0
-        assert result.completed == result.offered
+        # 20 qps for 2 s is ~40 Poisson arrivals, and an underloaded run
+        # completes every one of them.
+        assert 20 <= result.completed <= 60
         assert result.target_qps == 20
 
     def test_seeded_runs_reproduce(self):
@@ -829,9 +830,9 @@ class TestOpenLoopLoadGen:
         times = [{seg: 0.004 for seg in range(8)}]
         a = gen.run_open_loop(times, duration_seconds=1.0, target_qps=100, seed=3)
         b = gen.run_open_loop(times, duration_seconds=1.0, target_qps=100, seed=3)
-        assert (a.offered, a.completed, a.qps) == (b.offered, b.completed, b.qps)
+        assert (a.completed, a.qps) == (b.completed, b.qps)
         c = gen.run_open_loop(times, duration_seconds=1.0, target_qps=100, seed=4)
-        assert (a.offered, a.qps) != (c.offered, c.qps)
+        assert (a.completed, a.qps) != (c.completed, c.qps)
 
 
 # --------------------------------------------------------------------------
