@@ -7,11 +7,6 @@ next request the moment the previous one completes, for a simulated
 ``duration``.  Per-request segment service times are drawn (round-robin)
 from a pool of measured samples so CPU-cache effects of identical payloads
 don't flatter the results — mirroring the paper's random-payload choice.
-
-``sample_skew`` switches the round-robin draw to a seeded zipfian draw
-over the sample pool (:func:`repro.datasets.workloads.zipfian_weights`):
-real traffic concentrates on a hot subset, and the tiered-storage layer's
-promotion/demotion decisions are only meaningful under that skew.
 """
 
 from __future__ import annotations
@@ -47,41 +42,11 @@ class LoadResult:
 class ClosedLoopLoadGenerator:
     """Drives a :class:`ClusterSimulator` with closed-loop connections."""
 
-    def __init__(
-        self,
-        simulator: ClusterSimulator,
-        connections: int = 320,
-        sample_skew: float | None = None,
-        skew_seed: int = 0,
-    ):
+    def __init__(self, simulator: ClusterSimulator, connections: int = 320):
         if connections <= 0:
             raise ClusterError("need at least one connection")
-        if sample_skew is not None and sample_skew <= 0:
-            raise ClusterError("sample_skew must be positive")
         self.simulator = simulator
         self.connections = connections
-        #: None = round-robin through the sample pool (the default);
-        #: a float = zipfian skew exponent for seeded hot-set traffic.
-        self.sample_skew = sample_skew
-        self.skew_seed = skew_seed
-
-    def _sample_iter(self, pool: list[dict[int, float]]):
-        """Round-robin by default; seeded zipfian draw when skew is set."""
-        if self.sample_skew is None:
-            return itertools.cycle(pool)
-        from ..datasets.workloads import zipfian_weights
-
-        weights = zipfian_weights(len(pool), self.sample_skew)
-        rng = np.random.default_rng(self.skew_seed)
-
-        def draw():
-            while True:
-                # Block draws amortize the rng call without changing the
-                # stream (the sequence is fully determined by the seed).
-                for i in rng.choice(len(pool), size=256, p=weights):
-                    yield pool[int(i)]
-
-        return draw()
 
     def run(
         self,
@@ -96,7 +61,7 @@ class ClosedLoopLoadGenerator:
         if not sample_segment_seconds:
             raise ClusterError("need at least one measured sample")
         self.simulator.reset()
-        samples = self._sample_iter(sample_segment_seconds)
+        samples = itertools.cycle(sample_segment_seconds)
         # Event heap holds (completion_time, seq, issue_time).
         events: list[tuple[float, int, float]] = []
         seq = itertools.count()
@@ -135,7 +100,7 @@ class ClosedLoopLoadGenerator:
         if target_qps <= 0:
             raise ClusterError("target_qps must be positive")
         self.simulator.reset()
-        samples = self._sample_iter(sample_segment_seconds)
+        samples = itertools.cycle(sample_segment_seconds)
         rng = np.random.default_rng(seed)
         latencies: list[float] = []
         last_done = 0.0

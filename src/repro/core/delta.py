@@ -97,9 +97,10 @@ class DeltaFile:
 class DeltaStore:
     """The in-memory delta store for one embedding attribute.
 
-    Thread-safe append; records are kept in TID order.  ``cut(up_to_tid)``
-    detaches a prefix into a :class:`DeltaFile` (the delta-merge step);
-    ``records_between`` serves query-time overlays.
+    Thread-safe append; records are kept in TID order.  The delta-merge
+    step detaches a prefix into a :class:`DeltaFile` in two phases
+    (:meth:`prepare_cut`, then :meth:`commit_cut`); ``records_between``
+    serves query-time overlays.
     """
 
     def __init__(self):
@@ -144,38 +145,18 @@ class DeltaStore:
             stop = bisect.bisect_right(self._tids, high_tid)
             return self._records[start:stop]
 
-    def cut(self, up_to_tid: int) -> DeltaFile | None:
-        """Detach records with ``flushed_tid < tid <= up_to_tid`` into a file.
-
-        Returns ``None`` when there is nothing new to flush.  The cut prefix
-        is removed from the in-memory store; the paper notes this step is
-        fast (memory -> file) compared to the index merge.
-        """
-        with self._lock:
-            if up_to_tid <= self._flushed_tid:
-                return None
-            stop = bisect.bisect_right(self._tids, up_to_tid)
-            if stop == 0:
-                self._flushed_tid = up_to_tid
-                return None
-            records = self._records[:stop]
-            self._records = self._records[stop:]
-            self._tids = self._tids[stop:]
-            from_tid = self._flushed_tid
-            self._flushed_tid = up_to_tid
-            return DeltaFile(records, from_tid, up_to_tid)
-
     def prepare_cut(self, up_to_tid: int) -> DeltaFile | None:
-        """Phase one of a two-phase cut: capture the prefix, retire nothing.
+        """Phase one of a cut: copy records with
+        ``flushed_tid < tid <= up_to_tid`` into a file, retire nothing.
 
-        :meth:`cut` removes records before the caller can publish the
-        returned file, so a concurrent overlay read lands in a window where
-        the records are in *neither* the delta store nor the file list
-        (found by ``repro.analysis.explore``, vacuum-vs-search scenario).
-        ``prepare_cut`` only copies the prefix; the caller publishes the
-        file, then calls :meth:`commit_cut` to retire it.  In between, the
+        Returns ``None`` when there is nothing new to flush (an empty window
+        still advances ``flushed_tid``).  The caller publishes the file,
+        then calls :meth:`commit_cut` to retire the prefix.  In between, the
         records are visible twice — benign, because overlays apply
-        last-write-wins per vid and both copies are identical.
+        last-write-wins per vid and both copies are identical.  Retiring
+        before publishing would open a window where a concurrent overlay
+        read finds the records in *neither* place (found by
+        ``repro.analysis.explore``, vacuum-vs-search scenario).
         """
         with self._lock:
             if up_to_tid <= self._flushed_tid:

@@ -115,8 +115,8 @@ class _Ownership:
 class ElasticTier:
     """Shard-routing front tier over one database: route, merge, rebalance.
 
-    ``transport(db, name, *, config, tenants, policy, injector)`` builds
-    each shard."""
+    ``transport(db, name, *, config, tenants, injector)`` builds each
+    shard."""
 
     def __init__(
         self,
@@ -124,7 +124,6 @@ class ElasticTier:
         num_servers: int = 2,
         config: ServeConfig | None = None,
         tenants=None,
-        policy=None,
         injectors: dict | None = None,
         transport=ShardServer,
     ):
@@ -132,7 +131,6 @@ class ElasticTier:
             raise ElasticError("need at least one server")
         self.db = db
         self.config = config or ServeConfig()
-        self.policy = policy
         self.registry = TenantRegistry(tenants)
         self._injectors = dict(injectors or {})
         self._transport = transport
@@ -158,7 +156,6 @@ class ElasticTier:
             name,
             config=self.config,
             tenants=[self.registry.get(name) for name in self.registry.names()],
-            policy=self.policy,
             injector=self._injectors.get(name),
         )
         with self._route_cond:
@@ -396,7 +393,7 @@ class ElasticTier:
         )
         role = self.registry.get(tenant).role
         groups = self.group_universe(spec.attributes)
-        deadline = self.config.deadline(time.monotonic(), timeout, self.policy)
+        deadline = self.config.deadline(time.monotonic(), timeout)
         with freshness_gate(
             self.db, spec, self.config.staleness_wait, deadline
         ) as (snapshot, watermarks, lag):

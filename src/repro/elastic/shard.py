@@ -117,10 +117,9 @@ class ShardServer(QueryServer):
         name: str,
         config: ServeConfig | None = None,
         tenants=None,
-        policy=None,
         injector=None,
     ):
-        super().__init__(db, config=config, tenants=tenants, policy=policy, injector=injector)
+        super().__init__(db, config=config, tenants=tenants, injector=injector)
         self.name = str(name)
         # Ownership is a lock leaf guarded by the queue/worker-visible
         # `_owned_lock`; grant/revoke never call out while holding it.

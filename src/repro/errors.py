@@ -58,10 +58,6 @@ class TransactionError(ReproError):
     """Transaction lifecycle violation (e.g. write after commit)."""
 
 
-class TransactionAborted(TransactionError):
-    """The transaction was rolled back and its effects discarded."""
-
-
 class VectorSearchError(ReproError):
     """Invalid vector-search request (bad k, dimension mismatch, ...)."""
 
@@ -79,14 +75,17 @@ class ClusterError(ReproError):
 
 
 class QueryTimeoutError(ReproError):
-    """A distributed query overran its per-query deadline.
+    """A served request was dequeued past its deadline.
 
-    Raised by the resilient query path (``repro.faults``) when the deadline
-    in :class:`~repro.faults.ResiliencePolicy` elapses before enough segment
-    responses arrive — either because partial results are disallowed, or
-    because *no* segment answered in time (coverage would be zero).  Under
-    the fault model this converts unbounded straggler/crash-induced waiting
-    into a bounded, typed failure the caller can retry.
+    Raised by :meth:`QueryServer._shed_expired
+    <repro.serve.server.QueryServer._shed_expired>` when a worker takes a
+    request whose deadline (the call's ``timeout``, else
+    ``ServeConfig.default_timeout``) has passed, so a stalled or
+    crash-looping pool fails the request typed instead of answering it
+    late.  An elastic shard sheds a routed query's sub-request the same
+    way, and :meth:`ElasticTier.search <repro.elastic.ElasticTier.search>`
+    raises the shard's error.  ``deadline`` is the request's budget in
+    seconds and ``elapsed`` how long it had waited.
     """
 
     def __init__(self, message: str, deadline: float | None = None, elapsed: float | None = None):

@@ -33,15 +33,22 @@ import random
 from dataclasses import dataclass, field
 
 from ..errors import FaultInjectionError
-from .resilience import ResiliencePolicy
 
 __all__ = [
     "CommitCrashFault",
     "FaultPlan",
+    "RETRY_BACKOFF",
+    "RETRY_BUDGET",
     "SegmentFault",
     "WorkerCrashFault",
     "WorkerStallFault",
 ]
+
+#: Attempts per served search (first try + retries); also how many crashed
+#: workers a request may pass through before it fails typed.
+RETRY_BUDGET = 3
+#: Seconds before the first retry; each later retry waits twice as long.
+RETRY_BACKOFF = 0.001
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,8 @@ class WorkerCrashFault:
     The crash lands *after* the worker pulled its request (and collected a
     micro-batch around it) but *before* execution — the moment an
     unprotected server would simply lose the in-flight work.  The server's
-    countermeasure re-queues every batch member (bounded by the resilience
-    policy's ``max_attempts``) and respawns a replacement worker.
+    countermeasure re-queues every batch member (bounded by
+    :data:`RETRY_BUDGET`) and respawns a replacement worker.
     """
 
     at_request: int
@@ -158,15 +165,13 @@ class FaultPlan:
 
         One worker crash and one 5–50 ms worker stall land on dequeue
         ordinals in ``[1, requests]``; two segment faults hit distinct
-        segments, each with fewer failures than
-        :class:`~repro.faults.ResiliencePolicy`'s default ``max_attempts``,
-        so a shard's own retries absorb every one of them.
+        segments, each with fewer failures than :data:`RETRY_BUDGET`, so a
+        shard's own retries absorb every one of them.
         """
         rng = random.Random(seed)
         plan = cls(seed=seed)
         plan.crash_worker(rng.randint(1, requests))
         plan.stall_worker(rng.randint(1, requests), rng.uniform(0.005, 0.05))
-        budget = ResiliencePolicy().max_attempts - 1
         for seg_no in rng.sample(range(num_segments), k=min(2, num_segments)):
-            plan.fail_segment(seg_no, failures=rng.randint(1, budget))
+            plan.fail_segment(seg_no, failures=rng.randint(1, RETRY_BUDGET - 1))
         return plan

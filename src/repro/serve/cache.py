@@ -161,37 +161,23 @@ class ServeResultCache:
     use and bounded *individually*: tenant B churning through thousands of
     distinct queries can only evict entries from B's own partition, so
     tenant A's hot entries — and with them A's hit rate and latency — are
-    untouched by B's flood.  Partition bounds default to a quarter of the
-    configured totals (a server rarely has more than a handful of hot
-    tenants; a tenant explosion degrades capacity per tenant, never
-    correctness).
+    untouched by B's flood.  Each partition is bounded by a quarter of the
+    totals (a server rarely has more than a handful of hot tenants; a
+    tenant explosion degrades capacity per tenant, never correctness).
+    The totals only size the partitions; nothing bounds their sum.
 
     Same locking stance as :class:`ResultCache`: partitions are lock
     leaves, and the partition map has its own leaf lock that never nests
     inside a partition's.
     """
 
-    _DEFAULT_SPLIT = 4
+    _SPLIT = 4
 
-    def __init__(
-        self,
-        max_bytes: int = 32 << 20,
-        max_entries: int = 1024,
-        partition_max_bytes: int | None = None,
-        partition_max_entries: int | None = None,
-    ):
+    def __init__(self, max_bytes: int = 32 << 20, max_entries: int = 1024):
         if max_bytes < 1 or max_entries < 1:
             raise ServeError("cache bounds must be positive")
-        self.partition_max_bytes = int(
-            partition_max_bytes
-            if partition_max_bytes is not None
-            else max(1, max_bytes // self._DEFAULT_SPLIT)
-        )
-        self.partition_max_entries = int(
-            partition_max_entries
-            if partition_max_entries is not None
-            else max(1, max_entries // self._DEFAULT_SPLIT)
-        )
+        self.partition_max_bytes = max(1, int(max_bytes) // self._SPLIT)
+        self.partition_max_entries = max(1, int(max_entries) // self._SPLIT)
         self._lock = threading.Lock()
         self._partitions: dict[str, ResultCache] = {}
 

@@ -44,7 +44,7 @@ Correctness contracts:
   evict another's hot entries nor fill the shared queue.
 - **Chaos hardening**: with a :class:`~repro.faults.FaultInjector`
   attached, injected worker crashes re-queue the in-flight batch (bounded
-  by the policy's ``max_attempts``) and respawn a replacement worker;
+  by :data:`~repro.faults.RETRY_BUDGET`) and respawn a replacement worker;
   injected stalls delay one batch while other workers drain the queue;
   and a fused batch poisoned by injected segment faults degrades to
   per-query execution instead of failing every rider.
@@ -74,7 +74,7 @@ from ..errors import (
     ServeError,
     StalenessBoundError,
 )
-from ..faults import FaultInjector, ResiliencePolicy
+from ..faults import RETRY_BACKOFF, RETRY_BUDGET, FaultInjector
 from ..telemetry import get_telemetry
 from .admission import AdmissionController
 from .batcher import MicroBatcher
@@ -100,14 +100,8 @@ class ServeConfig:
     batch_window_seconds: float = 0.002
     max_batch: int = 32
     enable_cache: bool = True
-    cache_max_bytes: int = 32 << 20
-    cache_max_entries: int = 1024
-    #: Per-tenant cache partition bounds; None derives a quarter of the
-    #: totals (see :class:`~repro.serve.cache.ServeResultCache`).
-    cache_partition_max_bytes: int | None = None
-    cache_partition_max_entries: int | None = None
-    #: Per-request deadline (seconds from submit).  None defers to the
-    #: resilience policy's deadline; both None means no deadline.
+    #: Deadline (seconds from submit) of a request that names no
+    #: ``timeout``; None means no deadline.
     default_timeout: float | None = None
     #: Staleness bound applied to requests that don't specify their own
     #: ``max_staleness`` (None = no default bound).
@@ -131,16 +125,11 @@ class ServeConfig:
         if self.staleness_wait < 0:
             raise ServeError("staleness_wait must be non-negative")
 
-    def deadline(
-        self, submitted_at: float, timeout: float | None, policy: ResiliencePolicy | None
-    ) -> float | None:
+    def deadline(self, submitted_at: float, timeout: float | None) -> float | None:
         """A request's absolute deadline: its own ``timeout``, else
-        ``default_timeout``, else the resilience ``policy``'s ``deadline``
-        (``policy`` may be None); all None means no deadline."""
+        ``default_timeout``; both None means no deadline."""
         if timeout is None:
             timeout = self.default_timeout
-        if timeout is None and policy is not None:
-            timeout = policy.deadline
         return None if timeout is None else submitted_at + timeout
 
 
@@ -191,7 +180,7 @@ class QueryRequest:
     submitted_at: float
     deadline: float | None
     #: Execution attempts so far; bumped when a crashed worker's batch is
-    #: re-queued, bounded by the resilience policy's ``max_attempts``.
+    #: re-queued, bounded by :data:`~repro.faults.RETRY_BUDGET`.
     attempts: int = 0
 
     def batch_key(self) -> tuple | None:
@@ -314,13 +303,11 @@ class QueryServer:
         db,
         config: ServeConfig | None = None,
         tenants=None,
-        policy: ResiliencePolicy | None = None,
         injector: FaultInjector | None = None,
     ):
         self.db = db
         self.config = config or ServeConfig()
         self.registry = TenantRegistry(tenants)
-        self.policy = policy if policy is not None else ResiliencePolicy()
         #: Optional chaos harness: when set, workers consult it at every
         #: dequeue for injected crashes/stalls (see ``repro.faults``).
         self.injector = injector
@@ -333,16 +320,7 @@ class QueryServer:
             if self.config.enable_batching
             else None
         )
-        self.cache = (
-            ServeResultCache(
-                self.config.cache_max_bytes,
-                self.config.cache_max_entries,
-                partition_max_bytes=self.config.cache_partition_max_bytes,
-                partition_max_entries=self.config.cache_partition_max_entries,
-            )
-            if self.config.enable_cache
-            else None
-        )
+        self.cache = ServeResultCache() if self.config.enable_cache else None
         self._lifecycle_lock = threading.Lock()
         self._workers: list[threading.Thread] = []
         self._running = False
@@ -477,7 +455,7 @@ class QueryServer:
             tenant=tenant_obj,
             future=ServeFuture(),
             submitted_at=submitted_at,
-            deadline=self.config.deadline(submitted_at, timeout, self.policy),
+            deadline=self.config.deadline(submitted_at, timeout),
             spec=spec,
             no_cache=no_cache,
         )
@@ -507,7 +485,7 @@ class QueryServer:
             tenant=tenant_obj,
             future=ServeFuture(),
             submitted_at=submitted_at,
-            deadline=self.config.deadline(submitted_at, timeout, self.policy),
+            deadline=self.config.deadline(submitted_at, timeout),
             text=text,
             params=dict(params or {}),
         )
@@ -550,8 +528,8 @@ class QueryServer:
                 batch = [request]
             if injector is not None and injector.worker_crash_due(ordinal):
                 # The worker dies with the batch in hand: re-queue every
-                # member (bounded by the policy) and respawn a replacement
-                # so capacity recovers.  This thread then exits = "crash".
+                # member (bounded by the retry budget) and respawn a
+                # replacement so capacity recovers.  This thread then exits.
                 tel.inc("serve.worker_crashes")
                 self._requeue_after_crash(batch)
                 self._respawn_worker()
@@ -564,13 +542,13 @@ class QueryServer:
         """Put a dead worker's in-flight requests back on the queue.
 
         Each request carries an attempt count; one that has already been
-        through ``max_attempts`` workers fails typed instead of cycling
+        through ``RETRY_BUDGET`` workers fails typed instead of cycling
         forever through a crash-looping server.
         """
         tel = get_telemetry()
         for request in batch:
             request.attempts += 1
-            if request.attempts >= self.policy.max_attempts:
+            if request.attempts >= RETRY_BUDGET:
                 self._finish(
                     request,
                     error=FaultInjectionError(
@@ -662,19 +640,18 @@ class QueryServer:
         return live
 
     def _with_retries(self, fn):
-        """Resilience dispatch: retry injected faults with policy backoff."""
+        """Retry injected faults: up to ``RETRY_BUDGET`` tries, the backoff
+        starting at ``RETRY_BACKOFF`` seconds and doubling."""
         attempt = 0
         while True:
             try:
                 return fn()
             except FaultInjectionError:
                 attempt += 1
-                if attempt >= self.policy.max_attempts:
+                if attempt >= RETRY_BUDGET:
                     raise
                 get_telemetry().inc("resilience.retries")
-                delay = self.policy.backoff(attempt - 1)
-                if delay > 0:
-                    time.sleep(delay)
+                time.sleep(RETRY_BACKOFF * 2 ** (attempt - 1))
 
     # ----------------------------------------------------------------- GSQL
     def _execute_gsql(self, request: GSQLRequest) -> None:

@@ -17,8 +17,6 @@ __all__ = ["INSTRUMENTS", "bucket_preset"]
 #: name -> (kind, description).  Kind is "counter" | "gauge" | "histogram".
 INSTRUMENTS: dict[str, tuple[str, str]] = {
     # ---- query layer -----------------------------------------------------
-    "query.count": ("counter", "distributed top-k queries executed"),
-    "query.latency_seconds": ("histogram", "end-to-end distributed query latency"),
     "query.slow": ("counter", "queries over the slow-query threshold"),
     # ---- HNSW ------------------------------------------------------------
     "hnsw.searches": ("counter", "HNSW top-k searches"),

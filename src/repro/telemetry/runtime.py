@@ -83,15 +83,6 @@ class Telemetry:
             if not stack:
                 self._retain(span)
 
-    def current_span(self) -> Span | None:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def adopt(self, root: Span) -> None:
-        """Retain an externally built root span as a finished trace."""
-        root.finish()
-        self._retain(root)
-
     def _retain(self, root: Span) -> None:
         slow = (
             self.slow_query_seconds is not None
@@ -151,12 +142,6 @@ class NullTelemetry:
     @contextmanager
     def span(self, name: str, record: str | None = None, **attrs):
         yield NULL_SPAN
-
-    def current_span(self):
-        return None
-
-    def adopt(self, root) -> None:
-        return None
 
     def inc(self, name: str, n: int | float = 1) -> None:
         return None

@@ -45,8 +45,9 @@ class TestDeltaStore:
     def test_cut_detaches_prefix(self):
         store = DeltaStore()
         store.append([rec(UPSERT, i, i + 1) for i in range(5)])
-        dfile = store.cut(3)
+        dfile = store.prepare_cut(3)
         assert dfile is not None
+        store.commit_cut(dfile)
         assert [r.tid for r in dfile] == [1, 2, 3]
         assert dfile.from_tid == 0 and dfile.to_tid == 3
         assert len(store) == 2
@@ -55,12 +56,14 @@ class TestDeltaStore:
     def test_cut_nothing_new(self):
         store = DeltaStore()
         store.append([rec(UPSERT, 1, 1)])
-        assert store.cut(1) is not None
-        assert store.cut(1) is None
+        dfile = store.prepare_cut(1)
+        assert dfile is not None
+        store.commit_cut(dfile)
+        assert store.prepare_cut(1) is None
 
     def test_cut_empty_window_advances_tid(self):
         store = DeltaStore()
-        assert store.cut(10) is None
+        assert store.prepare_cut(10) is None
         assert store.flushed_tid == 10
 
 

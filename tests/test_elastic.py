@@ -672,7 +672,7 @@ class _CallerThreadTransport:
     ``submit_shard`` that runs ``vector_search_parts`` on the calling thread
     and returns a completed future.  The router must need nothing else."""
 
-    def __init__(self, db, name, *, config, tenants, policy, injector):
+    def __init__(self, db, name, *, config, tenants, injector):
         self.db = db
         self.name = name
         self.owned: set[tuple[str, int]] = set()

@@ -23,7 +23,7 @@ import pytest
 
 from repro.elastic import ElasticTier
 from repro.errors import QueryTimeoutError, ReproError, StalenessBoundError
-from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
+from repro.faults import FaultInjector, FaultPlan
 from repro.serve import ServeConfig
 from repro.telemetry import Telemetry, use_telemetry
 
@@ -228,13 +228,11 @@ class TestInjectedWorkerFaults:
             "shard-0": FaultInjector(FaultPlan().crash_worker(1)),
             "shard-1": FaultInjector(FaultPlan().stall_worker(2, seconds=0.02)),
         }
-        policy = ResiliencePolicy(max_attempts=3, backoff_base=0.0)
         telemetry = Telemetry()
         with use_telemetry(telemetry), ElasticTier(
             db,
             num_servers=2,
             config=chaos_config(),
-            policy=policy,
             injectors=injectors,
         ) as tier:
             got = [members(tier.search([ATTR], q, 5)) for q in queries]
@@ -243,10 +241,10 @@ class TestInjectedWorkerFaults:
         assert counters["serve.worker_crashes"] >= 1
         assert counters["serve.worker_respawns"] >= 1
 
-    def test_policy_deadline_sheds_stalled_shards(self, loaded_post_db, rng):
-        """With no timeout and no ``default_timeout``, the resilience
-        policy's deadline bounds a routed query, as it does a
-        ``QueryServer`` request: stalled shard workers shed it typed."""
+    def test_default_timeout_sheds_stalled_shards(self, loaded_post_db, rng):
+        """With no per-call timeout, ``ServeConfig.default_timeout`` bounds a
+        routed query, as it does a ``QueryServer`` request: stalled shard
+        workers shed it typed."""
         db = loaded_post_db
         q = rng.standard_normal(DIM).astype(np.float32)
         injectors = {
@@ -256,8 +254,9 @@ class TestInjectedWorkerFaults:
         with ElasticTier(
             db,
             num_servers=2,
-            config=chaos_config(),
-            policy=ResiliencePolicy(deadline=0.05),
+            config=ServeConfig(
+                workers=2, enable_batching=False, default_timeout=0.05
+            ),
             injectors=injectors,
         ) as tier:
             started = time.monotonic()

@@ -13,7 +13,7 @@ from repro.errors import (
     SimulatedCrash,
     WALCorruptionError,
 )
-from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
+from repro.faults import RETRY_BUDGET, FaultInjector, FaultPlan
 from repro.graph.storage import GraphStore
 from repro.graph.wal import WriteAheadLog
 
@@ -63,12 +63,11 @@ class TestFaultPlan:
 
     def test_random_segment_faults_fit_the_retry_budget(self):
         """Distinct segments, each failing fewer times than a shard tries."""
-        budget = ResiliencePolicy().max_attempts
         for seed in range(20):
             plan = FaultPlan.random(seed, num_segments=3, requests=5)
             segments = [f.seg_no for f in plan.segment_faults]
             assert len(set(segments)) == len(segments) == 2
-            assert all(1 <= f.failures < budget for f in plan.segment_faults)
+            assert all(1 <= f.failures < RETRY_BUDGET for f in plan.segment_faults)
             ordinals = [f.at_request for f in plan.worker_crashes + plan.worker_stalls]
             assert all(1 <= at <= 5 for at in ordinals)
 

@@ -41,6 +41,7 @@ from repro.serve import (
     QueryServer,
     ResultCache,
     ServeConfig,
+    ServeResultCache,
     Tenant,
     TenantRegistry,
     TokenBucket,
@@ -1055,13 +1056,13 @@ class TestNoisyNeighbor:
         db = loaded_post_db
         add_person_embeddings(db, rng)
         db.vacuum()
-        config = ServeConfig(
-            workers=2, enable_batching=False, cache_partition_max_entries=8
-        )
+        config = ServeConfig(workers=2, enable_batching=False)
         tenants = [Tenant("a"), Tenant("b")]
         hot = rng.standard_normal((4, 16)).astype(np.float32)
         flood = rng.standard_normal((48, 16)).astype(np.float32)
-        with QueryServer(db, config, tenants=tenants) as server:
+        server = QueryServer(db, config, tenants=tenants)
+        server.cache = ServeResultCache(max_entries=32)  # 8 per partition
+        with server:
             for q in hot:  # warm A's partition
                 server.search(["Post.content_emb"], q, 3, tenant="a")
             for q in flood[:24]:
@@ -1090,7 +1091,7 @@ class TestNoisyNeighbor:
         db = loaded_post_db
         add_person_embeddings(db, rng)
         db.vacuum()
-        config = ServeConfig(workers=3, cache_partition_max_entries=8)
+        config = ServeConfig(workers=3)
         tenants = [Tenant("a", weight=2.0), Tenant("b")]
         hot = rng.standard_normal((4, 16)).astype(np.float32)
         flood = rng.standard_normal((64, 16)).astype(np.float32)
@@ -1115,7 +1116,9 @@ class TestNoisyNeighbor:
                 except ReproError as exc:
                     errors.append(exc)
 
-        with QueryServer(db, config, tenants=tenants) as server:
+        server = QueryServer(db, config, tenants=tenants)
+        server.cache = ServeResultCache(max_entries=32)  # 8 per partition
+        with server:
             threads = [
                 threading.Thread(target=victim, args=(server,)),
                 threading.Thread(target=flooder, args=(server, 0)),

@@ -3,8 +3,8 @@
 The chaos matrix for the serving layer (ISSUE 7): with a
 :class:`~repro.faults.FaultInjector` attached to a :class:`QueryServer`,
 
-- a worker crash mid-query re-queues the in-flight batch (bounded by the
-  resilience policy) and respawns a replacement — requests are delayed,
+- a worker crash mid-query re-queues the in-flight batch (bounded by
+  ``RETRY_BUDGET``) and respawns a replacement — requests are delayed,
   never lost;
 - a stalled worker delays its own batch while the rest of the pool keeps
   draining;
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FaultInjectionError, ReproError
-from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
+from repro.faults import RETRY_BUDGET, FaultInjector, FaultPlan
 from repro.serve import QueryServer, ServeConfig
 from repro.serve.server import MIN_FUSED
 from repro.telemetry import Telemetry, use_telemetry
@@ -51,12 +51,9 @@ class TestWorkerCrash:
         db = loaded_post_db
         injector = FaultInjector(FaultPlan().crash_worker(1))
         config = ServeConfig(workers=2, enable_batching=False, enable_cache=False)
-        policy = ResiliencePolicy(max_attempts=3)
         queries = rng.standard_normal((8, DIM)).astype(np.float32)
         telemetry = Telemetry()
-        with use_telemetry(telemetry), QueryServer(
-            db, config, policy=policy, injector=injector
-        ) as server:
+        with use_telemetry(telemetry), QueryServer(db, config, injector=injector) as server:
             futures = [server.submit_search([ATTR], q, 3) for q in queries]
             results = [f.result(timeout=30) for f in futures]
         for q, got in zip(queries, results):
@@ -68,17 +65,17 @@ class TestWorkerCrash:
         assert any(event.kind == "worker-crash" for event in injector.trace)
 
     def test_repeated_crashes_exhaust_retry_budget_typed(self, loaded_post_db, rng):
-        """A request that has been through ``max_attempts`` crashed workers
+        """A request that has been through ``RETRY_BUDGET`` crashed workers
         fails with a typed error instead of cycling forever."""
         db = loaded_post_db
-        injector = FaultInjector(FaultPlan().crash_worker(1))
+        plan = FaultPlan()
+        for ordinal in range(1, RETRY_BUDGET + 1):  # the lone request, each time
+            plan.crash_worker(ordinal)
+        injector = FaultInjector(plan)
         config = ServeConfig(workers=1, enable_batching=False, enable_cache=False)
-        policy = ResiliencePolicy(max_attempts=1)
         q = rng.standard_normal(DIM).astype(np.float32)
         telemetry = Telemetry()
-        with use_telemetry(telemetry), QueryServer(
-            db, config, policy=policy, injector=injector
-        ) as server:
+        with use_telemetry(telemetry), QueryServer(db, config, injector=injector) as server:
             future = server.submit_search([ATTR], q, 3)
             with pytest.raises(FaultInjectionError, match="retry budget"):
                 future.result(timeout=30)
@@ -86,7 +83,8 @@ class TestWorkerCrash:
             ok = server.search([ATTR], q, 3)
             assert members(ok) == members(db.vector_search([ATTR], q, 3))
         counters = telemetry.registry.snapshot()["counters"]
-        assert counters["serve.worker_crashes"] == 1
+        assert counters["serve.worker_crashes"] == RETRY_BUDGET
+        assert counters["serve.worker_requeues"] == RETRY_BUDGET - 1
         assert counters["serve.completed"] == 2  # typed failure + success
 
 
@@ -113,11 +111,12 @@ class TestWorkerStall:
 class TestBatchPoison:
     def test_poisoned_fused_batch_degrades_to_per_query(self, loaded_post_db, rng):
         """An injected segment fault inside the fused scan must not fail
-        every rider: the batch degrades to per-query execution on the same
-        snapshot, the singles run after the one-shot fault is consumed,
+        every rider: once the fused scan has spent its ``RETRY_BUDGET``
+        tries, the batch degrades to per-query execution on the same
+        snapshot, the singles run after the planned failures are consumed,
         and every answer matches the direct path."""
         db = loaded_post_db
-        injector = FaultInjector(FaultPlan().fail_segment(0, failures=1))
+        injector = FaultInjector(FaultPlan().fail_segment(0, failures=RETRY_BUDGET))
         injector.install_store(db.service.store("Post", "content_emb"))
         config = ServeConfig(
             workers=1,
@@ -126,18 +125,16 @@ class TestBatchPoison:
             batch_window_seconds=0.2,
             max_batch=8,
         )
-        policy = ResiliencePolicy(max_attempts=1)  # no in-kernel retry
         queries = rng.standard_normal((2 * MIN_FUSED, DIM)).astype(np.float32)
         telemetry = Telemetry()
-        with use_telemetry(telemetry), QueryServer(
-            db, config, policy=policy, injector=injector
-        ) as server:
+        with use_telemetry(telemetry), QueryServer(db, config, injector=injector) as server:
             futures = [server.submit_search([ATTR], q, 5) for q in queries]
             results = [f.result(timeout=30) for f in futures]
         for q, got in zip(queries, results):
             assert members(got) == members(db.vector_search([ATTR], q, 5))
         counters = telemetry.registry.snapshot()["counters"]
         assert counters["serve.batch_poison_degrades"] == 1
+        assert counters["resilience.retries"] == RETRY_BUDGET - 1
         assert counters["serve.completed"] == len(queries)
         assert any(event.kind == "segment-fault" for event in injector.trace)
 
@@ -154,12 +151,9 @@ class TestBatchPoison:
             batch_window_seconds=0.2,
             max_batch=8,
         )
-        policy = ResiliencePolicy(max_attempts=3, backoff_base=0.0)
         queries = rng.standard_normal((2 * MIN_FUSED, DIM)).astype(np.float32)
         telemetry = Telemetry()
-        with use_telemetry(telemetry), QueryServer(
-            db, config, policy=policy, injector=injector
-        ) as server:
+        with use_telemetry(telemetry), QueryServer(db, config, injector=injector) as server:
             futures = [server.submit_search([ATTR], q, 5) for q in queries]
             for f in futures:
                 assert f.exception(timeout=30) is None
@@ -189,7 +183,6 @@ class TestChaosSweep:
             enable_cache=True,
             batch_window_seconds=0.002,
         )
-        policy = ResiliencePolicy(max_attempts=3, backoff_base=0.0)
         queries = rng.standard_normal((24, DIM)).astype(np.float32)
         outcomes: list[tuple[int, object]] = []
         lock = threading.Lock()
@@ -206,9 +199,7 @@ class TestChaosSweep:
                 outcomes.append((index, got))
 
         telemetry = Telemetry()
-        with use_telemetry(telemetry), QueryServer(
-            db, config, policy=policy, injector=injector
-        ) as server:
+        with use_telemetry(telemetry), QueryServer(db, config, injector=injector) as server:
             threads = [
                 threading.Thread(target=fire, args=(i, server))
                 for i in range(len(queries))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.telemetry import (
     DEFAULT_COUNT_BUCKETS,
     Histogram,
@@ -24,6 +27,7 @@ from repro.telemetry import (
     to_prometheus,
     use_telemetry,
 )
+from repro.telemetry.instruments import INSTRUMENTS
 
 
 @pytest.fixture
@@ -75,9 +79,9 @@ class TestSpans:
         assert telemetry.last_trace().children[0].name == "inner"
 
     def test_record_observes_duration(self, telemetry):
-        with telemetry.span("q", record="query.latency_seconds"):
+        with telemetry.span("q", record="serve.latency_seconds"):
             pass
-        hist = telemetry.registry.histogram("query.latency_seconds")
+        hist = telemetry.registry.histogram("serve.latency_seconds")
         assert hist.count == 1
         assert hist.sum >= 0.0
 
@@ -205,7 +209,7 @@ class TestRegistry:
     def test_count_shaped_instruments_get_count_buckets(self):
         reg = MetricsRegistry()
         assert reg.histogram("hnsw.hops").buckets == DEFAULT_COUNT_BUCKETS
-        assert reg.histogram("query.latency_seconds").buckets != DEFAULT_COUNT_BUCKETS
+        assert reg.histogram("serve.latency_seconds").buckets != DEFAULT_COUNT_BUCKETS
 
     def test_thread_safety_under_concurrent_writers(self):
         reg = MetricsRegistry()
@@ -238,7 +242,7 @@ class TestExporters:
         reg.inc("wal.records", 3)
         reg.set_gauge("delta.size", 12.5)
         for value in (0.001, 0.002, 0.5):
-            reg.observe("query.latency_seconds", value)
+            reg.observe("serve.latency_seconds", value)
         return reg
 
     def test_json_round_trip(self):
@@ -246,24 +250,48 @@ class TestExporters:
         again = from_json(to_json(snap))
         assert again == json.loads(json.dumps(snap))
         assert again["counters"]["wal.records"] == 3
-        assert again["histograms"]["query.latency_seconds"]["count"] == 3
+        assert again["histograms"]["serve.latency_seconds"]["count"] == 3
 
     def test_prometheus_text_format(self):
         text = to_prometheus(self._populated().snapshot())
         assert "repro_wal_records 3" in text
         assert "repro_delta_size 12.5" in text
-        assert '# TYPE repro_query_latency_seconds histogram' in text
-        assert 'repro_query_latency_seconds_bucket{le="+Inf"} 3' in text
-        assert "repro_query_latency_seconds_count 3" in text
+        assert '# TYPE repro_serve_latency_seconds histogram' in text
+        assert 'repro_serve_latency_seconds_bucket{le="+Inf"} 3' in text
+        assert "repro_serve_latency_seconds_count 3" in text
         # Bucket counts are cumulative and non-decreasing.
         counts = [
             int(line.rsplit(" ", 1)[1])
             for line in text.splitlines()
-            if line.startswith("repro_query_latency_seconds_bucket")
+            if line.startswith("repro_serve_latency_seconds_bucket")
         ]
         assert counts == sorted(counts)
 
     def test_format_snapshot_table(self):
         text = format_snapshot(self._populated().snapshot())
-        assert "wal.records" in text and "query.latency_seconds" in text
+        assert "wal.records" in text and "serve.latency_seconds" in text
         assert format_snapshot(MetricsRegistry().snapshot()) == "(no instruments recorded)"
+
+
+class TestCatalog:
+    def test_every_instrument_is_emitted(self):
+        """The forward twin of lint rule R012 (every emitted name is
+        catalogued): every catalogued name appears in ``src/repro`` outside
+        the catalog, as a string literal or as a literal prefix ending in
+        ``_`` (how ``"serve.batch_close_" + reason`` builds its names)."""
+        root = Path(repro.__file__).parent
+        catalog = root / "telemetry" / "instruments.py"
+        literals = set()
+        for path in root.rglob("*.py"):
+            if path == catalog:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+        prefixes = tuple(lit for lit in literals if "." in lit and lit.endswith("_"))
+        unused = [
+            name
+            for name in INSTRUMENTS
+            if name not in literals and not name.startswith(prefixes)
+        ]
+        assert unused == []

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from repro import Attribute, AttrType, Metric, TigerVectorDB
-from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
 from repro.core.search import vector_search_merged
 from repro.core.segment import rebuild_index
 from repro.datasets.workloads import zipfian_access_sequence, zipfian_weights
-from repro.errors import ClusterError, ReproError
+from repro.errors import ReproError
 from repro.index.pq import PQSearchConfig
 from repro.tier import TierManager, demote_segment, promote_segment
 
@@ -100,26 +99,6 @@ class TestZipfianWorkload:
         assert sorted(np.bincount(plain, minlength=20)) == sorted(
             np.bincount(shuffled, minlength=20)
         )
-
-    def test_loadgen_skew_knob(self):
-        pool = [{0: 0.001}, {0: 0.002}, {0: 0.003}]
-        gen = ClosedLoopLoadGenerator(
-            ClusterSimulator(make_cluster(1, 2)), connections=1, sample_skew=1.5
-        )
-        draws = gen._sample_iter(pool)
-        picked = [id(next(draws)) for _ in range(600)]
-        # Hot item (rank 0) drawn most often; all items drawn eventually.
-        from collections import Counter
-
-        counts = Counter(picked)
-        assert counts[id(pool[0])] == max(counts.values())
-        assert len(counts) == 3
-
-    def test_loadgen_skew_validation(self):
-        with pytest.raises(ClusterError):
-            ClosedLoopLoadGenerator(
-                ClusterSimulator(make_cluster(1, 2)), sample_skew=0.0
-            )
 
 
 # ---------------------------------------------------------------------------
