@@ -3,9 +3,9 @@
 The cluster simulator does not search; it replays per-segment search times
 through its coordinator/worker model.  :func:`measure_samples` is the one
 place those times are measured: each segment's real ``search_segment`` call
-is timed on its own, and the local top-k lists are merged as the paper's
-coordinator merges them (Sec. 5.1), so the same pass yields the answer a
-recall check scores.
+is timed on its own, and the local top-k lists go through the one
+(distance, vid) merge (:func:`repro.core.action.merge_topk`, Sec. 5.1), so
+the same pass yields the answer a recall check scores.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from ..core.action import merge_topk
 from ..index.interface import SearchResult
 
 __all__ = ["measure_samples"]
@@ -32,20 +33,19 @@ def measure_samples(
     samples feed :class:`~repro.cluster.loadgen.ClosedLoopLoadGenerator`;
     each result is the global top-k over global vids (``seg_no *
     segment_size + offset``) under the (distance, vid) order, the same
-    answer :meth:`~repro.core.action.EmbeddingAction.topk` returns.
+    answer :func:`~repro.core.action.topk` returns.
     """
     samples: list[dict[int, float]] = []
     results: list[SearchResult] = []
     for query in np.asarray(queries, dtype=np.float32):
         seconds: dict[int, float] = {}
-        merged: list[tuple[float, int]] = []
+        local = []
         for seg_no in range(store.num_segments):
             start = time.perf_counter()
             out = store.search_segment(seg_no, query, k, snapshot_tid, ef=ef)
             seconds[seg_no] = time.perf_counter() - start
-            base = seg_no * store.segment_size
-            merged.extend(zip(out.distances, (base + o for o in out.offsets)))
-        merged.sort()
+            local.append(out.vid_pairs(store.segment_size))
         samples.append(seconds)
-        results.append(SearchResult.from_pairs((vid, dist) for dist, vid in merged[:k]))
+        top = merge_topk(local, k)
+        results.append(SearchResult([vid for _, vid in top], [dist for dist, _ in top]))
     return samples, results

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.costs import HardwareCost, NEPTUNE_1024_MNCU, TIGERVECTOR_N2D
+from ..core.action import merge_topk
 from ..datasets.vectors import VectorDataset
 from ..errors import VectorSearchError
 from ..index.hnsw import HNSWIndex
@@ -132,6 +133,11 @@ class SearchMeasurement:
     compute_seconds: float
     latency_seconds: float  # modeled single-client latency
     service_seconds: float  # modeled server-side service time
+
+
+def _pairs(result):
+    """One index's ``(distance, id)`` pairs, the form :func:`merge_topk` merges."""
+    return zip(result.distances.tolist(), result.ids.tolist())
 
 
 class VectorSystemSim:
@@ -239,18 +245,9 @@ class VectorSystemSim:
             raise VectorSearchError(f"{self.profile.name}: no index built")
         use_ef = self.effective_ef(ef)
         start = time.perf_counter()
-        merged: list[tuple[float, int]] = []
-        for index in self.indexes:
-            result = index.topk_search(query, k, ef=use_ef)
-            merged.extend((float(d), int(i)) for i, d in result)
+        local = [_pairs(index.topk_search(query, k, ef=use_ef)) for index in self.indexes]
         compute = time.perf_counter() - start
-        merged.sort()
-        merged = merged[:k]
-        ids = np.asarray([i for _, i in merged], dtype=np.int64)
-        dists = np.asarray([d for d, _ in merged], dtype=np.float32)
-        service = compute / self.profile.intra_query_parallelism
-        latency = service + self.profile.per_query_overhead_s
-        return SearchMeasurement(ids, dists, compute, latency, service)
+        return self._measurement(merge_topk(local, k), compute)
 
     def filtered_search(
         self, query: np.ndarray, k: int, allowed: np.ndarray, ef: int | None = None
@@ -263,30 +260,29 @@ class VectorSystemSim:
         allowed = np.asarray(allowed, dtype=bool)
         start = time.perf_counter()
         if self.profile.prefilter:
-            merged: list[tuple[float, int]] = []
-            for index in self.indexes:
-                result = index.topk_search(
-                    query, k, ef=use_ef, filter_fn=lambda i: bool(allowed[i])
-                )
-                merged.extend((float(d), int(i)) for i, d in result)
+            local = [
+                _pairs(index.topk_search(query, k, ef=use_ef, filter_fn=lambda i: bool(allowed[i])))
+                for index in self.indexes
+            ]
         else:
-            merged = []
             fetch = k
             total = self.num_vectors
             while True:
-                rows: list[tuple[float, int]] = []
-                for index in self.indexes:
-                    result = index.topk_search(query, fetch, ef=max(use_ef, fetch))
-                    rows.extend((float(d), int(i)) for i, d in result)
-                rows.sort()
-                survivors = [(d, i) for d, i in rows[:fetch] if allowed[i]]
-                if len(survivors) >= k or fetch >= total:
-                    merged = survivors
+                rows = merge_topk(
+                    [
+                        _pairs(index.topk_search(query, fetch, ef=max(use_ef, fetch)))
+                        for index in self.indexes
+                    ],
+                    fetch,
+                )
+                local = [[(d, i) for d, i in rows if allowed[i]]]
+                if len(local[0]) >= k or fetch >= total:
                     break
                 fetch = min(fetch * 4, total)
         compute = time.perf_counter() - start
-        merged.sort()
-        merged = merged[:k]
+        return self._measurement(merge_topk(local, k), compute)
+
+    def _measurement(self, merged: list[tuple[float, int]], compute: float) -> SearchMeasurement:
         ids = np.asarray([i for _, i in merged], dtype=np.int64)
         dists = np.asarray([d for d, _ in merged], dtype=np.float32)
         service = compute / self.profile.intra_query_parallelism

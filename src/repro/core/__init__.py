@@ -32,7 +32,6 @@ _EXPORTS = {
     "DeltaStore": ("delta", "DeltaStore"),
     "DeltaRecord": ("delta", "DeltaRecord"),
     "VacuumManager": ("vacuum", "VacuumManager"),
-    "EmbeddingAction": ("action", "EmbeddingAction"),
     "SearchSpec": ("search", "SearchSpec"),
     "vector_search": ("search", "vector_search"),
     "TigerVectorDB": ("database", "TigerVectorDB"),

@@ -1,44 +1,70 @@
 """EmbeddingAction: segment-parallel vector search with global merge (Sec. 5.1).
 
 TigerVector executes a top-k query by searching each embedding segment's
-index independently (thread pool), then merging the local top-k lists into
-the global answer.  The plan notation from the paper::
+index independently, then merging the local top-k lists into the global
+answer.  The plan notation from the paper::
 
     EmbeddingAction[Top k, {s.content_emb}, query_vector]
+
+This module is the one place a store's segments are searched, priced for
+the pool and merged: :func:`topk`, :func:`range_search` and the fused
+:func:`topk_batch` run the segment loop, :func:`merge_topk` is the one
+(distance, vid) merge, and :func:`map` is the one fan-out rule.
 
 A per-segment pre-filter :class:`~repro.index.bitmap.Bitmap` may be supplied
 (from a WHERE predicate or a graph pattern); segments whose valid count falls
 below the store's threshold flip to brute force automatically inside
 :meth:`EmbeddingStore.search_segment`.
 
-The action reports which segments were touched and how many used brute
-force — the statistics behind the IC5-vs-IC11 discussion in Sec. 6.5.
+Every segment distance is already a float32 value (the index's
+:class:`~repro.index.interface.SearchResult` and the distance kernels are
+float32), so the merged pairs carry exactly the float32 distances.
+
+The top-k and range searches report which segments were touched and how many
+used brute force — the statistics behind the IC5-vs-IC11 discussion in
+Sec. 6.5.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from itertools import chain
+from typing import Any, Callable, Container, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import VectorSearchError
-from ..graph.mpp import MPPExecutor
 from ..index.bitmap import Bitmap
-from ..index.interface import SearchResult
 from ..index.kernels import MultiQueryContext
 from ..index.range_search import grow_topk_to_radius
 from .service import EmbeddingStore, SegmentSearchOutput
 
-__all__ = ["ActionStats", "EmbeddingAction"]
+__all__ = ["HANDOFF_WORK", "ActionStats", "map", "merge_topk", "range_search", "topk", "topk_batch"]
 
-_SHARED_EXECUTOR = MPPExecutor()
+#: Multiply-adds of GIL-releasing NumPy work above which handing a segment
+#: step to the pool is faster than running it in the caller's thread.  A
+#: measurement, not a knob: on two CPUs four (Q=8, d=128) scans run pooled
+#: in 0.7-0.9x the inline time from 3.3 M multiply-adds per step and in
+#: 1.0-1.7x up to 1.6 M; re-measured against the in-place fused scan, the
+#: pool loses at 1.65 M and wins from 2.48 M (DESIGN §9.6 has the runs).
+HANDOFF_WORK = 3_000_000
+
+#: Threads of the one shared segment pool, started on first hand-off.
+WORKERS = min(32, os.cpu_count() or 4)
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+Pairs = list[tuple[float, int]]
 
 
 @dataclass
 class ActionStats:
-    """Execution statistics for one EmbeddingAction invocation."""
+    """Execution statistics for one segment-loop search."""
 
     segments_touched: int = 0
     segments_bruteforce: int = 0
@@ -53,179 +79,154 @@ class ActionStats:
         return self
 
 
-class EmbeddingAction:
-    """One vector-search operator instance over a single embedding store."""
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="segment")
+        return _POOL
 
-    def __init__(
-        self,
-        store: EmbeddingStore,
-        executor: MPPExecutor | None = None,
-        parallel: bool = True,
-    ):
-        self.store = store
-        self.executor = executor or _SHARED_EXECUTOR
-        self.parallel = parallel
-        self.last_stats = ActionStats()
 
-    # ------------------------------------------------------------- helpers
-    def _segment_bitmaps(
-        self, bitmaps: list[Bitmap] | None, num_segments: int
-    ) -> list[Bitmap | None]:
-        if bitmaps is None:
-            return [None] * num_segments
-        if len(bitmaps) < num_segments:
-            bitmaps = list(bitmaps) + [
-                Bitmap.empty(self.store.segment_size)
-                for _ in range(num_segments - len(bitmaps))
-            ]
-        return list(bitmaps[:num_segments])
+def map(fn: Callable[[Any], Any], items: Iterable[Any], work: Sequence[int]) -> list:
+    """Run ``fn`` over ``items``, returning results in input order.
 
-    def _scan_work(self, seg_no: int, bitmap: Bitmap | None) -> int:
-        """Multiply-adds of one segment's step if it is a NumPy scan, else 0.
+    The one fan-out rule of the segment loop (DESIGN §9.6): ``work[i]``
+    estimates item ``i``'s GIL-releasing NumPy work in multiply-adds, 0 for
+    a step that holds the GIL such as an HNSW traversal.  Only items above
+    :data:`HANDOFF_WORK` go to the shared pool; every other item runs in the
+    caller's thread, which finishes it sooner than a hand-off would.  A
+    single item or a one-worker pool never uses the pool.
+    """
+    items = list(items)
+    futures: dict[int, Future] = {}
+    if len(items) > 1 and WORKERS > 1:
+        futures = {
+            i: _pool().submit(fn, items[i])
+            for i, estimate in enumerate(work)
+            if estimate > HANDOFF_WORK
+        }
+    results = [None if i in futures else fn(item) for i, item in enumerate(items)]
+    for i, future in futures.items():
+        results[i] = future.result()
+    return results
 
-        Mirrors the flip inside :meth:`EmbeddingStore.search_segment`: a cold
-        segment is ADC-scanned and a pre-filter below ``bf_threshold`` is
-        brute-forced — kernels that release the GIL — while anything else is
-        an HNSW traversal, which holds it.  (An unfiltered hot segment with
-        fewer live rows than the threshold is also scanned, but that scan is
-        too small to be worth counting.)
-        """
-        store = self.store
-        segment = store.segment(seg_no)
-        if segment.current_snapshot().pq is None and (
-            bitmap is None or bitmap.count() >= store.bf_threshold
-        ):
-            return 0
-        rows = segment.live_count() if bitmap is None else bitmap.count()
-        return rows * store.embedding.dimension
 
-    def _run_segments(self, fn, seg_nos: list[int], work: list[int]) -> list:
-        return self.executor.map(fn, seg_nos, work, parallel=self.parallel)
+def merge_topk(pair_lists: Iterable[Iterable[tuple[float, int]]], k: int | None) -> Pairs:
+    """The one (distance, vid) merge: local lists -> the first ``k`` pairs.
 
-    def _search(
-        self,
-        local,
-        bitmaps: list[Bitmap] | None,
-        seg_nos: list[int] | None,
-        limit: int | None,
-    ) -> SearchResult:
-        """What top-k and range share: skip segments outside ``seg_nos`` or with a
-        known-empty pre-filter, fan ``local(seg_no, bitmap)`` out, merge by (distance, vid)."""
-        store = self.store
-        num_segments = store.num_segments
-        per_segment = self._segment_bitmaps(bitmaps, num_segments)
-        stats = ActionStats()
-        start = time.perf_counter()
-        candidates = (
-            range(num_segments)
-            if seg_nos is None
-            else [seg_no for seg_no in seg_nos if 0 <= seg_no < num_segments]
+    The local top-k (or range) lists are merged under the (distance, vid)
+    total order, so the answer is the same however the candidates were split
+    into lists; ``k=None`` keeps every pair (range search).
+    """
+    return sorted(chain.from_iterable(pair_lists))[:k]
+
+
+def _segment_loop(
+    store: EmbeddingStore,
+    local: Callable[[int, Bitmap | None], SegmentSearchOutput],
+    bitmaps: Sequence[Bitmap] | None,
+    seg_nos: Container[int] | None,
+    k: int | None,
+) -> tuple[Pairs, ActionStats]:
+    """What top-k and range share: skip segments outside ``seg_nos`` or with a
+    known-empty pre-filter (absent trailing bitmaps are empty), fan
+    ``local(seg_no, bitmap)`` out, merge by (distance, vid)."""
+    start = time.perf_counter()
+    searched = [
+        seg_no
+        for seg_no in range(store.num_segments)
+        if (seg_nos is None or seg_no in seg_nos)
+        and (bitmaps is None or (seg_no < len(bitmaps) and bitmaps[seg_no].count() > 0))
+    ]
+    per_segment = {seg_no: None if bitmaps is None else bitmaps[seg_no] for seg_no in searched}
+    outputs = map(
+        lambda seg_no: local(seg_no, per_segment[seg_no]),
+        searched,
+        [store.scan_work(seg_no, per_segment[seg_no]) for seg_no in searched],
+    )
+    top = merge_topk((out.vid_pairs(store.segment_size) for out in outputs), k)
+    stats = ActionStats(
+        segments_touched=len(outputs),
+        segments_bruteforce=sum(out.used_bruteforce for out in outputs),
+        candidates=sum(len(out.offsets) for out in outputs),
+        elapsed_seconds=time.perf_counter() - start,
+    )
+    return top, stats
+
+
+def topk(
+    store: EmbeddingStore,
+    query: np.ndarray,
+    k: int,
+    snapshot_tid: int,
+    ef: int | None = None,
+    bitmaps: Sequence[Bitmap] | None = None,
+    seg_nos: Container[int] | None = None,
+) -> tuple[Pairs, ActionStats]:
+    """Global top-k: local per-segment search + coordinator merge.
+
+    ``bitmaps`` is one pre-filter bitmap per segment (or ``None`` for a
+    pure search, which wraps the vertex status structure instead).
+    ``seg_nos`` restricts the search to the segment ordinals it contains
+    (the elastic tier's shard-ownership path); ``None`` searches every
+    segment.  Returns the sorted ``(distance, vid)`` pairs over global vids
+    (= seg_no * segment_size + offset) and the search's statistics.
+    """
+
+    def local(seg_no: int, bitmap: Bitmap | None) -> SegmentSearchOutput:
+        return store.search_segment(seg_no, query, k, snapshot_tid, ef=ef, bitmap=bitmap)
+
+    return _segment_loop(store, local, bitmaps, seg_nos, k)
+
+
+def topk_batch(
+    store: EmbeddingStore,
+    queries: np.ndarray,
+    k: int,
+    snapshot_tid: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Local top-k of every segment for all Q queries at once, unmerged.
+
+    The exact batch scan (:meth:`EmbeddingStore.search_segment_batch`).
+    Returns one ``(distances, vids)`` pair per segment, both ``(Q, top)``
+    with row ``q`` sorted by (distance, vid).  The caller merges across
+    segments and attributes in one sort (DESIGN §10.3).
+    """
+    seg_nos = list(range(store.num_segments))
+    context = MultiQueryContext.build(store.embedding.metric, queries)
+    # Every segment is scanned, so every step releases the GIL; a step
+    # costs the columns it multiplies by the (Q, d+1) query block.
+    width = queries.shape[0] * (queries.shape[1] + 1)
+
+    def local(seg_no: int) -> tuple[np.ndarray, np.ndarray]:
+        dists, offsets = store.search_segment_batch(
+            seg_no, queries, k, snapshot_tid, context=context
         )
-        seg_nos = [
-            seg_no
-            for seg_no in candidates
-            if per_segment[seg_no] is None or per_segment[seg_no].count() > 0
-        ]
-        work = [self._scan_work(seg_no, per_segment[seg_no]) for seg_no in seg_nos]
-        outputs = self._run_segments(
-            lambda seg_no: local(seg_no, per_segment[seg_no]), seg_nos, work
-        )
-        merged: list[tuple[float, int]] = []
-        for out in outputs:
-            stats.segments_touched += 1
-            stats.segments_bruteforce += int(out.used_bruteforce)
-            stats.candidates += len(out.offsets)
-            base = out.seg_no * store.segment_size
-            merged.extend(zip(out.distances, (base + o for o in out.offsets)))
-        merged.sort()
-        merged = merged[:limit]
-        stats.elapsed_seconds = time.perf_counter() - start
-        self.last_stats = stats
-        if not merged:
-            return SearchResult.empty()
-        dists, vids = zip(*merged)
-        return SearchResult(np.asarray(vids), np.asarray(dists, dtype=np.float32))
+        return dists, offsets + seg_no * store.segment_size
 
-    # --------------------------------------------------------------- top-k
-    def topk(
-        self,
-        query: np.ndarray,
-        k: int,
-        snapshot_tid: int,
-        ef: int | None = None,
-        bitmaps: list[Bitmap] | None = None,
-        seg_nos: list[int] | None = None,
-    ) -> SearchResult:
-        """Global top-k: local per-segment search + coordinator merge.
+    return map(local, seg_nos, [store.fused_scan_columns(seg_no) * width for seg_no in seg_nos])
 
-        ``bitmaps`` is one pre-filter bitmap per segment (or ``None`` for a
-        pure search, which wraps the vertex status structure instead).
-        ``seg_nos`` restricts the search to a subset of segment ordinals
-        (the elastic tier's shard-ownership path); ``None`` searches every
-        segment.  Returns global vids (= seg_no * segment_size + offset).
-        """
-        if k <= 0:
-            raise VectorSearchError("k must be positive")
-        store = self.store
 
-        def local(seg_no: int, bitmap: Bitmap | None) -> SegmentSearchOutput:
+def range_search(
+    store: EmbeddingStore,
+    query: np.ndarray,
+    threshold: float,
+    snapshot_tid: int,
+    ef: int | None = None,
+    bitmaps: Sequence[Bitmap] | None = None,
+) -> tuple[Pairs, ActionStats]:
+    """Global range search: per-segment RangeSearch + merge (Sec. 5.1)."""
+
+    def local(seg_no: int, bitmap: Bitmap | None) -> SegmentSearchOutput:
+        # The probes are search_segment calls, so range search sees the
+        # same MVCC view and delta overlay as topk.
+        def probe(k: int) -> SegmentSearchOutput:
             return store.search_segment(seg_no, query, k, snapshot_tid, ef=ef, bitmap=bitmap)
 
-        return self._search(local, bitmaps, seg_nos, k)
+        out = grow_topk_to_radius(probe, threshold, store.segment_size)
+        within = bisect_left(out.distances, threshold)  # ascending
+        return SegmentSearchOutput(
+            seg_no, out.offsets[:within], out.distances[:within], out.used_bruteforce
+        )
 
-    # ---------------------------------------------------------- fused top-k
-    def topk_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        snapshot_tid: int,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Local top-k of every segment for all Q queries at once, unmerged.
-
-        The exact batch scan (:meth:`EmbeddingStore.search_segment_batch`).
-        Returns one ``(distances, vids)`` pair per segment, both ``(Q, top)``
-        with row ``q`` sorted by (distance, vid).  The caller merges across
-        segments and attributes in one sort.
-        """
-        store = self.store
-        seg_nos = list(range(store.num_segments))
-        num_queries = queries.shape[0]
-        context = MultiQueryContext.build(store.embedding.metric, queries)
-        # Every segment is scanned, so every step releases the GIL; a step
-        # costs the columns it multiplies by the (Q, d+1) query block.
-        width = num_queries * (queries.shape[1] + 1)
-        work = [store.fused_scan_columns(seg_no) * width for seg_no in seg_nos]
-
-        def local(seg_no: int) -> tuple[np.ndarray, np.ndarray]:
-            dists, offsets = store.search_segment_batch(
-                seg_no, queries, k, snapshot_tid, context=context
-            )
-            return dists, offsets + seg_no * store.segment_size
-
-        return self._run_segments(local, seg_nos, work)
-
-    # --------------------------------------------------------------- range
-    def range(
-        self,
-        query: np.ndarray,
-        threshold: float,
-        snapshot_tid: int,
-        ef: int | None = None,
-        bitmaps: list[Bitmap] | None = None,
-    ) -> SearchResult:
-        """Global range search: per-segment RangeSearch + merge (Sec. 5.1)."""
-        store = self.store
-
-        def local(seg_no: int, bitmap: Bitmap | None) -> SegmentSearchOutput:
-            # The probes are search_segment calls, so range search sees the
-            # same MVCC view and delta overlay as topk.
-            def probe(k: int) -> SegmentSearchOutput:
-                return store.search_segment(seg_no, query, k, snapshot_tid, ef=ef, bitmap=bitmap)
-
-            out = grow_topk_to_radius(probe, threshold, store.segment_size)
-            within = bisect_left(out.distances, threshold)  # ascending
-            return SegmentSearchOutput(
-                seg_no, out.offsets[:within], out.distances[:within], out.used_bruteforce
-            )
-
-        return self._search(local, bitmaps, None, None)
+    return _segment_loop(store, local, bitmaps, None, None)

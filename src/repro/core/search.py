@@ -20,7 +20,7 @@ It returns a :class:`VertexSet`, so the result plugs straight back into GSQL
 query composition (queries Q2–Q4 of the paper).
 
 **One operator, one pre-filter** (DESIGN §5.3).  :func:`vector_search_parts`
-is the only place an attribute list becomes :class:`EmbeddingAction` top-k
+is the only place an attribute list becomes :func:`repro.core.action.topk`
 calls; every door — this function, GSQL, ``authorized_search``, the serving
 tiers — calls it and merges with :func:`merge_sharded_topk`.  The doors
 differ only in who produced the pre-filter.
@@ -43,7 +43,8 @@ from ..graph.txn import Snapshot
 from ..graph.vertex_set import VertexSet
 from ..index.bitmap import Bitmap
 from ..telemetry import get_telemetry
-from .action import ActionStats, EmbeddingAction
+from . import action
+from .action import ActionStats
 from .embedding import check_compatible, require_finite
 from .service import EmbeddingService, EmbeddingStore
 
@@ -254,8 +255,8 @@ def vector_search_parts(
     owns, and the router merges the partials with
     :func:`merge_sharded_topk`.  Returns one ``(vertex_type, pairs)`` entry
     per attribute in ``spec.attributes`` order, where ``pairs`` are the
-    attribute's local top-k ``(distance, vid)`` tuples sorted exactly as
-    :meth:`EmbeddingAction.topk` sorts them (distance, then vid) — empty,
+    attribute's local top-k ``(distance, vid)`` tuples as
+    :func:`~repro.core.action.topk` returns them (distance, then vid) — empty,
     and not searched, when ``prefilter`` has no candidate of the type —
     plus the attributes' summed :class:`ActionStats`.  ``prefilter`` is
     the filter in force: ``spec.filter``, that ANDed with a role's masks,
@@ -283,26 +284,12 @@ def vector_search_parts(
                 if bitmaps is None:
                     parts.append((vertex_type, ()))
                     continue
-            seg_nos = None
-            if groups is not None:
-                seg_nos = [
-                    seg_no
-                    for seg_no in range(store.num_segments)
-                    if seg_no in groups
-                ]
-            action = EmbeddingAction(store)
-            result = action.topk(
-                spec.query,
-                spec.k,
-                snapshot_tid=snapshot.tid,
-                ef=spec.ef,
-                bitmaps=bitmaps,
-                seg_nos=seg_nos,
+            pairs, part_stats = action.topk(
+                store, spec.query, spec.k, snapshot.tid,
+                ef=spec.ef, bitmaps=bitmaps, seg_nos=groups,
             )
-            stats += action.last_stats
-            parts.append(
-                (vertex_type, tuple(zip(result.distances.tolist(), result.ids.tolist())))
-            )
+            stats += part_stats
+            parts.append((vertex_type, tuple(pairs)))
     return parts, stats
 
 
@@ -331,9 +318,9 @@ def merge_sharded_topk(
 
     Every shard's output must come from :func:`vector_search_parts` over
     the *same attribute list* (so attribute indexes align).  Per attribute,
-    the shard pair-lists are merged under the (distance, vid) total order
-    and truncated to k — reconstructing what a whole-store
-    :meth:`EmbeddingAction.topk` would have returned — then the attribute
+    the shard pair-lists are merged by :func:`~repro.core.action.merge_topk`
+    — reconstructing what a whole-store :func:`~repro.core.action.topk`
+    would have returned — then the attribute
     results are flattened in attribute order and stable-sorted by distance.
     The output is therefore byte-identical however the segments were split,
     one shard (:func:`search_merged`) included.
@@ -344,11 +331,8 @@ def merge_sharded_topk(
     merged: list[tuple[float, str, int]] = []
     for attr_index in range(num_attrs):
         vertex_type = shard_parts[0][attr_index][0]
-        pairs: list[tuple[float, int]] = []
-        for part in shard_parts:
-            pairs.extend(part[attr_index][1])
-        pairs.sort()
-        merged.extend((dist, vertex_type, vid) for dist, vid in pairs[:k])
+        pairs = action.merge_topk((part[attr_index][1] for part in shard_parts), k)
+        merged.extend((dist, vertex_type, vid) for dist, vid in pairs)
     merged.sort(key=lambda item: item[0])
     return merged[:k]
 
@@ -413,9 +397,7 @@ def vector_search_batch(
         attributes=list(leader.attributes),
     ):
         for index, (_, store) in enumerate(targets):
-            for dists, vids in EmbeddingAction(store).topk_batch(
-                queries, k, snapshot.tid
-            ):
+            for dists, vids in action.topk_batch(store, queries, k, snapshot.tid):
                 dist_blocks.append(dists)
                 vid_blocks.append(vids)
                 type_blocks.append(np.full(dists.shape[1], index))

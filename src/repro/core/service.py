@@ -48,6 +48,11 @@ class SegmentSearchOutput:
         self.distances = distances
         self.used_bruteforce = used_bruteforce
 
+    def vid_pairs(self, segment_size: int) -> Iterable[tuple[float, int]]:
+        """``(distance, vid)`` pairs over global vids (seg_no * segment_size + offset)."""
+        base = self.seg_no * segment_size
+        return zip(self.distances, [base + offset for offset in self.offsets])
+
 
 class EmbeddingStore:
     """All embedding segments plus delta machinery for one vector attribute."""
@@ -445,10 +450,29 @@ class EmbeddingStore:
         results.sort()
         return results[:k], used_bruteforce
 
+    def scan_work(self, seg_no: int, bitmap: Bitmap | None) -> int:
+        """Multiply-adds of :meth:`search_segment` on ``seg_no`` if it is a
+        NumPy scan, else 0: the price :func:`repro.core.action.topk` fans out by.
+
+        The flip of :meth:`_topk_on_view` on the current snapshot: a cold
+        segment is ADC-scanned and a pre-filter below ``bf_threshold`` is
+        brute-forced — kernels that release the GIL — while anything else is
+        an HNSW traversal, which holds it.  (An unfiltered hot segment with
+        fewer live rows than the threshold is also scanned, but that scan is
+        too small to be worth counting.)
+        """
+        segment = self.segment(seg_no)
+        if segment.current_snapshot().pq is None and (
+            bitmap is None or bitmap.count() >= self.bf_threshold
+        ):
+            return 0
+        rows = segment.live_count() if bitmap is None else bitmap.count()
+        return rows * self.embedding.dimension
+
     def fused_scan_columns(self, seg_no: int) -> int:
         """Columns :meth:`search_segment_batch` multiplies on ``seg_no``'s
         current snapshot, its overlay aside: the rows each query of a fused
-        batch is scored against there.  ``EmbeddingAction.topk_batch``
+        batch is scored against there.  :func:`repro.core.action.topk_batch`
         prices its fan-out with it."""
         present = self.segment(seg_no).present
         count = int(np.count_nonzero(present))

@@ -12,7 +12,10 @@ This package implements the GSQL subset the paper exercises:
 
 Pipeline: :mod:`lexer` → :mod:`parser` (AST in :mod:`ast_nodes`) →
 :mod:`semantic` (static analysis, incl. embedding compatibility) →
-:mod:`planner` (VertexAction / EmbeddingAction plans) → :mod:`executor`.
+:mod:`planner` (plans in the paper's EmbeddingAction / VertexAction /
+EdgeAction notation) → :mod:`executor`, whose vector steps run on
+:mod:`repro.core.action` and graph steps on
+:func:`repro.graph.pattern.match_frontier`.
 :class:`~repro.gsql.session.GSQLSession` is the entry point.
 """
 

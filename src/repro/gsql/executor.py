@@ -2,10 +2,12 @@
 
 Execution model (paper Sec. 5):
 
-- **pure**            -> EmbeddingAction over all segments, status-bitmap reuse
+- **pure**            -> EmbeddingAction[Top k] (``core.action.topk`` through
+  ``vector_search_parts``) over all segments, status-bitmap reuse
 - **filtered**        -> pattern/predicates evaluated first (pre-filter), the
   qualified vertex set becomes per-segment bitmaps, one vector search call
-- **range**           -> EmbeddingAction.range with the same pre-filtering
+- **range**           -> EmbeddingAction[Range] (``core.action.range_search``)
+  with the same pre-filtering
 - **similarity_join** -> enumerate matched paths, brute-force pair distances
   into a global HeapAccum (matched paths are sparse)
 - **graph**           -> frontier expansion (set semantics) or full binding
@@ -25,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.action import EmbeddingAction
+from ..core import action
 from ..core.embedding import require_finite
 from ..core.search import (
     SearchSpec,
@@ -543,14 +545,12 @@ def _exec_vector_range(
         bitmaps = candidates.get(vertex_type)
         if bitmaps is None:
             return RankedVertexSet([], name="Range")
-    action = EmbeddingAction(store)
     start = time.perf_counter()
-    result = action.range(
-        query, threshold, snapshot_tid=ctx.snapshot.tid, ef=ctx.default_ef, bitmaps=bitmaps
+    pairs, ctx.metrics["action_stats"] = action.range_search(
+        store, query, threshold, ctx.snapshot.tid, ef=ctx.default_ef, bitmaps=bitmaps
     )
     ctx.metrics["vector_seconds"] = time.perf_counter() - start
-    ctx.metrics["action_stats"] = action.last_stats
-    ranking = [((vertex_type, int(vid)), float(dist)) for vid, dist in result]
+    ranking = [((vertex_type, vid), dist) for dist, vid in pairs]
     return RankedVertexSet(ranking, name="Range")
 
 

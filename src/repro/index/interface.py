@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,14 +42,6 @@ class SearchResult:
     @classmethod
     def empty(cls) -> "SearchResult":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SearchResult":
-        pairs = sorted(pairs, key=lambda p: p[1])
-        if not pairs:
-            return cls.empty()
-        ids, dists = zip(*pairs)
-        return cls(np.asarray(ids), np.asarray(dists))
 
     def truncated(self, k: int) -> "SearchResult":
         return SearchResult(self.ids[:k], self.distances[:k])

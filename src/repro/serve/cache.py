@@ -101,8 +101,7 @@ class ResultCache:
         """Insert (or refresh) an entry; returns how many LRU evictions ran.
 
         ``kernel`` records which execution path produced the value (see the
-        module docstring) for introspection via :meth:`kernel` and
-        :meth:`stats`.
+        module docstring) for the ``kernels`` count of :meth:`stats`.
         """
         nbytes = self._estimate(key, value)
         schedule_point("serve.cache.put")
@@ -121,12 +120,6 @@ class ResultCache:
                 evicted += 1
             self._evictions += evicted
         return evicted
-
-    def kernel(self, key: tuple) -> str | None:
-        """Which kernel produced the entry (no LRU/stat effects); None if absent."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return None if entry is None else entry[2]
 
     def clear(self) -> None:
         with self._lock:
@@ -162,9 +155,12 @@ class ServeResultCache:
     distinct queries can only evict entries from B's own partition, so
     tenant A's hot entries — and with them A's hit rate and latency — are
     untouched by B's flood.  Each partition is bounded by a quarter of the
-    totals (a server rarely has more than a handful of hot tenants; a
-    tenant explosion degrades capacity per tenant, never correctness).
-    The totals only size the partitions; nothing bounds their sum.
+    totals and at most four partitions are kept, so the totals bound their
+    sum: a fifth tenant's first use drops the least recently used
+    partition whole (a server rarely has more than a handful of hot
+    tenants; a tenant explosion degrades hit rates, never correctness).
+    A dropped partition's hits, misses and evictions (its entries counted
+    as evicted) stay in the aggregate :meth:`stats`.
 
     Same locking stance as :class:`ResultCache`: partitions are lock
     leaves, and the partition map has its own leaf lock that never nests
@@ -179,27 +175,35 @@ class ServeResultCache:
         self.partition_max_bytes = max(1, int(max_bytes) // self._SPLIT)
         self.partition_max_entries = max(1, int(max_entries) // self._SPLIT)
         self._lock = threading.Lock()
-        self._partitions: dict[str, ResultCache] = {}
+        self._partitions: OrderedDict[str, ResultCache] = OrderedDict()
+        self._retired = {"hits": 0, "misses": 0, "evictions": 0}  # dropped partitions'
 
     def partition(self, tenant_name: str) -> ResultCache:
-        """The tenant's partition, created on first use."""
+        """The tenant's partition, created on first use; when all ``_SPLIT``
+        slots are taken the least recently used partition is dropped."""
+        dropped = None
         with self._lock:
             part = self._partitions.get(tenant_name)
-            if part is None:
-                part = ResultCache(
-                    self.partition_max_bytes, self.partition_max_entries
-                )
-                self._partitions[tenant_name] = part
-            return part
+            if part is not None:
+                self._partitions.move_to_end(tenant_name)
+                return part
+            if len(self._partitions) >= self._SPLIT:
+                _, dropped = self._partitions.popitem(last=False)
+            part = ResultCache(self.partition_max_bytes, self.partition_max_entries)
+            self._partitions[tenant_name] = part
+        if dropped is not None:
+            stats = dropped.stats()  # outside the map lock: both stay leaves
+            with self._lock:
+                self._retired["hits"] += stats["hits"]
+                self._retired["misses"] += stats["misses"]
+                self._retired["evictions"] += stats["evictions"] + stats["entries"]
+        return part
 
     def get(self, tenant_name: str, key: tuple):
         return self.partition(tenant_name).get(key)
 
     def put(self, tenant_name: str, key: tuple, value: tuple, kernel: str = "hnsw") -> int:
         return self.partition(tenant_name).put(key, value, kernel=kernel)
-
-    def kernel(self, tenant_name: str, key: tuple) -> str | None:
-        return self.partition(tenant_name).kernel(key)
 
     def clear(self) -> None:
         with self._lock:
@@ -220,14 +224,8 @@ class ServeResultCache:
         """
         with self._lock:
             partitions = dict(self._partitions)
+            total = {"entries": 0, "bytes": 0, **self._retired}
         per_tenant = {name: part.stats() for name, part in sorted(partitions.items())}
-        total = {
-            "entries": 0,
-            "bytes": 0,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-        }
         kernels: dict[str, int] = {}
         for stats in per_tenant.values():
             for field in total:

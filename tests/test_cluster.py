@@ -13,7 +13,7 @@ from repro.cluster import (
     make_cluster,
     measure_samples,
 )
-from repro.core.action import EmbeddingAction
+from repro.core import action
 from repro.core.search import (
     merge_sharded_topk,
     vector_search_sharded,
@@ -213,8 +213,8 @@ class TestSegmentFanOut:
         query = db._test_vectors[0]
         with db.snapshot() as snap:
             samples, results = measure_samples(store, [query], 5, snap.tid)
-            want = EmbeddingAction(store).topk(query, 5, snap.tid)
+            want, _ = action.topk(store, query, 5, snap.tid)
         assert set(samples[0]) == {0, 1, 2, 3}
         assert all(t > 0 for t in samples[0].values())
-        assert results[0].ids.tolist() == want.ids.tolist()
-        assert results[0].distances.tolist() == want.distances.tolist()
+        assert results[0].ids.tolist() == [vid for _, vid in want]
+        assert results[0].distances.tolist() == [dist for dist, _ in want]

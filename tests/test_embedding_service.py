@@ -1,4 +1,4 @@
-"""Tests for embedding segments, the embedding service, and EmbeddingAction."""
+"""Tests for embedding segments, the embedding service, and the segment loop."""
 
 import threading
 import time
@@ -9,11 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Attribute, AttrType, TigerVectorDB
-from repro.core.action import EmbeddingAction
+from repro.core import action
 from repro.core.embedding import EmbeddingType
 from repro.core.search import SearchSpec, vector_search_batch, vector_search_merged
 from repro.core.service import EmbeddingStore
-from repro.graph.mpp import MPPExecutor
 from repro.index.bitmap import Bitmap
 from repro.index.pq import PQSearchConfig
 from repro.tier import demote_segment
@@ -142,43 +141,63 @@ class TestSegmentSearch:
         assert bf.offsets == ix.offsets
 
 
+@pytest.fixture
+def four_workers(monkeypatch):
+    """A fresh four-worker shared segment pool, shut down after the test."""
+    monkeypatch.setattr(action, "WORKERS", 4)
+    monkeypatch.setattr(action, "_POOL", None)
+    yield
+    if action._POOL is not None:
+        action._POOL.shutdown(wait=True)
+
+
+def _record_segment_threads(store, monkeypatch) -> list[str]:
+    """Wrap ``store.search_segment`` to log the thread each call runs on."""
+    names: list[str] = []
+    original = store.search_segment
+
+    def recorded(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(store, "search_segment", recorded)
+    return names
+
+
 class TestEmbeddingAction:
     def test_global_merge_matches_bruteforce(self, loaded_post_db):
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
         q = db._test_vectors[99]
-        action = EmbeddingAction(store)
         with db.snapshot() as snap:
-            result = action.topk(q, 10, snapshot_tid=snap.tid, ef=256)
+            pairs, _ = action.topk(store, q, 10, snap.tid, ef=256)
         dists = batch_distances(q, db._test_vectors, Metric.L2)
         expected = set(np.argsort(dists)[:10].tolist())
-        got = {int(db.pk_for("Post", vid)) for vid, _ in result}
+        got = {int(db.pk_for("Post", vid)) for _, vid in pairs}
         assert len(got & expected) >= 9
+        assert pairs == sorted(pairs)
 
     def test_stats_segments_touched(self, loaded_post_db):
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
-        action = EmbeddingAction(store)
         with db.snapshot() as snap:
-            action.topk(db._test_vectors[0], 5, snapshot_tid=snap.tid)
-        assert action.last_stats.segments_touched == 4
+            _, stats = action.topk(store, db._test_vectors[0], 5, snap.tid)
+        assert stats.segments_touched == 4
 
-    def test_hnsw_traversals_run_inline(self, loaded_post_db):
+    def test_hnsw_traversals_run_inline(self, loaded_post_db, four_workers):
         """Fan-out rule: a traversal holds the GIL, so its work estimate is 0
         and the search never touches the pool; a pre-filter under the
         brute-force flip is a scan and is priced rows × dimension."""
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
-        with MPPExecutor(max_workers=4) as executor:
-            action = EmbeddingAction(store, executor=executor)
-            with db.snapshot() as snap:
-                action.topk(db._test_vectors[0], 5, snapshot_tid=snap.tid)
-                action.topk_batch(db._test_vectors[:8], 5, snap.tid)
-            assert executor._pool is None
-            assert action._scan_work(0, None) == 0
-            assert action._scan_work(0, Bitmap.full(64)) == 0
-            few = Bitmap.from_offsets(64, range(store.bf_threshold - 1))
-            assert action._scan_work(0, few) == (store.bf_threshold - 1) * 16
+        with db.snapshot() as snap:
+            action.topk(store, db._test_vectors[0], 5, snap.tid)
+            action.topk_batch(store, db._test_vectors[:8], 5, snap.tid)
+        assert action._POOL is None
+        assert store.scan_work(0, None) == 0
+        assert store.scan_work(0, Bitmap.full(64)) == 0
+        few = Bitmap.from_offsets(64, range(store.bf_threshold - 1))
+        assert store.scan_work(0, few) == (store.bf_threshold - 1) * 16
 
     def test_traversals_run_one_at_a_time(self, loaded_post_db, monkeypatch):
         """HNSW traversals hold the GIL, so the store admits one at a time:
@@ -215,45 +234,78 @@ class TestEmbeddingAction:
         assert not any(thread.is_alive() for thread in threads)
         assert worst[0] == 1
 
-    def test_pooled_batch_scan_equals_inline(self, loaded_post_db, monkeypatch):
+    def test_pooled_batch_scan_equals_inline(self, loaded_post_db, monkeypatch, four_workers):
         """Scans priced above the hand-off go to the pool — sharing the
         batch's one query context — and return what the inline scans do."""
         db = loaded_post_db
         queries = db._test_vectors[:8]
         inline = db.vector_search_batch(["Post.content_emb"], queries, 5)
-        monkeypatch.setattr("repro.graph.mpp.HANDOFF_WORK", 0)
+        monkeypatch.setattr(action, "HANDOFF_WORK", 0)
         store = db.service.store("Post", "content_emb")
-        with MPPExecutor(max_workers=4) as executor, db.snapshot() as snap:
-            blocks = EmbeddingAction(store, executor=executor).topk_batch(queries, 5, snap.tid)
-            assert executor._pool is not None
+        with db.snapshot() as snap:
+            blocks = action.topk_batch(store, queries, 5, snap.tid)
+        assert action._POOL is not None
         assert len(blocks) == store.num_segments
         pooled = db.vector_search_batch(["Post.content_emb"], queries, 5)
         assert [sorted(got) for got in pooled] == [sorted(want) for want in inline]
+
+    def test_pooled_per_query_scans_equal_inline(self, loaded_post_db, monkeypatch, four_workers):
+        """A per-query top-k whose pre-filter is under ``bf_threshold`` on
+        every segment, and a GSQL range block over the same filter: priced
+        above the hand-off, their segment scans run on the pool and return
+        exactly what they return inline."""
+        db = loaded_post_db
+        store = db.service.store("Post", "content_emb")
+        q = db._test_vectors[3]
+        masks = {
+            "Post": [
+                Bitmap.from_offsets(64, range(0, 64, 2)) for _ in range(store.num_segments)
+            ]
+        }
+        assert all(bm.count() < store.bf_threshold for bm in masks["Post"])
+        gsql = (
+            'SELECT s FROM (s:Post) WHERE s.language = "fr" AND '
+            "VECTOR_DIST(s.content_emb, qv) < 20.0;"
+        )
+
+        def run():
+            with db.snapshot() as snap:
+                top = vector_search_merged(
+                    db.service, snap, ["Post.content_emb"], q, 7, filter=masks
+                )
+            ranking = db.run_gsql(gsql, qv=q.tolist()).result.ranking
+            return top, ranking
+
+        inline_top, inline_range = run()
+        names = _record_segment_threads(store, monkeypatch)
+        monkeypatch.setattr(action, "HANDOFF_WORK", 0)
+        pooled_top, pooled_range = run()
+        assert pooled_top == inline_top and len(pooled_top) == 7
+        assert pooled_range == inline_range and inline_range
+        assert names and all(name.startswith("segment") for name in names)
 
     def test_empty_bitmap_segments_skipped(self, loaded_post_db):
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
         bitmaps = [Bitmap.empty(64) for _ in range(4)]
         bitmaps[2] = Bitmap.from_offsets(64, range(10))
-        action = EmbeddingAction(store)
         with db.snapshot() as snap:
-            result = action.topk(
-                db._test_vectors[0], 5, snapshot_tid=snap.tid, bitmaps=bitmaps
+            pairs, stats = action.topk(
+                store, db._test_vectors[0], 5, snap.tid, bitmaps=bitmaps
             )
-        assert action.last_stats.segments_touched == 1
+        assert stats.segments_touched == 1
         # results come only from segment 2 (vids 128..137)
-        assert all(128 <= vid < 138 for vid, _ in result)
+        assert all(128 <= vid < 138 for _, vid in pairs)
 
     def test_range_action(self, loaded_post_db):
         db = loaded_post_db
         store = db.service.store("Post", "content_emb")
         q = db._test_vectors[0]
-        action = EmbeddingAction(store)
         with db.snapshot() as snap:
-            result = action.range(q, threshold=10.0, snapshot_tid=snap.tid, ef=256)
+            pairs, _ = action.range_search(store, q, 10.0, snap.tid, ef=256)
         dists = batch_distances(q, db._test_vectors, Metric.L2)
         exact = set(np.flatnonzero(dists < 10.0).tolist())
-        got = {int(db.pk_for("Post", vid)) for vid, _ in result}
+        got = {int(db.pk_for("Post", vid)) for _, vid in pairs}
         assert got.issubset(exact)
         assert len(got) >= 0.8 * len(exact)
 
@@ -270,23 +322,14 @@ class TestEmbeddingAction:
         store = EmbeddingStore("Doc", embedding, segment_size=2048)
         store.bulk_load(np.arange(rows), data, tid=1)
         index = store.segment(0).index
-        action = EmbeddingAction(store)
         for pick in rng.integers(0, rows, 20):
             q = (data[pick] + 0.5 * rng.standard_normal(dim)).astype(np.float32)
             top = index.topk_search(q, k)
             radius = float(np.nextafter(top.distances[-1], np.float32(np.inf)))
             want = set(top.ids.tolist())
             assert want <= set(index.range_search(q, radius).ids.tolist())
-            assert want <= set(action.range(q, radius, snapshot_tid=1).ids.tolist())
-
-    def test_invalid_k(self, loaded_post_db):
-        from repro.errors import VectorSearchError
-
-        db = loaded_post_db
-        action = EmbeddingAction(db.service.store("Post", "content_emb"))
-        with pytest.raises(VectorSearchError):
-            with db.snapshot() as snap:
-                action.topk(np.zeros(16, np.float32), 0, snapshot_tid=snap.tid)
+            pairs, _ = action.range_search(store, q, radius, snapshot_tid=1)
+            assert want <= {vid for _, vid in pairs}
 
 
 # --------------------------------------------------------------------------
@@ -375,6 +418,26 @@ def test_fused_exact_scan_equals_per_query_scan(seed, metric, num_queries, k_off
                 np.testing.assert_allclose(
                     [dist for dist, _, _ in got], [dist for dist, _, _ in want], rtol=1e-6, atol=_ATOL
                 )
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE, Metric.IP])
+def test_merged_distances_are_float32_values(metric, rng):
+    """The segment loop merges distances without a cast: every path it
+    reads — HNSW, the brute-force flip, the cold ADC rerank and the delta
+    overlay — already yields float32 values."""
+    db = _scan_db(metric, lambda count: rng.standard_normal((count, _DIM)).astype(np.float32))
+    try:
+        store = db.service.store("Item", "emb")
+        query = rng.standard_normal(_DIM).astype(np.float32)
+        with db.snapshot() as snap:
+            for threshold in (0, _SEG + 1):  # hot segments by HNSW, then by brute force
+                store.bf_threshold = threshold
+                pairs, stats = action.topk(store, query, _ROWS, snap.tid, ef=_ROWS)
+                assert stats.segments_bruteforce == (1 if threshold == 0 else 3)
+                assert len(pairs) == _ROWS - 2  # the overlay deletes two
+                assert all(dist == float(np.float32(dist)) for dist, _ in pairs)
     finally:
         db.close()
 

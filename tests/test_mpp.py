@@ -1,129 +1,64 @@
-"""Tests for the MPP primitives (VertexAction / EdgeAction)."""
+"""Tests for the segment fan-out rule, :func:`repro.core.action.map`.
+
+MPP is the paper's name for TigerGraph's segment-parallel execution
+(Sec. 2.1); here a segment step goes to the one shared pool only when it is
+GIL-releasing NumPy work large enough to repay the hand-off (DESIGN §9.6).
+"""
 
 import threading
 
 import pytest
 
-from repro import Attribute, AttrType, GraphSchema
-from repro.graph.mpp import HANDOFF_WORK, MPPExecutor, edge_action, vertex_action
-from repro.graph.storage import GraphStore
+from repro.core import action
+from repro.core.action import HANDOFF_WORK
 
 
 @pytest.fixture
-def store():
-    schema = GraphSchema()
-    schema.create_vertex_type(
-        "Node",
-        [Attribute("id", AttrType.INT, primary_key=True), Attribute("v", AttrType.INT)],
-    )
-    schema.create_edge_type("e", "Node", "Node")
-    store = GraphStore(schema, segment_size=8)
-    with store.begin() as txn:
-        for i in range(30):  # 4 segments
-            txn.upsert_vertex("Node", i, {"v": i * 2})
-        for i in range(29):
-            txn.add_edge("e", i, i + 1)
-    return store
+def workers(monkeypatch):
+    """Size a fresh shared pool; it is shut down after the test."""
+
+    def size(count: int) -> None:
+        monkeypatch.setattr(action, "WORKERS", count)
+        monkeypatch.setattr(action, "_POOL", None)
+
+    yield size
+    if action._POOL is not None:
+        action._POOL.shutdown(wait=True)
 
 
-class TestVertexAction:
-    def test_visits_every_live_vertex(self, store):
-        with store.snapshot() as snap:
-            out = vertex_action(snap, "Node", lambda vid, row: row["v"])
-        assert sorted(out) == [i * 2 for i in range(30)]
-
-    def test_none_results_dropped(self, store):
-        with store.snapshot() as snap:
-            out = vertex_action(
-                snap, "Node", lambda vid, row: row["v"] if row["v"] > 40 else None
-            )
-        assert len(out) == len([i for i in range(30) if i * 2 > 40])
-
-    def test_deterministic_segment_order(self, store):
-        with store.snapshot() as snap:
-            a = vertex_action(snap, "Node", lambda vid, row: vid)
-            b = vertex_action(snap, "Node", lambda vid, row: vid)
-        assert a == b
-
-    def test_runs_in_pool_threads(self, store):
-        names = set()
-
-        def fn(vid, row):
-            names.add(threading.current_thread().name)
-            return None
-
-        with store.snapshot() as snap:
-            vertex_action(snap, "Node", fn, executor=MPPExecutor(max_workers=4))
-        assert any(name.startswith("mpp") for name in names)
-
-    def test_serial_mode(self, store):
-        with store.snapshot() as snap:
-            out = vertex_action(snap, "Node", lambda vid, row: 1, parallel=False)
-        assert len(out) == 30
-
-    def test_skips_deleted(self, store):
-        with store.begin() as txn:
-            txn.delete_vertex("Node", 5)
-        with store.snapshot() as snap:
-            out = vertex_action(snap, "Node", lambda vid, row: vid)
-        assert len(out) == 29
-
-
-class TestEdgeAction:
-    def test_visits_every_edge(self, store):
-        with store.snapshot() as snap:
-            out = edge_action(snap, "Node", "e", lambda s, t, attrs: (s, t))
-        assert len(out) == 29
-
-    def test_reverse_traversal(self, store):
-        with store.snapshot() as snap:
-            fwd = set(edge_action(snap, "Node", "e", lambda s, t, a: (s, t)))
-            rev = set(edge_action(snap, "Node", "e", lambda s, t, a: (t, s), reverse=True))
-        assert fwd == rev
+def where(item):
+    return item, threading.current_thread().name
 
 
 class TestExecutor:
-    def test_context_manager_shutdown(self):
-        with MPPExecutor(max_workers=2) as executor:
-            assert executor.max_workers == 2
-        assert executor._pool is None
-
-    def test_map_segments_subset(self, store):
-        executor = MPPExecutor(max_workers=2)
-        with store.snapshot() as snap:
-            out = executor.map_segments(
-                lambda seg_no, state: seg_no, snap, "Node", seg_nos=[1, 3]
-            )
-        assert out == [1, 3]
-        executor.shutdown()
-
-    def test_map_pools_only_work_above_the_handoff_cost(self):
+    def test_map_pools_only_work_above_the_handoff_cost(self, workers):
         """The fan-out rule: an item goes to the pool only when its estimated
         GIL-releasing work exceeds HANDOFF_WORK; everything else — steps that
         hold the GIL (work 0) and small scans — runs in the caller's thread."""
+        workers(2)
         caller = threading.current_thread().name
-
-        def where(item):
-            return item, threading.current_thread().name
-
         work = [0, HANDOFF_WORK + 1, HANDOFF_WORK, HANDOFF_WORK + 1]
-        with MPPExecutor(max_workers=2) as executor:
-            out = executor.map(where, "abcd", work)
-            assert [item for item, _ in out] == list("abcd")
-            assert [name == caller for _, name in out] == [True, False, True, False]
-            assert all(name.startswith("mpp") for _, name in out[1::2])
-            # parallel=False keeps meaning "never"; so does a lone item.
-            assert all(
-                name == caller for _, name in executor.map(where, "abcd", work, parallel=False)
-            )
-            assert executor.map(where, "a", [HANDOFF_WORK + 1]) == [("a", caller)]
-        with MPPExecutor(max_workers=1) as executor:
-            assert all(name == caller for _, name in executor.map(where, "abcd", work))
-            assert executor._pool is None
+        out = action.map(where, "abcd", work)
+        assert [item for item, _ in out] == list("abcd")
+        assert [name == caller for _, name in out] == [True, False, True, False]
+        assert all(name.startswith("segment") for _, name in out[1::2])
 
-    def test_map_raises_a_pooled_failure(self):
+    def test_map_never_pools_a_lone_item_or_on_one_worker(self, workers):
+        caller = threading.current_thread().name
+        workers(2)
+        assert action.map(where, "a", [HANDOFF_WORK + 1]) == [("a", caller)]
+        assert action._POOL is None
+        workers(1)
+        out = action.map(where, "abcd", [HANDOFF_WORK + 1] * 4)
+        assert all(name == caller for _, name in out)
+        assert action._POOL is None
+
+    def test_map_raises_a_pooled_failure(self, workers):
+        workers(2)
+
         def boom(item):
             raise ValueError(item)
 
-        with MPPExecutor(max_workers=2) as executor, pytest.raises(ValueError):
-            executor.map(boom, "ab", [HANDOFF_WORK + 1, HANDOFF_WORK + 1])
+        with pytest.raises(ValueError):
+            action.map(boom, "ab", [HANDOFF_WORK + 1, HANDOFF_WORK + 1])
+        assert action._POOL is not None

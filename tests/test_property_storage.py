@@ -140,7 +140,7 @@ def test_search_always_returns_true_nearest_after_vacuum(seeds, k):
     top-k equals brute force over all live vectors."""
     from repro.core.service import EmbeddingService
     from repro.core.vacuum import VacuumManager
-    from repro.core.action import EmbeddingAction
+    from repro.core import action
     from repro.types import batch_distances
 
     store = make_store(segment_size=4)
@@ -158,14 +158,13 @@ def test_search_always_returns_true_nearest_after_vacuum(seeds, k):
     vm = VacuumManager(store, service)
     vm.run_once()
     estore = service.store("V", "emb")
-    action = EmbeddingAction(estore, parallel=False)
     query = np.zeros(DIM, dtype=np.float32)
     with store.snapshot() as snap:
-        result = action.topk(query, min(k, len(seeds)), snapshot_tid=snap.tid, ef=4096)
+        result, _ = action.topk(estore, query, min(k, len(seeds)), snap.tid, ef=4096)
     matrix = np.stack([vectors[i] for i in sorted(vectors)])
     dists = batch_distances(query, matrix, Metric.L2)
     expected = set(np.argsort(dists, kind="stable")[: min(k, len(seeds))].tolist())
-    got = {int(vid) for vid, _ in result}  # vid == insert order here
+    got = {vid for _, vid in result}  # vid == insert order here
     # allow ties at the boundary
     boundary = sorted(dists)[min(k, len(seeds)) - 1]
     for vid in got:

@@ -1085,6 +1085,25 @@ class TestNoisyNeighbor:
         # Aggregate stats remain the sum of the partitions.
         assert stats["hits"] == part_a["hits"] + part_b["hits"]
 
+    @pytest.mark.parametrize("max_bytes, max_entries", [(1 << 20, 32), (15_360, 1024)])
+    def test_partitions_never_exceed_the_totals(self, max_bytes, max_entries):
+        """Eight tenants each filling a partition hold no more than the
+        cache's totals, entries or bytes: the least recently used partition
+        goes whole, and its entries still count as evicted."""
+        cache = ServeResultCache(max_bytes=max_bytes, max_entries=max_entries)
+        value = tuple((0.5, "Post", vid) for vid in range(10))  # 960 bytes an entry
+        puts = 0
+        for tenant in range(8):
+            for i in range(20):
+                key = (("Post.content_emb",), 10, None, bytes(64), (tenant, i))
+                cache.put(f"t{tenant}", key, value)
+                puts += 1
+                stats = cache.stats()
+                assert stats["entries"] <= max_entries
+                assert stats["bytes"] <= max_bytes
+        assert sorted(stats["per_tenant"]) == ["t4", "t5", "t6", "t7"]
+        assert stats["evictions"] == puts - stats["entries"]
+
     def test_neighbor_latency_holds_under_concurrent_flood(
         self, loaded_post_db, rng
     ):

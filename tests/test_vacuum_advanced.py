@@ -49,13 +49,10 @@ class TestRetiredDeltaFiles:
         with db.begin() as txn:
             txn.set_embedding("Post", 7, "content_emb", np.full(16, 7.0, np.float32))
         db.vacuum()
-        from repro.core.action import EmbeddingAction
+        from repro.core import action
 
-        action = EmbeddingAction(store, parallel=False)
-        result = action.topk(
-            np.full(16, 500.0, np.float32), 1, snapshot_tid=pinned.tid, ef=64
-        )
-        assert int(result.ids[0]) == db.vid_for("Post", 7)
+        pairs, _ = action.topk(store, np.full(16, 500.0, np.float32), 1, pinned.tid, ef=64)
+        assert pairs[0][1] == db.vid_for("Post", 7)
         pinned.release()
 
     def test_multiple_merge_rounds(self, db):
