@@ -55,7 +55,6 @@ class TigerVectorDB:
         schema: GraphSchema | None = None,
         segment_size: int = 4096,
         wal_path: str | os.PathLike | None = None,
-        spill_dir: str | os.PathLike | None = None,
         bf_threshold: int | None = None,
     ):
         self.schema = schema or GraphSchema()
@@ -64,7 +63,7 @@ class TigerVectorDB:
             self.schema, segment_size=segment_size, bf_threshold=bf_threshold
         )
         self.store.register_embedding_hook(self.service.on_commit)
-        self.vacuum_manager = VacuumManager(self.store, self.service, spill_dir=spill_dir)
+        self.vacuum_manager = VacuumManager(self.store, self.service)
         #: Optional repro.tier.TierManager; see :meth:`enable_tiering`.
         self.tier_manager = None
         self._gsql_session = None

@@ -8,7 +8,7 @@ and **Vector Value**.
 Two consumers read deltas:
 
 - the *delta merge* vacuum process flushes them into immutable
-  :class:`DeltaFile` objects (optionally persisted to disk), and
+  in-memory :class:`DeltaFile` objects, and
 - query execution overlays unmerged deltas on top of index-snapshot results
   (brute force over the delta vectors).
 """
@@ -16,10 +16,8 @@ Two consumers read deltas:
 from __future__ import annotations
 
 import bisect
-import pickle
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -52,46 +50,19 @@ class DeltaFile:
     """An immutable batch of deltas covering TIDs in ``(from_tid, to_tid]``.
 
     The delta merge process produces these; the index merge process consumes
-    them.  ``path`` is set when the file has been spilled to disk.
+    them.
     """
 
     def __init__(self, records: list[DeltaRecord], from_tid: int, to_tid: int):
         self.records = list(records)
         self.from_tid = from_tid
         self.to_tid = to_tid
-        self.path: Path | None = None
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[DeltaRecord]:
         return iter(self.records)
-
-    def save(self, path) -> None:
-        """Spill to disk (one pickle per file, like the paper's delta files)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = [
-            (r.action, r.vid, r.tid, None if r.vector is None else np.asarray(r.vector))
-            for r in self.records
-        ]
-        with open(path, "wb") as fh:
-            pickle.dump(
-                {"from_tid": self.from_tid, "to_tid": self.to_tid, "records": payload}, fh
-            )
-        self.path = path
-
-    @classmethod
-    def load(cls, path) -> "DeltaFile":
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        records = [
-            DeltaRecord(action, vid, tid, vector)
-            for action, vid, tid, vector in payload["records"]
-        ]
-        out = cls(records, payload["from_tid"], payload["to_tid"])
-        out.path = Path(path)
-        return out
 
 
 class DeltaStore:

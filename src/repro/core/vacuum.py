@@ -30,11 +30,9 @@ the vacuum-side half of the serve tier's noisy-neighbor isolation.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from ..graph.storage import GraphStore
 from ..telemetry import get_telemetry
@@ -61,15 +59,9 @@ class VacuumStats:
 class VacuumManager:
     """Drives the delta-merge and index-merge processes for every store."""
 
-    def __init__(
-        self,
-        graph_store: GraphStore,
-        service: EmbeddingService,
-        spill_dir: str | os.PathLike | None = None,
-    ):
+    def __init__(self, graph_store: GraphStore, service: EmbeddingService):
         self.graph_store = graph_store
         self.service = service
-        self.spill_dir = Path(spill_dir) if spill_dir else None
         self.stats = VacuumStats()
         #: Optional :class:`repro.tier.TierManager`.  Tier rebalancing runs
         #: at the end of each vacuum round — the natural MVCC boundary: the
@@ -148,9 +140,6 @@ class VacuumManager:
             if dfile is None:
                 flushed = 0
             else:
-                if self.spill_dir is not None:
-                    name = f"{store.vertex_type}.{store.embedding.name}.{dfile.from_tid}-{dfile.to_tid}.delta"
-                    dfile.save(self.spill_dir / name)
                 store.delta_files.append(dfile)
                 store.delta_store.commit_cut(dfile)
                 self.stats.delta_merges += 1
@@ -214,14 +203,11 @@ class VacuumManager:
     def _gc_store(self, store: EmbeddingStore) -> None:
         """Reclaim retired delta files and index snapshots no reader needs."""
         min_tid = self.graph_store.min_active_snapshot_tid()
-        survivors = []
-        for release_tid, dfile in store.retired_delta_files:
-            if min_tid >= release_tid:
-                if dfile.path is not None and dfile.path.exists():
-                    dfile.path.unlink()
-            else:
-                survivors.append((release_tid, dfile))
-        store.retired_delta_files = survivors
+        store.retired_delta_files = [
+            (release_tid, dfile)
+            for release_tid, dfile in store.retired_delta_files
+            if min_tid < release_tid
+        ]
         reclaimed = 0
         for segment in store.segments():
             reclaimed += segment.gc_snapshots(min_tid)

@@ -4,25 +4,25 @@ The elastic serve tier routes every request key — a ``(tenant, group)``
 pair, where a *group* is one embedding-segment ordinal on the live tier
 — to the shard that owns it.
 Ownership defaults to consistent hashing so that membership changes move
-as few keys as possible: each server contributes ``vnodes`` virtual points
-on a 64-bit ring (seeded BLAKE2b, no process-salt randomness), a key is
-owned by the first virtual point at or clockwise-after its hash, and when
-a server joins or leaves only the keys whose arc it covers change hands —
-in expectation ``1/n`` of the keyspace, never a full reshuffle.
+as few keys as possible: each server contributes :data:`VIRTUAL_POINTS`
+points on a 64-bit ring (seeded BLAKE2b, no process-salt randomness), a
+key is owned by the first virtual point at or clockwise-after its hash,
+and when a server joins or leaves only the keys whose arc it covers
+change hands — in expectation ``1/n`` of the keyspace, never a full
+reshuffle.
 
-Two refinements on the textbook ring:
+The ring records membership and hashing only.  Where a live key actually
+lives — including a rebalancer's move off its hash owner — is the
+router's ownership entry (``ElasticTier._owners``).
 
-- **Pins** — the live rebalancer moves individual keys between servers
-  (:meth:`pin`), recorded as an override layered over the hash ownership.
-  Pins survive unrelated membership changes; a pin to a departed server is
-  dropped so the key falls back to hash ownership.
-- **Bounded loads** — :meth:`balanced_assignment` assigns a known key
-  population in ring order while capping every server at
-  ``ceil(keys / servers)`` (consistent hashing with bounded loads);
-  overflow walks clockwise to the next server with spare capacity.  The
-  simulated capacity model and the tier's initial grant both use it, so
-  adding a server buys near-proportional throughput instead of whatever
-  the raw hash imbalance allows.
+**Bounded loads** — :meth:`ConsistentHashRing.balanced_assignment`
+assigns a known key population in ring order while capping every server
+at ``ceil(keys / servers)`` (consistent hashing with bounded loads);
+overflow walks clockwise to the next server with spare capacity.  The
+tier's ``rebalance_evenly`` and the simulated capacity model use it, so
+adding a server buys near-proportional throughput instead of whatever
+the raw hash imbalance allows.  A key's first grant on the tier is its
+plain hash owner, :meth:`ConsistentHashRing.owner`.
 
 The ring is a lock leaf: every method takes one internal lock and never
 calls out while holding it.
@@ -38,6 +38,9 @@ from ..errors import ElasticError
 
 __all__ = ["ConsistentHashRing"]
 
+#: Virtual points each server places on the ring.
+VIRTUAL_POINTS = 96
+
 
 def _hash64(text: str) -> int:
     """Stable 64-bit ring position (BLAKE2b; independent of PYTHONHASHSEED)."""
@@ -47,19 +50,14 @@ def _hash64(text: str) -> int:
 
 
 class ConsistentHashRing:
-    """Virtual-node consistent hashing with pins and bounded-load assignment."""
+    """Virtual-point consistent hashing with a bounded-load assignment."""
 
-    def __init__(self, vnodes: int = 96):
-        if vnodes < 1:
-            raise ElasticError("vnodes must be at least 1")
-        self.vnodes = int(vnodes)
+    def __init__(self):
         self._lock = threading.Lock()
         #: sorted virtual-point positions and the parallel owner list
         self._points: list[int] = []
         self._owners: list[str] = []
         self._servers: set[str] = set()
-        #: rebalancer overrides: key -> server (layered over hash ownership)
-        self._pins: dict[tuple[str, int], str] = {}
 
     @staticmethod
     def key_position(tenant: str, group: int) -> int:
@@ -68,38 +66,33 @@ class ConsistentHashRing:
 
     # ------------------------------------------------------------ membership
     def add(self, server: str) -> None:
-        """Join a server (idempotent); inserts its ``vnodes`` virtual points."""
+        """Join a server (idempotent); inserts its virtual points."""
         if not server:
             raise ElasticError("server name must be non-empty")
         with self._lock:
             if server in self._servers:
                 return
             self._servers.add(server)
-            for i in range(self.vnodes):
+            for i in range(VIRTUAL_POINTS):
                 point = _hash64(f"s:{server}#{i}")
                 at = bisect.bisect_left(self._points, point)
                 self._points.insert(at, point)
                 self._owners.insert(at, server)
 
-    def remove(self, server: str) -> None:
-        """Leave a server; its pins dissolve back to hash ownership."""
+    def remove(self, server: str) -> bool:
+        """Leave a server; returns whether it was a member."""
         with self._lock:
             if server not in self._servers:
-                return
+                return False
             self._servers.discard(server)
             keep = [i for i, owner in enumerate(self._owners) if owner != server]
             self._points = [self._points[i] for i in keep]
             self._owners = [self._owners[i] for i in keep]
-            for key in [k for k, owner in self._pins.items() if owner == server]:
-                del self._pins[key]
+            return True
 
     def servers(self) -> list[str]:
         with self._lock:
             return sorted(self._servers)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._servers)
 
     # --------------------------------------------------------------- routing
     def _owner_at(self, position: int) -> str:
@@ -112,50 +105,11 @@ class ConsistentHashRing:
         return self._owners[at]
 
     def owner(self, tenant: str, group: int) -> str:
-        """The server owning ``(tenant, group)`` — pin first, hash otherwise."""
-        key = (tenant, int(group))
-        with self._lock:
-            pinned = self._pins.get(key)
-            if pinned is not None:
-                return pinned
-            return self._owner_at(self.key_position(tenant, group))
-
-    def hash_owner(self, tenant: str, group: int) -> str:
-        """Pure hash ownership, ignoring pins (what a key reverts to)."""
+        """The server whose arc holds ``(tenant, group)``."""
         with self._lock:
             return self._owner_at(self.key_position(tenant, group))
-
-    def pin(self, tenant: str, group: int, server: str) -> None:
-        """Override one key's owner (the rebalancer's transfer step)."""
-        key = (tenant, int(group))
-        with self._lock:
-            if server not in self._servers:
-                raise ElasticError(f"cannot pin {key} to unknown server '{server}'")
-            if self._owner_at(self.key_position(tenant, group)) == server:
-                self._pins.pop(key, None)  # pin matches hash: no override needed
-            else:
-                self._pins[key] = server
-
-    def pins(self) -> dict[tuple[str, int], str]:
-        with self._lock:
-            return dict(self._pins)
 
     # ------------------------------------------------------------ assignment
-    def assignment(
-        self, tenant: str, groups: range | list[int]
-    ) -> dict[int, str]:
-        """group -> owner for a key population (pins honored)."""
-        out: dict[int, str] = {}
-        with self._lock:
-            for group in groups:
-                pinned = self._pins.get((tenant, int(group)))
-                out[int(group)] = (
-                    pinned
-                    if pinned is not None
-                    else self._owner_at(self.key_position(tenant, group))
-                )
-        return out
-
     def balanced_assignment(
         self, tenant: str, groups: range | list[int]
     ) -> dict[int, str]:
@@ -164,9 +118,7 @@ class ConsistentHashRing:
         Each key starts at its hash owner and walks clockwise (in server
         ring order) past servers already at the cap, so load never exceeds
         one key over a perfect split while key movement on membership
-        change stays incremental.  Pins are honored (and count toward the
-        pinned server's cap) because a rebalancer decision outranks the
-        hash default.
+        change stays incremental.
         """
         with self._lock:
             if not self._servers:
@@ -176,16 +128,8 @@ class ConsistentHashRing:
             load = {server: 0 for server in self._servers}
             order = sorted(self._servers, key=lambda s: _hash64(f"s:{s}#0"))
             out: dict[int, str] = {}
-            spill: list[int] = []
-            for group in keys:
-                pinned = self._pins.get((tenant, group))
-                if pinned is not None:
-                    out[group] = pinned
-                    load[pinned] += 1
-                else:
-                    spill.append(group)
             # Deterministic pass in key-position order mirrors arc ownership.
-            for group in sorted(spill, key=lambda g: self.key_position(tenant, g)):
+            for group in sorted(keys, key=lambda g: self.key_position(tenant, g)):
                 owner = self._owner_at(self.key_position(tenant, group))
                 if load[owner] >= cap:
                     start = order.index(owner)

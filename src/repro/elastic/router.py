@@ -26,6 +26,13 @@ never a failed query.  A dead server additionally triggers
 :meth:`handle_crash`: it leaves the ring and every key it owned
 reassigns to the surviving hash owners.
 
+**Each routing fact has one record.**  A key's ownership entry is the
+only record of where it lives (a rebalance off its hash owner sets the
+entry's ``pinned`` flag); the ring is the only record of which servers
+are members, so a server is live while its shard runs and it is still
+in the ring.  The shards' grant sets are the execution-time check of
+those entries, not a second routing table.
+
 **Lost groups are a typed partial.**  A sub-request that fails with
 :class:`~repro.errors.FaultInjectionError` has already spent its shard's
 retries.  If it carried several groups they are re-sent one per
@@ -42,7 +49,8 @@ completes — records the MVCC handoff point (the snapshot TID at drain
 start), waits for the in-flight count to reach zero (every request that
 acquired the key before the gate closed has completed; all of them
 executed on snapshots at or before the handoff TID), grants the new
-owner, revokes the old, pins the ring, and re-admits gated requests.
+owner, revokes the old, marks the entry pinned when the new owner is not
+the key's hash owner, and re-admits gated requests.
 The execution-time ownership check in the shard is therefore
 unreachable for drained handoffs; a rebalance without the drain, or a
 router holding no in-flight ref (an explorer twin), makes it fire.
@@ -98,16 +106,20 @@ _GATE_WAIT = 0.05
 class _Ownership:
     """Mutable routing state for one materialized ``(tenant, group)`` key.
 
-    All fields are guarded by the tier's single routing condition; the
-    entry object itself is stable for the key's lifetime (rebalances
-    mutate ``server`` in place so gated waiters resume on the same
-    entry).
+    The one record of where the key lives.  ``pinned`` is set when a
+    rebalance placed the key somewhere other than its ring owner at that
+    moment; :meth:`ElasticTier.add_server` leaves such keys where they
+    are, and a crash reassignment clears it.  All fields are guarded by
+    the tier's single routing condition; the entry object itself is
+    stable for the key's lifetime (rebalances mutate ``server`` in place
+    so gated waiters resume on the same entry).
     """
 
-    __slots__ = ("server", "draining", "inflight")
+    __slots__ = ("server", "pinned", "draining", "inflight")
 
     def __init__(self, server: str):
         self.server = server
+        self.pinned = False
         self.draining = False
         self.inflight = 0
 
@@ -141,7 +153,6 @@ class ElasticTier:
         # draining/inflight state; telemetry is recorded outside it.
         self._route_cond = threading.Condition(threading.Lock())
         self._owners: dict[tuple[str, int], _Ownership] = {}
-        self._dead: set[str] = set()
         self._rebalance_log: list[dict] = []
         self._started = False
         for _ in range(num_servers):
@@ -171,6 +182,7 @@ class ElasticTier:
         return self
 
     def stop(self) -> None:
+        self._started = False
         for shard in self.shards.values():
             shard.stop()
 
@@ -181,10 +193,11 @@ class ElasticTier:
         self.stop()
 
     def _live_names(self) -> list[str]:
+        members = set(self.ring.servers())
         return [
             name
             for name, shard in sorted(self.shards.items())
-            if shard.running and name not in self._dead
+            if shard.running and name in members
         ]
 
     # --------------------------------------------------------------- routing
@@ -436,7 +449,7 @@ class ElasticTier:
         """
         if to_server not in self.shards:
             raise ElasticError(f"unknown rebalance target '{to_server}'")
-        if not self.shards[to_server].running:
+        if to_server not in self._live_names():
             raise ElasticError(f"rebalance target '{to_server}' is not running")
         tel = get_telemetry()
         self._materialize(tenant, group)
@@ -469,9 +482,10 @@ class ElasticTier:
         # owner, and routing is still gated so nobody can race the pair.
         self.shards[to_server].grant(tenant, group)
         self.shards[from_server].revoke(tenant, group)
-        self.ring.pin(tenant, group, to_server)
+        pinned = to_server != self.ring.owner(tenant, group)
         with self._route_cond:
             entry.server = to_server
+            entry.pinned = pinned
             entry.draining = False
             self._route_cond.notify_all()
         tel.inc("elastic.rebalances")
@@ -506,9 +520,7 @@ class ElasticTier:
 
     def handle_crash(self, name: str) -> int:
         """Fail a server out: leave the ring, reassign its keys; returns moves."""
-        first = name not in self._dead
-        self._dead.add(name)
-        self.ring.remove(name)
+        first = self.ring.remove(name)
         with self._route_cond:
             orphaned = [
                 (tenant, group)
@@ -523,6 +535,7 @@ class ElasticTier:
                 entry = self._owners[(tenant, group)]
                 if entry.server == name:
                     entry.server = new_owner
+                    entry.pinned = False
                     entry.draining = False
                     moved += 1
                 self._route_cond.notify_all()
@@ -539,11 +552,12 @@ class ElasticTier:
         if self._started:
             self.shards[name].start()
         with self._route_cond:
-            materialized = sorted(self._owners)
-        pins = self.ring.pins()
-        for tenant, group in materialized:
-            if (tenant, group) in pins:
-                continue  # rebalancer decisions outrank hash movement
+            # Keys a rebalance placed stay put: its decision outranks the
+            # hash movement.
+            unpinned = sorted(
+                key for key, entry in self._owners.items() if not entry.pinned
+            )
+        for tenant, group in unpinned:
             owner = self.ring.owner(tenant, group)
             with self._route_cond:
                 current = self._owners[(tenant, group)].server

@@ -53,13 +53,6 @@ class Accumulator(Generic[T]):
     def value(self) -> Any:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        raise NotImplementedError
-
-    def fresh(self) -> "Accumulator[T]":
-        """A new empty accumulator of the same configuration."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.value!r})"
 
@@ -68,7 +61,6 @@ class SumAccum(Accumulator):
     """Additive accumulator for numbers (or string concatenation, as in GSQL)."""
 
     def __init__(self, initial=0):
-        self._initial = initial
         self._value = initial
 
     def accum(self, value) -> None:
@@ -77,12 +69,6 @@ class SumAccum(Accumulator):
     @property
     def value(self):
         return self._value
-
-    def reset(self) -> None:
-        self._value = self._initial
-
-    def fresh(self) -> "SumAccum":
-        return SumAccum(self._initial)
 
 
 class MinAccum(Accumulator):
@@ -97,12 +83,6 @@ class MinAccum(Accumulator):
     def value(self):
         return self._value
 
-    def reset(self) -> None:
-        self._value = None
-
-    def fresh(self) -> "MinAccum":
-        return MinAccum()
-
 
 class MaxAccum(Accumulator):
     def __init__(self):
@@ -115,12 +95,6 @@ class MaxAccum(Accumulator):
     @property
     def value(self):
         return self._value
-
-    def reset(self) -> None:
-        self._value = None
-
-    def fresh(self) -> "MaxAccum":
-        return MaxAccum()
 
 
 class AvgAccum(Accumulator):
@@ -140,18 +114,10 @@ class AvgAccum(Accumulator):
     def count(self) -> int:
         return self._count
 
-    def reset(self) -> None:
-        self._total = 0.0
-        self._count = 0
-
-    def fresh(self) -> "AvgAccum":
-        return AvgAccum()
-
 
 class OrAccum(Accumulator):
     def __init__(self, initial: bool = False):
-        self._initial = bool(initial)
-        self._value = self._initial
+        self._value = bool(initial)
 
     def accum(self, value) -> None:
         self._value = self._value or bool(value)
@@ -160,17 +126,10 @@ class OrAccum(Accumulator):
     def value(self) -> bool:
         return self._value
 
-    def reset(self) -> None:
-        self._value = self._initial
-
-    def fresh(self) -> "OrAccum":
-        return OrAccum(self._initial)
-
 
 class AndAccum(Accumulator):
     def __init__(self, initial: bool = True):
-        self._initial = bool(initial)
-        self._value = self._initial
+        self._value = bool(initial)
 
     def accum(self, value) -> None:
         self._value = self._value and bool(value)
@@ -178,12 +137,6 @@ class AndAccum(Accumulator):
     @property
     def value(self) -> bool:
         return self._value
-
-    def reset(self) -> None:
-        self._value = self._initial
-
-    def fresh(self) -> "AndAccum":
-        return AndAccum(self._initial)
 
 
 class BitwiseOrAccum(Accumulator):
@@ -197,12 +150,6 @@ class BitwiseOrAccum(Accumulator):
     def value(self) -> int:
         return self._value
 
-    def reset(self) -> None:
-        self._value = 0
-
-    def fresh(self) -> "BitwiseOrAccum":
-        return BitwiseOrAccum()
-
 
 class BitwiseAndAccum(Accumulator):
     def __init__(self):
@@ -214,12 +161,6 @@ class BitwiseAndAccum(Accumulator):
     @property
     def value(self) -> int:
         return self._value
-
-    def reset(self) -> None:
-        self._value = ~0
-
-    def fresh(self) -> "BitwiseAndAccum":
-        return BitwiseAndAccum()
 
 
 class ListAccum(Accumulator):
@@ -241,12 +182,6 @@ class ListAccum(Accumulator):
 
     def __iter__(self):
         return iter(self._items)
-
-    def reset(self) -> None:
-        self._items = []
-
-    def fresh(self) -> "ListAccum":
-        return ListAccum()
 
 
 class SetAccum(Accumulator):
@@ -271,12 +206,6 @@ class SetAccum(Accumulator):
 
     def __iter__(self):
         return iter(self._items)
-
-    def reset(self) -> None:
-        self._items = set()
-
-    def fresh(self) -> "SetAccum":
-        return SetAccum()
 
 
 class MapAccum(Accumulator):
@@ -326,12 +255,6 @@ class MapAccum(Accumulator):
     def items(self):
         return self.value.items()
 
-    def reset(self) -> None:
-        self._map = {}
-
-    def fresh(self) -> "MapAccum":
-        return MapAccum(self._value_accum)
-
 
 class HeapAccum(Accumulator):
     """Bounded top-k heap ordered by a sort key.
@@ -373,27 +296,8 @@ class HeapAccum(Accumulator):
         entries.sort(key=lambda e: e[0], reverse=not self.ascending)
         return entries
 
-    @property
-    def worst_key(self):
-        """Sort key of the current k-th entry (None until the heap is full)."""
-        if len(self._heap) < self.k:
-            return None
-        hk = self._heap[0][0]
-        return -hk if self.ascending else hk
-
     def __len__(self) -> int:
         return len(self._heap)
-
-    def merge(self, other: "HeapAccum") -> None:
-        """Fold another heap in (used for the global merge of local top-k)."""
-        for sort_key, payload in other.value:
-            self.accum((sort_key, payload))
-
-    def reset(self) -> None:
-        self._heap = []
-
-    def fresh(self) -> "HeapAccum":
-        return HeapAccum(self.k, self.ascending)
 
 
 class VertexAccumMap:
@@ -419,9 +323,6 @@ class VertexAccumMap:
 
     def __len__(self) -> int:
         return len(self._per_vertex)
-
-    def reset(self) -> None:
-        self._per_vertex = {}
 
 
 _ACCUM_FACTORIES: dict[str, Callable[..., Accumulator]] = {

@@ -68,7 +68,10 @@ class Tenant:
 
 
 class TenantRegistry:
-    """Named tenants known to one server; always contains ``default``."""
+    """Named tenants known to one server; always contains ``default``.
+
+    The set is fixed when the registry is built.
+    """
 
     def __init__(self, tenants: Iterable[Tenant] | None = None):
         self._tenants: dict[str, Tenant] = {}
@@ -76,10 +79,6 @@ class TenantRegistry:
             self._tenants[tenant.name] = tenant
         if "default" not in self._tenants:
             self._tenants["default"] = Tenant("default")
-
-    def register(self, tenant: Tenant) -> Tenant:
-        self._tenants[tenant.name] = tenant
-        return tenant
 
     def get(self, name: str) -> Tenant:
         tenant = self._tenants.get(name)

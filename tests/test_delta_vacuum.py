@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.delta import DELETE, UPSERT, DeltaFile, DeltaRecord, DeltaStore
+from repro.core.delta import DELETE, UPSERT, DeltaRecord, DeltaStore
 from repro.errors import ReproError
 
 
@@ -67,19 +67,6 @@ class TestDeltaStore:
         assert store.flushed_tid == 10
 
 
-class TestDeltaFile:
-    def test_save_load_roundtrip(self, tmp_path):
-        dfile = DeltaFile([rec(UPSERT, 1, 1), rec(DELETE, 2, 2)], 0, 2)
-        path = tmp_path / "x.delta"
-        dfile.save(path)
-        loaded = DeltaFile.load(path)
-        assert len(loaded) == 2
-        assert loaded.from_tid == 0 and loaded.to_tid == 2
-        assert loaded.records[0].action == UPSERT
-        assert np.allclose(loaded.records[0].vector, 1.0)
-        assert loaded.records[1].vector is None
-
-
 class TestVacuumEndToEnd:
     def test_two_stage_vacuum(self, loaded_post_db):
         db = loaded_post_db
@@ -109,22 +96,6 @@ class TestVacuumEndToEnd:
         assert stats.index_merges >= 1
         assert stats.records_merged >= 1
         assert stats.snapshots_installed >= 1
-
-    def test_spill_to_disk(self, tmp_path, rng):
-        from tests.conftest import make_post_db
-
-        db = make_post_db()
-        db.vacuum_manager.spill_dir = tmp_path
-        with db.begin() as txn:
-            txn.upsert_vertex("Post", 1, {})
-            txn.set_embedding("Post", 1, "content_emb", rng.standard_normal(16))
-        store = db.service.store("Post", "content_emb")
-        db.vacuum_manager.delta_merge(store)
-        spilled = list(tmp_path.glob("*.delta"))
-        assert len(spilled) == 1
-        db.vacuum_manager.index_merge(store)
-        assert list(tmp_path.glob("*.delta")) == []  # consumed and removed
-        db.close()
 
     def test_old_snapshot_still_readable_during_merge(self, loaded_post_db):
         db = loaded_post_db

@@ -3,14 +3,17 @@
 Covers the acceptance contracts of the elastic PR:
 
 - the consistent-hash ring: deterministic ownership, key-distribution
-  uniformity bounds, minimal key movement on join/leave, pins, and the
+  uniformity bounds, minimal key movement on join/leave, and the
   bounded-load assignment cap;
 - byte identity: sharded partials merged by ``merge_sharded_topk`` equal
   ``vector_search_merged`` for every partition of the group universe, and
   an :class:`ElasticTier` (1 or N servers) answers exactly like a single
   ``QueryServer`` / direct ``db.vector_search``;
 - live rebalancing: drain-at-a-TID handoff records, ownership movement,
-  identity preserved under moves, scale out/in migration;
+  identity preserved under moves, scale out/in migration, and the pin
+  rule kept on the router's ownership entries (a rebalanced key stays on
+  its target through a join; one whose target leaves returns to its ring
+  owner);
 - replica-coherent caching: a commit advances the watermark vector, so
   no replica can serve a pre-commit partial for a post-commit request;
 - the shard seam: a tier built on a transport that is not a
@@ -91,35 +94,10 @@ class TestRingBasics:
             ring.owner("default", 0)
 
     def test_add_is_idempotent(self):
-        ring = ConsistentHashRing(vnodes=8)
+        ring = ConsistentHashRing()
         ring.add("a")
         ring.add("a")
-        assert len(ring) == 1
         assert ring.servers() == ["a"]
-
-    def test_pin_overrides_and_dissolves(self):
-        ring = ConsistentHashRing()
-        ring.add("a")
-        ring.add("b")
-        hash_owner = ring.hash_owner("default", 7)
-        other = "a" if hash_owner == "b" else "b"
-        ring.pin("default", 7, other)
-        assert ring.owner("default", 7) == other
-        assert ring.hash_owner("default", 7) == hash_owner
-        # Pinning back to the hash owner drops the override entirely.
-        ring.pin("default", 7, hash_owner)
-        assert ring.pins() == {}
-        # A pin to a departed server dissolves to hash ownership.
-        ring.pin("default", 7, other)
-        ring.remove(other)
-        assert ring.pins() == {}
-        assert ring.owner("default", 7) == "a" if other == "b" else "b"
-
-    def test_pin_unknown_server_raises(self):
-        ring = ConsistentHashRing()
-        ring.add("a")
-        with pytest.raises(ElasticError):
-            ring.pin("default", 0, "ghost")
 
 
 class TestRingDistribution:
@@ -127,16 +105,19 @@ class TestRingDistribution:
 
     NUM_KEYS = 3000
 
+    def owners(self, ring):
+        return {g: ring.owner("default", g) for g in range(self.NUM_KEYS)}
+
     def test_key_distribution_uniformity(self):
         servers = [f"s{i}" for i in range(4)]
-        ring = ConsistentHashRing(vnodes=96)
+        ring = ConsistentHashRing()
         for name in servers:
             ring.add(name)
         counts = dict.fromkeys(servers, 0)
         for group in range(self.NUM_KEYS):
             counts[ring.owner("default", group)] += 1
         share = {name: counts[name] / self.NUM_KEYS for name in servers}
-        # 96 vnodes/server keeps raw hash shares well inside [1/2n, 2/n].
+        # 96 virtual points per server keep raw hash shares well inside [1/2n, 2/n].
         for name in servers:
             assert 1 / (2 * len(servers)) <= share[name] <= 2 / len(servers), share
 
@@ -151,23 +132,14 @@ class TestRingDistribution:
         assert max(loads) <= math.ceil(len(groups) / 3)
         assert sum(loads) == len(groups)
 
-    def test_balanced_assignment_honors_pins(self):
-        ring = ConsistentHashRing()
-        ring.add("a")
-        ring.add("b")
-        target = "a" if ring.hash_owner("t", 0) == "b" else "b"
-        ring.pin("t", 0, target)
-        plan = ring.balanced_assignment("t", range(10))
-        assert plan[0] == target
-
     def test_minimal_movement_on_join(self):
         servers = [f"s{i}" for i in range(3)]
-        ring = ConsistentHashRing(vnodes=96)
+        ring = ConsistentHashRing()
         for name in servers:
             ring.add(name)
-        before = ring.assignment("default", range(self.NUM_KEYS))
+        before = self.owners(ring)
         ring.add("joiner")
-        after = ring.assignment("default", range(self.NUM_KEYS))
+        after = self.owners(ring)
         moved = [g for g in before if before[g] != after[g]]
         # Every moved key moved *to* the joiner — nothing reshuffles
         # between incumbents — and the moved fraction is close to the
@@ -178,12 +150,12 @@ class TestRingDistribution:
 
     def test_minimal_movement_on_leave(self):
         servers = [f"s{i}" for i in range(4)]
-        ring = ConsistentHashRing(vnodes=96)
+        ring = ConsistentHashRing()
         for name in servers:
             ring.add(name)
-        before = ring.assignment("default", range(self.NUM_KEYS))
+        before = self.owners(ring)
         ring.remove("s2")
-        after = ring.assignment("default", range(self.NUM_KEYS))
+        after = self.owners(ring)
         for group, owner in before.items():
             if owner != "s2":
                 # Only the departed server's keys change hands.
@@ -297,6 +269,20 @@ class TestElasticTier:
         with pytest.raises(ServeError):
             tier.search([ATTR], rng.standard_normal(DIM).astype(np.float32), 3)
 
+    def test_search_after_stop_is_refused_and_keeps_membership(
+        self, loaded_post_db, rng
+    ):
+        # A stopped tier refuses like a stopped QueryServer; it must not
+        # fail every server over and empty the ring on the way.
+        q = rng.standard_normal(DIM).astype(np.float32)
+        tier = ElasticTier(loaded_post_db, num_servers=2, config=tier_config())
+        with tier:
+            tier.search([ATTR], q, 3)
+        with pytest.raises(ServeError, match="not running") as excinfo:
+            tier.search([ATTR], q, 3)
+        assert not isinstance(excinfo.value, ElasticError)
+        assert tier.ring.servers() == sorted(tier.shards)
+
     def test_rebalance_moves_ownership_live(self, loaded_post_db, rng):
         db = loaded_post_db
         q = rng.standard_normal(DIM).astype(np.float32)
@@ -396,6 +382,80 @@ class TestElasticTier:
             # Every key migrated off the removed server before it stopped.
             for server in tier.ownership():
                 assert server != name
+
+    def test_rebalanced_keys_stay_put_on_join(self, loaded_post_db, rng):
+        db = loaded_post_db
+        q = rng.standard_normal(DIM).astype(np.float32)
+        with ElasticTier(db, num_servers=2, config=tier_config()) as tier:
+            want_members, _ = direct(db, q, 5)
+            tier.search([ATTR], q, 5)
+            groups = tier.group_universe([ATTR])
+            moved = {}
+            for group in groups[::2]:
+                owner = tier.ring.owner("default", group)
+                target = next(name for name in sorted(tier.shards) if name != owner)
+                assert tier.rebalance("default", group, target) is not None
+                moved[group] = target
+            joiner = tier.add_server()
+            placed = {
+                group: server
+                for server, per_tenant in tier.ownership().items()
+                for group in per_tenant["default"]
+            }
+            for group in groups:
+                # Rebalanced keys stay on their targets; the rest follow
+                # the ring, which now includes the joiner.
+                want = moved.get(group) or tier.ring.owner("default", group)
+                assert placed[group] == want
+                assert tier.shards[want].owns("default", group)
+            assert joiner in tier.ring.servers()
+            assert members(tier.search([ATTR], q, 5)) == want_members
+
+    def test_key_returns_to_ring_owner_when_its_target_leaves(
+        self, loaded_post_db, rng
+    ):
+        db = loaded_post_db
+        q = rng.standard_normal(DIM).astype(np.float32)
+        tenants = [Tenant(f"t{i}") for i in range(6)]
+        with ElasticTier(
+            db, num_servers=3, config=tier_config(), tenants=tenants
+        ) as tier:
+            want_members, _ = direct(db, q, 5)
+            groups = tier.group_universe([ATTR])
+            for tenant in tenants:
+                tier.search([ATTR], q, 5, tenant=tenant.name)
+            live = tier.ring.servers()
+            joiner = f"shard-{len(live)}"  # the name add_server gives next
+
+            def ring_of(names):
+                ring = ConsistentHashRing()
+                for name in names:
+                    ring.add(name)
+                return ring
+
+            # A key whose target leaves, and which the next joiner's arc
+            # then captures, so the join moves it again.
+            tenant, group, target = next(
+                (tenant.name, group, target)
+                for tenant in tenants
+                for group in groups
+                for target in live
+                if target != tier.ring.owner(tenant.name, group)
+                and ring_of([s for s in live if s != target] + [joiner]).owner(
+                    tenant.name, group
+                )
+                == joiner
+            )
+            home = tier.ring.owner(tenant, group)
+            tier.rebalance(tenant, group, target)
+            tier.remove_server(target)
+            assert group in tier.ownership()[home][tenant]
+            assert tier.shards[home].owns(tenant, group)
+            assert tier.add_server() == joiner
+            assert group in tier.ownership()[joiner][tenant]
+            assert tier.shards[joiner].owns(tenant, group)
+            assert not tier.shards[home].owns(tenant, group)
+            assert members(tier.search([ATTR], q, 5, tenant=tenant)) == want_members
 
     def test_remove_last_server_refused(self, loaded_post_db):
         with ElasticTier(loaded_post_db, num_servers=1) as tier:
