@@ -27,10 +27,7 @@ deterministic modulo schedule: no outcome may hinge on the wall clock.
 from __future__ import annotations
 
 import copy
-import shutil
-import tempfile
 from contextlib import contextmanager, nullcontext
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -499,19 +496,28 @@ class RemoveServerVsSearch(_OwnershipChangeVsRoutedSearch):
 
 
 # --------------------------------------------------------------------------
-# concurrent HNSW insert vs save
+# concurrent HNSW insert vs clone
 # --------------------------------------------------------------------------
 
 
-class HnswInsertVsSave(Scenario):
-    """Inserts racing a persistence snapshot.
+class HnswInsertVsClone(_Twinned):
+    """Inserts racing ``clone()``, the state copy an index merge rewrites.
 
-    ``save`` deep-copies under ``_write_lock``; whatever interleaving
-    runs, the saved file must load into a structurally valid index whose
-    count is one of the states the insert sequence passed through.
+    Worker 0 builds three new ids into a six-row index; worker 1 clones it.
+    Whatever the interleaving, the clone must be a state the insert passed
+    through: a count in 6..9, three results for a query at each new vector,
+    every returned id held by the clone at its true distance, and a new id
+    the clone holds returned first at its own vector.
+
+    With ``validate=True`` the copy is the shipped ``clone()``, whose
+    ``__getstate__`` copies under ``_write_lock``.  With ``validate=False``
+    it takes the same state copy without the lock: a clone taken mid-build
+    maps new ids to rows its count does not cover, so it claims ids no
+    search can return.
     """
 
-    name = "hnsw-insert-vs-save"
+    row = "hnsw-insert-vs-clone"
+    twin = "-unlocked"
 
     def setup(self):
         state = _Box()
@@ -520,25 +526,35 @@ class HnswInsertVsSave(Scenario):
         base = rng.standard_normal((6, _DIM)).astype(np.float32)
         state.index.update_items(range(6), base)
         state.extra = rng.standard_normal((3, _DIM)).astype(np.float32)
-        state.dir = Path(tempfile.mkdtemp(prefix="repro-explore-"))
-        state.path = state.dir / "hnsw.idx"
+        state.clone = None
         return state
 
     def worker(self, state, index: int) -> None:
         if index == 0:
             state.index.update_items([6, 7, 8], state.extra)
             return
-        state.index.save(state.path)
+        if self.validate:
+            state.clone = state.index.clone()
+            return
+        with mock.patch.object(state.index, "_write_lock", nullcontext()):
+            state.clone = state.index.clone()
 
     def check(self, state) -> None:
-        loaded = HNSWIndex.load(state.path)
-        count = loaded.stats.num_vectors
-        assert 6 <= count <= 9, f"torn save: loaded count {count}"
-        result = loaded.topk_search(state.extra[0], k=3)
-        assert len(result.ids) == 3
-
-    def teardown(self, state) -> None:
-        shutil.rmtree(state.dir, ignore_errors=True)
+        clone = state.clone
+        count = clone.stats.num_vectors
+        assert 6 <= count <= 9, f"torn clone: count {count}"
+        for new_id, query in enumerate(state.extra, 6):
+            result = clone.topk_search(query, k=3)
+            assert len(result.ids) == 3, f"clone returned {len(result.ids)} of 3"
+            assert new_id not in clone or result.ids[0] == new_id, (
+                f"the clone holds id {new_id}, a search at its vector misses it"
+            )
+            for ext_id, distance in zip(result.ids.tolist(), result.distances.tolist()):
+                assert ext_id in clone, f"returned id {ext_id} is not in the clone"
+                true = float(np.sum((clone.get_embedding(ext_id) - query) ** 2))
+                assert abs(distance - true) <= 1e-3 * max(1.0, true), (
+                    f"id {ext_id} returned at distance {distance}, its vector is at {true}"
+                )
 
 
 # --------------------------------------------------------------------------
@@ -756,7 +772,8 @@ MATRIX: list[ScenarioSpec] = [
     ScenarioSpec(lambda: RebalanceVsSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: RebalanceVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: RemoveServerVsSearch(), ("pct", 64), False),
-    ScenarioSpec(lambda: HnswInsertVsSave(), ("pct", 12), False),
+    ScenarioSpec(lambda: HnswInsertVsClone(validate=False), ("pct", 256), True),
+    ScenarioSpec(lambda: HnswInsertVsClone(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: HnswFreshBatchVsSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: HnswFreshBatchVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: IndexMergeRowReuseVsPinnedSearch(validate=False), ("pct", 256), True),

@@ -22,6 +22,7 @@ is auditable:
 
 from __future__ import annotations
 
+import io
 import time
 from dataclasses import dataclass, field
 
@@ -163,9 +164,8 @@ class VectorSystemSim:
 
     # ------------------------------------------------------------- loading
     def _parse_vectors_fast(self, text: str, dim: int) -> np.ndarray:
-        """The optimized loading-tool path: one vectorized parse call."""
-        flat = np.fromstring(text.replace("\n", ","), sep=",", dtype=np.float32)
-        return flat.reshape(-1, dim)
+        """The optimized loading-tool path: one call into NumPy's C reader."""
+        return np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.float32, ndmin=2)
 
     def _parse_vectors_slow(self, text: str, dim: int) -> np.ndarray:
         """The raw-vector-file path (Milvus): per-row Python parsing."""

@@ -128,17 +128,6 @@ class SimulatedCrash(FaultInjectionError):
     """
 
 
-class IndexPersistenceError(ReproError):
-    """An index snapshot file is unreadable or incompatible.
-
-    Raised by :meth:`~repro.index.hnsw.HNSWIndex.load` when a saved index is
-    corrupt (truncated file, bad pickle), structurally inconsistent (vector
-    matrix disagreeing with the recorded count/dim), or written by a
-    different format version.  Loading refuses to guess: the caller should
-    rebuild the index from the segment's vectors instead.
-    """
-
-
 class ServeError(ReproError):
     """Query-serving layer failure (``repro.serve``)."""
 

@@ -64,9 +64,6 @@ class QueryResult:
     #: when telemetry is disabled.
     elapsed_seconds: float = 0.0
 
-    def print_values(self) -> list[Any]:
-        return self.prints
-
 
 class GSQLSession:
     """Stateful GSQL front end over one :class:`TigerVectorDB`.

@@ -10,7 +10,7 @@ supports that by wrapping an existing boolean mask without copying.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -68,19 +68,6 @@ class Bitmap:
 
     def is_valid(self, offset: int) -> bool:
         return offset < self.mask.shape[0] and bool(self.mask[offset])
-
-    def as_filter(self) -> Callable[[int], bool]:
-        """The filter function handed to the vector index."""
-        mask = self.mask
-        size = mask.shape[0]
-
-        def fn(offset: int) -> bool:
-            return offset < size and bool(mask[offset])
-
-        return fn
-
-    def valid_offsets(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
 
     def __len__(self) -> int:
         return int(self.mask.shape[0])

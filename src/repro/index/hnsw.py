@@ -30,7 +30,9 @@ embedding segment — with the features TigerVector relies on:
 - soft deletion (deleted nodes keep navigating but never appear in results;
   a later upsert of the id revives its row),
 - statistics reporting (distance computations, expansion rounds) per Sec. 4.4,
-- ``save``/``load`` so vacuum can persist index snapshots.
+- one serialized form, ``__getstate__``/``__setstate__``: ``clone()`` (the
+  copy an index merge rewrites), pickling and the bench cache all go through
+  it.  Durability is the WAL; nothing writes an index file.
 
 Performance notes (this is pure Python + numpy):
 
@@ -68,27 +70,20 @@ from __future__ import annotations
 
 import copy
 import heapq
-import pickle
 import threading
 import time
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..analysis.hooks import schedule_point
-from ..errors import IndexPersistenceError, VectorSearchError
+from ..errors import VectorSearchError
 from ..telemetry import get_telemetry
 from ..types import Metric
 from .interface import IndexStats, SearchResult, VectorIndex, admitted
 from .kernels import DistanceKernel, QueryContext
 
-__all__ = ["FORMAT_VERSION", "HNSWIndex"]
-
-#: On-disk snapshot format version.  Bump whenever the ``save()`` payload
-#: layout changes; ``load()`` refuses other versions with
-#: :class:`~repro.errors.IndexPersistenceError` rather than guessing.
-FORMAT_VERSION = 1
+__all__ = ["HNSWIndex"]
 
 #: A traversal round (see ``_search_layer``) expands ``ef // ROUND_SHARE``
 #: candidates together, at least one.  Earned by a sweep, not a knob (DESIGN
@@ -211,8 +206,8 @@ class HNSWIndex(VectorIndex):
     def _blank_link_tails(self) -> None:
         """Restore ``-1`` at and beyond every row's count.
 
-        State written before that became an invariant of ``_links0`` (a
-        version-1 ``save`` file, a pickle) keeps pruned ids there.
+        A pickle written before that became an invariant of ``_links0``
+        (an old ``.bench_cache`` entry) keeps pruned ids there.
         """
         count = self._count
         tail = np.arange(self._links0_width) >= self._links0_cnt[:count, None]
@@ -847,7 +842,7 @@ class HNSWIndex(VectorIndex):
         self._stats.num_vectors = self._count
         return self._stats
 
-    # --------------------------------------------------------- persistence
+    # ----------------------------------------------------- serialized form
     def __getstate__(self) -> dict:
         # Deep-copy every mutable structure *under the write lock*: pickle
         # serializes the returned state only after this method exits, so
@@ -893,142 +888,3 @@ class HNSWIndex(VectorIndex):
         if self._count:
             kernel.set_rows(slice(0, self._count), self._vectors[: self._count])
         self._kernel = kernel
-
-    def save(self, path) -> None:
-        """Persist the index snapshot (vectors + graph) to one file.
-
-        The payload is deep-copied under ``_write_lock`` (concurrent
-        ``update_items`` cannot tear it), then pickled outside the lock so
-        file I/O never blocks writers.
-        """
-        path = Path(path)
-        schedule_point("hnsw.save")
-        with self._write_lock:
-            count = self._count
-            payload = {
-                "format_version": FORMAT_VERSION,
-                "dim": self.dim,
-                "metric": self.metric.value,
-                "M": self.M,
-                "ef_construction": self.ef_construction,
-                "prune_heuristic": self.prune_heuristic,
-                "count": count,
-                "vectors": self._vectors[:count].copy(),
-                "ids": self._ids[:count].copy(),
-                "levels": list(self._levels),
-                "links0": self._links0[:count].copy(),
-                "links0_cnt": self._links0_cnt[:count].copy(),
-                "links_upper": [
-                    {node: list(nbrs) for node, nbrs in layer.items()}
-                    for layer in self._links_upper
-                ],
-                "deleted": self._deleted[:count].copy(),
-                "entry_point": self._entry_point,
-                "max_level": self._max_level,
-            }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def load(cls, path) -> "HNSWIndex":
-        """Load a saved index, validating format and structure.
-
-        A corrupt, truncated, or incompatible file raises
-        :class:`~repro.errors.IndexPersistenceError` (never a raw pickle /
-        key / attribute error); the caller should rebuild from the
-        segment's vectors instead of trusting the snapshot.
-        """
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-        except OSError:
-            raise
-        except Exception as exc:  # pickle raises many unrelated types
-            raise IndexPersistenceError(
-                f"cannot read index snapshot '{path}': {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise IndexPersistenceError(
-                f"index snapshot '{path}' is not a payload dict "
-                f"(got {type(payload).__name__})"
-            )
-        version = payload.get("format_version")
-        if version != FORMAT_VERSION:
-            raise IndexPersistenceError(
-                f"index snapshot '{path}' has format version {version!r}, "
-                f"this build reads version {FORMAT_VERSION}; rebuild the "
-                f"index (vacuum index_merge) instead of loading it"
-            )
-        required = (
-            "dim", "metric", "M", "ef_construction", "count", "vectors",
-            "ids", "levels", "links0", "links0_cnt", "links_upper",
-            "deleted", "entry_point", "max_level",
-        )
-        missing = [key for key in required if key not in payload]
-        if missing:
-            raise IndexPersistenceError(
-                f"index snapshot '{path}' is missing fields: {', '.join(missing)}"
-            )
-        try:
-            metric = Metric(payload["metric"])
-        except ValueError as exc:
-            raise IndexPersistenceError(
-                f"index snapshot '{path}' has unknown metric "
-                f"{payload['metric']!r}"
-            ) from exc
-        dim = int(payload["dim"])
-        count = int(payload["count"])
-        if dim <= 0 or count < 0:
-            raise IndexPersistenceError(
-                f"index snapshot '{path}' has invalid dim/count ({dim}, {count})"
-            )
-        vectors = np.asarray(payload["vectors"])
-        if vectors.shape != (count, dim):
-            raise IndexPersistenceError(
-                f"index snapshot '{path}': vector matrix shape "
-                f"{vectors.shape} disagrees with recorded (count, dim) "
-                f"({count}, {dim})"
-            )
-        for name in ("ids", "links0", "links0_cnt", "deleted"):
-            rows = np.asarray(payload[name]).shape[0]
-            if rows != count:
-                raise IndexPersistenceError(
-                    f"index snapshot '{path}': '{name}' has {rows} rows, "
-                    f"expected {count}"
-                )
-        if len(payload["levels"]) != count:
-            raise IndexPersistenceError(
-                f"index snapshot '{path}': 'levels' has "
-                f"{len(payload['levels'])} entries, expected {count}"
-            )
-        entry_point = payload["entry_point"]
-        if entry_point is not None and not 0 <= int(entry_point) < max(count, 1):
-            raise IndexPersistenceError(
-                f"index snapshot '{path}': entry point {entry_point} is out "
-                f"of range for {count} vectors"
-            )
-        index = cls(
-            dim=dim,
-            metric=metric,
-            M=payload["M"],
-            ef_construction=payload["ef_construction"],
-            prune_heuristic=payload.get("prune_heuristic", True),
-        )
-        index._grow(max(count, 1))
-        index._count = count
-        index._vectors[:count] = payload["vectors"]
-        if count:
-            index._kernel.set_rows(slice(0, count), index._vectors[:count])
-        index._ids[:count] = payload["ids"]
-        index._deleted[:count] = payload["deleted"]
-        index._levels = list(payload["levels"])
-        index._links0[:count] = payload["links0"]
-        index._links0_cnt[:count] = payload["links0_cnt"]
-        index._blank_link_tails()  # a version-1 file may predate the invariant
-        index._links_upper = [dict(layer) for layer in payload["links_upper"]]
-        index._id_to_row = {int(index._ids[row]): row for row in range(count)}
-        index._entry_point = payload["entry_point"]
-        index._max_level = payload["max_level"]
-        index._stats.num_vectors = count
-        return index

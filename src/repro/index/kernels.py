@@ -245,11 +245,6 @@ class DistanceKernel:
         ctx.num_distances += block.shape[0]
         return block @ ctx.aug_query
 
-    def rank_one(self, ctx: QueryContext, row: int) -> float:
-        """Scalar rank distance (greedy-descend entry points)."""
-        ctx.num_distances += 1
-        return float(self._aug[row] @ ctx.aug_query)
-
     def to_true(self, ctx: QueryContext, rank_values) -> np.ndarray:
         """Convert rank distances back to true distances (vectorized)."""
         out = np.asarray(rank_values, dtype=np.float32)
@@ -266,14 +261,6 @@ class DistanceKernel:
     def distances(self, ctx: QueryContext, rows) -> np.ndarray:
         """True distances from the context's query to ``rows``."""
         return self.to_true(ctx, self.rank(ctx, rows))
-
-    def distance_one(self, ctx: QueryContext, row: int) -> float:
-        """Scalar true distance."""
-        rank = self.rank_one(ctx, row)
-        if self.metric is Metric.L2:
-            d = rank + ctx.q_sq
-            return d if d > 0.0 else 0.0
-        return 1.0 + rank
 
     def distances_prefix(self, ctx: QueryContext, n: int) -> np.ndarray:
         """True distances to rows ``[0, n)`` without a gather (dense scans)."""

@@ -21,7 +21,7 @@ Distance semantics mirror the float kernels exactly:
   normalized query, reducing cosine to IP on unit rows.
 
 Because :class:`PQKernel` subclasses :class:`DistanceKernel` and preserves
-the full contract — ``query``/``queries`` contexts, ``rank``/``rank_one``,
+the full contract — ``query``/``queries`` contexts, ``rank``,
 ``distances_multi`` for the serving micro-batcher, ``pairwise``/``cross``
 for neighbour selection and k-means — every consumer (brute-force scans,
 IVF probes, delta overlays, multi-query batch scans) runs over codes
@@ -345,11 +345,7 @@ class PQKernel(DistanceKernel):
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:
         return self._rank_codes(ctx, self._codes.take(rows, axis=0))
 
-    def rank_one(self, ctx: QueryContext, row: int) -> float:
-        ctx.num_distances += 1
-        return float(ctx.aug_query[self._codes[row] + self._flat_offsets].sum())
-
-    # `to_true`, `distances`, `distance_one` are inherited — correct given
+    # `to_true` and `distances` are inherited — correct given
     # the q_sq = 0 convention above.
 
     def distances_prefix(self, ctx: QueryContext, n: int) -> np.ndarray:

@@ -134,10 +134,13 @@ class GSQLShell:
                     "usage: \\serve [QUERIES [CONCURRENCY [TIER_MB [SERVERS]]]]"
                 )
                 return True
-            if servers > 1:
-                self._serve_elastic_demo(queries, concurrency, servers)
-            else:
-                self._serve_demo(queries, concurrency, tier_mb)
+            try:
+                if servers > 1:
+                    self._serve_elastic_demo(queries, concurrency, servers)
+                else:
+                    self._serve_demo(queries, concurrency, tier_mb)
+            except ReproError as exc:
+                self._print(f"error: {exc}")
         elif cmd == "\\stats":
             self._print(format_snapshot(self.telemetry.registry.snapshot()))
         else:
@@ -191,16 +194,12 @@ class GSQLShell:
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((queries, dim)).astype(np.float32)
 
-        def search(query) -> None:
-            try:
-                server.search([attr], query, 5)
-            except ReproError:
-                pass
-
         with use_telemetry(self.telemetry):
             config = ServeConfig(workers=min(4, concurrency))
             with QueryServer(self.db, config) as server:
-                wall, _ = drive_closed_loop(search, vectors, concurrency)
+                wall, _ = drive_closed_loop(
+                    lambda query: server.search([attr], query, 5), vectors, concurrency
+                )
                 stats = server.stats()
         self._print(
             f"served {queries} queries on {attr} in {wall * 1e3:.1f} ms "
@@ -247,17 +246,11 @@ class GSQLShell:
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((queries, dim)).astype(np.float32)
 
-        def search(query) -> None:
-            try:
-                tier.search([attr], query, 5)
-            except ReproError:
-                pass
-
         with use_telemetry(self.telemetry):
             config = ServeConfig(workers=min(4, concurrency))
             with ElasticTier(self.db, num_servers=servers, config=config) as tier:
                 wall, _ = drive_closed_loop(
-                    search,
+                    lambda query: tier.search([attr], query, 5),
                     vectors,
                     concurrency,
                     midrun=lambda: tier.rebalance_evenly("default", [attr]),

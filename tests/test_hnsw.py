@@ -190,17 +190,6 @@ class TestUpdatesAndDeletes:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, rng, tmp_path):
-        index, data = build_index(rng, n=200)
-        path = tmp_path / "index.bin"
-        index.save(path)
-        loaded = HNSWIndex.load(path)
-        q = rng.standard_normal(16).astype(np.float32)
-        orig = index.topk_search(q, 10, ef=64)
-        re = loaded.topk_search(q, 10, ef=64)
-        assert orig.ids.tolist() == re.ids.tolist()
-        assert len(loaded) == len(index)
-
     def test_pickle_roundtrip(self, rng):
         import pickle
 

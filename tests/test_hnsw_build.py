@@ -379,10 +379,8 @@ class TestClone:
 
 
 class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path, built, data, queries):
-        path = tmp_path / "built.idx"
-        built.save(path)
-        loaded = HNSWIndex.load(path)
+    def test_pickle_round_trip(self, built, queries):
+        loaded = pickle.loads(pickle.dumps(built))
         assert loaded._links0[: built._count].tobytes() == built._links0[: built._count].tobytes()
         assert loaded._entry_point == built._entry_point
         for query in queries[:10]:

@@ -157,7 +157,7 @@ class TestLinkPadding:
         assert (index._links0[:count][tail] == -1).all()
         assert (index._links0[:count][~tail] >= 0).all()
 
-    def test_after_prunes_reuse_and_reload(self, rng, tmp_path):
+    def test_after_prunes_reuse_and_reload(self, rng):
         data = rng.standard_normal((400, 8)).astype(np.float32)
         index = HNSWIndex(8, Metric.L2, M=4, ef_construction=32)
         index.update_items(np.arange(400), data)
@@ -168,22 +168,19 @@ class TestLinkPadding:
         index.update_items(np.arange(0, 400, 5), data[::5] + 0.5)
         self.assert_padded(index)
         self.assert_padded(pickle.loads(pickle.dumps(index)))
-        index.save(tmp_path / "a.idx")
-        self.assert_padded(HNSWIndex.load(tmp_path / "a.idx"))
+        self.assert_padded(index.clone())
 
-    def test_load_blanks_the_tail_of_an_older_file(self, rng, tmp_path):
+    def test_setstate_blanks_the_tail_of_an_older_state(self, rng):
         data = rng.standard_normal((80, 8)).astype(np.float32)
         index = HNSWIndex(8, Metric.L2, M=4, ef_construction=32)
         index.update_items(np.arange(80), data)
-        index.save(tmp_path / "new.idx")
-        with open(tmp_path / "new.idx", "rb") as fh:
-            payload = pickle.load(fh)
-        # What a pre-invariant build wrote: pruned ids left beyond the count.
-        tail = np.arange(payload["links0"].shape[1]) >= payload["links0_cnt"][:, None]
-        payload["links0"][tail] = 7
-        with open(tmp_path / "old.idx", "wb") as fh:
-            pickle.dump(payload, fh)
-        loaded = HNSWIndex.load(tmp_path / "old.idx")
+        state = index.__getstate__()
+        # What a pre-invariant build pickled: pruned ids left beyond the count.
+        count = state["_count"]
+        tail = np.arange(state["_links0_width"]) >= state["_links0_cnt"][:count, None]
+        state["_links0"][:count][tail] = 7
+        loaded = HNSWIndex.__new__(HNSWIndex)
+        loaded.__setstate__(state)
         self.assert_padded(loaded)
         query = data[11]
         assert loaded.topk_search(query, 5).ids.tolist() == index.topk_search(query, 5).ids.tolist()

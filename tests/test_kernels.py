@@ -63,10 +63,6 @@ class TestKernelEquivalence:
             assert rel_err(got, want) <= 1e-4
             rows = np.arange(len(vectors), dtype=np.int64)
             assert rel_err(kernel.distances(ctx, rows), want) <= 1e-4
-            for row in (0, len(vectors) // 2, len(vectors) - 1):
-                assert rel_err(
-                    [kernel.distance_one(ctx, row)], [want[row]]
-                ) <= 1e-4
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_multi_contexts_match_solo(self, rng, metric):

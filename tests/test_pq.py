@@ -207,13 +207,6 @@ class TestPQKernelContract:
         pq = PQCodes.from_vectors(PQCodebook.train(rows, 4), rows, Metric.L2)
         return pq.kernel(Metric.L2)
 
-    def test_rank_one_agrees_with_rank(self, kernel, rows):
-        ctx = kernel.query(rows[1])
-        picked = np.array([0, 5, 17, 299])
-        direct = kernel.rank(ctx, picked)
-        for i, row in enumerate(picked):
-            assert kernel.rank_one(ctx, int(row)) == pytest.approx(direct[i])
-
     @pytest.mark.parametrize("metric", METRICS)
     def test_fused_multi_bit_identical_to_solo(self, rows, rng, metric):
         pq = PQCodes.from_vectors(PQCodebook.train(rows, 4, metric=metric), rows, metric)

@@ -9,12 +9,11 @@ Covers the acceptance contracts from the serving PR:
 - admission control: queue-full / rate-limit / deadline shed with typed
   errors and MetricsRegistry-visible counts — never a hang or a drop;
 - tenancy: weighted-fair queueing, RBAC-scoped search, read-only GSQL;
-- satellites: hardened HNSW persistence, open-loop load generation.
+- satellites: open-loop load generation.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 
@@ -26,7 +25,6 @@ from repro.core.search import SearchSpec, vector_search_batch
 from repro.errors import (
     AdmissionRejectedError,
     GSQLSemanticError,
-    IndexPersistenceError,
     QueryTimeoutError,
     RateLimitedError,
     ReproError,
@@ -35,7 +33,6 @@ from repro.errors import (
     VectorSearchError,
 )
 from repro.graph.accumulators import MapAccum
-from repro.index.hnsw import FORMAT_VERSION, HNSWIndex
 from repro.serve import (
     MicroBatcher,
     QueryServer,
@@ -748,67 +745,6 @@ class TestTenancy:
 # --------------------------------------------------------------------------
 # satellites: HNSW persistence, open-loop load generation
 # --------------------------------------------------------------------------
-
-
-class TestHNSWPersistence:
-    def build(self, rng, n=64, dim=8):
-        index = HNSWIndex(dim=dim, metric=Metric.L2, M=4, ef_construction=32)
-        vectors = rng.standard_normal((n, dim)).astype(np.float32)
-        index.update_items(np.arange(n, dtype=np.int64), vectors)
-        return index, vectors
-
-    def test_roundtrip_preserves_results(self, rng, tmp_path):
-        index, vectors = self.build(rng)
-        path = tmp_path / "seg.hnsw"
-        index.save(path)
-        loaded = HNSWIndex.load(path)
-        for q in vectors[:5]:
-            a = index.topk_search(q, 5)
-            b = loaded.topk_search(q, 5)
-            assert list(a.ids) == list(b.ids)
-            assert np.allclose(a.distances, b.distances)
-
-    def test_corrupt_file_raises_typed(self, rng, tmp_path):
-        path = tmp_path / "junk.hnsw"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(IndexPersistenceError):
-            HNSWIndex.load(path)
-
-    def test_version_mismatch_raises_typed(self, rng, tmp_path):
-        index, _ = self.build(rng)
-        path = tmp_path / "seg.hnsw"
-        index.save(path)
-        payload = pickle.loads(path.read_bytes())
-        payload["format_version"] = FORMAT_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(IndexPersistenceError, match="format version"):
-            HNSWIndex.load(path)
-
-    def test_missing_field_raises_typed(self, rng, tmp_path):
-        index, _ = self.build(rng)
-        path = tmp_path / "seg.hnsw"
-        index.save(path)
-        payload = pickle.loads(path.read_bytes())
-        del payload["links0"]
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(IndexPersistenceError, match="missing fields"):
-            HNSWIndex.load(path)
-
-    def test_truncated_vectors_raise_typed(self, rng, tmp_path):
-        index, _ = self.build(rng)
-        path = tmp_path / "seg.hnsw"
-        index.save(path)
-        payload = pickle.loads(path.read_bytes())
-        payload["vectors"] = payload["vectors"][:-3]
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(IndexPersistenceError):
-            HNSWIndex.load(path)
-
-    def test_non_dict_payload_raises_typed(self, tmp_path):
-        path = tmp_path / "list.hnsw"
-        path.write_bytes(pickle.dumps([1, 2, 3]))
-        with pytest.raises(IndexPersistenceError, match="payload dict"):
-            HNSWIndex.load(path)
 
 
 class TestOpenLoopLoadGen:

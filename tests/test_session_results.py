@@ -44,11 +44,6 @@ class TestQueryResultContents:
         assert "last_plan" in r.metrics
         assert r.metrics["action_stats"].segments_touched == 4
 
-    def test_print_values_accessor(self, post_db):
-        post_db.gsql.install('CREATE QUERY q() { PRINT "a"; PRINT 2; }')
-        r = post_db.gsql.run_query("q")
-        assert r.print_values() == ["a", 2]
-
     def test_ranked_result_is_vertex_set_compatible(self, loaded_post_db):
         db = loaded_post_db
         r = db.run_gsql(

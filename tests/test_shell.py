@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.errors import ServeError
 from repro.shell import GSQLShell
 
 
@@ -66,15 +67,40 @@ class TestMetaCommands:
         assert "served 20 queries on Item.emb" in text
         assert banner in text
 
+    @pytest.mark.parametrize(
+        "command, door",
+        [
+            ("\\serve 20 2", "repro.serve.QueryServer"),
+            ("\\serve 20 2 1 2", "repro.elastic.ElasticTier"),
+        ],
+        ids=["server", "tier"],
+    )
+    def test_failing_serve_reports_the_error(self, shell, monkeypatch, command, door):
+        """A search that raises is an error, not a query served."""
 
-@pytest.mark.parametrize("extra", [[], ["--servers", "2"]])
+        def refuse(*_args, **_kwargs):
+            raise ServeError("search refused")
+
+        sh, out = shell
+        sh.feed("\\seed 200 8")
+        monkeypatch.setattr(f"{door}.search", refuse)
+        assert sh.feed(command) is True
+        text = out.getvalue()
+        assert "error: search refused" in text
+        assert "served" not in text
+
+
+@pytest.mark.parametrize("extra", [[], ["--servers", "2"], ["--tier-budget-mb", "0.03"]])
 def test_serve_cli_demo(capsys, extra):
     from repro.serve.cli import main
 
     argv = ["--vectors", "200", "--dim", "8", "--segment-size", "64",
             "--queries", "20", "--concurrency", "2", "--workers", "2"]
     assert main(argv + extra) == 0
-    assert "served 20 queries" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "served 20 queries" in text
+    if "--tier-budget-mb" in extra:
+        assert "tier:" in text
 
 
 class TestStatements:
