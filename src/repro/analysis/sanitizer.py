@@ -14,6 +14,12 @@ one node, lockdep-style).  Two violation kinds are detected:
   instrumented lock, which would let an arbitrary lock's critical section
   contain the globally-serialized commit.
 
+A lock whose name contains ``latch`` is a one-shot gate, not a critical
+section: its creator closes it and another thread opens it
+(``serve/server.py::ServeFuture``).  No thread holds a latch, so closing
+or waiting on one joins no held stack and adds no ordering edge; a
+controlled thread's blocking wait still goes through the explorer.
+
 :func:`patch_locks` monkey-patches ``threading.Lock``/``RLock`` so that locks
 *created by repro code* (caller file under ``repro/`` but outside
 ``repro/analysis/``) come back instrumented; all other callers (stdlib,
@@ -63,6 +69,7 @@ _REAL_RLOCK = threading.RLock
 _REAL_CONDITION = threading.Condition
 
 _COMMIT_PAT = re.compile(r"commit", re.IGNORECASE)
+_LATCH_PAT = re.compile(r"latch", re.IGNORECASE)
 
 _SELF_ATTR_ASSIGN_RE = re.compile(r"(self\.\w+)\s*[:=]")
 
@@ -220,35 +227,43 @@ class SanitizedLock:
         if name is None:
             name = _site_name(sys._getframe(1))
         self.name = name
+        self.latch = bool(_LATCH_PAT.search(name))
         with _state.mutex:
             _state.locks_created += 1
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        held = _state.held()
-        if not any(h is self for h in held):
-            # Reentrant re-acquisition of the same instance adds no ordering.
-            _record_acquire(self, held)
+        latch = self.latch
+        if latch:
+            with _state.mutex:
+                _state.acquisitions += 1
+        else:
+            held = _state.held()
+            if not any(h is self for h in held):
+                # Reentrant re-acquisition of the same instance adds no ordering.
+                _record_acquire(self, held)
         controller = hooks.active()
         acquired = None
-        if controller is not None:
+        if controller is not None and (blocking or not latch):
             # Under the interleaving explorer a controlled worker's acquire
             # becomes a cooperative yield; uncontrolled threads fall through.
+            # Closing a latch waits for nothing, so it is no event.
             acquired = controller.try_controlled_acquire(
                 self._inner, self.name, blocking
             )
         if acquired is None:
             acquired = self._inner.acquire(blocking, timeout)
-        if acquired:
+        if acquired and not latch:
             held.append(self)
         return acquired
 
     def release(self) -> None:
         self._inner.release()
-        held = _state.held()
-        for i in range(len(held) - 1, -1, -1):
-            if held[i] is self:
-                del held[i]
-                break
+        if not self.latch:
+            held = _state.held()
+            for i in range(len(held) - 1, -1, -1):
+                if held[i] is self:
+                    del held[i]
+                    break
         controller = hooks.active()
         if controller is not None:
             controller.notify_release(self._inner, self.name)
@@ -295,6 +310,7 @@ class SanitizedLock:
 
     def __setstate__(self, state: dict) -> None:
         self.name = state["name"]
+        self.latch = bool(_LATCH_PAT.search(self.name))
         self._reentrant = state["_reentrant"]
         self._inner = _REAL_RLOCK() if self._reentrant else _REAL_LOCK()
 

@@ -81,13 +81,6 @@ class ClusterSimulator:
             raise ClusterError(f"no machine {machine_id}")
         machine.alive = False
 
-    def recover_machine(self, machine_id: int) -> None:
-        """Bring a machine back into placement."""
-        machine = self._machine_by_id.get(machine_id)
-        if machine is None:
-            raise ClusterError(f"no machine {machine_id}")
-        machine.alive = True
-
     def _assign_segments(self, segment_seconds: dict[int, float]) -> dict[int, list[int]]:
         """Pick one alive replica holder per segment (least-loaded first).
 

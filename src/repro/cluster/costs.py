@@ -22,13 +22,6 @@ class HardwareCost:
         """How many times more expensive this hardware is than ``other``."""
         return self.dollars_per_hour / other.dollars_per_hour
 
-    def dollars_per_million_queries(self, qps: float) -> float:
-        """Cost efficiency: dollars spent per million queries served."""
-        if qps <= 0:
-            return float("inf")
-        queries_per_hour = qps * 3600.0
-        return self.dollars_per_hour / queries_per_hour * 1e6
-
 
 TIGERVECTOR_N2D = HardwareCost(
     "GCP n2d-standard-32", 1.37, "AMD EPYC 7B13, 32 vCPUs, 128GB (paper Sec. 6.1)"

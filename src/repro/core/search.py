@@ -87,20 +87,35 @@ def _int_from(value, low: int) -> bool:
 
 def resolve_search(
     service: EmbeddingService, vector_attributes: Sequence[str], dimension: int
-) -> list[tuple[str, str]]:
+) -> tuple[tuple[str, str], ...]:
     """``"VertexType.attr"`` names -> ``(vertex_type, attr)`` search targets.
 
     The static half of every search: the Sec. 4.1 compatibility check, and a
     query of the wrong ``dimension`` refused before any segment is touched.
+    A resolution depends only on the catalog, so a successful one is kept
+    on ``service`` under ``(schema.version, attributes, dimension)`` and a
+    repeated door call reads it back; a DDL statement bumps the version,
+    so the next call resolves again.  A refusal is not kept: it raises
+    the same typed error on every call.
     """
+    attributes = tuple(vector_attributes)
     schema = service.schema
-    resolved = [(name, *schema.embedding_attribute(name)) for name in vector_attributes]
+    version, memo = service.resolved
+    if version != schema.version:
+        version, memo = schema.version, {}
+        service.resolved = (version, memo)
+    targets = memo.get((attributes, dimension))
+    if targets is not None:
+        return targets
+    resolved = [(name, *schema.embedding_attribute(name)) for name in attributes]
     representative = check_compatible([(name, embedding) for name, _, embedding in resolved])
     if dimension != representative.dimension:
         raise DimensionMismatchError(
             f"query has dimension {dimension}, embedding expects {representative.dimension}"
         )
-    return [(vertex_type, embedding.name) for _, vertex_type, embedding in resolved]
+    targets = tuple((vertex_type, embedding.name) for _, vertex_type, embedding in resolved)
+    memo[(attributes, dimension)] = targets
+    return targets
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -134,10 +149,11 @@ class SearchSpec:
         check_topk_args(k, ef)
         query = require_finite(np.asarray(query, dtype=np.float32).reshape(-1), "query vector")
         attributes = tuple(attributes)
-        targets = tuple(resolve_search(service, attributes, query.shape[0]))
-        for name, value in (("max_staleness", max_staleness), ("session_token", session_token)):
-            if value is not None and not _int_from(value, 0):
-                raise ServeError(f"{name} must be a non-negative integer, got {value!r}")
+        targets = resolve_search(service, attributes, query.shape[0])
+        if max_staleness is not None or session_token is not None:
+            for name, value in (("max_staleness", max_staleness), ("session_token", session_token)):
+                if value is not None and not _int_from(value, 0):
+                    raise ServeError(f"{name} must be a non-negative integer, got {value!r}")
         init = object.__setattr__  # one call per field: the door's hot path
         init(self, "attributes", attributes)
         init(self, "query", query)
@@ -196,10 +212,9 @@ def build_topk_vertex_set(
     (``repro.serve``), so a server answer — cached, fused, or per-query — is
     constructed exactly like a direct call's.
     """
-    out = VertexSet(name="TopK")
-    for dist, vertex_type, vid in top:
-        out.add(vertex_type, vid)
-        if distance_map is not None:
+    out = VertexSet([(vertex_type, vid) for _, vertex_type, vid in top], name="TopK")
+    if distance_map is not None:
+        for dist, vertex_type, vid in top:
             distance_map.put((vertex_type, vid), dist)
     return out
 

@@ -55,6 +55,7 @@ class SegmentSnapshot:
     _kernel: DistanceKernel | None = None  # lazy scan kernel; never pickled
     tier: str = "hot"  # "hot" | "cold"
     pq: object | None = None  # PQCodes on cold snapshots
+    _extent: tuple[int, int] | None = None  # lazy extent(), see there
 
     def kernel(self, metric: Metric) -> DistanceKernel:
         """Distance kernel over this snapshot's raw vectors, built lazily.
@@ -77,6 +78,22 @@ class SegmentSnapshot:
             kernel = DistanceKernel.for_matrix(self.vectors, metric)
             self._kernel = kernel
         return kernel
+
+    def extent(self) -> tuple[int, int]:
+        """``(count, hi)``: how many rows are present, and one past the last
+        present offset (0 when none is).
+
+        Computed on first use and kept, like :meth:`kernel`, for the same
+        reason: an installed snapshot's ``present`` no longer changes, and
+        ``bulk_load``, which writes it in place, drops both.
+        """
+        extent = self._extent
+        if extent is None:
+            present = self.present
+            count = int(np.count_nonzero(present))
+            hi = present.size - int(np.argmax(present[::-1])) if count else 0
+            extent = self._extent = (count, hi)
+        return extent
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -230,6 +247,7 @@ class EmbeddingSegment:
         snap.vectors[offsets] = vectors
         snap.present[offsets] = True
         snap._kernel = None  # in-place mutation invalidates the scan kernel
+        snap._extent = None  # and the extent
         snap.index.update_items(offsets.tolist(), vectors)
         snap.tid = max(snap.tid, tid)
         if cold:

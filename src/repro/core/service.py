@@ -474,11 +474,8 @@ class EmbeddingStore:
         current snapshot, its overlay aside: the rows each query of a fused
         batch is scored against there.  :func:`repro.core.action.topk_batch`
         prices its fan-out with it."""
-        present = self.segment(seg_no).present
-        count = int(np.count_nonzero(present))
-        if not count:
-            return 0
-        return _scan_width(count, present.size - int(np.argmax(present[::-1])))
+        count, hi = self.segment(seg_no).current_snapshot().extent()
+        return _scan_width(count, hi) if count else 0
 
     def search_segment_batch(
         self,
@@ -622,6 +619,9 @@ class EmbeddingService:
         self.bf_threshold = bf_threshold
         self._stores: dict[tuple[str, str], EmbeddingStore] = {}
         self._lock = threading.Lock()
+        #: ``core/search.py::resolve_search``'s memo: the schema version it
+        #: was filled at, and ``(attributes, dimension) -> targets``.
+        self.resolved: tuple[int, dict] = (schema.version, {})
 
     def store(self, vertex_type: str, attr: str) -> EmbeddingStore:
         key = (vertex_type, attr)

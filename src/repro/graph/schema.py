@@ -130,13 +130,20 @@ class EdgeType:
 
 
 class GraphSchema:
-    """The catalog: vertex types, edge types, and embedding spaces."""
+    """The catalog: vertex types, edge types, and embedding spaces.
+
+    ``version`` counts the DDL statements applied: each method below that
+    changes the catalog bumps it once the change is in place, so a result
+    derived from the catalog (``core/search.py::resolve_search``'s memo)
+    can key on it and is never read back after a change.
+    """
 
     def __init__(self, name: str = "g"):
         self.name = name
         self.vertex_types: dict[str, VertexType] = {}
         self.edge_types: dict[str, EdgeType] = {}
         self.embedding_spaces: dict[str, EmbeddingSpace] = {}
+        self.version = 0
 
     # ------------------------------------------------------------------ DDL
     def create_vertex_type(self, name: str, attributes: Iterable[Attribute]) -> VertexType:
@@ -144,6 +151,7 @@ class GraphSchema:
             raise SchemaError(f"vertex type '{name}' already exists")
         vtype = VertexType(name, attributes)
         self.vertex_types[name] = vtype
+        self.version += 1
         return vtype
 
     def create_edge_type(
@@ -161,6 +169,7 @@ class GraphSchema:
                 raise UnknownTypeError(f"edge '{name}' references unknown vertex type '{endpoint}'")
         etype = EdgeType(name, from_type, to_type, directed, attributes)
         self.edge_types[name] = etype
+        self.version += 1
         return etype
 
     def create_embedding_space(
@@ -186,6 +195,7 @@ class GraphSchema:
             **kwargs,
         )
         self.embedding_spaces[name] = space
+        self.version += 1
         return space
 
     def add_embedding_attribute(
@@ -222,6 +232,7 @@ class GraphSchema:
                 **kwargs,
             )
         vtype.add_embedding(embedding)
+        self.version += 1
         return embedding
 
     # -------------------------------------------------------------- lookups

@@ -63,12 +63,6 @@ class VertexSet:
     def vids_of_type(self, vertex_type: str) -> set[int]:
         return {vid for vtype, vid in self._members if vtype == vertex_type}
 
-    def restrict_to_type(self, vertex_type: str) -> "VertexSet":
-        return VertexSet(
-            ((vtype, vid) for vtype, vid in self._members if vtype == vertex_type),
-            name=self.name,
-        )
-
     # ------------------------------------------------------------- algebra
     def union(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self._members | other._members)

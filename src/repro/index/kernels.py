@@ -22,7 +22,8 @@ The shifted matvec output is a *rank distance*: an order-preserving surrogate
 (the shift is constant per query) that graph traversal compares directly,
 converting to true distances only when materializing results.  Per-query
 state (``q·q``, the normalized/augmented query) is computed **once** per
-search in a :class:`QueryContext` instead of once per hop, and the context
+search in a :class:`QueryContext` instead of once per hop (a fused batch
+builds one :class:`MultiQueryContext` for all its rows), and the context
 carries the per-search distance/hop counters so telemetry attribution never
 reads the shared cumulative :class:`~repro.index.interface.IndexStats`
 counters (which concurrent searches would misattribute).
@@ -107,37 +108,52 @@ class QueryContext:
 
 
 class MultiQueryContext:
-    """Stacked per-query contexts for the ``(Q, n)`` batch-scan kernels.
+    """The ``(Q, d)`` query block of a fused batch scan, prepared per batch.
 
-    Each row's context comes from the scalar path a solo search uses (not a
-    row-wise einsum), so its ``q_sq`` / augmented query are bit-identical to
-    the per-query values: a batch scan then differs from Q solo scans only
-    by the matmul's summation order.
+    ``aug_queries`` (``(Q, d+1)``) and ``q_sq`` (``(Q,)``) are built by
+    array operations over the whole block, one set per batch, with no
+    per-row :class:`QueryContext`.  Each row is bit-identical to the one a
+    solo search builds: ``q_sq`` is the same float32 dot product (NumPy's
+    stacked ``matmul`` of a row with itself calls the dot a 1-d ``q @ q``
+    calls) and the augmentation is the same exact element-wise scaling, so
+    a batch scan differs from Q solo scans only by the matmul's summation
+    order.  ``num_distances`` counts the batch's distance evaluations,
+    every row's together.
     """
 
-    __slots__ = ("queries", "aug_queries", "q_sq", "contexts")
+    __slots__ = ("aug_queries", "q_sq", "num_distances")
 
-    def __init__(self, queries: np.ndarray, contexts: list[QueryContext]):
-        self.queries = queries  # (Q, d) float32
-        self.contexts = contexts  # one QueryContext per row
-        # (Q, d+1) stacked ctx.aug_query rows
-        if contexts:
-            self.aug_queries = np.stack([ctx.aug_query for ctx in contexts])
-        else:
-            self.aug_queries = np.zeros((0, queries.shape[1] + 1), dtype=np.float32)
-        # (Q,) rank→true shifts; each ctx.q_sq is a float32 product, so the
-        # float32 array is exact and the shift is added as to_true adds it.
-        self.q_sq = np.asarray([ctx.q_sq for ctx in contexts], dtype=np.float32)
+    def __init__(self, aug_queries: np.ndarray, q_sq: np.ndarray):
+        self.aug_queries = aug_queries  # (Q, d+1) float32, see module docstring
+        self.q_sq = q_sq  # (Q,) float32 rank→true shifts (L2; zeros otherwise)
+        self.num_distances = 0
 
     @classmethod
     def build(cls, metric: Metric, queries: np.ndarray) -> "MultiQueryContext":
-        """Stacked float contexts for a (Q, d) query matrix.
+        """The block of a (Q, d) query matrix under ``metric``.
 
-        Like its rows, the stack depends only on the metric, so one batch
-        builds it once and hands it to every segment kernel it scans.
+        Like a :class:`QueryContext`, it depends only on the metric, so one
+        batch builds it once and hands it to every segment kernel it scans.
         """
         queries = _query_matrix(queries)
-        return cls(queries, [QueryContext.build(metric, row) for row in queries])
+        count, dim = queries.shape
+        # Row i is queries[i] @ queries[i]: the 1-d dot QueryContext.build
+        # takes, not an einsum, whose summation order differs.
+        dots = np.matmul(queries[:, None, :], queries[:, :, None]).reshape(count)
+        aug_queries = np.zeros((count, dim + 1), dtype=np.float32)
+        if metric is Metric.L2:
+            aug_queries[:, :dim] = queries
+            aug_queries[:, :dim] *= -2.0
+            aug_queries[:, dim] = 1.0
+            return cls(aug_queries, dots)
+        if metric is Metric.COSINE:
+            norms = np.sqrt(dots)
+            norms[norms == 0.0] = 1.0  # a zero query stays zero
+            aug_queries[:, :dim] = queries / norms[:, None]
+        else:
+            aug_queries[:, :dim] = queries
+        aug_queries[:, :dim] *= -1.0
+        return cls(aug_queries, np.zeros(count, dtype=np.float32))
 
 
 def _query_matrix(queries: np.ndarray) -> np.ndarray:
@@ -234,9 +250,8 @@ class DistanceKernel:
         return QueryContext.build(self.metric, query)
 
     def queries(self, queries: np.ndarray) -> MultiQueryContext:
-        """Stacked :meth:`query` contexts for a (Q, d) matrix (fused paths)."""
-        queries = _query_matrix(queries)
-        return MultiQueryContext(queries, [self.query(row) for row in queries])
+        """:meth:`MultiQueryContext.build` for a (Q, d) matrix (fused paths)."""
+        return MultiQueryContext.build(self.metric, queries)
 
     # ------------------------------------------------------ rank distances
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:
@@ -281,10 +296,8 @@ class DistanceKernel:
         return self._multi_from_columns(mctx, self._columns()[:, :n])
 
     def _multi_from_columns(self, mctx: MultiQueryContext, columns: np.ndarray) -> np.ndarray:
-        count = columns.shape[1]
-        for ctx in mctx.contexts:
-            ctx.num_distances += count
         out = mctx.aug_queries @ columns
+        mctx.num_distances += out.size
         if self.metric is Metric.L2:
             out += mctx.q_sq[:, None]
             np.maximum(out, 0.0, out=out)

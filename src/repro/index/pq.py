@@ -47,7 +47,7 @@ import numpy as np
 
 from ..errors import VectorSearchError
 from ..types import Metric, normalize
-from .kernels import DistanceKernel, MultiQueryContext, QueryContext
+from .kernels import DistanceKernel, MultiQueryContext, QueryContext, _query_matrix
 from .ivf import IVFFlatIndex, kmeans
 
 __all__ = [
@@ -266,9 +266,9 @@ class PQCodes:
 class PQQueryContext(QueryContext):
     """Per-search state for ADC: the flat LUT rides in ``aug_query``.
 
-    ``aug_query`` holds the raveled ``(m·256,)`` table so the inherited
-    :meth:`DistanceKernel.queries` stacking works unchanged and every rank
-    evaluation is one fancy-index gather + row sum.
+    ``aug_query`` holds the raveled ``(m·256,)`` table, which
+    :meth:`PQKernel.queries` stacks as a batch's ``aug_queries`` rows, and
+    every rank evaluation is one fancy-index gather + row sum.
     """
 
     __slots__ = ("lut",)
@@ -333,8 +333,13 @@ class PQKernel(DistanceKernel):
         # conversion reduces to the cancellation clamp (L2) / +1 (IP/COS).
         return PQQueryContext(query, 0.0, unit, lut)
 
-    # `queries()` is inherited: it builds per-row contexts through
-    # :meth:`query` and stacks `aug_query` — which here stacks flat LUTs.
+    def queries(self, queries: np.ndarray) -> MultiQueryContext:
+        """One flat LUT per row, stacked as ``aug_queries`` (``q_sq`` = 0)."""
+        queries = _query_matrix(queries)
+        luts = np.zeros((queries.shape[0], self.codebook.m * CODEBOOK_SIZE), dtype=np.float32)
+        for row, query in enumerate(queries):
+            luts[row] = self.query(query).aug_query
+        return MultiQueryContext(luts, np.zeros(queries.shape[0], dtype=np.float32))
 
     # ------------------------------------------------------ rank distances
     def _rank_codes(self, ctx: QueryContext, codes: np.ndarray) -> np.ndarray:
@@ -355,19 +360,13 @@ class PQKernel(DistanceKernel):
     def _multi_from_codes(
         self, mctx: MultiQueryContext, codes: np.ndarray
     ) -> np.ndarray:
-        # Per-context gather+sum — the same evaluation the solo path runs —
+        # Per-LUT gather+sum — the same evaluation the solo path runs —
         # so fused results are bit-identical to per-query, not merely close.
         flat = codes + self._flat_offsets
-        count = codes.shape[0]
-        rows = []
-        for ctx in mctx.contexts:
-            ctx.num_distances += count
-            rows.append(ctx.aug_query[flat].sum(axis=1, dtype=np.float32))
-        out = (
-            np.stack(rows)
-            if rows
-            else np.zeros((0, count), dtype=np.float32)
-        )
+        out = np.zeros((mctx.aug_queries.shape[0], codes.shape[0]), dtype=np.float32)
+        for row, lut in enumerate(mctx.aug_queries):
+            out[row] = lut[flat].sum(axis=1, dtype=np.float32)
+        mctx.num_distances += out.size
         if self.metric is Metric.L2:
             np.maximum(out, 0.0, out=out)
         else:

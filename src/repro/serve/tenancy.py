@@ -154,11 +154,12 @@ class WeightedFairQueue:
         with self._cond:
             return self._size
 
-    def depth_for(self, tenant_name: str) -> int:
-        """How many queued requests belong to one tenant (admission input)."""
+    def depths(self, tenant_name: str) -> tuple[int, int]:
+        """The total depth and one tenant's share of it, read together
+        (admission's inputs)."""
         with self._cond:
             queue = self._queues.get(tenant_name)
-            return len(queue) if queue else 0
+            return self._size, len(queue) if queue else 0
 
     def _pop_fair(self, eligible: list[str]):  # repro: noqa[R001] -- only reachable from take/drain_matching, which hold _cond
         """EDF-pop from the eligible tenant with the smallest pass (cond held).

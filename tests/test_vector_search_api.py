@@ -27,7 +27,6 @@ class TestVertexSet:
         s = VertexSet([("Post", 1), ("Comment", 1), ("Post", 2)])
         assert s.vertex_types() == {"Post", "Comment"}
         assert s.vids_of_type("Post") == {1, 2}
-        assert s.restrict_to_type("Comment").members() == {("Comment", 1)}
 
     def test_membership_and_len(self):
         s = VertexSet()
