@@ -53,10 +53,16 @@ Performance notes (this is pure Python + numpy):
   matrix whose entries at and beyond a row's count are always ``-1``; the
   visited scratch ends in a permanently-visited slot, so that padding drops
   out of the visited test without a per-row count lookup;
-- neighbour selection uses the diversity heuristic (Algorithm 4) with one
-  pairwise-distance matrix per call and an incrementally maintained
-  min-distance-to-selected vector — the heuristic is *required* for recall on
-  clustered data (simple distance pruning disconnects clusters);
+- neighbour selection uses the diversity heuristic (Algorithm 4) — it is
+  *required* for recall on clustered data (simple distance pruning
+  disconnects clusters) — for a block of lists at once (``_select``): in
+  each round every list keeps its nearest open candidate and closes the
+  candidates that one dominates, so a block costs at most ``bound`` rounds
+  of array work instead of a Python step per candidate per list.  The
+  candidate-to-candidate distances come from one product over the layer's
+  rows, in a mapping of its own, when that fits and costs fewer distances
+  than each list's own product (a 400-row segment: 0.16 M against 6 M),
+  and from the per-list products otherwise;
 - visited marks are ticks of a per-scratch clock, so no per-search clearing,
   and a round's duplicates fall out of the same marks.
 
@@ -70,6 +76,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import mmap
 import threading
 import time
 from typing import Callable, Sequence
@@ -95,6 +102,18 @@ __all__ = ["HNSWIndex"]
 #: and a search costs 0.39–0.79× the one-at-a-time loop; a fixed width of 8
 #: at ``ef`` 16 would be +40 % evaluations, a fixed 16 at ``ef`` 64 +15 %.
 ROUND_SHARE = 8
+
+#: Bytes in one temporary of the build: just under 128 KiB, glibc's default
+#: mmap threshold.  A larger block, once freed, raises the threshold and is
+#: kept on the heap from then on, where peak RSS counts it (DESIGN §10.6).
+TEMP_BYTES = (128 << 10) - 1024
+TEMP_FLOATS = TEMP_BYTES // 4
+#: The shared distances of one layer (``_shared``) are at most five times the
+#: cap (635 KiB): a 400-row segment fits.
+SHARED_FLOATS = 5 * TEMP_FLOATS
+#: Candidates of one selection block (rows × candidates per row): each of its
+#: per-candidate arrays stays at a sixth of the cap.
+BLOCK = TEMP_FLOATS // 6
 
 
 class HNSWIndex(VectorIndex):
@@ -228,12 +247,6 @@ class HNSWIndex(VectorIndex):
                 self._links0_cnt[row] = n
             else:
                 self._links_upper[level - 1][row] = list(neighbors)
-
-    # ------------------------------------------------------------- kernels
-    def _pairwise(self, rows: np.ndarray) -> np.ndarray:
-        """Candidate-to-candidate distance matrix for neighbour selection."""
-        self._stats.num_distance_computations += int(rows.shape[0]) ** 2
-        return self._kernel.pairwise(rows)
 
     # -------------------------------------------------------------- search
     def _greedy_descend(
@@ -453,56 +466,147 @@ class HNSWIndex(VectorIndex):
         return range_search_via_topk(self, query, threshold, ef=ef, filter_fn=filter_fn)
 
     # -------------------------------------------------------------- insert
-    def _select_neighbors(self, candidates: list[tuple[float, int]], M: int) -> list[int]:
-        """Heuristic neighbour selection (Algorithm 4 of the HNSW paper).
+    def _shared(self, span: int) -> np.ndarray:
+        """The ``(span, span)`` distances among rows ``[0, span)``, in an
+        anonymous mapping of their own: unmapped when the layer lets go of
+        them, so they neither stay resident nor move malloc's threshold.
+        Computed a slab of rows under the cap at a time."""
+        self._stats.num_distance_computations += span * span
+        out = np.frombuffer(mmap.mmap(-1, span * span * 4), dtype=np.float32).reshape(span, span)
+        h = TEMP_FLOATS // span
+        for lo in range(0, span, h):
+            out[lo : lo + h] = self._kernel.pairwise(slice(lo, min(lo + h, span)), slice(0, span))
+        return out
 
-        Keeps a candidate only if it is closer to the query than to every
-        already-selected neighbour, which preserves graph navigability on
-        clustered data.
+    def _distances(self, rows: np.ndarray, cols: np.ndarray, shared: np.ndarray | None) -> np.ndarray:
+        """``(len(rows), n)``: from ``rows[k]`` to each of ``cols[k]``, read
+        from the ``shared`` product when there is one, else computed."""
+        if shared is None:
+            return np.concatenate(list(self._stacked(rows[:, None], cols)))[:, 0]
+        return shared.take((rows.astype(np.int64) * shared.shape[1])[:, None] + cols)
+
+    def _stacked(self, rows: np.ndarray, cols: np.ndarray | None = None):
+        """Yield ``pairwise(rows[i], cols[i])`` for every ``i`` (square over
+        ``rows[i]`` without ``cols``), as ``(s, a, b)`` chunks whose gathered
+        vectors stay under the cap."""
+        width = rows.shape[1] if cols is None else cols.shape[1]
+        step = max(1, TEMP_FLOATS // (width * (self.dim + 1)))
+        self._stats.num_distance_computations += rows.size * width
+        for lo in range(0, rows.shape[0], step):
+            yield self._kernel.pairwise(rows[lo : lo + step], None if cols is None else cols[lo : lo + step])
+
+    def _select(self, dist: np.ndarray, cand: np.ndarray, bound: int, shared: np.ndarray | None = None) -> np.ndarray:
+        """Each row's list: ``bound`` of its candidates by the diversity
+        heuristic (Algorithm 4 of the HNSW paper), ``(rows, bound)``, ``-1``
+        padded.
+
+        ``cand[i]`` are row ids ascending in true distance ``dist[i]``,
+        ``inf`` past the last.  A row with at most ``bound`` candidates keeps
+        them all; any other keeps, in order, each candidate closer to it
+        than to every one kept before, then the nearest of the rest until it
+        has ``bound`` (:meth:`_diverse`).  Candidate-to-candidate distances
+        are read from the ``shared`` product (:meth:`_shared`) when there is
+        one, and otherwise come from each row's own ``n × n`` product
+        (:meth:`_own_keeps`), as many rows a pass as its bits fit the cap.
         """
-        if len(candidates) <= M:
-            return [row for _, row in candidates]
-        rows = np.fromiter((row for _, row in candidates), dtype=np.int64, count=len(candidates))
-        dists = [d for d, _ in candidates]
-        pair = self._pairwise(rows)  # one vectorized call instead of one per check
-        n = len(rows)
-        # min_to_selected[i] = distance from candidate i to its nearest
-        # already-selected neighbour; one vectorized minimum per selection.
-        min_to_selected = np.full(n, np.inf)
-        selected: list[int] = []  # indexes into `rows`
-        for i in range(n):  # candidates arrive sorted ascending
-            if len(selected) >= M:
-                break
-            if min_to_selected[i] < dists[i]:
-                continue
-            selected.append(i)
-            np.minimum(min_to_selected, pair[i], out=min_to_selected)
-        # Backfill with nearest remaining if the heuristic was too aggressive.
-        if len(selected) < M:
-            chosen = set(selected)
-            for i in range(n):
-                if len(selected) >= M:
-                    break
-                if i not in chosen:
-                    selected.append(i)
-                    chosen.add(i)
-        return [int(rows[i]) for i in selected]
+        rows, n = dist.shape
+        out = np.full((rows, bound), -1, dtype=np.int32)
+        valid = dist < np.inf
+        few = min(n, bound)
+        np.copyto(out[:, :few], cand[:, :few], where=valid[:, :few])
+        over = np.flatnonzero(valid.sum(axis=1) > bound)
+        step = max(1, over.size if shared is not None else TEMP_BYTES // (n * ((n + 7) // 8)))
+        for lo in range(0, over.size, step):
+            pick = over[lo : lo + step]
+            d, c = (dist, cand) if pick.size == rows else (dist[pick], cand[pick])
+            if shared is not None:
 
-    def _prune(self, node: int, links: list[int], bound: int) -> list[int]:
-        """``bound`` of ``links`` for ``node``'s list: the diversity heuristic
-        over the nearest ``ef_construction`` of them (the nearest ``bound``
-        without the heuristic).  A list one past the row width is never cut
-        before the heuristic."""
-        ctx = self._kernel.query(self._vectors[node])
-        dists = self._kernel.distances(ctx, np.asarray(links, dtype=np.int64))
-        self._stats.num_distance_computations += ctx.num_distances
-        if not self.prune_heuristic:
-            keep = np.argpartition(dists, bound - 1)[:bound]
-            return [links[i] for i in keep]
-        ranked = sorted(zip(dists.tolist(), links))
-        return self._select_neighbors(
-            ranked[: max(self.ef_construction, self._links0_width + 1)], bound
-        )
+                def keeps(sel: np.ndarray, pos: np.ndarray) -> np.ndarray:
+                    out = self._distances(c[sel, pos], c[sel], shared) >= d[sel]
+                    out[np.arange(sel.size), pos] = False
+                    return out
+
+            else:
+                keeps = self._own_keeps(d, c)
+            kept = self._diverse(d, bound, keeps)
+            out[pick] = c[np.arange(pick.size)[:, None], kept]
+            del keeps  # its products go before the next pass's are made
+        return out
+
+    def _own_keeps(self, dist: np.ndarray, cand: np.ndarray) -> Callable:
+        """``keeps`` for :meth:`_diverse` from each row's own candidate
+        product, computed here and kept as bits: candidate ``i`` stays open
+        after ``j`` is kept when ``pair[j, i] >= dist[i]`` and ``i != j``."""
+        n = cand.shape[1]
+        bits = np.empty((cand.shape[0], n, (n + 7) // 8), dtype=np.uint8)
+        at = 0
+        for pair in self._stacked(cand):
+            keep = pair >= dist[at : at + pair.shape[0], None, :]
+            keep[:, np.arange(n), np.arange(n)] = False
+            bits[at : at + pair.shape[0]] = np.packbits(keep, axis=-1)
+            at += pair.shape[0]
+        return lambda sel, pos: np.unpackbits(bits[sel, pos], axis=1, count=n).view(bool)
+
+    @staticmethod
+    def _diverse(dist: np.ndarray, bound: int, keeps: Callable) -> np.ndarray:
+        """Algorithm 4 in rounds over a block of rows, each with more than
+        ``bound`` candidates: the ``(rows, bound)`` positions it keeps.
+
+        In a round every row still going keeps its first open candidate
+        ``j`` and closes it and each candidate ``i`` that ``j`` dominates
+        (``pair[j, i] < dist[i]``): ``keeps(rows, j)`` is what stays open.
+        A row with nothing open, or with ``bound`` kept, stops.  That is the
+        scalar loop's list, one candidate per round instead of one per
+        step.  Rows left short are backfilled with their nearest candidates
+        not kept, in order.
+        """
+        count = dist.shape[0]
+        picks = np.full((count, bound), -1, dtype=np.int32)
+        live = np.arange(count)
+        still = dist < np.inf
+        for turn in range(bound):
+            first = still.argmax(axis=1)
+            has = still.any(axis=1)
+            if not has.all():
+                live, first, still = live[has], first[has], still[has]
+                if live.size == 0:
+                    break
+            picks[live, turn] = first
+            still &= keeps(live, first)
+        kept = np.count_nonzero(picks >= 0, axis=1)
+        short = np.flatnonzero(kept < bound)
+        if short.size:
+            # At most ``kept`` of the first ``bound`` are taken, so the
+            # backfill comes from them.
+            rest = np.ones((short.size, bound), dtype=bool)
+            mine = picks[short]
+            hit = np.nonzero((mine >= 0) & (mine < bound))
+            rest[hit[0], mine[hit]] = False
+            rank = np.cumsum(rest, axis=1)
+            fill = rest & (rank <= (bound - kept[short])[:, None])
+            row, pos = np.nonzero(fill)
+            picks[short[row], kept[short[row]] + rank[row, pos] - 1] = pos
+        return picks
+
+    def _prune(self, nodes, lists, bound: int, shared: np.ndarray | None) -> list[list[int]]:
+        """``bound`` of each ``lists[i]`` for ``nodes[i]``'s list: the
+        diversity heuristic (:meth:`_select`) over its nearest
+        ``ef_construction`` links in (distance, row) order (the nearest
+        ``bound`` without the heuristic).  A list one past the row width is
+        never cut before the heuristic."""
+        links = np.full((len(lists), max(map(len, lists))), -1, dtype=np.int32)
+        for row, linked in zip(links, lists):
+            row[: len(linked)] = linked
+        dist = self._distances(np.asarray(nodes, dtype=np.int64), links, shared)
+        dist[links < 0] = np.inf
+        cut = max(self.ef_construction, self._links0_width + 1)
+        pick = np.lexsort((links, dist), axis=1)[:, :cut]  # as sorted pairs
+        links = np.take_along_axis(links, pick, 1)
+        dist = np.take_along_axis(dist, pick, 1)
+        del pick
+        if self.prune_heuristic:
+            links = self._select(dist, links, bound, shared)
+        return links[:, :bound].tolist()
 
     def _substitutes(self, holders: np.ndarray, lists: np.ndarray, out: np.ndarray) -> np.ndarray:
         """For each holder, the member of ``out`` nearest to it that it does
@@ -590,7 +694,7 @@ class HNSWIndex(VectorIndex):
         A fresh id listed twice gets one row, holding its last vector.  Levels
         are drawn from ``_rng`` in record order, one draw per row, as the
         row-by-row insert drew them.  Then, layer by layer, each new row's
-        list is chosen by :meth:`_select_neighbors` from its *exact*
+        list is chosen by :meth:`_select` from its *exact*
         ``ef_construction`` nearest among the layer's rows numbered below it
         (:meth:`_causal_candidates` — the answer a per-row beam search would
         approximate), and every list that gains in-edges is settled once
@@ -652,100 +756,138 @@ class HNSWIndex(VectorIndex):
     def _link_layer(self, rows: np.ndarray, level: int, levels: np.ndarray) -> None:
         """Wire ``rows`` (ascending; all fresh, or all rewritten) into one layer.
 
-        Each row's own list comes first, from its candidates
-        (:meth:`_causal_candidates`).  Then its back-edges are grouped by
-        target: a target keeps its list plus every new in-edge when they
-        fit the row width (``_links0_width`` on layer 0, ``M`` above), and
-        is otherwise pruned **once**, over the union, instead of once per
-        overflowing edge — except for the latest in-edges the row-by-row
-        build would have appended after its last prune, which stay as they
-        are.  A list therefore ends as long as it
-        would have row by row (layer-0 mean degree 35.5 at ``M`` 16, not
-        the 33.2 of pruning everything to ``M0``, which cost 0.02 recall@10
-        at ``ef`` 16 on 16 000 SIFT-like rows).
+        Each row's own list comes first, chosen a block at a time
+        (:meth:`_select`) from its candidates (:meth:`_causal_candidates`).
+        Then its back-edges are grouped by target: a target keeps its list
+        plus every new in-edge when they fit the row width
+        (``_links0_width`` on layer 0, ``M`` above), and is otherwise pruned
+        **once**, over the union, instead of once per overflowing edge —
+        except for the latest in-edges the row-by-row build would have
+        appended after its last prune, which stay as they are.  The layer's
+        prunes are chosen together (:meth:`_prune`).  A list therefore ends
+        as long as it would have row by row (layer-0 mean degree 35.5 at
+        ``M`` 16, not the 33.2 of pruning everything to ``M0``, which cost
+        0.02 recall@10 at ``ef`` 16 on 16 000 SIFT-like rows).
         """
         with self._write_lock:
             bound = self.M0 if level == 0 else self.M
             width = self._links0_width if level == 0 else self.M
+            span = levels.shape[0]
             # Each row's own list is written as soon as it is chosen (no
-            # list names the row yet), and its back-edges wait as one int64
-            # per edge, ``target << 32 | row``: as Python lists they cost
-            # 1.5 kB a row, 150 MB more peak RSS in a 100 000-row build.
-            edges = np.empty(rows.size * bound, dtype=np.int64)
-            fan_in = np.zeros(levels.shape[0], dtype=np.int64)
+            # list names the row yet), and its back-edges wait as one
+            # integer per edge, ``target * span + row`` (int32 when that
+            # fits): as Python lists they cost 1.5 kB a row, 150 MB more
+            # peak RSS in a 100 000-row build.
+            edges = np.empty(rows.size * bound, dtype=np.int32 if span * span < 2**31 else np.int64)
+            fan_in = np.zeros(span, dtype=np.int64)
             filled = 0
-            for row, found in self._causal_candidates(rows, level, levels):
-                links = self._select_neighbors(found, bound) if found else []
-                self._set_neighbors(row, level, links)
-                linked = np.asarray(links, dtype=np.int64)
-                edges[filled : filled + linked.size] = (linked << 32) | row
-                fan_in[linked] += 1
-                filled += linked.size
+            # Candidate-to-candidate distances: one product over the rows
+            # the layer may name, when it fits its cap and costs fewer
+            # distances than each new row's own product.
+            own = min(self.ef_construction, int(np.count_nonzero(levels >= level)) - 1)
+            shared = None
+            if span * span <= SHARED_FLOATS and span * span < rows.size * own * own:
+                shared = self._shared(span)
+            for block, dist, cand in self._causal_candidates(rows, level, levels):
+                chosen = self._select(dist, cand, bound, shared)
+                linked = chosen >= 0
+                counts = np.count_nonzero(linked, axis=1)
+                for row, links, k in zip(block.tolist(), chosen.tolist(), counts.tolist()):
+                    self._set_neighbors(row, level, links[:k])
+                targets = chosen[linked]
+                edges[filled : filled + targets.size] = targets.astype(edges.dtype) * span + np.repeat(block, counts)
+                fan_in += np.bincount(targets, minlength=span)
+                filled += targets.size
+                del dist, cand, chosen  # before the scan makes the next block
             edges = edges[:filled]
             edges.sort()  # by target, then by row: each group in arrival order
             targets = np.flatnonzero(fan_in)
             stops = np.cumsum(fan_in[targets]).tolist()
+
+            def settle(batch: list[tuple[int, np.ndarray, list[int]]]) -> None:
+                nodes, heads, tails = zip(*batch)
+                for node, head, tail in zip(nodes, self._prune(nodes, heads, bound, shared), tails):
+                    self._set_neighbors(node, level, head + tail)
+
+            # The layer's prunes are chosen together, about half a block of
+            # links at a time.
+            batch: list[tuple[int, np.ndarray, list[int]]] = []
+            widest = 0
             for node, lo, hi in zip(targets.tolist(), [0, *stops], stops):
                 links = self._neighbors(node, level).tolist()
-                links += (edges[lo:hi] & 0xFFFFFFFF).tolist()
+                links += (edges[lo:hi] - node * span).tolist()
                 # Two rewritten rows may have chosen each other: one edge.
                 links = list(dict.fromkeys(links))
-                if len(links) > width:
-                    # Row by row, a list was pruned at every overflow and
-                    # appended to raw in between, so it ended with the links
-                    # that arrived after its last overflow as they came.
-                    # Keep that many of the latest raw; prune the rest once.
-                    keep = len(links) - (len(links) - width - 1) % (width - bound + 1)
-                    links = self._prune(node, links[:keep], bound) + links[keep:]
-                self._set_neighbors(node, level, links)
+                if len(links) <= width:
+                    self._set_neighbors(node, level, links)
+                    continue
+                # Row by row, a list was pruned at every overflow and
+                # appended to raw in between, so it ended with the links
+                # that arrived after its last overflow as they came.
+                # Keep that many of the latest raw; prune the rest once.
+                keep = len(links) - (len(links) - width - 1) % (width - bound + 1)
+                batch.append((node, np.array(links[:keep], dtype=np.int32), links[keep:]))
+                widest = max(widest, keep)
+                if len(batch) * widest >= BLOCK // 2:
+                    settle(batch)
+                    batch, widest = [], 0
+            if batch:
+                settle(batch)
 
     def _causal_candidates(self, rows: np.ndarray, level: int, levels: np.ndarray):
-        """Yield ``(row, found)`` for each row of ``rows`` (ascending):
-        ``found`` is its ``ef_construction`` nearest live rows of ``level``
-        that it may link, ``(true distance, row)`` ascending.  A row being
-        built (at or past ``_count``) may link the rows numbered below it; a
+        """Yield ``(block, dist, cand)`` for consecutive blocks of ``rows``
+        (ascending): ``cand[i]`` are row ``block[i]``'s ``ef_construction``
+        nearest live rows of ``level`` that it may link, ``dist[i]`` their
+        true distances, ascending, ``inf`` past the last.  A row being built
+        (at or past ``_count``) may link the rows numbered below it; a
         rewritten row (below ``_count``) every other row, the batch's other
         rewrites at their new vectors included.
 
-        One blocked scan: a block of rows against the prefix of rows the
-        block may link, itself, the causal part and tombstones set to
-        ``inf``, then one ``argpartition``.  A block holds at least 16 rows
-        and, on a small segment, at most 8 192 distances, so no temporary
-        outgrows the row-by-row build's ``ef_construction``-square pairwise
-        matrix (a larger one is freed to, and kept by, the allocator: peak
-        RSS).
+        One blocked scan: a step of rows against the prefix of rows the step
+        may link, itself, the causal part and tombstones set to ``inf``,
+        then one ``argpartition``.  A step holds at least 16 rows and, on a
+        small segment, at most 8 192 distances, so no temporary outgrows the
+        cap of DESIGN §10.6 (a larger one is freed to, and kept by, the
+        allocator: peak RSS); a yielded block is whole steps whose ``int64``
+        candidates stay under it too.
         """
         ef = self.ef_construction
         count = self._count
         dead = self._deleted[: levels.shape[0]]
         keys = None if level == 0 else np.flatnonzero((levels >= level) & ~dead)
         step = max(16, 8192 // max(int(rows[-1]), count, 1))
-        for lo in range(0, rows.size, step):
-            block = rows[lo : lo + step]
-            stop = max(int(block[-1]), count)
-            if keys is None:
-                cols = np.arange(stop)
-                dist = self._kernel.pairwise(block, slice(0, stop))
-                dist[:, dead[:stop]] = np.inf
-            else:
-                cols = keys[: np.searchsorted(keys, stop)]
-                dist = self._kernel.pairwise(block, cols)
-            self._stats.num_distance_computations += dist.size
-            tail = int(np.searchsorted(cols, block[0]))  # columns before it pass every row
-            late = cols[tail:]
-            limit = np.maximum(block, count)[:, None]
-            dist[:, tail:][(late >= limit) | (late == block[:, None])] = np.inf
-            if cols.size > ef:
-                pick = np.argpartition(dist, ef - 1, axis=1)[:, :ef]
-                dist = np.take_along_axis(dist, pick, 1)
-            else:
-                pick = np.broadcast_to(np.arange(cols.size), dist.shape)
-            order = np.argsort(dist, axis=1)
-            dist = np.take_along_axis(dist, order, 1)
-            pick = np.take_along_axis(pick, order, 1)
-            for row, row_dist, row_pick in zip(block.tolist(), dist, pick):
-                n = int(np.count_nonzero(row_dist < np.inf))
-                yield row, list(zip(row_dist[:n].tolist(), cols[row_pick[:n]].tolist()))
+        size = max(1, BLOCK // ef // step) * step
+        for start in range(0, rows.size, size):
+            block = rows[start : start + size]
+            out_dist = np.full((block.size, ef), np.inf, dtype=np.float32)
+            out_cand = np.zeros((block.size, ef), dtype=np.int32)
+            for lo in range(0, block.size, step):
+                part = block[lo : lo + step]
+                stop = max(int(part[-1]), count)
+                if keys is None:
+                    cols = np.arange(stop)
+                    dist = self._kernel.pairwise(part, slice(0, stop))
+                    dist[:, dead[:stop]] = np.inf
+                else:
+                    cols = keys[: np.searchsorted(keys, stop)]
+                    dist = self._kernel.pairwise(part, cols)
+                self._stats.num_distance_computations += dist.size
+                tail = int(np.searchsorted(cols, part[0]))  # columns before it pass every row
+                late = cols[tail:]
+                limit = np.maximum(part, count)[:, None]
+                dist[:, tail:][(late >= limit) | (late == part[:, None])] = np.inf
+                if cols.size > ef:
+                    pick = np.argpartition(dist, ef - 1, axis=1)[:, :ef]
+                    dist = np.take_along_axis(dist, pick, 1)
+                else:
+                    pick = np.broadcast_to(np.arange(cols.size), dist.shape)
+                order = np.argsort(dist, axis=1)
+                dist = np.take_along_axis(dist, order, 1)
+                pick = np.take_along_axis(pick, order, 1)  # frees the full-width partition
+                out_dist[lo : lo + part.size, : dist.shape[1]] = dist
+                out_cand[lo : lo + part.size, : dist.shape[1]] = cols[pick]
+            del dist, pick, order  # not held while the block is chosen from
+            yield block, out_dist, out_cand
 
     def _rewrite_held(self, ids: list[int], vectors: np.ndarray, held: list[int]) -> None:
         """Rewrite, as one batch, the rows of the records at positions

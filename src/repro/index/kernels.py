@@ -309,18 +309,19 @@ class DistanceKernel:
         """True distances between stored rows (HNSW neighbour selection and
         graph build): ``(len(rows), len(cols))``, square over ``rows`` when
         ``cols`` is omitted.  Either may be an index array or a slice (a
-        slice is read in place, no gather).  COSINE rows are already
-        prenormalized in the cache, so no per-call norm handling is needed.
-        Besides a gathered ``cols``, the product is the only full-size
-        temporary."""
+        slice is read in place, no gather).  Stacked ``(s, a)`` and
+        ``(s, b)`` index arrays give ``(s, a, b)``: one product per stack
+        entry.  COSINE rows are already prenormalized in the cache, so no
+        per-call norm handling is needed.  Besides a gathered ``cols``, the
+        product is the only full-size temporary."""
         aug = self._aug[rows]
         other = aug if cols is None else self._aug[cols]
         dim = self.dim
-        out = aug[:, :dim] @ other[:, :dim].T
+        out = aug[..., :dim] @ np.swapaxes(other[..., :dim], -1, -2)
         if self.metric is Metric.L2:
             out *= -2.0
-            out += other[:, dim]
-            out += aug[:, dim, None]
+            out += other[..., None, :, dim]
+            out += aug[..., :, dim, None]
             np.maximum(out, 0.0, out=out)
             return out
         np.subtract(1.0, out, out=out)

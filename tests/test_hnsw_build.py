@@ -142,18 +142,120 @@ class TestCandidates:
         levels = np.asarray(index._levels)
         rows = np.arange(60, 260)
         live = ~index._deleted[:260]
-        for row, found in index._causal_candidates(rows, 0, levels):
-            before = np.flatnonzero(live[:row])
-            want = exact_distances(data[row], data[before], metric)
-            order = np.argsort(want, kind="stable")[: index.ef_construction]
-            dists = np.array([d for d, _ in found])
-            assert len(found) == order.size
-            assert np.all(np.diff(dists) >= 0)
-            np.testing.assert_allclose(dists, want[order], rtol=1e-4, atol=1e-4)
-            got = {r for _, r in found}
-            assert got <= set(before.tolist())
-            # Ids agree up to ties at the cut.
-            assert len(got & set(before[order].tolist())) >= order.size - 2
+        seen = []
+        for block, dist, cand in index._causal_candidates(rows, 0, levels):
+            assert dist.shape == cand.shape == (block.size, index.ef_construction)
+            for row, row_dist, row_cand in zip(block.tolist(), dist, cand):
+                seen.append(row)
+                before = np.flatnonzero(live[:row])
+                want = exact_distances(data[row], data[before], metric)
+                order = np.argsort(want, kind="stable")[: index.ef_construction]
+                found = int(np.count_nonzero(row_dist < np.inf))
+                dists = row_dist[:found]
+                assert found == order.size
+                assert np.isinf(row_dist[found:]).all()
+                assert np.all(np.diff(dists) >= 0)
+                np.testing.assert_allclose(dists, want[order], rtol=1e-4, atol=1e-4)
+                got = set(row_cand[:found].tolist())
+                assert got <= set(before.tolist())
+                # Ids agree up to ties at the cut.
+                assert len(got & set(before[order].tolist())) >= order.size - 2
+        assert seen == rows.tolist()
+
+
+def algorithm4(dist, cand, pair, bound):
+    """Algorithm 4 of the HNSW paper, written plainly: walk the candidates
+    nearest first, keep one unless a kept one is closer to it than the
+    query is, stop at ``bound``; then backfill with the nearest not kept."""
+    n = int(np.count_nonzero(dist < np.inf))
+    if n <= bound:
+        return cand[:n].tolist()
+    kept = []
+    for i in range(n):
+        if len(kept) == bound:
+            break
+        if all(not pair[j, i] < dist[i] for j in kept):
+            kept.append(i)
+    heuristic = len(kept)
+    for i in range(n):
+        if len(kept) == bound:
+            break
+        if i not in kept:
+            kept.append(i)
+    return [int(cand[i]) for i in kept], heuristic
+
+
+def exact_rows(rng, metric, count, dim=16):
+    """Rows whose every pairwise distance is exact in float32, so two
+    summation orders cannot disagree: small integers, or for COSINE four
+    entries of +-1 (unit length after normalizing, dot products in
+    quarters).  Few distinct values, so ties are common."""
+    if metric is not Metric.COSINE:
+        return rng.integers(0, 3, size=(count, dim)).astype(np.float32)
+    rows = np.zeros((count, dim), dtype=np.float32)
+    for row in rows:
+        row[rng.choice(dim, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    return rows
+
+
+class TestSelector:
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE, Metric.IP])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_batched_selection_is_algorithm4(self, metric, shared):
+        """``_select`` against the scalar loop on seeded random blocks: rows
+        with fewer candidates than ``bound`` and more, ``inf`` padding,
+        exact ties, and heuristics that keep fewer than ``bound``; the pair
+        distances read from the shared slabs or from each row's product."""
+        rng = np.random.default_rng(31)
+        count, bound, width = 150, 12, 48
+        index = HNSWIndex(16, metric, M=bound // 2, ef_construction=width)
+        index.update_items(np.arange(count), exact_rows(rng, metric, count))
+        dist = np.full((60, width), np.inf, dtype=np.float32)
+        cand = np.zeros((60, width), dtype=np.int32)
+        for i in range(60):
+            query = int(rng.integers(0, count))
+            others = np.delete(np.arange(count), query)
+            size = int(rng.choice([3, bound, bound + 1, 30, width]))
+            picked = rng.choice(others, size, replace=False)
+            near = index._kernel.pairwise([query], picked)[0]
+            order = np.argsort(near, kind="stable")
+            dist[i, :size], cand[i, :size] = near[order], picked[order]
+        got = index._select(dist, cand, bound, index._shared(count) if shared else None)
+        sizes, ties, short = set(), 0, 0
+        for i in range(60):
+            n = int(np.count_nonzero(dist[i] < np.inf))
+            sizes.add(n)
+            ties += n - np.unique(dist[i, :n]).size
+            want = algorithm4(dist[i], cand[i], index._kernel.pairwise(cand[i, :n]), bound)
+            if n > bound:
+                want, heuristic = want
+                short += heuristic < bound
+            assert got[i][got[i] >= 0].tolist() == want, i
+        assert min(sizes) < bound < max(sizes) and max(sizes) == width
+        assert ties and short
+
+
+class TestTransientMemory:
+    @pytest.mark.parametrize("count", [400, 1000])
+    def test_a_build_keeps_its_temporaries_small(self, count):
+        """What a 128-d build allocates and frees again (tracemalloc's peak
+        minus what is left) stays within 1 MiB: the row-by-row build read
+        about 350 KiB at 400 rows and 650 KiB at 1 000.  The index's arrays
+        are grown first, so only the build's own temporaries count.  The
+        400-row layer's shared product is an anonymous mapping, outside
+        malloc's heap and so outside this count: it is unmapped when the
+        layer is done and cannot stay resident."""
+        tracemalloc = pytest.importorskip("tracemalloc")
+        data = clustered(np.random.default_rng(count), count, dim=128)
+        index = HNSWIndex(128, Metric.L2)
+        index._grow(count)
+        tracemalloc.start()
+        try:
+            index.update_items(np.arange(count), data)
+            final, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - final <= 1 << 20, (peak - final) // 1024
 
 
 class TestRecall:
