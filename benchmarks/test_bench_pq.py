@@ -1,26 +1,18 @@
-"""PQ / tiered-storage benchmark: memory-vs-recall frontier and exactness.
+"""PQ benchmark: the memory-vs-recall frontier of the quantized format.
 
-Measures the quantized tiered path on SIFT-like data:
-
-1. **Frontier sweep** — for ``m`` in {8, 16, 32} subspaces, train a PQ
-   codebook, encode the full dataset, and report (a) the memory reduction
-   of the quantized representation (codes + codebook vs raw float32 rows)
-   and (b) recall@10 of the two-phase search (ADC candidate scan with
-   ``k·rerank_factor`` inflation, exact rerank on raw rows) against exact
-   ground truth, alongside the ADC-only recall that the rerank recovers
-   from.
-2. **End-to-end exactness** — a tiered :class:`TigerVectorDB` with (a) a
-   budget nothing exceeds must answer bit-identically to the same store
-   without tiering (off-by-default guarantee), and (b) a zero budget
-   (everything cold) must keep recall@10 above the budgeted floor.
+**Frontier sweep** on SIFT-like data — for ``m`` in {8, 16, 32} subspaces,
+train a PQ codebook, encode the full dataset, and report (a) the memory
+reduction of the quantized representation (codes + codebook vs raw float32
+rows) and (b) recall@10 of the two-phase search (ADC candidate scan with
+``k·rerank_factor`` inflation, exact rerank on raw rows) against exact
+ground truth, alongside the ADC-only recall that the rerank recovers from.
 
 Budgets (asserted):
 
 - some swept ``m`` reaches recall@10 >= 0.95 *with* rerank;
 - at that operating point the quantized representation is >= 8x smaller
   than raw (>= 4x at smoke scale, where the fixed 128 KiB codebook is
-  amortized over only 2k vectors);
-- the under-budget tiered database returns byte-identical results.
+  amortized over only 2k vectors).
 
 Results go to ``bench_results/BENCH_pq.json``.
 """
@@ -35,10 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import Attribute, AttrType, Metric, TigerVectorDB
 from repro.bench import bench_scale, dataset_for
-from repro.core.search import vector_search_merged
-from repro.index.pq import PQCodebook, PQCodes, PQSearchConfig
+from repro.index.pq import PQCodebook, PQCodes
 from repro.types import batch_distances
 
 K = 10
@@ -185,65 +175,3 @@ def test_pq_memory_recall_frontier(dataset):
         f"best operating point (m={best['m']}) reduces memory only "
         f"{best['memory_reduction']:.1f}x (budget {min_reduction}x)"
     )
-
-
-def _make_tier_db(n: int, dim: int, segment_size: int):
-    rng = np.random.default_rng(5)
-    db = TigerVectorDB(segment_size=segment_size)
-    db.schema.create_vertex_type(
-        "Item", [Attribute("id", AttrType.INT, primary_key=True)]
-    )
-    db.schema.add_embedding_attribute(
-        "Item", "emb", dimension=dim, model="bench", metric=Metric.L2
-    )
-    vectors = rng.standard_normal((n, dim)).astype(np.float32)
-    db.bulk_load_vertices("Item", [{"id": i} for i in range(n)])
-    db.bulk_load_embeddings("Item", "emb", list(range(n)), vectors)
-    db.vacuum()
-    return db, vectors
-
-
-def _merged_ids(db, query, k):
-    with db.snapshot() as snap:
-        return vector_search_merged(db.service, snap, ["Item.emb"], query, k)
-
-
-def test_tiered_db_identity_and_cold_recall():
-    scale = bench_scale()
-    n = max(1_000, scale.vector_count // 10)
-    dim = 32
-    db, vectors = _make_tier_db(n, dim, segment_size=max(256, n // 4))
-    try:
-        rng = np.random.default_rng(9)
-        queries = rng.standard_normal((20, dim)).astype(np.float32)
-        baseline = [_merged_ids(db, q, K) for q in queries]
-
-        # Under an infinite budget the tiered database must be a no-op:
-        # same members, same distances, bit for bit.
-        db.enable_tiering(budget_bytes=2**40, pq=PQSearchConfig(m=8))
-        db.vacuum()
-        tiered = [_merged_ids(db, q, K) for q in queries]
-        assert tiered == baseline
-
-        # Zero budget: everything demotes; two-phase recall stays high.
-        db.tier_manager.budget_bytes = 0
-        db.vacuum()
-        store = db.service.store("Item", "emb")
-        assert all(
-            s.current_snapshot().tier == "cold" for s in store.segments()
-        )
-        hits = total = 0
-        for q in queries:
-            got = {vid for _, _, vid in _merged_ids(db, q, K)}
-            dists = ((vectors - q) ** 2).sum(axis=1)
-            want = {
-                db.vid_for("Item", int(i))
-                for i in np.argsort(dists, kind="stable")[:K]
-            }
-            hits += len(got & want)
-            total += K
-        cold_recall = hits / total
-        print(f"\ncold-tier recall@10 over {len(queries)} queries: {cold_recall:.3f}")
-        assert cold_recall >= 0.95
-    finally:
-        db.close()

@@ -38,7 +38,6 @@ from ..core.service import EmbeddingStore
 from ..elastic import ElasticTier, ShardServer
 from ..errors import SegmentOwnershipError, StalenessBoundError
 from ..index.hnsw import HNSWIndex
-from ..index.pq import PQCodebook, PQCodes, PQSearchConfig
 from ..serve import server as server_module
 from ..serve.server import (
     QueryServer,
@@ -47,7 +46,6 @@ from ..serve.server import (
     VectorRequest,
     freshness_gate,
 )
-from ..tier import demote_segment
 from .explore import Scenario
 from .hooks import schedule_point
 from .sanitizer import SanitizedLock
@@ -296,81 +294,6 @@ class VacuumVsSearch(Scenario):
     def check(self, state) -> None:
         assert state.result_ids == state.truth_ids, (
             "vacuum changed logical search content: "
-            f"{state.result_ids} != {state.truth_ids}"
-        )
-
-    def teardown(self, state) -> None:
-        state.db.close()
-
-
-# --------------------------------------------------------------------------
-# tier demotion vs pinned-snapshot search
-# --------------------------------------------------------------------------
-
-
-class TierDemoteVsSearch(_Twinned):
-    """A hot→cold tier demotion racing a snapshot-pinned search.
-
-    Worker 0 demotes the only segment to the cold (PQ) tier; worker 1 runs
-    a top-k search.  Demotion never changes logical content, and with the
-    default rerank inflation every cold search here reranks all rows
-    exactly, so whatever snapshot the reader pins — the hot original, the
-    retired hot twin, or the published cold twin — the top-k ids must
-    equal the pre-demotion ground truth.
-
-    With ``validate=False`` the demotion takes the tempting shortcut of
-    mutating the live snapshot in place (clear the index, then attach the
-    codes).  Between those two writes the snapshot is *half-demoted* —
-    marked cold with neither an index nor codes — and a search landing at
-    the ``tier.publish`` point observes it (the scan-kernel guard raises).
-    With ``validate=True`` (the shipped two-phase build-aside +
-    same-tid ``install_snapshot`` publish) every interleaving must pass.
-    """
-
-    row = "tier-demote-vs-search"
-
-    def setup(self):
-        state = _Box()
-        state.db = _make_doc_db()
-        state.db.vacuum()  # fold deltas in so the segment is sealed
-        state.store = state.db.service.store("Doc", "vec")
-        state.config = PQSearchConfig(m=2, train_iterations=4, seed=5)
-        state.store.pq_config = state.config
-        state.query = np.zeros(_DIM, dtype=np.float32)
-        state.query[0] = 100.0
-        state.truth_ids = [
-            (vtype, vid) for _, vtype, vid in _search(state.db, state.query)
-        ]
-        state.result_ids = None
-        return state
-
-    def worker(self, state, index: int) -> None:
-        if index == 0:
-            segment = state.store.segment(0)
-            if self.validate:
-                demote_segment(state.store, segment, state.config)
-                return
-            # The in-place shortcut: publish the transition by mutating the
-            # snapshot readers already hold, no MVCC twin.
-            snap = segment.current_snapshot()
-            vectors = np.asarray(snap.vectors)
-            codebook = PQCodebook.train(
-                vectors[snap.present], 2, metric=Metric.L2, iterations=4, seed=5
-            )
-            pq = PQCodes.from_vectors(codebook, vectors, Metric.L2)
-            snap.tier = "cold"
-            snap.index = None
-            snap._kernel = None
-            schedule_point("tier.publish")
-            snap.pq = pq
-            return
-        state.result_ids = [
-            (vtype, vid) for _, vtype, vid in _search(state.db, state.query)
-        ]
-
-    def check(self, state) -> None:
-        assert state.result_ids == state.truth_ids, (
-            "tier demotion changed logical search content: "
             f"{state.result_ids} != {state.truth_ids}"
         )
 
@@ -767,8 +690,6 @@ MATRIX: list[ScenarioSpec] = [
     ScenarioSpec(lambda: SessionTokenVsCommitPublish(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: SessionTokenVsCommitPublish(validate=True), ("pct", 256), False),
     ScenarioSpec(lambda: VacuumVsSearch(), ("pct", 12), False),
-    ScenarioSpec(lambda: TierDemoteVsSearch(validate=False), ("pct", 256), True),
-    ScenarioSpec(lambda: TierDemoteVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: RebalanceVsSearch(validate=False), ("pct", 256), True),
     ScenarioSpec(lambda: RebalanceVsSearch(validate=True), ("pct", 64), False),
     ScenarioSpec(lambda: RemoveServerVsSearch(), ("pct", 64), False),

@@ -64,8 +64,6 @@ class TigerVectorDB:
         )
         self.store.register_embedding_hook(self.service.on_commit)
         self.vacuum_manager = VacuumManager(self.store, self.service)
-        #: Optional repro.tier.TierManager; see :meth:`enable_tiering`.
-        self.tier_manager = None
         self._gsql_session = None
         # Guards the lazy gsql/access singletons: serve workers hit both
         # properties concurrently, and an unguarded check-then-create would
@@ -96,7 +94,6 @@ class TigerVectorDB:
             embedding_hook=db.service.on_commit,  # stays registered afterwards
         )
         db.vacuum_manager = VacuumManager(db.store, db.service)
-        db.tier_manager = None
         db._gsql_session = None
         db._lazy_lock = threading.Lock()
         return db
@@ -115,34 +112,6 @@ class TigerVectorDB:
     def vacuum(self) -> dict:
         """Run one synchronous vacuum round (delta merge + index merge + graph)."""
         return self.vacuum_manager.run_once()
-
-    # -------------------------------------------------------------- tiering
-    def enable_tiering(
-        self,
-        budget_bytes: int,
-        spill_dir: str | os.PathLike | None = None,
-        pq=None,
-        ewma_alpha: float = 0.3,
-    ):
-        """Turn on memory-budgeted hot/cold segment management (DESIGN §12).
-
-        Installs a :class:`repro.tier.TierManager` over the embedding
-        service and hooks tier rebalancing into the vacuum boundary.  Off
-        by default; until called, every search path is byte-identical to a
-        database without tiering.
-        """
-        from ..tier import TierManager
-
-        manager = TierManager(
-            self.service,
-            budget_bytes,
-            spill_dir=spill_dir,
-            pq=pq,
-            ewma_alpha=ewma_alpha,
-        )
-        self.tier_manager = manager
-        self.vacuum_manager.tier_manager = manager
-        return manager
 
     # -------------------------------------------------------------- loading
     def bulk_load_vertices(

@@ -33,28 +33,18 @@ from ..types import Metric
 from .delta import DELETE, UPSERT, DeltaRecord
 from .embedding import EmbeddingType
 
-__all__ = ["EmbeddingSegment", "SegmentSnapshot", "rebuild_index"]
+__all__ = ["EmbeddingSegment", "SegmentSnapshot"]
 
 
 @dataclass
 class SegmentSnapshot:
-    """One immutable (index, raw-vectors) pair valid as of ``tid``.
-
-    Tiered storage (DESIGN §12) adds a second shape: a **cold** snapshot
-    carries PQ codes (``pq``) instead of an index (``index is None``), and
-    its ``vectors`` may be a read-only ``np.memmap`` spilled to disk.  Hot
-    and cold snapshots move through exactly the same MVCC machinery — a
-    tier transition is just ``install_snapshot`` of a same-``tid`` twin, so
-    pinned readers keep the retired variant until GC proves it unreachable.
-    """
+    """One immutable (index, raw-vectors) pair valid as of ``tid``."""
 
     tid: int
-    index: VectorIndex | None
+    index: VectorIndex
     vectors: np.ndarray  # (capacity, dim), rows valid where present
     present: np.ndarray  # (capacity,) bool
     _kernel: DistanceKernel | None = None  # lazy scan kernel; never pickled
-    tier: str = "hot"  # "hot" | "cold"
-    pq: object | None = None  # PQCodes on cold snapshots
     _extent: tuple[int, int] | None = None  # lazy extent(), see there
 
     def kernel(self, metric: Metric) -> DistanceKernel:
@@ -65,14 +55,7 @@ class SegmentSnapshot:
         reads this snapshot.  (``bulk_load`` — the offline ingest path that
         mutates the current snapshot in place — drops the cache.)  Benign
         race under concurrent first calls: both build, one wins the write.
-
-        Refused on cold snapshots: building the augmented-row cache would
-        materialize every (possibly memmapped) row, defeating the tier.
-        Cold reads go through the ADC kernel plus candidate-only rerank in
-        :meth:`EmbeddingStore.search_segment` instead.
         """
-        if self.tier != "hot":
-            raise ReproError("scan kernel unavailable on a cold snapshot")
         kernel = self._kernel
         if kernel is None or kernel.metric is not metric:
             kernel = DistanceKernel.for_matrix(self.vectors, metric)
@@ -166,11 +149,7 @@ class EmbeddingSegment:
             return self._current
 
     def install_snapshot(self, snapshot: SegmentSnapshot) -> None:
-        """Atomically switch to a newer snapshot, retiring the current one.
-
-        Same-``tid`` installs are allowed: tier transitions publish a hot or
-        cold twin of the current snapshot without inventing a new version.
-        """
+        """Atomically switch to a newer snapshot, retiring the current one."""
         with self._lock:
             if snapshot.tid < self._current.tid:
                 raise ReproError("cannot install an older snapshot")
@@ -229,10 +208,8 @@ class EmbeddingSegment:
         This is the optimized loading-tool path the paper credits for
         TigerVector's short data-load times (Table 2).  Offsets new to the
         index are built in one pass, then offsets an earlier load already
-        put there are rewritten in record order.  A hot current snapshot is
-        written in place; a cold one (tier-demoted: PQ codes, no index,
-        rows perhaps a read-only memmap) is left as it is, and the load goes
-        into a :meth:`hot_copy` that is then installed.
+        put there are rewritten in record order.  The current snapshot is
+        written in place.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -241,56 +218,37 @@ class EmbeddingSegment:
         if np.any((offsets < 0) | (offsets >= self.capacity)):
             raise VectorSearchError("offset outside segment capacity")
         snap = self.current_snapshot()
-        cold = snap.index is None
-        if cold:
-            snap = self.hot_copy(snap)
         snap.vectors[offsets] = vectors
         snap.present[offsets] = True
         snap._kernel = None  # in-place mutation invalidates the scan kernel
         snap._extent = None  # and the extent
         snap.index.update_items(offsets.tolist(), vectors)
         snap.tid = max(snap.tid, tid)
-        if cold:
-            self.install_snapshot(snap)
 
     # ----------------------------------------------------- snapshot builds
-    def hot_copy(self, snap: SegmentSnapshot) -> SegmentSnapshot:
-        """A hot, same-tid copy of ``snap`` that can be written without
-        touching ``snap``: its rows materialized (a cold snapshot's may be a
-        read-only memmap) and its index cloned (``VectorIndex.clone``: an
-        HNSW copies its state once, under its write lock, with no pickle
-        bytes), or, for a cold snapshot, which has none, rebuilt from the
-        present rows.
-        """
-        vectors = np.array(snap.vectors, dtype=np.float32)
-        present = snap.present.copy()
-        if snap.index is None:
-            index = rebuild_index(self.embedding, vectors, present)
-        else:
-            index = snap.index.clone()
-        return SegmentSnapshot(tid=snap.tid, index=index, vectors=vectors, present=present)
-
     def build_next_snapshot(
         self, records: list[DeltaRecord], new_tid: int, segment_size: int
     ) -> SegmentSnapshot:
         """Apply delta records for this segment to a copy of the snapshot.
 
-        This is the index-merge step: the current snapshot is copied
-        (:meth:`hot_copy`), the deltas are folded in with one
-        ``update_items`` and one ``delete_items``, and the result is returned
-        for :meth:`install_snapshot` to switch to.  In an HNSW, the upserted
-        offsets the index has never seen are built and the ones it holds are
-        rewritten, each kind as one batch wired by the same candidate scan.
-        The last record per offset decides: a delete followed by an upsert
-        leaves the offset live.
+        This is the index-merge step: the current snapshot is copied (its
+        index by ``VectorIndex.clone``: an HNSW copies its state once, under
+        its write lock, with no pickle bytes), the deltas are folded in with
+        one ``update_items`` and one ``delete_items``, and the result is
+        returned for :meth:`install_snapshot` to switch to.  In an HNSW, the
+        upserted offsets the index has never seen are built and the ones it
+        holds are rewritten, each kind as one batch wired by the same
+        candidate scan.  The last record per offset decides: a delete
+        followed by an upsert leaves the offset live.
         """
         with self._lock:  # pin one coherent snapshot to clone from
             current = self._current
-        # A cold current is re-hydrated by the copy.  The merged segment is
-        # published hot; the tier manager re-demotes it at the rebalance
-        # that follows the vacuum pass if it is still cold by access heat.
-        snap = self.hot_copy(current)
-        snap.tid = new_tid
+        snap = SegmentSnapshot(
+            tid=new_tid,
+            vectors=current.vectors.copy(),
+            present=current.present.copy(),
+            index=current.index.clone(),
+        )
         upserts: dict[int, np.ndarray] = {}
         deletes: dict[int, None] = {}
         for record in records:
@@ -310,22 +268,6 @@ class EmbeddingSegment:
         if deletes:
             snap.index.delete_items(list(deletes))
         return snap
-
-
-def rebuild_index(
-    embedding: EmbeddingType, vectors: np.ndarray, present: np.ndarray
-) -> VectorIndex:
-    """Fresh per-segment index over the present rows (tier promotion path).
-
-    Every row is new to the index, so an HNSW builds them in one pass.
-    """
-    index = create_index(
-        embedding.index, embedding.dimension, embedding.metric, dict(embedding.index_params)
-    )
-    offsets = np.flatnonzero(present)
-    if offsets.size:
-        index.update_items(offsets.tolist(), vectors[offsets])
-    return index
 
 
 def _empty_like(segment: EmbeddingSegment, tid: int) -> SegmentSnapshot:

@@ -22,8 +22,6 @@ from ..errors import UnknownTypeError, VectorSearchError
 from ..graph.schema import GraphSchema
 from ..index.bitmap import Bitmap
 from ..index.kernels import DistanceKernel, MultiQueryContext
-from ..index.pq import PQSearchConfig
-from ..telemetry import get_telemetry
 from .delta import DELETE, UPSERT, DeltaFile, DeltaRecord, DeltaStore
 from .embedding import EmbeddingType
 from .segment import EmbeddingSegment, SegmentSnapshot
@@ -85,20 +83,11 @@ class EmbeddingStore:
         #: at the top of every search so injected per-segment exceptions
         #: exercise callers' retry/failover paths.  None in production.
         self.fault_hook = None
-        #: Tiering observer (repro.tier): called with the segment number at
-        #: the top of every search so the TierManager can count per-segment
-        #: accesses.  None when tiering is off.
-        self.access_hook = None
-        #: Two-phase (ADC candidates → exact rerank) policy for cold
-        #: segments.  None means tiering/PQ is off, and no search path
-        #: deviates from the full-precision behaviour by a single byte.
-        self.pq_config: PQSearchConfig | None = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]  # locks are not picklable; recreate on load
         state["fault_hook"] = None  # injector closures don't survive pickling
-        state["access_hook"] = None  # tier-manager closures likewise
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -296,54 +285,6 @@ class EmbeddingStore:
                 allowed[offset] = False
         return snap, overlay_last, allowed
 
-    def _cold_topk(
-        self,
-        snap: "SegmentSnapshot",
-        query: np.ndarray,
-        k: int,
-        allowed: np.ndarray,
-    ) -> list[tuple[float, int]]:
-        """Two-phase top-k on a cold snapshot (DESIGN §12).
-
-        Phase one scans the PQ codes of every allowed offset with the ADC
-        kernel and keeps the top ``k · rerank_factor`` candidates; phase two
-        gathers *only those rows* from the (possibly memmapped) raw store
-        and computes exact distances.  The full row matrix is never
-        materialized, which is the entire point of the cold tier.
-        """
-        offsets = np.flatnonzero(allowed)
-        if offsets.size == 0:
-            return []
-        tel = get_telemetry()
-        tel.inc("pq.adc_scans")
-        pq = snap.pq
-        kernel = snap._kernel
-        if kernel is None or kernel.metric is not self.embedding.metric:
-            # Reuse the snapshot's lazy-kernel slot: PQKernel implements the
-            # DistanceKernel contract and codes are immutable, so the same
-            # benign build race applies as for hot scan kernels.
-            kernel = pq.kernel(self.embedding.metric)
-            snap._kernel = kernel
-        ctx = kernel.query(query)
-        adc = kernel.distances(ctx, offsets)
-        cfg = self.pq_config or PQSearchConfig()
-        take = min(cfg.candidates(k), offsets.size)
-        if take < offsets.size:
-            part = np.argpartition(adc, take - 1)[:take]
-        else:
-            part = np.arange(offsets.size)
-        cand = offsets[part]
-        tel.observe("pq.rerank_candidates", cand.size)
-        if cfg.rerank:
-            raw = np.asarray(snap.vectors[cand], dtype=np.float32)
-            rkernel = DistanceKernel.for_matrix(raw, self.embedding.metric)
-            dists = rkernel.distances_prefix(rkernel.query(query), cand.size)
-        else:
-            dists = adc[part]
-        top = min(k, cand.size)
-        keep = np.argpartition(dists, top - 1)[:top] if top < cand.size else np.arange(cand.size)
-        return [(float(dists[i]), int(cand[i])) for i in keep]
-
     @staticmethod
     def _overlay_kernel(
         overlay_last: dict[int, DeltaRecord],
@@ -379,37 +320,7 @@ class EmbeddingStore:
         fault_hook = self.fault_hook
         if fault_hook is not None:
             fault_hook(seg_no)  # may raise FaultInjectionError (chaos tests)
-        access_hook = self.access_hook
-        if access_hook is not None:
-            access_hook(seg_no)  # tier-manager heat accounting
         snap, overlay_last, allowed = self._segment_view(seg_no, snapshot_tid, bitmap)
-        results, used_bruteforce = self._topk_on_view(
-            snap, overlay_last, allowed, query, k, ef, bitmap, bf_threshold
-        )
-        return SegmentSearchOutput(
-            seg_no,
-            offsets=[o for _, o in results],
-            distances=[d for d, _ in results],
-            used_bruteforce=used_bruteforce,
-        )
-
-    def _topk_on_view(
-        self,
-        snap: "SegmentSnapshot",
-        overlay_last: dict[int, DeltaRecord],
-        allowed: np.ndarray,
-        query: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        bitmap: Bitmap | None = None,
-        bf_threshold: int | None = None,
-    ) -> tuple[list[tuple[float, int]], bool]:
-        """One query's sorted local top-k ``(distance, offset)`` pairs on a
-        :meth:`_segment_view`, and whether the snapshot part was brute force.
-
-        The body of :meth:`search_segment`; :meth:`search_segment_batch`
-        runs it once per query row on a cold segment.
-        """
         threshold = self.bf_threshold if bf_threshold is None else bf_threshold
         metric = self.embedding.metric
         valid_count = int(np.count_nonzero(allowed))
@@ -417,11 +328,7 @@ class EmbeddingStore:
         results: list[tuple[float, int]] = []
         used_bruteforce = False
         if valid_count > 0:
-            if snap.pq is not None:
-                get_telemetry().inc("tier.cold_hits")
-                used_bruteforce = True
-                results.extend(self._cold_topk(snap, query, k, allowed))
-            elif valid_count < threshold:
+            if valid_count < threshold:
                 used_bruteforce = True
                 offsets = np.flatnonzero(allowed)
                 kernel = snap.kernel(metric)
@@ -448,26 +355,26 @@ class EmbeddingStore:
             results.extend((float(d), int(o)) for d, o in zip(dists, fresh_offsets))
 
         results.sort()
-        return results[:k], used_bruteforce
+        del results[k:]
+        return SegmentSearchOutput(
+            seg_no,
+            offsets=[o for _, o in results],
+            distances=[d for d, _ in results],
+            used_bruteforce=used_bruteforce,
+        )
 
     def scan_work(self, seg_no: int, bitmap: Bitmap | None) -> int:
         """Multiply-adds of :meth:`search_segment` on ``seg_no`` if it is a
         NumPy scan, else 0: the price :func:`repro.core.action.topk` fans out by.
 
-        The flip of :meth:`_topk_on_view` on the current snapshot: a cold
-        segment is ADC-scanned and a pre-filter below ``bf_threshold`` is
-        brute-forced — kernels that release the GIL — while anything else is
-        an HNSW traversal, which holds it.  (An unfiltered hot segment with
-        fewer live rows than the threshold is also scanned, but that scan is
-        too small to be worth counting.)
+        The flip of :meth:`search_segment`: a pre-filter below
+        ``bf_threshold`` is brute-forced — a kernel that releases the GIL —
+        while anything else is an HNSW traversal, which holds it.  (An
+        unfiltered segment with fewer live rows than the threshold is also
+        scanned, but that scan is too small to be worth counting.)
         """
-        segment = self.segment(seg_no)
-        if segment.current_snapshot().pq is None and (
-            bitmap is None or bitmap.count() >= self.bf_threshold
-        ):
-            return 0
-        rows = segment.live_count() if bitmap is None else bitmap.count()
-        return rows * self.embedding.dimension
+        rows = 0 if bitmap is None else bitmap.count()
+        return rows * self.embedding.dimension if rows < self.bf_threshold else 0
 
     def fused_scan_columns(self, seg_no: int) -> int:
         """Columns :meth:`search_segment_batch` multiplies on ``seg_no``'s
@@ -505,9 +412,7 @@ class EmbeddingStore:
         Deliberately a second body beside :meth:`search_segment`, not that
         method's general case: one query routed through these array steps
         pays NumPy's per-call overhead on scans of a few dozen rows, which
-        measurably slows every single-query workload (DESIGN §10.3).  A
-        cold segment is the exception: its two-phase scan shares no work
-        across queries, so each row runs :meth:`search_segment`'s body.
+        measurably slows every single-query workload (DESIGN §10.3).
 
         Returns ``(distances, offsets)``, both ``(Q, top)`` with ``top =
         min(k, candidates)``: row ``q`` is query ``q``'s local top-k sorted
@@ -519,24 +424,9 @@ class EmbeddingStore:
         fault_hook = self.fault_hook
         if fault_hook is not None:
             fault_hook(seg_no)  # may raise FaultInjectionError (chaos tests)
-        access_hook = self.access_hook
-        if access_hook is not None:
-            access_hook(seg_no)  # tier-manager heat accounting
         queries = np.asarray(queries, dtype=np.float32)
         metric = self.embedding.metric
         snap, overlay_last, allowed = self._segment_view(seg_no, snapshot_tid, None)
-
-        if snap.pq is not None:
-            # Every row keeps the same candidate count, so the rows stack.
-            rows = [
-                self._topk_on_view(snap, overlay_last, allowed, query, k)[0]
-                for query in queries
-            ]
-            return (
-                np.asarray([[d for d, _ in row] for row in rows], dtype=np.float32),
-                np.asarray([[o for _, o in row] for row in rows], dtype=np.int64),
-            )
-
         if context is None:
             context = MultiQueryContext.build(metric, queries)
         dist_blocks: list[np.ndarray] = []
@@ -594,10 +484,7 @@ class EmbeddingStore:
             "segments": len(segs),
             "live_vectors": sum(s.live_count() for s in segs),
             "pending_deltas": self.pending_delta_count(),
-            "index": [
-                s.index.stats.snapshot() if s.index is not None else {"tier": "cold"}
-                for s in segs
-            ],
+            "index": [s.index.stats.snapshot() for s in segs],
         }
 
 

@@ -63,12 +63,6 @@ class VacuumManager:
         self.graph_store = graph_store
         self.service = service
         self.stats = VacuumStats()
-        #: Optional :class:`repro.tier.TierManager`.  Tier rebalancing runs
-        #: at the end of each vacuum round — the natural MVCC boundary: the
-        #: merges just installed fresh hot snapshots, so demotions/
-        #: promotions publish same-tid twins that pinned readers bypass via
-        #: the retired list (DESIGN §12).
-        self.tier_manager = None
         #: tenant -> max flushed+merged records per vacuum round.
         self.tenant_quotas: dict[str, int] = {}
         #: (vertex_type, attribute name) -> owning tenant; unassigned
@@ -234,14 +228,11 @@ class VacuumManager:
             flushed += store_flushed
             merged += store_merged
         graph_rebuilt = self.graph_store.vacuum()
-        tier = self.tier_manager
-        rebalanced = tier.rebalance() if tier is not None else {}
         return {
             "flushed": flushed,
             "merged": merged,
             "quota_deferred": deferred,
             "graph_segments_rebuilt": graph_rebuilt,
-            "tier": rebalanced,
         }
 
     # ----------------------------------------------------------- background
@@ -266,9 +257,6 @@ class VacuumManager:
                         continue
                     consumed[tenant] = consumed.get(tenant, 0) + self.index_merge(store)
                 self.graph_store.vacuum()
-                tier = self.tier_manager
-                if tier is not None:
-                    tier.rebalance()
 
         with self._lifecycle_lock:
             if self._threads:

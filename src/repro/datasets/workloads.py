@@ -15,12 +15,6 @@ The five analogs reproduce the candidate-set profile the paper reports:
 - **IC6**  - posts by k-hop friends in one language (moderate, ~1-10k);
 - **IC9**  - the 20 most recent messages by k-hop friends (fixed 20);
 - **IC11** - posts by k-hop friends with a length cap (moderate-large).
-
-The module also hosts the seeded **zipfian access-skew** helpers the
-tiered-storage layer uses (:func:`zipfian_weights`,
-:func:`zipfian_access_sequence`): real serving traffic concentrates on a
-small hot set of segments, which is exactly the distribution hot/cold
-promotion must be exercised under.
 """
 
 from __future__ import annotations
@@ -28,53 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 
 __all__ = [
     "IC_QUERIES",
     "ICQuerySpec",
     "build_ic_query",
-    "zipfian_access_sequence",
-    "zipfian_weights",
 ]
-
-
-def zipfian_weights(num_items: int, skew: float = 1.1) -> np.ndarray:
-    """Zipf probabilities over ranks 0..n-1: ``p_i ∝ 1 / (i+1)^skew``.
-
-    Rank 0 is the hottest item.  ``skew`` ≈ 1 is the classic web-traffic
-    shape; larger values concentrate mass faster.
-    """
-    if num_items <= 0:
-        raise ValueError("num_items must be positive")
-    if skew <= 0:
-        raise ValueError("skew must be positive")
-    weights = 1.0 / np.power(np.arange(1, num_items + 1, dtype=np.float64), skew)
-    return weights / weights.sum()
-
-
-def zipfian_access_sequence(
-    num_items: int,
-    length: int,
-    skew: float = 1.1,
-    seed: int = 0,
-    permute: bool = False,
-) -> np.ndarray:
-    """Seeded sequence of item indexes with zipfian access skew.
-
-    With ``permute`` the rank→item mapping is shuffled (also seeded), so
-    the hot set is not simply the lowest indexes — useful when item order
-    correlates with insertion order, as segment numbers do.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    rng = np.random.default_rng(seed)
-    weights = zipfian_weights(num_items, skew)
-    ranks = rng.choice(num_items, size=length, p=weights)
-    if not permute:
-        return ranks
-    mapping = rng.permutation(num_items)
-    return mapping[ranks]
 
 
 @dataclass(frozen=True)

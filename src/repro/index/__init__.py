@@ -13,7 +13,7 @@ from .bitmap import Bitmap
 from .bruteforce import BruteForceIndex
 from .hnsw import HNSWIndex
 from .ivf import IVFFlatIndex, kmeans
-from .pq import IVFPQIndex, PQCodebook, PQCodes, PQKernel, PQSearchConfig
+from .pq import IVFPQIndex, PQCodebook, PQCodes, PQKernel
 from .sq8 import SQ8FlatIndex
 from .interface import IndexStats, SearchResult, VectorIndex, create_index
 from .range_search import range_search_via_topk
@@ -27,7 +27,6 @@ __all__ = [
     "PQCodebook",
     "PQCodes",
     "PQKernel",
-    "PQSearchConfig",
     "SQ8FlatIndex",
     "kmeans",
     "IndexStats",

@@ -17,8 +17,8 @@ embedding segment — with the features TigerVector relies on:
     among the rows inserted before it, from one blocked, causally masked
     scan, instead of a beam search per row; its list is chosen by the same
     diversity heuristic, and every list that gains in-edges is pruned at
-    most once.  ``bulk_load``, a rebuild on tier promotion, the competitor
-    simulators and first-time embeddings folded in by a vacuum all take it;
+    most once.  ``bulk_load``, the competitor simulators and first-time
+    embeddings folded in by a vacuum all take it;
   - an id it holds, live or tombstoned, **rewrites that id's row**: the row
     is unlinked, each in-neighbour gets a substitute edge from the row's
     old out-list (``_unlink``), and the batch's rewritten rows are then
@@ -929,9 +929,8 @@ class HNSWIndex(VectorIndex):
         holds its id:
 
         - ids it has never seen are **built**, all in one pass
-          (:meth:`_build_fresh`): every fresh build — ``bulk_load``, a
-          rebuild on tier promotion, first-time embeddings folded in by a
-          vacuum — goes this way;
+          (:meth:`_build_fresh`): every fresh build — ``bulk_load``,
+          first-time embeddings folded in by a vacuum — goes this way;
         - ids it holds, live or tombstoned, **rewrite their rows**, all in
           one batch after the fresh rows are in (:meth:`_rewrite_held`):
           each row is unlinked and repaired around, then wired by the same

@@ -11,7 +11,7 @@ implementing these is all a new index needs.  We mirror that contract in
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -136,7 +136,8 @@ class VectorIndex:
         raise NotImplementedError
 
     def clone(self) -> "VectorIndex":
-        """An independent copy, which the index merge writes (``hot_copy``).
+        """An independent copy, which the index merge writes
+        (``EmbeddingSegment.build_next_snapshot``).
 
         A pickle round-trip here; an index with a cheaper state copy
         overrides it.

@@ -34,14 +34,12 @@ decoding to a float scratch matrix.
 
 :class:`IVFPQIndex` is :class:`~repro.index.ivf.IVFFlatIndex` with PQ codes
 in the lists and an optional exact **rerank** phase (quantized candidate
-generation with inflated k, then exact distances on raw rows), the
-two-phase search the tiered storage layer exposes store-wide.
+generation with inflated k, then exact distances on raw rows).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +54,6 @@ __all__ = [
     "PQCodes",
     "PQKernel",
     "PQQueryContext",
-    "PQSearchConfig",
 ]
 
 #: Codebook entries per subspace — one uint8 code.
@@ -231,7 +228,7 @@ def _pad_table(trained: np.ndarray) -> np.ndarray:
 
 
 class PQCodes:
-    """One matrix of PQ codes bound to its codebook (a segment's cold rows)."""
+    """One matrix of PQ codes bound to its codebook."""
 
     __slots__ = ("codebook", "codes")
 
@@ -285,7 +282,7 @@ class PQKernel(DistanceKernel):
     Implements the full :class:`DistanceKernel` contract without ever
     materializing float rows: ``rank`` gathers LUT entries addressed by
     ``code + 256·subspace`` and sums per row.  The code matrix is treated
-    as immutable (cold snapshots / rebuilt-on-mutation scan kernels), so
+    as immutable (an index rebuilds its kernel when its codes change), so
     the incremental-binding methods raise.
     """
 
@@ -409,28 +406,6 @@ class PQKernel(DistanceKernel):
         return out
 
 
-@dataclass(frozen=True)
-class PQSearchConfig:
-    """Store-wide PQ / two-phase-search policy (``None`` on a store = off).
-
-    ``rerank_factor`` inflates the quantized candidate set: phase one takes
-    the top ``k · rerank_factor`` codes by ADC distance, phase two computes
-    exact distances on those raw rows only.
-    """
-
-    m: int = 8
-    train_iterations: int = 8
-    seed: int = 17
-    rerank: bool = True
-    rerank_factor: int = 4
-    #: Training subsample cap — codebooks converge long before full-segment
-    #: sample sizes, and k-means is the dominant demotion cost.
-    train_sample: int = 4096
-
-    def candidates(self, k: int) -> int:
-        return max(k, k * self.rerank_factor) if self.rerank else k
-
-
 class IVFPQIndex(IVFFlatIndex):
     """IVF_FLAT over codes: PQ-coded lists with optional exact rerank.
 
@@ -517,8 +492,8 @@ class IVFPQIndex(IVFFlatIndex):
     def memory_bytes(self) -> int:
         """Quantized-representation bytes (codes + coarse + PQ tables).
 
-        Raw rows retained for reranking are deliberately excluded: in the
-        tiered design they live on disk (memmapped), not in memory.
+        Raw rows retained for reranking are deliberately excluded: this is
+        the footprint ``refine=False`` keeps.
         """
         coarse = 0 if self._centroids is None else int(self._centroids.nbytes)
         tables = 0 if self._codebook is None else self._codebook.memory_bytes

@@ -7,7 +7,6 @@ a smoke check that batching/caching/admission behave on a given machine::
 
     repro-serve --vectors 2000 --dim 32 --queries 400 --concurrency 8
     repro-serve --no-batching --no-cache     # per-query baseline
-    repro-serve --tier-budget-mb 1          # demote cold segments to PQ
     repro-serve --servers 3                 # elastic sharded tier demo
 
 With ``--servers N`` (N > 1) the demo routes through an
@@ -151,10 +150,6 @@ def run_demo(args) -> int:
     )
     if getattr(args, "servers", 1) > 1:
         return run_elastic_demo(args, db, queries, config)
-    tier = None
-    if args.tier_budget_mb is not None:
-        tier = db.enable_tiering(budget_bytes=int(args.tier_budget_mb * 1024 * 1024))
-        db.vacuum()  # classify segments before serving starts
     telemetry = Telemetry()
     with use_telemetry(telemetry), db, QueryServer(db, config) as server:
         wall, latencies = drive_closed_loop(
@@ -189,18 +184,6 @@ def run_demo(args) -> int:
                 f"{part['misses']} misses, {part['entries']} entries, "
                 f"{part['bytes']} bytes"
             )
-    if tier is not None:
-        snap = tier.stats_snapshot()
-        cold_hits = counters.get("tier.cold_hits", 0)
-        print(
-            f"  tier: {snap['hot_segments']} hot / {snap['cold_segments']} cold "
-            f"segments, {snap['resident_bytes']:,} resident bytes "
-            f"(budget {snap['budget_bytes']:,})"
-        )
-        print(
-            f"    {snap['accesses']} accesses, {cold_hits} cold hits, "
-            f"{snap['demotions']} demotions, {snap['promotions']} promotions"
-        )
     return 0
 
 
@@ -224,12 +207,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-batching", action="store_true")
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument(
-        "--tier-budget-mb",
-        type=float,
-        default=None,
-        help="enable tiered storage with this hot-tier byte budget (MiB)",
-    )
     args = parser.parse_args(argv)
     return run_demo(args)
 

@@ -812,7 +812,6 @@ class QueryServer:
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> dict:
-        tier = getattr(self.db, "tier_manager", None)
         with self._lifecycle_lock:
             # Configured size vs what actually survives: crashed workers
             # stay in the registration list as dead threads, so the live
@@ -828,5 +827,4 @@ class QueryServer:
             "tenants": sorted(self.registry.names()),
             "batching": self.batcher is not None,
             "cache": None if self.cache is None else self.cache.stats(),
-            "tier": None if tier is None else tier.stats_snapshot(),
         }

@@ -40,9 +40,8 @@ GSQL shell — statements end with ';'. Meta-commands:
   \\schema       show the catalog
   \\explain ...  print the plan of one SELECT block (no execution)
   \\seed N D     create an Item vertex type with N random D-dim embeddings
-  \\serve [Q C M [S]] run Q queries at concurrency C through a QueryServer demo
-                (M = hot-tier budget in MiB: enables tiered storage;
-                 S > 1 = route through an elastic tier of S sharded servers
+  \\serve [Q C [S]] run Q queries at concurrency C through a QueryServer demo
+                (S > 1 = route through an elastic tier of S sharded servers
                  with a live mid-run rebalance, printing the ownership map,
                  rebalance count, and per-replica cache hit rates)
   \\stats        print the live telemetry metrics snapshot
@@ -127,18 +126,15 @@ class GSQLShell:
             try:
                 queries = int(parts[0]) if parts else 200
                 concurrency = int(parts[1]) if len(parts) > 1 else 8
-                tier_mb = float(parts[2]) if len(parts) > 2 else None
-                servers = int(parts[3]) if len(parts) > 3 else 1
+                servers = int(parts[2]) if len(parts) > 2 else 1
             except ValueError:
-                self._print(
-                    "usage: \\serve [QUERIES [CONCURRENCY [TIER_MB [SERVERS]]]]"
-                )
+                self._print("usage: \\serve [QUERIES [CONCURRENCY [SERVERS]]]")
                 return True
             try:
                 if servers > 1:
                     self._serve_elastic_demo(queries, concurrency, servers)
                 else:
-                    self._serve_demo(queries, concurrency, tier_mb)
+                    self._serve_demo(queries, concurrency)
             except ReproError as exc:
                 self._print(f"error: {exc}")
         elif cmd == "\\stats":
@@ -172,12 +168,9 @@ class GSQLShell:
         self._print("no embedding attributes — try \\seed first")
         return None
 
-    def _serve_demo(
-        self, queries: int, concurrency: int, tier_mb: float | None = None
-    ) -> None:
+    def _serve_demo(self, queries: int, concurrency: int) -> None:
         """Spin up a QueryServer over the first embedding attribute and
-        hammer it from ``concurrency`` client threads.  ``tier_mb`` turns
-        on memory-budgeted tiered storage (DESIGN §12) before serving."""
+        hammer it from ``concurrency`` client threads."""
         from .serve import QueryServer, ServeConfig
         from .serve.cli import drive_closed_loop
 
@@ -188,9 +181,6 @@ class GSQLShell:
         if queries < 1 or concurrency < 1:
             self._print("usage: \\serve [QUERIES [CONCURRENCY]]")
             return
-        if tier_mb is not None and self.db.tier_manager is None:
-            self.db.enable_tiering(budget_bytes=int(tier_mb * 1024 * 1024))
-            self.db.vacuum()
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((queries, dim)).astype(np.float32)
 
@@ -217,14 +207,6 @@ class GSQLShell:
                     f"  cache[{tenant}]: {part['hits']} hits / "
                     f"{part['misses']} misses, {part['entries']} entries"
                 )
-        tier = stats.get("tier")
-        if tier is not None:
-            self._print(
-                f"  tier: {tier['hot_segments']} hot / {tier['cold_segments']} cold, "
-                f"{tier['resident_bytes']:,} resident bytes "
-                f"(budget {tier['budget_bytes']:,}), "
-                f"{counters.get('tier.cold_hits', 0)} cold hits"
-            )
 
     def _serve_elastic_demo(
         self, queries: int, concurrency: int, servers: int
@@ -241,7 +223,7 @@ class GSQLShell:
             return
         attr, dim = target
         if queries < 1 or concurrency < 1 or servers < 2:
-            self._print("usage: \\serve [QUERIES [CONCURRENCY [TIER_MB [SERVERS]]]]")
+            self._print("usage: \\serve [QUERIES [CONCURRENCY [SERVERS]]]")
             return
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((queries, dim)).astype(np.float32)

@@ -157,24 +157,6 @@ INSTRUMENTS: dict[str, tuple[str, str]] = {
     ),
     "elastic.crash_failovers": ("counter", "servers failed out of the ring"),
     "elastic.servers": ("gauge", "live servers in the elastic tier"),
-    # ---- product quantization -------------------------------------------
-    "pq.trainings": ("counter", "PQ codebook trainings (segment demotions)"),
-    "pq.train_seconds": ("histogram", "per-segment PQ codebook training time"),
-    "pq.adc_scans": ("counter", "phase-1 ADC scans over cold-segment codes"),
-    "pq.rerank_candidates": (
-        "histogram",
-        "candidates handed to the exact rerank phase per cold scan",
-    ),
-    # ---- tiered storage --------------------------------------------------
-    "tier.accesses": ("counter", "segment searches observed by the tier manager"),
-    "tier.cold_hits": ("counter", "segment searches served from a cold snapshot"),
-    "tier.demotions": ("counter", "segments demoted hot -> cold"),
-    "tier.promotions": ("counter", "segments promoted cold -> hot"),
-    "tier.rebalances": ("counter", "tier rebalance passes at vacuum boundaries"),
-    "tier.rebalance_seconds": ("histogram", "tier rebalance pass duration"),
-    "tier.hot_segments": ("gauge", "segments currently resident in the hot tier"),
-    "tier.cold_segments": ("gauge", "segments currently in the cold (PQ) tier"),
-    "tier.resident_bytes": ("gauge", "vector-representation bytes resident in memory"),
 }
 
 #: histogram names that count things rather than time them
@@ -184,7 +166,6 @@ _COUNT_SHAPED = (
     "hnsw.ef_expansions",
     "vacuum.delta_size",
     "serve.batch_size",
-    "pq.rerank_candidates",
 )
 
 

@@ -1,9 +1,19 @@
-"""Tests for the vector delta store and the two-stage vacuum."""
+"""Tests for the vector delta store and the two-stage vacuum.
+
+The concurrent snapshot-consistency test at the end also runs under the
+runtime sanitizer, which checks lock discipline::
+
+    REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest tests/test_delta_vacuum.py
+"""
+
+import threading
 
 import numpy as np
 import pytest
 
+from repro import Attribute, AttrType, Metric, TigerVectorDB
 from repro.core.delta import DELETE, UPSERT, DeltaRecord, DeltaStore
+from repro.core.search import vector_search_merged
 from repro.errors import ReproError
 
 
@@ -180,3 +190,137 @@ class TestIndexMergeRecordOrder:
             )
             db.close()
         assert graphs[0] == graphs[1]
+
+
+# ---------------------------------------------------------------------------
+# pinned readers vs a committing writer and a vacuum thread
+# ---------------------------------------------------------------------------
+
+ROUNDS = 3
+READERS = 3
+SEARCHES_PER_READER = 10
+N = 160
+DIM = 8
+SEG = 32
+K = 5
+
+
+@pytest.fixture
+def item_db():
+    rng = np.random.default_rng(23)
+    db = TigerVectorDB(segment_size=SEG)
+    db.schema.create_vertex_type(
+        "Item", [Attribute("id", AttrType.INT, primary_key=True)]
+    )
+    db.schema.add_embedding_attribute(
+        "Item", "emb", dimension=DIM, model="demo", metric=Metric.L2
+    )
+    vectors = rng.standard_normal((N, DIM)).astype(np.float32)
+    db.bulk_load_vertices("Item", [{"id": i} for i in range(N)])
+    db.bulk_load_embeddings("Item", "emb", list(range(N)), vectors)
+    db.vacuum()
+    db._truth = {db.vid_for("Item", i): vectors[i].copy() for i in range(N)}
+    db._truth_lock = threading.Lock()
+    yield db
+    db.close()
+
+
+def brute_topk(visible: dict, query: np.ndarray, k: int) -> list:
+    scored = sorted(
+        (float(((vec - query) ** 2).sum()), vid) for vid, vec in visible.items()
+    )
+    return [vid for _, vid in scored[:k]]
+
+
+def test_search_is_snapshot_consistent_under_vacuum_and_commit(item_db, rng):
+    """Reader threads search under pinned snapshots while a writer thread
+    commits embedding updates and a vacuum thread runs merge rounds, which
+    install new segment snapshots while reads are in flight.  A search
+    pinned at TID ``t`` must return exactly the brute-force answer over the
+    vectors visible at ``t``: the check is equality, not recall."""
+    db = item_db
+    errors: list[str] = []
+    stop = threading.Event()
+    queries = rng.standard_normal((READERS, SEARCHES_PER_READER, DIM)).astype(
+        np.float32
+    )
+
+    def reader(worker: int) -> None:
+        try:
+            for round_no in range(ROUNDS):
+                for qi in range(SEARCHES_PER_READER):
+                    query = queries[worker, qi]
+                    # Capture the truth table *before* pinning: every commit
+                    # updates vectors first, then publishes, so the pinned
+                    # snapshot sees a (possibly newer) prefix of _truth —
+                    # but our probe vectors are never the updated ids, and
+                    # updates move ids *away* from all probes (see writer),
+                    # so expected top-k is stable across the window.
+                    with db._truth_lock:
+                        visible = dict(db._truth)
+                    with db.snapshot() as snap:
+                        got = [
+                            vid
+                            for _, _, vid in vector_search_merged(
+                                db.service, snap, ["Item.emb"], query, K
+                            )
+                        ]
+                    want = brute_topk(visible, query, K)
+                    if got != want:
+                        errors.append(
+                            f"reader {worker} round {round_no}: {got} != {want}"
+                        )
+                        return
+        except Exception as exc:  # noqa: BLE001 - surfaced via errors list
+            errors.append(f"reader {worker}: {type(exc).__name__}: {exc}")
+
+    def writer() -> None:
+        # Push updated ids far away from every probe query (standard
+        # normals stay within a few units; 60+ is unreachable), so updates
+        # never change any reader's expected top-k mid-window.
+        try:
+            far = 60.0
+            for step in range(12):
+                vid = db.vid_for("Item", step % 7)
+                vec = np.full(DIM, far + step, dtype=np.float32)
+                with db._truth_lock:
+                    db._truth[vid] = vec
+                with db.begin() as txn:
+                    txn.set_embedding("Item", step % 7, "emb", vec)
+                if stop.is_set():
+                    return
+        except Exception as exc:  # noqa: BLE001 - surfaced via errors list
+            errors.append(f"writer: {type(exc).__name__}: {exc}")
+
+    def vacuumer() -> None:
+        try:
+            for _ in range(ROUNDS):
+                db.vacuum()
+                if stop.is_set():
+                    return
+        except Exception as exc:  # noqa: BLE001 - surfaced via errors list
+            errors.append(f"vacuum: {type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(READERS)]
+    threads.append(threading.Thread(target=writer))
+    threads.append(threading.Thread(target=vacuumer))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    stop.set()
+    assert not errors, errors[:3]
+
+    # The quiesced state, every update merged, still answers exactly.
+    db.vacuum()
+    with db._truth_lock:
+        visible = dict(db._truth)
+    query = queries[0, 0]
+    with db.snapshot() as snap:
+        got = [
+            vid
+            for _, _, vid in vector_search_merged(
+                db.service, snap, ["Item.emb"], query, K
+            )
+        ]
+    assert got == brute_topk(visible, query, K)

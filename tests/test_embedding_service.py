@@ -14,8 +14,6 @@ from repro.core.embedding import EmbeddingType
 from repro.core.search import SearchSpec, vector_search_batch, vector_search_merged
 from repro.core.service import EmbeddingStore
 from repro.index.bitmap import Bitmap
-from repro.index.pq import PQSearchConfig
-from repro.tier import demote_segment
 from repro.types import Metric, batch_distances
 
 
@@ -341,7 +339,7 @@ _ATOL = 8 * float(np.finfo(np.float32).eps)  # a few float32 roundings of a COSI
 
 
 def _scan_db(metric: Metric, draw) -> TigerVectorDB:
-    """Three segments: 0 hot with an overlay, 1 cold (PQ), 2 hot and short.
+    """Three segments: 0 with an overlay, 1 full, 2 short.
 
     ``draw`` yields small-integer vectors for L2 / IP — every distance is then
     exact in float32 whatever the summation order, so an order difference is
@@ -356,9 +354,6 @@ def _scan_db(metric: Metric, draw) -> TigerVectorDB:
     vectors[37] = vectors[33]  # and two of segment 2
     db.bulk_load_vertices("Item", [{"id": i} for i in range(_ROWS)])
     db.bulk_load_embeddings("Item", "emb", list(range(_ROWS)), vectors)
-    store = db.service.store("Item", "emb")
-    store.pq_config = PQSearchConfig(m=4, seed=3)
-    assert demote_segment(store, store.segment(1))
     with db.begin() as txn:  # left unvacuumed: these are the overlay
         txn.set_embedding("Item", 2, "emb", draw(1)[0])
         txn.set_embedding("Item", 5, "emb", vectors[3])  # a third copy, in the overlay
@@ -386,7 +381,7 @@ def test_fused_exact_scan_equals_per_query_scan(seed, metric, num_queries, k_off
     db = _scan_db(metric, draw)
     try:
         store = db.service.store("Item", "emb")
-        store.bf_threshold = _SEG + 1  # the solo path brute-forces every hot segment
+        store.bf_threshold = _SEG + 1  # the solo path brute-forces every segment
         queries = draw(num_queries)
         with db.snapshot() as snap:
             for seg_no in range(store.num_segments):
@@ -425,17 +420,17 @@ def test_fused_exact_scan_equals_per_query_scan(seed, metric, num_queries, k_off
 @pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE, Metric.IP])
 def test_merged_distances_are_float32_values(metric, rng):
     """The segment loop merges distances without a cast: every path it
-    reads — HNSW, the brute-force flip, the cold ADC rerank and the delta
-    overlay — already yields float32 values."""
+    reads — HNSW, the brute-force flip and the delta overlay — already
+    yields float32 values."""
     db = _scan_db(metric, lambda count: rng.standard_normal((count, _DIM)).astype(np.float32))
     try:
         store = db.service.store("Item", "emb")
         query = rng.standard_normal(_DIM).astype(np.float32)
         with db.snapshot() as snap:
-            for threshold in (0, _SEG + 1):  # hot segments by HNSW, then by brute force
+            for threshold in (0, _SEG + 1):  # segments by HNSW, then by brute force
                 store.bf_threshold = threshold
                 pairs, stats = action.topk(store, query, _ROWS, snap.tid, ef=_ROWS)
-                assert stats.segments_bruteforce == (1 if threshold == 0 else 3)
+                assert stats.segments_bruteforce == (0 if threshold == 0 else 3)
                 assert len(pairs) == _ROWS - 2  # the overlay deletes two
                 assert all(dist == float(np.float32(dist)) for dist, _ in pairs)
     finally:

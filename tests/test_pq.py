@@ -21,7 +21,6 @@ from repro.index import (
     PQCodebook,
     PQCodes,
     PQKernel,
-    PQSearchConfig,
     create_index,
 )
 from repro.index.pq import CODEBOOK_SIZE, _pad_table
@@ -172,8 +171,8 @@ class TestADC:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_adc_after_row_replacement(self, rng, metric):
-        # Re-encode a replaced row against the original codebook — the
-        # tiered store's "cold snapshot built after updates" case.
+        # Re-encode a replaced row against the original codebook: codes
+        # built after an update, the codebook trained before it.
         rows = rng.standard_normal((100, 8)).astype(np.float32)
         book = PQCodebook.train(rows, 2, metric=metric)
         replaced = rows.copy()
@@ -267,22 +266,6 @@ class TestPQKernelContract:
             PQKernel(book, np.zeros((10, 3), dtype=np.uint8), Metric.L2)
         with pytest.raises(VectorSearchError):
             PQCodes(book, np.zeros(10, dtype=np.uint8))
-
-
-# ---------------------------------------------------------------------------
-# config
-# ---------------------------------------------------------------------------
-
-
-class TestPQSearchConfig:
-    def test_candidates_inflation(self):
-        cfg = PQSearchConfig(rerank=True, rerank_factor=4)
-        assert cfg.candidates(10) == 40
-        assert PQSearchConfig(rerank=False).candidates(10) == 10
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            PQSearchConfig().m = 3
 
 
 # ---------------------------------------------------------------------------

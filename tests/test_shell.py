@@ -56,7 +56,7 @@ class TestMetaCommands:
         "command, banner",
         [
             ("\\serve 20 2", "concurrency 2)"),
-            ("\\serve 20 2 1 2", "2 servers, concurrency 2)"),
+            ("\\serve 20 2 2", "2 servers, concurrency 2)"),
         ],
     )
     def test_serve_demo(self, shell, command, banner):
@@ -71,7 +71,7 @@ class TestMetaCommands:
         "command, door",
         [
             ("\\serve 20 2", "repro.serve.QueryServer"),
-            ("\\serve 20 2 1 2", "repro.elastic.ElasticTier"),
+            ("\\serve 20 2 2", "repro.elastic.ElasticTier"),
         ],
         ids=["server", "tier"],
     )
@@ -90,7 +90,7 @@ class TestMetaCommands:
         assert "served" not in text
 
 
-@pytest.mark.parametrize("extra", [[], ["--servers", "2"], ["--tier-budget-mb", "0.03"]])
+@pytest.mark.parametrize("extra", [[], ["--servers", "2"]])
 def test_serve_cli_demo(capsys, extra):
     from repro.serve.cli import main
 
@@ -99,8 +99,6 @@ def test_serve_cli_demo(capsys, extra):
     assert main(argv + extra) == 0
     text = capsys.readouterr().out
     assert "served 20 queries" in text
-    if "--tier-budget-mb" in extra:
-        assert "tier:" in text
 
 
 class TestStatements:
