@@ -1,4 +1,4 @@
-"""Benchmark harness: recall computation, dataset caching, table printers.
+"""Benchmark harness: recall computation, dataset caching, table rendering.
 
 Every table and figure from the paper's evaluation section has a bench in
 ``benchmarks/`` that uses this package to generate workloads, run the
@@ -10,7 +10,7 @@ shape-stability point).
 
 from .harness import BenchScale, bench_scale, cached_system, dataset_for
 from .recall import recall_at_k
-from .tables import format_table, print_table
+from .tables import format_table
 
 __all__ = [
     "BenchScale",
@@ -18,6 +18,5 @@ __all__ = [
     "cached_system",
     "dataset_for",
     "format_table",
-    "print_table",
     "recall_at_k",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table", "print_table"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -38,11 +38,3 @@ def format_table(
     for row in grid:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def print_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    title: str | None = None,
-) -> None:
-    print("\n" + format_table(headers, rows, title=title) + "\n")

@@ -142,7 +142,7 @@ def _segment_loop(
     outputs = map(
         lambda seg_no: local(seg_no, per_segment[seg_no]),
         searched,
-        [store.scan_work(seg_no, per_segment[seg_no]) for seg_no in searched],
+        [store.scan_work(per_segment[seg_no]) for seg_no in searched],
     )
     top = merge_topk((out.vid_pairs(store.segment_size) for out in outputs), k)
     stats = ActionStats(

@@ -363,9 +363,10 @@ class EmbeddingStore:
             used_bruteforce=used_bruteforce,
         )
 
-    def scan_work(self, seg_no: int, bitmap: Bitmap | None) -> int:
-        """Multiply-adds of :meth:`search_segment` on ``seg_no`` if it is a
-        NumPy scan, else 0: the price :func:`repro.core.action.topk` fans out by.
+    def scan_work(self, bitmap: Bitmap | None) -> int:
+        """Multiply-adds of :meth:`search_segment` under pre-filter ``bitmap``
+        if it is a NumPy scan, else 0: the price :func:`repro.core.action.topk`
+        fans out by.
 
         The flip of :meth:`search_segment`: a pre-filter below
         ``bf_threshold`` is brute-forced — a kernel that releases the GIL —

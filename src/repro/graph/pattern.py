@@ -9,13 +9,17 @@ clause), repeated hops (``[:knows*3]`` — how the hybrid-search benchmark
 varies path length), vertex-set variables as node labels (query
 composition), and both traversal directions.
 
-Two evaluation modes:
+One level-synchronous walk (``_walk``) expands the pattern one position per
+hop, the way the paper's EdgeAction steps expand a frontier; it has two
+projections:
 
-- :func:`match_frontier` — set semantics: the distinct vertices binding each
-  alias position, computed by frontier expansion (no binding blow-up; this
-  is what collecting the Message candidate set in Sec. 6.5 needs);
-- :func:`match_bindings` — bag-of-bindings semantics: every concrete path,
-  enumerated depth-first (what vector similarity joins need, Sec. 5.4).
+- :func:`match_frontier` — set semantics: one row per distinct member at
+  each level, so each alias gets the distinct vertices binding it (no
+  binding blow-up; this is what collecting the Message candidate set in
+  Sec. 6.5 needs);
+- :func:`match_bindings` — bag-of-bindings semantics: one row per path, so
+  the last level is every concrete path, in depth-first order (what vector
+  similarity joins need, Sec. 5.4).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..errors import GSQLSemanticError, UnknownTypeError
+from ..errors import GSQLSemanticError
 from .schema import GraphSchema
 from .segment import SegmentState
 from .txn import Snapshot
@@ -42,6 +46,9 @@ __all__ = [
 
 #: Per-alias node predicate: fn(vid, attrs) -> bool.
 NodeFilter = Callable[[int, dict[str, Any]], bool]
+
+#: A walk row: a member and the members of the aliased positions before it.
+Row = tuple[tuple[str, int], tuple[tuple[str, int], ...]]
 
 #: Column kernel: fn(state) -> bool array over the state's first ``size``
 #: rows, or None when this segment's columns cannot answer exactly.
@@ -263,6 +270,66 @@ def _as_masks(
     }
 
 
+def _walk(
+    snapshot: Snapshot,
+    schema: GraphSchema,
+    pattern: PathPattern,
+    node_filters: dict[str, NodeFilter | NodeMasks] | None,
+    resolve_set: Callable[[str], VertexSet | None] | None,
+    paths: bool,
+) -> Iterator[tuple[NodePattern, list[Row]]]:
+    """Expand the pattern one position per hop; yield each level's rows.
+
+    A row is ``(member, bound)``: ``bound`` holds the members of the aliased
+    positions before it.  With ``paths`` every path is a row and each row's
+    children stay together in its order, so the last level lists the leaves
+    depth-first; without, a level keeps one row per distinct member and no
+    ``bound``.  The walk stops after the first empty level.
+    """
+    masks = _as_masks(snapshot, node_filters)
+    resolve_set = resolve_set or (lambda name: None)
+    positions = pattern.expanded_positions()
+    hops = pattern.expanded_hops()
+
+    node = positions[0]
+    expected = _hop_types(schema, hops[0])[0] if hops else None
+    members = _initial_members(
+        snapshot, schema, node, expected, resolve_set, masks.get(node.alias or "")
+    )
+    rows: list[Row] = [(member, ()) for member in members]
+    yield node, rows
+
+    for hop, next_node in zip(hops, positions[1:]):
+        if not rows:
+            return
+        src_type, dst_type = _hop_types(schema, hop)
+        reverse = hop.direction == "in"
+        node_masks = masks.get(next_node.alias or "")
+        # Each target is checked once per level: set rows skip a target seen
+        # before, path rows reuse its verdict.
+        verdicts: dict[tuple[str, int], bool] = {}
+        children: list[Row] = []
+        for member, bound in rows:
+            vtype, vid = member
+            if vtype != src_type:
+                continue
+            if paths and node.alias:
+                bound = bound + (member,)
+            for target in snapshot.neighbors(vtype, vid, hop.edge_type, reverse=reverse):
+                child = (dst_type, target)
+                ok = verdicts.get(child)
+                if ok is None:
+                    ok = verdicts[child] = _node_ok(
+                        snapshot, child, next_node, dst_type, resolve_set, node_masks
+                    )
+                elif not paths:
+                    continue
+                if ok:
+                    children.append((child, bound))
+        node, rows = next_node, children
+        yield node, rows
+
+
 def match_frontier(
     snapshot: Snapshot,
     schema: GraphSchema,
@@ -270,50 +337,18 @@ def match_frontier(
     node_filters: dict[str, NodeFilter | NodeMasks] | None = None,
     resolve_set: Callable[[str], VertexSet | None] | None = None,
 ) -> dict[str, VertexSet]:
-    """Distinct vertices binding each alias, by forward frontier expansion.
+    """Distinct vertices binding each alias: the walk with set rows.
 
     Note the frontier semantics: an aliased position's set contains vertices
     reachable through the pattern *prefix*; suffix constraints do not prune
     earlier positions (GSQL's post-accum semantics for the final alias — the
-    one hybrid queries collect — are exact).
+    one hybrid queries collect — are exact).  Aliases after an empty level
+    get empty sets.
     """
-    node_filters = _as_masks(snapshot, node_filters)
-    resolve_set = resolve_set or (lambda name: None)
-    positions = pattern.expanded_positions()
-    hops = pattern.expanded_hops()
-
-    first = positions[0]
-    expected = _hop_types(schema, hops[0])[0] if hops else None
-    frontier = _initial_members(
-        snapshot, schema, first, expected,
-        resolve_set, node_filters.get(first.alias or ""),
-    )
-    result: dict[str, VertexSet] = {}
-    if first.alias:
-        result[first.alias] = VertexSet(frontier, name=first.alias)
-
-    for hop, node in zip(hops, positions[1:]):
-        src_type, dst_type = _hop_types(schema, hop)
-        reverse = hop.direction == "in"
-        next_frontier: set[tuple[str, int]] = set()
-        node_filter = node_filters.get(node.alias or "")
-        for vtype, vid in frontier:
-            if vtype != src_type:
-                continue
-            for target in snapshot.neighbors(vtype, vid, hop.edge_type, reverse=reverse):
-                member = (dst_type, target)
-                if member in next_frontier:
-                    continue
-                if _node_ok(snapshot, member, node, dst_type, resolve_set, node_filter):
-                    next_frontier.add(member)
-        frontier = next_frontier
+    result = {alias: VertexSet(name=alias) for alias in pattern.aliases()}
+    for node, rows in _walk(snapshot, schema, pattern, node_filters, resolve_set, paths=False):
         if node.alias:
-            result[node.alias] = VertexSet(frontier, name=node.alias)
-        if not frontier:
-            break
-    for node in positions:
-        if node.alias and node.alias not in result:
-            result[node.alias] = VertexSet(name=node.alias)
+            result[node.alias] = VertexSet((member for member, _ in rows), name=node.alias)
     return result
 
 
@@ -323,60 +358,15 @@ def match_bindings(
     pattern: PathPattern,
     node_filters: dict[str, NodeFilter | NodeMasks] | None = None,
     resolve_set: Callable[[str], VertexSet | None] | None = None,
-    limit: int | None = None,
 ) -> Iterator[dict[str, tuple[str, int]]]:
-    """Enumerate concrete path bindings depth-first.
+    """Every concrete path binding, depth-first: the walk with path rows.
 
     Yields ``{alias: (vertex_type, vid)}`` for every matched path (duplicate
     alias projections possible, as in SQL join semantics — callers dedup).
     Used by vector similarity joins, where matched paths are sparse enough
     for brute-force pair scoring (Sec. 5.4).
     """
-    node_filters = _as_masks(snapshot, node_filters)
-    resolve_set = resolve_set or (lambda name: None)
-    positions = pattern.expanded_positions()
-    hops = pattern.expanded_hops()
-
-    first = positions[0]
-    expected = _hop_types(schema, hops[0])[0] if hops else None
-    start = _initial_members(
-        snapshot, schema, first, expected,
-        resolve_set, node_filters.get(first.alias or ""),
-    )
-
-    emitted = 0
-
-    def extend(
-        index: int, member: tuple[str, int], binding: dict[str, tuple[str, int]]
-    ) -> Iterator[dict[str, tuple[str, int]]]:
-        nonlocal emitted
-        if index == len(hops):
-            yield dict(binding)
-            return
-        hop = hops[index]
-        node = positions[index + 1]
-        src_type, dst_type = _hop_types(schema, hop)
-        vtype, vid = member
-        if vtype != src_type:
-            return
-        reverse = hop.direction == "in"
-        node_filter = node_filters.get(node.alias or "")
-        for target in snapshot.neighbors(vtype, vid, hop.edge_type, reverse=reverse):
-            nxt = (dst_type, target)
-            if not _node_ok(snapshot, nxt, node, dst_type, resolve_set, node_filter):
-                continue
-            if node.alias:
-                binding[node.alias] = nxt
-            yield from extend(index + 1, nxt, binding)
-            if node.alias:
-                del binding[node.alias]
-
-    for member in start:
-        binding: dict[str, tuple[str, int]] = {}
-        if first.alias:
-            binding[first.alias] = member
-        for result in extend(0, member, binding):
-            yield result
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
+    aliases = pattern.aliases()
+    *_, (node, leaves) = _walk(snapshot, schema, pattern, node_filters, resolve_set, paths=True)
+    for member, bound in leaves:
+        yield dict(zip(aliases, bound + (member,) if node.alias else bound))

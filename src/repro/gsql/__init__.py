@@ -14,8 +14,10 @@ Pipeline: :mod:`lexer` → :mod:`parser` (AST in :mod:`ast_nodes`) →
 :mod:`semantic` (static analysis, incl. embedding compatibility) →
 :mod:`planner` (plans in the paper's EmbeddingAction / VertexAction /
 EdgeAction notation) → :mod:`executor`, whose vector steps run on
-:mod:`repro.core.action` and graph steps on
-:func:`repro.graph.pattern.match_frontier`.
+:mod:`repro.core.action` and graph steps on the one pattern walk of
+:mod:`repro.graph.pattern` (its set projection
+:func:`~repro.graph.pattern.match_frontier` or its path projection
+:func:`~repro.graph.pattern.match_bindings`).
 :class:`~repro.gsql.session.GSQLSession` is the entry point.
 """
 

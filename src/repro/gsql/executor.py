@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from ..telemetry import get_telemetry
 from ..types import distance as metric_distance
 from . import ast_nodes as ast
 from .columnar import COMPARE_OPS, compile_pushdown
-from .functions import BUILTINS, CONTEXT_BUILTINS, call_builtin
+from .functions import call_builtin
 from .planner import build_plan
 from .semantic import SelectInfo, analyze_select
 
@@ -365,22 +365,34 @@ def _candidate_set(
     info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks], target_alias: str
 ) -> VertexSet:
     """Evaluate the pattern + predicates; distinct vertices for one alias."""
-    pattern = _to_pattern(info)
     if not info.residual:
         sets = match_frontier(
-            ctx.snapshot, ctx.db.schema, pattern,
+            ctx.snapshot, ctx.db.schema, _to_pattern(info),
             node_filters=filters, resolve_set=ctx.resolve_set,
         )
         return sets.get(target_alias, VertexSet(name=target_alias))
-    out = VertexSet(name=target_alias)
+    return _project(_bindings(info, ctx, filters), target_alias)
+
+
+def _bindings(
+    info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks]
+) -> Iterator[dict[str, tuple[str, int]]]:
+    """The block's path bindings, depth-first, that pass the residual WHERE."""
     for binding in match_bindings(
-        ctx.snapshot, ctx.db.schema, pattern,
+        ctx.snapshot, ctx.db.schema, _to_pattern(info),
         node_filters=filters, resolve_set=ctx.resolve_set,
     ):
         if all(bool(eval_expr(c, ctx, binding)) for c in info.residual):
-            member = binding.get(target_alias)
-            if member is not None:
-                out.add(*member)
+            yield binding
+
+
+def _project(bindings: Iterable[dict[str, tuple[str, int]]], alias: str) -> VertexSet:
+    """The distinct members ``alias`` binds (an unbound alias adds none)."""
+    out = VertexSet(name=alias)
+    for binding in bindings:
+        member = binding.get(alias)
+        if member is not None:
+            out.add(*member)
     return out
 
 
@@ -566,7 +578,6 @@ def _exec_similarity_join(
     left_store = ctx.db.service.store(left_type, vec.attr)
     right_store = ctx.db.service.store(right_type, vec.right_attr)
     metric = ctx.db.schema.vertex_type(left_type).embedding(vec.attr).metric
-    pattern = _to_pattern(info)
     heap = HeapAccum(k, ascending=True)
     cache: dict[tuple[str, int], np.ndarray | None] = {}
 
@@ -579,14 +590,7 @@ def _exec_similarity_join(
 
     seen_pairs: set[tuple] = set()
     start = time.perf_counter()
-    for binding in match_bindings(
-        ctx.snapshot, ctx.db.schema, pattern,
-        node_filters=filters, resolve_set=ctx.resolve_set,
-    ):
-        if info.residual and not all(
-            bool(eval_expr(c, ctx, binding)) for c in info.residual
-        ):
-            continue
+    for binding in _bindings(info, ctx, filters):
         left = binding[vec.alias]
         right = binding[vec.right_alias]
         if left == right:
@@ -621,7 +625,6 @@ def _exec_graph_block(
     info: SelectInfo, ctx: ExecutionContext, filters: dict[str, NodeMasks]
 ) -> Any:
     block = info.block
-    pattern = _to_pattern(info)
     needs_bindings = bool(
         info.residual or block.accum or len(block.select) > 1
     )
@@ -632,16 +635,9 @@ def _exec_graph_block(
             _run_accums(block.post_accum, ctx, {target: member})
         return _order_limit(result, info, ctx)
     rows: list[dict[str, tuple[str, int]]] = []
-    for binding in match_bindings(
-        ctx.snapshot, ctx.db.schema, pattern,
-        node_filters=filters, resolve_set=ctx.resolve_set,
-    ):
-        if info.residual and not all(
-            bool(eval_expr(c, ctx, binding)) for c in info.residual
-        ):
-            continue
+    for binding in _bindings(info, ctx, filters):
         _run_accums(block.accum, ctx, binding)
-        rows.append(dict(binding))
+        rows.append(binding)
     if len(block.select) > 1:
         projected = []
         seen = set()
@@ -655,11 +651,7 @@ def _exec_graph_block(
             )
         return projected
     target = block.select[0]
-    out = VertexSet(name=target)
-    for row in rows:
-        member = row.get(target)
-        if member is not None:
-            out.add(*member)
+    out = _project(rows, target)
     for member in list(out):
         _run_accums(block.post_accum, ctx, {target: member})
     return _order_limit(out, info, ctx)

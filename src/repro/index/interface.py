@@ -43,9 +43,6 @@ class SearchResult:
     def empty(cls) -> "SearchResult":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
 
-    def truncated(self, k: int) -> "SearchResult":
-        return SearchResult(self.ids[:k], self.distances[:k])
-
 
 def admitted(filter_fn, ids: np.ndarray) -> np.ndarray:
     """Which of ``ids`` pass ``filter_fn``, as one boolean array.

@@ -20,12 +20,13 @@ Distance semantics mirror the float kernels exactly:
   kernel's prenormalized augmented rows) and the table is built from the
   normalized query, reducing cosine to IP on unit rows.
 
-Because :class:`PQKernel` subclasses :class:`DistanceKernel` and preserves
-the full contract — ``query``/``queries`` contexts, ``rank``,
-``distances_multi`` for the serving micro-batcher, ``pairwise``/``cross``
-for neighbour selection and k-means — every consumer (brute-force scans,
-IVF probes, delta overlays, multi-query batch scans) runs over codes
-without modification.
+:class:`PQKernel` offers the one-query scan of a
+:class:`~repro.index.kernels.DistanceKernel` — ``query``, ``rank``,
+``to_true``, ``distances``, ``distances_prefix`` — which is all its two
+consumers call: the SQ8 brute-force scan and the IVF_PQ list probe.  It has
+no fused multi-query batch, no candidate-to-candidate ``pairwise`` / ``cross``
+and no incremental binding; k-means and coarse assignment run on float
+centroid kernels.
 
 Scalar quantization is the degenerate case ``m == dim`` with affine
 single-dimension codebooks (``lo[j] + scale[j]·c``), which is how
@@ -45,7 +46,7 @@ import numpy as np
 
 from ..errors import VectorSearchError
 from ..types import Metric, normalize
-from .kernels import DistanceKernel, MultiQueryContext, QueryContext, _query_matrix
+from .kernels import DistanceKernel, QueryContext
 from .ivf import IVFFlatIndex, kmeans
 
 __all__ = [
@@ -263,9 +264,8 @@ class PQCodes:
 class PQQueryContext(QueryContext):
     """Per-search state for ADC: the flat LUT rides in ``aug_query``.
 
-    ``aug_query`` holds the raveled ``(m·256,)`` table, which
-    :meth:`PQKernel.queries` stacks as a batch's ``aug_queries`` rows, and
-    every rank evaluation is one fancy-index gather + row sum.
+    ``aug_query`` holds the raveled ``(m·256,)`` table, so every rank
+    evaluation is one fancy-index gather + row sum.
     """
 
     __slots__ = ("lut",)
@@ -276,17 +276,17 @@ class PQQueryContext(QueryContext):
         self.lut = lut
 
 
-class PQKernel(DistanceKernel):
-    """ADC distance kernel over uint8 PQ codes.
+class PQKernel:
+    """ADC scan over uint8 PQ codes, never materializing float rows.
 
-    Implements the full :class:`DistanceKernel` contract without ever
-    materializing float rows: ``rank`` gathers LUT entries addressed by
-    ``code + 256·subspace`` and sums per row.  The code matrix is treated
-    as immutable (an index rebuilds its kernel when its codes change), so
-    the incremental-binding methods raise.
+    The one-query scan of a :class:`DistanceKernel` — ``query``, ``rank``,
+    ``to_true``, ``distances``, ``distances_prefix`` — and nothing else:
+    ``rank`` gathers LUT entries addressed by ``code + 256·subspace`` and
+    sums per row.  The code matrix is treated as immutable (an index
+    rebuilds its kernel when its codes change).
     """
 
-    __slots__ = ("codebook", "_codes", "_flat_offsets")
+    __slots__ = ("metric", "codebook", "_codes", "_flat_offsets")
 
     def __init__(self, codebook: PQCodebook, codes: np.ndarray, metric: Metric):
         if not isinstance(metric, Metric):
@@ -294,28 +294,11 @@ class PQKernel(DistanceKernel):
         codes = np.ascontiguousarray(codes, dtype=np.uint8)
         if codes.ndim != 2 or codes.shape[1] != codebook.m:
             raise VectorSearchError("PQKernel expects (n, m) uint8 codes")
-        # Deliberately no super().__init__: the base constructor exists to
-        # build the float augmented-row cache, which PQ replaces with codes.
         self.metric = metric
-        self.dim = codebook.dim
-        self._vectors = None
-        self._aug = None
-        self._cols = None
         self.codebook = codebook
         self._codes = codes
         self._flat_offsets = np.arange(codebook.m, dtype=np.intp) * CODEBOOK_SIZE
 
-    # ------------------------------------------------------------- binding
-    def attach(self, vectors, copy_rows):  # pragma: no cover - contract guard
-        raise VectorSearchError("PQKernel is bound to immutable codes")
-
-    def set_row(self, row, vector):  # pragma: no cover - contract guard
-        raise VectorSearchError("PQKernel is bound to immutable codes")
-
-    def set_rows(self, rows, vectors):  # pragma: no cover - contract guard
-        raise VectorSearchError("PQKernel is bound to immutable codes")
-
-    # ------------------------------------------------------------- queries
     def query(self, query: np.ndarray) -> PQQueryContext:
         query = np.ascontiguousarray(query, dtype=np.float32).reshape(-1)
         metric = self.metric
@@ -326,19 +309,9 @@ class PQKernel(DistanceKernel):
             unit = query
         lut = self.codebook.lut(unit if metric is Metric.COSINE else query, metric)
         # q_sq = 0: the L2 LUT already contains |q_j|² per subspace, so the
-        # rank distance IS the true distance and the inherited rank→true
-        # conversion reduces to the cancellation clamp (L2) / +1 (IP/COS).
+        # rank distance IS the true distance (see :meth:`to_true`).
         return PQQueryContext(query, 0.0, unit, lut)
 
-    def queries(self, queries: np.ndarray) -> MultiQueryContext:
-        """One flat LUT per row, stacked as ``aug_queries`` (``q_sq`` = 0)."""
-        queries = _query_matrix(queries)
-        luts = np.zeros((queries.shape[0], self.codebook.m * CODEBOOK_SIZE), dtype=np.float32)
-        for row, query in enumerate(queries):
-            luts[row] = self.query(query).aug_query
-        return MultiQueryContext(luts, np.zeros(queries.shape[0], dtype=np.float32))
-
-    # ------------------------------------------------------ rank distances
     def _rank_codes(self, ctx: QueryContext, codes: np.ndarray) -> np.ndarray:
         flat = codes + self._flat_offsets
         ctx.num_distances += codes.shape[0]
@@ -347,63 +320,21 @@ class PQKernel(DistanceKernel):
     def rank(self, ctx: QueryContext, rows) -> np.ndarray:
         return self._rank_codes(ctx, self._codes.take(rows, axis=0))
 
-    # `to_true` and `distances` are inherited — correct given
-    # the q_sq = 0 convention above.
-
-    def distances_prefix(self, ctx: QueryContext, n: int) -> np.ndarray:
-        return self.to_true(ctx, self._rank_codes(ctx, self._codes[:n]))
-
-    # ------------------------------------------------------- fused queries
-    def _multi_from_codes(
-        self, mctx: MultiQueryContext, codes: np.ndarray
-    ) -> np.ndarray:
-        # Per-LUT gather+sum — the same evaluation the solo path runs —
-        # so fused results are bit-identical to per-query, not merely close.
-        flat = codes + self._flat_offsets
-        out = np.zeros((mctx.aug_queries.shape[0], codes.shape[0]), dtype=np.float32)
-        for row, lut in enumerate(mctx.aug_queries):
-            out[row] = lut[flat].sum(axis=1, dtype=np.float32)
-        mctx.num_distances += out.size
+    def to_true(self, ctx: QueryContext, rank_values) -> np.ndarray:
+        """A copy of ``rank_values`` as true distances: the cancellation clamp
+        for L2 (``q_sq`` is 0), ``1 + rank`` for IP / COSINE."""
+        out = np.array(rank_values, dtype=np.float32)
         if self.metric is Metric.L2:
             np.maximum(out, 0.0, out=out)
         else:
             out += 1.0
         return out
 
-    def distances_multi(self, mctx: MultiQueryContext, rows) -> np.ndarray:
-        return self._multi_from_codes(mctx, self._codes.take(rows, axis=0))
+    def distances(self, ctx: QueryContext, rows) -> np.ndarray:
+        return self.to_true(ctx, self.rank(ctx, rows))
 
-    def distances_multi_prefix(self, mctx: MultiQueryContext, n: int) -> np.ndarray:
-        return self._multi_from_codes(mctx, self._codes[:n])
-
-    # ----------------------------------------------- candidate-to-candidate
-    def pairwise(self, rows, ctx: QueryContext | None = None) -> np.ndarray:
-        """Symmetric distances between reconstructions (HNSW selection)."""
-        decoded = self.codebook.decode(self._codes.take(rows, axis=0))
-        n = decoded.shape[0]
-        if ctx is not None:
-            ctx.num_distances += n * n
-        if self.metric is Metric.L2:
-            sq = np.einsum("ij,ij->i", decoded, decoded)
-            out = sq[:, None] + sq[None, :] - 2.0 * (decoded @ decoded.T)
-            np.maximum(out, 0.0, out=out)
-            return out
-        # COSINE rows were prenormalized before encoding, matching the
-        # float kernel's no-per-call-norm contract.
-        return 1.0 - decoded @ decoded.T
-
-    def cross(self, queries: np.ndarray, n: int | None = None) -> np.ndarray:
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        if queries.ndim != 2:
-            raise VectorSearchError("cross() expects a (Q, d) matrix")
-        stop = self._codes.shape[0] if n is None else n
-        codes = self._codes[:stop]
-        flat = codes + self._flat_offsets
-        out = np.empty((queries.shape[0], codes.shape[0]), dtype=np.float32)
-        for qi in range(queries.shape[0]):
-            ctx = self.query(queries[qi])
-            out[qi] = self.to_true(ctx, ctx.aug_query[flat].sum(axis=1, dtype=np.float32))
-        return out
+    def distances_prefix(self, ctx: QueryContext, n: int) -> np.ndarray:
+        return self.to_true(ctx, self._rank_codes(ctx, self._codes[:n]))
 
 
 class IVFPQIndex(IVFFlatIndex):

@@ -22,6 +22,7 @@ import argparse
 import sys
 import threading
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -91,52 +92,86 @@ def drive_closed_loop(search, queries, concurrency: int, midrun=None):
     return time.perf_counter() - start, latencies
 
 
-def run_elastic_demo(args, db, queries, config) -> int:
-    """The ``--servers N`` path: sharded tier, live rebalance, router stats."""
+def serve_demo(
+    db: TigerVectorDB,
+    attr: str,
+    queries: np.ndarray,
+    *,
+    k: int,
+    concurrency: int,
+    servers: int,
+    config: ServeConfig,
+    telemetry: Telemetry,
+    emit: Callable[[str], None],
+) -> None:
+    """Drive ``queries`` on ``attr`` through a serving target and ``emit`` a report.
+
+    The target is one :class:`QueryServer`, or for ``servers > 1`` an
+    :class:`~repro.elastic.router.ElasticTier` that runs one live
+    ``rebalance_evenly`` mid-run, under traffic.  The report is throughput,
+    latency, every ``serve.*`` counter of ``telemetry``, then the cache
+    (server) or the router, ownership map and replicas (tier).
+    """
     from ..elastic import ElasticTier
 
-    with use_telemetry(Telemetry()), db, ElasticTier(db, num_servers=args.servers, config=config) as tier:
-        # A live handoff under traffic, so the printed stats demonstrate
-        # the drain/transfer/re-admit path rather than a quiescent move.
-        wall, latencies = drive_closed_loop(
-            lambda query: tier.search(["Item.emb"], query, args.k),
-            queries,
-            args.concurrency,
-            midrun=lambda: tier.rebalance_evenly("default", ["Item.emb"]),
+    tier = servers > 1
+    with use_telemetry(telemetry):
+        target = (
+            ElasticTier(db, num_servers=servers, config=config) if tier
+            else QueryServer(db, config)
         )
-        stats = tier.stats()
+        with target:
+            midrun = (lambda: target.rebalance_evenly("default", [attr])) if tier else None
+            wall, latencies = drive_closed_loop(
+                lambda query: target.search([attr], query, k), queries, concurrency, midrun
+            )
+            stats = target.stats()
 
     lat = sorted(latencies)
     p50 = lat[len(lat) // 2]
     p95 = lat[min(len(lat) - 1, int(len(lat) * 0.95))]
-    print(
-        f"served {len(lat)} queries in {wall:.3f}s  "
-        f"({len(lat) / wall:,.0f} QPS, {args.servers} servers, "
-        f"concurrency {args.concurrency})"
+    fleet = f"{servers} servers, " if tier else ""
+    emit(
+        f"served {len(lat)} queries on {attr} in {wall * 1e3:.1f} ms "
+        f"({len(lat) / wall:,.0f} QPS, {fleet}concurrency {concurrency})"
     )
-    print(f"latency p50 {p50 * 1e3:.2f}ms  p95 {p95 * 1e3:.2f}ms")
-    print(
-        f"  router: {stats['routed_requests']} routed, "
-        f"{stats['route_retries']} route retries, "
-        f"{stats['rebalances']} rebalances, "
-        f"{stats['crash_failovers']} crash failovers, "
-        f"{stats['cache_coherence_bypass']} coherence bypasses"
-    )
-    print(f"  live servers: {', '.join(stats['live_servers'])}")
-    print("  ownership map:")
-    for server in sorted(stats["ownership"]):
-        for tenant, groups in sorted(stats["ownership"][server].items()):
-            print(f"    {server}: tenant {tenant} -> groups {groups}")
-    print("  per-replica:")
-    for name, srv in sorted(stats["servers"].items()):
-        print(
-            f"    {name}: owned {srv['owned']}, "
-            f"in/out rebalances {srv['rebalances_in']}/{srv['rebalances_out']}, "
-            f"cache hit ratio {srv['cache_hit_ratio']:.1%} "
-            f"({srv['cache_entries']} entries), "
-            f"workers alive {srv['workers_alive']}"
+    emit(f"latency p50 {p50 * 1e3:.2f}ms  p95 {p95 * 1e3:.2f}ms")
+    counters = telemetry.registry.snapshot()["counters"]
+    for name in sorted(counters):
+        if name.startswith("serve."):
+            emit(f"  {name} = {counters[name]}")
+    if tier:
+        emit(
+            f"  router: {stats['routed_requests']} routed, "
+            f"{stats['route_retries']} route retries, "
+            f"{stats['rebalances']} rebalances, "
+            f"{stats['crash_failovers']} crash failovers, "
+            f"{stats['cache_coherence_bypass']} coherence bypasses"
         )
-    return 0
+        emit(f"  live servers: {', '.join(stats['live_servers'])}")
+        for server in sorted(stats["ownership"]):
+            for tenant, groups in sorted(stats["ownership"][server].items()):
+                emit(f"  {server}: tenant {tenant} -> groups {groups}")
+        for name, srv in sorted(stats["servers"].items()):
+            emit(
+                f"  {name}: rebalances in/out {srv['rebalances_in']}/{srv['rebalances_out']}, "
+                f"cache hit ratio {srv['cache_hit_ratio']:.1%} "
+                f"({srv['cache_entries']} entries), "
+                f"workers alive {srv['workers_alive']}"
+            )
+    elif stats["cache"] is not None:
+        cache = stats["cache"]
+        emit(
+            f"  cache: {cache['hits']} hits / {cache['misses']} misses "
+            f"(hit ratio {cache['hit_ratio']:.1%}, {cache['entries']} entries)"
+        )
+        for tenant in sorted(cache.get("per_tenant", {})):
+            part = cache["per_tenant"][tenant]
+            emit(
+                f"    tenant {tenant}: {part['hits']} hits / "
+                f"{part['misses']} misses, {part['entries']} entries, "
+                f"{part['bytes']} bytes"
+            )
 
 
 def run_demo(args) -> int:
@@ -148,42 +183,11 @@ def run_demo(args) -> int:
         enable_batching=not args.no_batching,
         enable_cache=not args.no_cache,
     )
-    if getattr(args, "servers", 1) > 1:
-        return run_elastic_demo(args, db, queries, config)
-    telemetry = Telemetry()
-    with use_telemetry(telemetry), db, QueryServer(db, config) as server:
-        wall, latencies = drive_closed_loop(
-            lambda query: server.search(["Item.emb"], query, args.k),
-            queries,
-            args.concurrency,
+    with db:
+        serve_demo(
+            db, "Item.emb", queries, k=args.k, concurrency=args.concurrency,
+            servers=args.servers, config=config, telemetry=Telemetry(), emit=print,
         )
-        stats = server.stats()
-
-    lat = sorted(latencies)
-    p50 = lat[len(lat) // 2]
-    p95 = lat[min(len(lat) - 1, int(len(lat) * 0.95))]
-    print(
-        f"served {len(lat)} queries in {wall:.3f}s  "
-        f"({len(lat) / wall:,.0f} QPS, concurrency {args.concurrency})"
-    )
-    print(f"latency p50 {p50 * 1e3:.2f}ms  p95 {p95 * 1e3:.2f}ms")
-    counters = telemetry.registry.snapshot()["counters"]
-    for name in sorted(counters):
-        if name.startswith("serve."):
-            print(f"  {name} = {counters[name]}")
-    if stats["cache"] is not None:
-        cache = stats["cache"]
-        print(
-            f"  cache: {cache['hits']} hits / {cache['misses']} misses "
-            f"(hit ratio {cache['hit_ratio']:.1%}, {cache['entries']} entries)"
-        )
-        for tenant in sorted(cache.get("per_tenant", {})):
-            part = cache["per_tenant"][tenant]
-            print(
-                f"    tenant {tenant}: {part['hits']} hits / "
-                f"{part['misses']} misses, {part['entries']} entries, "
-                f"{part['bytes']} bytes"
-            )
     return 0
 
 

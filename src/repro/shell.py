@@ -131,10 +131,7 @@ class GSQLShell:
                 self._print("usage: \\serve [QUERIES [CONCURRENCY [SERVERS]]]")
                 return True
             try:
-                if servers > 1:
-                    self._serve_elastic_demo(queries, concurrency, servers)
-                else:
-                    self._serve_demo(queries, concurrency)
+                self._serve_demo(queries, concurrency, servers)
             except ReproError as exc:
                 self._print(f"error: {exc}")
         elif cmd == "\\stats":
@@ -168,96 +165,27 @@ class GSQLShell:
         self._print("no embedding attributes — try \\seed first")
         return None
 
-    def _serve_demo(self, queries: int, concurrency: int) -> None:
-        """Spin up a QueryServer over the first embedding attribute and
-        hammer it from ``concurrency`` client threads."""
-        from .serve import QueryServer, ServeConfig
-        from .serve.cli import drive_closed_loop
+    def _serve_demo(self, queries: int, concurrency: int, servers: int) -> None:
+        """Drive the first embedding attribute through a QueryServer, or an
+        elastic tier of ``servers`` (DESIGN §13), from ``concurrency``
+        client threads."""
+        from .serve import ServeConfig
+        from .serve.cli import serve_demo
 
         target = self._first_embedding()
         if target is None:
             return
         attr, dim = target
         if queries < 1 or concurrency < 1:
-            self._print("usage: \\serve [QUERIES [CONCURRENCY]]")
-            return
-        rng = np.random.default_rng(1)
-        vectors = rng.standard_normal((queries, dim)).astype(np.float32)
-
-        with use_telemetry(self.telemetry):
-            config = ServeConfig(workers=min(4, concurrency))
-            with QueryServer(self.db, config) as server:
-                wall, _ = drive_closed_loop(
-                    lambda query: server.search([attr], query, 5), vectors, concurrency
-                )
-                stats = server.stats()
-        self._print(
-            f"served {queries} queries on {attr} in {wall * 1e3:.1f} ms "
-            f"({queries / wall:,.0f} QPS, concurrency {concurrency})"
-        )
-        counters = self.telemetry.registry.snapshot()["counters"]
-        for name in sorted(counters):
-            if name.startswith("serve."):
-                self._print(f"  {name} = {counters[name]}")
-        cache = stats["cache"]
-        if cache is not None:
-            for tenant in sorted(cache.get("per_tenant", {})):
-                part = cache["per_tenant"][tenant]
-                self._print(
-                    f"  cache[{tenant}]: {part['hits']} hits / "
-                    f"{part['misses']} misses, {part['entries']} entries"
-                )
-
-    def _serve_elastic_demo(
-        self, queries: int, concurrency: int, servers: int
-    ) -> None:
-        """Route the demo load through an elastic sharded tier (DESIGN §13)
-        with one live rebalance mid-run, then print the router's view:
-        ownership map, rebalance count, per-replica cache hit rates."""
-        from .elastic import ElasticTier
-        from .serve import ServeConfig
-        from .serve.cli import drive_closed_loop
-
-        target = self._first_embedding()
-        if target is None:
-            return
-        attr, dim = target
-        if queries < 1 or concurrency < 1 or servers < 2:
             self._print("usage: \\serve [QUERIES [CONCURRENCY [SERVERS]]]")
             return
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((queries, dim)).astype(np.float32)
-
-        with use_telemetry(self.telemetry):
-            config = ServeConfig(workers=min(4, concurrency))
-            with ElasticTier(self.db, num_servers=servers, config=config) as tier:
-                wall, _ = drive_closed_loop(
-                    lambda query: tier.search([attr], query, 5),
-                    vectors,
-                    concurrency,
-                    midrun=lambda: tier.rebalance_evenly("default", [attr]),
-                )
-                stats = tier.stats()
-        self._print(
-            f"served {queries} queries on {attr} in {wall * 1e3:.1f} ms "
-            f"({queries / wall:,.0f} QPS, {servers} servers, "
-            f"concurrency {concurrency})"
+        serve_demo(
+            self.db, attr, vectors, k=5, concurrency=concurrency, servers=servers,
+            config=ServeConfig(workers=min(4, concurrency)),
+            telemetry=self.telemetry, emit=self._print,
         )
-        self._print(
-            f"  router: {stats['routed_requests']} routed, "
-            f"{stats['route_retries']} retries, "
-            f"{stats['rebalances']} rebalances, "
-            f"{stats['cache_coherence_bypass']} coherence bypasses"
-        )
-        for server in sorted(stats["ownership"]):
-            for tenant, groups in sorted(stats["ownership"][server].items()):
-                self._print(f"  {server}: tenant {tenant} -> groups {groups}")
-        for name, srv in sorted(stats["servers"].items()):
-            self._print(
-                f"  {name}: cache hit ratio {srv['cache_hit_ratio']:.1%} "
-                f"({srv['cache_entries']} entries), "
-                f"rebalances in/out {srv['rebalances_in']}/{srv['rebalances_out']}"
-            )
 
     def handle_statement(self, text: str) -> None:
         try:

@@ -192,10 +192,10 @@ class TestEmbeddingAction:
             action.topk(store, db._test_vectors[0], 5, snap.tid)
             action.topk_batch(store, db._test_vectors[:8], 5, snap.tid)
         assert action._POOL is None
-        assert store.scan_work(0, None) == 0
-        assert store.scan_work(0, Bitmap.full(64)) == 0
+        assert store.scan_work(None) == 0
+        assert store.scan_work(Bitmap.full(64)) == 0
         few = Bitmap.from_offsets(64, range(store.bf_threshold - 1))
-        assert store.scan_work(0, few) == (store.bf_threshold - 1) * 16
+        assert store.scan_work(few) == (store.bf_threshold - 1) * 16
 
     def test_traversals_run_one_at_a_time(self, loaded_post_db, monkeypatch):
         """HNSW traversals hold the GIL, so the store admits one at a time:

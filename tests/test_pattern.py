@@ -1,13 +1,21 @@
-"""Tests for graph pattern matching (frontier and binding modes)."""
+"""Tests for graph pattern matching (frontier and binding projections)."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Attribute, AttrType, GraphSchema, VertexSet
 from repro.errors import GSQLSemanticError
 from repro.graph.pattern import (
     EdgeHop,
+    NodeMasks,
     NodePattern,
     PathPattern,
+    _as_masks,
+    _hop_types,
+    _initial_members,
+    _node_ok,
     match_bindings,
     match_frontier,
 )
@@ -141,15 +149,6 @@ class TestBindings:
             assert len(rows) == 12  # every post binds once
             assert all(set(r) == {"p", "m"} for r in rows)
 
-    def test_limit(self, store):
-        with store.snapshot() as snap:
-            pattern = PathPattern(
-                [NodePattern("p", "Person"), NodePattern("m", "Post")],
-                [EdgeHop("hasCreator", direction="in")],
-            )
-            rows = list(match_bindings(snap, store.schema, pattern, limit=3))
-            assert len(rows) == 3
-
     def test_multi_hop_bindings(self, store):
         with store.snapshot() as snap:
             pattern = PathPattern(
@@ -219,3 +218,232 @@ class TestDeletedTarget:
             }
         assert frontier["t"].members() == bound == vids(store, "Person", [3])
         assert gone not in bound
+
+
+# ------------------------------------------------------- differential check
+# The two enumerators the walk replaced, kept as its reference: a frontier
+# loop over sets and a recursive depth-first generator.
+
+
+def reference_frontier(snapshot, schema, pattern, node_filters=None, resolve_set=None):
+    node_filters = _as_masks(snapshot, node_filters)
+    resolve_set = resolve_set or (lambda name: None)
+    positions = pattern.expanded_positions()
+    hops = pattern.expanded_hops()
+
+    first = positions[0]
+    expected = _hop_types(schema, hops[0])[0] if hops else None
+    frontier = _initial_members(
+        snapshot, schema, first, expected,
+        resolve_set, node_filters.get(first.alias or ""),
+    )
+    result = {}
+    if first.alias:
+        result[first.alias] = VertexSet(frontier, name=first.alias)
+
+    for hop, node in zip(hops, positions[1:]):
+        src_type, dst_type = _hop_types(schema, hop)
+        reverse = hop.direction == "in"
+        next_frontier = set()
+        node_filter = node_filters.get(node.alias or "")
+        for vtype, vid in frontier:
+            if vtype != src_type:
+                continue
+            for target in snapshot.neighbors(vtype, vid, hop.edge_type, reverse=reverse):
+                member = (dst_type, target)
+                if member in next_frontier:
+                    continue
+                if _node_ok(snapshot, member, node, dst_type, resolve_set, node_filter):
+                    next_frontier.add(member)
+        frontier = next_frontier
+        if node.alias:
+            result[node.alias] = VertexSet(frontier, name=node.alias)
+        if not frontier:
+            break
+    for node in positions:
+        if node.alias and node.alias not in result:
+            result[node.alias] = VertexSet(name=node.alias)
+    return result
+
+
+def reference_bindings(snapshot, schema, pattern, node_filters=None, resolve_set=None):
+    node_filters = _as_masks(snapshot, node_filters)
+    resolve_set = resolve_set or (lambda name: None)
+    positions = pattern.expanded_positions()
+    hops = pattern.expanded_hops()
+
+    first = positions[0]
+    expected = _hop_types(schema, hops[0])[0] if hops else None
+    start = _initial_members(
+        snapshot, schema, first, expected,
+        resolve_set, node_filters.get(first.alias or ""),
+    )
+
+    def extend(index, member, binding):
+        if index == len(hops):
+            yield dict(binding)
+            return
+        hop = hops[index]
+        node = positions[index + 1]
+        src_type, dst_type = _hop_types(schema, hop)
+        vtype, vid = member
+        if vtype != src_type:
+            return
+        reverse = hop.direction == "in"
+        node_filter = node_filters.get(node.alias or "")
+        for target in snapshot.neighbors(vtype, vid, hop.edge_type, reverse=reverse):
+            nxt = (dst_type, target)
+            if not _node_ok(snapshot, nxt, node, dst_type, resolve_set, node_filter):
+                continue
+            if node.alias:
+                binding[node.alias] = nxt
+            yield from extend(index + 1, nxt, binding)
+            if node.alias:
+                del binding[node.alias]
+
+    for member in start:
+        binding = {}
+        if first.alias:
+            binding[first.alias] = member
+        yield from extend(0, member, binding)
+
+
+#: Hops a pattern may take: (source type, edge type, direction, target type).
+_MOVES = [
+    ("Person", "knows", "out", "Person"),
+    ("Person", "hasCreator", "in", "Post"),
+    ("Post", "hasCreator", "out", "Person"),
+]
+
+#: Per-alias filters: none, row-wise, columnar (a NumPy kernel with the same
+#: row check behind it), or one that rejects everything, so the frontier
+#: empties at that position.
+_FILTER_KINDS = ["none", "rowwise", "columnar", "reject"]
+
+
+def _age_filter(kind, modulus, snapshot):
+    def check(vid, row):
+        return kind != "reject" and row["age"] % modulus == 0
+
+    if kind == "rowwise":
+        return check
+    if kind == "reject":
+        return NodeMasks(snapshot, check, lambda state: np.zeros(state.size, dtype=bool))
+
+    def column_mask(state):
+        ages = state.column_array("age")
+        return None if ages is None else ages % modulus == 0
+
+    return NodeMasks(snapshot, check, column_mask)
+
+
+@st.composite
+def _graphs_and_patterns(draw):
+    n_person = draw(st.integers(1, 9))
+    n_post = draw(st.integers(0, 9))
+    people = range(n_person)
+    pairs = st.tuples(st.sampled_from(people), st.sampled_from(people))
+    knows = draw(st.lists(pairs, min_size=n_person, max_size=3 * n_person))
+    created = (
+        draw(st.lists(st.tuples(st.integers(0, n_post - 1), st.sampled_from(people)),
+                      min_size=n_post, max_size=2 * n_post))
+        if n_post else []
+    )
+    gone_people = draw(st.sets(st.sampled_from(people), max_size=2))
+    gone_posts = draw(st.sets(st.integers(0, n_post - 1), max_size=2)) if n_post else set()
+    seed = draw(st.sets(st.tuples(
+        st.sampled_from(["Person", "Post"]), st.integers(0, max(n_person, n_post) - 1)
+    ), max_size=6))
+
+    vtype = draw(st.sampled_from(["Person", "Post"]))
+    labels = [draw(st.sampled_from([vtype, None, "Seed"]))]
+    hops = []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 2, 3, 3]))):
+        # Mostly a hop out of the current type; now and then any hop, which
+        # drops every row of the wrong type.
+        follows = [move for move in _MOVES if move[0] == vtype]
+        _, edge_type, direction, vtype = draw(st.sampled_from(follows * 4 + _MOVES))
+        repeat = draw(st.integers(1, 3)) if edge_type == "knows" else 1
+        hops.append(EdgeHop(edge_type, direction, repeat))
+        labels.append(draw(st.sampled_from([vtype, None, "Seed"])))
+    if labels[0] is None and not hops:
+        labels[0] = vtype  # a lone node needs a type
+    aliases = [draw(st.sampled_from([f"a{i}", f"a{i}", None])) for i in range(len(labels))]
+    filters = {
+        alias: (draw(st.sampled_from(_FILTER_KINDS)), draw(st.integers(1, 3)))
+        for alias in aliases if alias
+    }
+    return {
+        "n_person": n_person, "n_post": n_post, "knows": knows, "created": created,
+        "gone": [("Person", pk) for pk in gone_people] + [("Post", pk) for pk in gone_posts],
+        "vacuum": draw(st.booleans()), "seed": seed,
+        "pattern": PathPattern([NodePattern(a, lb) for a, lb in zip(aliases, labels)], hops),
+        "filters": filters,
+    }
+
+
+def _build_store(case):
+    schema = GraphSchema()
+    for name in ("Person", "Post"):
+        schema.create_vertex_type(
+            name, [Attribute("id", AttrType.INT, primary_key=True), Attribute("age", AttrType.INT)]
+        )
+    schema.create_edge_type("knows", "Person", "Person", directed=False)
+    schema.create_edge_type("hasCreator", "Post", "Person")
+    store = GraphStore(schema, segment_size=4)
+    with store.begin() as txn:
+        for pk in range(case["n_person"]):
+            txn.upsert_vertex("Person", pk, {"age": pk})
+        for pk in range(case["n_post"]):
+            txn.upsert_vertex("Post", pk, {"age": 2 * pk + 1})
+        for a, b in case["knows"]:
+            txn.add_edge("knows", a, b)
+        for post, person in case["created"]:
+            txn.add_edge("hasCreator", post, person)
+    with store.begin() as txn:
+        for vertex_type, pk in case["gone"]:
+            txn.delete_vertex(vertex_type, pk)
+    if case["vacuum"]:
+        store.vacuum()
+    return store
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_graphs_and_patterns())
+def test_walk_matches_the_reference_enumerators(case):
+    store = _build_store(case)
+    seed = VertexSet(
+        (vertex_type, store.vid_for_pk(vertex_type, pk))
+        for vertex_type, pk in case["seed"]
+        if store.vid_for_pk(vertex_type, pk) is not None
+    )
+
+    def resolve(name):
+        return seed if name == "Seed" else None
+
+    pattern = case["pattern"]
+    with store.snapshot() as snap:
+
+        def filters():
+            return {
+                alias: _age_filter(kind, modulus, snap)
+                for alias, (kind, modulus) in case["filters"].items() if kind != "none"
+            }
+
+        def run(matcher):
+            try:
+                return matcher(snap, store.schema, pattern, filters(), resolve)
+            except GSQLSemanticError as exc:
+                return type(exc)
+
+        expected = run(lambda *a: list(reference_bindings(*a)))
+        assert run(lambda *a: list(match_bindings(*a))) == expected
+        frontier = run(match_frontier)
+        expected_frontier = run(reference_frontier)
+        if isinstance(expected_frontier, dict):
+            assert list(frontier) == list(expected_frontier)
+            for alias, vset in expected_frontier.items():
+                assert frontier[alias].members() == vset.members(), alias
+        else:
+            assert frontier == expected_frontier
+

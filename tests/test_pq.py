@@ -201,65 +201,6 @@ class TestADC:
 
 
 class TestPQKernelContract:
-    @pytest.fixture
-    def kernel(self, rows):
-        pq = PQCodes.from_vectors(PQCodebook.train(rows, 4), rows, Metric.L2)
-        return pq.kernel(Metric.L2)
-
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_fused_multi_bit_identical_to_solo(self, rows, rng, metric):
-        pq = PQCodes.from_vectors(PQCodebook.train(rows, 4, metric=metric), rows, metric)
-        kernel = pq.kernel(metric)
-        queries = rng.standard_normal((6, 16)).astype(np.float32)
-        picked = np.arange(0, 300, 7)
-        mctx = kernel.queries(queries)
-        fused = kernel.distances_multi(mctx, picked)
-        solo = np.stack(
-            [kernel.distances(kernel.query(q), picked) for q in queries]
-        )
-        np.testing.assert_array_equal(fused, solo)  # exact, not approx
-        fused_prefix = kernel.distances_multi_prefix(kernel.queries(queries), 50)
-        solo_prefix = np.stack(
-            [kernel.distances_prefix(kernel.query(q), 50) for q in queries]
-        )
-        np.testing.assert_array_equal(fused_prefix, solo_prefix)
-
-    def test_fused_counts_distances(self, kernel, rows):
-        mctx = kernel.queries(rows[:3])
-        kernel.distances_multi(mctx, np.arange(10))
-        assert mctx.num_distances == 3 * 10  # one counter for the batch
-
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_pairwise_matches_decoded_reference(self, rows, metric):
-        pq = PQCodes.from_vectors(PQCodebook.train(rows, 4, metric=metric), rows, metric)
-        kernel = pq.kernel(metric)
-        picked = np.array([0, 3, 9, 41])
-        got = kernel.pairwise(picked)
-        decoded = pq.decode()[picked]
-        if metric is Metric.L2:
-            want = np.maximum(
-                ((decoded[:, None, :] - decoded[None, :, :]) ** 2).sum(axis=2), 0.0
-            )
-        else:
-            want = 1.0 - decoded @ decoded.T
-        np.testing.assert_allclose(got, want, atol=1e-3)
-
-    def test_cross_matches_per_query(self, kernel, rows, rng):
-        queries = rng.standard_normal((3, 16)).astype(np.float32)
-        got = kernel.cross(queries, n=40)
-        want = np.stack(
-            [kernel.distances_prefix(kernel.query(q), 40) for q in queries]
-        )
-        np.testing.assert_allclose(got, want, atol=1e-5)
-
-    def test_immutable_binding(self, kernel, rows):
-        with pytest.raises(VectorSearchError):
-            kernel.attach(rows, 10)
-        with pytest.raises(VectorSearchError):
-            kernel.set_row(0, rows[0])
-        with pytest.raises(VectorSearchError):
-            kernel.set_rows([0, 1], rows[:2])
-
     def test_code_shape_validation(self, rows):
         book = PQCodebook.train(rows, 4)
         with pytest.raises(VectorSearchError):
